@@ -681,10 +681,15 @@ def bench_batch(size: int, reps: int, seed: int) -> List[BenchResult]:
     return results
 
 
+#: the fleet step-loop scaling series: op suffix -> arrivals in the day
+FLEET_STEP_SERIES = (("1k", 1_000), ("10k", 10_000), ("100k", 100_000))
+
+
 def bench_fleet(size: int, reps: int, seed: int) -> List[BenchResult]:
-    """Fleet tier: seeded trace generation and the scheduler step loop."""
-    from repro.fleet import PoolSpec, generate_trace
-    from repro.fleet.simulator import FleetSimulator
+    """Fleet tier: seeded trace generation, cold provisioning, and the
+    scheduler step loop as a scaling series."""
+    from repro.fleet import FleetSimulator, default_pools, generate_trace
+    from repro.fleet import simulator as fleet_simulator
 
     # arrivals/s of the seeded generator (dominated by the rng draws and
     # the dataclass validation per arrival)
@@ -701,44 +706,68 @@ def bench_fleet(size: int, reps: int, seed: int) -> List[BenchResult]:
         )
     ]
 
-    # events/s of the simulator: time-step ticks plus one arrival and one
-    # completion event per job, on a small heterogeneous fleet
-    num_jobs = max(size // 2_000, 25)
-    trace = generate_trace(
-        "diurnal",
-        num_jobs=num_jobs,
-        seed=seed + 1,
-        horizon_s=6 * 3600.0,
-        mean_duration_s=1200.0,
-    )
-    pools = (
-        PoolSpec(
-            name="disagg-cpu", system="Disagg", nodes=48,
-            workers_per_node=32, min_nodes=16, max_nodes=96,
-            scaleup_latency_s=120.0,
-        ),
-        PoolSpec(
-            name="presto-ssd", system="PreSto", nodes=8, workers_per_node=8,
-            min_nodes=4, max_nodes=32, scaleup_latency_s=120.0,
-        ),
-    )
+    # a diurnal day on the default fleet; a day of N jobs runs when
+    # N <= size // 2, so quick mode stops at 10k and full mode reaches 100k
+    pools = default_pools()
+    traces = {
+        label: generate_trace("diurnal", num_jobs=jobs, seed=seed + 1)
+        for label, jobs in FLEET_STEP_SERIES if jobs <= size // 2
+    }
 
-    def run():
-        simulator = FleetSimulator(
+    def day(trace):
+        return FleetSimulator(
             trace, pools=pools, policy="best-fit",
             autoscaler="target-utilization",
-        )
-        return simulator.run()
+        ).run()
 
-    outcome = run()
-    steps = int(outcome.makespan_s // 60.0) + 1
-    events = steps + 2 * outcome.num_jobs
-    elapsed = _best_of(run, max(1, reps // 2))
-    # an "element" is one simulator event; payload is the heap-entry traffic
+    # model construction + T/P planning for every distinct (pool, model,
+    # gpus) of the largest day, on an emptied memo: what the first
+    # simulator in a process pays once, and what fleet_step used to time
+    smallest, largest = list(traces.values())[0], list(traces.values())[-1]
+    distinct = list({
+        (arrival.model, arrival.num_gpus): arrival for arrival in largest.arrivals
+    }.values())
+
+    def provision_cold():
+        fleet_simulator._NEED_MEMO.clear()
+        # built on the smallest trace: construction cost is not the subject
+        simulator = FleetSimulator(smallest, pools=pools)
+        return [simulator._needs(arrival) for arrival in distinct]
+
+    plans = len(distinct) * len(pools)
     results.append(
-        _result("fleet_step", "vectorized", events, events * 48, elapsed)
+        _result(
+            "fleet_provision_cold", "vectorized", plans, plans * 8,
+            _best_of(provision_cold, reps),
+        )
     )
+
+    # events/s of the step loop on a warm memo (_best_of's first call
+    # warms it): time-step ticks plus one arrival and one completion per
+    # job; an "element" is one simulator event, payload the heap traffic
+    for label, trace in traces.items():
+        outcome = day(trace)
+        events = int(outcome.makespan_s // 60.0) + 1 + 2 * outcome.num_jobs
+        elapsed = _best_of(lambda: day(trace), max(1, reps // 2))
+        results.append(
+            _result(f"fleet_step@{label}", "vectorized", events, events * 48,
+                    elapsed)
+        )
     return results
+
+
+def fleet_step_scaling(report: Dict[str, object]) -> str:
+    """One line: us/event of each ``fleet_step@`` row and the spread
+    across the series (flat cost per event means a ratio near 1)."""
+    cost = {
+        entry["op"].split("@")[1]: entry["ns_per_element"] / 1e3
+        for entry in report["results"] if entry["op"].startswith("fleet_step@")
+    }
+    if not cost:
+        return ""
+    series = ", ".join(f"@{label} {us:.1f}" for label, us in cost.items())
+    ratio = max(cost.values()) / min(cost.values())
+    return f"fleet_step us/event: {series} (max/min {ratio:.2f}x)"
 
 
 def bench_ops(size: int, reps: int, rng: np.random.Generator) -> List[BenchResult]:
@@ -820,9 +849,11 @@ def render_report(report: Dict[str, object]) -> str:
     title = "Kernel benchmarks ({} mode)".format(
         "quick" if report["quick"] else "full"
     )
-    return format_table(
+    table = format_table(
         ("op", "variant", "size", "ns/element", "MB/s", "vs scalar"), rows, title
     )
+    scaling = fleet_step_scaling(report)
+    return f"{table}\n{scaling}" if scaling else table
 
 
 def write_report(report: Dict[str, object], path: str) -> None:

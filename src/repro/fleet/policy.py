@@ -8,9 +8,12 @@ and ``repro fleet --policy`` all resolve it through the one
 A policy answers two questions, both as pure functions of the visible
 state (so fleet runs stay deterministic):
 
-* :meth:`PlacementPolicy.queue_order` — the order queued jobs are
-  offered capacity (FIFO by default; ``priority`` puts urgent jobs
-  first);
+* :meth:`PlacementPolicy.order_key` — where a job sorts in the queue
+  (smaller keys are offered capacity first; a constant, i.e. FIFO, by
+  default; ``priority`` puts urgent jobs first).  The simulator keeps
+  its queue as a heap on ``(order_key, enqueue sequence)``, so equal
+  keys stay in enqueue order and a displaced job rejoins behind the
+  queued jobs of its class;
 * :meth:`PlacementPolicy.choose_pool` — which candidate pool a job
   lands in (``first-fit`` takes the first that fits, ``best-fit`` the
   tightest fit).
@@ -36,11 +39,18 @@ class PlacementPolicy:
 
     name = "first-fit"
 
+    def order_key(self, job: JobArrival):
+        """The job's place in the queue: smaller keys are offered freed
+        capacity first, equal keys in enqueue order.  Must be a pure
+        function of the arrival returning mutually comparable values —
+        the simulator reads it once per enqueue, never re-sorts."""
+        return 0
+
     def queue_order(self, queued: Sequence[JobArrival]) -> List[JobArrival]:
-        """The order queued jobs are offered freed capacity.  The head
-        of the returned list blocks the rest (no backfilling), which
-        keeps admission decisions O(1) per event and starvation-free."""
-        return list(queued)
+        """``queued`` (in enqueue order) as the simulator would serve
+        it.  The head blocks the rest (no backfilling), which keeps
+        admission decisions O(1) per event and starvation-free."""
+        return sorted(queued, key=self.order_key)
 
     def choose_pool(self, job: JobArrival, candidates: Sequence[Candidate]) -> str:
         """Pick one of the candidate pools (all already fit the job)."""
@@ -141,9 +151,9 @@ class BestFitPolicy(PlacementPolicy):
 class PriorityPolicy(PlacementPolicy):
     """Priority queue (high first, FIFO within a class), first-fit pools.
 
-    Sorting is stable, so two jobs of equal priority keep submission
-    order — the deterministic tiebreak the chaos harness relies on.
+    Two jobs of equal priority keep enqueue order — the deterministic
+    tiebreak the chaos harness relies on.
     """
 
-    def queue_order(self, queued: Sequence[JobArrival]) -> List[JobArrival]:
-        return sorted(queued, key=lambda job: -job.priority)
+    def order_key(self, job: JobArrival) -> int:
+        return -job.priority

@@ -9,7 +9,8 @@ the discrete-event :class:`~repro.sim.engine.Engine`:
 * **placement** is delegated to a registered
   :class:`~repro.fleet.policy.PlacementPolicy`; a job needs
   ``system.provision_for(num_gpus).num_workers`` workers in a pool
-  (cached per (pool, model, gpus)) and may span nodes;
+  (memoized process-wide per (system factory, model spec, gpus,
+  calibration), resolved once at admission) and may span nodes;
 * **autoscaling** consults a registered
   :class:`~repro.fleet.autoscale.Autoscaler` once per step; growth pays
   the pool's ``scaleup_latency_s`` before new nodes serve, shrinking
@@ -25,6 +26,10 @@ the discrete-event :class:`~repro.sim.engine.Engine`:
   stable identities (``pool:node:epoch``, job ids), so the same seed
   replays the same episode event for event.
 
+The per-event path recomputes nothing: capacity, queued demand and the
+policy-ordered queue are ledgers updated where they change (``docs/fleet.md``,
+"Complexity and scale"); :meth:`FleetSimulator.check_ledgers` recounts them.
+
 Determinism is end to end: the engine orders simultaneous events FIFO,
 the simulator draws no randomness of its own, and faults hash — the same
 trace, pools, policy, and fault seed always produce the byte-identical
@@ -34,6 +39,7 @@ trace, pools, policy, and fault seed always produce the byte-identical
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -56,6 +62,12 @@ from repro.sim.engine import Engine, Timeout
 
 #: extra clones an ``arrival-burst`` fault fans one arrival into
 BURST_CLONES = 2
+
+#: process-wide provisioning memo: (system factory, calibration) ->
+#: {(model spec, num_gpus): workers needed, None if it cannot run there}.
+#: Keyed on the factory object, not its registry name, so re-registering a
+#: system never serves a stale need; it holds plain ints, no system objects.
+_NEED_MEMO: Dict[tuple, Dict[tuple, Optional[int]]] = {}
 
 
 @dataclass(frozen=True)
@@ -104,22 +116,13 @@ def default_pools(calibration: Calibration = CALIBRATION) -> Tuple[PoolSpec, ...
     nodes — sized so a day-scale diurnal trace exercises autoscaling."""
     return (
         PoolSpec(
-            name="disagg-cpu",
-            system="Disagg",
-            nodes=256,
+            name="disagg-cpu", system="Disagg", nodes=256,
             workers_per_node=calibration.cpu_cores_per_node,
-            min_nodes=32,
-            max_nodes=1536,
-            scaleup_latency_s=300.0,
+            min_nodes=32, max_nodes=1536, scaleup_latency_s=300.0,
         ),
         PoolSpec(
-            name="presto-ssd",
-            system="PreSto",
-            nodes=24,
-            workers_per_node=8,
-            min_nodes=8,
-            max_nodes=192,
-            scaleup_latency_s=300.0,
+            name="presto-ssd", system="PreSto", nodes=24, workers_per_node=8,
+            min_nodes=8, max_nodes=192, scaleup_latency_s=300.0,
         ),
     )
 
@@ -127,25 +130,29 @@ def default_pools(calibration: Calibration = CALIBRATION) -> Tuple[PoolSpec, ...
 class _Node:
     """One node inside a pool: capacity plus its live allocations."""
 
-    __slots__ = ("id", "up", "retired", "allocations")
+    __slots__ = ("id", "up", "allocations", "used", "open")
 
     def __init__(self, node_id: int) -> None:
         self.id = node_id
-        self.up = True
-        self.retired = False
+        self.up = True  # serving: not mid-repair, not retired by a shrink
         self.allocations: Dict[str, int] = {}  # job_id -> workers here
+        self.used = 0  # ledger: sum(allocations.values())
+        self.open = False  # ledger: has an entry in the pool's open heap
 
 
 class _Job:
     """Mutable per-job run state behind the frozen trace arrival."""
 
     __slots__ = (
-        "arrival", "state", "pool", "start_s", "finish_s", "waited_s",
-        "enqueued_s", "reschedules", "displacements", "token", "alloc",
+        "arrival", "needs", "state", "pool", "start_s", "finish_s",
+        "waited_s", "enqueued_s", "reschedules", "displacements", "token",
+        "alloc",
     )
 
-    def __init__(self, arrival: JobArrival) -> None:
+    def __init__(self, arrival: JobArrival, needs: tuple) -> None:
         self.arrival = arrival
+        #: (pool, workers needed there) per pool that could ever hold it
+        self.needs: Tuple[Tuple["_PoolState", int], ...] = needs
         self.state = "queued"
         self.pool: Optional[str] = None
         self.start_s: Optional[float] = None
@@ -155,17 +162,17 @@ class _Job:
         self.reschedules = 0
         self.displacements = 0
         self.token = 0  # bumps invalidate in-flight completion callbacks
-        self.alloc: Dict[int, int] = {}  # node id -> workers (one pool)
+        self.alloc: List[_Node] = []  # nodes holding it (one pool)
 
 
 class _PoolState:
     """One pool's live nodes, pending growth, and usage ledgers."""
 
     __slots__ = (
-        "spec", "reference", "systems", "need_cache", "nodes", "pending",
-        "grow_batches", "next_node_id", "peak_nodes",
-        "capacity_worker_hours", "busy_worker_hours", "energy_kwh",
-        "jobs_completed", "node_failures",
+        "spec", "reference", "factory", "needs", "nodes", "open", "up",
+        "busy", "queued", "pending", "grow_batches", "next_node_id",
+        "peak_nodes", "capacity_worker_hours", "busy_worker_hours",
+        "energy_kwh", "jobs_completed", "node_failures",
     )
 
     def __init__(self, spec: PoolSpec, calibration: Calibration) -> None:
@@ -173,9 +180,17 @@ class _PoolState:
         self.reference = REGISTRY.create(
             spec.system, get_model(spec.model), calibration
         )
-        self.systems: Dict[str, object] = {}
-        self.need_cache: Dict[Tuple[str, int], Optional[int]] = {}
-        self.nodes: List[_Node] = [_Node(i) for i in range(spec.nodes)]
+        self.factory = REGISTRY.get(spec.system)
+        self.needs = _NEED_MEMO.setdefault((self.factory, calibration), {})
+        self.nodes: List[_Node] = []  # id-ascending, up or repairing
+        #: ledger: min-heap of (id, node) holding every up non-full node
+        #: (``node.open``); stale entries are dropped when they surface
+        self.open: List[Tuple[int, _Node]] = []
+        self.up = 0  # ledger: up nodes in ``nodes``
+        self.busy = 0  # ledger: allocated workers across ``nodes``
+        self.queued = 0  # ledger: demand of the queued jobs that fit here
+        for node_id in range(spec.nodes):
+            self.add_node(_Node(node_id))
         self.pending = 0  # nodes bought but not yet online
         self.grow_batches: List[List[int]] = []  # surviving count per grow
         self.next_node_id = spec.nodes
@@ -191,19 +206,20 @@ class _PoolState:
         """Nodes the pool owns right now: live (up or repairing) + pending."""
         return len(self.nodes) + self.pending
 
-    def up_nodes(self) -> List[_Node]:
-        return [node for node in self.nodes if node.up]
-
     def free_workers(self) -> int:
-        wpn = self.spec.workers_per_node
-        return sum(
-            wpn - sum(node.allocations.values()) for node in self.up_nodes()
-        )
+        # a down node holds no allocations, so everything busy is on up nodes
+        return self.up * self.spec.workers_per_node - self.busy
 
-    def busy_workers(self) -> int:
-        return sum(
-            sum(node.allocations.values()) for node in self.nodes
-        )
+    def add_node(self, node: _Node) -> None:
+        self.nodes.append(node)
+        self.up += 1
+        self.reopen(node)
+
+    def reopen(self, node: _Node) -> None:
+        """``node`` (up, not full) can take work again."""
+        if not node.open:
+            node.open = True
+            heapq.heappush(self.open, (node.id, node))
 
 
 class FleetSimulator:
@@ -225,9 +241,7 @@ class FleetSimulator:
         injector: Optional[FaultInjector] = None,
     ) -> None:
         if not isinstance(trace, Trace):
-            raise ConfigurationError(
-                f"FleetSimulator needs a Trace, got {trace!r}"
-            )
+            raise ConfigurationError(f"FleetSimulator needs a Trace, got {trace!r}")
         pool_specs = tuple(pools) if pools is not None else default_pools(calibration)
         if not pool_specs:
             raise ConfigurationError("a fleet needs at least one pool")
@@ -240,8 +254,7 @@ class FleetSimulator:
             )
         if repair_s < 0 or slow_penalty_s < 0 or slo_queue_s < 0:
             raise ConfigurationError(
-                "repair_s, slow_penalty_s, and slo_queue_s must be "
-                "non-negative"
+                "repair_s, slow_penalty_s, and slo_queue_s must be non-negative"
             )
         self.trace = trace
         self.calibration = calibration
@@ -261,7 +274,9 @@ class FleetSimulator:
         }
         self._jobs: Dict[str, _Job] = {}
         self._used_ids = {arrival.job_id for arrival in trace.arrivals}
-        self._queue: List[_Job] = []
+        #: ledger: min-heap of (policy order key, enqueue sequence, job)
+        self._queue: List[Tuple[object, int, _Job]] = []
+        self._enqueued = 0
         self._arrived = 0
         self._expected = len(trace)
         self._terminal = 0
@@ -274,124 +289,126 @@ class FleetSimulator:
     # -- fault probes --------------------------------------------------------
 
     def _probe(self, point: str, **context):
-        """Cooperative fleet probe: the matched rule, or ``None``.
-
-        Uses the simulator's own injector when one was passed, else the
-        process-global one.  Fleet actions (``down``/``slow``/``burst``)
-        are always enacted here in simulated time — never via the generic
+        """Cooperative fleet probe: the matched rule, or ``None``, from
+        the injector :meth:`run` resolved (the simulator's own, else the
+        process-global one).  Fleet actions (``down``/``slow``/``burst``)
+        are enacted here in simulated time — never via the generic
         wall-clock executor."""
-        injector = self._injector if self._injector is not None else active_injector()
-        if injector is None:
+        if self._injector is None:
             return None
-        return injector.check(point, **context)
+        return self._injector.check(point, **context)
 
     # -- provisioning --------------------------------------------------------
 
-    def _need(self, pool: _PoolState, arrival: JobArrival) -> Optional[int]:
-        """Workers ``arrival`` needs in ``pool`` (None: can't run there)."""
-        key = (arrival.model, arrival.num_gpus)
-        if key not in pool.need_cache:
-            system = pool.systems.get(arrival.model)
-            if system is None:
-                system = REGISTRY.create(
-                    pool.spec.system, get_model(arrival.model), self.calibration
-                )
-                pool.systems[arrival.model] = system
-            try:
-                need = system.provision_for(arrival.num_gpus).num_workers
-            except (ConfigurationError, ProvisioningError):
-                need = None  # this technology cannot sustain the job
-            pool.need_cache[key] = need
-        return pool.need_cache[key]
-
-    def _reachable_workers(self, pool: _PoolState) -> int:
-        """The most workers this pool can ever offer a queued job: the
-        spec's maximum when the autoscaler grows pools, the committed
-        capacity when it holds — a job sized past that would queue
-        forever, head-of-line blocking everything behind it."""
-        if self.autoscaler.can_grow:
-            return pool.spec.max_workers
-        return pool.committed_nodes * pool.spec.workers_per_node
-
-    def _fits_ever(self, arrival: JobArrival) -> bool:
+    def _needs(self, arrival: JobArrival) -> Tuple[Tuple[_PoolState, int], ...]:
+        """(pool, workers ``arrival`` needs there) for every pool whose
+        maximum size could hold it, through the process-wide memo."""
+        model = get_model(arrival.model)
+        key = (model, arrival.num_gpus)
+        needs = []
         for pool in self.pools.values():
-            need = self._need(pool, arrival)
-            if need is not None and need <= self._reachable_workers(pool):
-                return True
-        return False
+            try:
+                need = pool.needs[key]
+            except KeyError:
+                system = pool.factory(model, self.calibration)
+                try:
+                    need = system.provision_for(arrival.num_gpus).num_workers
+                except (ConfigurationError, ProvisioningError):
+                    need = None  # this technology cannot sustain the job
+                pool.needs[key] = need
+            if need is not None and need <= pool.spec.max_workers:
+                needs.append((pool, need))
+        return tuple(needs)
+
+    def _fits_ever(self, job: _Job) -> bool:
+        """Can some pool ever offer the job its workers?  ``job.needs``
+        already fits each spec's maximum — what a growing autoscaler can
+        reach; one that holds offers only committed capacity, and a job
+        past that would queue forever, blocking everything behind it."""
+        if self.autoscaler.can_grow:
+            return bool(job.needs)
+        return any(
+            need <= pool.committed_nodes * pool.spec.workers_per_node
+            for pool, need in job.needs
+        )
+
+    def _enqueue(self, job: _Job) -> None:
+        """Join the queue behind every queued job of the same order key."""
+        self._enqueued += 1
+        key = self.policy.order_key(job.arrival)
+        heapq.heappush(self._queue, (key, self._enqueued, job))
+        for pool, need in job.needs:
+            pool.queued += need
 
     # -- arrivals ------------------------------------------------------------
 
-    def _on_arrival(self, arrival: JobArrival, burst_probe: bool) -> None:
+    def _on_arrival(self, arrival: JobArrival) -> None:
         self._arrived += 1
         jobs = [arrival]
-        if burst_probe:
-            rule = self._probe(
-                "arrival-burst", job_id=arrival.job_id, item=arrival.job_id
-            )
-            if rule is not None:
-                clones = int(rule.delay_s) if rule.delay_s else BURST_CLONES
-                suffix = 0
-                for _ in range(max(1, clones)):
-                    # a recorded trace may legitimately hold a job id of
-                    # the clone shape; skip suffixes until the id is free
-                    # so a clone never overwrites another job's state
-                    while True:
-                        clone_id = f"{arrival.job_id}+burst{suffix}"
-                        suffix += 1
-                        if clone_id not in self._used_ids:
-                            break
-                    self._used_ids.add(clone_id)
-                    jobs.append(
-                        dataclasses.replace(arrival, job_id=clone_id)
-                    )
-                    self._expected += 1
-                    self._arrived += 1
+        job_id = arrival.job_id
+        rule = self._probe("arrival-burst", job_id=job_id, item=job_id)
+        if rule is not None:
+            clones = int(rule.delay_s) if rule.delay_s else BURST_CLONES
+            suffix = 0
+            for _ in range(max(1, clones)):
+                # a recorded trace may legitimately hold a job id of the
+                # clone shape; skip suffixes until the id is free so a
+                # clone never overwrites another job's state
+                while True:
+                    clone_id = f"{job_id}+burst{suffix}"
+                    suffix += 1
+                    if clone_id not in self._used_ids:
+                        break
+                self._used_ids.add(clone_id)
+                jobs.append(dataclasses.replace(arrival, job_id=clone_id))
+                self._expected += 1
+                self._arrived += 1
         for entry in jobs:
-            job = _Job(entry)
+            job = _Job(entry, self._needs(entry))
             job.enqueued_s = self.engine.now
             self._jobs[entry.job_id] = job
-            if not self._fits_ever(entry):
+            if not self._fits_ever(job):
                 job.state = "rejected"
                 self._terminal += 1
                 self._last_terminal_s = self.engine.now
                 continue
-            self._queue.append(job)
+            self._enqueue(job)
         self._drain()
 
     # -- placement -----------------------------------------------------------
 
-    def _candidates(self, arrival: JobArrival) -> List[Candidate]:
-        found: List[Candidate] = []
-        for pool in self.pools.values():
-            need = self._need(pool, arrival)
-            if need is None or need > pool.spec.max_workers:
-                continue
-            free = pool.free_workers()
-            if need <= free:
-                found.append((pool.spec.name, free, need))
-        return found
+    def _candidates(self, job: _Job) -> List[Candidate]:
+        return [
+            (pool.spec.name, pool.free_workers(), need)
+            for pool, need in job.needs if need <= pool.free_workers()
+        ]
 
     def _place(self, job: _Job, pool_name: str, need: int) -> None:
+        """Fill up nodes lowest id first, spanning nodes as needed."""
         pool = self.pools[pool_name]
         now = self.engine.now
         remaining = need
         wpn = pool.spec.workers_per_node
-        for node in pool.up_nodes():
-            if remaining <= 0:
-                break
-            free = wpn - sum(node.allocations.values())
-            if free <= 0:
+        while remaining > 0 and pool.open:
+            node = pool.open[0][1]
+            free = wpn - node.used
+            if free <= 0 or not node.up:
+                heapq.heappop(pool.open)
+                node.open = False
                 continue
             take = min(free, remaining)
             node.allocations[job.arrival.job_id] = take
-            job.alloc[node.id] = take
+            node.used += take
+            job.alloc.append(node)
             remaining -= take
         if remaining > 0:  # _candidates said it fits; this is a bug
             raise FleetError(
                 f"pool {pool_name!r} lost capacity while placing "
                 f"{job.arrival.job_id!r}"
             )
+        pool.busy += need
+        for other, queued_need in job.needs:
+            other.queued -= queued_need
         job.state = "running"
         job.pool = pool_name
         job.waited_s += now - job.enqueued_s
@@ -404,8 +421,7 @@ class FleetSimulator:
             job.reschedules += 1
         job.token += 1
         token = job.token
-        finish = now + job.arrival.duration_s
-        job.finish_s = finish
+        job.finish_s = now + job.arrival.duration_s
         self.engine.schedule(
             job.arrival.duration_s, lambda: self._complete(job, token)
         )
@@ -413,39 +429,33 @@ class FleetSimulator:
     def _drain(self) -> None:
         """Offer free capacity to the queue in policy order.  The head of
         the ordered queue blocks the rest (no backfilling)."""
-        if not self._queue:
-            return
-        by_id = {job.arrival.job_id: job for job in self._queue}
-        placed: List[_Job] = []
-        for arrival in self.policy.queue_order(
-            [job.arrival for job in self._queue]
-        ):
-            job = by_id[arrival.job_id]
-            candidates = self._candidates(arrival)
+        queue = self._queue
+        while queue:
+            job = queue[0][2]
+            candidates = self._candidates(job)
             if not candidates:
                 break
-            choice = self.policy.choose_pool(arrival, candidates)
+            choice = self.policy.choose_pool(job.arrival, candidates)
             by_name = {name: need for name, _, need in candidates}
             if choice not in by_name:
                 raise FleetError(
                     f"policy {self.policy.name!r} chose {choice!r} which is "
-                    f"not a candidate for {arrival.job_id!r}"
+                    f"not a candidate for {job.arrival.job_id!r}"
                 )
+            heapq.heappop(queue)
             self._place(job, choice, by_name[choice])
-            placed.append(job)
-        if placed:
-            gone = {id(job) for job in placed}
-            self._queue = [j for j in self._queue if id(j) not in gone]
 
     # -- completion / displacement ------------------------------------------
 
     def _free(self, job: _Job) -> None:
-        if job.pool is None:
-            return
         pool = self.pools[job.pool]
-        for node in pool.nodes:
-            node.allocations.pop(job.arrival.job_id, None)
-        job.alloc = {}
+        for node in job.alloc:
+            released = node.allocations.pop(job.arrival.job_id)
+            node.used -= released
+            pool.busy -= released
+            if node.up:
+                pool.reopen(node)
+        job.alloc = []
 
     def _complete(self, job: _Job, token: int) -> None:
         if job.token != token or job.state != "running":
@@ -471,64 +481,58 @@ class FleetSimulator:
         job.finish_s = None
         job.displacements += 1
         job.enqueued_s = self.engine.now
-        self._queue.append(job)
+        self._enqueue(job)
 
     def _fail_node(self, pool: _PoolState, node: _Node) -> None:
         node.up = False
+        pool.up -= 1
         pool.node_failures += 1
         for job_id in list(node.allocations):
-            job = self._jobs[job_id]
-            self._displace(job)
-        node.allocations.clear()
+            self._displace(self._jobs[job_id])  # frees this node too
 
-        def repair() -> None:
-            if not node.retired:
-                node.up = True
-                self._drain()
+        def repair() -> None:  # a down node is never retired: still ours
+            node.up = True
+            pool.up += 1
+            pool.reopen(node)
+            self._drain()
 
         self.engine.schedule(self.repair_s, repair)
 
-    def _slow_jobs(self, job_ids, penalty_s: float) -> None:
-        """Each affected job finishes ``penalty_s`` late.  A job spanning
-        several degraded nodes is only as slow as its slowest node — one
-        penalty per epoch, not one per node — which also keeps a wide job
-        from being slowed faster than it can finish."""
-        for job_id in job_ids:
-            job = self._jobs[job_id]
-            if job.state != "running" or job.finish_s is None:
-                continue
-            job.token += 1
-            token = job.token
-            job.finish_s += penalty_s
-            self.engine.schedule(
-                job.finish_s - self.engine.now,
-                lambda job=job, token=token: self._complete(job, token),
-            )
+    def _slow_job(self, job: _Job, penalty_s: float) -> None:
+        """The job finishes ``penalty_s`` late.  A job spanning several
+        degraded nodes is only as slow as its slowest node — one penalty
+        per epoch, not one per node — which also keeps a wide job from
+        being slowed faster than it can finish."""
+        if job.state != "running" or job.finish_s is None:
+            return
+        job.token += 1
+        token = job.token
+        job.finish_s += penalty_s
+        self.engine.schedule(
+            job.finish_s - self.engine.now, lambda: self._complete(job, token)
+        )
 
     def _probe_nodes(self, epoch: int) -> None:
+        if self._injector is None:
+            return  # nothing can fire: skip the per-node scan
         slowed: Dict[str, float] = {}  # job_id -> worst penalty this epoch
-        for pool in self.pools.values():
-            for node in pool.up_nodes():
-                item = f"{pool.spec.name}:node-{node.id}:epoch-{epoch}"
-                if self._probe("node-down", item=item,
-                               pool=pool.spec.name) is not None:
+        for name, pool in self.pools.items():
+            for node in [node for node in pool.nodes if node.up]:
+                item = f"{name}:node-{node.id}:epoch-{epoch}"
+                if self._probe("node-down", item=item, pool=name) is not None:
                     for job_id in node.allocations:
                         slowed.pop(job_id, None)  # displaced, not slowed
                     self._fail_node(pool, node)
                     continue
-                rule = self._probe("slow-node", item=item,
-                                   pool=pool.spec.name)
+                rule = self._probe("slow-node", item=item, pool=name)
                 if rule is not None:
                     penalty = (
-                        rule.delay_s if rule.delay_s is not None
-                        else self.slow_penalty_s
+                        self.slow_penalty_s if rule.delay_s is None else rule.delay_s
                     )
                     for job_id in node.allocations:
-                        slowed[job_id] = max(
-                            slowed.get(job_id, 0.0), penalty
-                        )
+                        slowed[job_id] = max(slowed.get(job_id, 0.0), penalty)
         for job_id in sorted(slowed):
-            self._slow_jobs((job_id,), slowed[job_id])
+            self._slow_job(self._jobs[job_id], slowed[job_id])
 
     # -- autoscaling / accounting -------------------------------------------
 
@@ -538,32 +542,20 @@ class FleetSimulator:
         if dt_h <= 0:
             return
         for pool in self.pools.values():
-            capacity = len(pool.up_nodes()) * pool.spec.workers_per_node
-            busy = pool.busy_workers()
+            capacity = pool.up * pool.spec.workers_per_node
             pool.capacity_worker_hours += capacity * dt_h
-            pool.busy_worker_hours += busy * dt_h
+            pool.busy_worker_hours += pool.busy * dt_h
             watts = pool.reference.power(capacity) if capacity else 0.0
             pool.energy_kwh += watts * dt_h / 1000.0
         self._last_integrate_s = now
-
-    def _queued_workers(self, pool: _PoolState) -> int:
-        total = 0
-        for job in self._queue:
-            need = self._need(pool, job.arrival)
-            if need is not None and need <= pool.spec.max_workers:
-                total += need
-        return total
 
     def _autoscale(self) -> None:
         for pool in self.pools.values():
             spec = pool.spec
             snapshot = PoolSnapshot(
-                nodes=pool.committed_nodes,
-                workers_per_node=spec.workers_per_node,
-                busy_workers=pool.busy_workers(),
-                queued_workers=self._queued_workers(pool),
-                min_nodes=spec.min_nodes,
-                max_nodes=spec.max_nodes,
+                nodes=pool.committed_nodes, workers_per_node=spec.workers_per_node,
+                busy_workers=pool.busy, queued_workers=pool.queued,
+                min_nodes=spec.min_nodes, max_nodes=spec.max_nodes,
             )
             target = snapshot.clamp(int(self.autoscaler.target_nodes(snapshot)))
             delta = target - pool.committed_nodes
@@ -577,14 +569,45 @@ class FleetSimulator:
         """The pending ledger must equal the surviving grow batches and
         never go negative — a mismatch means phantom nodes the autoscaler
         cannot see."""
-        if pool.pending < 0 or pool.pending != sum(
-            batch[0] for batch in pool.grow_batches
-        ):
+        batches = [batch[0] for batch in pool.grow_batches]
+        if pool.pending < 0 or pool.pending != sum(batches):
             raise FleetError(
                 f"pool {pool.spec.name!r}: pending-growth ledger out of "
-                f"sync (pending={pool.pending}, batches="
-                f"{[batch[0] for batch in pool.grow_batches]})"
+                f"sync (pending={pool.pending}, batches={batches})"
             )
+
+    def check_ledgers(self) -> None:
+        """Recount every incremental ledger from ``node.allocations`` and
+        the queue — the one place that still scans — and raise
+        :class:`FleetError` naming whatever drifted."""
+        fields = ("up", "busy", "free", "queued", "node.used", "node.open",
+                  "up non-full nodes missing from the open heap")
+        for name, pool in self.pools.items():
+            self._check_pending(pool)
+            nodes, wpn = pool.nodes, pool.spec.workers_per_node
+            used = [sum(node.allocations.values()) for node in nodes]
+            in_heap = {id(node) for _, node in pool.open}
+            ledger = (
+                pool.up, pool.busy, pool.free_workers(), pool.queued,
+                [node.used for node in nodes], [node.open for node in nodes],
+                [n.id for n in nodes if n.up and n.used < wpn and not n.open],
+            )
+            recount = (
+                sum(node.up for node in nodes), sum(used),
+                sum(wpn - u for u, node in zip(used, nodes) if node.up),
+                sum(need for _, _, job in self._queue
+                    for other, need in job.needs if other is pool),
+                used, [id(node) in in_heap for node in nodes], [],
+            )
+            drift = [
+                f"{field}={have} but recounted {want}"
+                for field, have, want in zip(fields, ledger, recount)
+                if have != want
+            ]
+            if drift:
+                raise FleetError(
+                    f"pool {name!r}: ledgers out of sync: " + "; ".join(drift)
+                )
 
     def _grow(self, pool: _PoolState, count: int) -> None:
         # each grow is a cancellable batch: _shrink may decrement the
@@ -601,7 +624,7 @@ class FleetSimulator:
             pool.pending -= surviving
             self._check_pending(pool)
             for _ in range(surviving):
-                pool.nodes.append(_Node(pool.next_node_id))
+                pool.add_node(_Node(pool.next_node_id))
                 pool.next_node_id += 1
             if surviving:
                 self._drain()
@@ -620,29 +643,27 @@ class FleetSimulator:
             pool.pending -= cancelled
             count -= cancelled
         self._check_pending(pool)
-        if count <= 0:
-            return
-        for node in sorted(pool.nodes, key=lambda n: -n.id):
+        for index in range(len(pool.nodes) - 1, -1, -1):  # id-descending
             if count <= 0:
                 break
+            node = pool.nodes[index]
             if node.up and not node.allocations:
-                node.retired = True
-                pool.nodes.remove(node)
+                node.up = False
+                del pool.nodes[index]
+                pool.up -= 1
                 count -= 1
+        if len(pool.open) > 2 * len(pool.nodes):  # shed retired entries
+            pool.open = [(n.id, n) for n in pool.nodes if n.open]
 
     def _sample(self) -> None:
         now = self.engine.now
         if now - self._last_sample_s < self.sample_every_s:
             return
         self._last_sample_s = now
-        for name in sorted(self.pools):
-            pool = self.pools[name]
+        for name, pool in sorted(self.pools.items()):
             self._samples.append(PoolSample(
-                t_s=round(now, 3),
-                pool=name,
-                nodes=pool.committed_nodes,
-                busy_workers=pool.busy_workers(),
-                queued_jobs=len(self._queue),
+                t_s=round(now, 3), pool=name, nodes=pool.committed_nodes,
+                busy_workers=pool.busy, queued_jobs=len(self._queue),
             ))
 
     # -- the run -------------------------------------------------------------
@@ -658,20 +679,22 @@ class FleetSimulator:
             self._autoscale()
             self._drain()
             self._sample()
-            all_arrived = self._arrived >= self._expected
-            if all_arrived and self._terminal >= len(self._jobs):
+            if self._arrived >= self._expected and self._terminal >= len(self._jobs):
                 return
 
     def run(self, max_events: int = 5_000_000) -> FleetResult:
         """Execute the whole trace; returns the frozen result."""
+        if self._injector is None:
+            self._injector = active_injector()
         for arrival in self.trace.arrivals:
             self.engine.schedule(
                 arrival.submit_s,
-                lambda arrival=arrival: self._on_arrival(arrival, True),
+                lambda arrival=arrival: self._on_arrival(arrival),
             )
         self.engine.spawn("fleet-step", self._step_process())
         self.engine.run(max_events=max_events)
         self._integrate()
+        self.check_ledgers()
         if self._terminal < len(self._jobs) or self._arrived < self._expected:
             raise FleetError(
                 f"fleet run ended with {len(self._jobs) - self._terminal} "
@@ -680,10 +703,8 @@ class FleetSimulator:
         return self._build_result()
 
     def _build_result(self) -> FleetResult:
-        records = []
-        for job_id in sorted(self._jobs):
-            job = self._jobs[job_id]
-            records.append(FleetJobRecord(
+        records = [
+            FleetJobRecord(
                 job_id=job_id,
                 model=job.arrival.model,
                 num_gpus=job.arrival.num_gpus,
@@ -696,18 +717,16 @@ class FleetSimulator:
                 queue_s=round(job.waited_s, 3),
                 reschedules=job.reschedules,
                 displacements=job.displacements,
-            ))
+            )
+            for job_id, job in sorted(self._jobs.items())
+        ]
         usages = []
-        total_cost = 0.0
-        total_capacity_wh = 0.0
-        total_busy_wh = 0.0
-        for name in sorted(self.pools):
-            pool = self.pools[name]
+        total_cost = total_capacity_wh = total_busy_wh = 0.0
+        for name, pool in sorted(self.pools.items()):
             spec = pool.spec
+            peak_workers = pool.peak_nodes * spec.workers_per_node
             cost = capacity_cost(
-                peak_capex=pool.reference.capex(
-                    pool.peak_nodes * spec.workers_per_node
-                ),
+                peak_capex=pool.reference.capex(peak_workers),
                 energy_kwh=pool.energy_kwh,
                 capacity_hours=pool.capacity_worker_hours,
                 calibration=self.calibration,
@@ -728,15 +747,14 @@ class FleetSimulator:
             total_cost += cost.total
             total_capacity_wh += pool.capacity_worker_hours
             total_busy_wh += pool.busy_worker_hours
-        waits = sorted(
-            job.queue_s for job in records if job.state == "completed"
-        )
+        waits = sorted(job.queue_s for job in records if job.state == "completed")
         completed = len(waits)
         rejected = sum(1 for job in records if job.state == "rejected")
         mean_queue = sum(waits) / completed if completed else 0.0
         p95_queue = waits[max(0, -(-95 * completed // 100) - 1)] if completed else 0.0
         attained = sum(1 for wait in waits if wait <= self.slo_queue_s)
-        injector = self._injector if self._injector is not None else active_injector()
+        fires = {} if self._injector is None else self._injector.fire_counts()
+        utilization = total_busy_wh / total_capacity_wh if total_capacity_wh else 0.0
         return FleetResult(
             trace_kind=self.trace.kind,
             trace_seed=self.trace.seed,
@@ -745,41 +763,23 @@ class FleetSimulator:
             num_jobs=len(records),
             completed=completed,
             rejected=rejected,
-            displacements=sum(j.displacements for j in self._jobs.values()),
-            reschedules=sum(j.reschedules for j in self._jobs.values()),
+            displacements=sum(job.displacements for job in records),
+            reschedules=sum(job.reschedules for job in records),
             makespan_s=round(self._last_terminal_s, 3),
             mean_queue_s=round(mean_queue, 3),
             p95_queue_s=round(p95_queue, 3),
             slo_queue_s=self.slo_queue_s,
             slo_attainment=round(attained / completed, 6) if completed else 1.0,
-            utilization=round(
-                total_busy_wh / total_capacity_wh, 6
-            ) if total_capacity_wh > 0 else 0.0,
+            utilization=round(utilization, 6),
             total_cost=round(total_cost, 6),
             jobs=tuple(records),
             pools=tuple(usages),
             samples=tuple(self._samples),
-            fault_fires=injector.fire_counts() if injector is not None else {},
+            fault_fires=fires,
         )
 
 
-def run_fleet(
-    trace: Trace,
-    pools: Optional[Tuple[PoolSpec, ...]] = None,
-    policy: str = "first-fit",
-    autoscaler: str = "fixed",
-    calibration: Calibration = CALIBRATION,
-    injector: Optional[FaultInjector] = None,
-    **kwargs,
-) -> FleetResult:
-    """One-call convenience wrapper around :class:`FleetSimulator`."""
-    simulator = FleetSimulator(
-        trace,
-        pools=pools,
-        policy=policy,
-        autoscaler=autoscaler,
-        calibration=calibration,
-        injector=injector,
-        **kwargs,
-    )
-    return simulator.run()
+def run_fleet(trace: Trace, **kwargs) -> FleetResult:
+    """One-call convenience: ``FleetSimulator(trace, **kwargs).run()`` —
+    every keyword is a :class:`FleetSimulator` constructor argument."""
+    return FleetSimulator(trace, **kwargs).run()
