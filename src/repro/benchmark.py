@@ -339,6 +339,30 @@ def bench_engine(size: int, reps: int) -> List[BenchResult]:
     return [_result("engine_events", "vectorized", events, events * 40, elapsed)]
 
 
+#: the scenario-construction scaling pair: op suffix -> training GPUs
+SCENARIO_BUILD_SERIES = (("8gpu", 8), ("64gpu", 64))
+
+
+def bench_scenario_build(reps: int) -> List[BenchResult]:
+    """Model tier: one RM5/Disagg ``Scenario`` of 200 batches end to end
+    (T/P planning, one modelled worker per core, the engine run).  An
+    "element" is one worker — 367 and 2,931 — so the rows read as cost
+    per worker, which stays flat only while workers build no pipeline."""
+    from repro.api.scenario import Scenario
+
+    results = []
+    for label, gpus in SCENARIO_BUILD_SERIES:
+        scenario = Scenario(
+            model="RM5", system="Disagg", num_gpus=gpus, num_batches=200
+        )
+        workers = scenario.run().num_workers
+        results.append(
+            _result(f"scenario_build@{label}", "vectorized", workers,
+                    workers * 8, _best_of(scenario.run, reps))
+        )
+    return results
+
+
 def bench_pipeline(size: int, reps: int, seed: int) -> List[BenchResult]:
     """Fused Transform phase: cached per-pipeline kernels vs naive driver.
 
@@ -720,9 +744,9 @@ def bench_fleet(size: int, reps: int, seed: int) -> List[BenchResult]:
             autoscaler="target-utilization",
         ).run()
 
-    # model construction + T/P planning for every distinct (pool, model,
+    # system construction + T/P planning for every distinct (pool, model,
     # gpus) of the largest day, on an emptied memo: what the first
-    # simulator in a process pays once, and what fleet_step used to time
+    # simulator in a process pays once (no pipeline is built on this path)
     smallest, largest = list(traces.values())[0], list(traces.values())[-1]
     distinct = list({
         (arrival.model, arrival.num_gpus): arrival for arrival in largest.arrivals
@@ -756,18 +780,19 @@ def bench_fleet(size: int, reps: int, seed: int) -> List[BenchResult]:
     return results
 
 
-def fleet_step_scaling(report: Dict[str, object]) -> str:
-    """One line: us/event of each ``fleet_step@`` row and the spread
-    across the series (flat cost per event means a ratio near 1)."""
+def scaling_line(report: Dict[str, object], op: str, unit: str) -> str:
+    """One line: us/``unit`` of each ``op@`` row, smallest input first,
+    and largest over smallest (flat cost per unit means a ratio <= ~1)."""
     cost = {
         entry["op"].split("@")[1]: entry["ns_per_element"] / 1e3
-        for entry in report["results"] if entry["op"].startswith("fleet_step@")
+        for entry in report["results"] if entry["op"].startswith(f"{op}@")
     }
-    if not cost:
+    if len(cost) < 2:
         return ""
     series = ", ".join(f"@{label} {us:.1f}" for label, us in cost.items())
-    ratio = max(cost.values()) / min(cost.values())
-    return f"fleet_step us/event: {series} (max/min {ratio:.2f}x)"
+    first, *_, last = cost
+    ratio = cost[last] / cost[first]
+    return f"{op} us/{unit}: {series} (@{last}/@{first} {ratio:.2f}x)"
 
 
 def bench_ops(size: int, reps: int, rng: np.random.Generator) -> List[BenchResult]:
@@ -810,6 +835,7 @@ def run_benchmarks(quick: bool = False, seed: int = 0) -> Dict[str, object]:
     results += bench_rowformat(size, reps, np.random.default_rng(seed + 2))
     results += bench_ingestion(min(size, 200_000), reps, seed + 3)
     results += bench_engine(mode["engine_size"], reps)
+    results += bench_scenario_build(reps)
     results += bench_ops(size, reps, np.random.default_rng(seed + 4))
     results += bench_pipeline(min(size, 500_000), reps, seed + 5)
     results += bench_shard_executor(min(size, 500_000), reps, seed + 6)
@@ -852,8 +878,11 @@ def render_report(report: Dict[str, object]) -> str:
     table = format_table(
         ("op", "variant", "size", "ns/element", "MB/s", "vs scalar"), rows, title
     )
-    scaling = fleet_step_scaling(report)
-    return f"{table}\n{scaling}" if scaling else table
+    scaling = (
+        scaling_line(report, "scenario_build", "worker"),
+        scaling_line(report, "fleet_step", "event"),
+    )
+    return "\n".join([table, *filter(None, scaling)])
 
 
 def write_report(report: Dict[str, object], path: str) -> None:

@@ -9,19 +9,17 @@ system computes the same tensors as a direct in-memory pipeline.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.dataio.columnar import ColumnarFileReader
-from repro.features.minibatch import MiniBatch
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.hardware.cpu import CpuCoreModel
 from repro.core.worker import PreprocessingWorker
-from repro.ops.pipeline import OpCounts, PreprocessingPipeline
+from repro.ops.pipeline import PreprocessingPipeline
 
 
 class CpuPreprocessingWorker(PreprocessingWorker):
-    """One disaggregated (or co-located) CPU preprocessing worker."""
+    """One disaggregated or co-located CPU worker; ``pipeline`` is built on first read."""
 
     kind = "Disagg"
 
@@ -33,12 +31,11 @@ class CpuPreprocessingWorker(PreprocessingWorker):
         colocated: bool = False,
         pipeline: Optional[PreprocessingPipeline] = None,
     ) -> None:
-        super().__init__(spec)
+        super().__init__(spec, pipeline)
         self.cal = calibration
         self.remote_storage = remote_storage
         self.colocated = colocated
         self.model = CpuCoreModel(calibration)
-        self.pipeline = pipeline or PreprocessingPipeline(spec)
 
     # -- performance -----------------------------------------------------------
 
@@ -61,13 +58,3 @@ class CpuPreprocessingWorker(PreprocessingWorker):
     def throughput(self) -> float:
         """Serial worker: one batch per end-to-end latency."""
         return self.spec.batch_size / self.batch_latency()
-
-    # -- functional execution ----------------------------------------------------
-
-    def preprocess_partition(
-        self, file_bytes: bytes, batch_id: int = 0
-    ) -> Tuple[MiniBatch, OpCounts]:
-        """Actually run Extract + Transform on one stored partition."""
-        reader = ColumnarFileReader(file_bytes)
-        raw = reader.read_columns(self.pipeline.required_columns())
-        return self.pipeline.run(raw, batch_id=batch_id)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.dataio.columnar import ColumnarFileReader
+from repro.errors import ConfigurationError
 from repro.features.minibatch import MiniBatch
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
@@ -25,7 +25,7 @@ from repro.ops.pipeline import OpCounts, PreprocessingPipeline
 
 
 class IspPreprocessingWorker(PreprocessingWorker):
-    """One PreSto preprocessing worker bound to one SmartSSD."""
+    """One PreSto worker bound to one SmartSSD; ``pipeline`` is built on first read."""
 
     kind = "PreSto"
 
@@ -36,10 +36,9 @@ class IspPreprocessingWorker(PreprocessingWorker):
         calibration: Calibration = CALIBRATION,
         pipeline: Optional[PreprocessingPipeline] = None,
     ) -> None:
-        super().__init__(spec)
+        super().__init__(spec, pipeline)
         self.cal = calibration
         self.device = device or SmartSsd("smartssd-0", calibration)
-        self.pipeline = pipeline or PreprocessingPipeline(spec)
 
     # -- performance -----------------------------------------------------------
 
@@ -59,18 +58,6 @@ class IspPreprocessingWorker(PreprocessingWorker):
 
     # -- functional execution ----------------------------------------------------
 
-    def preprocess_partition(
-        self, file_bytes: bytes, batch_id: int = 0
-    ) -> Tuple[MiniBatch, OpCounts]:
-        """Run the in-storage pipeline functionally on one partition.
-
-        Identical kernels to the CPU baseline: the FPGA units are
-        functionally transparent accelerations of Algorithms 1 and 2.
-        """
-        reader = ColumnarFileReader(file_bytes)
-        raw = reader.read_columns(self.pipeline.required_columns())
-        return self.pipeline.run(raw, batch_id=batch_id)
-
     def preprocess_local(
         self, dataset: str, index: int, storage
     ) -> Tuple[MiniBatch, OpCounts]:
@@ -79,8 +66,6 @@ class IspPreprocessingWorker(PreprocessingWorker):
         Raises if the partition lives elsewhere — PreSto never moves raw
         data across devices (the locality property of Section IV-B).
         """
-        from repro.errors import ConfigurationError
-
         device = storage.device_of(dataset, index)
         if device is not self.device:
             raise ConfigurationError(

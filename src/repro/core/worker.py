@@ -11,15 +11,22 @@ the same three quantities the paper's evaluation uses:
 Workers are also DES producers: :meth:`PreprocessingWorker.produce` is a
 process that pushes mini-batch tokens into the train manager's input queue
 with the right timing.
+
+A worker can also run *functionally* (``preprocess_partition``).  Its
+:class:`PreprocessingPipeline` is built on the first read of ``pipeline``,
+never by a constructor: simulations and provisioning build none.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
+from repro.dataio.columnar import ColumnarFileReader
 from repro.errors import ConfigurationError
+from repro.features.minibatch import MiniBatch
 from repro.features.specs import ModelSpec
+from repro.ops.pipeline import OpCounts, PreprocessingPipeline
 from repro.sim.engine import Engine, Timeout
 from repro.sim.resources import Store
 
@@ -57,9 +64,29 @@ class PreprocessingWorker(abc.ABC):
     #: human-readable design-point name ("Disagg", "PreSto", ...)
     kind: str = "abstract"
 
-    def __init__(self, spec: ModelSpec) -> None:
+    def __init__(
+        self, spec: ModelSpec, pipeline: Optional[PreprocessingPipeline] = None
+    ) -> None:
         self.spec = spec
         self.batches_produced = 0
+        self._pipeline = pipeline
+
+    # -- functional execution -------------------------------------------------
+
+    @property
+    def pipeline(self) -> PreprocessingPipeline:
+        """The injected pipeline, else one built on first access and kept."""
+        if self._pipeline is None:
+            self._pipeline = PreprocessingPipeline(self.spec)
+        return self._pipeline
+
+    def preprocess_partition(
+        self, file_bytes: bytes, batch_id: int = 0
+    ) -> Tuple[MiniBatch, OpCounts]:
+        """Actually run Extract + Transform on one stored partition."""
+        reader = ColumnarFileReader(file_bytes)
+        raw = reader.read_columns(self.pipeline.required_columns())
+        return self.pipeline.run(raw, batch_id=batch_id)
 
     # -- performance interface ----------------------------------------------
 

@@ -189,9 +189,16 @@ class FaultPlan:
                     f"rules must hold FaultRule entries, got {rule!r}"
                 )
         object.__setattr__(self, "rules", rules)
+        # probed once per node per fault point per epoch: index by point
+        # here (not a field, so to_dict/from_dict/equality never see it)
+        by_point: Dict[str, Tuple[FaultRule, ...]] = {}
+        for rule in rules:
+            by_point[rule.point] = by_point.get(rule.point, ()) + (rule,)
+        object.__setattr__(self, "_by_point", by_point)
 
     def rules_for(self, point: str) -> Tuple[FaultRule, ...]:
-        return tuple(rule for rule in self.rules if rule.point == point)
+        """This point's rules in plan order; ``()`` for an unknown point."""
+        return self._by_point.get(point, ())
 
     @property
     def points(self) -> Tuple[str, ...]:

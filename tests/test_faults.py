@@ -118,6 +118,28 @@ class TestFaultPlan:
         plan.save(path)
         assert FaultPlan.load(path) == plan
 
+    def test_rules_for_keeps_plan_order_across_interleaved_points(self):
+        rules = (
+            FaultRule("node-down", rate=0.1),
+            FaultRule("slow-node", rate=0.2),
+            FaultRule("node-down", rate=0.3, match={"pool": "a"}),
+            FaultRule("slow-node", rate=0.4, delay_s=5.0),
+            FaultRule("node-down", rate=0.5, max_fires=1),
+        )
+        plan = FaultPlan(seed=4, rules=rules)
+        assert plan.rules_for("node-down") == (rules[0], rules[2], rules[4])
+        assert plan.rules_for("slow-node") == (rules[1], rules[3])
+        assert plan.rules_for("arrival-burst") == ()
+        assert all(
+            got is want
+            for got, want in zip(plan.rules_for("node-down"), rules[::2])
+        )
+        # the index is not a field: round-trip and equality never see it
+        assert set(plan.to_dict()) == {"seed", "rules"}
+        restored = FaultPlan.from_dict(plan.to_dict())
+        assert restored == plan
+        assert restored.rules_for("slow-node") == (rules[1], rules[3])
+
     def test_hash01_is_pure_and_uniform_ish(self):
         plan = FaultPlan(seed=3)
         values = [plan.hash01("worker-crash", f"job-{i}") for i in range(200)]

@@ -1,0 +1,157 @@
+"""Modelled workers build no functional pipeline (PR 13).
+
+A ``PreprocessingPipeline`` is 42 x 4096 bucket boundaries plus 84 kernel
+objects; only ``preprocess_partition`` reads it.  These tests count its
+constructions so that simulations, provisioning, the fleet memo and the
+report path cannot quietly start paying for it again, and pin two
+``RunResult`` digests recorded from the parent commit so that laziness
+cannot move a modelled number.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro import Scenario
+from repro.api.registry import REGISTRY
+from repro.core.cpu_worker import CpuPreprocessingWorker
+from repro.core.dataloader import StorageDataLoader
+from repro.core.isp_worker import IspPreprocessingWorker
+from repro.dataio.partition import RowPartitioner
+from repro.errors import ConfigurationError
+from repro.experiments.report import run_all
+from repro.features.specs import get_model
+from repro.features.synthetic import generate_raw_table
+from repro.fleet import FleetSimulator, default_pools, generate_trace
+from repro.fleet import simulator as fleet_simulator
+from repro.ops.pipeline import PreprocessingPipeline
+from repro.storage.cluster import DistributedStorage
+from repro.storage.smartssd import SmartSsd
+from repro.storage.ssd import SsdModel
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The list of ``ModelSpec`` names a pipeline was constructed for."""
+    built = []
+    original = PreprocessingPipeline.__init__
+
+    def counting(self, spec, *args, **kwargs):
+        built.append(spec.name)
+        original(self, spec, *args, **kwargs)
+
+    monkeypatch.setattr(PreprocessingPipeline, "__init__", counting)
+    return built
+
+
+@pytest.fixture(scope="module")
+def rm1_partitions():
+    spec = get_model("RM1")
+    data = generate_raw_table(spec, 128)
+    return spec, RowPartitioner(spec.schema(), rows_per_partition=32).partition_all(
+        data
+    )
+
+
+class TestModelledPathsBuildNothing:
+    @pytest.mark.parametrize("model", ["RM1", "RM5"])
+    @pytest.mark.parametrize("system", REGISTRY.names())
+    def test_scenario_run(self, builds, model, system):
+        result = Scenario(
+            model=model, system=system, num_gpus=8, num_batches=50
+        ).run()
+        assert result.num_workers > 0
+        assert builds == []
+
+    @pytest.mark.parametrize("model", ["RM1", "RM5"])
+    @pytest.mark.parametrize("system", REGISTRY.names())
+    def test_provision_for(self, builds, model, system):
+        design = REGISTRY.create(system, get_model(model))
+        try:
+            assert design.provision_for(8).num_workers > 0
+        except ConfigurationError:
+            assert system == "Co-located"  # fixed core budget, Fig. 3
+        assert design.worker_throughput() > 0
+        assert builds == []
+
+    def test_fleet_needs_on_a_cold_memo(self, builds, monkeypatch):
+        monkeypatch.setattr(fleet_simulator, "_NEED_MEMO", {})
+        trace = generate_trace("diurnal", num_jobs=40, seed=1)
+        sim = FleetSimulator(trace, pools=default_pools())
+        needs = [sim._needs(arrival) for arrival in trace.arrivals]
+        assert any(needs)
+        assert fleet_simulator._NEED_MEMO  # the cold memo was filled here
+        assert builds == []
+
+    def test_report_figures(self, builds):
+        results = run_all(include_ablations=False, force=True)
+        assert len(results) >= 13
+        assert builds == []
+
+
+class TestFunctionalPathsBuildOne:
+    def test_loader_over_mixed_storage_shares_its_pipeline(
+        self, builds, rm1_partitions
+    ):
+        spec, parts = rm1_partitions
+        storage = DistributedStorage([SmartSsd("isp0"), SsdModel("ssd0")])
+        storage.store_partitions("ds", parts)
+        loader = StorageDataLoader(spec, storage, "ds", len(parts))
+        batches = list(loader.epoch())
+        assert len(batches) == len(parts)
+        assert set(loader.last_epoch_stats.batches_per_device) == {
+            "isp0", "cpu-pool"
+        }
+        workers = [*loader._isp_workers.values(), loader._cpu_worker]
+        assert len(workers) == 2
+        assert all(worker.pipeline is loader.pipeline for worker in workers)
+        assert builds == ["RM1"]
+
+    @pytest.mark.parametrize(
+        "worker_cls", [CpuPreprocessingWorker, IspPreprocessingWorker]
+    )
+    def test_bare_worker_builds_on_first_use_and_keeps_it(
+        self, builds, rm1_partitions, worker_cls
+    ):
+        spec, parts = rm1_partitions
+        worker = worker_cls(spec)
+        assert worker.throughput() > 0 and worker.batch_latency() > 0
+        assert builds == []
+        first, _ = worker.preprocess_partition(parts[0].file_bytes)
+        again, _ = worker.preprocess_partition(parts[0].file_bytes)
+        assert builds == ["RM1"]
+        assert worker.pipeline is worker.pipeline
+        np.testing.assert_array_equal(first.dense, again.dense)
+        np.testing.assert_array_equal(first.sparse.values, again.sparse.values)
+
+    def test_injected_pipeline_is_the_one_used(self, builds, rm1_partitions):
+        spec, parts = rm1_partitions
+        shared = PreprocessingPipeline(spec)
+        workers = [
+            CpuPreprocessingWorker(spec, pipeline=shared),
+            IspPreprocessingWorker(spec, pipeline=shared),
+        ]
+        for worker in workers:
+            assert worker.pipeline is shared
+            worker.preprocess_partition(parts[0].file_bytes)
+        assert builds == ["RM1"]
+
+
+def run_digest(system, num_batches):
+    result = Scenario(
+        model="RM5", system=system, num_gpus=8, num_batches=num_batches
+    ).run()
+    payload = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+class TestGoldenRunDigests:
+    """Recorded at the parent commit (eager pipelines), before the change."""
+
+    def test_disagg_rm5_8gpu_200_batches(self):
+        assert run_digest("Disagg", 200) == "8f85f7cb77e16df0"
+
+    def test_presto_rm5_8gpu_2000_batches(self):
+        assert run_digest("PreSto", 2000) == "5b9b647e317ca454"
