@@ -11,8 +11,10 @@ Here we add a "GPU budget sweep": how many PreSto SmartSSDs does each
 Table I model need as the training node grows from 1 to 16 A100s, and does
 the supply headroom stay flat?  The result class inherits
 :class:`repro.api.ExperimentResult`, so ``columns()``/``rows()``/
-``claims()``/``render()`` make it exportable, scoreboard-visible, and
-losslessly cacheable (``to_dict``/``from_dict`` come for free).
+``claims()``/``table_title()`` make it exportable, scoreboard-visible,
+rendered (the inherited ``render()`` prints the titled table and the claim
+lines; override it for any other layout), and losslessly cacheable
+(``to_dict``/``from_dict`` come for free).
 
 Run:  python examples/custom_experiment.py
 
@@ -28,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from repro import CALIBRATION, Calibration, Scenario
 from repro.api import ExperimentResult, ExperimentRun, register_experiment
-from repro.experiments.common import PaperClaim, format_table
+from repro.experiments.common import PaperClaim
 
 GPU_BUDGETS = (1, 2, 4, 8, 16)
 
@@ -71,13 +73,8 @@ class GpuBudgetSweepResult(ExperimentResult):
             ),
         ]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=f"GPU budget sweep ({self.model}): PreSto provisioning",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return f"GPU budget sweep ({self.model}): PreSto provisioning"
 
 
 @register_experiment(

@@ -88,13 +88,6 @@ class CapacityCost:
         """CapEx + OpEx (dollars)."""
         return self.capex + self.opex
 
-    @property
-    def per_capacity_hour(self) -> float:
-        """Dollars per provisioned worker-hour (0 for an empty ledger)."""
-        if self.capacity_hours <= 0:
-            return 0.0
-        return self.total / self.capacity_hours
-
 
 def capacity_cost(
     peak_capex: float,

@@ -62,7 +62,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -73,6 +72,7 @@ from typing import (
 
 from repro.errors import ConfigurationError, ReproError
 from repro.hardware.calibration import CALIBRATION, Calibration
+from repro.registry import Registry
 
 #: valid values of :attr:`ExperimentSpec.kind`
 EXPERIMENT_KINDS = ("figure", "table", "ablation")
@@ -205,9 +205,11 @@ class ExperimentResult:
     """Base class every experiment result inherits: the uniform protocol.
 
     Subclasses are frozen dataclasses and provide ``columns()``, ``rows()``
-    and ``render()``; ``claims()`` defaults to no claims (Table I is an
-    input echo); ``to_dict()``/``from_dict()`` come for free via the typed
-    codec, which is what lets :class:`RunStore` replay results from disk.
+    and ``table_title()``; ``render()`` defaults to that titled table
+    followed by the claim lines (override it for any other layout);
+    ``claims()`` defaults to no claims (Table I is an input echo);
+    ``to_dict()``/``from_dict()`` come for free via the typed codec, which
+    is what lets :class:`RunStore` replay results from disk.
     """
 
     def columns(self) -> Sequence[str]:
@@ -218,9 +220,16 @@ class ExperimentResult:
         """The series the paper plots, one tuple per row."""
         raise NotImplementedError
 
-    def render(self) -> str:
-        """The text-table 'figure'."""
+    def table_title(self) -> str:
+        """The line above the table in the default :meth:`render`."""
         raise NotImplementedError
+
+    def render(self) -> str:
+        """The text-table 'figure': titled table, then one line per claim."""
+        from repro.experiments.common import format_table
+
+        table = format_table(self.columns(), self.rows(), title=self.table_title())
+        return "\n".join([table, *(c.render() for c in self.claims())])
 
     def claims(self) -> List:
         """Paper-vs-measured claims (default: none)."""
@@ -285,13 +294,17 @@ class ExperimentSpec:
         return {p.name: p.default for p in self.params}
 
 
-class ExperimentRegistry:
-    """Id -> :class:`ExperimentSpec` catalog of paper experiments."""
+class ExperimentRegistry(Registry[ExperimentSpec]):
+    """Id -> :class:`ExperimentSpec` catalog of paper experiments.
 
-    def __init__(self) -> None:
-        self._specs: Dict[str, ExperimentSpec] = {}
+    On top of :class:`~repro.registry.Registry`: entries are specs
+    introspected from the registered runner, lookup also accepts the
+    paper title (case-insensitively), listings come in paper order, and
+    ``$REPRO_EXPERIMENTS`` modules load with the built-ins.
+    """
 
-    # -- registration ------------------------------------------------------
+    noun = "experiment"
+    plural = "experiments"
 
     def register(
         self,
@@ -305,8 +318,7 @@ class ExperimentRegistry:
     ) -> Callable[..., ExperimentResult]:
         """Register ``runner`` under ``id``; normally used through the
         :func:`register_experiment` decorator."""
-        if not isinstance(id, str) or not id.strip():
-            raise ConfigurationError("experiment id must be a non-empty string")
+        self._claim(id, runner, replace)
         if not isinstance(title, str) or not title.strip():
             raise ConfigurationError(f"experiment {id!r} needs a non-empty title")
         if kind not in EXPERIMENT_KINDS:
@@ -316,17 +328,10 @@ class ExperimentRegistry:
             )
         if not isinstance(order, int):
             raise ConfigurationError(f"experiment {id!r}: order must be an int")
-        if not callable(runner):
-            raise ConfigurationError(f"runner for {id!r} must be callable")
-        if id in self._specs and not replace:
-            raise ConfigurationError(
-                f"experiment {id!r} is already registered; "
-                "pass replace=True to override"
-            )
         # a title may only ever name one id — replace=True swaps the spec
         # under an id, it does not let one id steal another's title
         taken_titles = {
-            s.title.casefold(): s.id for s in self._specs.values() if s.id != id
+            s.title.casefold(): s.id for s in self._entries.values() if s.id != id
         }
         if title.casefold() in taken_titles:
             raise ConfigurationError(
@@ -334,14 +339,8 @@ class ExperimentRegistry:
                 f"(id {taken_titles[title.casefold()]!r})"
             )
         spec = _introspect(id, runner, title=title, kind=kind, order=order)
-        self._specs[id] = spec
+        self._entries[id] = spec
         return runner
-
-    def unregister(self, id: str) -> None:
-        """Remove an experiment (mainly for tests and notebooks)."""
-        del self._specs[self.canonical(id)]
-
-    # -- lookup ------------------------------------------------------------
 
     def _ensure_builtins(self) -> None:
         # Importing the package imports every experiment module, each of
@@ -367,25 +366,20 @@ class ExperimentRegistry:
         """Resolve ``id`` (exact id, paper title, or case-insensitive
         either) to the registered id; raise listing the known ids."""
         self._ensure_builtins()
-        if id in self._specs:
+        if id in self._entries:
             return id
         if isinstance(id, str):
             folded = id.casefold()
-            for spec in self._specs.values():
+            for spec in self._entries.values():
                 if folded in (spec.id.casefold(), spec.title.casefold()):
                     return spec.id
-        raise ConfigurationError(
-            f"unknown experiment {id!r}; registered experiments: "
-            + ", ".join(self.ids())
-        )
-
-    def get(self, id: str) -> ExperimentSpec:
-        """The spec registered under ``id`` (or its paper title)."""
-        return self._specs[self.canonical(id)]
+        raise self._unknown(id)
 
     def ids(self, kind: Optional[str] = None) -> Tuple[str, ...]:
         """Experiment ids in paper order (optionally one kind only)."""
         return tuple(s.id for s in self.experiments(kind))
+
+    names = ids
 
     def titles(self, kind: Optional[str] = None) -> Tuple[str, ...]:
         """Paper titles in paper order."""
@@ -398,26 +392,10 @@ class ExperimentRegistry:
             raise ConfigurationError(
                 f"kind must be one of {EXPERIMENT_KINDS}, got {kind!r}"
             )
-        specs = sorted(self._specs.values(), key=lambda s: (s.order, s.id))
+        specs = sorted(self._entries.values(), key=lambda s: (s.order, s.id))
         if kind is not None:
             specs = [s for s in specs if s.kind == kind]
         return tuple(specs)
-
-    # -- mapping-ish conveniences -----------------------------------------
-
-    def __contains__(self, id: object) -> bool:
-        try:
-            self.canonical(id)  # type: ignore[arg-type]
-        except ConfigurationError:
-            return False
-        return True
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.ids())
-
-    def __len__(self) -> int:
-        self._ensure_builtins()
-        return len(self._specs)
 
 
 def _introspect(
@@ -484,15 +462,9 @@ def register_experiment(
     """Decorator registering an experiment runner with
     :data:`EXPERIMENT_REGISTRY`.  The decorated function is returned
     unchanged, so the module-level ``run()`` keeps working as before."""
-
-    def decorate(
-        runner: Callable[..., ExperimentResult]
-    ) -> Callable[..., ExperimentResult]:
-        return EXPERIMENT_REGISTRY.register(
-            id, runner, title=title, kind=kind, order=order, replace=replace
-        )
-
-    return decorate
+    return EXPERIMENT_REGISTRY.decorator(
+        id, title=title, kind=kind, order=order, replace=replace
+    )
 
 
 def available_experiments(kind: Optional[str] = None) -> Tuple[str, ...]:

@@ -19,10 +19,10 @@ built-ins are pulled in lazily on first lookup.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Tuple, TYPE_CHECKING
 
-from repro.errors import ConfigurationError
 from repro.hardware.calibration import CALIBRATION, Calibration
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.systems import PreprocessingSystem
@@ -32,14 +32,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SystemFactory = Callable[..., "PreprocessingSystem"]
 
 
-class SystemRegistry:
-    """Name -> factory catalog of preprocessing system design points."""
+class SystemRegistry(Registry[SystemFactory]):
+    """Name -> factory catalog of preprocessing system design points.
+
+    On top of :class:`~repro.registry.Registry`: aliases (sharing one
+    namespace with the names), case-insensitive lookup, built-ins
+    imported on first lookup, and :meth:`create`.
+    """
+
+    noun = "system"
+    plural = "systems"
 
     def __init__(self) -> None:
-        self._factories: Dict[str, SystemFactory] = {}
+        super().__init__()
         self._aliases: Dict[str, str] = {}
 
-    # -- registration ------------------------------------------------------
+    def _taken(self, label: str) -> bool:
+        return super()._taken(label) or label in self._aliases
 
     def register(
         self,
@@ -52,29 +61,18 @@ class SystemRegistry:
 
         Re-registering a taken name raises unless ``replace=True``.
         """
-        if not isinstance(name, str) or not name.strip():
-            raise ConfigurationError("system name must be a non-empty string")
-        if not callable(factory):
-            raise ConfigurationError(f"factory for {name!r} must be callable")
-        taken = set(self._factories) | set(self._aliases)
-        for label in (name, *aliases):
-            if label in taken and not replace:
-                raise ConfigurationError(
-                    f"system {label!r} is already registered; "
-                    "pass replace=True to override"
-                )
-        self._factories[name] = factory
+        for alias in aliases:
+            self._claim(alias, factory, replace)
+        super().register(name, factory, replace=replace)
         for alias in aliases:
             self._aliases[alias] = name
         return factory
 
     def unregister(self, name: str) -> None:
-        """Remove a design point (mainly for tests and notebooks)."""
+        """Remove a design point and its aliases."""
         canonical = self.canonical(name)
-        del self._factories[canonical]
+        super().unregister(canonical)
         self._aliases = {a: n for a, n in self._aliases.items() if n != canonical}
-
-    # -- lookup ------------------------------------------------------------
 
     def _ensure_builtins(self) -> None:
         # Importing the module runs its @register_system decorators.
@@ -84,23 +82,16 @@ class SystemRegistry:
         """Resolve ``name`` (exact, alias, or case-insensitive) to the
         registered canonical name; raise listing the known names."""
         self._ensure_builtins()
-        if name in self._factories:
+        if name in self._entries:
             return name
         if name in self._aliases:
             return self._aliases[name]
         if isinstance(name, str):
             folded = name.casefold()
-            for label in (*self._factories, *self._aliases):
+            for label in (*self._entries, *self._aliases):
                 if label.casefold() == folded:
                     return self._aliases.get(label, label)
-        raise ConfigurationError(
-            f"unknown system {name!r}; registered systems: "
-            + ", ".join(self.names())
-        )
-
-    def get(self, name: str) -> SystemFactory:
-        """The factory registered under ``name``."""
-        return self._factories[self.canonical(name)]
+        raise self._unknown(name)
 
     def create(
         self,
@@ -111,26 +102,6 @@ class SystemRegistry:
         """Instantiate the named system for ``spec``."""
         return self.get(name)(spec, calibration)
 
-    def names(self) -> Tuple[str, ...]:
-        """Canonical names in registration order (built-ins first)."""
-        self._ensure_builtins()
-        return tuple(self._factories)
-
-    # -- mapping-ish conveniences -----------------------------------------
-
-    def __contains__(self, name: object) -> bool:
-        try:
-            self.canonical(name)  # type: ignore[arg-type]
-        except ConfigurationError:
-            return False
-        return True
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        return len(self.names())
-
 
 #: the process-wide registry every entry point consults
 REGISTRY = SystemRegistry()
@@ -140,11 +111,7 @@ def register_system(
     name: str, *, aliases: Tuple[str, ...] = (), replace: bool = False
 ) -> Callable[[SystemFactory], SystemFactory]:
     """Class decorator registering a design point with :data:`REGISTRY`."""
-
-    def decorate(factory: SystemFactory) -> SystemFactory:
-        return REGISTRY.register(name, factory, aliases=aliases, replace=replace)
-
-    return decorate
+    return REGISTRY.decorator(name, aliases=aliases, replace=replace)
 
 
 def available_systems() -> Tuple[str, ...]:

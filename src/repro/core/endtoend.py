@@ -65,8 +65,9 @@ class EndToEndSimulation:
         EndToEndSimulation(spec, system="PreSto", num_gpus=8)
 
     (or passes a :class:`~repro.core.systems.PreprocessingSystem` instance).
-    The legacy ``worker_factory`` form still works as a shim for callers
-    that predate the :mod:`repro.api` layer.
+    ``worker_factory`` is the other supported form: any zero-argument
+    callable returning a worker, for pipelines whose workers are not a
+    registered system's (a bare ``CpuPreprocessingWorker``, a test double).
     """
 
     def __init__(

@@ -261,12 +261,6 @@ class ShardExecutor:
         )
         return self._extract_transform(partitions, notify)
 
-    def run_batches(
-        self, data: TableData, parallel: bool = True
-    ) -> List[MiniBatch]:
-        """Just the ordered mini-batches of :meth:`run`."""
-        return [result.batch for result in self.run(data, parallel=parallel)]
-
     def iter_shards(self, data: TableData) -> Iterator[ShardResult]:
         """Stream shards serially without materializing every partition."""
         for partition in self.partitioner.partitions(data):

@@ -18,7 +18,6 @@ from typing import List, Tuple
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.features.specs import get_model
@@ -71,13 +70,8 @@ class BatchSizeResult(ExperimentResult):
     def columns(self) -> List[str]:
         return ["batch", "CPU us/sample", "PreSto us/sample", "speedup (x)"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=f"Sensitivity (batch size, {self.model}): per-sample latency",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return f"Sensitivity (batch size, {self.model}): per-sample latency"
 
 
 @register_experiment("abl-batch", title="Sensitivity: batch size", kind="ablation", order=250)

@@ -23,7 +23,6 @@ from repro.core.systems import DisaggCpuSystem, PreStoSystem
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     models,
     register_experiment,
 )
@@ -95,13 +94,8 @@ class DoubleBufferingResult(ExperimentResult):
             "units (serial)",
         ]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Ablation (double buffering): device throughput and 8-GPU provisioning",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Ablation (double buffering): device throughput and 8-GPU provisioning"
 
 
 @register_experiment("abl-pipeline", title="Ablation: double buffering", kind="ablation", order=210)

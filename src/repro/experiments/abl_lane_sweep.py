@@ -17,7 +17,6 @@ from typing import List, Tuple
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.features.specs import get_model
@@ -78,17 +77,12 @@ class LaneSweepResult(ExperimentResult):
     def columns(self) -> List[str]:
         return ["lane scale", "k-samples/s", "transform (ms)", "fits SmartSSD"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=(
-                f"Ablation (unit lane sweep, {self.model}): knee at "
-                f"{self.knee_scale}x — transform stops mattering once "
-                f"decode/ingress dominate"
-            ),
+    def table_title(self) -> str:
+        return (
+            f"Ablation (unit lane sweep, {self.model}): knee at "
+            f"{self.knee_scale}x — transform stops mattering once "
+            f"decode/ingress dominate"
         )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
 
 
 @register_experiment("abl-lanes", title="Ablation: unit lane sweep", kind="ablation", order=220)

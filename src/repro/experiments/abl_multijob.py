@@ -7,7 +7,9 @@ footprint, power, and 3-year cost — the paper's TCO argument at fleet scale
 rather than per-node.
 
 Also exercises admission control: with only half the required pool, both
-systems reject jobs, and utilization stays high (first-fit packing).
+systems reject jobs, and utilization stays high (first-fit packing).  This
+is static arithmetic over per-job T/P plans; arrivals, queueing and
+autoscaling over time are :mod:`repro.fleet`'s (``fleet-tco``).
 """
 
 from __future__ import annotations
@@ -16,16 +18,18 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.analysis.cost import cost_breakdown
-from repro.core.scheduler import FleetScheduler, TrainingJob
 from repro.core.systems import DisaggCpuSystem, PreStoSystem
+from repro.errors import ProvisioningError
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.features.specs import get_model
 from repro.hardware.calibration import CALIBRATION, Calibration
+
+#: every job in the mix trains on one 8-GPU node
+JOB_GPUS = 8
 
 #: (model, number of 8-GPU jobs) — a production-leaning mix
 DEFAULT_MIX: Tuple[Tuple[str, int], ...] = (
@@ -35,15 +39,6 @@ DEFAULT_MIX: Tuple[Tuple[str, int], ...] = (
     ("RM4", 3),
     ("RM5", 5),
 )
-
-
-def build_jobs(mix: Tuple[Tuple[str, int], ...] = DEFAULT_MIX) -> List[TrainingJob]:
-    """Materialize the job list from a (model, count) mix."""
-    jobs: List[TrainingJob] = []
-    for model, count in mix:
-        for i in range(count):
-            jobs.append(TrainingJob(job_id=f"{model.lower()}-job{i}", spec=get_model(model)))
-    return jobs
 
 
 @dataclass(frozen=True)
@@ -110,13 +105,31 @@ class MultiJobResult(ExperimentResult):
     def columns(self) -> List[str]:
         return ["metric", "Disagg (CPU cores)", "PreSto (SmartSSDs)"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=f"Fleet scenario: {self.num_jobs} concurrent 8-GPU training jobs",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return f"Fleet scenario: {self.num_jobs} concurrent 8-GPU training jobs"
+
+
+def _size_fleet(system_cls, specs, calibration) -> Tuple[float, ...]:
+    """One system's fleet for the job mix: ``(pool, power, 3-year cost,
+    jobs rejected at half pool, half-pool utilization)``.
+
+    The pool is the sum of every job's T/P plan; power and capex are read
+    off the first job's system, which prices a worker the same for every
+    model.  Half that pool then admits jobs first-fit, in mix order.
+    """
+    systems = [system_cls(spec, calibration) for spec in specs]
+    needs = [system.provision_for(JOB_GPUS).num_workers for system in systems]
+    pool = sum(needs)
+    power = systems[0].power(pool)
+    cost = cost_breakdown(systems[0].capex(pool), power, calibration=calibration).total
+    half = free = max(pool // 2, 1)
+    rejected = 0
+    for need in needs:
+        if need <= free:
+            free -= need
+        else:
+            rejected += 1
+    return pool, power, cost, rejected, (half - free) / half
 
 
 @register_experiment("abl-fleet", title="Fleet: multi-job scheduling", kind="ablation", order=260)
@@ -125,38 +138,25 @@ def run(
     calibration: Calibration = CALIBRATION,
 ) -> MultiJobResult:
     """Size and compare the two fleets for one job mix."""
-    jobs = build_jobs(mix)
-
-    def disagg_factory(spec):
-        return DisaggCpuSystem(spec, calibration)
-
-    def presto_factory(spec):
-        return PreStoSystem(spec, calibration)
-
-    results = {}
-    for name, factory in (("disagg", disagg_factory), ("presto", presto_factory)):
-        sizing = FleetScheduler(factory, pool_capacity=10**9)
-        pool = sizing.min_pool_for(jobs)
-        full = FleetScheduler(factory, pool_capacity=pool).schedule(jobs)
-        half = FleetScheduler(factory, pool_capacity=max(pool // 2, 1)).schedule(jobs)
-        results[name] = (pool, full, half)
-
-    disagg_pool, disagg_full, disagg_half = results["disagg"]
-    presto_pool, presto_full, presto_half = results["presto"]
+    specs = [get_model(model) for model, count in mix for _ in range(count)]
+    if not specs:
+        raise ProvisioningError("the job mix is empty")
+    d_pool, d_power, d_cost, d_rejected, d_utilization = _size_fleet(
+        DisaggCpuSystem, specs, calibration
+    )
+    p_pool, p_power, p_cost, p_rejected, p_utilization = _size_fleet(
+        PreStoSystem, specs, calibration
+    )
     return MultiJobResult(
-        num_jobs=len(jobs),
-        disagg_pool=disagg_pool,
-        presto_pool=presto_pool,
-        disagg_power=disagg_full.power_watts,
-        presto_power=presto_full.power_watts,
-        disagg_cost=cost_breakdown(
-            disagg_full.capex, disagg_full.power_watts, calibration=calibration
-        ).total,
-        presto_cost=cost_breakdown(
-            presto_full.capex, presto_full.power_watts, calibration=calibration
-        ).total,
-        rejected_at_half_disagg=len(disagg_half.rejected_jobs),
-        rejected_at_half_presto=len(presto_half.rejected_jobs),
-        half_pool_utilization_disagg=disagg_half.utilization,
-        half_pool_utilization_presto=presto_half.utilization,
+        num_jobs=len(specs),
+        disagg_pool=d_pool,
+        presto_pool=p_pool,
+        disagg_power=d_power,
+        presto_power=p_power,
+        disagg_cost=d_cost,
+        presto_cost=p_cost,
+        rejected_at_half_disagg=d_rejected,
+        rejected_at_half_presto=p_rejected,
+        half_pool_utilization_disagg=d_utilization,
+        half_pool_utilization_presto=p_utilization,
     )

@@ -26,7 +26,6 @@ from typing import Dict, List, Tuple
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     models,
     register_experiment,
 )
@@ -103,16 +102,11 @@ class NetworkContentionResult(ExperimentResult):
             "jobs/NIC PreSto",
         ]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=(
-                "Fleet sensitivity: network traffic per trained sample and "
-                "8-GPU jobs one storage 10 GbE NIC sustains"
-            ),
+    def table_title(self) -> str:
+        return (
+            "Fleet sensitivity: network traffic per trained sample and "
+            "8-GPU jobs one storage 10 GbE NIC sustains"
         )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
 
 
 @register_experiment("abl-contention", title="Fleet: network contention", kind="ablation", order=240)

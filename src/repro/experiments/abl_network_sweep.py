@@ -21,7 +21,6 @@ from repro.core.isp_worker import IspPreprocessingWorker
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.features.specs import get_model
@@ -78,13 +77,8 @@ class NetworkSweepResult(ExperimentResult):
             "Disagg Extract(Read) share (%)",
         ]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=f"Sensitivity (link speed, {self.model})",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return f"Sensitivity (link speed, {self.model})"
 
 
 @register_experiment("abl-network", title="Sensitivity: link speed", kind="ablation", order=230)

@@ -19,7 +19,6 @@ from repro.dataio.rowformat import RowFileReader, write_row_table
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.features.specs import get_model
@@ -77,16 +76,11 @@ class RowVsColumnarResult(ExperimentResult):
     def columns(self) -> List[str]:
         return ["column fraction", "columnar bytes", "row-layout bytes", "overfetch (x)"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=(
-                f"Ablation (row vs columnar, {self.model}, {ROWS} rows): bytes "
-                f"touched per Extract"
-            ),
+    def table_title(self) -> str:
+        return (
+            f"Ablation (row vs columnar, {self.model}, {ROWS} rows): bytes "
+            f"touched per Extract"
         )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
 
 
 @register_experiment("abl-row", title="Ablation: row vs columnar", kind="ablation", order=200)

@@ -17,7 +17,6 @@ from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
     build_system,
-    format_table,
     models,
     register_experiment,
 )
@@ -88,13 +87,8 @@ class Fig11Result(ExperimentResult):
     def columns(self) -> List[str]:
         return ["model", "Disagg(1)", "Disagg(16)", "Disagg(32)", "Disagg(64)", "PreSto"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Figure 11: preprocessing throughput normalized to Disagg(1)",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Figure 11: preprocessing throughput normalized to Disagg(1)"
 
 
 @register_experiment("fig11", title="Figure 11", kind="figure", order=70)

@@ -13,7 +13,6 @@ from typing import Dict, List, Tuple
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     models,
     register_experiment,
 )
@@ -67,13 +66,8 @@ class Fig13Result(ExperimentResult):
     def columns(self) -> List[str]:
         return ["model", "Disagg (norm)", "PreSto (norm)", "Disagg (ms)", "PreSto (ms)"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Figure 13: aggregate RPC latency per mini-batch",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Figure 13: aggregate RPC latency per mini-batch"
 
 
 @register_experiment("fig13", title="Figure 13", kind="figure", order=90)

@@ -16,7 +16,6 @@ from repro.core.systems import DisaggCpuSystem, PreStoSystem
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     models,
     register_experiment,
 )
@@ -78,13 +77,8 @@ class Fig14Result(ExperimentResult):
     def columns(self) -> List[str]:
         return ["model", "ISP units", "CPU cores", "CPU nodes", "ISP worst-case W"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Figure 14: resources to sustain an 8xA100 training node",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Figure 14: resources to sustain an 8xA100 training node"
 
 
 @register_experiment("fig14", title="Figure 14", kind="figure", order=100)

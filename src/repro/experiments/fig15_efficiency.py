@@ -20,7 +20,6 @@ from repro.core.systems import DisaggCpuSystem, PreStoSystem
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     models,
     register_experiment,
 )
@@ -85,13 +84,8 @@ class Fig15Result(ExperimentResult):
             "PreSto $",
         ]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Figure 15: energy- and cost-efficiency (PreSto vs Disagg)",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Figure 15: energy- and cost-efficiency (PreSto vs Disagg)"
 
 
 @register_experiment("fig15", title="Figure 15", kind="figure", order=110)

@@ -19,7 +19,6 @@ from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
     build_system,
-    format_table,
     models,
     register_experiment,
 )
@@ -96,13 +95,8 @@ class Fig16Result(ExperimentResult):
     def columns(self) -> List[str]:
         return ["model", "design", "throughput (vs A100)", "perf/W (vs A100)"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Figure 16: alternative accelerated preprocessing",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Figure 16: alternative accelerated preprocessing"
 
 
 @register_experiment("fig16", title="Figure 16", kind="figure", order=120)

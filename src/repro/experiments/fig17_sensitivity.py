@@ -18,7 +18,6 @@ from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.features.specs import get_model
@@ -84,13 +83,8 @@ class Fig17Result(ExperimentResult):
     def columns(self) -> List[str]:
         return ["op", "scale", "Disagg (norm)", "PreSto (norm)", "speedup (x)"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Figure 17: per-op latency vs feature count (RM5 base)",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Figure 17: per-op latency vs feature count (RM5 base)"
 
 
 @register_experiment("fig17", title="Figure 17", kind="figure", order=130)

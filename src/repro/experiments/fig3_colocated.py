@@ -18,7 +18,6 @@ from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
     build_system,
-    format_table,
     register_experiment,
 )
 from repro.features.specs import get_model
@@ -65,16 +64,11 @@ class Fig3Result(ExperimentResult):
             )
         ]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=(
-                f"Figure 3 ({self.model}): co-located preprocessing; max "
-                f"training throughput {self.max_training_throughput:,.0f} samples/s"
-            ),
+    def table_title(self) -> str:
+        return (
+            f"Figure 3 ({self.model}): co-located preprocessing; max "
+            f"training throughput {self.max_training_throughput:,.0f} samples/s"
         )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
 
 
 @register_experiment("fig3", title="Figure 3", kind="figure", order=10)

@@ -15,7 +15,6 @@ from typing import Dict, List, Tuple
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     models,
     register_experiment,
     scenario_for,
@@ -62,13 +61,8 @@ class Fig4Result(ExperimentResult):
     def columns(self) -> List[str]:
         return ["model", "cores", "8-GPU demand (samples/s)", "per-core P (samples/s)"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Figure 4: CPU cores required per 8xA100 node",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Figure 4: CPU cores required per 8xA100 node"
 
 
 @register_experiment("fig4", title="Figure 4", kind="figure", order=20)

@@ -18,7 +18,6 @@ from repro.core.worker import BREAKDOWN_STEPS
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     models,
     register_experiment,
 )
@@ -93,13 +92,8 @@ class Fig5Result(ExperimentResult):
     def columns(self) -> List[str]:
         return ["model"] + list(BREAKDOWN_STEPS) + ["total"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Figure 5: CPU worker latency breakdown (normalized to RM1 total)",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Figure 5: CPU worker latency breakdown (normalized to RM1 total)"
 
 
 @register_experiment("fig5", title="Figure 5", kind="figure", order=30)

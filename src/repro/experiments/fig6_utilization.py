@@ -14,7 +14,6 @@ from typing import Dict, List, Tuple
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.features.specs import get_model
@@ -57,13 +56,8 @@ class Fig6Result(ExperimentResult):
     def columns(self) -> List[str]:
         return ["model", "op", "CPU util (%)", "mem BW util (%)", "LLC hit (%)"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title="Figure 6: kernel-level utilization of the transform ops",
-        )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
+    def table_title(self) -> str:
+        return "Figure 6: kernel-level utilization of the transform ops"
 
 
 @register_experiment("fig6", title="Figure 6", kind="figure", order=40)

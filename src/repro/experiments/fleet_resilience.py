@@ -22,7 +22,6 @@ from typing import List, Tuple
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.faults.injector import FaultInjector
@@ -101,16 +100,11 @@ class FleetResilienceResult(ExperimentResult):
     def columns(self) -> List[str]:
         return ["metric", "clean", "faulted"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=(
-                f"Fleet resilience: {self.num_jobs}-job trace "
-                f"(seed {self.trace_seed}), node-down + slow-node plan"
-            ),
+    def table_title(self) -> str:
+        return (
+            f"Fleet resilience: {self.num_jobs}-job trace "
+            f"(seed {self.trace_seed}), node-down + slow-node plan"
         )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
 
 
 def _pools(calibration: Calibration) -> Tuple[PoolSpec, ...]:

@@ -23,7 +23,6 @@ from typing import List, Tuple
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.fleet import PoolSpec, generate_trace, run_fleet
@@ -98,16 +97,11 @@ class FleetTcoResult(ExperimentResult):
     def columns(self) -> List[str]:
         return ["metric", "Disagg fleet", "PreSto fleet"]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=(
-                f"Fleet TCO: {self.num_jobs}-job diurnal trace "
-                f"(seed {self.trace_seed}), target-utilization autoscaling"
-            ),
+    def table_title(self) -> str:
+        return (
+            f"Fleet TCO: {self.num_jobs}-job diurnal trace "
+            f"(seed {self.trace_seed}), target-utilization autoscaling"
         )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
 
 
 def _single_pool_fleet(

@@ -12,7 +12,6 @@ from typing import Dict, List, Tuple
 
 from repro.experiments.common import (
     ExperimentResult,
-    format_table,
     models,
     register_experiment,
 )
@@ -64,12 +63,8 @@ class Table1Result(ExperimentResult):
             "matches paper",
         ]
 
-    def render(self) -> str:
-        return format_table(
-            self.columns(),
-            self.rows(),
-            title="Table I: model/dataset configurations",
-        )
+    def table_title(self) -> str:
+        return "Table I: model/dataset configurations"
 
 
 @register_experiment("table1", title="Table I", kind="table", order=50)

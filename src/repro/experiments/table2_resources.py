@@ -13,7 +13,6 @@ from typing import Dict, List, Tuple
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
-    format_table,
     register_experiment,
 )
 from repro.hardware.fpga import (
@@ -68,16 +67,11 @@ class Table2Result(ExperimentResult):
     def columns(self) -> List[str]:
         return ["unit"] + [f"{k} (%)" for k in RESOURCE_KINDS]
 
-    def render(self) -> str:
-        table = format_table(
-            self.columns(),
-            self.rows(),
-            title=(
-                f"Table II: PreSto resource utilization on {SMARTSSD_FPGA.name} "
-                f"@ {SMARTSSD_FPGA.clock_hz / 1e6:.0f} MHz"
-            ),
+    def table_title(self) -> str:
+        return (
+            f"Table II: PreSto resource utilization on {SMARTSSD_FPGA.name} "
+            f"@ {SMARTSSD_FPGA.clock_hz / 1e6:.0f} MHz"
         )
-        return table + "\n" + "\n".join(c.render() for c in self.claims())
 
 
 @register_experiment("table2", title="Table II", kind="table", order=60)

@@ -111,6 +111,14 @@ def _submit_all(
     return acked
 
 
+def _serial_digest(job: PreprocessJob, memo: Dict[PreprocessJob, str]) -> str:
+    """``job``'s serial-path digest — the reference every tier's output
+    must equal — computed once per distinct job."""
+    if job not in memo:
+        memo[job] = job.run(parallel=False).digest
+    return memo[job]
+
+
 def run_episode(
     fault: str,
     seed: int,
@@ -210,10 +218,7 @@ def run_episode(
         for record in records:
             if record.state != "completed":
                 continue
-            expected = serial_digests.get(record.job)
-            if expected is None:
-                expected = record.job.run(parallel=False).digest
-                serial_digests[record.job] = expected
+            expected = _serial_digest(record.job, serial_digests)
             digests_checked += 1
             if record.digest != expected:
                 violations.append(
@@ -353,11 +358,7 @@ def run_batch_episode(
         for outcome in outcomes:
             if not outcome.ok:
                 continue
-            job = jobs[outcome.index]
-            expected = serial_digests.get(job)
-            if expected is None:
-                expected = job.run(parallel=False).digest
-                serial_digests[job] = expected
+            expected = _serial_digest(jobs[outcome.index], serial_digests)
             digests_checked += 1
             if outcome.result != expected:
                 violations.append(
@@ -406,11 +407,7 @@ def run_batch_episode(
                         f"fault-free resume: {outcome.error}"
                     )
                     continue
-                job = jobs[outcome.index]
-                expected = serial_digests.get(job)
-                if expected is None:
-                    expected = job.run(parallel=False).digest
-                    serial_digests[job] = expected
+                expected = _serial_digest(jobs[outcome.index], serial_digests)
                 if outcome.result != expected:
                     violations.append(
                         f"task {outcome.index} resume digest "
@@ -582,11 +579,14 @@ def run_chaos(
     streaming service (:func:`run_episode`), ``batch`` drives the
     fault-tolerant batch runner (:func:`run_batch_episode`), ``fleet``
     drives the simulated cluster scheduler (:func:`run_fleet_episode`).
-    ``faults`` defaults to the tier's canonical matrix.  The report's
-    ``ok`` is True iff no episode recorded a violation.  Everything
-    except the ``elapsed_s`` fields is deterministic for a fixed seed
-    (see :func:`deterministic_view`).
+    ``faults`` defaults to the tier's canonical matrix.  Episode
+    keywords are checked against every tier's signature: one that no
+    tier names is a :class:`ConfigurationError`, not silently ignored.
+    The report's ``ok`` is True iff no episode recorded a violation.
+    Everything except the ``elapsed_s`` fields is deterministic for a
+    fixed seed (see :func:`deterministic_view`).
     """
+    import inspect
     import shutil
     import tempfile
 
@@ -594,19 +594,24 @@ def run_chaos(
         raise ConfigurationError(
             f"tier must be one of {CHAOS_TIERS}, got {tier!r}"
         )
-    defaults = {
-        "serve": DEFAULT_FAULTS,
-        "batch": DEFAULT_BATCH_FAULTS,
-        "fleet": DEFAULT_FLEET_FAULTS,
+    tiers = {
+        "serve": (run_episode, DEFAULT_FAULTS),
+        "batch": (run_batch_episode, DEFAULT_BATCH_FAULTS),
+        "fleet": (run_fleet_episode, DEFAULT_FLEET_FAULTS),
     }
-    episodes_by_tier = {
-        "serve": run_episode,
-        "batch": run_batch_episode,
-        "fleet": run_fleet_episode,
-    }
+    known = set()
+    for fn, _ in tiers.values():
+        known.update(inspect.signature(fn).parameters)
+    # what run_chaos passes itself, and the episodes' ** catch-all
+    known -= {"fault", "seed", "spool_dir", "_ignored"}
+    unknown = sorted(set(episode_kwargs) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"no chaos tier takes keyword(s) {unknown}; known: {sorted(known)}"
+        )
+    episode, default_faults = tiers[tier]
     if faults is None:
-        faults = defaults[tier]
-    episode = episodes_by_tier[tier]
+        faults = default_faults
     owned = spool_root is None
     root = spool_root or tempfile.mkdtemp(prefix="repro-chaos-")
     started = time.perf_counter()

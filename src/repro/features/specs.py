@@ -121,20 +121,6 @@ class ModelSpec:
         """Embedding-lookup indices per sample after preprocessing."""
         return self.sparse_elements_per_sample() + self.num_generated_sparse
 
-    def raw_bytes_per_sample(self) -> float:
-        """Approximate raw (decoded) bytes of one sample's needed columns.
-
-        4 B per dense float, 8 B per sparse id, 4 B per sparse length entry,
-        1 B label.  Used only as a coarse sanity bound; the functional layer
-        measures real encoded sizes.
-        """
-        return (
-            1
-            + 4 * self.num_dense
-            + 8 * self.sparse_elements_per_sample()
-            + 4 * self.num_sparse
-        )
-
     def train_ready_bytes_per_sample(self) -> float:
         """Bytes of one preprocessed sample (the Load stage payload).
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 #: the built-in provisioning policies
 AUTOSCALE_KINDS = ("fixed", "target-utilization", "queue-depth")
@@ -68,53 +69,17 @@ class Autoscaler:
         return pool.clamp(pool.nodes)
 
 
-class AutoscalerRegistry:
+class AutoscalerRegistry(Registry[Callable[[], Autoscaler]]):
     """Name -> :class:`Autoscaler` factory catalog."""
 
-    def __init__(self) -> None:
-        self._factories: Dict[str, Callable[[], Autoscaler]] = {}
-
-    def register(
-        self, name: str, factory: Callable[[], Autoscaler], replace: bool = False
-    ) -> Callable[[], Autoscaler]:
-        if not isinstance(name, str) or not name.strip():
-            raise ConfigurationError(
-                "autoscaler name must be a non-empty string"
-            )
-        if not callable(factory):
-            raise ConfigurationError(f"factory for {name!r} must be callable")
-        if name in self._factories and not replace:
-            raise ConfigurationError(
-                f"autoscaler {name!r} is already registered; "
-                "pass replace=True to override"
-            )
-        self._factories[name] = factory
-        return factory
-
-    def unregister(self, name: str) -> None:
-        del self._factories[name]
+    noun = "autoscaler"
+    plural = "autoscalers"
 
     def create(self, name: str) -> Autoscaler:
-        if name not in self._factories:
-            raise ConfigurationError(
-                f"unknown autoscaler {name!r}; registered autoscalers: "
-                + ", ".join(self.names())
-            )
-        scaler = self._factories[name]()
+        """A fresh autoscaler instance carrying its registered name."""
+        scaler = self.get(name)()
         scaler.name = name
         return scaler
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._factories)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._factories
-
-    def __iter__(self):
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        return len(self._factories)
 
 
 #: the process-wide autoscaler catalog
@@ -125,11 +90,7 @@ def register_autoscaler(
     name: str, *, replace: bool = False
 ) -> Callable[[Callable[[], Autoscaler]], Callable[[], Autoscaler]]:
     """Class decorator registering an autoscaler by name."""
-
-    def decorate(factory: Callable[[], Autoscaler]):
-        return AUTOSCALER_REGISTRY.register(name, factory, replace=replace)
-
-    return decorate
+    return AUTOSCALER_REGISTRY.decorator(name, replace=replace)
 
 
 def get_autoscaler(name: str) -> Autoscaler:

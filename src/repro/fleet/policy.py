@@ -1,9 +1,9 @@
 """Placement policies — how the cluster scheduler packs jobs into pools.
 
-Mirrors :mod:`repro.api.registry`: every policy registers under a stable
-name via :func:`register_policy` and the simulator, the chaos harness,
-and ``repro fleet --policy`` all resolve it through the one
-:data:`POLICY_REGISTRY`.
+A :class:`repro.registry.Registry` like the system catalog: every policy
+registers under a stable name via :func:`register_policy` and the
+simulator, the chaos harness, and ``repro fleet --policy`` all resolve it
+through the one :data:`POLICY_REGISTRY`.
 
 A policy answers two questions, both as pure functions of the visible
 state (so fleet runs stay deterministic):
@@ -25,10 +25,10 @@ returns one of the pool names.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from repro.errors import ConfigurationError
 from repro.fleet.trace import JobArrival
+from repro.registry import Registry
 
 #: one placement candidate: (pool name, free workers, workers needed there)
 Candidate = Tuple[str, int, int]
@@ -57,54 +57,17 @@ class PlacementPolicy:
         return candidates[0][0]
 
 
-class PolicyRegistry:
+class PolicyRegistry(Registry[Callable[[], PlacementPolicy]]):
     """Name -> :class:`PlacementPolicy` factory catalog."""
 
-    def __init__(self) -> None:
-        self._factories: Dict[str, Callable[[], PlacementPolicy]] = {}
-
-    def register(
-        self,
-        name: str,
-        factory: Callable[[], PlacementPolicy],
-        replace: bool = False,
-    ) -> Callable[[], PlacementPolicy]:
-        if not isinstance(name, str) or not name.strip():
-            raise ConfigurationError("policy name must be a non-empty string")
-        if not callable(factory):
-            raise ConfigurationError(f"factory for {name!r} must be callable")
-        if name in self._factories and not replace:
-            raise ConfigurationError(
-                f"placement policy {name!r} is already registered; "
-                "pass replace=True to override"
-            )
-        self._factories[name] = factory
-        return factory
-
-    def unregister(self, name: str) -> None:
-        del self._factories[name]
+    noun = "placement policy"
+    plural = "policies"
 
     def create(self, name: str) -> PlacementPolicy:
-        if name not in self._factories:
-            raise ConfigurationError(
-                f"unknown placement policy {name!r}; registered policies: "
-                + ", ".join(self.names())
-            )
-        policy = self._factories[name]()
+        """A fresh policy instance carrying its registered name."""
+        policy = self.get(name)()
         policy.name = name
         return policy
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._factories)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._factories
-
-    def __iter__(self):
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        return len(self._factories)
 
 
 #: the process-wide placement-policy catalog
@@ -115,11 +78,7 @@ def register_policy(
     name: str, *, replace: bool = False
 ) -> Callable[[Callable[[], PlacementPolicy]], Callable[[], PlacementPolicy]]:
     """Class decorator registering a placement policy by name."""
-
-    def decorate(factory: Callable[[], PlacementPolicy]):
-        return POLICY_REGISTRY.register(name, factory, replace=replace)
-
-    return decorate
+    return POLICY_REGISTRY.decorator(name, replace=replace)
 
 
 def get_policy(name: str) -> PlacementPolicy:

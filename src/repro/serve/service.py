@@ -365,9 +365,6 @@ class PreprocessService:
         self.watcher.attach(source)
         return source
 
-    def detach_source(self, source: JobSource) -> None:
-        self.watcher.detach(source)
-
     # -- pool plumbing -------------------------------------------------------
 
     def _execute_attempt(self, job_id: str, attempt: int) -> str:

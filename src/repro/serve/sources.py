@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.preprocess import PreprocessJob
 from repro.errors import ConfigurationError, QueueClosedError, ReproError
+from repro.registry import Registry
 from repro.serve.records import JobRecord
 
 
@@ -137,41 +138,21 @@ class SyntheticJobSource(JobSource):
 # --------------------------------------------------------------------------
 
 
-class SourceRegistry:
+class SourceRegistry(Registry[Callable[..., JobSource]]):
     """kind -> factory catalog of job source plugins."""
 
-    def __init__(self) -> None:
-        self._factories: Dict[str, Callable[..., JobSource]] = {}
+    noun = "source kind"
+    plural = "source kinds"
 
-    def register(
-        self,
-        kind: str,
-        factory: Callable[..., JobSource],
-        replace: bool = False,
-    ) -> Callable[..., JobSource]:
-        if not isinstance(kind, str) or not kind.strip():
-            raise ConfigurationError("source kind must be a non-empty string")
-        if kind in self._factories and not replace:
-            raise ConfigurationError(
-                f"source kind {kind!r} is already registered; "
-                "pass replace=True to override"
-            )
-        self._factories[kind] = factory
-        return factory
+    def names(self) -> Tuple[str, ...]:
+        """Registered kinds, sorted."""
+        return tuple(sorted(self._entries))
 
-    def unregister(self, kind: str) -> None:
-        del self._factories[kind]
-
-    def kinds(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._factories))
+    kinds = names
 
     def create(self, kind: str, **kwargs) -> JobSource:
-        if kind not in self._factories:
-            raise ConfigurationError(
-                f"unknown source kind {kind!r}; registered: "
-                f"{', '.join(self.kinds()) or 'none'}"
-            )
-        return self._factories[kind](**kwargs)
+        """Build one source of ``kind`` from its keyword configuration."""
+        return self.get(kind)(**kwargs)
 
 
 #: the global source catalog ``repro serve`` constructs from
@@ -180,11 +161,7 @@ SOURCE_REGISTRY = SourceRegistry()
 
 def register_source(kind: str, replace: bool = False):
     """Class decorator registering a :class:`JobSource` under ``kind``."""
-
-    def decorate(factory: Callable[..., JobSource]):
-        return SOURCE_REGISTRY.register(kind, factory, replace=replace)
-
-    return decorate
+    return SOURCE_REGISTRY.decorator(kind, replace=replace)
 
 
 SOURCE_REGISTRY.register("directory", DirectoryJobSource)

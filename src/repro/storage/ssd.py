@@ -52,10 +52,6 @@ class SsdModel:
         """Whether ``key`` is stored on this device."""
         return key in self._objects
 
-    def object_size(self, key: str) -> int:
-        """Stored size of one object."""
-        return len(self.read_object_silent(key))
-
     def read_object_silent(self, key: str) -> bytes:
         """Read without charging I/O counters (metadata peeks)."""
         if key not in self._objects:

@@ -38,13 +38,6 @@ class TrainStats:
             return 0.0
         return min(self.training_time / self.finish_time, 1.0)
 
-    @property
-    def achieved_throughput(self) -> float:
-        """Samples/s actually trained (requires iteration_times batch size)."""
-        return 0.0 if not self.iteration_times else (
-            self.batches_trained / self.finish_time if self.finish_time else 0.0
-        )
-
 
 class TrainManager:
     """Consumes mini-batches from the input queue and trains on GPUs."""

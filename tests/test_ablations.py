@@ -127,6 +127,19 @@ class TestMultiJob:
         assert small.num_jobs == 2
         assert small.presto_pool == 3 + 9
 
+    def test_half_pool_admits_first_fit_in_mix_order(self):
+        # RM1 needs 3 SmartSSDs, RM5 needs 9: half of 12 admits the RM1
+        # job (first in the mix) and turns the RM5 job away
+        small = abl_multijob.run(mix=(("RM1", 1), ("RM5", 1)))
+        assert small.rejected_at_half_presto == 1
+        assert small.half_pool_utilization_presto == 3 / 6
+
+    def test_empty_mix_rejected(self):
+        from repro.errors import ProvisioningError
+
+        with pytest.raises(ProvisioningError, match="empty"):
+            abl_multijob.run(mix=(("RM1", 0),))
+
 
 class TestNetworkContention:
     @pytest.fixture(scope="class")

@@ -707,6 +707,21 @@ class TestChaos:
         )
         assert first["ok"]
 
+    @pytest.mark.parametrize("tier", ["serve", "batch", "fleet"])
+    def test_keyword_no_tier_accepts_is_rejected(self, tier):
+        # a typo used to vanish into **_ignored and run the default workload
+        with pytest.raises(ConfigurationError, match="num_jbos"):
+            run_chaos(tier=tier, num_jbos=3)
+
+    def test_tier_foreign_keywords_stay_accepted(self, tmp_path):
+        # one call shape drives every tier: serve/batch-only keywords are
+        # known, so the fleet episode ignores them instead of rejecting
+        report = run_chaos(
+            ("node-down",), seed=7, tier="fleet", spool_root=str(tmp_path),
+            num_jobs=2, rows=64, shards=1, workers=2, queue_capacity=4,
+        )
+        assert report["ok"] and report["episodes"][0]["jobs"] >= 40
+
     def test_check_report_raises_on_violations(self):
         from repro.errors import ChaosError
 
