@@ -23,6 +23,8 @@ from repro.exec.executor import (
     ShardExecutor,
     ShardResult,
     ShardRunStats,
+    StageCallback,
+    pipeline_stage,
 )
 from repro.features.minibatch import MiniBatch
 from repro.features.specs import ModelSpec, get_model
@@ -131,11 +133,24 @@ class PreprocessJob:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, parallel: bool = True) -> PreprocessRunResult:
-        """Generate the raw table, shard it, and preprocess every shard."""
-        generator = SyntheticTableGenerator(self.spec(), seed=self.seed)
-        data = generator.generate(self.num_rows)
-        results = self.build_executor().run(data, parallel=parallel)
+    def run_shards(
+        self, parallel: bool = True, on_stage: Optional[StageCallback] = None
+    ) -> List[ShardResult]:
+        """Generate the raw table (the ``generate`` stage), then shard and
+        preprocess it on this job's executor; shards in partition order."""
+        with pipeline_stage("generate", on_stage, self.seed) as metrics:
+            generator = SyntheticTableGenerator(self.spec(), seed=self.seed)
+            data = generator.generate(self.num_rows)
+            metrics["rows"] = self.num_rows
+        return self.build_executor().run(
+            data, parallel=parallel, on_stage=on_stage
+        )
+
+    def run(
+        self, parallel: bool = True, on_stage: Optional[StageCallback] = None
+    ) -> PreprocessRunResult:
+        """:meth:`run_shards`, plus the work counters and content digest."""
+        results = self.run_shards(parallel=parallel, on_stage=on_stage)
         return PreprocessRunResult(
             job=self,
             results=results,

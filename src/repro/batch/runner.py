@@ -195,6 +195,32 @@ class BatchRunner:
         labels = [str(self.task_label(i, task))
                   for i, task in enumerate(tasks)]
         outcomes: Dict[int, BatchOutcome] = {}
+        #: strict mode's non-ok outcomes: the first stops dispatch and raises
+        failures: List[BatchOutcome] = []
+
+        def settle(index: int, state: str, attempts: int, elapsed_s: float,
+                   result: Any = None, error: Optional[str] = None) -> None:
+            """Every fresh terminal outcome lands here: stored, journaled,
+            reported through ``on_outcome``, and — non-ok under ``strict``
+            — noted as the failure that ends the batch."""
+            outcome = BatchOutcome(
+                index=index, key=keys[index], label=labels[index],
+                state=state, attempts=attempts, elapsed_s=elapsed_s,
+                result=result, error=error,
+            )
+            outcomes[index] = outcome
+            if self.journal is not None:
+                payload = (
+                    self.encode_result(index, result) if outcome.ok else None
+                )
+                self._journal_safely(
+                    lambda: self.journal.task_done(outcome, payload)
+                )
+            if self.on_outcome is not None:
+                self.on_outcome(outcome)
+            if not outcome.ok and self.policy.failure_mode == "strict":
+                failures.append(outcome)
+
         self.resumed_tasks = 0
         if resume:
             if self.journal is None:
@@ -232,86 +258,94 @@ class BatchRunner:
                     f"precomputed index {index} out of range for "
                     f"{len(tasks)} tasks"
                 )
-            self._record(BatchOutcome(
-                index=index, key=keys[index], label=labels[index],
-                state="ok", attempts=0, elapsed_s=0.0, result=result,
-            ), outcomes)
+            settle(index, "ok", 0, 0.0, result=result)
         pending = [i for i in range(len(tasks)) if i not in outcomes]
-        first_failure: Optional[BatchOutcome] = None
         if pending:
-            if parallel:
-                first_failure = self._run_parallel(
-                    tasks, keys, labels, pending, outcomes
-                )
-            else:
-                first_failure = self._run_serial(
-                    tasks, keys, labels, pending, outcomes
-                )
-        if first_failure is not None:
-            self._raise_strict(first_failure)
+            execute = self._run_parallel if parallel else self._run_serial
+            execute(tasks, keys, pending, settle, failures)
+        if failures:
+            self._raise_strict(failures[0])
         return [outcomes[i] for i in sorted(outcomes)]
 
     # -- serial path ---------------------------------------------------------
 
-    def _run_serial(self, tasks, keys, labels, pending, outcomes):
+    def _run_serial(self, tasks, keys, pending, settle, failures) -> None:
         """Inline execution with retries; ``task_timeout_s`` is not
         enforced here (there is no worker to abandon — parallel mode owns
         the watchdog)."""
         for index in pending:
-            outcome = self._run_one_inline(
-                index, tasks[index], keys[index], labels[index]
-            )
-            self._record(outcome, outcomes)
-            if not outcome.ok and self.policy.failure_mode == "strict":
-                return outcome
-        return None
-
-    def _run_one_inline(self, index, task, key, label) -> BatchOutcome:
-        attempts = 0
-        started = time.monotonic()
-        while True:
-            attempts += 1
-            if self.journal is not None:
-                self._journal_safely(
-                    lambda: self.journal.task_started(index, key, attempts)
-                )
-            try:
-                result = self.worker_fn(task)
-            except Exception as exc:
-                if attempts <= self.policy.max_retries:
-                    time.sleep(self.policy.backoff_for(attempts))
-                    continue
-                return BatchOutcome(
-                    index=index, key=key, label=label, state="failed",
-                    attempts=attempts,
-                    elapsed_s=time.monotonic() - started,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            return BatchOutcome(
-                index=index, key=key, label=label, state="ok",
-                attempts=attempts,
-                elapsed_s=time.monotonic() - started,
-                result=result,
-            )
+            if failures:
+                return
+            attempts = 0
+            started = time.monotonic()
+            while True:
+                attempts += 1
+                if self.journal is not None:
+                    self._journal_safely(
+                        lambda: self.journal.task_started(
+                            index, keys[index], attempts
+                        )
+                    )
+                try:
+                    result = self.worker_fn(tasks[index])
+                except Exception as exc:
+                    if attempts <= self.policy.max_retries:
+                        time.sleep(self.policy.backoff_for(attempts))
+                        continue
+                    settle(index, "failed", attempts,
+                           time.monotonic() - started,
+                           error=f"{type(exc).__name__}: {exc}")
+                else:
+                    settle(index, "ok", attempts,
+                           time.monotonic() - started, result=result)
+                break
 
     # -- parallel path -------------------------------------------------------
 
-    def _run_parallel(self, tasks, keys, labels, pending, outcomes):
+    def _run_parallel(self, tasks, keys, pending, settle, failures) -> None:
         policy = self.policy
         ready = deque(pending)
         attempts: Dict[int, int] = {i: 0 for i in pending}
         first_started: Dict[int, float] = {}
         retries: List[tuple] = []  # (not-before monotonic, index)
-        first_failure: Optional[BatchOutcome] = None
         spawned = policy.worker_count(len(pending))
         workers: List[_Worker] = [
-            self._spawn(f"batch-worker-{n}") for n in range(spawned)
+            _Worker(self.worker_fn, f"batch-worker-{n}")
+            for n in range(spawned)
         ]
+
+        def lose(worker: _Worker, died: bool) -> None:
+            """``worker`` died mid-task (OOM kill, SIGKILL, injected
+            crash) or is stuck past its deadline: reap or terminate it,
+            settle its task ``interrupted`` / ``timeout`` — never retried,
+            the runner cannot know what side effects the lost attempt had
+            — and spawn a replacement while dispatchable work remains."""
+            nonlocal spawned
+            index = worker.current
+            elapsed = time.monotonic() - first_started[index]
+            self._stop([worker], graceful=died)
+            workers.remove(worker)
+            if died:
+                settle(index, "interrupted", attempts[index], elapsed, error=(
+                    f"worker {worker.name} died while running this task "
+                    f"(exitcode {worker.proc.exitcode})"
+                ))
+            else:
+                settle(index, "timeout", attempts[index], elapsed, error=(
+                    f"task exceeded task_timeout_s={policy.task_timeout_s}; "
+                    f"worker {worker.name} terminated and replaced"
+                ))
+            if not failures and (ready or retries):
+                workers.append(
+                    _Worker(self.worker_fn, f"batch-worker-{spawned}")
+                )
+                spawned += 1
+
         try:
             while True:
                 now = time.monotonic()
                 # promote due retries back into the ready queue
-                if retries and first_failure is None:
+                if retries and not failures:
                     due = sorted(
                         index for when, index in retries if when <= now
                     )
@@ -321,7 +355,7 @@ class BatchRunner:
                         ]
                         ready.extend(due)
                 # dispatch to idle workers (strict stop: drain only)
-                if first_failure is None:
+                if not failures:
                     for worker in workers:
                         if not ready:
                             break
@@ -333,7 +367,7 @@ class BatchRunner:
                         )
                 in_flight = [w for w in workers if w.current is not None]
                 if not in_flight:
-                    if first_failure is not None:
+                    if failures:
                         break
                     if not ready and not retries:
                         break  # all outcomes landed
@@ -344,7 +378,7 @@ class BatchRunner:
                         wait_until is None or worker.deadline < wait_until
                     ):
                         wait_until = worker.deadline
-                if retries and first_failure is None:
+                if retries and not failures:
                     next_retry = min(when for when, _ in retries)
                     if wait_until is None or next_retry < wait_until:
                         wait_until = next_retry
@@ -367,38 +401,7 @@ class BatchRunner:
                     try:
                         message = worker.conn.recv()
                     except (EOFError, OSError):
-                        message = None
-                    if message is None:
-                        # the worker died mid-task (OOM kill, SIGKILL,
-                        # injected crash): the task is interrupted, never
-                        # retried, and the worker is replaced if work
-                        # remains
-                        self._reap(worker)
-                        workers.remove(worker)
-                        outcome = BatchOutcome(
-                            index=index, key=keys[index],
-                            label=labels[index], state="interrupted",
-                            attempts=attempts[index],
-                            elapsed_s=(
-                                time.monotonic() - first_started[index]
-                            ),
-                            error=(
-                                f"worker {worker.name} died while running "
-                                f"this task (exitcode "
-                                f"{worker.proc.exitcode})"
-                            ),
-                        )
-                        self._record(outcome, outcomes)
-                        if (
-                            policy.failure_mode == "strict"
-                            and first_failure is None
-                        ):
-                            first_failure = outcome
-                        if first_failure is None and (ready or retries):
-                            workers.append(
-                                self._spawn(f"batch-worker-{spawned}")
-                            )
-                            spawned += 1
+                        lose(worker, died=True)
                         continue
                     kind, msg_index, _attempt, payload, elapsed = message
                     worker.current = None
@@ -409,70 +412,30 @@ class BatchRunner:
                             f"{msg_index}, expected {index}"
                         )
                     if kind == "ok":
-                        self._record(BatchOutcome(
-                            index=index, key=keys[index],
-                            label=labels[index], state="ok",
-                            attempts=attempts[index], elapsed_s=elapsed,
-                            result=payload,
-                        ), outcomes)
-                        continue
-                    if (
-                        attempts[index] <= policy.max_retries
-                        and first_failure is None
+                        settle(index, "ok", attempts[index], elapsed,
+                               result=payload)
+                    elif (
+                        attempts[index] <= policy.max_retries and not failures
                     ):
                         retries.append((
                             time.monotonic()
                             + policy.backoff_for(attempts[index]),
                             index,
                         ))
-                        continue
-                    outcome = BatchOutcome(
-                        index=index, key=keys[index], label=labels[index],
-                        state="failed", attempts=attempts[index],
-                        elapsed_s=elapsed, error=payload,
-                    )
-                    self._record(outcome, outcomes)
-                    if (
-                        policy.failure_mode == "strict"
-                        and first_failure is None
-                    ):
-                        first_failure = outcome
+                    else:
+                        settle(index, "failed", attempts[index], elapsed,
+                               error=payload)
                 # watchdog: terminate and replace workers past deadline
                 now = time.monotonic()
                 for worker in list(workers):
                     if (
-                        worker.current is None
-                        or worker.deadline is None
-                        or now < worker.deadline
+                        worker.current is not None
+                        and worker.deadline is not None
+                        and now >= worker.deadline
                     ):
-                        continue
-                    index = worker.current
-                    self._kill(worker)
-                    workers.remove(worker)
-                    outcome = BatchOutcome(
-                        index=index, key=keys[index], label=labels[index],
-                        state="timeout", attempts=attempts[index],
-                        elapsed_s=now - first_started[index],
-                        error=(
-                            f"task exceeded task_timeout_s="
-                            f"{policy.task_timeout_s}; worker "
-                            f"{worker.name} terminated and replaced"
-                        ),
-                    )
-                    self._record(outcome, outcomes)
-                    if (
-                        policy.failure_mode == "strict"
-                        and first_failure is None
-                    ):
-                        first_failure = outcome
-                    if first_failure is None and (ready or retries):
-                        workers.append(
-                            self._spawn(f"batch-worker-{spawned}")
-                        )
-                        spawned += 1
+                        lose(worker, died=False)
         finally:
-            self._shutdown(workers)
-        return first_failure
+            self._stop(workers, graceful=True)
 
     def _dispatch(self, worker, index, tasks, keys, attempts,
                   first_started, now) -> None:
@@ -492,51 +455,24 @@ class BatchRunner:
             else None
         )
 
-    # -- worker lifecycle ----------------------------------------------------
-
-    def _spawn(self, name: str) -> _Worker:
-        return _Worker(self.worker_fn, name)
-
-    def _reap(self, worker: _Worker) -> None:
-        """Join a worker that already died on its own."""
-        worker.proc.join(1.0)
-        if worker.proc.is_alive():  # pragma: no cover - defensive
-            worker.proc.terminate()
-            worker.proc.join(1.0)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-
-    def _kill(self, worker: _Worker) -> None:
-        """Terminate a stuck worker, escalating to SIGKILL."""
-        worker.proc.terminate()
-        worker.proc.join(1.0)
-        if worker.proc.is_alive():
-            worker.proc.kill()
-            worker.proc.join(1.0)
-        if worker.proc.is_alive():  # pragma: no cover - defensive
-            self.leaked_workers += 1
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-
-    def _shutdown(self, workers: List[_Worker]) -> None:
-        for worker in workers:
-            try:
-                worker.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for worker in workers:
-            worker.proc.join(max(0.0, deadline - time.monotonic()))
+    def _stop(self, workers: List[_Worker], graceful: bool) -> None:
+        """Tear ``workers`` down: when ``graceful`` ask them to exit and
+        give them 2 s, then terminate -> join -> SIGKILL -> join whatever
+        is still alive, count what survives even that, close the pipes."""
+        if graceful:
+            for worker in workers:
+                try:
+                    worker.conn.send(None)
+                except (BrokenPipeError, OSError):
+                    pass
+            deadline = time.monotonic() + 2.0
+            for worker in workers:
+                worker.proc.join(max(0.0, deadline - time.monotonic()))
         for worker in workers:
             if worker.proc.is_alive():
                 worker.proc.terminate()
         for worker in workers:
-            if worker.proc.is_alive():
-                worker.proc.join(1.0)
+            worker.proc.join(1.0)
             if worker.proc.is_alive():
                 worker.proc.kill()
                 worker.proc.join(1.0)
@@ -548,20 +484,6 @@ class BatchRunner:
                 pass
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def _record(self, outcome: BatchOutcome,
-                outcomes: Dict[int, BatchOutcome]) -> None:
-        outcomes[outcome.index] = outcome
-        if self.journal is not None:
-            payload = (
-                self.encode_result(outcome.index, outcome.result)
-                if outcome.ok else None
-            )
-            self._journal_safely(
-                lambda: self.journal.task_done(outcome, payload)
-            )
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
 
     def _journal_safely(self, write: Callable[[], None]) -> None:
         """Journal appends must not kill the batch: a torn write or a

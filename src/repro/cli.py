@@ -812,31 +812,24 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-#: default per-node/per-arrival fire rates for ``repro fleet run --faults``
-_FLEET_FAULT_RATES = {
-    "node-down": 0.01,
-    "slow-node": 0.05,
-    "arrival-burst": 0.03,
-}
-
-
 def _fleet_injector(faults: str, seed: int):
     """A fresh :class:`FaultInjector` for a comma-separated fault list."""
+    from repro.faults.chaos import DEFAULT_FLEET_FAULTS
     from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan, FaultRule
+    from repro.faults.plan import DEFAULT_RATES, FaultPlan, FaultRule
 
     rules = []
     for fault in (f.strip() for f in faults.split(",")):
         if not fault:
             continue
-        if fault not in _FLEET_FAULT_RATES:
+        if fault not in DEFAULT_FLEET_FAULTS:
             raise SystemExit(
                 f"unknown fleet fault {fault!r}; known: "
-                f"{', '.join(sorted(_FLEET_FAULT_RATES))}"
+                f"{', '.join(sorted(DEFAULT_FLEET_FAULTS))}"
             )
         rules.append(FaultRule(
             point=fault,
-            rate=_FLEET_FAULT_RATES[fault],
+            rate=DEFAULT_RATES[fault],
             delay_s=300.0 if fault == "slow-node" else None,
         ))
     if not rules:

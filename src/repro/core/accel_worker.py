@@ -73,11 +73,7 @@ class U280PoolWorker(PreprocessingWorker):
         )
 
     def batch_breakdown(self) -> Dict[str, float]:
-        stages = self.model.batch_stages(self.spec)
-        breakdown = stages.as_dict()
-        breakdown["extract_read"] = stages.ingress + 0.5 * stages.host
-        breakdown["else_time"] = 0.5 * stages.host
-        return breakdown
+        return self.model.batch_stages(self.spec).as_dict()
 
     def throughput(self) -> float:
         return self.model.device_throughput(self.spec)
@@ -107,11 +103,7 @@ class PreStoU280Worker(PreprocessingWorker):
         )
 
     def batch_breakdown(self) -> Dict[str, float]:
-        stages = self.model.batch_stages(self.spec)
-        breakdown = stages.as_dict()
-        breakdown["extract_read"] = stages.ingress + 0.5 * stages.host
-        breakdown["else_time"] = 0.5 * stages.host
-        return breakdown
+        return self.model.batch_stages(self.spec).as_dict()
 
     def throughput(self) -> float:
         return self.model.device_throughput(self.spec)

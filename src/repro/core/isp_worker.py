@@ -44,13 +44,7 @@ class IspPreprocessingWorker(PreprocessingWorker):
 
     def batch_breakdown(self) -> Dict[str, float]:
         """Figure 12 step breakdown for one mini-batch on one SmartSSD."""
-        stages = self.device.preprocess_stages(self.spec)
-        breakdown = stages.as_dict()
-        # split host orchestration between Extract bookkeeping and Else the
-        # way AcceleratorStages.extract accounts it
-        breakdown["extract_read"] = stages.ingress + 0.5 * stages.host
-        breakdown["else_time"] = 0.5 * stages.host
-        return breakdown
+        return self.device.preprocess_stages(self.spec).as_dict()
 
     def throughput(self) -> float:
         """Pipeline-bottleneck throughput (double-buffered stages)."""

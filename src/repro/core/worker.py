@@ -22,8 +22,8 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional, Tuple
 
-from repro.dataio.columnar import ColumnarFileReader
 from repro.errors import ConfigurationError
+from repro.exec.executor import transform_shard
 from repro.features.minibatch import MiniBatch
 from repro.features.specs import ModelSpec
 from repro.ops.pipeline import OpCounts, PreprocessingPipeline
@@ -84,9 +84,8 @@ class PreprocessingWorker(abc.ABC):
         self, file_bytes: bytes, batch_id: int = 0
     ) -> Tuple[MiniBatch, OpCounts]:
         """Actually run Extract + Transform on one stored partition."""
-        reader = ColumnarFileReader(file_bytes)
-        raw = reader.read_columns(self.pipeline.required_columns())
-        return self.pipeline.run(raw, batch_id=batch_id)
+        shard = transform_shard(self.pipeline, (batch_id, file_bytes))
+        return shard.batch, shard.counts
 
     # -- performance interface ----------------------------------------------
 

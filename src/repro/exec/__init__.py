@@ -4,8 +4,9 @@ While :mod:`repro.core` *simulates* preprocessing systems, this package
 *executes* the real Extract -> Transform path over sharded data:
 :class:`ShardExecutor` maps :class:`~repro.dataio.partition.RowPartitioner`
 partitions through write -> read -> :class:`~repro.ops.pipeline.
-PreprocessingPipeline` across a ``multiprocessing`` pool with
-deterministic, serial-identical minibatch ordering.
+PreprocessingPipeline` across the worker processes of the shared
+:class:`~repro.batch.runner.BatchRunner` with deterministic,
+serial-identical minibatch ordering.
 """
 
 from repro.exec.executor import (

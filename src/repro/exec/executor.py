@@ -10,27 +10,33 @@ layer models that concurrency; this module *performs* it:
 2. every shard is read back column-selectively (Extract) and pushed
    through one shared :class:`~repro.ops.pipeline.PreprocessingPipeline`
    (Transform) into a train-ready mini-batch;
-3. shards fan out across a ``multiprocessing`` pool; results always come
-   back in partition order with ``batch_id == partition.index``, so a
-   parallel run is bit-identical to the serial one (the same guarantee
-   :class:`repro.api.Sweep` makes for scenario grids).
+3. shards fan out across the worker processes of a
+   :class:`~repro.batch.runner.BatchRunner` — the one process supervisor
+   ``Sweep.run`` and ``run_experiments`` also use, so a shard worker that
+   raises or is killed ends the run with a typed
+   :class:`~repro.errors.BatchTaskError` instead of a hang; results always
+   come back in partition order with ``batch_id == partition.index``, so a
+   parallel run is bit-identical to the serial one.
 
-The pool workers receive the pipeline once (pool initializer), not per
-shard, so the per-pipeline caches — bucket boundary structures, hash
-constants — are amortized across every shard a worker handles.
+The forked workers inherit the pipeline (it is bound into their task
+function), not a copy per shard, so the per-pipeline caches — bucket
+boundary structures, hash constants — are amortized across every shard a
+worker handles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import multiprocessing
-import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.batch.policy import BatchPolicy
+from repro.batch.runner import BatchRunner
 from repro.dataio.columnar import ColumnarFileReader, TableData
-from repro.dataio.partition import Partition, RowPartitioner
+from repro.dataio.partition import RowPartitioner
 from repro.errors import ExecutionError
 from repro.faults.injector import fault_stage
 from repro.features.minibatch import MiniBatch
@@ -39,26 +45,33 @@ from repro.ops.pipeline import OpCounts, PreprocessingPipeline
 #: stage telemetry hook: (stage, "started"|"completed", summary metrics)
 StageCallback = Callable[[str, str, Dict[str, float]], None]
 
-#: pipeline shared by every task a pool worker runs (set by the initializer)
-_WORKER_PIPELINE: Optional[PreprocessingPipeline] = None
+
+@contextmanager
+def pipeline_stage(
+    name: str, notify: Optional[StageCallback], seed: int
+) -> Iterator[Dict[str, float]]:
+    """One pipeline stage: fault probe, ``started``, the timed body, then
+    ``completed`` with ``elapsed_s`` and the metrics the body put into the
+    yielded dict.  A raising body emits no ``completed``."""
+    fault_stage(name, seed=seed)
+    if notify is not None:
+        notify(name, "started", {})
+    metrics: Dict[str, float] = {}
+    start = time.perf_counter()
+    yield metrics
+    if notify is not None:
+        notify(
+            name, "completed",
+            {"elapsed_s": time.perf_counter() - start, **metrics},
+        )
 
 
-def _init_worker(pipeline: PreprocessingPipeline) -> None:
-    """Pool initializer: unpickle the pipeline once per worker process."""
-    global _WORKER_PIPELINE
-    _WORKER_PIPELINE = pipeline
-
-
-def _run_worker_shard(task: Tuple[int, bytes]) -> "ShardResult":
-    """Module-level map target so pool workers can unpickle it."""
-    index, file_bytes = task
-    return _transform_shard(_WORKER_PIPELINE, index, file_bytes)
-
-
-def _transform_shard(
-    pipeline: PreprocessingPipeline, index: int, file_bytes: bytes
+def transform_shard(
+    pipeline: PreprocessingPipeline, shard: Tuple[int, bytes]
 ) -> "ShardResult":
-    """Extract one partition's columns and transform them (one shard)."""
+    """Extract one partition's columns and transform them: the body of one
+    ``(index, file_bytes)`` shard, wherever it runs."""
+    index, file_bytes = shard
     reader = ColumnarFileReader(file_bytes)
     raw = reader.read_columns(pipeline.required_columns())
     batch, counts = pipeline.run(raw, batch_id=index)
@@ -108,11 +121,11 @@ class ShardRunStats:
 class ShardExecutor:
     """Map table partitions through write -> read -> pipeline, in parallel.
 
-    ``processes`` bounds the pool (default: the machine's CPU count);
-    ``parallel=False`` — or a single shard, or a one-process pool — runs
-    the shards inline through :meth:`PreprocessingPipeline.run_many`.
-    Either way the returned shards are ordered by partition index and
-    bit-identical between modes.
+    ``processes`` bounds the worker processes (default: the machine's CPU
+    count); ``parallel=False`` — or a single shard, or a one-process
+    budget — runs the shards inline through
+    :meth:`PreprocessingPipeline.run_many`.  Either way the returned shards
+    are ordered by partition index and bit-identical between modes.
     """
 
     def __init__(
@@ -130,6 +143,12 @@ class ShardExecutor:
         self.processes = processes
         self.partitioner = RowPartitioner(
             pipeline.schema, rows_per_partition=rows_per_shard
+        )
+        #: the fan-out: strict and retry-free, so the first shard that
+        #: raises, or whose worker dies, ends the run with a typed error
+        self.runner = BatchRunner(
+            functools.partial(transform_shard, pipeline),
+            policy=BatchPolicy(max_retries=0, processes=processes),
         )
 
     @classmethod
@@ -154,118 +173,85 @@ class ShardExecutor:
 
     # -- execution ---------------------------------------------------------
 
-    def _pool_size(self, num_shards: int) -> int:
-        limit = self.processes or os.cpu_count() or 1
-        return max(1, min(limit, num_shards))
-
     def run(
-        self, data: TableData, parallel: bool = True
-    ) -> List[ShardResult]:
-        """Preprocess every partition of ``data``; results in shard order."""
-        partitions = self.partitioner.partition_all(data)
-        workers = self._pool_size(len(partitions)) if parallel else 1
-        if workers <= 1 or len(partitions) <= 1:
-            return self._run_serial(partitions)
-        tasks = [(p.index, p.file_bytes) for p in partitions]
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(self.pipeline,),
-        ) as pool:
-            # map() preserves input order, so parallel == serial ordering
-            return pool.map(_run_worker_shard, tasks)
-
-    def _run_serial(self, partitions: List[Partition]) -> List[ShardResult]:
-        """Inline path: Extract every shard, then one fused Transform pass."""
-        return self._extract_transform(partitions, lambda stage, status, m: None)
-
-    def _extract_transform(
         self,
-        partitions: List[Partition],
-        notify: "StageCallback",
+        data: TableData,
+        parallel: bool = True,
+        on_stage: Optional[StageCallback] = None,
     ) -> List[ShardResult]:
+        """Preprocess every partition of ``data``; results in shard order.
+
+        ``on_stage(stage, status, metrics)`` fires with status ``started``
+        then ``completed`` (with summary metrics) for each stage this
+        process runs: ``partition`` (slice + columnar write) always, then
+        on the inline path ``extract`` (selective column read of every
+        shard) and ``transform`` (one fused op-pipeline pass).  On the
+        fan-out path Extract and Transform interleave per shard inside the
+        worker processes and report no stage of their own.  A failing
+        stage raises; the caller records the failure and marks the stages
+        that never ran as skipped.
+
+        Errors: inline, a shard that cannot be transformed raises the
+        pipeline's own error (e.g. ``PipelineError``).  On the fan-out
+        path the same failure — or a worker process that dies mid-shard —
+        raises :class:`~repro.errors.BatchTaskError` naming the shard's
+        task, its outcome (``failed`` / ``interrupted``) and the original
+        ``ErrorType: message`` text.
+        """
+        seed = self.pipeline.generator_seed
+        with pipeline_stage("partition", on_stage, seed) as metrics:
+            partitions = self.partitioner.partition_all(data)
+            metrics["shards"] = len(partitions)
+            metrics["rows"] = sum(p.num_rows for p in partitions)
+            metrics["file_bytes"] = sum(p.size for p in partitions)
+        # fan out only when more than one worker would get a shard
+        if parallel and self.runner.policy.worker_count(len(partitions)) > 1:
+            outcomes = self.runner.run(
+                [(p.index, p.file_bytes) for p in partitions]
+            )
+            # outcomes come back in input order, so parallel == serial order
+            return [outcome.result for outcome in outcomes]
+        # inline: Extract every shard, then one fused Transform pass
         wanted = self.pipeline.required_columns()
-        fault_stage("extract", seed=self.pipeline.generator_seed)
-        notify("extract", "started", {})
-        start = time.perf_counter()
-        readers = [ColumnarFileReader(p.file_bytes) for p in partitions]
-        raws = [reader.read_columns(wanted) for reader in readers]
-        notify(
-            "extract",
-            "completed",
-            {
-                "elapsed_s": time.perf_counter() - start,
-                "bytes_read": sum(r.bytes_read for r in readers),
-                "file_bytes": sum(p.size for p in partitions),
-            },
-        )
-        fault_stage("transform", seed=self.pipeline.generator_seed)
-        notify("transform", "started", {})
-        start = time.perf_counter()
-        transformed = self.pipeline.run_many(
-            raws, start_batch_id=partitions[0].index if partitions else 0
-        )
-        results = [
-            ShardResult(
-                index=partition.index,
-                batch=batch,
-                counts=counts,
-                file_bytes=partition.size,
-                bytes_read=reader.bytes_read,
+        with pipeline_stage("extract", on_stage, seed) as metrics:
+            readers = [ColumnarFileReader(p.file_bytes) for p in partitions]
+            raws = [reader.read_columns(wanted) for reader in readers]
+            metrics["bytes_read"] = sum(r.bytes_read for r in readers)
+            metrics["file_bytes"] = sum(p.size for p in partitions)
+        with pipeline_stage("transform", on_stage, seed) as metrics:
+            transformed = self.pipeline.run_many(
+                raws, start_batch_id=partitions[0].index if partitions else 0
             )
-            for partition, reader, (batch, counts) in zip(
-                partitions, readers, transformed
+            results = [
+                ShardResult(
+                    index=partition.index,
+                    batch=batch,
+                    counts=counts,
+                    file_bytes=partition.size,
+                    bytes_read=reader.bytes_read,
+                )
+                for partition, reader, (batch, counts) in zip(
+                    partitions, readers, transformed
+                )
+            ]
+            metrics["batches"] = len(results)
+            metrics["transform_elements"] = sum(
+                r.counts.transform_elements for r in results
             )
-        ]
-        notify(
-            "transform",
-            "completed",
-            {
-                "elapsed_s": time.perf_counter() - start,
-                "batches": len(results),
-                "transform_elements": sum(
-                    r.counts.transform_elements for r in results
-                ),
-            },
-        )
         return results
 
     def run_staged(
-        self, data: TableData, on_stage: Optional["StageCallback"] = None
+        self, data: TableData, on_stage: Optional[StageCallback] = None
     ) -> List[ShardResult]:
-        """Serial run emitting structured stage telemetry.
-
-        ``on_stage(stage, status, metrics)`` fires with status ``started``
-        then ``completed`` for each of the pipeline's stages — ``partition``
-        (slice + columnar write), ``extract`` (selective column read), and
-        ``transform`` (the fused op pipeline) — with summary metrics on
-        completion.  A failing stage raises; the caller records the failure
-        and marks the stages that never ran as skipped.  Output is
-        bit-identical to :meth:`run` (the streaming service's digest check
-        depends on exactly that).
-        """
-        notify = on_stage or (lambda stage, status, metrics: None)
-        fault_stage("partition", seed=self.pipeline.generator_seed)
-        notify("partition", "started", {})
-        start = time.perf_counter()
-        partitions = self.partitioner.partition_all(data)
-        notify(
-            "partition",
-            "completed",
-            {
-                "elapsed_s": time.perf_counter() - start,
-                "shards": len(partitions),
-                "rows": sum(p.num_rows for p in partitions),
-                "file_bytes": sum(p.size for p in partitions),
-            },
-        )
-        return self._extract_transform(partitions, notify)
+        """The inline staged run under its earlier name:
+        ``run(data, parallel=False, on_stage=on_stage)``."""
+        return self.run(data, parallel=False, on_stage=on_stage)
 
     def iter_shards(self, data: TableData) -> Iterator[ShardResult]:
         """Stream shards serially without materializing every partition."""
         for partition in self.partitioner.partitions(data):
-            yield _transform_shard(
-                self.pipeline, partition.index, partition.file_bytes
+            yield transform_shard(
+                self.pipeline, (partition.index, partition.file_bytes)
             )
 
 

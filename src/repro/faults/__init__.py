@@ -26,6 +26,7 @@ from repro.faults.injector import (
 )
 from repro.faults.plan import (
     DEFAULT_ACTIONS,
+    DEFAULT_RATES,
     FAULT_ACTIONS,
     FAULT_POINTS,
     FaultPlan,
@@ -36,6 +37,7 @@ __all__ = [
     "ChaosError",
     "DEFAULT_ACTIONS",
     "DEFAULT_HANG_S",
+    "DEFAULT_RATES",
     "FAULT_ACTIONS",
     "FAULT_POINTS",
     "FaultError",

@@ -32,7 +32,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.api.preprocess import PreprocessJob
 from repro.errors import ChaosError, ConfigurationError, ReproError
 from repro.faults.injector import FaultInjector, installed
-from repro.faults.plan import FAULT_POINTS, FaultPlan, FaultRule
+from repro.faults.plan import (
+    DEFAULT_RATES,
+    FAULT_POINTS,
+    FaultPlan,
+    FaultRule,
+)
 
 #: the default matrix CI smokes: crash, hang, and torn-index classes
 DEFAULT_FAULTS = ("worker-crash", "hung-stage", "torn-write")
@@ -48,24 +53,6 @@ DEFAULT_FLEET_FAULTS = ("node-down", "slow-node", "arrival-burst")
 #: a simulated fleet
 CHAOS_TIERS = ("serve", "batch", "fleet")
 
-#: per-class default rates — roughly half the jobs get hit, deterministically
-#: (fleet rates are per node-epoch / per arrival, so they sit much lower)
-_DEFAULT_RATES = {
-    "worker-crash": 0.45,
-    "task-hang": 0.4,
-    "hung-stage": 0.4,
-    "slow-stage": 0.6,
-    "stage-error": 0.5,
-    "torn-write": 0.5,
-    "disk-full": 0.5,
-    "conn-drop": 0.3,
-    "queue-stall": 0.5,
-    "row-corrupt": 0.4,
-    "node-down": 0.01,
-    "slow-node": 0.05,
-    "arrival-burst": 0.03,
-}
-
 
 def plan_for(
     fault: str, seed: int, job_timeout_s: float, rate: Optional[float] = None
@@ -78,7 +65,7 @@ def plan_for(
         )
     rule = FaultRule(
         point=fault,
-        rate=rate if rate is not None else _DEFAULT_RATES[fault],
+        rate=rate if rate is not None else DEFAULT_RATES[fault],
         # a hang must outlive the watchdog deadline by a wide margin so the
         # watchdog — not the hang expiring — is what resolves the job
         delay_s=(

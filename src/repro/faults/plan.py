@@ -34,11 +34,11 @@ FAULT_POINTS: Dict[str, str] = {
                     "in the batch tier it kills the worker process outright)",
     "task-hang": "batch/runner: a batch task blocks past its wall-clock "
                  "deadline inside the worker process (watchdog territory)",
-    "hung-stage": "exec/executor + serve/service: a pipeline stage blocks "
+    "hung-stage": "exec/executor + api/preprocess: a pipeline stage blocks "
                   "past the job deadline (watchdog territory)",
-    "slow-stage": "exec/executor + serve/service: a pipeline stage is "
+    "slow-stage": "exec/executor + api/preprocess: a pipeline stage is "
                   "delayed by delay_s seconds (degraded, not dead)",
-    "stage-error": "exec/executor + serve/service: a pipeline stage raises "
+    "stage-error": "exec/executor + api/preprocess: a pipeline stage raises "
                    "a retryable FaultError (transient failure)",
     "torn-write": "serve/records: the job-index append writes half a line "
                   "and fails (crash mid-append)",
@@ -58,6 +58,25 @@ FAULT_POINTS: Dict[str, str] = {
     "arrival-burst": "fleet/simulator: one arrival fans out into a flash "
                      "crowd of clone jobs (delay_s, when set, is the "
                      "clone count)",
+}
+
+#: default firing rate per point — roughly half the jobs get hit,
+#: deterministically (fleet rates are per node-epoch / per arrival, so they
+#: sit much lower); ``repro chaos`` and ``repro fleet run --faults`` read it
+DEFAULT_RATES = {
+    "worker-crash": 0.45,
+    "task-hang": 0.4,
+    "hung-stage": 0.4,
+    "slow-stage": 0.6,
+    "stage-error": 0.5,
+    "torn-write": 0.5,
+    "disk-full": 0.5,
+    "conn-drop": 0.3,
+    "queue-stall": 0.5,
+    "row-corrupt": 0.4,
+    "node-down": 0.01,
+    "slow-node": 0.05,
+    "arrival-burst": 0.03,
 }
 
 #: what each action does when its rule fires

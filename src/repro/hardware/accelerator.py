@@ -82,15 +82,16 @@ class AcceleratorStages:
         )
 
     def as_dict(self) -> Dict[str, float]:
-        """Figure-12-style breakdown: step name -> seconds."""
+        """Figure-12 breakdown: step name -> seconds (host orchestration
+        split between Extract's reads and Else, as :attr:`extract` does)."""
         return {
-            "extract_read": self.ingress,
+            "extract_read": self.ingress + self.else_time,
             "extract_decode": self.decode,
             "bucketize": self.bucketize,
             "sigridhash": self.sigridhash,
             "log": self.log,
             "format_conversion": self.format_conversion,
-            "else_time": self.host,
+            "else_time": self.else_time,
             "load": self.load,
         }
 

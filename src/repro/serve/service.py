@@ -35,8 +35,6 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.api.preprocess import PreprocessJob, minibatch_digest
 from repro.errors import JobNotFoundError, ReproError, ServeError
-from repro.faults.injector import fault_stage
-from repro.features.synthetic import SyntheticTableGenerator
 from repro.serve.pool import WorkerPool
 from repro.serve.queue import BoundedJobQueue
 from repro.serve.records import JobLogIndex, JobRecord, StageEvent
@@ -524,22 +522,12 @@ def _with_stages(record: JobRecord, events) -> JobRecord:
 
 
 def _default_runner(job: PreprocessJob, record_stage: StageRecorder) -> str:
-    """The real data plane: generate, then the staged ShardExecutor path.
+    """The real data plane: the job's own generate + executor body with
+    ``record_stage`` as its stage hook, then the digest.
 
     Serial per job (concurrency comes from the pool's workers), and
-    digest-identical to ``PreprocessJob.run(parallel=False)`` — both drive
-    the same partition -> write -> read -> transform code.
+    digest-identical to ``PreprocessJob.run(parallel=False)`` — it *is*
+    that code, minus the work counters.
     """
-    fault_stage("generate", seed=job.seed)
-    record_stage("generate", "started", {})
-    start = time.perf_counter()
-    generator = SyntheticTableGenerator(job.spec(), seed=job.seed)
-    data = generator.generate(job.num_rows)
-    record_stage(
-        "generate",
-        "completed",
-        {"elapsed_s": time.perf_counter() - start, "rows": job.num_rows},
-    )
-    executor = job.build_executor()
-    results = executor.run_staged(data, on_stage=record_stage)
+    results = job.run_shards(parallel=False, on_stage=record_stage)
     return minibatch_digest([r.batch for r in results])

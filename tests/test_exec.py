@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro.api import PreprocessJob, minibatch_digest
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import (
+    BatchTaskError,
+    ConfigurationError,
+    ExecutionError,
+    FaultError,
+    PipelineError,
+)
 from repro.exec import ShardExecutor, ShardRunStats, run_preprocessing
+from repro.faults import FaultInjector, FaultPlan, FaultRule, installed
 from repro.features.specs import get_model
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops.pipeline import PreprocessingPipeline
@@ -165,3 +172,109 @@ class TestPreprocessJob:
             np.concatenate([b.labels for b in batches_many]),
             batches_one[0].labels,
         )
+
+
+class TestFanOutSupervision:
+    """The fan-out is a strict BatchRunner: a dead or raising shard worker
+    is a typed error naming the shard, never a hang."""
+
+    def test_crashed_shard_worker_raises_interrupted(self, pipeline, raw_table):
+        executor = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS, processes=2)
+        plan = FaultPlan(seed=0, rules=(FaultRule("worker-crash", rate=1.0),))
+        with installed(FaultInjector(plan)):
+            with pytest.raises(BatchTaskError, match="interrupted"):
+                executor.run(raw_table, parallel=True)
+        assert executor.runner.leaked_workers == 0
+        # the same executor still works once the fault is gone
+        assert len(executor.run(raw_table, parallel=True)) == 4
+
+    def test_raising_shard_is_typed_in_both_modes(
+        self, pipeline, raw_table, monkeypatch
+    ):
+        # Extract skips one dense column, so every shard's Transform raises
+        missing = pipeline.schema.dense_names[0]
+        wanted = tuple(n for n in pipeline.required_columns() if n != missing)
+        monkeypatch.setattr(pipeline, "required_columns", lambda: wanted)
+        executor = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS, processes=2)
+        with pytest.raises(PipelineError, match=missing):
+            executor.run(raw_table, parallel=False)
+        with pytest.raises(
+            BatchTaskError, match=f"failed.*PipelineError: .*{missing}"
+        ):
+            executor.run(raw_table, parallel=True)
+        assert executor.runner.leaked_workers == 0
+
+
+class TestStageTelemetry:
+    """One staged path: every run probes and reports the same stages."""
+
+    PARTITION = ["elapsed_s", "shards", "rows", "file_bytes"]
+    EXTRACT = ["elapsed_s", "bytes_read", "file_bytes"]
+    TRANSFORM = ["elapsed_s", "batches", "transform_elements"]
+
+    @staticmethod
+    def recorder():
+        events = []
+        return events, lambda stage, status, metrics: events.append(
+            (stage, status, list(metrics))
+        )
+
+    def test_inline_run_reports_three_stages(self, pipeline, raw_table):
+        events, record = self.recorder()
+        executor = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS)
+        staged = executor.run(raw_table, parallel=False, on_stage=record)
+        assert events == [
+            ("partition", "started", []),
+            ("partition", "completed", self.PARTITION),
+            ("extract", "started", []),
+            ("extract", "completed", self.EXTRACT),
+            ("transform", "started", []),
+            ("transform", "completed", self.TRANSFORM),
+        ]
+        # run_staged is the same path under the service's name for it
+        again, record = self.recorder()
+        delegated = executor.run_staged(raw_table, on_stage=record)
+        assert again == events
+        assert minibatch_digest([r.batch for r in delegated]) == (
+            minibatch_digest([r.batch for r in staged])
+        )
+
+    def test_fan_out_reports_partition_only(self, pipeline, raw_table):
+        events, record = self.recorder()
+        executor = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS, processes=2)
+        executor.run(raw_table, parallel=True, on_stage=record)
+        assert events == [
+            ("partition", "started", []),
+            ("partition", "completed", self.PARTITION),
+        ]
+
+    def test_job_prepends_generate(self):
+        events, record = self.recorder()
+        job = PreprocessJob(model="RM1", num_rows=64, num_shards=2)
+        result = job.run(parallel=False, on_stage=record)
+        assert events[:2] == [
+            ("generate", "started", []),
+            ("generate", "completed", ["elapsed_s", "rows"]),
+        ]
+        assert [stage for stage, status, _ in events if status == "completed"] == [
+            "generate", "partition", "extract", "transform",
+        ]
+        assert result.digest == job.run(parallel=False).digest
+
+    def test_raising_stage_body_emits_no_completed(self):
+        from repro.exec.executor import pipeline_stage
+
+        events, record = self.recorder()
+        with pytest.raises(ValueError):
+            with pipeline_stage("extract", record, seed=0):
+                raise ValueError("boom")
+        assert events == [("extract", "started", [])]
+
+    @pytest.mark.parametrize("stage", ["generate", "partition"])
+    def test_stage_probes_fire_on_the_batch_path(self, stage):
+        rule = FaultRule("stage-error", rate=1.0, match={"stage": stage})
+        job = PreprocessJob(model="RM1", num_rows=64, num_shards=2)
+        with installed(FaultInjector(FaultPlan(seed=0, rules=(rule,)))) as injector:
+            with pytest.raises(FaultError, match="stage-error"):
+                job.run(parallel=False)
+        assert injector.fire_counts() == {"stage-error:error": 1}

@@ -161,6 +161,22 @@ class TestFaultPlan:
 
         assert set(DEFAULT_ACTIONS) == set(FAULT_POINTS)
 
+    def test_every_fault_point_has_one_default_rate(self):
+        """One table: chaos plans and ``repro fleet run --faults`` read it."""
+        from repro.cli import _fleet_injector
+        from repro.faults import DEFAULT_RATES
+        from repro.faults.chaos import DEFAULT_FLEET_FAULTS
+
+        assert set(DEFAULT_RATES) == set(FAULT_POINTS)
+        assert all(0.0 < rate <= 1.0 for rate in DEFAULT_RATES.values())
+        for fault in FAULT_POINTS:
+            (rule,) = plan_for(fault, seed=0, job_timeout_s=1.0).rules
+            assert rule.rate == DEFAULT_RATES[fault]
+        fleet = _fleet_injector(",".join(DEFAULT_FLEET_FAULTS), seed=0).plan
+        assert {rule.point: rule.rate for rule in fleet.rules} == {
+            fault: DEFAULT_RATES[fault] for fault in DEFAULT_FLEET_FAULTS
+        }
+
 
 # ---------------------------------------------------------------------------
 # the injector and the probes

@@ -49,6 +49,17 @@ class TestStages:
         )
         assert stages.else_time == pytest.approx(0.5 * stages.host)
 
+    def test_as_dict_is_the_figure12_split(self, accel):
+        """as_dict() carries the extract/else host split itself, so the
+        workers' batch_breakdown() is just as_dict() and sums to latency."""
+        stages = accel.batch_stages(get_model("RM5"))
+        breakdown = stages.as_dict()
+        assert breakdown["extract_read"] + breakdown["extract_decode"] == (
+            pytest.approx(stages.extract)
+        )
+        assert breakdown["else_time"] == stages.else_time
+        assert sum(breakdown.values()) == pytest.approx(stages.latency)
+
     def test_decode_is_the_rm5_bottleneck(self, accel):
         """Section VI-A: decoding is the least parallelizable stage."""
         stages = accel.batch_stages(get_model("RM5"))
