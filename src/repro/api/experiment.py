@@ -70,7 +70,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, strict_keys
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.registry import Registry
 
@@ -641,13 +641,7 @@ class ExperimentRun:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentRun":
         """Rebuild a run from :meth:`to_dict` output (strict keys)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown run keys {sorted(unknown)}; expected {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return cls(**strict_keys(cls, data, ConfigurationError, noun="run"))
 
 
 # ---------------------------------------------------------------------------

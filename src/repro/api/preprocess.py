@@ -13,12 +13,11 @@ from config files, tests, and the ``repro preprocess`` CLI alike.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, strict_keys
 from repro.exec.executor import (
     ShardExecutor,
     ShardResult,
@@ -174,11 +173,6 @@ class PreprocessJob:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PreprocessJob":
         """Rebuild a job from :meth:`to_dict` output (strict keys)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown preprocess job keys {sorted(unknown)}; "
-                f"expected {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return cls(
+            **strict_keys(cls, data, ConfigurationError, noun="preprocess job")
+        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, TYPE_CHECKING
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, strict_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.scenario import Scenario
@@ -62,14 +62,7 @@ class RunResult:
         """
         from repro.api.scenario import Scenario
 
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown RunResult keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        payload = dict(data)
+        payload = strict_keys(cls, data, ConfigurationError)
         payload["scenario"] = Scenario.from_dict(payload["scenario"])
         return cls(**payload)
 

@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, strict_keys
 from repro.features.specs import ModelSpec, get_model
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.api.registry import REGISTRY
@@ -189,13 +189,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
         """Rebuild a scenario from :meth:`to_dict` output (strict keys)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario keys {sorted(unknown)}; expected {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return cls(**strict_keys(cls, data, ConfigurationError, noun="scenario"))
 
 
 def _normalize_overrides(overrides: Any) -> Tuple[Tuple[str, float], ...]:

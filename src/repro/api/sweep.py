@@ -15,14 +15,14 @@ BatchOutcome` records for every scenario, and attaching a
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from typing import (
     Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.batch import BatchJournal, BatchOutcome, BatchPolicy, BatchRunner
+from repro.batch import (
+    BatchJournal, BatchOutcome, BatchPolicy, BatchRunner, content_key,
+)
 from repro.batch.policy import merge_policy
 from repro.errors import ConfigurationError
 from repro.api.result import RunResult
@@ -32,13 +32,6 @@ from repro.api.scenario import Scenario
 def _run_scenario(scenario: Scenario) -> RunResult:
     """Module-level so pool workers can unpickle it."""
     return scenario.run()
-
-
-def _scenario_key(index: int, scenario: Scenario) -> str:
-    """Content digest of one scenario — the journal's task identity."""
-    return hashlib.sha256(
-        json.dumps(scenario.to_dict(), sort_keys=True).encode("utf-8")
-    ).hexdigest()
 
 
 def _scenario_label(index: int, scenario: Scenario) -> str:
@@ -115,7 +108,7 @@ class Sweep:
             _run_scenario,
             policy=policy,
             journal=journal,
-            task_key=_scenario_key,
+            task_key=content_key,
             task_label=_scenario_label,
             encode_result=lambda index, result: result.to_dict(),
             decode_result=lambda index, payload: RunResult.from_dict(payload),

@@ -6,7 +6,7 @@ semantics, :mod:`repro.batch.policy` for the retry/timeout/failure-mode
 knobs, and :mod:`repro.batch.outcomes` for the per-task records.
 """
 
-from repro.batch.journal import BatchJournal, BatchJournalState
+from repro.batch.journal import BatchJournal, BatchJournalState, content_key
 from repro.batch.outcomes import OUTCOME_STATES, BatchOutcome
 from repro.batch.policy import FAILURE_MODES, BatchPolicy
 from repro.batch.runner import BatchRunner
@@ -19,4 +19,5 @@ __all__ = [
     "BatchRunner",
     "FAILURE_MODES",
     "OUTCOME_STATES",
+    "content_key",
 ]

@@ -26,6 +26,7 @@ by resume.  Corruption anywhere but a torn final line raises a loud
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -39,6 +40,14 @@ from repro.errors import BatchError
 from repro.journal import JsonlJournal
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+
+def content_key(index: int, task: Any) -> str:
+    """Content digest of one task's ``to_dict()`` — the identity a journal
+    header pins per position, so resume can verify it replays the same batch."""
+    return hashlib.sha256(
+        json.dumps(task.to_dict(), sort_keys=True).encode("utf-8")
+    ).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,11 @@ run can see exactly how the interrupted one was configured.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, strict_keys
 
 #: how a batch reacts to a task that ends non-ok: ``strict`` stops
 #: dispatching, drains in-flight work, and raises a typed error;
@@ -102,14 +101,7 @@ class BatchPolicy:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BatchPolicy":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown BatchPolicy keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return cls(**strict_keys(cls, data, ConfigurationError))
 
 
 def merge_policy(

@@ -51,6 +51,10 @@ user-registered experiment (see ``examples/custom_experiment.py``) shows up
 in ``list``/``run``/``report``/``export`` without touching this module —
 point ``$REPRO_EXPERIMENTS`` at a comma-separated list of importable modules
 and the registry loads them before resolving ids.
+
+:func:`main` is the one typed-error boundary: a ``ReproError``/``OSError``
+escaping any command exits 1 with its one-line message, so commands never
+catch-and-exit themselves (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -147,16 +151,6 @@ def _parse_set_pairs(pairs: Optional[List[str]]) -> Dict[str, Any]:
     return parsed
 
 
-def _experiment_spec_for(command_id: str):
-    try:
-        # the registry's own errors are already actionable: unknown ids
-        # list the registered experiments, $REPRO_EXPERIMENTS import
-        # failures name the broken module
-        return EXPERIMENT_REGISTRY.get(command_id)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
-
-
 def _experiment_runs_for(
     command_ids: List[str], overrides: Optional[Dict[str, Any]] = None
 ) -> List[ExperimentRun]:
@@ -166,7 +160,10 @@ def _experiment_runs_for(
     parameter, or as a calibration field when the experiment takes
     calibration.  A name no listed experiment can consume is an error.
     """
-    specs = [_experiment_spec_for(command_id) for command_id in command_ids]
+    # the registry's own errors are already actionable: unknown ids
+    # list the registered experiments, $REPRO_EXPERIMENTS import
+    # failures name the broken module
+    specs = [EXPERIMENT_REGISTRY.get(command_id) for command_id in command_ids]
     overrides = overrides or {}
     for name in overrides:
         takes_param = any(name in spec.param_names() for spec in specs)
@@ -194,12 +191,9 @@ def _experiment_runs_for(
             and name not in params
             and spec.takes_calibration
         }
-        try:
-            runs.append(
-                ExperimentRun(spec.id, params=params, calibration=calibration)
-            )
-        except ReproError as exc:
-            raise SystemExit(str(exc))
+        runs.append(
+            ExperimentRun(spec.id, params=params, calibration=calibration)
+        )
     return runs
 
 
@@ -246,10 +240,7 @@ def _batch_journal(args: argparse.Namespace):
         return None, False
     cache_dir = getattr(args, "cache_dir", None)
     root = os.path.join(cache_dir, "batch") if cache_dir else None
-    try:
-        journal = BatchJournal.for_run(run_id, root=root)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    journal = BatchJournal.for_run(run_id, root=root)
     return journal, resume_id is not None
 
 
@@ -280,19 +271,16 @@ def _print_outcomes(outcomes, title: str, as_json: bool) -> None:
 def cmd_report(args: argparse.Namespace) -> int:
     """Full report (cached, optionally parallel, optionally JSON)."""
     journal, resume = _batch_journal(args)
-    try:
-        results = report_mod.run_all(
-            kinds=_parse_only(args.only),
-            parallel=args.parallel,
-            processes=args.processes,
-            store=_store_from_args(args),
-            force=args.force,
-            failure_mode=args.failure_mode,
-            journal=journal,
-            resume=resume,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    results = report_mod.run_all(
+        kinds=_parse_only(args.only),
+        parallel=args.parallel,
+        processes=args.processes,
+        store=_store_from_args(args),
+        force=args.force,
+        failure_mode=args.failure_mode,
+        journal=journal,
+        resume=resume,
+    )
     if args.json:
         print(json.dumps(report_mod.report_payload(results), indent=2))
     else:
@@ -303,14 +291,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_list(args: argparse.Namespace) -> int:
     """Registered experiments, in paper order."""
     kinds = _parse_only(args.only)
-    try:
-        specs = [
-            spec
-            for spec in EXPERIMENT_REGISTRY.experiments()
-            if kinds is None or spec.kind in kinds
-        ]
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    specs = [
+        spec
+        for spec in EXPERIMENT_REGISTRY.experiments()
+        if kinds is None or spec.kind in kinds
+    ]
     if args.json:
         print(
             json.dumps(
@@ -343,19 +328,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise SystemExit("pass experiment ids OR --model/--system, not both")
         if not (args.model and args.system):
             raise SystemExit("scenario runs need both --model and --system")
-        try:
-            scenario = Scenario(
-                model=args.model,
-                system=args.system,
-                num_gpus=args.gpus,
-                num_workers=args.workers,
-                num_batches=args.batches,
-                queue_capacity=args.queue,
-                calibration=_parse_overrides(args.set),
-            )
-            result = scenario.run()
-        except ReproError as exc:
-            raise SystemExit(str(exc))
+        scenario = Scenario(
+            model=args.model,
+            system=args.system,
+            num_gpus=args.gpus,
+            num_workers=args.workers,
+            num_batches=args.batches,
+            queue_capacity=args.queue,
+            calibration=_parse_overrides(args.set),
+        )
+        result = scenario.run()
         _print_results([result], f"Scenario {scenario.label}", args.json)
         if not args.json:
             print(result.summary())
@@ -364,10 +346,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("pass experiment ids (see `list`) or --model/--system")
     payloads = []
     for run in _experiment_runs_for(args.ids, _parse_set_pairs(args.set)):
-        try:
-            result = run.run()
-        except ReproError as exc:
-            raise SystemExit(str(exc))
+        result = run.run()
         if args.json:
             payloads.append(report_mod.experiment_record(result, run=run))
         else:
@@ -383,29 +362,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.batch import BatchPolicy
 
     journal, resume = _batch_journal(args)
-    try:
-        sweep = Sweep.grid(
-            models=_csv(args.models),
-            systems=_csv(args.systems),
-            num_gpus=[int(g) for g in _csv(args.gpus)],
-            num_batches=args.batches,
-            queue_capacity=args.queue,
-            calibration=_parse_overrides(args.set),
-        )
-        policy = BatchPolicy(
-            max_retries=args.max_retries,
-            task_timeout_s=args.task_timeout,
-        )
-        results = sweep.run(
-            parallel=not args.serial,
-            processes=args.processes,
-            policy=policy,
-            failure_mode=args.failure_mode,
-            journal=journal,
-            resume=resume,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    sweep = Sweep.grid(
+        models=_csv(args.models),
+        systems=_csv(args.systems),
+        num_gpus=[int(g) for g in _csv(args.gpus)],
+        num_batches=args.batches,
+        queue_capacity=args.queue,
+        calibration=_parse_overrides(args.set),
+    )
+    policy = BatchPolicy(
+        max_retries=args.max_retries,
+        task_timeout_s=args.task_timeout,
+    )
+    results = sweep.run(
+        parallel=not args.serial,
+        processes=args.processes,
+        policy=policy,
+        failure_mode=args.failure_mode,
+        journal=journal,
+        resume=resume,
+    )
     if args.failure_mode == "degrade":
         _print_outcomes(
             results, f"Sweep: {len(results)} scenarios", args.json
@@ -460,10 +436,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         result = store.load(run) if store is not None and not args.force else None
         hit = result is not None
         if result is None:
-            try:
-                result = run.run()
-            except ReproError as exc:
-                raise SystemExit(str(exc))
+            result = run.run()
         try:
             columns = list(result.columns())
             rows = [list(row) for row in result.rows()]
@@ -510,19 +483,16 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     """Run the sharded preprocessing data plane and summarize it."""
-    try:
-        job = PreprocessJob(
-            model=args.model,
-            num_rows=args.rows,
-            num_shards=args.shards,
-            processes=args.processes,
-            seed=args.seed,
-        )
-        start = time.perf_counter()
-        result = job.run(parallel=not args.serial)
-        elapsed = time.perf_counter() - start
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    job = PreprocessJob(
+        model=args.model,
+        num_rows=args.rows,
+        num_shards=args.shards,
+        processes=args.processes,
+        seed=args.seed,
+    )
+    start = time.perf_counter()
+    result = job.run(parallel=not args.serial)
+    elapsed = time.perf_counter() - start
 
     check_digest = None
     if args.check and not args.serial:
@@ -594,12 +564,9 @@ def _client_from_args(args: argparse.Namespace):
     """A protocol client found via --host/--port or the spool endpoint."""
     from repro.serve import ServiceClient
 
-    try:
-        return ServiceClient(
-            host=args.host, port=args.port, spool_dir=args.spool
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    return ServiceClient(
+        host=args.host, port=args.port, spool_dir=args.spool
+    )
 
 
 def _record_lines(record, verbose: bool = False) -> List[str]:
@@ -643,30 +610,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the streaming preprocessing daemon until shutdown."""
     from repro.serve import PreprocessService, ServiceServer, SOURCE_REGISTRY
 
-    try:
-        if args.faults:
-            from repro.faults import FaultInjector, FaultPlan, install
+    if args.faults:
+        from repro.faults import FaultInjector, FaultPlan, install
 
-            install(FaultInjector(FaultPlan.load(args.faults)))
-        service = PreprocessService(
-            spool_dir=args.spool,
-            queue_capacity=args.queue,
-            num_workers=args.workers,
-            policy=args.policy,
-            max_retries=args.max_retries,
-            backoff_s=args.backoff,
-            poll_interval=args.poll,
-            job_timeout_s=args.job_timeout,
-            index_fsync=not args.no_fsync,
-        )
-        for path in args.watch or []:
-            service.attach_source(SOURCE_REGISTRY.create("directory", path=path))
-        for spec in args.synthetic or []:
-            service.attach_source(_parse_synthetic(spec))
-        server = ServiceServer(service, host=args.host, port=args.port)
-        server.start()
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+        install(FaultInjector(FaultPlan.load(args.faults)))
+    service = PreprocessService(
+        spool_dir=args.spool,
+        queue_capacity=args.queue,
+        num_workers=args.workers,
+        policy=args.policy,
+        max_retries=args.max_retries,
+        backoff_s=args.backoff,
+        poll_interval=args.poll,
+        job_timeout_s=args.job_timeout,
+        index_fsync=not args.no_fsync,
+    )
+    for path in args.watch or []:
+        service.attach_source(SOURCE_REGISTRY.create("directory", path=path))
+    for spec in args.synthetic or []:
+        service.attach_source(_parse_synthetic(spec))
+    server = ServiceServer(service, host=args.host, port=args.port)
+    server.start()
     print(
         f"repro serve: listening on {server.host}:{server.port} "
         f"(spool {args.spool}, {args.workers} workers, "
@@ -691,23 +655,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit one preprocessing job to a running daemon."""
-    try:
-        job = PreprocessJob(
-            model=args.model,
-            num_rows=args.rows,
-            num_shards=args.shards,
-            processes=args.processes,
-            seed=args.seed,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    job = PreprocessJob(
+        model=args.model,
+        num_rows=args.rows,
+        num_shards=args.shards,
+        processes=args.processes,
+        seed=args.seed,
+    )
     client = _client_from_args(args)
-    try:
-        record = client.submit(
-            job, wait=args.wait, wait_timeout=args.timeout
-        )
-    except (ReproError, TimeoutError) as exc:
-        raise SystemExit(str(exc))
+    record = client.submit(
+        job, wait=args.wait, wait_timeout=args.timeout
+    )
     _print_record(record, args.json, verbose=args.wait)
     return 0
 
@@ -715,29 +673,23 @@ def cmd_submit(args: argparse.Namespace) -> int:
 def cmd_status(args: argparse.Namespace) -> int:
     """Show one job's full lifecycle record."""
     client = _client_from_args(args)
-    try:
-        if args.follow:
-            record = None
-            for record in client.watch(args.job_id, timeout=args.timeout):
-                if not args.json:
-                    print(_record_lines(record)[0])
-            _print_record(record, args.json, verbose=True)
-        else:
-            _print_record(
-                client.status(args.job_id), args.json, verbose=True
-            )
-    except (ReproError, TimeoutError) as exc:
-        raise SystemExit(str(exc))
+    if args.follow:
+        record = None
+        for record in client.watch(args.job_id, timeout=args.timeout):
+            if not args.json:
+                print(_record_lines(record)[0])
+        _print_record(record, args.json, verbose=True)
+    else:
+        _print_record(
+            client.status(args.job_id), args.json, verbose=True
+        )
     return 0
 
 
 def cmd_jobs(args: argparse.Namespace) -> int:
     """List every job the daemon knows about."""
     client = _client_from_args(args)
-    try:
-        records = client.jobs(state=args.state)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    records = client.jobs(state=args.state)
     if args.json:
         print(json.dumps([r.to_dict() for r in records], indent=2))
         return 0
@@ -752,10 +704,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 def cmd_cancel(args: argparse.Namespace) -> int:
     """Cancel a queued job (running jobs are not cancellable)."""
     client = _client_from_args(args)
-    try:
-        cancelled = client.cancel(args.job_id)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    cancelled = client.cancel(args.job_id)
     print(f"{args.job_id}: {'cancelled' if cancelled else 'not cancellable'}")
     return 0 if cancelled else 1
 
@@ -763,10 +712,7 @@ def cmd_cancel(args: argparse.Namespace) -> int:
 def cmd_shutdown(args: argparse.Namespace) -> int:
     """Ask a running daemon to stop (draining queued work by default)."""
     client = _client_from_args(args)
-    try:
-        client.shutdown(drain=not args.no_drain)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    client.shutdown(drain=not args.no_drain)
     print("shutdown requested" + (" (no drain)" if args.no_drain else ""))
     return 0
 
@@ -786,20 +732,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if args.faults
         else None
     )
-    try:
-        report = run_chaos(
-            faults,
-            seed=args.seed,
-            spool_root=args.spool_root,
-            tier=args.tier,
-            num_jobs=args.jobs,
-            rows=args.rows,
-            shards=args.shards,
-            workers=args.workers,
-            job_timeout_s=args.timeout,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    report = run_chaos(
+        faults,
+        seed=args.seed,
+        spool_root=args.spool_root,
+        tier=args.tier,
+        num_jobs=args.jobs,
+        rows=args.rows,
+        shards=args.shards,
+        workers=args.workers,
+        job_timeout_s=args.timeout,
+    )
     if args.json:
         print(json.dumps(deterministic_view(report), indent=2, sort_keys=True))
     else:
@@ -857,21 +800,18 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     """Run one trace through the fleet simulator; print or save the result."""
     from repro.fleet import run_fleet
 
-    try:
-        trace = _fleet_trace(args)
-        injector = (
-            _fleet_injector(args.faults, args.fault_seed)
-            if args.faults else None
-        )
-        result = run_fleet(
-            trace,
-            policy=args.policy,
-            autoscaler=args.autoscale,
-            injector=injector,
-            slo_queue_s=args.slo,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    trace = _fleet_trace(args)
+    injector = (
+        _fleet_injector(args.faults, args.fault_seed)
+        if args.faults else None
+    )
+    result = run_fleet(
+        trace,
+        policy=args.policy,
+        autoscaler=args.autoscale,
+        injector=injector,
+        slo_queue_s=args.slo,
+    )
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
@@ -917,11 +857,8 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
 def cmd_fleet_trace_gen(args: argparse.Namespace) -> int:
     """Generate a seeded arrival trace and write it as replayable JSONL."""
-    try:
-        trace = _fleet_trace(args)
-        trace.save(args.out)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    trace = _fleet_trace(args)
+    trace.save(args.out)
     if args.json:
         print(json.dumps({
             "kind": trace.kind,
@@ -943,12 +880,9 @@ def cmd_fleet_trace_replay(args: argparse.Namespace) -> int:
     summarize it; exits 1 when the round-trip diverges."""
     from repro.fleet import Trace
 
-    try:
-        with open(args.path) as handle:
-            original = handle.read()
-        trace = Trace.load(args.path)
-    except (OSError, ReproError) as exc:
-        raise SystemExit(str(exc))
+    with open(args.path) as handle:
+        original = handle.read()
+    trace = Trace.load(args.path)
     identical = trace.to_jsonl() == original
     by_model: Dict[str, int] = {}
     for arrival in trace.arrivals:
@@ -990,10 +924,7 @@ def _trend_sources(args: argparse.Namespace):
 
     batch = list(getattr(args, "batch_journal", None) or ())
     for run_id in getattr(args, "batch_run", None) or ():
-        try:
-            batch.append(BatchJournal.for_run(run_id).path)
-        except ReproError as exc:
-            raise SystemExit(str(exc))
+        batch.append(BatchJournal.for_run(run_id).path)
     serve = tuple(getattr(args, "serve_index", None) or ())
     bench = tuple(getattr(args, "bench_report", None) or ())
     fleet = tuple(getattr(args, "fleet_result", None) or ())
@@ -1049,11 +980,8 @@ def cmd_trend_record(args: argparse.Namespace) -> int:
     """Summarize run telemetry and commit it to the trend store."""
     from repro import telemetry
 
-    try:
-        summary = _trend_summary_from_sources(args)
-        path = telemetry.TrendStore(args.store).record(summary)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    summary = _trend_summary_from_sources(args)
+    path = telemetry.TrendStore(args.store).record(summary)
     if args.json:
         print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     else:
@@ -1070,30 +998,27 @@ def cmd_trend_compare(args: argparse.Namespace) -> int:
     from repro import telemetry
 
     store = telemetry.TrendStore(args.store)
-    try:
-        batch, serve, bench, fleet = _trend_sources(args)
-        if batch or serve or bench or fleet:
-            current = _trend_summary_from_sources(args)
-        else:
-            current = store.load(args.run_id)
-        baselines = store.baselines(
-            count=(
-                args.baselines if args.baselines is not None
-                else telemetry.DEFAULT_BASELINE_RUNS
-            ),
-            exclude=current.run_id,
-        )
-        comparison = telemetry.compare_summaries(
-            current,
-            baselines,
-            thresholds=_parse_thresholds(args.threshold),
-            min_elapsed_s=(
-                args.min_elapsed if args.min_elapsed is not None
-                else telemetry.DEFAULT_MIN_ELAPSED_S
-            ),
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    batch, serve, bench, fleet = _trend_sources(args)
+    if batch or serve or bench or fleet:
+        current = _trend_summary_from_sources(args)
+    else:
+        current = store.load(args.run_id)
+    baselines = store.baselines(
+        count=(
+            args.baselines if args.baselines is not None
+            else telemetry.DEFAULT_BASELINE_RUNS
+        ),
+        exclude=current.run_id,
+    )
+    comparison = telemetry.compare_summaries(
+        current,
+        baselines,
+        thresholds=_parse_thresholds(args.threshold),
+        min_elapsed_s=(
+            args.min_elapsed if args.min_elapsed is not None
+            else telemetry.DEFAULT_MIN_ELAPSED_S
+        ),
+    )
     if args.markdown:
         blob = telemetry.render_markdown(comparison)
         if args.markdown == "-":
@@ -1130,11 +1055,8 @@ def cmd_trend_report(args: argparse.Namespace) -> int:
     from repro import telemetry
 
     store = telemetry.TrendStore(args.store)
-    try:
-        summaries = store.summaries()
-        payload = telemetry.render_history(summaries, metric=args.metric)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    summaries = store.summaries()
+    payload = telemetry.render_history(summaries, metric=args.metric)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -1636,7 +1558,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:  # TimeoutError is an OSError
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -2,10 +2,15 @@
 
 Every error raised by this package derives from :class:`ReproError`, so
 callers can catch the whole family with one ``except`` clause while tests
-can still assert the precise subclass.
+can still assert the precise subclass.  :func:`strict_keys` lives here too:
+the one unknown-key check every record's ``from_dict`` raises its typed
+error through.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import Any, Dict, Mapping, Optional, Type
 
 
 class ReproError(Exception):
@@ -114,3 +119,27 @@ class TelemetryError(ReproError):
 class FleetError(ReproError):
     """A fleet simulation failed: unreadable trace, a job that can never
     fit any pool at maximum scale, or a broken simulator invariant."""
+
+
+def strict_keys(
+    cls: type,
+    data: Mapping[str, Any],
+    error: Type[ReproError],
+    noun: Optional[str] = None,
+) -> Dict[str, Any]:
+    """``data`` as a fresh dict, once every key is a dataclass field of ``cls``.
+
+    The one unknown-key check behind every record's ``from_dict``: a stray
+    key raises the caller's own ``error`` type, naming the record (``noun``,
+    else the class name) and the keys it accepts.
+    """
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(data) - known
+    if unknown:
+        # the two wordings predate this helper; callers' messages are pinned
+        expected = "expected" if noun else "expected a subset of"
+        raise error(
+            f"unknown {noun or cls.__name__} keys {sorted(unknown)}; "
+            f"{expected} {sorted(known)}"
+        )
+    return dict(data)

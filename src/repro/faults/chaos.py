@@ -25,9 +25,11 @@ failing seed replays exactly.
 
 from __future__ import annotations
 
+import collections
+import json
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.api.preprocess import PreprocessJob
 from repro.errors import ChaosError, ConfigurationError, ReproError
@@ -98,12 +100,55 @@ def _submit_all(
     return acked
 
 
-def _serial_digest(job: PreprocessJob, memo: Dict[PreprocessJob, str]) -> str:
-    """``job``'s serial-path digest — the reference every tier's output
-    must equal — computed once per distinct job."""
-    if job not in memo:
-        memo[job] = job.run(parallel=False).digest
-    return memo[job]
+def _tally(states: Iterable[str]) -> Dict[str, int]:
+    """How many times each state occurs, in sorted state order."""
+    return dict(sorted(collections.Counter(states).items()))
+
+
+class _Episode:
+    """The frame the three tiers' episodes share — not their bodies: the
+    single-class plan, a fresh injector, the violation list, the
+    serial-digest memo, the clock, and the report's common shape."""
+
+    def __init__(
+        self, fault: str, seed: int, job_timeout_s: float, rate: Optional[float]
+    ) -> None:
+        self.fault = fault
+        self.plan = plan_for(fault, seed, job_timeout_s, rate=rate)
+        self.injector = FaultInjector(self.plan)
+        self.violations: List[str] = []
+        self.digests_checked = 0
+        self._serial: Dict[PreprocessJob, str] = {}
+        self._started = time.perf_counter()
+
+    def check_digest(
+        self, job: PreprocessJob, digest: str, what: str, count: int = 1
+    ) -> None:
+        """Invariant 2: ``digest`` equals ``job``'s serial-path digest (the
+        reference every tier's output must equal, computed once per job)."""
+        if job not in self._serial:
+            self._serial[job] = job.run(parallel=False).digest
+        self.digests_checked += count
+        if digest != self._serial[job]:
+            self.violations.append(
+                f"{what} {digest} != serial {self._serial[job]}"
+            )
+
+    def report(
+        self, jobs: int, states: Dict[str, int], index_errors: int = 0, **extra: Any
+    ) -> Dict[str, Any]:
+        return {
+            "fault": self.fault,
+            "plan": self.plan.to_dict(),
+            "jobs": jobs,
+            "states": states,
+            **extra,
+            "fired": self.injector.fire_counts(),
+            "digests_checked": self.digests_checked,
+            "index_errors": index_errors,
+            "violations": self.violations,
+            "elapsed_s": time.perf_counter() - self._started,
+        }
 
 
 def run_episode(
@@ -128,13 +173,13 @@ def run_episode(
     data plane has no serial digest to verify against); ``repro chaos``
     always runs the real runner with verification on.
     """
+    from repro.journal import JsonlJournal
     from repro.serve import JobLogIndex, PreprocessService, ServiceClient, ServiceServer
+    from repro.serve.records import TERMINAL_STATES
 
-    plan = plan_for(fault, seed, job_timeout_s, rate=rate)
-    injector = FaultInjector(plan)
-    violations: List[str] = []
-    started = time.perf_counter()
-    with installed(injector):
+    episode = _Episode(fault, seed, job_timeout_s, rate)
+    violations = episode.violations
+    with installed(episode.injector):
         service = PreprocessService(
             spool_dir=spool_dir,
             queue_capacity=queue_capacity,
@@ -190,85 +235,47 @@ def run_episode(
             server.stop(drain=True, timeout=60.0)
 
     records = service.jobs()
-    counts: Dict[str, int] = {}
-    for record in records:
-        counts[record.state] = counts.get(record.state, 0) + 1
     for record in records:
         if not record.is_terminal:
             violations.append(
                 f"{record.job_id} ended non-terminal ({record.state})"
             )
 
-    digests_checked = 0
     if verify_serial and runner is None:
-        serial_digests: Dict[PreprocessJob, str] = {}
         for record in records:
-            if record.state != "completed":
-                continue
-            expected = _serial_digest(record.job, serial_digests)
-            digests_checked += 1
-            if record.digest != expected:
-                violations.append(
-                    f"{record.job_id} digest {record.digest} != serial "
-                    f"{expected}"
+            if record.state == "completed":
+                episode.check_digest(
+                    record.job, record.digest, f"{record.job_id} digest"
                 )
 
     # the index must have survived every injected spool fault: still
     # loadable, and never more than one terminal line per job
     index_path = os.path.join(spool_dir, "jobs.jsonl")
-    terminal_lines: Dict[str, int] = {}
+    terminal_lines: Dict[str, int] = collections.Counter()
     try:
-        for loaded in JobLogIndex(index_path).load():
-            pass
-        import json as _json
-
-        with open(index_path) as handle:
-            lines = handle.readlines()
-        for number, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                payload = _json.loads(text)
-            except ValueError as exc:
-                if number == len(lines) and not line.endswith("\n"):
-                    continue  # torn final append — load() tolerates it too
-                raise ReproError(f"line {number}: {exc}")
-            if payload.get("state") in ("completed", "failed", "cancelled"):
-                key = payload["job_id"]
-                terminal_lines[key] = terminal_lines.get(key, 0) + 1
+        JobLogIndex(index_path).load()  # loud on anything but a torn tail
+        for _, text, complete in JsonlJournal(index_path).read():
+            if not complete:
+                continue  # torn final append — load() tolerates it too
+            payload = json.loads(text)
+            if payload.get("state") in TERMINAL_STATES:
+                terminal_lines[payload["job_id"]] += 1
     except (ReproError, OSError, ValueError) as exc:
         violations.append(f"job index unreadable after faults: {exc}")
     duplicates = {k: n for k, n in terminal_lines.items() if n > 1}
     if duplicates:
         violations.append(f"duplicate terminal index lines: {duplicates}")
 
-    return {
-        "fault": fault,
-        "plan": plan.to_dict(),
-        "jobs": len(records),
-        "states": dict(sorted(counts.items())),
-        "fired": injector.fire_counts(),
-        "digests_checked": digests_checked,
-        "index_errors": len(service.index_errors),
-        "violations": violations,
-        "elapsed_s": time.perf_counter() - started,
-    }
+    return episode.report(
+        jobs=len(records),
+        states=_tally(record.state for record in records),
+        index_errors=len(service.index_errors),
+    )
 
 
 def _chaos_batch_task(job: PreprocessJob) -> str:
     """Module-level batch worker: one job's serial content digest."""
     return job.run(parallel=False).digest
-
-
-def _batch_task_key(index: int, job: PreprocessJob) -> str:
-    """Content digest of one batch task — the journal's task identity."""
-    import hashlib
-    import json as _json
-
-    return hashlib.sha256(
-        _json.dumps(job.to_dict(), sort_keys=True).encode("utf-8")
-    ).hexdigest()
 
 
 def run_batch_episode(
@@ -300,12 +307,10 @@ def run_batch_episode(
     count, ``job_timeout_s`` the per-task watchdog deadline) so one CLI
     drives both tiers; serve-only kwargs are accepted and ignored.
     """
-    from repro.batch import BatchJournal, BatchPolicy, BatchRunner
+    from repro.batch import BatchJournal, BatchPolicy, BatchRunner, content_key
 
-    plan = plan_for(fault, seed, job_timeout_s, rate=rate)
-    injector = FaultInjector(plan)
-    violations: List[str] = []
-    started = time.perf_counter()
+    episode = _Episode(fault, seed, job_timeout_s, rate)
+    violations = episode.violations
     jobs = [
         PreprocessJob(model=model, num_rows=rows, num_shards=shards, seed=k)
         for k in range(num_jobs)
@@ -324,14 +329,11 @@ def run_batch_episode(
         _chaos_batch_task,
         policy=policy,
         journal=journal,
-        task_key=_batch_task_key,
+        task_key=content_key,
     )
-    with installed(injector):
+    with installed(episode.injector):
         outcomes = runner.run(jobs, parallel=True)
 
-    counts: Dict[str, int] = {}
-    for outcome in outcomes:
-        counts[outcome.state] = counts.get(outcome.state, 0) + 1
     # invariant 1: every task ended in a terminal outcome
     if len(outcomes) != num_jobs:
         violations.append(
@@ -339,18 +341,12 @@ def run_batch_episode(
             f"outcome"
         )
     # invariant 2: completed digests byte-identical to the serial path
-    digests_checked = 0
-    serial_digests: Dict[PreprocessJob, str] = {}
     if verify_serial:
         for outcome in outcomes:
-            if not outcome.ok:
-                continue
-            expected = _serial_digest(jobs[outcome.index], serial_digests)
-            digests_checked += 1
-            if outcome.result != expected:
-                violations.append(
-                    f"task {outcome.index} digest {outcome.result} != "
-                    f"serial {expected}"
+            if outcome.ok:
+                episode.check_digest(
+                    jobs[outcome.index], outcome.result,
+                    f"task {outcome.index} digest",
                 )
     # invariant 3: the journal survived every injected fault — loadable,
     # and never more than one terminal line per task per run segment
@@ -377,42 +373,33 @@ def run_batch_episode(
             _chaos_batch_task,
             policy=policy,
             journal=BatchJournal(journal.path, run_id=journal.run_id),
-            task_key=_batch_task_key,
+            task_key=content_key,
         )
         try:
             resumed = resumer.run(jobs, parallel=True, resume=True)
         except ReproError as exc:
             violations.append(f"resume after faults failed: {exc}")
         else:
+            resumed_states = _tally(outcome.state for outcome in resumed)
             for outcome in resumed:
-                resumed_states[outcome.state] = (
-                    resumed_states.get(outcome.state, 0) + 1
-                )
                 if not outcome.ok:
                     violations.append(
                         f"task {outcome.index} still {outcome.state} after "
                         f"fault-free resume: {outcome.error}"
                     )
                     continue
-                expected = _serial_digest(jobs[outcome.index], serial_digests)
-                if outcome.result != expected:
-                    violations.append(
-                        f"task {outcome.index} resume digest "
-                        f"{outcome.result} != serial {expected}"
-                    )
+                # already counted under invariant 2; this is the recovery gate
+                episode.check_digest(
+                    jobs[outcome.index], outcome.result,
+                    f"task {outcome.index} resume digest", count=0,
+                )
 
-    return {
-        "fault": fault,
-        "plan": plan.to_dict(),
-        "jobs": len(outcomes),
-        "states": dict(sorted(counts.items())),
-        "resumed_states": dict(sorted(resumed_states.items())),
-        "fired": injector.fire_counts(),
-        "digests_checked": digests_checked,
-        "index_errors": len(runner.journal_errors),
-        "violations": violations,
-        "elapsed_s": time.perf_counter() - started,
-    }
+    return episode.report(
+        jobs=len(outcomes),
+        states=_tally(outcome.state for outcome in outcomes),
+        index_errors=len(runner.journal_errors),
+        resumed_states=resumed_states,
+    )
 
 
 def _fleet_episode_pools():
@@ -471,14 +458,11 @@ def run_fleet_episode(
     ``FleetResult`` JSON lands in ``spool_dir/fleet_result.json`` for CI
     artifact upload and ``repro trend record --fleet-result``.
     """
-    import json as _json
-
     from repro.fleet.simulator import FleetSimulator
     from repro.fleet.trace import generate_trace
 
-    plan = plan_for(fault, seed, job_timeout_s, rate=rate)
-    violations: List[str] = []
-    started = time.perf_counter()
+    episode = _Episode(fault, seed, job_timeout_s, rate)
+    violations = episode.violations
     trace = generate_trace(
         trace_kind,
         num_jobs=max(1, num_jobs) * 20,
@@ -487,19 +471,17 @@ def run_fleet_episode(
         mean_duration_s=1200.0,
     )
 
-    def one_run():
-        injector = FaultInjector(plan)
-        simulator = FleetSimulator(
+    def one_run(injector: FaultInjector):
+        return FleetSimulator(
             trace,
             pools=_fleet_episode_pools(),
             policy=policy,
             autoscaler=autoscaler,
             injector=injector,
-        )
-        return simulator.run(), injector
+        ).run()
 
-    result, injector = one_run()
-    replay, _ = one_run()
+    result = one_run(episode.injector)
+    replay = one_run(FaultInjector(episode.plan))
 
     if not result.all_terminal():
         stuck = [j.job_id for j in result.jobs if not j.terminal]
@@ -523,7 +505,7 @@ def run_fleet_episode(
             f"job conservation broken: {result.completed} completed + "
             f"{result.rejected} rejected != {result.num_jobs} jobs"
         )
-    digests_checked = 1
+    episode.digests_checked = 1
     if replay.digest != result.digest:
         violations.append(
             f"nondeterministic fleet run: digest {result.digest} != "
@@ -532,25 +514,15 @@ def run_fleet_episode(
 
     os.makedirs(spool_dir, exist_ok=True)
     with open(os.path.join(spool_dir, "fleet_result.json"), "w") as handle:
-        _json.dump(result.to_dict(), handle, indent=1)
+        json.dump(result.to_dict(), handle, indent=1)
 
-    return {
-        "fault": fault,
-        "plan": plan.to_dict(),
-        "jobs": result.num_jobs,
-        "states": {
-            "completed": result.completed,
-            "rejected": result.rejected,
-        },
-        "displacements": result.displacements,
-        "reschedules": result.reschedules,
-        "digest": result.digest,
-        "fired": injector.fire_counts(),
-        "digests_checked": digests_checked,
-        "index_errors": 0,
-        "violations": violations,
-        "elapsed_s": time.perf_counter() - started,
-    }
+    return episode.report(
+        jobs=result.num_jobs,
+        states={"completed": result.completed, "rejected": result.rejected},
+        displacements=result.displacements,
+        reschedules=result.reschedules,
+        digest=result.digest,
+    )
 
 
 def run_chaos(

@@ -18,13 +18,12 @@ reproducible matrix and lets a failing chaos seed be replayed exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, strict_keys
 
 #: the catalog of named fault points (probe sites) woven through the code:
 #: point -> (module that hosts the probe, what firing there means)
@@ -179,14 +178,7 @@ class FaultRule:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultRule":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown FaultRule keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return cls(**strict_keys(cls, data, ConfigurationError))
 
 
 @dataclass(frozen=True)
@@ -243,14 +235,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown FaultPlan keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        payload = dict(data)
+        payload = strict_keys(cls, data, ConfigurationError)
         payload["rules"] = tuple(
             FaultRule.from_dict(rule) for rule in payload.get("rules", ())
         )

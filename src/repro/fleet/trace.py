@@ -17,14 +17,13 @@ versions the repo supports.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, FleetError
+from repro.errors import ConfigurationError, FleetError, strict_keys
 from repro.features.specs import MODEL_NAMES
 
 #: the built-in arrival-process shapes
@@ -104,14 +103,7 @@ class JobArrival:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobArrival":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown JobArrival keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return cls(**strict_keys(cls, data, ConfigurationError))
 
 
 @dataclass(frozen=True)
@@ -169,14 +161,7 @@ class Trace:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Trace":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown Trace keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        payload = dict(data)
+        payload = strict_keys(cls, data, ConfigurationError)
         payload["arrivals"] = tuple(
             JobArrival.from_dict(a) for a in payload.get("arrivals", ())
         )

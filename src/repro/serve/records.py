@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.preprocess import PreprocessJob
-from repro.errors import ReproError, ServeError
+from repro.errors import ReproError, ServeError, strict_keys
 from repro.journal import JsonlJournal
 
 #: every state a job can be in; the last three are terminal.  "interrupted"
@@ -81,8 +81,7 @@ class StageEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StageEvent":
-        _check_keys(cls, data)
-        return cls(**dict(data))
+        return cls(**strict_keys(cls, data, ServeError))
 
 
 @dataclass(frozen=True)
@@ -194,23 +193,12 @@ class JobRecord:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobRecord":
         """Rebuild a record from :meth:`to_dict` output (strict keys)."""
-        _check_keys(cls, data)
-        payload = dict(data)
+        payload = strict_keys(cls, data, ServeError)
         payload["job"] = PreprocessJob.from_dict(payload["job"])
         payload["stages"] = tuple(
             StageEvent.from_dict(event) for event in payload.get("stages", ())
         )
         return cls(**payload)
-
-
-def _check_keys(cls, data: Mapping[str, Any]) -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ServeError(
-            f"unknown {cls.__name__} keys {sorted(unknown)}; "
-            f"expected a subset of {sorted(known)}"
-        )
 
 
 def _completion_key(record: JobRecord) -> float:

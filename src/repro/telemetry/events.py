@@ -30,13 +30,12 @@ subsystems already write — no subsystem grows a telemetry dependency.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.errors import TelemetryError
+from repro.errors import TelemetryError, strict_keys
 
 #: every subsystem that can emit timing events
 EVENT_SOURCES = ("batch", "serve", "bench", "fleet")
@@ -151,14 +150,7 @@ class TimingEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TimingEvent":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise TelemetryError(
-                f"unknown TimingEvent keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return cls(**strict_keys(cls, data, TelemetryError))
 
 
 # ---------------------------------------------------------------------------

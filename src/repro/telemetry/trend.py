@@ -30,14 +30,13 @@ moved, not "the suite got slower".
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import TelemetryError
+from repro.errors import TelemetryError, strict_keys
 from repro.telemetry.events import TimingEvent
 
 #: summary file format — bump to invalidate every committed summary
@@ -138,14 +137,7 @@ class MetricSample:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MetricSample":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise TelemetryError(
-                f"unknown MetricSample keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return cls(**strict_keys(cls, data, TelemetryError))
 
 
 @dataclass(frozen=True)
@@ -195,13 +187,7 @@ class RunSummary:
                 f"unsupported summary schema {version!r} "
                 f"(this build reads {SUMMARY_SCHEMA})"
             )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise TelemetryError(
-                f"unknown RunSummary keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        strict_keys(cls, payload, TelemetryError)
         payload["samples"] = tuple(
             MetricSample.from_dict(s) for s in payload.get("samples", ())
         )

@@ -287,3 +287,99 @@ class TestChaos:
     def test_chaos_rejects_unknown_fault(self):
         with pytest.raises(SystemExit, match="unknown fault class"):
             main(["chaos", "--faults", "bogus"])
+
+
+def _typed_failures():
+    """``(argv, message)`` params — ``{tmp}`` is the test's scratch directory.
+
+    The messages are the parent commit's, verbatim: commands no longer
+    catch-and-exit themselves, so ``main()``'s one boundary must print
+    exactly what each hand-placed ``except`` used to.
+    """
+    from repro.faults.plan import FAULT_POINTS
+
+    missing = "[Errno 2] No such file or directory:"
+    cases = [
+        ("fleet-trace", ["fleet", "run", "--trace", "/nonexistent.jsonl"],
+         f"cannot read trace /nonexistent.jsonl: {missing} "
+         "'/nonexistent.jsonl'"),
+        ("chaos-fault", ["chaos", "--tier", "fleet", "--faults", "nope"],
+         "unknown fault class 'nope'; known: "
+         + ", ".join(sorted(FAULT_POINTS))),
+        ("sweep-gpus", ["sweep", "--gpus", "0", "--serial"],
+         "num_gpus must be a positive int, got 0"),
+        ("trend-report", ["trend", "report", "--store", "{tmp}/store"],
+         "cannot read trend summary {tmp}/store/bad.json: Expecting value: "
+         "line 1 column 1 (char 0)"),
+        ("trend-compare",
+         ["trend", "compare", "--store", "/nonexistent", "--run-id", "x"],
+         f"cannot read trend summary /nonexistent/x.json: {missing} "
+         "'/nonexistent/x.json'"),
+        ("run-id", ["run", "nope"],
+         "unknown experiment 'nope'; registered experiments: "
+         + ", ".join(EXPERIMENT_REGISTRY.ids())),
+        ("submit-no-daemon", ["submit", "--spool", "{tmp}"],
+         "no daemon endpoint at {tmp}/endpoint.json — is `repro serve` "
+         "running with this spool?"),
+        ("trace-replay", ["fleet", "trace", "replay", "/nonexistent.jsonl"],
+         f"{missing} '/nonexistent.jsonl'"),
+        # a traceback on the parent: its os.makedirs sat outside any try
+        ("export-dir", ["export", "--dir", "{tmp}/blocker/out", "fig11"],
+         "[Errno 20] Not a directory: '{tmp}/blocker/out'"),
+    ]
+    return [pytest.param(argv, message, id=name) for name, argv, message in cases]
+
+
+class TestTypedErrorBoundary:
+    """``main()`` is the one place a ReproError/OSError becomes an exit."""
+
+    @pytest.fixture
+    def scratch(self, tmp_path):
+        (tmp_path / "blocker").write_text("a file where a directory is wanted")
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "bad.json").write_text("not json")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, message", _typed_failures())
+    def test_typed_failure_exits_clean(self, argv, message, scratch, capsys):
+        argv = [arg.format(tmp=scratch) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        # a str code is what the interpreter prints, one line, exit status 1
+        assert excinfo.value.code == message.format(tmp=scratch)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_uncreatable_export_dir_is_one_line_on_stderr(self, scratch):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        target = scratch / "blocker" / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "export", "--dir",
+             str(target), "fig11"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"[Errno 20] Not a directory: '{target}'\n"
+
+    def test_an_absent_trend_store_is_empty_not_an_error(self, capsys):
+        assert main(["trend", "report", "--store", "/nonexistent"]) == 0
+        assert capsys.readouterr().out == (
+            "trend store /nonexistent has no committed runs\n"
+        )
+
+    def test_handlers_that_do_more_than_exit_stay(self, capsys):
+        # argument parsers keep their own, more specific messages
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--model", "RM1", "--system", "PreSto", "--set", "x"])
+        assert excinfo.value.code == "--set expects field=value, got 'x'"
+        # provision reports a per-system failure and keeps going
+        assert main(["provision", "RM5"]) == 0
+        assert "not provisionable" in capsys.readouterr().out

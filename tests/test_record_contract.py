@@ -1,0 +1,175 @@
+"""One contract, fourteen records.
+
+Every dict-round-trippable record rebuilds itself from its own
+``to_dict()`` output and rejects a payload carrying a key it does not
+know — with its tier's own error type and a message naming the key and
+the accepted ones.  The message texts below are pinned literally: the
+check lives in one helper (:func:`repro.errors.strict_keys`), and a
+change there must not reword any record's error.
+"""
+
+import pytest
+
+from repro.api import ExperimentRun, PreprocessJob, RunResult, Scenario
+from repro.batch import BatchPolicy
+from repro.errors import ConfigurationError, ServeError, TelemetryError
+from repro.faults.plan import FaultPlan, FaultRule
+from repro.fleet.trace import JobArrival, Trace
+from repro.serve.records import JobRecord, StageEvent
+from repro.telemetry.events import TimingEvent
+from repro.telemetry.trend import MetricSample, RunSummary
+
+_JOB = PreprocessJob("RM1", num_rows=256, num_shards=2, processes=1, seed=3)
+_RULE = FaultRule("hung-stage", rate=0.5, match={"stage": "extract"}, delay_s=2.0)
+_ARRIVAL = JobArrival("job-1", "RM5", num_gpus=8, duration_s=60.0, submit_s=1.5)
+_STAGE = StageEvent("extract", "completed", at=2.0, elapsed_s=0.25,
+                    metrics={"bytes_read": 10})
+_SAMPLE = MetricSample("batch", "fig11", "task", "elapsed_s",
+                       best=0.5, mean=0.75, count=2)
+
+
+def _run_result() -> RunResult:
+    return Scenario(model="RM1", system="PreSto", num_gpus=1, num_batches=20).run()
+
+
+#: class -> (a non-default instance or its factory, error type,
+#:           the exact message for the payload key ``bogus``)
+RECORDS = {
+    Scenario: (
+        Scenario(model="RM5", system="Disagg", num_gpus=2, num_batches=50,
+                 calibration={"cpu_batch_overhead": 20e-3}, seed=4),
+        ConfigurationError,
+        "unknown scenario keys ['bogus']; expected ['calibration', 'model', "
+        "'num_batches', 'num_gpus', 'num_workers', 'provision', "
+        "'queue_capacity', 'seed', 'system']",
+    ),
+    RunResult: (
+        _run_result,
+        ConfigurationError,
+        "unknown RunResult keys ['bogus']; expected a subset of "
+        "['capex_dollars', 'first_batch_time', 'gpu_utilization', 'headroom', "
+        "'num_batches', 'num_workers', 'power_watts', "
+        "'preprocessing_throughput', 'scenario', 'steady_state_utilization', "
+        "'training_demand', 'training_throughput', 'training_time', "
+        "'wait_time', 'wall_time', 'worker_throughput']",
+    ),
+    ExperimentRun: (
+        ExperimentRun("fig3", params={"model": "RM1"}),
+        ConfigurationError,
+        "unknown run keys ['bogus']; expected ['calibration', 'experiment', "
+        "'params']",
+    ),
+    PreprocessJob: (
+        _JOB,
+        ConfigurationError,
+        "unknown preprocess job keys ['bogus']; expected ['hash_seed', "
+        "'model', 'num_rows', 'num_shards', 'processes', 'seed']",
+    ),
+    BatchPolicy: (
+        BatchPolicy(max_retries=3, task_timeout_s=2.5, failure_mode="degrade",
+                    processes=2),
+        ConfigurationError,
+        "unknown BatchPolicy keys ['bogus']; expected a subset of "
+        "['backoff_factor', 'backoff_s', 'failure_mode', 'max_retries', "
+        "'processes', 'task_timeout_s']",
+    ),
+    FaultRule: (
+        _RULE,
+        ConfigurationError,
+        "unknown FaultRule keys ['bogus']; expected a subset of ['action', "
+        "'delay_s', 'key', 'match', 'max_fires', 'point', 'rate']",
+    ),
+    FaultPlan: (
+        FaultPlan(seed=7, rules=(_RULE, FaultRule("torn-write", max_fires=1))),
+        ConfigurationError,
+        "unknown FaultPlan keys ['bogus']; expected a subset of ['rules', "
+        "'seed']",
+    ),
+    JobArrival: (
+        _ARRIVAL,
+        ConfigurationError,
+        "unknown JobArrival keys ['bogus']; expected a subset of "
+        "['duration_s', 'job_id', 'model', 'num_gpus', 'priority', "
+        "'submit_s']",
+    ),
+    Trace: (
+        Trace("diurnal", 11, (_ARRIVAL,)),
+        ConfigurationError,
+        "unknown Trace keys ['bogus']; expected a subset of ['arrivals', "
+        "'kind', 'seed']",
+    ),
+    TimingEvent: (
+        TimingEvent("batch", "run-1", "fig11", "task", "ok", elapsed_s=0.5,
+                    attempts=2, at=3.0, metrics={"rows": 4}),
+        TelemetryError,
+        "unknown TimingEvent keys ['bogus']; expected a subset of ['at', "
+        "'attempts', 'cached', 'elapsed_s', 'metrics', 'outcome', 'run_id', "
+        "'source', 'stage', 'task']",
+    ),
+    MetricSample: (
+        _SAMPLE,
+        TelemetryError,
+        "unknown MetricSample keys ['bogus']; expected a subset of "
+        "['attempts', 'best', 'count', 'mean', 'metric', 'outcome', 'source', "
+        "'stage', 'task']",
+    ),
+    RunSummary: (
+        RunSummary("run-1", recorded_at=9.0, meta={"host": "ci"},
+                   samples=(_SAMPLE,)),
+        TelemetryError,
+        "unknown RunSummary keys ['bogus']; expected a subset of ['meta', "
+        "'recorded_at', 'run_id', 'samples']",
+    ),
+    StageEvent: (
+        _STAGE,
+        ServeError,
+        "unknown StageEvent keys ['bogus']; expected a subset of ['at', "
+        "'elapsed_s', 'error', 'metrics', 'stage', 'status']",
+    ),
+    JobRecord: (
+        JobRecord("job-000001", _JOB, source="watch", state="completed",
+                  submitted_at=1.0, started_at=1.5, completed_at=2.5,
+                  attempts=1, stages=(_STAGE,), digest="abc123"),
+        ServeError,
+        "unknown JobRecord keys ['bogus']; expected a subset of ['attempts', "
+        "'completed_at', 'digest', 'error', 'job', 'job_id', 'source', "
+        "'stages', 'started_at', 'state', 'submitted_at']",
+    ),
+}
+
+CLASSES = sorted(RECORDS, key=lambda cls: cls.__name__)
+
+
+def _instance(cls):
+    instance = RECORDS[cls][0]
+    return instance() if callable(instance) else instance
+
+
+def test_the_contract_covers_every_record():
+    assert len(RECORDS) == 14
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_round_trip_is_exact(cls):
+    record = _instance(cls)
+    rebuilt = cls.from_dict(record.to_dict())
+    assert rebuilt == record
+    assert rebuilt.to_dict() == record.to_dict()
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_unknown_key_is_the_records_own_typed_error(cls):
+    _, error, message = RECORDS[cls]
+    payload = {**_instance(cls).to_dict(), "bogus": 1}
+    with pytest.raises(error) as excinfo:
+        cls.from_dict(payload)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_from_dict_does_not_mutate_its_input(cls):
+    payload = _instance(cls).to_dict()
+    before = repr(payload)
+    cls.from_dict(payload)
+    assert repr(payload) == before
