@@ -145,7 +145,7 @@ def _check_arrays(a: object, b: object) -> None:
 
 
 def bench_varint(size: int, reps: int, rng: np.random.Generator) -> List[BenchResult]:
-    """LEB128 zig-zag encode/decode of one integer column."""
+    """LEB128 zig-zag and byte-packed encode/decode of one id column."""
     from repro.dataio import encoding as enc
 
     column = rng.integers(-(2**40), 2**40, size).astype(np.int64)
@@ -180,6 +180,21 @@ def bench_varint(size: int, reps: int, rng: np.random.Generator) -> List[BenchRe
         lambda: enc._decode_varint(enc._encode_varint(column), dtype, size),
         reps,
         _check_arrays,
+    )
+    # the sparse default codec on the same column, line to line with the
+    # vectorized varint rows (a whole-column copy has no scalar reference)
+    def pack() -> bytes:
+        return b"".join(enc._encode_packed(column))
+
+    packed = pack()
+    _check_arrays(enc._decode_packed(packed, dtype, size), column)
+    results.append(
+        _result("packed_encode", "vectorized", size, column.nbytes,
+                _best_of(pack, reps))
+    )
+    results.append(
+        _result("packed_decode", "vectorized", size, column.nbytes,
+                _best_of(lambda: enc._decode_packed(packed, dtype, size), reps))
     )
     return results
 

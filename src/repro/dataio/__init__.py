@@ -2,9 +2,9 @@
 
 This package is the reproduction's stand-in for Apache Parquet: a
 self-contained columnar file format with row groups, per-column encodings
-(plain / varint / run-length / dictionary), CRC-checked pages, and a footer
-that enables selective column reads — the property Section II-B of the paper
-relies on ("fetch features X and W without fetching Y and Z").
+(plain / varint / run-length / dictionary / byte-packed), CRC-checked pages,
+and a footer that enables selective column reads — the property Section II-B
+of the paper relies on ("fetch features X and W without fetching Y and Z").
 """
 
 from repro.dataio.schema import (

@@ -9,11 +9,17 @@ File layout::
 * Column data is stored one *chunk* per (row group, column part); dense and
   label columns have a single ``values`` part, sparse columns have a
   ``lengths`` part (int32, one per row) and a ``values`` part (int64 ids).
-* Each chunk is framed and CRC-protected by :mod:`repro.dataio.encoding`.
+* Each chunk is framed and CRC-protected by :mod:`repro.dataio.encoding`,
+  and names its own codec: the writer's encoding policy decides what new
+  files hold, the reader decodes whatever the chunk says, so files written
+  under an older policy stay readable.
 * The footer is a JSON document describing the schema and every chunk's
   (offset, size), followed by its byte length and the trailing magic, so a
   reader can locate and decode any column *selectively* — the property the
   paper's Extract phase depends on (Section II-B).
+* The file layer copies each payload byte once each way: the writer joins
+  the encoded chunks in one pass, and the reader hands each chunk to the
+  decoder as a ``memoryview`` of the file buffer.
 
 In-memory column data is exchanged as a dict:
 
@@ -23,6 +29,7 @@ In-memory column data is exchanged as a dict:
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -70,7 +77,7 @@ class ColumnChunk:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ColumnChunk":
-        return cls(
+        chunk = cls(
             column=obj["column"],
             part=obj["part"],
             row_group=obj["row_group"],
@@ -79,6 +86,16 @@ class ColumnChunk:
             num_values=obj["num_values"],
             encoding=enc.Encoding(obj["encoding"]),
         )
+        # the footer is outside every CRC: a damaged entry must not reach
+        # the index or a slice as a float, a string or a negative number
+        counts = (chunk.row_group, chunk.offset, chunk.size, chunk.num_values)
+        if not (
+            isinstance(chunk.column, str)
+            and isinstance(chunk.part, str)
+            and all(isinstance(n, int) and n >= 0 for n in counts)
+        ):
+            raise ValueError(f"malformed chunk entry {obj!r}")
+        return chunk
 
 
 @dataclass
@@ -92,12 +109,24 @@ class FileFooter:
     row_group_rows: List[int]
     chunks: List[ColumnChunk]
 
+    @functools.cached_property
+    def _index(self) -> Dict[Tuple[str, str], List[ColumnChunk]]:
+        """(column, part) -> chunks in row-group order, built on first use
+        (not a field: serialization and equality do not see it)."""
+        index: Dict[Tuple[str, str], List[ColumnChunk]] = {}
+        for chunk in sorted(self.chunks, key=lambda c: c.row_group):
+            index.setdefault((chunk.column, chunk.part), []).append(chunk)
+        return index
+
     def chunks_for(self, column: str, part: Optional[str] = None) -> List[ColumnChunk]:
         """All chunks of ``column`` (optionally one part), in row-group order."""
+        if part is not None:
+            return list(self._index.get((column, part), ()))
         found = [
-            c
-            for c in self.chunks
-            if c.column == column and (part is None or c.part == part)
+            chunk
+            for (name, _part), chunks in self._index.items()
+            if name == column
+            for chunk in chunks
         ]
         found.sort(key=lambda c: (c.row_group, c.part))
         return found
@@ -129,17 +158,22 @@ class FileFooter:
 
 
 def default_encoding_policy(kind: ColumnKind, part: str, values: np.ndarray) -> enc.Encoding:
-    """Fast static codec choice, mirroring Parquet defaults for this data.
+    """Static codec choice per column kind — no per-chunk size contest.
 
-    Labels are long runs of 0/1 -> RLE; sparse lengths and ids are
-    small-magnitude integers -> varint; dense floats are PLAIN.
+    Labels are long runs of 0/1 -> RLE; dense floats are PLAIN; sparse
+    lengths and ids are PACKED: hashed ids are uniform over their id space
+    and jagged lengths span a few values, i.e. fixed-width data, which
+    frame-of-reference byte packing stores in the bytes its range needs at
+    copy speed.  (LEB128 ``VARINT``, the default of earlier commits, only
+    wins on mostly-tiny-with-rare-huge ids, which no generator or loader
+    here produces; it stays selectable through ``encoding_policy``.)
     """
     if kind is ColumnKind.LABEL:
         return enc.Encoding.RLE
     if kind is ColumnKind.DENSE:
         return enc.Encoding.PLAIN
     # sparse lengths and values
-    return enc.Encoding.VARINT
+    return enc.Encoding.PACKED
 
 
 class ColumnarFileWriter:
@@ -196,7 +230,8 @@ class ColumnarFileWriter:
         num_rows = self._infer_num_rows(self.schema, data)
         self._validate(data, num_rows)
 
-        body = bytearray(MAGIC)
+        pieces: List[bytes] = [MAGIC]
+        offset = len(MAGIC)
         chunks: List[ColumnChunk] = []
         row_group_rows: List[int] = []
         group = 0
@@ -217,13 +252,14 @@ class ColumnarFileWriter:
                             column=column.name,
                             part=part,
                             row_group=group,
-                            offset=len(body),
+                            offset=offset,
                             size=len(chunk_bytes),
                             num_values=len(values),
                             encoding=codec,
                         )
                     )
-                    body += chunk_bytes
+                    pieces.append(chunk_bytes)
+                    offset += len(chunk_bytes)
             group += 1
             if num_rows == 0:
                 break
@@ -237,10 +273,8 @@ class ColumnarFileWriter:
             chunks=chunks,
         )
         footer_bytes = json.dumps(footer.to_json(), separators=(",", ":")).encode()
-        body += footer_bytes
-        body += _FOOTER_LEN.pack(len(footer_bytes))
-        body += MAGIC
-        return bytes(body)
+        pieces += (footer_bytes, _FOOTER_LEN.pack(len(footer_bytes)), MAGIC)
+        return b"".join(pieces)
 
 
 class ColumnarFileReader:
@@ -251,7 +285,7 @@ class ColumnarFileReader:
     """
 
     def __init__(self, buffer: bytes) -> None:
-        self._buf = buffer
+        self._view = memoryview(buffer)
         self.bytes_read = 0
         self.footer = self._parse_footer(buffer)
 
@@ -284,37 +318,47 @@ class ColumnarFileReader:
         return self.footer.num_rows
 
     def _read_chunk(self, chunk: ColumnChunk) -> np.ndarray:
-        raw = self._buf[chunk.offset : chunk.offset + chunk.size]
+        raw = self._view[chunk.offset : chunk.offset + chunk.size]  # no copy
         if len(raw) != chunk.size:
             raise FormatError(f"chunk for {chunk.column!r} extends past end of file")
         self.bytes_read += chunk.size
         return enc.decode_column(raw)
 
+    def _read_part(
+        self, chunks: List[ColumnChunk], dtype: Optional[type] = None
+    ) -> np.ndarray:
+        """Decode ``chunks`` into one array (of ``dtype`` when given); a
+        single chunk's owned array is returned as is, not copied again."""
+        arrays = [self._read_chunk(chunk) for chunk in chunks]
+        if not arrays:
+            return np.empty(0, dtype=dtype)
+        joined = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        return joined if dtype is None else joined.astype(dtype, copy=False)
+
     def read_column(self, name: str) -> ColumnData:
         """Decode one full column (all row groups concatenated)."""
         if name in self.footer.sparse_names:
-            lengths = [
-                self._read_chunk(c) for c in self.footer.chunks_for(name, PART_LENGTHS)
-            ]
-            values = [
-                self._read_chunk(c) for c in self.footer.chunks_for(name, PART_VALUES)
-            ]
+            lengths = self.footer.chunks_for(name, PART_LENGTHS)
             if not lengths:
                 raise FormatError(f"no chunks for sparse column {name!r}")
             return (
-                np.concatenate(lengths).astype(np.int32),
-                np.concatenate(values).astype(np.int64)
-                if values and sum(len(v) for v in values)
-                else np.empty(0, dtype=np.int64),
+                self._read_part(lengths, np.int32),
+                self._read_part(self.footer.chunks_for(name, PART_VALUES), np.int64),
             )
         chunks = self.footer.chunks_for(name, PART_VALUES)
         if not chunks:
             raise FormatError(f"unknown column {name!r}")
-        return np.concatenate([self._read_chunk(c) for c in chunks])
+        return self._read_part(chunks)
 
     def read_columns(self, names: Iterable[str]) -> TableData:
         """Decode several columns; only their chunks are touched/charged."""
         return {name: self.read_column(name) for name in names}
+
+    def _group_chunk(self, name: str, part: str, group: int) -> ColumnChunk:
+        for chunk in self.footer.chunks_for(name, part):
+            if chunk.row_group == group:
+                return chunk
+        raise FormatError(f"no {part} chunk for {name!r} in group {group}")
 
     def read_row_group(self, group: int, names: Iterable[str]) -> TableData:
         """Decode the requested columns of a single row group."""
@@ -322,32 +366,15 @@ class ColumnarFileReader:
             raise FormatError(f"row group {group} out of range")
         out: TableData = {}
         for name in names:
+            values = self._group_chunk(name, PART_VALUES, group)
             if name in self.footer.sparse_names:
-                lengths_chunks = [
-                    c
-                    for c in self.footer.chunks_for(name, PART_LENGTHS)
-                    if c.row_group == group
-                ]
-                values_chunks = [
-                    c
-                    for c in self.footer.chunks_for(name, PART_VALUES)
-                    if c.row_group == group
-                ]
-                if not lengths_chunks:
-                    raise FormatError(f"no chunks for {name!r} in group {group}")
+                lengths = self._group_chunk(name, PART_LENGTHS, group)
                 out[name] = (
-                    self._read_chunk(lengths_chunks[0]).astype(np.int32),
-                    self._read_chunk(values_chunks[0]).astype(np.int64),
+                    self._read_part([lengths], np.int32),
+                    self._read_part([values], np.int64),
                 )
             else:
-                chunks = [
-                    c
-                    for c in self.footer.chunks_for(name, PART_VALUES)
-                    if c.row_group == group
-                ]
-                if not chunks:
-                    raise FormatError(f"no chunks for {name!r} in group {group}")
-                out[name] = self._read_chunk(chunks[0])
+                out[name] = self._read_chunk(values)
         return out
 
 

@@ -1,21 +1,36 @@
 """Column-chunk encodings for the columnar file format.
 
-Four codecs, mirroring the encodings Parquet applies to RecSys feature data:
+Five codecs, mirroring the encodings Parquet applies to RecSys feature data:
 
 * ``PLAIN``       — raw little-endian array bytes.
-* ``VARINT``      — LEB128 zig-zag varints; compact for small-magnitude ids.
+* ``VARINT``      — LEB128 zig-zag varints; compact for columns of mostly
+                    tiny values with rare huge ones.
 * ``RLE``         — run-length encoding of (value, run) pairs; compact for
-                    repetitive columns such as labels and lengths.
+                    repetitive columns such as labels.
 * ``DICTIONARY``  — value dictionary + fixed-width indices; compact for
                     low-cardinality categorical columns.
+* ``PACKED``      — frame of reference + byte packing: every value is stored
+                    as ``value - min`` in the fewest whole bytes the column's
+                    range needs (0..8), as contiguous power-of-two byte
+                    planes.  The codec of hashed sparse ids and jagged
+                    lengths: fixed-width data stays fixed-width, so encode
+                    and decode are whole-column copies.
 
 Every encoded chunk is framed as::
 
     [codec:1][dtype-code:1][num-values:varint][payload...][crc32:4]
 
-so a chunk is self-describing and corruption is detected on decode.  The
+so a chunk is self-describing — a reader decodes whatever codec the header
+names, whichever commit wrote it — and corruption is detected on decode:
+the CRC is verified before anything is parsed, and every integer codec
+refuses decoded values that do not fit the declared dtype.  The
 Extract(Decode) latency that Figures 5 and 12 of the paper break out is the
 cost of undoing exactly this kind of encoding.
+
+Framing copies each payload byte once: :func:`encode_column` joins header,
+payload buffers (the array's own memory for ``PLAIN``) and CRC in one pass,
+and :func:`decode_column` works on a ``memoryview`` down to
+``np.frombuffer``, the owned output array being the only copy.
 
 The VARINT and RLE codecs are vectorized: whole columns are zig-zagged,
 per-value byte widths computed with one ``searchsorted``, and the 7-bit
@@ -31,7 +46,7 @@ import enum
 import struct
 import sys
 import zlib
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,6 +72,7 @@ class Encoding(enum.IntEnum):
     VARINT = 1
     RLE = 2
     DICTIONARY = 3
+    PACKED = 4
 
 
 # --------------------------------------------------------------------------
@@ -332,8 +348,24 @@ def decode_uvarints(
 # --------------------------------------------------------------------------
 
 
-def _encode_plain(values: np.ndarray) -> bytes:
-    return values.tobytes()
+def _narrow(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Decoded int64 values as the chunk's declared dtype — or an error.
+
+    Every integer codec ends here, so a CRC-valid chunk whose header names a
+    dtype too narrow for its values is refused instead of wrapped.
+    """
+    if dtype.itemsize < values.dtype.itemsize and values.size:
+        info = np.iinfo(dtype)
+        low, high = int(values.min()), int(values.max())
+        if low < info.min or high > info.max:
+            raise EncodingError(
+                f"decoded values [{low}, {high}] do not fit declared dtype {dtype}"
+            )
+    return values.astype(dtype, copy=False)
+
+
+def _encode_plain(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values)  # the array's own memory is the payload
 
 
 def _decode_plain(payload: bytes, dtype: np.dtype, count: int) -> np.ndarray:
@@ -353,7 +385,7 @@ def _encode_varint(values: np.ndarray) -> bytes:
 
 def _decode_varint(payload: bytes, dtype: np.dtype, count: int) -> np.ndarray:
     decoded = decode_uvarints(np.frombuffer(payload, dtype=np.uint8), count)
-    return _zigzag_decode(decoded).astype(dtype)
+    return _narrow(_zigzag_decode(decoded), dtype)
 
 
 def _encode_varint_scalar(values: np.ndarray) -> bytes:
@@ -377,7 +409,7 @@ def _decode_varint_scalar(payload: bytes, dtype: np.dtype, count: int) -> np.nda
         decoded[i] = raw
     if offset != len(payload):
         raise EncodingError("trailing bytes after varint payload")
-    return _zigzag_decode(decoded).astype(dtype)
+    return _narrow(_zigzag_decode(decoded), dtype)
 
 
 def _rle_runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -420,7 +452,7 @@ def _decode_rle(payload: bytes, dtype: np.dtype, count: int) -> np.ndarray:
     if total < count:
         raise EncodingError("truncated varint")
     values = _zigzag_decode(decoded[0::2])
-    return np.repeat(values, runs).astype(dtype)
+    return _narrow(np.repeat(values, runs), dtype)
 
 
 def _encode_rle_scalar(values: np.ndarray) -> bytes:
@@ -457,7 +489,7 @@ def _decode_rle_scalar(payload: bytes, dtype: np.dtype, count: int) -> np.ndarra
         filled += run
     if offset != len(payload):
         raise EncodingError("trailing bytes after RLE payload")
-    return out.astype(dtype)
+    return _narrow(out, dtype)
 
 
 def _encode_dictionary(values: np.ndarray) -> bytes:
@@ -489,7 +521,73 @@ def _decode_dictionary(payload: bytes, dtype: np.dtype, count: int) -> np.ndarra
         return np.empty(0, dtype=dtype)
     if indices.size and indices.max() >= cardinality:
         raise EncodingError("dictionary index out of range")
-    return uniques[indices].astype(dtype)
+    return _narrow(uniques[indices], dtype)
+
+
+_PACKED_HEAD = struct.Struct("<Bq")  # byte width, reference value
+
+
+def _packed_planes(width: int) -> Tuple[Tuple[int, int], ...]:
+    """(byte offset, byte size) of each plane of a ``width``-byte value:
+    power-of-two sizes, low bytes first (5 = 4+1, 7 = 4+2+1, 8 = 4+4)."""
+    planes, offset = [], 0
+    for size in (4, 4, 2, 1):
+        if width - offset >= size:
+            planes.append((offset, size))
+            offset += size
+    return tuple(planes)
+
+
+_PACKED_PLANES = tuple(_packed_planes(width) for width in range(9))
+
+
+def _packed_lane(words: np.ndarray, offset: int, size: int) -> np.ndarray:
+    """Strided view of bytes [offset, offset+size) of every 8-byte LE word.
+
+    Plane offsets are multiples of their size, so a plane is one column of
+    the words seen as ``8 // size`` little-endian lanes.
+    """
+    return words.view(f"<u{size}").reshape(-1, 8 // size)[:, offset // size]
+
+
+def _encode_packed(values: np.ndarray) -> List[bytes]:
+    if not np.issubdtype(values.dtype, np.integer):
+        raise EncodingError("packed encoding requires an integer column")
+    if not len(values):
+        return [_PACKED_HEAD.pack(0, 0)]
+    reference, highest = int(values.min()), int(values.max())
+    width = ((highest - reference).bit_length() + 7) // 8
+    # (value - reference) mod 2^64: int64 array arithmetic wraps, which is
+    # what makes ranges >= 2^63 round-trip
+    deltas = np.subtract(values, np.int64(reference), dtype=np.int64)
+    deltas = deltas.astype("<i8", copy=False)  # a no-op on little-endian hosts
+    return [_PACKED_HEAD.pack(width, reference)] + [
+        np.ascontiguousarray(_packed_lane(deltas, offset, size))
+        for offset, size in _PACKED_PLANES[width]
+    ]
+
+
+def _decode_packed(payload: bytes, dtype: np.dtype, count: int) -> np.ndarray:
+    if len(payload) < _PACKED_HEAD.size:
+        raise EncodingError("truncated packed header")
+    width, reference = _PACKED_HEAD.unpack_from(payload)
+    if width > 8:
+        raise EncodingError(f"packed width {width} exceeds 8 bytes")
+    expected = _PACKED_HEAD.size + count * width
+    if len(payload) != expected:
+        raise EncodingError(
+            f"packed payload is {len(payload)} bytes, expected {expected}"
+        )
+    words = np.zeros(count, dtype="<u8")  # width 0 has no planes: all reference
+    for offset, size in _PACKED_PLANES[width]:
+        _packed_lane(words, offset, size)[:] = np.frombuffer(
+            payload,
+            dtype=f"<u{size}",
+            count=count,
+            offset=_PACKED_HEAD.size + offset * count,
+        )
+    words += np.uint64(reference & _MASK64_INT)  # wraps, undoing the encoder
+    return _narrow(words.view("<i8"), dtype)
 
 
 _ENCODERS = {
@@ -497,12 +595,14 @@ _ENCODERS = {
     Encoding.VARINT: _encode_varint,
     Encoding.RLE: _encode_rle,
     Encoding.DICTIONARY: _encode_dictionary,
+    Encoding.PACKED: _encode_packed,
 }
 _DECODERS = {
     Encoding.PLAIN: _decode_plain,
     Encoding.VARINT: _decode_varint,
     Encoding.RLE: _decode_rle,
     Encoding.DICTIONARY: _decode_dictionary,
+    Encoding.PACKED: _decode_packed,
 }
 
 
@@ -523,23 +623,29 @@ def encode_column(values: np.ndarray, encoding: Encoding) -> bytes:
     if encoding is not Encoding.PLAIN and not np.issubdtype(dtype, np.integer):
         raise EncodingError(f"{encoding.name} requires integers, got {dtype}")
 
-    header = bytearray()
-    header.append(int(encoding))
-    header.append(_DTYPE_CODES[dtype])
+    header = bytearray((int(encoding), _DTYPE_CODES[dtype]))
     write_uvarint(len(values), header)
-    payload = _ENCODERS[encoding](values)
-    body = bytes(header) + payload
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return body + _CRC_STRUCT.pack(crc)
+    payload = _ENCODERS[encoding](values)  # one buffer, or a list of them
+    parts = [header, *payload] if isinstance(payload, list) else [header, payload]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(_CRC_STRUCT.pack(crc))
+    return b"".join(parts)  # the one copy of the payload bytes
 
 
 def decode_column(chunk: bytes) -> np.ndarray:
-    """Decode one framed column chunk produced by :func:`encode_column`."""
-    if len(chunk) < 2 + _CRC_STRUCT.size:
+    """Decode one framed column chunk produced by :func:`encode_column`.
+
+    ``chunk`` may be any bytes-like object; it is only ever sliced as a
+    ``memoryview``, and the returned array owns its memory.
+    """
+    view = memoryview(chunk)
+    if len(view) < 2 + _CRC_STRUCT.size:
         raise EncodingError("chunk too short")
-    body, crc_bytes = chunk[: -_CRC_STRUCT.size], chunk[-_CRC_STRUCT.size :]
-    (stored_crc,) = _CRC_STRUCT.unpack(crc_bytes)
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
+    body = view[: -_CRC_STRUCT.size]
+    (stored_crc,) = _CRC_STRUCT.unpack(view[-_CRC_STRUCT.size :])
+    if zlib.crc32(body) != stored_crc:
         raise EncodingError("chunk CRC mismatch (corrupt data)")
     try:
         encoding = Encoding(body[0])
@@ -549,6 +655,8 @@ def decode_column(chunk: bytes) -> np.ndarray:
         dtype = _CODES_DTYPE[body[1]]
     except KeyError:
         raise EncodingError(f"unknown dtype code {body[1]}") from None
+    if encoding is not Encoding.PLAIN and not np.issubdtype(dtype, np.integer):
+        raise EncodingError(f"{encoding.name} requires integers, got {dtype}")
     count, offset = read_uvarint(body, 2)
     return _DECODERS[encoding](body[offset:], dtype, count)
 
@@ -562,12 +670,11 @@ def best_encoding(values: np.ndarray) -> Encoding:
     """Pick the smallest applicable codec for a column, Parquet-style.
 
     Floating-point columns are always PLAIN.  Integer columns are tried
-    against all codecs and the smallest encoding wins; ties favour the
-    cheaper-to-decode codec (earlier enum value).
+    against all codecs and the smallest encoding wins; ties go to the
+    earlier enum value.
     """
     if not np.issubdtype(values.dtype, np.integer):
         return Encoding.PLAIN
-    candidates = [Encoding.PLAIN, Encoding.VARINT, Encoding.RLE, Encoding.DICTIONARY]
-    sizes = [(encoded_size(values, enc), int(enc)) for enc in candidates]
+    sizes = [(encoded_size(values, enc), int(enc)) for enc in Encoding]
     sizes.sort()
     return Encoding(sizes[0][1])

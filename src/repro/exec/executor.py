@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.batch.policy import BatchPolicy
 from repro.batch.runner import BatchRunner
 from repro.dataio.columnar import ColumnarFileReader, TableData
-from repro.dataio.partition import RowPartitioner
+from repro.dataio.partition import Partition, RowPartitioner
 from repro.errors import ExecutionError
 from repro.faults.injector import fault_stage
 from repro.features.minibatch import MiniBatch
@@ -64,6 +64,14 @@ def pipeline_stage(
             name, "completed",
             {"elapsed_s": time.perf_counter() - start, **metrics},
         )
+
+
+def _drain(items: list) -> Iterator:
+    """Yield ``items`` in order, removing each from the list as it is handed
+    over, so the consumer's reference is the last one."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def transform_shard(
@@ -211,27 +219,26 @@ class ShardExecutor:
             )
             # outcomes come back in input order, so parallel == serial order
             return [outcome.result for outcome in outcomes]
-        # inline: Extract every shard, then one fused Transform pass
-        wanted = self.pipeline.required_columns()
+        # inline: Extract every shard, then one fused Transform pass; each
+        # stage lets go of what it consumed (file bytes, then raw tables)
         with pipeline_stage("extract", on_stage, seed) as metrics:
-            readers = [ColumnarFileReader(p.file_bytes) for p in partitions]
-            raws = [reader.read_columns(wanted) for reader in readers]
-            metrics["bytes_read"] = sum(r.bytes_read for r in readers)
-            metrics["file_bytes"] = sum(p.size for p in partitions)
+            raws, accounts = self._extract_all(partitions)
+            metrics["bytes_read"] = sum(read for _, _, read in accounts)
+            metrics["file_bytes"] = sum(size for _, size, _ in accounts)
         with pipeline_stage("transform", on_stage, seed) as metrics:
             transformed = self.pipeline.run_many(
-                raws, start_batch_id=partitions[0].index if partitions else 0
+                _drain(raws), start_batch_id=accounts[0][0] if accounts else 0
             )
             results = [
                 ShardResult(
-                    index=partition.index,
+                    index=index,
                     batch=batch,
                     counts=counts,
-                    file_bytes=partition.size,
-                    bytes_read=reader.bytes_read,
+                    file_bytes=size,
+                    bytes_read=read,
                 )
-                for partition, reader, (batch, counts) in zip(
-                    partitions, readers, transformed
+                for (index, size, read), (batch, counts) in zip(
+                    accounts, transformed
                 )
             ]
             metrics["batches"] = len(results)
@@ -239,6 +246,23 @@ class ShardExecutor:
                 r.counts.transform_elements for r in results
             )
         return results
+
+    def _extract_all(
+        self, partitions: List[Partition]
+    ) -> Tuple[List[TableData], List[Tuple[int, int, int]]]:
+        """Read every partition's required columns, emptying ``partitions``.
+
+        Returns the raw tables and one ``(index, file size, bytes read)``
+        per shard; no partition or reader outlives its own read.
+        """
+        wanted = self.pipeline.required_columns()
+        raws: List[TableData] = []
+        accounts: List[Tuple[int, int, int]] = []
+        for partition in _drain(partitions):
+            reader = ColumnarFileReader(partition.file_bytes)
+            raws.append(reader.read_columns(wanted))
+            accounts.append((partition.index, partition.size, reader.bytes_read))
+        return raws, accounts
 
     def run_staged(
         self, data: TableData, on_stage: Optional[StageCallback] = None

@@ -1,0 +1,104 @@
+"""Golden ``minibatch_digest`` literals of the functional data plane.
+
+Recorded from PR 16 — the commit before the sparse default codec changed
+from LEB128 to byte packing — so a storage-format change that moves the
+train-ready bytes fails here instead of only disagreeing with itself
+(``--check`` compares a run with its own serial twin).  ``file_bytes`` and
+``bytes_read`` are format properties and are *expected* to move with the
+codec; the digests are not.  CI's ``serve-smoke`` job asserts the first
+literal against the ``repro preprocess`` command line.
+
+Also here: the inline executor path must let go of each stage's input once
+the next stage has consumed it, with the same results.
+"""
+
+import gc
+import json
+import weakref
+
+import pytest
+
+from repro.api import PreprocessJob
+from repro.api.preprocess import minibatch_digest
+from repro.cli import main
+from repro.dataio.partition import RowPartitioner
+from repro.features.synthetic import SyntheticTableGenerator
+from repro.ops.pipeline import PreprocessingPipeline
+
+#: (model, rows, shards) -> digest at seed 0, serial == fan-out
+GOLDEN = {
+    ("RM1", 4096, 4): "f90c68c342d1501b8e012422335b7c97d97c734b827a38d5d65bee7b84a97113",
+    ("RM1", 1000, 3): "b021374163510c4d1ca6a34326c5f56865af5eb3d74850cecd4cf320b566c274",
+    ("RM5", 512, 2): "739f8d277053ec6a724f28e6e9367e148efd3f1b96c970f4e2238547a62097f3",
+    ("RM5", 300, 3): "59aa2cabbe4268875a9c35709cf00439524a2db5f3faed5992c6d6ba4df8edb3",
+    ("RM2", 512, 2): "6739d3856c06b92f485658dcda3c4fe15d17baac96710e77468c72bee40187e1",
+}
+
+
+@pytest.mark.parametrize("shape", GOLDEN)
+def test_serial_digest(shape):
+    model, rows, shards = shape
+    job = PreprocessJob(model, num_rows=rows, num_shards=shards)
+    assert job.run(parallel=False).digest == GOLDEN[shape]
+
+
+@pytest.mark.parametrize("shape", GOLDEN)
+def test_fan_out_digest(shape):
+    model, rows, shards = shape
+    job = PreprocessJob(model, num_rows=rows, num_shards=shards, processes=2)
+    assert job.run(parallel=True).digest == GOLDEN[shape]
+
+
+def test_cli_serial_digest_and_moved_byte_counts(capsys):
+    argv = ["preprocess", "--rows", "4096", "--shards", "4", "--serial", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["digest"] == GOLDEN[("RM1", 4096, 4)]
+    # the LEB128 writer produced 990,378 / 960,027 for this command
+    assert payload["file_bytes"] == 780_022
+    assert payload["bytes_read"] == 749_903
+
+
+def test_inline_run_releases_what_the_next_stage_consumed(monkeypatch):
+    """By the first transform every partition is gone; by the k-th, every
+    raw table before it is."""
+    job = PreprocessJob("RM1", num_rows=256, num_shards=4)
+    data = SyntheticTableGenerator(job.spec(), seed=0).generate(256)
+    executor = job.build_executor()
+    expected = [r.batch for r in executor.iter_shards(data)]
+
+    partitions, raws, alive_at_transform = [], [], []
+    partition_all = RowPartitioner.partition_all
+    run = PreprocessingPipeline.run
+
+    def watched_partition_all(self, table):
+        made = partition_all(self, table)
+        partitions.extend(weakref.ref(p) for p in made)
+        return made
+
+    def watched_run(self, raw, batch_id=0):
+        gc.collect()
+        label = raw[self.schema.label.name]
+        alive_at_transform.append((
+            sum(ref() is not None for ref in partitions),
+            sum(ref() is not None for ref in raws),
+        ))
+        raws.append(weakref.ref(label))
+        del label
+        return run(self, raw, batch_id=batch_id)
+
+    monkeypatch.setattr(RowPartitioner, "partition_all", watched_partition_all)
+    monkeypatch.setattr(PreprocessingPipeline, "run", watched_run)
+    results = executor.run(data, parallel=False)
+
+    assert len(partitions) == 4
+    # (partitions alive, earlier raw tables alive) at each of the 4 transforms
+    assert alive_at_transform == [(0, 0)] * 4
+    assert [r.index for r in results] == [0, 1, 2, 3]
+    assert minibatch_digest([r.batch for r in results]) == minibatch_digest(
+        expected
+    )
+    stats = [(r.file_bytes, r.bytes_read) for r in results]
+    assert stats == [
+        (r.file_bytes, r.bytes_read) for r in executor.iter_shards(data)
+    ]
