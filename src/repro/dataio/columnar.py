@@ -322,6 +322,16 @@ class ColumnarFileReader:
         if len(raw) != chunk.size:
             raise FormatError(f"chunk for {chunk.column!r} extends past end of file")
         self.bytes_read += chunk.size
+        # chunk framing is [codec][dtype][num-values varint]...: a CRC-valid
+        # header may declare any count, and a constant or run-length payload
+        # would make the decoder allocate it — the footer knows the truth
+        if len(raw) > 2:
+            declared, _ = enc.read_uvarint(raw, 2)
+            if declared != chunk.num_values:
+                raise FormatError(
+                    f"chunk for {chunk.column!r} declares {declared} values, "
+                    f"the footer says {chunk.num_values}"
+                )
         return enc.decode_column(raw)
 
     def _read_part(

@@ -58,31 +58,44 @@ class RowPartitioner:
         self.rows_per_partition = rows_per_partition
         self._writer = ColumnarFileWriter(schema, row_group_size=row_group_size)
 
-    def _slice(self, data: TableData, start: int, stop: int) -> TableData:
+    def num_partitions(self, data: TableData) -> int:
+        """How many partitions :meth:`partitions` yields for ``data``."""
+        num_rows = len(data[self.schema.label.name])
+        return len(range(0, num_rows, self.rows_per_partition))
+
+    def _slice(
+        self, data: TableData, start: int, stop: int, cursors: Dict[str, int]
+    ) -> TableData:
+        """Rows ``[start, stop)`` of every column, as views.
+
+        ``cursors`` holds, per sparse column, the offset of row ``start``
+        in its flat values and is advanced to row ``stop``: slicing costs
+        the shard's rows, never the table's.
+        """
         out: TableData = {}
         for column in self.schema.columns():
             raw = data[column.name]
             if column.kind is ColumnKind.SPARSE:
                 lengths, values = raw
-                offsets = np.concatenate(([0], np.cumsum(lengths)))
+                lengths = np.asarray(lengths[start:stop], dtype=np.int32)
+                first = cursors[column.name]
+                cursors[column.name] = last = first + int(lengths.sum())
                 out[column.name] = (
-                    np.asarray(lengths[start:stop], dtype=np.int32),
-                    np.asarray(
-                        values[offsets[start] : offsets[stop]], dtype=np.int64
-                    ),
+                    lengths, np.asarray(values[first:last], dtype=np.int64)
                 )
             else:
                 out[column.name] = np.asarray(raw[start:stop])
         return out
 
     def partitions(self, data: TableData) -> Iterator[Partition]:
-        """Yield partitions of ``data`` in row order."""
+        """Yield partitions of ``data`` in row order, one built at a time."""
         num_rows = len(data[self.schema.label.name])
         if num_rows == 0:
             raise PartitionError("cannot partition an empty table")
+        cursors = dict.fromkeys(self.schema.sparse_names, 0)
         for index, start in enumerate(range(0, num_rows, self.rows_per_partition)):
             stop = min(start + self.rows_per_partition, num_rows)
-            shard = self._slice(data, start, stop)
+            shard = self._slice(data, start, stop, cursors)
             yield Partition(
                 index=index,
                 row_start=start,

@@ -9,8 +9,10 @@ layer models that concurrency; this module *performs* it:
    into partitions, each serialized as its own columnar file (Store);
 2. every shard is read back column-selectively (Extract) and pushed
    through one shared :class:`~repro.ops.pipeline.PreprocessingPipeline`
-   (Transform) into a train-ready mini-batch;
-3. shards fan out across the worker processes of a
+   (Transform) into a train-ready mini-batch — inline, one shard at a
+   time: a partition is written, read, transformed and let go before the
+   next is sliced (:meth:`ShardExecutor.iter_shards`);
+3. or shards fan out across the worker processes of a
    :class:`~repro.batch.runner.BatchRunner` — the one process supervisor
    ``Sweep.run`` and ``run_experiments`` also use, so a shard worker that
    raises or is killed ends the run with a typed
@@ -29,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -46,32 +47,67 @@ from repro.ops.pipeline import OpCounts, PreprocessingPipeline
 StageCallback = Callable[[str, str, Dict[str, float]], None]
 
 
-@contextmanager
-def pipeline_stage(
-    name: str, notify: Optional[StageCallback], seed: int
-) -> Iterator[Dict[str, float]]:
-    """One pipeline stage: fault probe, ``started``, the timed body, then
-    ``completed`` with ``elapsed_s`` and the metrics the body put into the
-    yielded dict.  A raising body emits no ``completed``."""
-    fault_stage(name, seed=seed)
-    if notify is not None:
-        notify(name, "started", {})
-    metrics: Dict[str, float] = {}
-    start = time.perf_counter()
-    yield metrics
-    if notify is not None:
-        notify(
-            name, "completed",
-            {"elapsed_s": time.perf_counter() - start, **metrics},
-        )
+class pipeline_stage:
+    """One pipeline stage as a context manager, enterable once per shard.
+
+    The first entry runs the stage's fault probe, then emits ``started``.
+    Every entry times its body and hands it the stage's one metrics dict
+    (a body adds what it did with :func:`tally`).  The exit of entry number
+    ``entries`` — 1 by default, a plain ``with`` block — emits ``completed``
+    with ``elapsed_s``, the time spent inside the bodies, and the metrics.
+    A raising body emits no ``completed``, then or later.  :meth:`close`
+    completes a started stage whose remaining entries will not come (another
+    stage failed), with the counts it reached.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        notify: Optional[StageCallback],
+        seed: int,
+        entries: int = 1,
+    ) -> None:
+        self.name = name
+        self.notify = notify
+        self.seed = seed
+        self.metrics: Dict[str, float] = {}
+        self.elapsed_s = 0.0
+        self._remaining = entries
+        self._open = False  # started, and neither completed nor failed
+        self._entered_at: Optional[float] = None  # None until first entry
+
+    def __enter__(self) -> Dict[str, float]:
+        if self._entered_at is None:
+            fault_stage(self.name, seed=self.seed)
+            self._open = True
+            if self.notify is not None:
+                self.notify(self.name, "started", {})
+        self._entered_at = time.perf_counter()
+        return self.metrics
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self.elapsed_s += time.perf_counter() - self._entered_at
+        if exc_type is not None:
+            self._open = False
+            return
+        self._remaining -= 1
+        if self._remaining <= 0:
+            self.close()
+
+    def close(self) -> None:
+        if self._open:
+            self._open = False
+            if self.notify is not None:
+                self.notify(
+                    self.name, "completed",
+                    {"elapsed_s": self.elapsed_s, **self.metrics},
+                )
 
 
-def _drain(items: list) -> Iterator:
-    """Yield ``items`` in order, removing each from the list as it is handed
-    over, so the consumer's reference is the last one."""
-    items.reverse()
-    while items:
-        yield items.pop()
+def tally(metrics: Dict[str, float], **amounts: float) -> None:
+    """Add ``amounts`` to a stage's running metrics (absent keys start at 0)."""
+    for key, amount in amounts.items():
+        metrics[key] = metrics.get(key, 0) + amount
 
 
 def transform_shard(
@@ -131,9 +167,9 @@ class ShardExecutor:
 
     ``processes`` bounds the worker processes (default: the machine's CPU
     count); ``parallel=False`` — or a single shard, or a one-process
-    budget — runs the shards inline through
-    :meth:`PreprocessingPipeline.run_many`.  Either way the returned shards
-    are ordered by partition index and bit-identical between modes.
+    budget — runs the shards inline, one in flight (:meth:`iter_shards`).
+    Either way the returned shards are ordered by partition index and
+    bit-identical between modes.
     """
 
     def __init__(
@@ -190,14 +226,16 @@ class ShardExecutor:
         """Preprocess every partition of ``data``; results in shard order.
 
         ``on_stage(stage, status, metrics)`` fires with status ``started``
-        then ``completed`` (with summary metrics) for each stage this
-        process runs: ``partition`` (slice + columnar write) always, then
-        on the inline path ``extract`` (selective column read of every
-        shard) and ``transform`` (one fused op-pipeline pass).  On the
-        fan-out path Extract and Transform interleave per shard inside the
-        worker processes and report no stage of their own.  A failing
-        stage raises; the caller records the failure and marks the stages
-        that never ran as skipped.
+        then ``completed`` (with summary metrics), once each, for each
+        stage this process runs.  The inline path is :meth:`iter_shards`,
+        collected: ``partition`` (slice + columnar write), ``extract``
+        (selective column read) and ``transform`` (the op pipeline) take
+        turns shard by shard, so their events overlap as described there.
+        The fan-out path materializes every partition first (its tasks
+        must exist up front) and reports ``partition`` only: Extract and
+        Transform interleave per shard inside the worker processes.  A
+        failing stage raises; the caller records the failure and marks the
+        stages that never ran as skipped.
 
         Errors: inline, a shard that cannot be transformed raises the
         pipeline's own error (e.g. ``PipelineError``).  On the fan-out
@@ -206,63 +244,19 @@ class ShardExecutor:
         task, its outcome (``failed`` / ``interrupted``) and the original
         ``ErrorType: message`` text.
         """
+        # fan out only when more than one worker would get a shard
+        shards = self.partitioner.num_partitions(data)
+        if not (parallel and self.runner.policy.worker_count(shards) > 1):
+            return list(self.iter_shards(data, on_stage))
         seed = self.pipeline.generator_seed
         with pipeline_stage("partition", on_stage, seed) as metrics:
             partitions = self.partitioner.partition_all(data)
             metrics["shards"] = len(partitions)
             metrics["rows"] = sum(p.num_rows for p in partitions)
             metrics["file_bytes"] = sum(p.size for p in partitions)
-        # fan out only when more than one worker would get a shard
-        if parallel and self.runner.policy.worker_count(len(partitions)) > 1:
-            outcomes = self.runner.run(
-                [(p.index, p.file_bytes) for p in partitions]
-            )
-            # outcomes come back in input order, so parallel == serial order
-            return [outcome.result for outcome in outcomes]
-        # inline: Extract every shard, then one fused Transform pass; each
-        # stage lets go of what it consumed (file bytes, then raw tables)
-        with pipeline_stage("extract", on_stage, seed) as metrics:
-            raws, accounts = self._extract_all(partitions)
-            metrics["bytes_read"] = sum(read for _, _, read in accounts)
-            metrics["file_bytes"] = sum(size for _, size, _ in accounts)
-        with pipeline_stage("transform", on_stage, seed) as metrics:
-            transformed = self.pipeline.run_many(
-                _drain(raws), start_batch_id=accounts[0][0] if accounts else 0
-            )
-            results = [
-                ShardResult(
-                    index=index,
-                    batch=batch,
-                    counts=counts,
-                    file_bytes=size,
-                    bytes_read=read,
-                )
-                for (index, size, read), (batch, counts) in zip(
-                    accounts, transformed
-                )
-            ]
-            metrics["batches"] = len(results)
-            metrics["transform_elements"] = sum(
-                r.counts.transform_elements for r in results
-            )
-        return results
-
-    def _extract_all(
-        self, partitions: List[Partition]
-    ) -> Tuple[List[TableData], List[Tuple[int, int, int]]]:
-        """Read every partition's required columns, emptying ``partitions``.
-
-        Returns the raw tables and one ``(index, file size, bytes read)``
-        per shard; no partition or reader outlives its own read.
-        """
-        wanted = self.pipeline.required_columns()
-        raws: List[TableData] = []
-        accounts: List[Tuple[int, int, int]] = []
-        for partition in _drain(partitions):
-            reader = ColumnarFileReader(partition.file_bytes)
-            raws.append(reader.read_columns(wanted))
-            accounts.append((partition.index, partition.size, reader.bytes_read))
-        return raws, accounts
+        outcomes = self.runner.run([(p.index, p.file_bytes) for p in partitions])
+        # outcomes come back in input order, so parallel == serial order
+        return [outcome.result for outcome in outcomes]
 
     def run_staged(
         self, data: TableData, on_stage: Optional[StageCallback] = None
@@ -271,12 +265,70 @@ class ShardExecutor:
         ``run(data, parallel=False, on_stage=on_stage)``."""
         return self.run(data, parallel=False, on_stage=on_stage)
 
-    def iter_shards(self, data: TableData) -> Iterator[ShardResult]:
-        """Stream shards serially without materializing every partition."""
-        for partition in self.partitioner.partitions(data):
-            yield transform_shard(
-                self.pipeline, (partition.index, partition.file_bytes)
+    def iter_shards(
+        self, data: TableData, on_stage: Optional[StageCallback] = None
+    ) -> Iterator[ShardResult]:
+        """The inline path: stream shards in order, one in flight.
+
+        Each partition is written, read back, transformed and yielded
+        before the next is sliced, and each step lets go of what it
+        consumed — the file once its columns are read, the raw table once
+        transformed — so the run holds one shard's file + raw table beside
+        its results, however many shards ``data`` has.
+
+        The three stages therefore overlap, and each is one
+        :class:`pipeline_stage` entered once per shard: probe and
+        ``started`` on its first shard, ``completed`` (summed metrics,
+        ``elapsed_s`` = time inside its bodies) after its last.  One shard
+        reads ``P s, P c, E s, E c, T s, T c``; n shards ``P s, E s, T s,
+        ..., P c, E c, T c``.  When a body raises, its stage stays without
+        ``completed`` and the others are closed with the counts they
+        reached.
+        """
+        seed = self.pipeline.generator_seed
+        # an empty table still enters the partition stage, and raises there
+        shards = max(1, self.partitioner.num_partitions(data))
+        stages = [
+            pipeline_stage(name, on_stage, seed, entries=shards)
+            for name in ("partition", "extract", "transform")
+        ]
+        partitions = self.partitioner.partitions(data)
+        try:
+            for _ in range(shards):
+                yield self._staged_shard(partitions, *stages)
+        finally:
+            for stage in stages:
+                stage.close()
+
+    def _staged_shard(
+        self,
+        partitions: Iterator[Partition],
+        partition: pipeline_stage,
+        extract: pipeline_stage,
+        transform: pipeline_stage,
+    ) -> ShardResult:
+        """The next partition through write -> read -> transform, each step
+        inside its stage; nothing of the shard outlives this frame but the
+        result."""
+        with partition as metrics:
+            part = next(partitions)
+            tally(metrics, shards=1, rows=part.num_rows, file_bytes=part.size)
+        with extract as metrics:
+            reader = ColumnarFileReader(part.file_bytes)
+            raw = reader.read_columns(self.pipeline.required_columns())
+            index, size, read = part.index, part.size, reader.bytes_read
+            del part, reader  # the file is gone before its table is transformed
+            tally(metrics, bytes_read=read, file_bytes=size)
+        with transform as metrics:
+            batch, counts = self.pipeline.run(raw, batch_id=index)
+            del raw
+            tally(
+                metrics, batches=1, transform_elements=counts.transform_elements
             )
+        return ShardResult(
+            index=index, batch=batch, counts=counts,
+            file_bytes=size, bytes_read=read,
+        )
 
 
 def run_preprocessing(

@@ -19,9 +19,12 @@ paper's pseudocode literally; property tests assert they agree.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.errors import OpError
+from repro.ops.dest import destination
 
 
 def _check_boundaries(boundaries: np.ndarray) -> np.ndarray:
@@ -61,15 +64,18 @@ class Bucketizer:
     def __init__(self, boundaries: np.ndarray) -> None:
         self.boundaries = _check_boundaries(boundaries)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
+    def __call__(
+        self, values: np.ndarray, *, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Bucket ids of ``values`` into ``out`` (int64, same shape;
+        allocated when not given), which is returned."""
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise OpError(
                 f"bucketize input must be 1-D, got shape {values.shape}"
             )
-        out = np.searchsorted(self.boundaries, values, side="right").astype(
-            np.int64
-        )
+        out = destination("bucketize", out, values.shape, np.int64)
+        out[...] = np.searchsorted(self.boundaries, values, side="right")
         nan_mask = np.isnan(values)
         if nan_mask.any():
             out[nan_mask] = 0

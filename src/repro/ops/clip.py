@@ -15,21 +15,37 @@ parallelism as the three headline ops.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import OpError
+from repro.ops.dest import destination
 
 
-def clamp(values: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Clamp a dense column into ``[low, high]`` (NaNs pass through)."""
+def clamp(
+    values: np.ndarray,
+    low: float,
+    high: float,
+    *,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Clamp a dense column into ``[low, high]`` (NaNs pass through).
+
+    float32 out: into ``out`` (same shape; may be ``values`` itself) when
+    given, else a fresh array.
+    """
     if low > high:
         raise OpError(f"clamp range is empty: [{low}, {high}]")
     values = np.asarray(values)
     if values.ndim != 1:
         raise OpError(f"clamp input must be 1-D, got shape {values.shape}")
-    return np.clip(values, low, high).astype(np.float32)
+    if out is None:
+        return np.clip(values, low, high).astype(np.float32)
+    return np.clip(
+        values, low, high,
+        out=destination("clamp", out, values.shape, np.float32),
+    )
 
 
 def truncate_list(
@@ -38,7 +54,8 @@ def truncate_list(
     """Keep at most the last ``max_length`` ids of every row's list.
 
     Keeping the tail preserves the most recent interactions, matching the
-    recency bias of production history truncation.
+    recency bias of production history truncation.  A column with no
+    over-long row is returned as it came, not copied.
     """
     if max_length <= 0:
         raise OpError("max_length must be positive")
@@ -49,14 +66,13 @@ def truncate_list(
     if int(lengths.sum()) != len(values):
         raise OpError("lengths do not sum to len(values)")
     if not len(lengths) or lengths.max(initial=0) <= max_length:
-        return lengths.copy(), values.copy()
+        return lengths, values
 
     new_lengths = np.minimum(lengths, max_length)
-    out = np.empty(int(new_lengths.sum()), dtype=np.int64)
-    in_offsets = np.concatenate(([0], np.cumsum(lengths)))
-    out_offsets = np.concatenate(([0], np.cumsum(new_lengths)))
-    for row in range(len(lengths)):
-        stop = in_offsets[row + 1]
-        start = stop - new_lengths[row]  # tail of the row's list
-        out[out_offsets[row] : out_offsets[row + 1]] = values[start:stop]
-    return new_lengths, out
+    # output position p of row r reads values[tail_start[r] + p - out_start[r]]:
+    # one per-row shift repeated over the row's kept ids, one gather
+    tail_starts = np.cumsum(lengths, dtype=np.int64) - new_lengths
+    out_starts = np.cumsum(new_lengths, dtype=np.int64) - new_lengths
+    source = np.repeat(tail_starts - out_starts, new_lengths)
+    source += np.arange(len(source))
+    return new_lengths, values[source]

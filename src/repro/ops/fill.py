@@ -8,19 +8,30 @@ part of the "Else" slice in the paper's Figure 5 breakdown.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import OpError
+from repro.ops.dest import destination
 
 
-def fill_dense(values: np.ndarray, fill_value: float = 0.0) -> np.ndarray:
-    """Replace NaNs in a dense column with ``fill_value`` (float32 out)."""
+def fill_dense(
+    values: np.ndarray,
+    fill_value: float = 0.0,
+    *,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Replace NaNs in a dense column with ``fill_value`` (float32 out).
+
+    The result lands in ``out`` (float32, same shape) when given, else in a
+    fresh array; either way it is returned.
+    """
     values = np.asarray(values)
     if values.ndim != 1:
         raise OpError(f"fill_dense input must be 1-D, got shape {values.shape}")
-    out = values.astype(np.float32, copy=True)
+    out = destination("fill_dense", out, values.shape, np.float32)
+    np.copyto(out, values, casting="unsafe")  # the cast astype would do
     nan_mask = np.isnan(out)
     if nan_mask.any():
         out[nan_mask] = fill_value
@@ -34,6 +45,7 @@ def fill_sparse(
 
     Embedding lookups need at least one index per (sample, feature) for the
     pooled reduction to be defined; TorchRec pads empty bags the same way.
+    A column with no empty row is returned as it came, not copied.
     """
     lengths = np.asarray(lengths, dtype=np.int32)
     values = np.asarray(values, dtype=np.int64)
@@ -46,14 +58,12 @@ def fill_sparse(
         return lengths, values
     new_lengths = lengths.copy()
     new_lengths[empty] = 1
-    out = np.empty(int(new_lengths.sum()), dtype=np.int64)
-    # positions of each row's slice in the output
-    out_offsets = np.concatenate(([0], np.cumsum(new_lengths)))
-    in_offsets = np.concatenate(([0], np.cumsum(lengths)))
-    for row in range(len(lengths)):
-        start, stop = out_offsets[row], out_offsets[row + 1]
-        if empty[row]:
-            out[start] = default_id
-        else:
-            out[start:stop] = values[in_offsets[row] : in_offsets[row + 1]]
+    # the output is ``values`` in order with one default id spliced in at
+    # the start offset of every empty row: a masked store, no row loop
+    row_starts = np.cumsum(new_lengths) - new_lengths
+    is_default = np.zeros(len(values) + int(empty.sum()), dtype=bool)
+    is_default[row_starts[empty]] = True
+    out = np.empty(len(is_default), dtype=np.int64)
+    out[is_default] = default_id
+    out[~is_default] = values
     return new_lengths, out

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import OpError
+from repro.ops.dest import destination
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,26 +51,24 @@ def sigrid_hash_scalar(value: int, seed: int, max_value: int) -> int:
     return hash64(value, seed) % max_value
 
 
-def _hash64_vec(
-    values: np.ndarray, seed: int, gamma: Optional[np.uint64] = None
-) -> np.ndarray:
-    """Vectorized splitmix64 over an int64/uint64 column."""
-    h = values.astype(np.uint64, copy=False)
+def _hash64_into(h: np.ndarray, values: np.ndarray, gamma: np.uint64) -> None:
+    """Vectorized splitmix64 of ``values`` into the uint64 array ``h``.
+
+    Every step runs in place in ``h``; the only temporary is one scratch
+    for the shifted term, reused by all three xor-shifts.
+    """
+    np.copyto(h, values, casting="unsafe")  # two's-complement, as astype
+    scratch = np.empty_like(h)
     with np.errstate(over="ignore"):
-        if gamma is None:
-            gamma = np.uint64((_GAMMA * (seed + 1)) & _MASK64)
-        if h is values:
-            # uint64 input: the add allocates the owned intermediate
-            h = h + gamma
-        else:
-            # astype already copied; every later op can run in place
-            h += gamma
-        h ^= h >> np.uint64(30)
+        h += gamma
+        np.right_shift(h, np.uint64(30), out=scratch)
+        h ^= scratch
         h *= np.uint64(_MIX1)
-        h ^= h >> np.uint64(27)
+        np.right_shift(h, np.uint64(27), out=scratch)
+        h ^= scratch
         h *= np.uint64(_MIX2)
-        h ^= h >> np.uint64(31)
-    return h
+        np.right_shift(h, np.uint64(31), out=scratch)
+        h ^= scratch
 
 
 class SigridHasher:
@@ -90,7 +89,11 @@ class SigridHasher:
         self._gamma = np.uint64((_GAMMA * (seed + 1)) & _MASK64)
         self._modulus = np.uint64(max_value)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
+    def __call__(
+        self, values: np.ndarray, *, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Hash ``values`` into ``out`` (int64, same shape; allocated when
+        not given) and return it.  The mix runs in the destination itself."""
         values = np.asarray(values)
         if values.ndim != 1:
             raise OpError(
@@ -98,8 +101,11 @@ class SigridHasher:
             )
         if not np.issubdtype(values.dtype, np.integer):
             raise OpError("sigrid_hash input must be integer ids")
-        hashed = _hash64_vec(values, self.seed, self._gamma)
-        return (hashed % self._modulus).astype(np.int64)
+        out = destination("sigrid_hash", out, values.shape, np.int64)
+        hashed = out.view(np.uint64)
+        _hash64_into(hashed, values, self._gamma)
+        np.remainder(hashed, self._modulus, out=hashed)
+        return out
 
 
 def sigrid_hash(values: np.ndarray, seed: int, max_value: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import collections
 import json
 import pathlib
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from repro.dataio.columnar import (
     default_encoding_policy,
     write_table,
 )
-from repro.dataio.encoding import Encoding
+from repro.dataio import columnar
+from repro.dataio.encoding import (
+    Encoding,
+    encode_column,
+    read_uvarint,
+    write_uvarint,
+)
 from repro.dataio.schema import ColumnKind, TableSchema
 from repro.errors import EncodingError, FormatError
 from repro.features.synthetic import SyntheticTableGenerator
@@ -291,3 +298,60 @@ class TestDamagedFiles:
                 ColumnarFileReader(
                     with_footer(self.BUFFER, edit)
                 ).read_columns(self.NAMES)
+
+    @pytest.mark.parametrize(
+        "column, part, codec",
+        [("label", PART_VALUES, Encoding.RLE),
+         ("cat_0", PART_LENGTHS, Encoding.PACKED)],
+    )
+    def test_chunk_declaring_a_huge_count(self, column, part, codec, monkeypatch):
+        """A CRC-valid chunk whose header says 2**40 values over a constant
+        payload (``PACKED`` width 0, one ``RLE`` run) would make the decoder
+        ask numpy for terabytes; the reader refuses it on the footer's
+        ``num_values`` before any decoding."""
+        footer = ColumnarFileReader(self.BUFFER).footer
+        entry = footer.chunks_for(column, part)[0]
+        dtype = np.int8 if column == "label" else np.int32
+        honest = encode_column(np.ones(entry.num_values, dtype=dtype), codec)
+
+        def swapped(chunk: bytes) -> bytes:
+            """``BUFFER`` with ``entry``'s chunk replaced and the footer's
+            sizes and offsets moved to match."""
+            grow = len(chunk) - entry.size
+
+            def edit(footer):
+                for item in footer["chunks"]:
+                    if item["offset"] == entry.offset:
+                        item["size"] = len(chunk)
+                    elif item["offset"] > entry.offset:
+                        item["offset"] += grow
+
+            end = entry.offset + entry.size
+            return with_footer(
+                self.BUFFER[:entry.offset] + chunk + self.BUFFER[end:], edit
+            )
+
+        # the honest constant chunk reads back: the surgery itself is sound
+        table = ColumnarFileReader(swapped(honest)).read_columns(self.NAMES)
+        values = table[column][0] if part == PART_LENGTHS else table[column]
+        assert values[:entry.num_values].tolist() == [1] * entry.num_values
+
+        # same payload, header count 2**40 (RLE: one run of 2**40), CRC redone
+        body = bytearray(honest[:2])
+        write_uvarint(2**40, body)
+        _, payload_at = read_uvarint(honest, 2)
+        if codec is Encoding.RLE:
+            write_uvarint(2, body)  # zig-zag of the value 1
+            write_uvarint(2**40, body)
+        else:
+            body += honest[payload_at:-4]
+        hostile = bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+        def must_not_decode(chunk):
+            raise AssertionError("the hostile chunk reached the decoder")
+
+        reader = ColumnarFileReader(swapped(hostile))
+        monkeypatch.setattr(columnar.enc, "decode_column", must_not_decode)
+        with pytest.raises(FormatError, match=f"declares {2**40} values"):
+            reader.read_column(column)
+

@@ -1,5 +1,7 @@
 """Tests for the shard-parallel preprocessing executor and PreprocessJob."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -219,16 +221,31 @@ class TestStageTelemetry:
             (stage, status, list(metrics))
         )
 
+    @staticmethod
+    def completed_recorder():
+        """stage -> its ``completed`` metrics, values included."""
+        done = {}
+
+        def record(stage, status, metrics):
+            if status == "completed":
+                done[stage] = dict(metrics)
+
+        return done, record
+
     def test_inline_run_reports_three_stages(self, pipeline, raw_table):
+        """The inline stages take turns shard by shard, so with 4 shards
+        every stage starts (on shard 0) before any completes (on shard 3).
+        PR 18 moved this once, from the table-at-once order; one shard
+        still reads the way every run did before."""
         events, record = self.recorder()
         executor = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS)
         staged = executor.run(raw_table, parallel=False, on_stage=record)
         assert events == [
             ("partition", "started", []),
-            ("partition", "completed", self.PARTITION),
             ("extract", "started", []),
-            ("extract", "completed", self.EXTRACT),
             ("transform", "started", []),
+            ("partition", "completed", self.PARTITION),
+            ("extract", "completed", self.EXTRACT),
             ("transform", "completed", self.TRANSFORM),
         ]
         # run_staged is the same path under the service's name for it
@@ -238,6 +255,93 @@ class TestStageTelemetry:
         assert minibatch_digest([r.batch for r in delegated]) == (
             minibatch_digest([r.batch for r in staged])
         )
+
+    def test_one_shard_reads_as_every_run_used_to(self, pipeline, raw_table):
+        events, record = self.recorder()
+        executor = ShardExecutor.for_shards(pipeline, 1, NUM_ROWS)
+        executor.run(raw_table, parallel=False, on_stage=record)
+        assert events == [
+            ("partition", "started", []),
+            ("partition", "completed", self.PARTITION),
+            ("extract", "started", []),
+            ("extract", "completed", self.EXTRACT),
+            ("transform", "started", []),
+            ("transform", "completed", self.TRANSFORM),
+        ]
+
+    def test_overlapped_stages_sum_what_the_shards_did(self, pipeline, raw_table):
+        """Same metric values as the table-at-once run reported, and
+        ``elapsed_s`` is time inside the stage's bodies: the three sum to
+        at most the wall."""
+        done, record = self.completed_recorder()
+        executor = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS)
+        start = time.perf_counter()
+        results = executor.run(raw_table, parallel=False, on_stage=record)
+        wall = time.perf_counter() - start
+        elapsed = {stage: metrics.pop("elapsed_s") for stage, metrics in done.items()}
+        assert all(seconds > 0 for seconds in elapsed.values())
+        assert sum(elapsed.values()) <= wall
+        stats = ShardRunStats.from_results(results)
+        assert done == {
+            "partition": {
+                "shards": 4, "rows": NUM_ROWS, "file_bytes": stats.file_bytes,
+            },
+            "extract": {
+                "bytes_read": stats.bytes_read, "file_bytes": stats.file_bytes,
+            },
+            "transform": {
+                "batches": 4, "transform_elements": stats.transform_elements,
+            },
+        }
+        assert all(
+            type(value) is int for metrics in done.values()
+            for value in metrics.values()
+        )
+
+    def test_raising_transform_leaves_only_transform_open(
+        self, pipeline, raw_table, monkeypatch
+    ):
+        """Shard 2 of 4 blows up in Transform: ``started - completed`` is
+        exactly that stage, and the others close with what they reached."""
+        run = PreprocessingPipeline.run
+
+        def failing_run(self, raw, batch_id=0):
+            if batch_id == 2:
+                raise PipelineError("shard 2 is cursed")
+            return run(self, raw, batch_id=batch_id)
+
+        monkeypatch.setattr(PreprocessingPipeline, "run", failing_run)
+        events, record = self.recorder()
+        done, record_done = self.completed_recorder()
+
+        def both(stage, status, metrics):
+            record(stage, status, metrics)
+            record_done(stage, status, metrics)
+
+        executor = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS)
+        with pytest.raises(PipelineError, match="cursed"):
+            executor.run(raw_table, parallel=False, on_stage=both)
+        assert events == [
+            ("partition", "started", []),
+            ("extract", "started", []),
+            ("transform", "started", []),
+            ("partition", "completed", self.PARTITION),
+            ("extract", "completed", self.EXTRACT),
+        ]
+        assert done["partition"]["shards"] == 3  # shards 0, 1 and the fatal 2
+        assert done["partition"]["rows"] == 3 * (NUM_ROWS // 4)
+        assert done["extract"]["file_bytes"] == done["partition"]["file_bytes"]
+
+    def test_abandoned_stream_closes_its_stages(self, pipeline, raw_table):
+        done, record = self.completed_recorder()
+        executor = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS)
+        stream = executor.iter_shards(raw_table, on_stage=record)
+        assert next(stream).index == 0
+        assert done == {}
+        stream.close()
+        assert done["partition"]["shards"] == 1
+        assert done["extract"]["file_bytes"] == done["partition"]["file_bytes"]
+        assert done["transform"]["batches"] == 1
 
     def test_fan_out_reports_partition_only(self, pipeline, raw_table):
         events, record = self.recorder()
@@ -278,3 +382,34 @@ class TestStageTelemetry:
             with pytest.raises(FaultError, match="stage-error"):
                 job.run(parallel=False)
         assert injector.fire_counts() == {"stage-error:error": 1}
+
+    @pytest.mark.parametrize(
+        "stage, closed", [("extract", ["partition"]),
+                          ("transform", ["partition", "extract"])],
+    )
+    def test_overlapped_stage_probes_raise_on_first_entry(self, stage, closed):
+        """A 4-shard inline run probes each stage once, on shard 0, in the
+        order partition, extract, transform; the stages before the one
+        whose probe raised are closed ``completed``."""
+        events, record = self.recorder()
+        rule = FaultRule("stage-error", rate=1.0, match={"stage": stage})
+        job = PreprocessJob(model="RM1", num_rows=64, num_shards=4)
+        with installed(FaultInjector(FaultPlan(seed=0, rules=(rule,)))) as injector:
+            with pytest.raises(FaultError, match="stage-error"):
+                job.run(parallel=False, on_stage=record)
+        assert injector.fire_counts() == {"stage-error:error": 1}
+        assert [s for s, status, _ in events if status == "started"] == (
+            ["generate"] + closed  # the probe fires before ``started``
+        )
+        assert [s for s, status, _ in events if status == "completed"] == (
+            ["generate"] + closed
+        )
+
+    def test_every_stage_is_probed_once_however_many_shards(self):
+        rule = FaultRule("slow-stage", rate=1.0, delay_s=0.0)
+        job = PreprocessJob(model="RM1", num_rows=64, num_shards=4)
+        with installed(FaultInjector(FaultPlan(seed=0, rules=(rule,)))) as injector:
+            job.run(parallel=False)
+        # generate, partition, extract, transform
+        assert injector.fire_counts() == {"slow-stage:delay": 4}
+

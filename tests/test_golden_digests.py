@@ -8,8 +8,9 @@ train-ready bytes fails here instead of only disagreeing with itself
 codec; the digests are not.  CI's ``serve-smoke`` job asserts the first
 literal against the ``repro preprocess`` command line.
 
-Also here: the inline executor path must let go of each stage's input once
-the next stage has consumed it, with the same results.
+Also here: the inline executor path holds one shard at a time — it lets go
+of each step's input once the next has consumed it, and does not slice the
+next partition before the current one is transformed.
 """
 
 import gc
@@ -21,6 +22,7 @@ import pytest
 from repro.api import PreprocessJob
 from repro.api.preprocess import minibatch_digest
 from repro.cli import main
+from repro.dataio.columnar import ColumnarFileReader
 from repro.dataio.partition import RowPartitioner
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops.pipeline import PreprocessingPipeline
@@ -60,45 +62,60 @@ def test_cli_serial_digest_and_moved_byte_counts(capsys):
 
 
 def test_inline_run_releases_what_the_next_stage_consumed(monkeypatch):
-    """By the first transform every partition is gone; by the k-th, every
-    raw table before it is."""
+    """One shard in flight: at the k-th transform no partition, reader or
+    earlier raw table is alive, and partition k + 1 does not exist yet."""
     job = PreprocessJob("RM1", num_rows=256, num_shards=4)
     data = SyntheticTableGenerator(job.spec(), seed=0).generate(256)
     executor = job.build_executor()
-    expected = [r.batch for r in executor.iter_shards(data)]
 
-    partitions, raws, alive_at_transform = [], [], []
-    partition_all = RowPartitioner.partition_all
+    partitions, readers, raws, at_transform = [], [], [], []
+    make_partitions = RowPartitioner.partitions
+    reader_init = ColumnarFileReader.__init__
     run = PreprocessingPipeline.run
 
-    def watched_partition_all(self, table):
-        made = partition_all(self, table)
-        partitions.extend(weakref.ref(p) for p in made)
-        return made
+    def watched_partitions(self, table):
+        # hand each partition over without keeping it in this frame
+        made, box = make_partitions(self, table), []
+        while True:
+            try:
+                box.append(next(made))
+            except StopIteration:
+                return
+            partitions.append(weakref.ref(box[0]))
+            yield box.pop()
+
+    def watched_reader_init(self, buffer):
+        readers.append(weakref.ref(self))
+        reader_init(self, buffer)
 
     def watched_run(self, raw, batch_id=0):
         gc.collect()
         label = raw[self.schema.label.name]
-        alive_at_transform.append((
+        at_transform.append((
+            len(partitions),
             sum(ref() is not None for ref in partitions),
+            sum(ref() is not None for ref in readers),
             sum(ref() is not None for ref in raws),
         ))
         raws.append(weakref.ref(label))
         del label
         return run(self, raw, batch_id=batch_id)
 
-    monkeypatch.setattr(RowPartitioner, "partition_all", watched_partition_all)
+    monkeypatch.setattr(RowPartitioner, "partitions", watched_partitions)
+    monkeypatch.setattr(ColumnarFileReader, "__init__", watched_reader_init)
     monkeypatch.setattr(PreprocessingPipeline, "run", watched_run)
     results = executor.run(data, parallel=False)
 
-    assert len(partitions) == 4
-    # (partitions alive, earlier raw tables alive) at each of the 4 transforms
-    assert alive_at_transform == [(0, 0)] * 4
+    # (partitions made so far, partitions / readers / earlier raws alive)
+    assert at_transform == [(k + 1, 0, 0, 0) for k in range(4)]
     assert [r.index for r in results] == [0, 1, 2, 3]
-    assert minibatch_digest([r.batch for r in results]) == minibatch_digest(
-        expected
-    )
-    stats = [(r.file_bytes, r.bytes_read) for r in results]
-    assert stats == [
-        (r.file_bytes, r.bytes_read) for r in executor.iter_shards(data)
-    ]
+
+    # iter_shards is the same generator, uncollected: field for field
+    streamed = list(executor.iter_shards(data))
+    assert len(streamed) == len(results)
+    for one, other in zip(streamed, results):
+        assert (one.index, one.counts, one.file_bytes, one.bytes_read) == (
+            other.index, other.counts, other.file_bytes, other.bytes_read
+        )
+        assert minibatch_digest([one.batch]) == minibatch_digest([other.batch])
+        assert one.batch.batch_id == other.batch.batch_id == one.index

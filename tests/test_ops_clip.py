@@ -1,5 +1,7 @@
 """Tests for the clamp and truncate_list operators."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from repro.errors import OpError, PipelineError
 from repro.features.specs import get_model
 from repro.features.synthetic import generate_raw_table
 from repro.ops.clip import clamp, truncate_list
+from repro.ops.fill import fill_sparse
 from repro.ops.pipeline import PreprocessingPipeline
 
 
@@ -83,6 +86,99 @@ class TestTruncateList:
             kept = new_values[out_off[row] : out_off[row + 1]]
             original = values[in_off[row] : in_off[row + 1]]
             np.testing.assert_array_equal(kept, original[len(original) - len(kept):])
+
+
+def truncate_list_scalar(lengths, values, max_length):
+    """The row-at-a-time loop ``truncate_list`` ran before it became offset
+    arithmetic: the reference the vectorized form must reproduce."""
+    new_lengths = np.minimum(lengths, max_length)
+    out = np.empty(int(new_lengths.sum()), dtype=np.int64)
+    in_offsets = np.concatenate(([0], np.cumsum(lengths)))
+    out_offsets = np.concatenate(([0], np.cumsum(new_lengths)))
+    for row in range(len(lengths)):
+        stop = in_offsets[row + 1]
+        start = stop - new_lengths[row]  # tail of the row's list
+        out[out_offsets[row] : out_offsets[row + 1]] = values[start:stop]
+    return new_lengths, out
+
+
+class TestTruncateListVectorized:
+    @staticmethod
+    def check(lengths, max_length):
+        lengths = np.array(lengths, dtype=np.int32)
+        values = np.arange(int(lengths.sum()), dtype=np.int64) * 7 - 3
+        expected_lengths, expected = truncate_list_scalar(lengths, values, max_length)
+        new_lengths, new_values = truncate_list(lengths, values, max_length)
+        assert new_lengths.dtype == np.int32 and new_values.dtype == np.int64
+        np.testing.assert_array_equal(new_lengths, expected_lengths)
+        np.testing.assert_array_equal(new_values, expected)
+
+    @given(
+        lengths=st.lists(st.integers(0, 9), min_size=0, max_size=40),
+        max_length=st.integers(1, 10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_row_loop_on_jagged_input(self, lengths, max_length):
+        self.check(lengths, max_length)
+
+    @pytest.mark.parametrize(
+        "lengths, max_length",
+        [
+            ([0, 0, 0], 2),           # all empty
+            ([5, 9, 7, 6], 2),        # all over-long
+            ([5, 9, 7, 6], 1),        # max_length = 1: the last id of each row
+            ([0, 4, 0, 1, 0, 8], 1),  # empty rows between over-long ones
+            ([3], 3),                 # nothing to do
+            ([], 4),
+        ],
+    )
+    def test_edges(self, lengths, max_length):
+        self.check(lengths, max_length)
+
+    def test_nothing_to_truncate_returns_the_inputs(self):
+        lengths = np.array([1, 2], dtype=np.int32)
+        values = np.array([7, 8, 9], dtype=np.int64)
+        same_lengths, same_values = truncate_list(lengths, values, 2)
+        assert same_lengths is lengths and same_values is values
+
+
+def count_lines(function, *args):
+    """Python lines executed inside ``function``'s own frame for one call."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not function.__code__:
+            return None
+        if event == "line":
+            lines += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+class TestNoRowLoops:
+    """One over-long row sent every row of a column through a Python loop
+    in ``truncate_list`` (9.4 ms per 8,192 rows), one empty row did the same
+    in ``fill_sparse`` (8.4 ms).  Counted, not timed: the Python lines
+    executed must not grow with the rows."""
+
+    @pytest.mark.parametrize(
+        "op, odd_length, args", [(truncate_list, 40, (10,)), (fill_sparse, 0, ())]
+    )
+    def test_lines_executed_do_not_grow_with_rows(self, op, odd_length, args):
+        def lines_executed(rows):
+            lengths = np.full(rows, 3, dtype=np.int32)
+            lengths[1] = odd_length
+            values = np.arange(int(lengths.sum()), dtype=np.int64)
+            return count_lines(op, lengths, values, *args)
+
+        assert 0 < lines_executed(4096) == lines_executed(8)
 
 
 class TestPipelineIntegration:

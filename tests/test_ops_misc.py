@@ -100,6 +100,48 @@ class TestFillSparse:
         np.testing.assert_array_equal(kept, values)
 
 
+def fill_sparse_scalar(lengths, values, default_id=0):
+    """The row-at-a-time loop ``fill_sparse`` ran before it became a masked
+    store: the reference the vectorized form must reproduce."""
+    empty = lengths == 0
+    new_lengths = lengths.copy()
+    new_lengths[empty] = 1
+    out = np.empty(int(new_lengths.sum()), dtype=np.int64)
+    out_offsets = np.concatenate(([0], np.cumsum(new_lengths)))
+    in_offsets = np.concatenate(([0], np.cumsum(lengths)))
+    for row in range(len(lengths)):
+        start, stop = out_offsets[row], out_offsets[row + 1]
+        if empty[row]:
+            out[start] = default_id
+        else:
+            out[start:stop] = values[in_offsets[row] : in_offsets[row + 1]]
+    return new_lengths, out
+
+
+class TestFillSparseVectorized:
+    @staticmethod
+    def check(lengths, default_id=-7):
+        lengths = np.array(lengths, dtype=np.int32)
+        values = np.arange(int(lengths.sum()), dtype=np.int64) * 5 + 11
+        expected_lengths, expected = fill_sparse_scalar(lengths, values, default_id)
+        new_lengths, new_values = fill_sparse(lengths, values, default_id)
+        assert new_lengths.dtype == np.int32 and new_values.dtype == np.int64
+        np.testing.assert_array_equal(new_lengths, expected_lengths)
+        np.testing.assert_array_equal(new_values, expected)
+
+    @given(lengths=st.lists(st.integers(0, 6), min_size=0, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_row_loop_on_jagged_input(self, lengths):
+        self.check(lengths)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[0, 0, 0], [0], [0, 3, 0, 0, 2, 0], [4, 0], [0, 4], [2, 3], []],
+    )
+    def test_edges(self, lengths):
+        self.check(lengths)
+
+
 class TestToMinibatch:
     def _inputs(self, batch=4):
         dense = {"d0": np.arange(batch, dtype=np.float32)}

@@ -553,6 +553,41 @@ class TestPreprocessService:
         failed = [e for e in final.stages if e.status == "failed"]
         assert all("bad chunk CRC" in e.error for e in failed)
 
+    def test_mid_run_transform_failure_attributes_one_stage(self, monkeypatch):
+        """The default runner streams shard by shard: when shard 2 of 4
+        fails in Transform, partition and extract are recorded completed
+        (with the counts they reached) and transform alone failed."""
+        from repro.ops.pipeline import PreprocessingPipeline
+
+        run = PreprocessingPipeline.run
+
+        def cursed_run(self, raw, batch_id=0):
+            if batch_id == 2:
+                raise ValueError("shard 2 is cursed")
+            return run(self, raw, batch_id=batch_id)
+
+        monkeypatch.setattr(PreprocessingPipeline, "run", cursed_run)
+        service = PreprocessService(num_workers=1, max_retries=0)
+        service.start()
+        record = service.submit(PreprocessJob(model="RM1", num_rows=64, num_shards=4))
+        final = service.wait(record.job_id, timeout=60.0)
+        service.stop(timeout=30.0)
+        assert final.state == "failed"
+        by_stage = {}
+        for event in final.stages:
+            by_stage.setdefault(event.stage, []).append(event.status)
+        assert by_stage == {
+            "generate": ["started", "completed"],
+            "partition": ["started", "completed"],
+            "extract": ["started", "completed"],
+            "transform": ["started", "failed"],
+        }
+        reached = {
+            e.stage: e.metrics for e in final.stages if e.status == "completed"
+        }
+        assert reached["partition"]["shards"] == 3
+        assert reached["extract"]["file_bytes"] == reached["partition"]["file_bytes"]
+
     def test_watch_streams_transitions_until_terminal(self):
         service = PreprocessService(num_workers=1, runner=fast_runner)
         service.start()
