@@ -725,8 +725,10 @@ FLEET_STEP_SERIES = (("1k", 1_000), ("10k", 10_000), ("100k", 100_000))
 
 
 def bench_fleet(size: int, reps: int, seed: int) -> List[BenchResult]:
-    """Fleet tier: seeded trace generation, cold provisioning, and the
-    scheduler step loop as a scaling series."""
+    """Fleet tier: seeded trace generation, cold provisioning, the
+    scheduler step loop as a scaling series, and the node fault probe."""
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import DEFAULT_RATES, FaultPlan, FaultRule
     from repro.fleet import FleetSimulator, default_pools, generate_trace
     from repro.fleet import simulator as fleet_simulator
 
@@ -753,10 +755,10 @@ def bench_fleet(size: int, reps: int, seed: int) -> List[BenchResult]:
         for label, jobs in FLEET_STEP_SERIES if jobs <= size // 2
     }
 
-    def day(trace):
+    def day(trace, injector=None):
         return FleetSimulator(
             trace, pools=pools, policy="best-fit",
-            autoscaler="target-utilization",
+            autoscaler="target-utilization", injector=injector,
         ).run()
 
     # system construction + T/P planning for every distinct (pool, model,
@@ -784,14 +786,43 @@ def bench_fleet(size: int, reps: int, seed: int) -> List[BenchResult]:
     # events/s of the step loop on a warm memo (_best_of's first call
     # warms it): time-step ticks plus one arrival and one completion per
     # job; an "element" is one simulator event, payload the heap traffic
+    clean_s = []  # per day, smallest first
     for label, trace in traces.items():
         outcome = day(trace)
         events = int(outcome.makespan_s // 60.0) + 1 + 2 * outcome.num_jobs
-        elapsed = _best_of(lambda: day(trace), max(1, reps // 2))
+        clean_s.append(_best_of(lambda: day(trace), max(1, reps // 2)))
         results.append(
             _result(f"fleet_step@{label}", "vectorized", events, events * 48,
-                    elapsed)
+                    clean_s[-1])
         )
+
+    # ns per node-epoch fault probe: the smallest day under node-down +
+    # slow-node at the CLI's default rates minus the same day clean, over
+    # the probes made (counted on an untimed run); an "element" is one
+    # node asked one point, payload the key bytes hashed.  The difference
+    # also carries what the fires cause (displaced jobs rescheduling).
+    plan = FaultPlan(seed=seed, rules=tuple(
+        FaultRule(point=point, rate=DEFAULT_RATES[point])
+        for point in ("node-down", "slow-node")
+    ))
+
+    class CountingInjector(FaultInjector):
+        probes = key_bytes = 0
+
+        def check_each(self, point, items, **context):
+            self.probes += len(items)
+            self.key_bytes += sum(map(len, items))
+            return super().check_each(point, items, **context)
+
+    counted = CountingInjector(plan)
+    day(smallest, counted)
+    faulted_s = _best_of(
+        lambda: day(smallest, FaultInjector(plan)), max(1, reps // 2)
+    )
+    results.append(
+        _result("fleet_probe", "vectorized", counted.probes, counted.key_bytes,
+                faulted_s - clean_s[0])
+    )
     return results
 
 

@@ -11,6 +11,18 @@ actions itself (``crash`` raises ``SystemExit``, ``error`` raises
 event) or *returns* the matched rule for cooperative actions the site must
 enact in kind (``torn``, ``enospc``, ``drop``, ``corrupt``).
 
+Evaluation is two steps, each written once.  *Resolve*: the point's rules,
+in plan order, whose ``match`` accepts the probe's context, and the context
+field that keys each rule's coin.  *Draw and record*: the coin
+(:meth:`~repro.faults.plan.FaultPlan.hash01` below the rule's ``rate``),
+then the rule's ``max_fires`` budget and the audit trail, under the lock.
+:meth:`FaultInjector.check` is resolve plus one draw;
+:meth:`FaultInjector.check_each` asks one point about many items — the
+fleet simulator's per-node probes — and, when every item shares one
+resolution, resolves once and draws per item with the coin reduced to one
+``sha256`` and one bytes compare.  Both return what a loop of ``check``
+would; nothing is remembered between probes.
+
 Installation is process-global and explicit: :func:`install` /
 :func:`uninstall`, or the :func:`installed` context manager (which also
 releases any injected hangs on exit, so a test never leaks a sleeping
@@ -21,12 +33,13 @@ PLAN.json``; ``repro chaos`` builds plans programmatically.
 from __future__ import annotations
 
 import errno
+import hashlib
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultError
-from repro.faults.plan import FaultPlan, FaultRule
+from repro.faults.plan import FaultPlan, FaultRule, fire_threshold
 
 #: the process-global injector; ``None`` means every probe is a no-op
 _ACTIVE: Optional["FaultInjector"] = None
@@ -72,16 +85,25 @@ class FaultInjector:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _key_for(self, rule: FaultRule, point: str,
-                 context: Dict[str, Any]) -> str:
-        if rule.key is not None:
-            if rule.key not in context:
-                return self._counter_key(point)
-            return str(context[rule.key])
-        for name in ("job_id", "item", "seed", "worker"):
-            if name in context and context[name] is not None:
-                return str(context[name])
-        return self._counter_key(point)
+    def _resolve(self, point: str,
+                 context: Dict[str, Any]) -> List[Tuple[FaultRule, Optional[str]]]:
+        """Step one: the point's rules, in plan order, whose ``match``
+        accepts ``context``, each with the context field that keys its
+        coin (``None``: the per-point occurrence counter)."""
+        resolved = []
+        for rule in self.plan.rules_for(point):
+            if not rule.matches(context):
+                continue
+            if rule.key is not None:
+                field = rule.key if rule.key in context else None
+            else:
+                field = next(
+                    (name for name in ("job_id", "item", "seed", "worker")
+                     if context.get(name) is not None),
+                    None,
+                )
+            resolved.append((rule, field))
+        return resolved
 
     def _counter_key(self, point: str) -> str:
         with self._lock:
@@ -89,35 +111,81 @@ class FaultInjector:
             self._counters[point] = n + 1
         return f"#{n}"
 
+    def _record(self, rule: FaultRule, point: str, key: str) -> bool:
+        """Step two, after the coin came up: spend one fire of ``rule``'s
+        budget and audit it; ``False`` when the budget is already spent."""
+        with self._lock:
+            # max_fires caps THIS rule's firings: two rules on one point
+            # each get their own budget (keyed by rule identity — the
+            # plan's rule objects are stable for the process)
+            fires = self._rule_fires.get(id(rule), 0)
+            if rule.max_fires is not None and fires >= rule.max_fires:
+                return False
+            self._rule_fires[id(rule)] = fires + 1
+            pair = (point, rule.action)
+            self._fires[pair] = self._fires.get(pair, 0) + 1
+            self._fired.append(
+                {"point": point, "action": rule.action, "key": key}
+            )
+        return True
+
     def check(self, point: str, **context: Any) -> Optional[FaultRule]:
         """The matched firing rule for this probe occurrence, or ``None``.
 
         Records the fire in the audit trail; the caller (or
         :func:`fault_point`) is responsible for enacting the action.
         """
-        for rule in self.plan.rules_for(point):
-            if not rule.matches(context):
-                continue
-            key = self._key_for(rule, point, context)
-            if self.plan.hash01(point, key) >= rule.rate:
-                continue
-            with self._lock:
-                # max_fires caps THIS rule's firings: two rules on one
-                # point each get their own budget (keyed by rule identity —
-                # the plan's rule objects are stable for the process)
-                if rule.max_fires is not None:
-                    if self._rule_fires.get(id(rule), 0) >= rule.max_fires:
-                        continue
-                self._rule_fires[id(rule)] = (
-                    self._rule_fires.get(id(rule), 0) + 1
-                )
-                pair = (point, rule.action)
-                self._fires[pair] = self._fires.get(pair, 0) + 1
-                self._fired.append(
-                    {"point": point, "action": rule.action, "key": key}
-                )
-            return rule
+        for rule, field in self._resolve(point, context):
+            key = (
+                self._counter_key(point) if field is None
+                else str(context[field])
+            )
+            if (self.plan.hash01(point, key) < rule.rate
+                    and self._record(rule, point, key)):
+                return rule
         return None
+
+    def check_each(self, point: str, items: Sequence[Any],
+                   **context: Any) -> List[Tuple[int, FaultRule]]:
+        """``check(point, item=item, **context)`` for every item in order:
+        ``[(position, rule), ...]`` for the items that fired.
+
+        Same coins, same budgets, same audit trail as that loop.  When
+        the items are strings, no rule of the point matches on ``item``
+        and every rule the shared context resolves keys on the item, the
+        rules are resolved once and an item costs one ``sha256`` and one
+        bytes compare (:func:`~repro.faults.plan.fire_threshold`);
+        anything else *is* that loop.
+        """
+        rules = self.plan.rules_for(point)
+        if not rules:
+            return []
+        shared = None  # the one resolution every item shares, if it exists
+        if (set(map(type, items)) == {str}
+                and not any("item" in rule.match for rule in rules)):
+            shared = self._resolve(point, {**context, "item": items[0]})
+        if shared is None or any(field != "item" for _, field in shared):
+            return [
+                (position, rule) for position, item in enumerate(items)
+                if (rule := self.check(point, item=item, **context)) is not None
+            ]
+        if not shared:
+            return []  # no rule accepts this context: nothing to hash
+        # every rule flips the same coin per item (one point, one key), so
+        # one digest serves them all and most items stop at the ceiling
+        armed = [(rule, fire_threshold(rule.rate)) for rule, _ in shared]
+        ceiling = max(threshold for _, threshold in armed)
+        prefix = f"{self.plan.seed}:{point}:".encode("utf-8")
+        sha256 = hashlib.sha256
+        fired: List[Tuple[int, FaultRule]] = []
+        for position, item in enumerate(items):
+            digest = sha256(prefix + item.encode("utf-8")).digest()
+            if digest < ceiling:
+                for rule, threshold in armed:
+                    if digest < threshold and self._record(rule, point, item):
+                        fired.append((position, rule))
+                        break
+        return fired
 
     def execute(self, rule: FaultRule, point: str) -> Optional[FaultRule]:
         """Enact a generic action; return cooperative rules to the site."""

@@ -18,6 +18,7 @@ reproducible matrix and lets a failing chaos seed be replayed exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -102,6 +103,32 @@ DEFAULT_ACTIONS = {
     "slow-node": "slow",
     "arrival-burst": "burst",
 }
+
+
+@functools.lru_cache(maxsize=256)
+def fire_threshold(rate: float) -> bytes:
+    """The coin's ``rate`` as eight big-endian bytes: for any sha256
+    ``digest``, ``digest < fire_threshold(rate)`` is *exactly*
+    ``FaultPlan.hash01(...) < rate`` for the key that digest came from.
+
+    ``hash01`` is ``n / 2.0**64`` with ``n`` the digest's first eight
+    bytes; ``float(n)`` never decreases as ``n`` grows, so the keys below
+    ``rate`` are the ``n`` below one cut — the smallest ``x`` with
+    ``x / 2.0**64 >= rate``, found here by bisection with the same
+    division (float rounding included: at rate 1.0 the cut is ``2**64 -
+    1024``, above which ``hash01`` rounds to 1.0 and never fires).  Bytes
+    compare lexicographically and a 32-byte digest that ties the 8-byte
+    cut is the longer, hence greater, string — so the whole digest can be
+    compared unsliced.
+    """
+    low, high = 0, 2**64 - 1  # rate <= 1.0 and float(2**64 - 1) == 2.0**64
+    while low < high:
+        mid = (low + high) // 2
+        if mid / 2.0**64 >= rate:
+            high = mid
+        else:
+            low = mid + 1
+    return low.to_bytes(8, "big")
 
 
 @dataclass(frozen=True)
@@ -200,8 +227,8 @@ class FaultPlan:
                     f"rules must hold FaultRule entries, got {rule!r}"
                 )
         object.__setattr__(self, "rules", rules)
-        # probed once per node per fault point per epoch: index by point
-        # here (not a field, so to_dict/from_dict/equality never see it)
+        # looked up on every probe: index by point here (not a field, so
+        # to_dict/from_dict/equality never see it)
         by_point: Dict[str, Tuple[FaultRule, ...]] = {}
         for rule in rules:
             by_point[rule.point] = by_point.get(rule.point, ()) + (rule,)

@@ -222,6 +222,11 @@ class _PoolState:
             heapq.heappush(self.open, (node.id, node))
 
 
+def _node_keys(pool: str, nodes: List[_Node], epoch: int) -> List[str]:
+    """The stable identity each node is probed under this epoch."""
+    return [f"{pool}:node-{node.id}:epoch-{epoch}" for node in nodes]
+
+
 class FleetSimulator:
     """Run one trace against one fleet (see module docstring)."""
 
@@ -513,24 +518,40 @@ class FleetSimulator:
         )
 
     def _probe_nodes(self, epoch: int) -> None:
-        if self._injector is None:
+        """Ask ``node-down`` then ``slow-node`` of every up node, one
+        batch probe per pool per point (``FaultInjector.check_each``).
+
+        Per pool: every up node is asked ``node-down`` in node order and
+        the fired nodes fail; the survivors — a downed node is never
+        asked — are asked ``slow-node``, and a job is slowed once, by the
+        worst penalty among its nodes.  Failing a node frees its jobs
+        from all their nodes, so a job displaced this epoch is never
+        slowed.  Fires are therefore audited grouped by (pool, point)
+        within an epoch (``FaultInjector.fired()``); which nodes fire,
+        each rule's ``max_fires`` budget and ``fire_counts()`` do not
+        depend on that order.
+        """
+        injector = self._injector
+        if injector is None:
             return  # nothing can fire: skip the per-node scan
+        rules_for = injector.plan.rules_for
+        if not (rules_for("node-down") or rules_for("slow-node")):
+            return  # an injector with nothing to say to the nodes
         slowed: Dict[str, float] = {}  # job_id -> worst penalty this epoch
         for name, pool in self.pools.items():
-            for node in [node for node in pool.nodes if node.up]:
-                item = f"{name}:node-{node.id}:epoch-{epoch}"
-                if self._probe("node-down", item=item, pool=name) is not None:
-                    for job_id in node.allocations:
-                        slowed.pop(job_id, None)  # displaced, not slowed
-                    self._fail_node(pool, node)
-                    continue
-                rule = self._probe("slow-node", item=item, pool=name)
-                if rule is not None:
-                    penalty = (
-                        self.slow_penalty_s if rule.delay_s is None else rule.delay_s
-                    )
-                    for job_id in node.allocations:
-                        slowed[job_id] = max(slowed.get(job_id, 0.0), penalty)
+            nodes = [node for node in pool.nodes if node.up]
+            keys = _node_keys(name, nodes, epoch)
+            down = injector.check_each("node-down", keys, pool=name)
+            for position, _ in down:
+                self._fail_node(pool, nodes[position])
+            for position, _ in reversed(down):
+                del nodes[position], keys[position]
+            for position, rule in injector.check_each("slow-node", keys, pool=name):
+                penalty = (
+                    self.slow_penalty_s if rule.delay_s is None else rule.delay_s
+                )
+                for job_id in nodes[position].allocations:
+                    slowed[job_id] = max(slowed.get(job_id, 0.0), penalty)
         for job_id in sorted(slowed):
             self._slow_job(self._jobs[job_id], slowed[job_id])
 
