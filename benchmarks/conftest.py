@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one paper table/figure, prints the same
-rows/series the paper reports, and asserts the shape claims hold.  Run with
+rows/series the paper reports, and asserts the shape claims hold.  Tier-1
+runs every body once (``--benchmark-disable`` in ``pyproject.toml``); run
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ --benchmark-enable --benchmark-only -s
 
 to see the rendered tables alongside the timings.
 """

@@ -1,18 +1,12 @@
 """Cost/energy analysis: the Section V-C cost-efficiency metric (CapEx +
-OpEx over a 3-year duration), energy-efficiency (performance/Watt), and
-shared normalization helpers."""
+OpEx over a 3-year duration) and energy-efficiency (performance/Watt)."""
 
 from repro.analysis.cost import CostBreakdown, cost_efficiency, opex
-from repro.analysis.energy import energy_efficiency, preprocessing_energy_per_epoch
-from repro.analysis.metrics import geometric_mean, normalize_to, speedup
+from repro.analysis.energy import energy_efficiency
 
 __all__ = [
     "CostBreakdown",
     "cost_efficiency",
     "opex",
     "energy_efficiency",
-    "preprocessing_energy_per_epoch",
-    "geometric_mean",
-    "normalize_to",
-    "speedup",
 ]

@@ -18,14 +18,3 @@ def energy_efficiency(throughput: float, power_watts: float) -> float:
     if power_watts <= 0:
         raise ConfigurationError("power must be positive")
     return throughput / power_watts
-
-
-def preprocessing_energy_per_epoch(
-    power_watts: float, num_samples: float, throughput: float
-) -> float:
-    """Joules to preprocess one epoch of ``num_samples`` at ``throughput``."""
-    if throughput <= 0:
-        raise ConfigurationError("throughput must be positive")
-    if num_samples < 0 or power_watts < 0:
-        raise ConfigurationError("inputs must be non-negative")
-    return power_watts * (num_samples / throughput)

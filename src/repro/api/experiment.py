@@ -70,7 +70,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import ConfigurationError, ReproError, strict_keys
+from repro.errors import ConfigurationError, ReproError, is_int, strict_keys
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.registry import Registry
 
@@ -146,7 +146,7 @@ def decode_value(hint: Any, value: Any) -> Any:
             # that held an int round-trips as that int — coercing here
             # would turn a replayed 368 into 368.0 and break the replayed
             # == fresh byte-identity guarantee
-            if isinstance(value, int) and not isinstance(value, bool):
+            if is_int(value):
                 return value
             return float(value)
         if hint is str:
@@ -326,7 +326,7 @@ class ExperimentRegistry(Registry[ExperimentSpec]):
                 f"experiment {id!r}: kind must be one of {EXPERIMENT_KINDS}, "
                 f"got {kind!r}"
             )
-        if not isinstance(order, int):
+        if not is_int(order):
             raise ConfigurationError(f"experiment {id!r}: order must be an int")
         # a title may only ever name one id — replace=True swaps the spec
         # under an id, it does not let one id steal another's title
@@ -502,8 +502,8 @@ def _check_param(id: str, param: ExperimentParam, value: Any) -> Any:
                 f"got {value!r}"
             )
         return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if not isinstance(value, int) or isinstance(value, bool):
+    if is_int(default):
+        if not is_int(value):
             raise ConfigurationError(
                 f"experiment {id!r}: param {param.name!r} must be an int, "
                 f"got {value!r}"

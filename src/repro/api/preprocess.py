@@ -17,7 +17,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.errors import ConfigurationError, strict_keys
+from repro.errors import ConfigurationError, is_int, strict_keys
 from repro.exec.executor import (
     ShardExecutor,
     ShardResult,
@@ -89,17 +89,17 @@ class PreprocessJob:
         object.__setattr__(self, "model", spec.name)
         for name in ("num_rows", "num_shards"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
+            if not is_int(value) or value <= 0:
                 raise ConfigurationError(
                     f"{name} must be a positive int, got {value!r}"
                 )
         if self.processes is not None and (
-            not isinstance(self.processes, int) or self.processes <= 0
+            not is_int(self.processes) or self.processes <= 0
         ):
             raise ConfigurationError(
                 f"processes must be a positive int, got {self.processes!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ConfigurationError(
                 f"seed must be a non-negative int, got {self.seed!r}"
             )

@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.errors import ConfigurationError, strict_keys
+from repro.errors import ConfigurationError, is_int, strict_keys
 from repro.features.specs import ModelSpec, get_model
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.api.registry import REGISTRY
@@ -76,9 +76,9 @@ class Scenario:
 
         for name in ("num_gpus", "num_batches", "queue_capacity"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
+            if not is_int(value) or value <= 0:
                 raise ConfigurationError(f"{name} must be a positive int, got {value!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative int, got {self.seed!r}")
 
         if self.provision not in PROVISION_MODES:
@@ -86,7 +86,7 @@ class Scenario:
                 f"provision must be one of {PROVISION_MODES}, got {self.provision!r}"
             )
         if self.num_workers is not None:
-            if not isinstance(self.num_workers, int) or self.num_workers <= 0:
+            if not is_int(self.num_workers) or self.num_workers <= 0:
                 raise ConfigurationError(
                     f"num_workers must be a positive int, got {self.num_workers!r}"
                 )

@@ -135,11 +135,3 @@ class Sweep:
 
     def __getitem__(self, index: int) -> Scenario:
         return self.scenarios[index]
-
-    def to_dicts(self) -> List[dict]:
-        """Config-file form: one plain dict per scenario."""
-        return [scenario.to_dict() for scenario in self.scenarios]
-
-    @classmethod
-    def from_dicts(cls, dicts: Iterable[dict]) -> "Sweep":
-        return cls(Scenario.from_dict(d) for d in dicts)

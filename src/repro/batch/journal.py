@@ -36,7 +36,7 @@ from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from repro.batch.outcomes import OUTCOME_STATES, BatchOutcome
 from repro.batch.policy import BatchPolicy
-from repro.errors import BatchError
+from repro.errors import BatchError, is_int
 from repro.journal import JsonlJournal
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -216,7 +216,7 @@ class BatchJournal:
                     )
                 index = payload.get("index")
                 keys = header.get("tasks") or []
-                if not isinstance(index, int) or not (0 <= index < len(keys)):
+                if not is_int(index) or not (0 <= index < len(keys)):
                     raise BatchError(
                         f"corrupt batch journal {self.path} at line "
                         f"{number}: task index {index!r} out of range"

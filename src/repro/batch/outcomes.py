@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.errors import BatchError
+from repro.errors import BatchError, is_int
 
 #: every terminal state a batch task can end in.  ``ok`` carries a
 #: result; ``failed`` means the task raised and exhausted its retries;
@@ -40,7 +40,7 @@ class BatchOutcome:
     result: Any = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or self.index < 0:
+        if not is_int(self.index) or self.index < 0:
             raise BatchError(
                 f"index must be a non-negative int, got {self.index!r}"
             )
@@ -50,7 +50,7 @@ class BatchOutcome:
             raise BatchError(
                 f"state must be one of {OUTCOME_STATES}, got {self.state!r}"
             )
-        if not isinstance(self.attempts, int) or self.attempts < 0:
+        if not is_int(self.attempts) or self.attempts < 0:
             raise BatchError(
                 f"attempts must be a non-negative int, got {self.attempts!r}"
             )

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
-from repro.errors import ConfigurationError, strict_keys
+from repro.errors import ConfigurationError, is_int, strict_keys
 
 #: how a batch reacts to a task that ends non-ok: ``strict`` stops
 #: dispatching, drains in-flight work, and raises a typed error;
@@ -39,7 +39,7 @@ class BatchPolicy:
     processes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
+        if not is_int(self.max_retries) or self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be a non-negative int, "
                 f"got {self.max_retries!r}"
@@ -69,7 +69,7 @@ class BatchPolicy:
                 f"got {self.failure_mode!r}"
             )
         if self.processes is not None and (
-            not isinstance(self.processes, int) or self.processes < 1
+            not is_int(self.processes) or self.processes < 1
         ):
             raise ConfigurationError(
                 f"processes must be a positive int (or None for the "

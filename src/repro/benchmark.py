@@ -936,12 +936,3 @@ def write_report(report: Dict[str, object], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-
-
-def telemetry_events(report: Dict[str, object], run_id: str = None):
-    """This report as unified timing events — the bridge into the
-    :mod:`repro.telemetry` trend surface (one event per op/variant,
-    ``ns_per_element``/``mb_per_s`` in ``metrics``)."""
-    from repro.telemetry import events_from_bench_report
-
-    return events_from_bench_report(report, run_id=run_id)

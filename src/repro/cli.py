@@ -44,7 +44,20 @@ Commands:
                         job or list all of them, cancel a queued job, or
                         stop the daemon (draining by default).  Clients find
                         the daemon through ``--spool`` (its
-                        ``endpoint.json``) or an explicit ``--host/--port``.
+                        ``endpoint.json``) or an explicit ``--host/--port``;
+* ``chaos``           — run the seeded fault matrix against one tier
+                        (``--tier serve|batch|fleet``) and gate its
+                        invariants; ``--json`` is byte-stable per seed;
+* ``fleet run`` / ``fleet trace gen|replay`` — simulate an arrival trace on
+                        the multi-tenant fleet (placement policy, autoscaler,
+                        optional node faults), or generate / round-trip a
+                        seeded JSONL trace;
+* ``trend record|compare|report`` — flatten run artifacts (batch journals,
+                        serve indexes, bench reports, fleet results) into a
+                        committed summary, gate a run against the store's
+                        best-of-N baseline, or render the trend table.
+
+``repro <command> --help`` is the authority on each command's flags.
 
 Experiments are resolved through :data:`repro.api.EXPERIMENT_REGISTRY`, so a
 user-registered experiment (see ``examples/custom_experiment.py``) shows up
@@ -78,7 +91,7 @@ from repro.api import (
     available_systems,
 )
 from repro.api.scenario import _CALIBRATION_FIELDS
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ProvisioningError, ReproError
 from repro.experiments import report as report_mod
 from repro.experiments.common import format_table
 from repro.features.specs import MODEL_NAMES, get_model
@@ -405,6 +418,8 @@ def cmd_systems(_: argparse.Namespace) -> int:
 def cmd_provision(args: argparse.Namespace) -> int:
     """Provisioning summary across system designs."""
     spec = get_model(args.model)
+    if args.gpus <= 0:
+        raise ConfigurationError("num_gpus must be positive")
     print(
         f"{spec.name}: provisioning for {args.gpus} GPU(s), "
         f"batch {spec.batch_size}"
@@ -413,7 +428,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
         system = REGISTRY.create(name, spec)
         try:
             plan = system.provision_for(args.gpus)
-        except Exception as exc:  # co-located caps, etc.
+        except (ConfigurationError, ProvisioningError) as exc:  # co-located caps
             print(f"  {name:14} not provisionable: {exc}")
             continue
         print(
@@ -621,7 +636,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         policy=args.policy,
         max_retries=args.max_retries,
         backoff_s=args.backoff,
-        poll_interval=args.poll,
         job_timeout_s=args.job_timeout,
         index_fsync=not args.no_fsync,
     )
@@ -787,13 +801,7 @@ def _fleet_trace(args: argparse.Namespace):
 
     if getattr(args, "trace", None):
         return Trace.load(args.trace)
-    return generate_trace(
-        args.kind,
-        num_jobs=args.jobs,
-        seed=args.seed,
-        horizon_s=args.horizon,
-        mean_duration_s=args.mean_duration,
-    )
+    return generate_trace(args.kind, num_jobs=args.jobs, seed=args.seed)
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
@@ -810,7 +818,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         policy=args.policy,
         autoscaler=args.autoscale,
         injector=injector,
-        slo_queue_s=args.slo,
     )
     if args.out:
         with open(args.out, "w") as handle:
@@ -1003,13 +1010,7 @@ def cmd_trend_compare(args: argparse.Namespace) -> int:
         current = _trend_summary_from_sources(args)
     else:
         current = store.load(args.run_id)
-    baselines = store.baselines(
-        count=(
-            args.baselines if args.baselines is not None
-            else telemetry.DEFAULT_BASELINE_RUNS
-        ),
-        exclude=current.run_id,
-    )
+    baselines = store.baselines(exclude=current.run_id)
     comparison = telemetry.compare_summaries(
         current,
         baselines,
@@ -1255,8 +1256,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra attempts per job on transient failure")
     serve.add_argument("--backoff", type=float, default=0.05,
                        help="base retry backoff seconds (doubles per retry)")
-    serve.add_argument("--poll", type=float, default=0.2,
-                       help="source watcher poll interval seconds")
     serve.add_argument("--watch", action="append", metavar="DIR",
                        help="watch a directory for dropped job-spec JSON "
                             "files (repeatable)")
@@ -1379,13 +1378,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of arrivals to generate (default 200)")
         p.add_argument("--seed", type=int, default=0,
                        help="trace seed (same seed => same trace)")
-        p.add_argument("--horizon", type=float, default=86400.0,
-                       metavar="SECONDS",
-                       help="trace horizon in simulated seconds "
-                            "(default 86400 = one day)")
-        p.add_argument("--mean-duration", type=float, default=5400.0,
-                       metavar="SECONDS",
-                       help="mean job duration (default 5400)")
 
     fleet_run = fleet_sub.add_parser(
         "run", help="simulate one trace on the fleet; print the result"
@@ -1405,9 +1397,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(node-down, slow-node, arrival-burst)")
     fleet_run.add_argument("--fault-seed", type=int, default=0,
                            help="fault plan seed (default 0)")
-    fleet_run.add_argument("--slo", type=float, default=1800.0,
-                           metavar="SECONDS",
-                           help="queueing SLO threshold (default 1800)")
     fleet_run.add_argument("--out", default=None, metavar="PATH",
                            help="also write the FleetResult as JSON (feeds "
                                 "repro trend --fleet-result)")
@@ -1500,10 +1489,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="the run to compare (loaded from the "
                                     "store unless source flags are given)")
     _add_trend_source_options(trend_compare)
-    trend_compare.add_argument("--baselines", type=int, default=None,
-                               metavar="N",
-                               help="best-of-N baseline pool size "
-                                    "(default 5)")
     trend_compare.add_argument("--threshold", action="append",
                                metavar="METRIC=RATIO",
                                help="per-metric regression threshold "

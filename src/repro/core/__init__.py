@@ -3,7 +3,7 @@ and the alternative accelerators), system design points, the T/P
 provisioning logic, the preprocess manager, and the end-to-end
 preprocessing-feeds-training simulation."""
 
-from repro.core.worker import BREAKDOWN_STEPS, PreprocessingWorker, normalize_breakdown
+from repro.core.worker import BREAKDOWN_STEPS, PreprocessingWorker
 from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.accel_worker import (
@@ -27,7 +27,6 @@ from repro.core.endtoend import EndToEndSimulation, PipelineStats
 __all__ = [
     "BREAKDOWN_STEPS",
     "PreprocessingWorker",
-    "normalize_breakdown",
     "CpuPreprocessingWorker",
     "IspPreprocessingWorker",
     "GpuPoolWorker",

@@ -107,16 +107,23 @@ class EndToEndSimulation:
         """Simulate ``num_batches`` training iterations.
 
         ``provision_to_demand=True`` runs the full Figure 9 flow: measure T,
-        plan ceil(T/P) workers, then launch.
+        plan ceil(T/P) workers, then launch.  A simulation built from a
+        ``system`` takes the plan from ``system.provision_for`` — the one
+        planner ``repro provision`` and the fleet tier use — so a design that
+        cannot sustain the demand raises its own typed error here too.
         """
         if num_batches <= 0:
             raise ConfigurationError("num_batches must be positive")
         engine = Engine()
         queue = self.train_manager.make_input_queue()
 
-        demand = self.train_manager.measure_max_throughput()
-        if provision_to_demand:
-            launch_kwargs = {"training_throughput": demand}
+        if provision_to_demand and self.system is not None:
+            plan = self.system.provision_for(self.train_manager.num_gpus)
+            launch_kwargs = {"num_workers": plan.num_workers}
+        elif provision_to_demand:
+            launch_kwargs = {
+                "training_throughput": self.train_manager.measure_max_throughput()
+            }
         elif num_workers is not None:
             launch_kwargs = {"num_workers": num_workers}
         else:

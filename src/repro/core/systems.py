@@ -92,18 +92,17 @@ class CoLocatedCpuSystem(PreprocessingSystem):
 
     name = "Co-located"
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        calibration: Calibration = CALIBRATION,
-        max_cores_per_gpu: int = 16,
-    ) -> None:
+    #: host cores a training node spares per GPU (DGX A100: 128 cores / 8 GPUs)
+    max_cores_per_gpu = 16
+
+    def __init__(self, spec: ModelSpec, calibration: Calibration = CALIBRATION) -> None:
         super().__init__(spec, calibration)
-        self.max_cores_per_gpu = max_cores_per_gpu
         self._cpu_model = CpuCoreModel(calibration)
 
     def make_worker(self) -> PreprocessingWorker:
-        return CpuPreprocessingWorker(self.spec, self.cal, remote_storage=True)
+        return CpuPreprocessingWorker(
+            self.spec, self.cal, remote_storage=True, colocated=True
+        )
 
     def aggregate_throughput(self, num_workers: int) -> float:
         """Co-location interference makes scaling mildly sub-linear."""

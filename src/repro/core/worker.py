@@ -43,16 +43,6 @@ BREAKDOWN_STEPS = (
 )
 
 
-def normalize_breakdown(
-    breakdown: Dict[str, float], reference_total: float
-) -> Dict[str, float]:
-    """Scale a step breakdown so values are fractions of ``reference_total``
-    (how Figures 5 and 12 normalize their stacked bars)."""
-    if reference_total <= 0:
-        raise ConfigurationError("reference_total must be positive")
-    return {step: breakdown.get(step, 0.0) / reference_total for step in BREAKDOWN_STEPS}
-
-
 def breakdown_total(breakdown: Dict[str, float]) -> float:
     """Sum of a step breakdown."""
     return sum(breakdown.get(step, 0.0) for step in BREAKDOWN_STEPS)

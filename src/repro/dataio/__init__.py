@@ -18,7 +18,6 @@ from repro.dataio.encoding import (
     Encoding,
     encode_column,
     decode_column,
-    encoded_size,
 )
 from repro.dataio.columnar import (
     ColumnarFileWriter,
@@ -39,7 +38,6 @@ __all__ = [
     "Encoding",
     "encode_column",
     "decode_column",
-    "encoded_size",
     "ColumnarFileWriter",
     "ColumnarFileReader",
     "ColumnChunk",

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.dataio import encoding as enc
 from repro.dataio.schema import ColumnKind, TableSchema
-from repro.errors import FormatError, SchemaError
+from repro.errors import FormatError, SchemaError, is_int
 
 MAGIC = b"PRST1\n"
 _FOOTER_LEN = struct.Struct("<I")
@@ -92,7 +92,7 @@ class ColumnChunk:
         if not (
             isinstance(chunk.column, str)
             and isinstance(chunk.part, str)
-            and all(isinstance(n, int) and n >= 0 for n in counts)
+            and all(is_int(n) and n >= 0 for n in counts)
         ):
             raise ValueError(f"malformed chunk entry {obj!r}")
         return chunk

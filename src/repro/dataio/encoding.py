@@ -659,22 +659,3 @@ def decode_column(chunk: bytes) -> np.ndarray:
         raise EncodingError(f"{encoding.name} requires integers, got {dtype}")
     count, offset = read_uvarint(body, 2)
     return _DECODERS[encoding](body[offset:], dtype, count)
-
-
-def encoded_size(values: np.ndarray, encoding: Encoding) -> int:
-    """Size in bytes of the encoded chunk, including framing and CRC."""
-    return len(encode_column(values, encoding))
-
-
-def best_encoding(values: np.ndarray) -> Encoding:
-    """Pick the smallest applicable codec for a column, Parquet-style.
-
-    Floating-point columns are always PLAIN.  Integer columns are tried
-    against all codecs and the smallest encoding wins; ties go to the
-    earlier enum value.
-    """
-    if not np.issubdtype(values.dtype, np.integer):
-        return Encoding.PLAIN
-    sizes = [(encoded_size(values, enc), int(enc)) for enc in Encoding]
-    sizes.sort()
-    return Encoding(sizes[0][1])

@@ -14,7 +14,7 @@ A partition is sized to hold exactly one training mini-batch by default
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -106,28 +106,3 @@ class RowPartitioner:
     def partition_all(self, data: TableData) -> List[Partition]:
         """Materialize every partition (small tables / tests)."""
         return list(self.partitions(data))
-
-
-def place_round_robin(
-    partitions: List[Partition], num_devices: int
-) -> Dict[int, List[Partition]]:
-    """Assign partitions to storage devices round-robin.
-
-    Mirrors the paper's Figure 1 where consecutive partitions land on
-    different SSDs of the distributed storage system.
-    """
-    if num_devices <= 0:
-        raise PartitionError("need at least one storage device")
-    placement: Dict[int, List[Partition]] = {d: [] for d in range(num_devices)}
-    for partition in partitions:
-        placement[partition.index % num_devices].append(partition)
-    return placement
-
-
-def partition_stats(partitions: List[Partition]) -> Tuple[int, int, float]:
-    """Return (total_rows, total_bytes, mean_bytes_per_row) of a partition set."""
-    if not partitions:
-        raise PartitionError("no partitions given")
-    total_rows = sum(p.num_rows for p in partitions)
-    total_bytes = sum(p.size for p in partitions)
-    return total_rows, total_bytes, total_bytes / max(total_rows, 1)

@@ -126,13 +126,7 @@ class TableSchema:
             self._by_name[column.name] = column
 
     @classmethod
-    def with_counts(
-        cls,
-        num_dense: int,
-        num_sparse: int,
-        dense_prefix: str = "int_",
-        sparse_prefix: str = "cat_",
-    ) -> "TableSchema":
+    def with_counts(cls, num_dense: int, num_sparse: int) -> "TableSchema":
         """Build a schema with auto-named columns, Criteo-style.
 
         The Criteo dataset names its 13 dense columns ``int_0..int_12`` and
@@ -141,8 +135,8 @@ class TableSchema:
         """
         if num_dense < 0 or num_sparse < 0:
             raise SchemaError("column counts must be non-negative")
-        dense = [DenseFeature(f"{dense_prefix}{i}") for i in range(num_dense)]
-        sparse = [SparseFeature(f"{sparse_prefix}{i}") for i in range(num_sparse)]
+        dense = [DenseFeature(f"int_{i}") for i in range(num_dense)]
+        sparse = [SparseFeature(f"cat_{i}") for i in range(num_sparse)]
         return cls(dense=dense, sparse=sparse)
 
     # -- lookup ---------------------------------------------------------
@@ -172,11 +166,6 @@ class TableSchema:
     def sparse_names(self) -> List[str]:
         """Names of all sparse columns, in order."""
         return [c.name for c in self.sparse]
-
-    @property
-    def num_columns(self) -> int:
-        """Total column count including the label."""
-        return 1 + len(self.dense) + len(self.sparse)
 
     def __repr__(self) -> str:
         return (

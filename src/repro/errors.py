@@ -143,3 +143,13 @@ def strict_keys(
             f"{expected} {sorted(known)}"
         )
     return dict(data)
+
+
+def is_int(value: Any) -> bool:
+    """Whether ``value`` is an ``int`` that is not a ``bool``.
+
+    The one integer test behind every record's field checks: ``bool`` is a
+    subclass of ``int``, so a JSON ``true`` would otherwise pass for a count
+    of one (and be journaled as ``true``).
+    """
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -13,12 +13,10 @@ from repro.exec.executor import (
     ShardExecutor,
     ShardResult,
     ShardRunStats,
-    run_preprocessing,
 )
 
 __all__ = [
     "ShardExecutor",
     "ShardResult",
     "ShardRunStats",
-    "run_preprocessing",
 ]

@@ -329,19 +329,3 @@ class ShardExecutor:
             index=index, batch=batch, counts=counts,
             file_bytes=size, bytes_read=read,
         )
-
-
-def run_preprocessing(
-    pipeline: PreprocessingPipeline,
-    data: TableData,
-    num_shards: int = 1,
-    processes: Optional[int] = None,
-    parallel: bool = True,
-) -> Tuple[List[ShardResult], ShardRunStats]:
-    """One-call front door: shard ``data`` ``num_shards`` ways and run."""
-    num_rows = len(data[pipeline.schema.label.name])
-    executor = ShardExecutor.for_shards(
-        pipeline, num_shards=num_shards, num_rows=num_rows, processes=processes
-    )
-    results = executor.run(data, parallel=parallel)
-    return results, ShardRunStats.from_results(results)

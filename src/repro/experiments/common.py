@@ -19,7 +19,7 @@ from typing import Any, Dict, Iterable, List, Sequence
 from repro.api.experiment import ExperimentResult, register_experiment
 from repro.api.registry import REGISTRY
 from repro.api.scenario import Scenario, calibration_overrides
-from repro.features.specs import MODEL_NAMES, ModelSpec, all_models
+from repro.features.specs import ModelSpec, all_models
 from repro.hardware.calibration import CALIBRATION, Calibration
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "PaperClaim",
     "build_system",
     "format_table",
-    "model_names",
     "models",
     "register_experiment",
     "scenario_for",
@@ -37,11 +36,6 @@ __all__ = [
 def models() -> List[ModelSpec]:
     """The five Table I models in evaluation order."""
     return all_models()
-
-
-def model_names() -> List[str]:
-    """RM1..RM5."""
-    return list(MODEL_NAMES)
 
 
 def build_system(

@@ -1,6 +1,5 @@
 """Full paper-vs-measured report: run every experiment, render every table,
-and summarize which claims hold.  ``python -m repro.experiments.report``
-prints the whole thing.
+and summarize which claims hold.  ``repro report`` prints the whole thing.
 
 The report is registry-driven: every experiment module registers itself
 with :data:`repro.api.EXPERIMENT_REGISTRY`, and this module just asks the
@@ -197,12 +196,3 @@ def report_payload(results: Optional[Dict[str, object]] = None, **run_kwargs) ->
         "experiments": experiments,
         "scoreboard": {"held": held, "total": total},
     }
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(render_report())
-
-
-if __name__ == "__main__":
-    main()

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError, strict_keys
+from repro.errors import ConfigurationError, is_int, strict_keys
 
 #: the catalog of named fault points (probe sites) woven through the code:
 #: point -> (module that hosts the probe, what firing there means)
@@ -52,7 +52,7 @@ FAULT_POINTS: Dict[str, str] = {
                    "file is flipped (must be caught downstream, loudly)",
     "node-down": "fleet/simulator: a pool node fails; its running jobs "
                  "are displaced and rescheduled, the node repairs after "
-                 "repair_s simulated seconds",
+                 "REPAIR_S (900) simulated seconds",
     "slow-node": "fleet/simulator: a pool node degrades; jobs running on "
                  "it finish delay_s simulated seconds late",
     "arrival-burst": "fleet/simulator: one arrival fans out into a flash "
@@ -176,7 +176,7 @@ class FaultRule:
                 f"delay_s must be non-negative, got {self.delay_s!r}"
             )
         if self.max_fires is not None and (
-            not isinstance(self.max_fires, int) or self.max_fires < 0
+            not is_int(self.max_fires) or self.max_fires < 0
         ):
             raise ConfigurationError(
                 f"max_fires must be a non-negative int, got {self.max_fires!r}"
@@ -216,7 +216,7 @@ class FaultPlan:
     rules: Tuple[FaultRule, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int):
+        if not is_int(self.seed):
             raise ConfigurationError(
                 f"seed must be an int, got {self.seed!r}"
             )
@@ -237,10 +237,6 @@ class FaultPlan:
     def rules_for(self, point: str) -> Tuple[FaultRule, ...]:
         """This point's rules in plan order; ``()`` for an unknown point."""
         return self._by_point.get(point, ())
-
-    @property
-    def points(self) -> Tuple[str, ...]:
-        return tuple(sorted({rule.point for rule in self.rules}))
 
     def hash01(self, point: str, key: str) -> float:
         """Uniform [0, 1) hash of (seed, point, key) — the deterministic

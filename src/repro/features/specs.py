@@ -45,11 +45,6 @@ class MLPSpec:
             width = layer
         return total
 
-    @property
-    def output_width(self) -> int:
-        """Width of the final layer."""
-        return self.layers[-1]
-
     def __str__(self) -> str:
         return "-".join(str(w) for w in self.layers)
 
@@ -105,17 +100,9 @@ class ModelSpec:
         """Dense features that feed Bucketize, in order."""
         return [f"int_{i}" for i in range(self.num_generated_sparse)]
 
-    def dense_elements_per_sample(self) -> int:
-        """Dense values touched per sample (Log normalization input size)."""
-        return self.num_dense
-
     def sparse_elements_per_sample(self) -> float:
         """Raw sparse ids per sample (SigridHash input size)."""
         return self.num_sparse * self.avg_sparse_length
-
-    def bucketize_elements_per_sample(self) -> int:
-        """Dense values digitized per sample (Bucketize input size)."""
-        return self.num_generated_sparse
 
     def embedding_indices_per_sample(self) -> float:
         """Embedding-lookup indices per sample after preprocessing."""

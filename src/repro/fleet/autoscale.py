@@ -143,7 +143,7 @@ class QueueDepthAutoscaler(Autoscaler):
     Demand is sized absolutely — never added on top of the current node
     count — because queued jobs stay queued for the whole scale-up
     latency; re-adding the same backlog to committed capacity every step
-    would compound into a roughly ``scaleup_latency_s / step_s``-fold
+    would compound into a roughly ``scaleup_latency_s / STEP_S``-fold
     overshoot.
     """
 

@@ -20,7 +20,7 @@ the discrete-event :class:`~repro.sim.engine.Engine`:
 * **failure injection** rides the pure-hash
   :class:`~repro.faults.plan.FaultPlan` machinery through three fleet
   probe points — ``node-down`` (node fails, running jobs are displaced
-  and rescheduled, the node repairs after ``repair_s``), ``slow-node``
+  and rescheduled, the node repairs after :data:`REPAIR_S`), ``slow-node``
   (jobs on the node finish ``delay_s`` late), and ``arrival-burst``
   (an arrival fans out into a flash crowd of clones).  Probes key on
   stable identities (``pool:node:epoch``, job ids), so the same seed
@@ -62,6 +62,17 @@ from repro.sim.engine import Engine, Timeout
 
 #: extra clones an ``arrival-burst`` fault fans one arrival into
 BURST_CLONES = 2
+
+#: the scheduler's clock, in simulated seconds: the step the autoscaler and
+#: the ledgers advance by, how often every up node is asked for a fault, how
+#: long a downed node takes to repair, what a ``slow-node`` hit costs when its
+#: rule names no ``delay_s``, and the spacing of the ``PoolSample`` series.
+#: Constants, not options: every golden digest is a function of them.
+STEP_S = 60.0
+FAULT_EPOCH_S = 600.0
+REPAIR_S = 900.0
+SLOW_PENALTY_S = 300.0
+SAMPLE_EVERY_S = 900.0
 
 #: process-wide provisioning memo: (system factory, calibration) ->
 #: {(model spec, num_gpus): workers needed, None if it cannot run there}.
@@ -230,6 +241,10 @@ def _node_keys(pool: str, nodes: List[_Node], epoch: int) -> List[str]:
 class FleetSimulator:
     """Run one trace against one fleet (see module docstring)."""
 
+    #: an attribute so the reference probe loop kept in
+    #: ``tests/test_fault_batch_probe.py`` charges what ``_probe_nodes`` does
+    slow_penalty_s = SLOW_PENALTY_S
+
     def __init__(
         self,
         trace: Trace,
@@ -237,12 +252,7 @@ class FleetSimulator:
         policy: str = "first-fit",
         autoscaler: str = "fixed",
         calibration: Calibration = CALIBRATION,
-        step_s: float = 60.0,
-        fault_epoch_s: float = 600.0,
-        repair_s: float = 900.0,
-        slow_penalty_s: float = 300.0,
         slo_queue_s: float = 1800.0,
-        sample_every_s: float = 900.0,
         injector: Optional[FaultInjector] = None,
     ) -> None:
         if not isinstance(trace, Trace):
@@ -253,24 +263,13 @@ class FleetSimulator:
         names = [spec.name for spec in pool_specs]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate pool names in {names}")
-        if step_s <= 0 or fault_epoch_s <= 0 or sample_every_s <= 0:
-            raise ConfigurationError(
-                "step_s, fault_epoch_s, and sample_every_s must be positive"
-            )
-        if repair_s < 0 or slow_penalty_s < 0 or slo_queue_s < 0:
-            raise ConfigurationError(
-                "repair_s, slow_penalty_s, and slo_queue_s must be non-negative"
-            )
+        if slo_queue_s < 0:
+            raise ConfigurationError("slo_queue_s must be non-negative")
         self.trace = trace
         self.calibration = calibration
         self.policy: PlacementPolicy = get_policy(policy)
         self.autoscaler: Autoscaler = get_autoscaler(autoscaler)
-        self.step_s = float(step_s)
-        self.fault_epoch_s = float(fault_epoch_s)
-        self.repair_s = float(repair_s)
-        self.slow_penalty_s = float(slow_penalty_s)
         self.slo_queue_s = float(slo_queue_s)
-        self.sample_every_s = float(sample_every_s)
         self._injector = injector
 
         self.engine = Engine()
@@ -288,7 +287,7 @@ class FleetSimulator:
         self._last_terminal_s = 0.0
         self._last_integrate_s = 0.0
         self._last_fault_epoch = -1
-        self._last_sample_s = -self.sample_every_s
+        self._last_sample_s = -SAMPLE_EVERY_S
         self._samples: List[PoolSample] = []
 
     # -- fault probes --------------------------------------------------------
@@ -501,7 +500,7 @@ class FleetSimulator:
             pool.reopen(node)
             self._drain()
 
-        self.engine.schedule(self.repair_s, repair)
+        self.engine.schedule(REPAIR_S, repair)
 
     def _slow_job(self, job: _Job, penalty_s: float) -> None:
         """The job finishes ``penalty_s`` late.  A job spanning several
@@ -678,7 +677,7 @@ class FleetSimulator:
 
     def _sample(self) -> None:
         now = self.engine.now
-        if now - self._last_sample_s < self.sample_every_s:
+        if now - self._last_sample_s < SAMPLE_EVERY_S:
             return
         self._last_sample_s = now
         for name, pool in sorted(self.pools.items()):
@@ -691,9 +690,9 @@ class FleetSimulator:
 
     def _step_process(self):
         while True:
-            yield Timeout(self.step_s)
+            yield Timeout(STEP_S)
             self._integrate()
-            epoch = int(self.engine.now // self.fault_epoch_s)
+            epoch = int(self.engine.now // FAULT_EPOCH_S)
             if epoch != self._last_fault_epoch:
                 self._last_fault_epoch = epoch
                 self._probe_nodes(epoch)

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, FleetError, strict_keys
+from repro.errors import ConfigurationError, FleetError, is_int, strict_keys
 from repro.features.specs import MODEL_NAMES
 
 #: the built-in arrival-process shapes
@@ -68,7 +68,7 @@ class JobArrival:
             raise ConfigurationError(
                 f"arrival {self.job_id!r}: model must be a non-empty string"
             )
-        if not isinstance(self.num_gpus, int) or self.num_gpus <= 0:
+        if not is_int(self.num_gpus) or self.num_gpus <= 0:
             raise ConfigurationError(
                 f"arrival {self.job_id!r}: num_gpus must be a positive int, "
                 f"got {self.num_gpus!r}"
@@ -83,7 +83,7 @@ class JobArrival:
                 f"arrival {self.job_id!r}: submit_s must be non-negative, "
                 f"got {self.submit_s!r}"
             )
-        if not isinstance(self.priority, int) or self.priority < 0:
+        if not is_int(self.priority) or self.priority < 0:
             raise ConfigurationError(
                 f"arrival {self.job_id!r}: priority must be a non-negative "
                 f"int, got {self.priority!r}"
@@ -117,7 +117,7 @@ class Trace:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or not self.kind.strip():
             raise ConfigurationError("trace kind must be a non-empty string")
-        if not isinstance(self.seed, int):
+        if not is_int(self.seed):
             raise ConfigurationError(
                 f"trace seed must be an int, got {self.seed!r}"
             )
@@ -315,7 +315,7 @@ def generate_trace(
         raise ConfigurationError(
             f"unknown trace kind {kind!r}; known: {', '.join(TRACE_KINDS)}"
         )
-    if not isinstance(num_jobs, int) or num_jobs <= 0:
+    if not is_int(num_jobs) or num_jobs <= 0:
         raise ConfigurationError(
             f"num_jobs must be a positive int, got {num_jobs!r}"
         )

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.ops.pipeline import OpCounts
@@ -111,10 +112,9 @@ class AcceleratorModel:
         unit_scale: float = 1.0,
         ingress_bw: Optional[float] = None,
         egress_bw: Optional[float] = None,
-        host_overhead: Optional[float] = None,
     ) -> None:
         if unit_scale <= 0:
-            raise ValueError("unit_scale must be positive")
+            raise ConfigurationError("unit_scale must be positive")
         self.cal = calibration
         self.unit_scale = unit_scale
         self.ingress_bw = (
@@ -125,11 +125,7 @@ class AcceleratorModel:
             if egress_bw is not None
             else calibration.network_bandwidth * calibration.network_rpc_efficiency
         )
-        self.host_overhead = (
-            host_overhead
-            if host_overhead is not None
-            else calibration.accel_host_overhead
-        )
+        self.host_overhead = calibration.accel_host_overhead
 
     # -- stage times -------------------------------------------------------
 
@@ -182,7 +178,7 @@ class AcceleratorModel:
             "log": stages.log,
         }
         if op not in per_op:
-            raise ValueError(f"unknown transform op {op!r}")
+            raise ConfigurationError(f"unknown transform op {op!r}")
         # each offloaded op pays one kernel invocation from the host budget
         invocation = self.host_overhead / 10.0
         return per_op[op] + invocation

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.ops.pipeline import OpCounts
 
@@ -122,7 +123,7 @@ class CacheModel:
 
     def __init__(self, active_cores: int = CORES_PER_NODE) -> None:
         if active_cores <= 0 or active_cores > CORES_PER_NODE:
-            raise ValueError("active_cores must be in [1, 32]")
+            raise ConfigurationError("active_cores must be in [1, 32]")
         self.active_cores = active_cores
 
     def _elements_per_column(self, op: str, spec: ModelSpec) -> float:
@@ -139,7 +140,7 @@ class CacheModel:
     def sample(self, op: str, spec: ModelSpec) -> UtilizationSample:
         """Figure 6 metrics for one op on one model."""
         if op not in OPERATOR_PROFILES:
-            raise ValueError(f"unknown op {op!r}")
+            raise ConfigurationError(f"unknown op {op!r}")
         profile = OPERATOR_PROFILES[op]
         elements = self._elements_per_column(op, spec)
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
+from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.ops.pipeline import OpCounts
@@ -133,7 +134,7 @@ class CpuCoreModel:
         embarrassingly parallel and throughput-bound).
         """
         if num_cores < 0:
-            raise ValueError("num_cores must be non-negative")
+            raise ConfigurationError("num_cores must be non-negative")
         return num_cores * self.core_throughput(spec)
 
     def colocated_throughput(self, spec: ModelSpec, num_cores: int) -> float:

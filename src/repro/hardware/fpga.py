@@ -188,14 +188,3 @@ def fits(part: FpgaPart, lane_scale: float = 1.0) -> bool:
     except CapacityError:
         return False
     return True
-
-
-def max_lane_scale(part: FpgaPart, limit: int = 64) -> int:
-    """Largest integer lane scale that still fits on ``part``."""
-    best = 0
-    for scale in range(1, limit + 1):
-        if fits(part, scale):
-            best = scale
-    if best == 0:
-        raise CapacityError(f"PreSto does not fit on {part.name} at any scale")
-    return best

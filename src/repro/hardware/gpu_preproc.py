@@ -57,12 +57,6 @@ class GpuPreprocStages:
             self.network_out,
         )
 
-    @property
-    def data_movement(self) -> float:
-        """Network + PCIe time (the U280-disagg 47.6% observation applies
-        the same accounting)."""
-        return self.network_in + self.pcie_in + self.pcie_out + self.network_out
-
 
 class GpuPreprocModel:
     """One A100 running the preprocessing pipeline via NVTabular-style ops."""

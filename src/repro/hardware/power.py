@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.errors import ConfigurationError
 from repro.hardware.calibration import CALIBRATION, Calibration
 
 
@@ -48,7 +49,7 @@ class PowerModel:
     def disagg_cpu_power(self, num_cores: int) -> float:
         """Disaggregated CPU pool: per-core share of loaded node power."""
         if num_cores < 0:
-            raise ValueError("num_cores must be non-negative")
+            raise ConfigurationError("num_cores must be non-negative")
         return num_cores * self.cal.cpu_core_power
 
     def disagg_cpu_nodes(self, num_cores: int) -> int:
@@ -64,7 +65,7 @@ class PowerModel:
         share to mirror that quote.
         """
         if num_units < 0:
-            raise ValueError("num_units must be non-negative")
+            raise ConfigurationError("num_units must be non-negative")
         if worst_case:
             return num_units * self.cal.smartssd_tdp
         return num_units * self.cal.smartssd_active_power + self.cal.presto_host_power
@@ -73,13 +74,7 @@ class PowerModel:
         """Disaggregated accelerator pool (Fig. 7(b)): active device power
         plus the same host orchestration share per pool."""
         if device not in self.devices:
-            raise ValueError(f"unknown device {device!r}")
+            raise ConfigurationError(f"unknown device {device!r}")
         return (
             num_devices * self.devices[device].active + self.cal.presto_host_power
         )
-
-    def preprocessing_energy(self, power_watts: float, duration_s: float) -> float:
-        """Joules consumed by a preprocessing configuration over a run."""
-        if duration_s < 0:
-            raise ValueError("duration must be non-negative")
-        return power_watts * duration_s

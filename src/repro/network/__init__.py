@@ -1,8 +1,6 @@
-"""Network substrate: a shared-bandwidth link model for the 10 GbE datacenter
-fabric and RPC accounting that reproduces Figure 13's inter-node
-communication comparison."""
+"""Network substrate: RPC accounting over the 10 GbE datacenter fabric that
+reproduces Figure 13's inter-node communication comparison."""
 
-from repro.network.link import NetworkLink, TransferStats
 from repro.network.rpc import RpcAccounting, RpcBatchCosts
 
-__all__ = ["NetworkLink", "TransferStats", "RpcAccounting", "RpcBatchCosts"]
+__all__ = ["RpcAccounting", "RpcBatchCosts"]

@@ -95,8 +95,3 @@ def bucketize(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     :class:`Bucketizer`; pipelines cache the prepared form instead.
     """
     return Bucketizer(boundaries)(values)
-
-
-def num_buckets(boundaries: np.ndarray) -> int:
-    """Cardinality of the generated feature: ``len(boundaries) + 1``."""
-    return len(_check_boundaries(boundaries)) + 1

@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import JobTimeoutError, QueueClosedError, ServeError
+from repro.errors import JobTimeoutError, QueueClosedError, ServeError, is_int
 from repro.faults.injector import fault_point
 from repro.serve.queue import BoundedJobQueue
 
@@ -66,11 +66,11 @@ class WorkerPool:
         watchdog_interval_s: float = 0.05,
         on_timeout: Optional[Callable[[str, Any, float], None]] = None,
     ) -> None:
-        if not isinstance(num_workers, int) or num_workers <= 0:
+        if not is_int(num_workers) or num_workers <= 0:
             raise ServeError(
                 f"num_workers must be a positive int, got {num_workers!r}"
             )
-        if not isinstance(max_retries, int) or max_retries < 0:
+        if not is_int(max_retries) or max_retries < 0:
             raise ServeError(
                 f"max_retries must be a non-negative int, got {max_retries!r}"
             )

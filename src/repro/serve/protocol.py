@@ -35,7 +35,7 @@ import threading
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro import errors
-from repro.errors import ProtocolError, ReproError, ServeError
+from repro.errors import ProtocolError, ReproError, ServeError, is_int
 from repro.faults.injector import fault_point
 from repro.serve.records import JobRecord
 from repro.serve.service import PreprocessService
@@ -255,14 +255,13 @@ class ServiceServer:
                 pass
 
 
-def read_endpoint(spool_dir: str, check_alive: bool = True) -> Dict[str, Any]:
+def read_endpoint(spool_dir: str) -> Dict[str, Any]:
     """Read a daemon's ``endpoint.json`` from its spool directory.
 
-    A SIGKILLed daemon never removes its endpoint file, so by default the
-    recorded pid is checked: if that process no longer exists the endpoint
-    is *stale* and a clear "daemon died" error is raised instead of letting
-    the caller time out against a dead port (pass ``check_alive=False`` to
-    read the payload regardless, e.g. for diagnostics).
+    A SIGKILLed daemon never removes its endpoint file, so the recorded pid
+    is checked: if that process no longer exists the endpoint is *stale*
+    and a clear "daemon died" error is raised instead of letting the caller
+    time out against a dead port.
     """
     path = os.path.join(spool_dir, ENDPOINT_FILENAME)
     try:
@@ -278,13 +277,12 @@ def read_endpoint(spool_dir: str, check_alive: bool = True) -> Dict[str, Any]:
     if "host" not in payload or "port" not in payload:
         raise ServeError(f"endpoint file {path} lacks host/port")
     pid = payload.get("pid")
-    if check_alive and isinstance(pid, int):
-        if not _pid_alive(pid):
-            raise ServeError(
-                f"stale endpoint {path}: daemon pid {pid} died without "
-                "cleaning up — restart `repro serve` on this spool to "
-                "recover its interrupted jobs"
-            )
+    if is_int(pid) and not _pid_alive(pid):
+        raise ServeError(
+            f"stale endpoint {path}: daemon pid {pid} died without "
+            "cleaning up — restart `repro serve` on this spool to "
+            "recover its interrupted jobs"
+        )
     return payload
 
 

@@ -19,7 +19,7 @@ import threading
 from collections import deque
 from typing import Callable, List, Optional, TypeVar
 
-from repro.errors import QueueClosedError, QueueFullError, ServeError
+from repro.errors import QueueClosedError, QueueFullError, ServeError, is_int
 from repro.faults.injector import fault_point
 
 T = TypeVar("T")
@@ -32,7 +32,7 @@ class BoundedJobQueue:
     """Thread-safe bounded FIFO with block-or-reject backpressure."""
 
     def __init__(self, capacity: int = 16, policy: str = "block") -> None:
-        if not isinstance(capacity, int) or capacity <= 0:
+        if not is_int(capacity) or capacity <= 0:
             raise ServeError(
                 f"queue capacity must be a positive int, got {capacity!r}"
             )

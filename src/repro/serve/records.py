@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.preprocess import PreprocessJob
-from repro.errors import ReproError, ServeError, strict_keys
+from repro.errors import ReproError, ServeError, is_int, strict_keys
 from repro.journal import JsonlJournal
 
 #: every state a job can be in; the last three are terminal.  "interrupted"
@@ -109,7 +109,7 @@ class JobRecord:
             raise ServeError(
                 f"state must be one of {JOB_STATES}, got {self.state!r}"
             )
-        if not isinstance(self.attempts, int) or self.attempts < 0:
+        if not is_int(self.attempts) or self.attempts < 0:
             raise ServeError(
                 f"attempts must be a non-negative int, got {self.attempts!r}"
             )

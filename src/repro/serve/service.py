@@ -59,7 +59,6 @@ class PreprocessService:
         queue_capacity: int = 16,
         num_workers: int = 2,
         policy: str = "block",
-        submit_timeout: Optional[float] = None,
         max_retries: int = 1,
         backoff_s: float = 0.05,
         backoff_factor: float = 2.0,
@@ -72,7 +71,6 @@ class PreprocessService:
         recover: bool = True,
     ) -> None:
         self.spool_dir = spool_dir
-        self.submit_timeout = submit_timeout
         self.job_timeout_s = job_timeout_s
         self._clock = clock
         self._runner = runner or _default_runner
@@ -240,10 +238,7 @@ class PreprocessService:
             self._persist(record)
             self._changed.notify_all()
         try:
-            self.queue.put(
-                job_id,
-                timeout=timeout if timeout is not None else self.submit_timeout,
-            )
+            self.queue.put(job_id, timeout=timeout)
         except ServeError as exc:
             # submission failed: drop the live record and leave a terminal
             # tombstone in the index (nothing in the log may end non-terminal)

@@ -27,7 +27,7 @@ import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.preprocess import PreprocessJob
-from repro.errors import ConfigurationError, QueueClosedError, ReproError
+from repro.errors import ConfigurationError, QueueClosedError, ReproError, is_int
 from repro.registry import Registry
 from repro.serve.records import JobRecord
 
@@ -61,11 +61,10 @@ class DirectoryJobSource(JobSource):
     listed in :attr:`rejected`, never retried, never crashing the watcher.
     """
 
-    def __init__(self, path: str, pattern: str = "*.json") -> None:
+    def __init__(self, path: str) -> None:
         if not path:
             raise ConfigurationError("directory source needs a path")
         self.path = path
-        self.pattern = pattern
         self.name = f"watch:{path}"
         self._seen: set = set()
         #: filename -> error for files that were not valid job specs
@@ -74,7 +73,7 @@ class DirectoryJobSource(JobSource):
 
     def take(self, limit: int) -> List[PreprocessJob]:
         jobs: List[PreprocessJob] = []
-        for filename in sorted(glob.glob(os.path.join(self.path, self.pattern))):
+        for filename in sorted(glob.glob(os.path.join(self.path, "*.json"))):
             if len(jobs) >= limit:
                 break
             if filename in self._seen:
@@ -105,7 +104,7 @@ class SyntheticJobSource(JobSource):
         count: int = 1,
         seed: int = 0,
     ) -> None:
-        if not isinstance(count, int) or count <= 0:
+        if not is_int(count) or count <= 0:
             raise ConfigurationError(
                 f"synthetic source count must be a positive int, got {count!r}"
             )

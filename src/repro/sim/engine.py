@@ -66,13 +66,12 @@ class Process:
 class Engine:
     """The simulation kernel: clock, event heap, process scheduler."""
 
-    __slots__ = ("now", "_heap", "_sequence", "_processes")
+    __slots__ = ("now", "_heap", "_sequence")
 
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: List[_Event] = []
         self._sequence = itertools.count()
-        self._processes: List[Process] = []
 
     # -- scheduling --------------------------------------------------------
 
@@ -87,7 +86,6 @@ class Engine:
     def spawn(self, name: str, generator: ProcessGenerator) -> Process:
         """Register a process and schedule its first step at the current time."""
         process = Process(name, generator)
-        self._processes.append(process)
         heapq.heappush(
             self._heap, (self.now, next(self._sequence), process, None, None)
         )
@@ -155,12 +153,3 @@ class Engine:
             if events > max_events:
                 raise SimulationError(f"exceeded {max_events} events; runaway model?")
         return now
-
-    @property
-    def processes(self) -> List[Process]:
-        """All processes ever spawned (finished and running)."""
-        return list(self._processes)
-
-    def all_finished(self) -> bool:
-        """True when every spawned process has run to completion."""
-        return all(p.finished for p in self._processes)

@@ -103,8 +103,7 @@ class _StoreGet:
 class Store:
     """Bounded FIFO queue with blocking put/get.
 
-    ``capacity=None`` means unbounded.  Tracks totals plus a time-weighted
-    occupancy integral for average-depth statistics.
+    ``capacity=None`` means unbounded.  Tracks put/get totals.
     """
 
     def __init__(self, name: str, capacity: Optional[int] = None) -> None:
@@ -117,8 +116,6 @@ class Store:
         self.total_got = 0
         self._blocked_puts: Deque[Tuple[Process, Any]] = collections.deque()
         self._blocked_gets: Deque[Process] = collections.deque()
-        self._occupancy_integral = 0.0
-        self._last_change = 0.0
 
     # -- yieldable API -----------------------------------------------------
 
@@ -132,15 +129,10 @@ class Store:
 
     # -- internals -----------------------------------------------------------
 
-    def _account(self, engine: Engine) -> None:
-        self._occupancy_integral += len(self.items) * (engine.now - self._last_change)
-        self._last_change = engine.now
-
     def _put(self, engine: Engine, process: Process, item: Any) -> None:
         if self.capacity is not None and len(self.items) >= self.capacity:
             self._blocked_puts.append((process, item))
             return
-        self._account(engine)
         self.items.append(item)
         self.total_put += 1
         engine.resume(process, None)
@@ -150,7 +142,6 @@ class Store:
         if not self.items:
             self._blocked_gets.append(process)
             return
-        self._account(engine)
         item = self.items.popleft()
         self.total_got += 1
         engine.resume(process, item)
@@ -158,7 +149,6 @@ class Store:
 
     def _drain_gets(self, engine: Engine) -> None:
         while self._blocked_gets and self.items:
-            self._account(engine)
             waiter = self._blocked_gets.popleft()
             item = self.items.popleft()
             self.total_got += 1
@@ -169,23 +159,11 @@ class Store:
         while self._blocked_puts and (
             self.capacity is None or len(self.items) < self.capacity
         ):
-            self._account(engine)
             producer, item = self._blocked_puts.popleft()
             self.items.append(item)
             self.total_put += 1
             engine.resume(producer, None)
             self._drain_gets(engine)
-
-    # -- stats -----------------------------------------------------------------
-
-    def mean_depth(self, engine: Engine) -> float:
-        """Time-averaged queue depth up to ``engine.now``."""
-        if engine.now <= 0:
-            return float(len(self.items))
-        integral = self._occupancy_integral + len(self.items) * (
-            engine.now - self._last_change
-        )
-        return integral / engine.now
 
     def __len__(self) -> int:
         return len(self.items)

@@ -9,8 +9,6 @@ the SSD object store with the accelerator timing model and enforces the
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import CapacityError
 from repro.features.specs import ModelSpec
 from repro.hardware.accelerator import AcceleratorModel, AcceleratorStages
@@ -24,16 +22,11 @@ NVME_POWER_ENVELOPE = 25.0
 class SmartSsd:
     """One PreSto ISP unit: local SSD + on-device FPGA accelerator."""
 
-    def __init__(
-        self,
-        name: str,
-        calibration: Calibration = CALIBRATION,
-        accelerator: Optional[AcceleratorModel] = None,
-    ) -> None:
+    def __init__(self, name: str, calibration: Calibration = CALIBRATION) -> None:
         self.cal = calibration
         self.name = name
-        self.ssd = SsdModel(name=f"{name}/ssd", read_bw=calibration.ssd_read_bw)
-        self.accelerator = accelerator or AcceleratorModel(calibration)
+        self.ssd = SsdModel(name=f"{name}/ssd")
+        self.accelerator = AcceleratorModel(calibration)
         if calibration.smartssd_tdp > NVME_POWER_ENVELOPE:
             raise CapacityError(
                 f"SmartSSD TDP {calibration.smartssd_tdp} W exceeds the "
@@ -42,10 +35,6 @@ class SmartSsd:
         self.batches_preprocessed = 0
 
     # -- timing ---------------------------------------------------------------
-
-    def p2p_time(self, num_bytes: float) -> float:
-        """Seconds to move bytes SSD -> FPGA DRAM over the internal switch."""
-        return self.ssd.read_latency + num_bytes / self.cal.p2p_bandwidth
 
     def preprocess_stages(self, spec: ModelSpec) -> AcceleratorStages:
         """Stage times for one mini-batch preprocessed fully in-device."""

@@ -1,10 +1,10 @@
 """Datacenter NVMe SSD model.
 
 Partitions (columnar files) are stored contiguously on one device (the
-Tectonic behaviour Section IV-B relies on), so reads are dominated by
-sequential bandwidth plus a fixed request latency.  The model tracks stored
-objects by key so the cluster can answer "which device holds partition i"
-and the functional layer can actually read bytes back.
+Tectonic behaviour Section IV-B relies on).  The model tracks stored objects
+by key so the cluster can answer "which device holds partition i" and the
+functional layer can actually read bytes back; read *timing* is the
+calibrated ``ssd_read_*`` terms of :mod:`repro.hardware.cpu`.
 """
 
 from __future__ import annotations
@@ -13,18 +13,15 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.hardware.calibration import CALIBRATION
 from repro.units import GIB
 
 
 @dataclass
 class SsdModel:
-    """One NVMe SSD: capacity, bandwidth, and a key -> bytes object store."""
+    """One NVMe SSD: capacity and a key -> bytes object store."""
 
     name: str
     capacity_bytes: float = 4 * 1024 * GIB  # 4 TB class, like the SmartSSD's
-    read_bw: float = CALIBRATION.ssd_read_bw
-    read_latency: float = CALIBRATION.ssd_read_latency
     _objects: Dict[str, bytes] = field(default_factory=dict, repr=False)
     bytes_stored: float = 0.0
     bytes_read: float = 0.0
@@ -47,26 +44,3 @@ class SsdModel:
         data = self._objects[key]
         self.bytes_read += len(data)
         return data
-
-    def has_object(self, key: str) -> bool:
-        """Whether ``key`` is stored on this device."""
-        return key in self._objects
-
-    def read_object_silent(self, key: str) -> bytes:
-        """Read without charging I/O counters (metadata peeks)."""
-        if key not in self._objects:
-            raise ConfigurationError(f"no object {key!r} on {self.name}")
-        return self._objects[key]
-
-    # -- timing ------------------------------------------------------------------
-
-    def read_time(self, num_bytes: float) -> float:
-        """Seconds to sequentially read ``num_bytes`` from flash."""
-        if num_bytes < 0:
-            raise ConfigurationError("cannot read negative bytes")
-        return self.read_latency + num_bytes / self.read_bw
-
-    @property
-    def num_objects(self) -> int:
-        """Stored object count."""
-        return len(self._objects)

@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.errors import TelemetryError, strict_keys
+from repro.errors import TelemetryError, is_int, strict_keys
 
 #: every subsystem that can emit timing events
 EVENT_SOURCES = ("batch", "serve", "bench", "fleet")
@@ -104,7 +104,7 @@ class TimingEvent:
                     f"got {self.elapsed_s!r}"
                 )
             object.__setattr__(self, "elapsed_s", float(self.elapsed_s))
-        if not isinstance(self.attempts, int) or self.attempts < 0:
+        if not is_int(self.attempts) or self.attempts < 0:
             raise TelemetryError(
                 f"event attempts must be a non-negative int, "
                 f"got {self.attempts!r}"

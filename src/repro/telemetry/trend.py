@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import TelemetryError, strict_keys
+from repro.errors import TelemetryError, is_int, strict_keys
 from repro.telemetry.events import TimingEvent
 
 #: summary file format — bump to invalidate every committed summary
@@ -108,7 +108,7 @@ class MetricSample:
                 raise TelemetryError(
                     f"sample {name} must be a non-empty string, got {value!r}"
                 )
-        if not isinstance(self.count, int) or self.count < 1:
+        if not is_int(self.count) or self.count < 1:
             raise TelemetryError(
                 f"sample count must be a positive int, got {self.count!r}"
             )

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.training.dlrm import DlrmCostModel
@@ -71,7 +72,7 @@ class GpuTrainingModel:
     ) -> float:
         """Aggregate demand of a multi-GPU training node (data parallel)."""
         if num_gpus <= 0:
-            raise ValueError("num_gpus must be positive")
+            raise ConfigurationError("num_gpus must be positive")
         return num_gpus * self.max_training_throughput(spec, batch_size)
 
     def utilization(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.sim.engine import Engine, Timeout
@@ -50,7 +51,7 @@ class TrainManager:
         input_queue_capacity: int = 16,
     ) -> None:
         if num_gpus <= 0:
-            raise ValueError("num_gpus must be positive")
+            raise ConfigurationError("num_gpus must be positive")
         self.spec = spec
         self.num_gpus = num_gpus
         self.cal = calibration

@@ -44,21 +44,6 @@ def gbps(value: float) -> float:
     return value * GBPS
 
 
-def gb_per_s(value: float) -> float:
-    """Convert gigabytes/second to bytes/second."""
-    return value * GB_PER_S
-
-
-def mhz(value: float) -> float:
-    """Convert megahertz to hertz."""
-    return value * MHZ
-
-
-def joules_to_kwh(joules: float) -> float:
-    """Convert energy in joules to kilowatt-hours."""
-    return joules / KILOWATT_HOUR
-
-
 def pretty_bytes(num_bytes: float) -> str:
     """Render a byte count with a binary suffix, for reports and repr()s."""
     value = float(num_bytes)

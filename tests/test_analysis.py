@@ -1,17 +1,9 @@
-"""Tests for the cost/energy analysis and metric helpers."""
+"""Tests for the cost/energy analysis."""
 
 import pytest
 
 from repro.analysis.cost import cost_breakdown, cost_efficiency, opex
-from repro.analysis.energy import energy_efficiency, preprocessing_energy_per_epoch
-from repro.analysis.metrics import (
-    arithmetic_mean,
-    geometric_mean,
-    normalize_to,
-    share,
-    speedup,
-    stacked_shares,
-)
+from repro.analysis.energy import energy_efficiency
 from repro.errors import ConfigurationError
 from repro.hardware.calibration import CALIBRATION
 
@@ -65,44 +57,3 @@ class TestEnergy:
             energy_efficiency(1.0, 0.0)
         with pytest.raises(ConfigurationError):
             energy_efficiency(-1.0, 1.0)
-
-    def test_epoch_energy(self):
-        # 100 W, 1e6 samples at 1e4 samples/s -> 100 s -> 10 kJ
-        assert preprocessing_energy_per_epoch(100.0, 1e6, 1e4) == pytest.approx(1e4)
-        with pytest.raises(ConfigurationError):
-            preprocessing_energy_per_epoch(1.0, 1.0, 0.0)
-
-
-class TestMetrics:
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == pytest.approx(5.0)
-        with pytest.raises(ConfigurationError):
-            speedup(1.0, 0.0)
-
-    def test_normalize_to(self):
-        assert normalize_to([2.0, 4.0], 2.0) == [1.0, 2.0]
-        with pytest.raises(ConfigurationError):
-            normalize_to([1.0], 0.0)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ConfigurationError):
-            geometric_mean([])
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, -1.0])
-
-    def test_arithmetic_mean(self):
-        assert arithmetic_mean([1.0, 3.0]) == pytest.approx(2.0)
-        with pytest.raises(ConfigurationError):
-            arithmetic_mean([])
-
-    def test_share(self):
-        assert share(1.0, 4.0) == pytest.approx(0.25)
-        with pytest.raises(ConfigurationError):
-            share(1.0, 0.0)
-
-    def test_stacked_shares_sum_to_one(self):
-        shares = stacked_shares({"a": 1.0, "b": 3.0})
-        assert sum(shares.values()) == pytest.approx(1.0)
-        with pytest.raises(ConfigurationError):
-            stacked_shares({"a": 0.0})

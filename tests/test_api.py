@@ -229,11 +229,6 @@ class TestSweep:
         parallel_bytes = json.dumps([r.to_dict() for r in parallel]).encode()
         assert serial_bytes == parallel_bytes
 
-    def test_dict_round_trip(self):
-        sweep = Sweep.grid(models=("RM1",), systems=("PreSto", "U280"))
-        rebuilt = Sweep.from_dicts(sweep.to_dicts())
-        assert list(rebuilt) == list(sweep)
-
 
 class TestEndToEndConstruction:
     def test_endtoend_accepts_system_name(self):

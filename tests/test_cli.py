@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.api import EXPERIMENT_REGISTRY
+from repro.api import EXPERIMENT_REGISTRY, REGISTRY
 from repro.cli import build_parser, main
 
 
@@ -52,6 +52,67 @@ class TestCommands:
     def test_provision_lowercase(self, capsys):
         assert main(["provision", "rm1"]) == 0
         assert "RM1" in capsys.readouterr().out
+
+    def test_provision_names_the_design_that_cannot_sustain_the_job(self, capsys):
+        assert main(["provision", "RM5"]) == 0
+        unfit = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "not provisionable" in line
+        ]
+        assert len(unfit) == 1 and unfit[0].split()[0] == "Co-located"
+        assert "co-located cores per GPU supply only" in unfit[0]
+
+    def test_provision_rejects_a_non_positive_gpu_count(self, capsys):
+        """Exit 1 with one line — it used to exit 0 printing "not
+        provisionable: num_gpus must be positive" for every system, an
+        untyped ValueError swallowed under ``except Exception``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["provision", "RM5", "--gpus", "0"])
+        assert str(excinfo.value) == "num_gpus must be positive"
+        assert capsys.readouterr().out == ""
+
+    def test_systems_lists_every_design_point(self, capsys):
+        assert main(["systems"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:14].strip() for line in lines] == list(REGISTRY.names())
+        assert len(lines) == 6
+        assert all(line[15:].strip() for line in lines)  # each has its docstring
+
+    def test_scenario_run_prints_the_result_table(self, capsys):
+        assert main(
+            ["run", "--model", "RM5", "--system", "PreSto", "--batches", "50"]
+        ) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "Scenario RM5/PreSto/8gpu"
+        assert out[1].split()[:4] == ["model", "system", "GPUs", "workers"]
+        assert out[3].split()[:4] == ["RM5", "PreSto", "8", "9"]
+        assert out[-1].startswith("RM5/PreSto: 9 workers feed 8 GPU(s)")
+
+    def test_sweep_serial_prints_one_row_per_scenario(self, capsys):
+        assert main(
+            ["sweep", "--models", "RM5", "--systems", "Disagg,PreSto",
+             "--gpus", "8", "--batches", "50", "--serial"]
+        ) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "Sweep: 2 scenarios"
+        assert [line.split()[:4] for line in out[3:]] == [
+            ["RM5", "Disagg", "8", "367"], ["RM5", "PreSto", "8", "9"],
+        ]
+
+    def test_degrade_sweep_names_the_failed_scenario_and_exits_1(self, capsys):
+        assert main(
+            ["sweep", "--models", "RM5", "--systems", "PreSto,Co-located",
+             "--gpus", "8", "--batches", "50", "--serial",
+             "--failure-mode", "degrade", "--max-retries", "0"]
+        ) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "Sweep: 2 scenarios"
+        assert out[3].split()[:4] == ["RM5", "PreSto", "8", "9"]
+        assert out[4:] == [
+            "FAILED RM5/Co-located/gpus=8: failed after 1 attempt(s): "
+            "ConfigurationError: RM5: 16 co-located cores per GPU supply only "
+            "24,055 samples/s of the 133,421 demanded"
+        ]
 
     def test_every_run_id_works(self, capsys):
         # the cheap ones; fig11/15 style experiments are covered elsewhere
@@ -203,18 +264,19 @@ class TestServeCli:
         with pytest.raises(SystemExit, match="repro serve"):
             main(["jobs", "--spool", str(tmp_path / "no-daemon")])
 
-    def test_daemon_round_trip_through_cli(self, tmp_path, capsys):
-        """serve -> submit --wait -> jobs -> shutdown, all via main()."""
-        import json as json_mod
+    @pytest.fixture
+    def daemon(self, tmp_path, capsys):
+        """``repro serve --workers 1`` on a fresh spool, run by ``main()`` in
+        a thread; yields ``(spool, thread)`` and stops whatever is left."""
         import threading
 
         spool = str(tmp_path / "spool")
-        daemon = threading.Thread(
+        thread = threading.Thread(
             target=main,
             args=(["serve", "--spool", spool, "--workers", "1"],),
             daemon=True,
         )
-        daemon.start()
+        thread.start()
         endpoint = tmp_path / "spool" / "endpoint.json"
         # wait until the daemon is up AND its banner has flushed, so the
         # captured stdout below contains only the client commands' output
@@ -226,7 +288,18 @@ class TestServeCli:
                 break
             time.sleep(0.02)
         assert endpoint.exists() and "listening" in banner
+        yield spool, thread
+        if thread.is_alive():
+            main(["shutdown", "--spool", spool, "--no-drain"])
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
 
+    def test_daemon_round_trip_through_cli(self, daemon, tmp_path, capsys):
+        """serve -> submit --wait -> jobs -> shutdown, all via main()."""
+        import json as json_mod
+
+        spool, daemon = daemon
+        endpoint = tmp_path / "spool" / "endpoint.json"
         assert main(
             ["submit", "--spool", spool, "--rows", "256", "--shards", "2",
              "--wait", "--json"]
@@ -249,6 +322,65 @@ class TestServeCli:
         assert not daemon.is_alive()
         assert not endpoint.exists()
         assert (tmp_path / "spool" / "jobs.jsonl").exists()
+
+    @pytest.fixture
+    def gate(self, monkeypatch):
+        """Hold every job inside the runner until released, so one job
+        occupies the single worker while the next one sits in the queue."""
+        import threading
+
+        from repro.serve import service
+
+        release = threading.Event()
+
+        def held(job, record_stage):
+            assert release.wait(30.0)
+            return "0" * 64
+
+        monkeypatch.setattr(service, "_default_runner", held)
+        yield release
+        release.set()
+
+    def test_status_and_cancel_through_cli(self, gate, daemon, capsys):
+        """status <id> / --json / --follow, cancel of a queued, a running
+        and an unknown job — the client commands no other test drives."""
+        import json as json_mod
+
+        spool, _ = daemon
+
+        def submit() -> str:
+            assert main(["submit", "--spool", spool, "--rows", "64", "--json"]) == 0
+            return json_mod.loads(capsys.readouterr().out)["job_id"]
+
+        def state(job_id: str) -> str:
+            assert main(["status", job_id, "--spool", spool, "--json"]) == 0
+            return json_mod.loads(capsys.readouterr().out)["state"]
+
+        running = submit()
+        deadline = time.monotonic() + 30.0
+        while state(running) != "running" and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert state(running) == "running"
+        queued = submit()
+        assert main(["status", queued, "--spool", spool]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.split()[:2] == [queued, "queued"] and "attempts=0" in line
+
+        assert main(["cancel", queued, "--spool", spool]) == 0
+        assert capsys.readouterr().out == f"{queued}: cancelled\n"
+        assert state(queued) == "cancelled"
+        assert main(["cancel", running, "--spool", spool]) == 1
+        assert capsys.readouterr().out == f"{running}: not cancellable\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cancel", "job-999999", "--spool", spool])
+        assert "job-999999" in str(excinfo.value)
+        assert "\n" not in str(excinfo.value)
+
+        gate.set()
+        assert main(["status", running, "--spool", spool, "--follow"]) == 0
+        followed = capsys.readouterr().out
+        assert f"{running}  completed" in followed
+        assert "digest  " + "0" * 64 in followed
 
 
 class TestChaos:

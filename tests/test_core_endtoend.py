@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import REGISTRY, Scenario
 from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.endtoend import EndToEndSimulation
 from repro.core.isp_worker import IspPreprocessingWorker
@@ -106,3 +107,49 @@ class TestEndToEnd:
         assert stats.wall_time > 0
         assert stats.training_time <= stats.wall_time
         assert 0.0 <= stats.gpu_utilization <= 1.0
+
+
+class TestOnePlannerForASystemBuiltSimulation:
+    """A simulation built from a ``system`` plans through
+    ``system.provision_for`` — the planner ``repro provision`` and the fleet
+    tier use — not a second T/P beside it."""
+
+    @pytest.mark.parametrize("num_gpus", [1, 8])
+    @pytest.mark.parametrize("model", ["RM1", "RM5"])
+    @pytest.mark.parametrize(
+        "name", [name for name in REGISTRY.names() if name != "Co-located"]
+    )
+    def test_elastic_systems_plan_what_the_manager_planned(
+        self, name, model, num_gpus
+    ):
+        spec = get_model(model)
+        system = REGISTRY.create(name, spec)
+        sim = EndToEndSimulation(spec, system=system, num_gpus=num_gpus)
+        manager_plan = sim.preprocess_manager.plan(
+            sim.train_manager.measure_max_throughput()
+        )
+        assert system.provision_for(num_gpus) == manager_plan
+
+    @pytest.mark.parametrize("model, num_gpus", [("RM5", 8), ("RM1", 1)])
+    def test_unsustainable_colocated_job_is_the_systems_own_error(
+        self, model, num_gpus
+    ):
+        scenario = Scenario(model=model, system="Co-located", num_gpus=num_gpus)
+        message = "co-located cores per GPU supply only"
+        with pytest.raises(ConfigurationError, match=message):
+            scenario.provision_plan()
+        with pytest.raises(ConfigurationError, match=message):
+            scenario.run()
+
+    def test_colocated_workers_are_derated_to_figure_3(self):
+        """16 host cores beside one A100 on RM5: the simulated steady-state
+        utilization is Figure 3's, not the un-derated 40% (2.2x over)."""
+        from repro.experiments import fig3_colocated
+
+        result = Scenario(
+            model="RM5", system="Co-located", num_gpus=1, num_workers=16,
+            num_batches=1000,
+        ).run()
+        assert result.steady_state_utilization == pytest.approx(
+            fig3_colocated.run().utilization_at_16, rel=0.10
+        )

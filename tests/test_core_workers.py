@@ -6,7 +6,7 @@ import pytest
 from repro.core.accel_worker import GpuPoolWorker, PreStoU280Worker, U280PoolWorker
 from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.isp_worker import IspPreprocessingWorker
-from repro.core.worker import BREAKDOWN_STEPS, breakdown_total, normalize_breakdown
+from repro.core.worker import BREAKDOWN_STEPS, breakdown_total
 from repro.dataio.partition import RowPartitioner
 from repro.errors import ConfigurationError
 from repro.features.specs import get_model
@@ -24,14 +24,6 @@ def rm1_partition():
 
 
 class TestBreakdownHelpers:
-    def test_normalize(self):
-        breakdown = {step: 1.0 for step in BREAKDOWN_STEPS}
-        normalized = normalize_breakdown(breakdown, 4.0)
-        assert normalized["load"] == pytest.approx(0.25)
-
-    def test_normalize_bad_reference(self):
-        with pytest.raises(ConfigurationError):
-            normalize_breakdown({}, 0.0)
 
     def test_total(self):
         assert breakdown_total({s: 2.0 for s in BREAKDOWN_STEPS}) == pytest.approx(

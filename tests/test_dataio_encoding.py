@@ -15,12 +15,10 @@ from repro.dataio.encoding import (
     _encode_rle_scalar,
     _encode_varint,
     _encode_varint_scalar,
-    best_encoding,
     decode_column,
     decode_uvarints,
     encode_column,
     encode_uvarints,
-    encoded_size,
     read_uvarint,
     uvarint_lengths,
     write_uvarint,
@@ -92,14 +90,14 @@ class TestCodecRoundtrips:
 
     def test_varint_compresses_small_ids(self):
         values = np.arange(1000, dtype=np.int64) % 100
-        assert encoded_size(values, Encoding.VARINT) < encoded_size(
-            values, Encoding.PLAIN
+        assert len(encode_column(values, Encoding.VARINT)) < len(
+            encode_column(values, Encoding.PLAIN)
         )
 
     def test_dictionary_compresses_low_cardinality(self):
         values = np.array([123456789] * 500 + [987654321] * 500, dtype=np.int64)
-        assert encoded_size(values, Encoding.DICTIONARY) < encoded_size(
-            values, Encoding.PLAIN
+        assert len(encode_column(values, Encoding.DICTIONARY)) < len(
+            encode_column(values, Encoding.PLAIN)
         )
 
     @given(
@@ -297,18 +295,3 @@ class TestFramingAndErrors:
     def test_unsupported_dtype(self):
         with pytest.raises(EncodingError):
             encode_column(np.zeros(4, dtype=np.uint16), Encoding.PLAIN)
-
-
-class TestBestEncoding:
-    def test_floats_are_plain(self):
-        assert best_encoding(np.zeros(16, dtype=np.float32)) is Encoding.PLAIN
-
-    def test_runs_pick_rle(self):
-        values = np.zeros(10_000, dtype=np.int64)
-        assert best_encoding(values) is Encoding.RLE
-
-    def test_best_is_minimal(self):
-        values = np.arange(500, dtype=np.int64)
-        chosen = best_encoding(values)
-        sizes = {enc: encoded_size(values, enc) for enc in Encoding}
-        assert sizes[chosen] == min(sizes.values())

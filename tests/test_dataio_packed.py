@@ -19,10 +19,8 @@ from repro.dataio.encoding import (
     Encoding,
     _decode_packed,
     _encode_packed,
-    best_encoding,
     decode_column,
     encode_column,
-    encoded_size,
     write_uvarint,
 )
 from repro.errors import EncodingError
@@ -150,10 +148,9 @@ class TestPackedRoundTrip:
     def test_hashed_ids_take_five_bytes(self):
         rng = np.random.default_rng(0)
         ids = rng.integers(0, 2**40, 5000).astype(np.int64)
-        assert encoded_size(ids, Encoding.PACKED) <= 5 * len(ids) + 9 + 8
-        assert encoded_size(ids, Encoding.PACKED) < encoded_size(
-            ids, Encoding.VARINT
-        )
+        packed = len(encode_column(ids, Encoding.PACKED))
+        assert packed <= 5 * len(ids) + 9 + 8
+        assert packed < len(encode_column(ids, Encoding.VARINT))
 
     @given(packed_columns())
     @settings(max_examples=200, deadline=None)
@@ -167,25 +164,6 @@ class TestPackedRoundTrip:
             encode_column(np.zeros(4, dtype=np.float32), Encoding.PACKED)
         with pytest.raises(EncodingError):
             _encode_packed(np.zeros(4, dtype=np.float64))
-
-
-class TestBestEncodingSeesPacked:
-    def test_packed_wins_on_wide_uniform_ids(self):
-        rng = np.random.default_rng(1)
-        ids = rng.integers(0, 2**40, 2000).astype(np.int64)
-        assert best_encoding(ids) is Encoding.PACKED
-
-    def test_choice_is_the_minimum_over_all_five(self):
-        rng = np.random.default_rng(2)
-        for column in (
-            rng.integers(0, 2**40, 500).astype(np.int64),
-            rng.poisson(20, 500).astype(np.int32),
-            np.ones(500, dtype=np.int32),
-            (rng.random(500) < 0.3).astype(np.int8),
-        ):
-            sizes = {enc: encoded_size(column, enc) for enc in Encoding}
-            assert Encoding.PACKED in sizes
-            assert sizes[best_encoding(column)] == min(sizes.values())
 
 
 class TestCorruptChunks:

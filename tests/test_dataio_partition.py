@@ -1,4 +1,4 @@
-"""Tests for row partitioning and placement."""
+"""Tests for row partitioning."""
 
 import sys
 
@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dataio.columnar import ColumnarFileReader
-from repro.dataio.partition import (
-    Partition,
-    RowPartitioner,
-    partition_stats,
-    place_round_robin,
-)
+from repro.dataio.partition import RowPartitioner
 from repro.errors import PartitionError
 from repro.features.specs import get_model
 from repro.features.synthetic import generate_raw_table
@@ -106,31 +101,3 @@ class TestRowPartitioner:
         spec, _ = rm1_table
         with pytest.raises(PartitionError):
             RowPartitioner(spec.schema(), rows_per_partition=0)
-
-
-class TestPlacement:
-    def _parts(self, n):
-        return [
-            Partition(index=i, row_start=i * 10, row_stop=(i + 1) * 10, file_bytes=b"x")
-            for i in range(n)
-        ]
-
-    def test_round_robin_spread(self):
-        placement = place_round_robin(self._parts(7), 3)
-        assert [p.index for p in placement[0]] == [0, 3, 6]
-        assert [p.index for p in placement[1]] == [1, 4]
-        assert [p.index for p in placement[2]] == [2, 5]
-
-    def test_zero_devices_rejected(self):
-        with pytest.raises(PartitionError):
-            place_round_robin(self._parts(2), 0)
-
-    def test_stats(self):
-        total_rows, total_bytes, mean = partition_stats(self._parts(4))
-        assert total_rows == 40
-        assert total_bytes == 4
-        assert mean == pytest.approx(0.1)
-
-    def test_stats_empty_rejected(self):
-        with pytest.raises(PartitionError):
-            partition_stats([])

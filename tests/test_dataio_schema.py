@@ -53,7 +53,6 @@ class TestTableSchema:
         schema = TableSchema.with_counts(2, 3)
         assert schema.dense_names == ["int_0", "int_1"]
         assert schema.sparse_names == ["cat_0", "cat_1", "cat_2"]
-        assert schema.num_columns == 6  # label + 2 + 3
 
     def test_column_lookup(self):
         schema = TableSchema.with_counts(1, 1)

@@ -13,7 +13,7 @@ from repro.errors import (
     FaultError,
     PipelineError,
 )
-from repro.exec import ShardExecutor, ShardRunStats, run_preprocessing
+from repro.exec import ShardExecutor, ShardRunStats
 from repro.faults import FaultInjector, FaultPlan, FaultRule, installed
 from repro.features.specs import get_model
 from repro.features.synthetic import SyntheticTableGenerator
@@ -107,10 +107,10 @@ class TestShardExecutor:
         ) == minibatch_digest([r.batch for r in materialized])
 
     def test_stats_aggregate(self, pipeline, raw_table):
-        results, stats = run_preprocessing(
-            pipeline, raw_table, num_shards=4, parallel=False
+        results = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS).run(
+            raw_table, parallel=False
         )
-        assert stats == ShardRunStats.from_results(results)
+        stats = ShardRunStats.from_results(results)
         assert stats.num_shards == len(results)
         assert stats.num_rows == NUM_ROWS
         assert stats.bytes_read <= stats.file_bytes

@@ -1,7 +1,7 @@
 """Tests for the experiment-harness plumbing (claims, tables, report)."""
 
 from repro.api import EXPERIMENT_REGISTRY
-from repro.experiments.common import PaperClaim, format_table, model_names, models
+from repro.experiments.common import PaperClaim, format_table, models
 
 
 class TestPaperClaim:
@@ -40,8 +40,7 @@ class TestFormatTable:
 
 class TestHarnessConsistency:
     def test_models_order(self):
-        assert model_names() == ["RM1", "RM2", "RM3", "RM4", "RM5"]
-        assert [m.name for m in models()] == model_names()
+        assert [m.name for m in models()] == ["RM1", "RM2", "RM3", "RM4", "RM5"]
 
     def test_registry_titles_unique(self):
         """Figure/table/ablation titles never collide across kinds."""

@@ -17,9 +17,6 @@ class TestMLPSpec:
         mlp = MLPSpec((512, 256, 128))
         assert mlp.macs(504) == 504 * 512 + 512 * 256 + 256 * 128
 
-    def test_output_width(self):
-        assert MLPSpec((1024, 1)).output_width == 1
-
     def test_str(self):
         assert str(MLPSpec((512, 256, 128))) == "512-256-128"
 
@@ -69,9 +66,7 @@ class TestTableI:
 class TestDerivedQuantities:
     def test_elements_per_sample(self):
         rm5 = get_model("RM5")
-        assert rm5.dense_elements_per_sample() == 504
         assert rm5.sparse_elements_per_sample() == 840
-        assert rm5.bucketize_elements_per_sample() == 42
         assert rm5.embedding_indices_per_sample() == 882
 
     def test_train_ready_bytes(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.features.specs import all_models, get_model
 from repro.hardware.accelerator import AcceleratorModel
 from repro.hardware.cpu import CpuCoreModel
@@ -109,7 +110,7 @@ class TestSpeedAndScale:
         assert slow.batch_stages(spec).load > fast.batch_stages(spec).load
 
     def test_invalid_unit_scale(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             AcceleratorModel(unit_scale=0.0)
 
 
@@ -120,7 +121,7 @@ class TestPerOpTimes:
         assert accel.op_time(spec, "sigridhash") > stages.sigridhash
 
     def test_unknown_op_rejected(self, accel):
-        with pytest.raises(ValueError, match="unknown transform op"):
+        with pytest.raises(ConfigurationError, match="unknown transform op"):
             accel.op_time(get_model("RM1"), "resize")
 
     def test_op_time_scales_with_features(self, accel):

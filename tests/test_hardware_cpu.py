@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.features.specs import all_models, get_model
 from repro.hardware.calibration import Calibration
 from repro.hardware.cpu import CpuCoreModel
@@ -78,7 +79,7 @@ class TestThroughput:
         assert model.disagg_throughput(get_model("RM1"), 0) == 0.0
 
     def test_disagg_negative_rejected(self, model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             model.disagg_throughput(get_model("RM1"), -1)
 
     def test_colocated_derated_vs_disagg(self, model):

@@ -11,7 +11,6 @@ from repro.hardware.fpga import (
     U280_FPGA,
     UNIT_ORDER,
     fits,
-    max_lane_scale,
     resource_table,
 )
 
@@ -58,14 +57,6 @@ class TestScaling:
     def test_oversubscription_raises(self):
         with pytest.raises(CapacityError):
             resource_table(SMARTSSD_FPGA, lane_scale=16.0)
-
-    def test_max_lane_scale_consistent(self):
-        scale = max_lane_scale(SMARTSSD_FPGA)
-        assert fits(SMARTSSD_FPGA, scale)
-        assert not fits(SMARTSSD_FPGA, scale + 1)
-
-    def test_u280_fits_more_than_smartssd(self):
-        assert max_lane_scale(U280_FPGA) > max_lane_scale(SMARTSSD_FPGA)
 
     def test_bad_lane_scale(self):
         with pytest.raises(CapacityError):

@@ -59,10 +59,13 @@ class TestModelledPathsBuildNothing:
     @pytest.mark.parametrize("model", ["RM1", "RM5"])
     @pytest.mark.parametrize("system", REGISTRY.names())
     def test_scenario_run(self, builds, model, system):
-        result = Scenario(
-            model=model, system=system, num_gpus=8, num_batches=50
-        ).run()
-        assert result.num_workers > 0
+        try:
+            result = Scenario(
+                model=model, system=system, num_gpus=8, num_batches=50
+            ).run()
+            assert result.num_workers > 0
+        except ConfigurationError:
+            assert system == "Co-located"  # fixed core budget, Fig. 3
         assert builds == []
 
     @pytest.mark.parametrize("model", ["RM1", "RM5"])

@@ -1,52 +1,9 @@
-"""Tests for the network link and RPC accounting."""
+"""Tests for the RPC accounting."""
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.features.specs import all_models, get_model
-from repro.network.link import NetworkLink
 from repro.network.rpc import RpcAccounting
-from repro.sim.engine import Engine
-
-
-class TestNetworkLink:
-    def test_transfer_time_components(self):
-        link = NetworkLink("t", bandwidth=1e9, latency=1e-3)
-        assert link.transfer_time(1e9) == pytest.approx(1.0 + 1e-3)
-
-    def test_fair_sharing(self):
-        link = NetworkLink("t", bandwidth=1e9, latency=0.0)
-        assert link.transfer_time(1e9, concurrent_streams=4) == pytest.approx(4.0)
-
-    def test_efficiency(self):
-        link = NetworkLink("t", bandwidth=1e9, latency=0.0)
-        assert link.transfer_time(1e9, efficiency=0.5) == pytest.approx(2.0)
-
-    def test_stats_accumulate(self):
-        link = NetworkLink("t", bandwidth=1e9)
-        link.transfer_time(100)
-        link.transfer_time(200)
-        assert link.stats.messages == 2
-        assert link.stats.bytes_moved == 300
-
-    def test_wire_time(self):
-        link = NetworkLink("t", bandwidth=2e9, latency=0.0)
-        assert link.wire_time(1e9) == pytest.approx(0.5)
-
-    def test_invalid_inputs(self):
-        link = NetworkLink("t", bandwidth=1e9)
-        with pytest.raises(ConfigurationError):
-            link.transfer_time(-1)
-        with pytest.raises(ConfigurationError):
-            link.transfer_time(1, concurrent_streams=0)
-        with pytest.raises(ConfigurationError):
-            link.transfer_time(1, efficiency=0.0)
-        with pytest.raises(ConfigurationError):
-            NetworkLink("bad", bandwidth=0)
-
-    def test_as_server(self):
-        server = NetworkLink("t").as_server(Engine())
-        assert server.capacity == 1
 
 
 class TestRpcAccounting:

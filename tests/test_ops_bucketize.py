@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OpError
-from repro.ops.bucketize import bucketize, num_buckets, search_bucket_id
+from repro.ops.bucketize import bucketize, search_bucket_id
 
 
 class TestScalarSearch:
@@ -55,9 +55,6 @@ class TestVectorized:
     def test_2d_input_rejected(self):
         with pytest.raises(OpError, match="1-D"):
             bucketize(np.zeros((2, 2)), np.array([1.0]))
-
-    def test_num_buckets(self):
-        assert num_buckets(np.array([1.0, 2.0, 3.0])) == 4
 
 
 class TestProperties:

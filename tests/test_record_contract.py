@@ -173,3 +173,30 @@ def test_from_dict_does_not_mutate_its_input(cls):
     before = repr(payload)
     cls.from_dict(payload)
     assert repr(payload) == before
+
+
+#: every integer field a record validates.  ``bool`` subclasses ``int``, so a
+#: JSON ``true`` used to pass for a count of one (and was journaled as
+#: ``true``); the one predicate is :func:`repro.errors.is_int`.
+INTEGER_FIELDS = [
+    (Scenario, "num_gpus"), (Scenario, "num_batches"),
+    (Scenario, "queue_capacity"), (Scenario, "seed"), (Scenario, "num_workers"),
+    (PreprocessJob, "num_rows"), (PreprocessJob, "num_shards"),
+    (PreprocessJob, "processes"), (PreprocessJob, "seed"),
+    (BatchPolicy, "max_retries"), (BatchPolicy, "processes"),
+    (FaultRule, "max_fires"), (FaultPlan, "seed"),
+    (JobArrival, "num_gpus"), (JobArrival, "priority"), (Trace, "seed"),
+    (TimingEvent, "attempts"), (MetricSample, "count"), (JobRecord, "attempts"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field", INTEGER_FIELDS, ids=[f"{c.__name__}.{f}" for c, f in INTEGER_FIELDS]
+)
+def test_true_is_not_a_count(cls, field):
+    error = RECORDS[cls][1]
+    payload = {**_instance(cls).to_dict(), field: True}
+    with pytest.raises(error) as excinfo:
+        cls.from_dict(payload)
+    assert type(excinfo.value) is error
+    assert field in str(excinfo.value) and "True" in str(excinfo.value)

@@ -64,18 +64,6 @@ class TestProcessLifecycle:
         assert p.finished
         assert p.finish_time == 3.0
 
-    def test_all_finished(self):
-        engine = Engine()
-
-        def proc(d):
-            yield Timeout(d)
-
-        engine.spawn("a", proc(1.0))
-        engine.spawn("b", proc(2.0))
-        assert not engine.all_finished()
-        engine.run()
-        assert engine.all_finished()
-
     def test_unknown_event_rejected(self):
         engine = Engine()
 

@@ -143,18 +143,6 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store("q", capacity=0)
 
-    def test_mean_depth_positive_when_backlogged(self):
-        engine = Engine()
-        store = Store("q")
-
-        def producer():
-            yield store.put(1)
-            yield Timeout(10.0)
-
-        engine.spawn("p", producer())
-        engine.run()
-        assert store.mean_depth(engine) == pytest.approx(1.0)
-
 
 class TestConservationProperty:
     @given(

@@ -1,4 +1,4 @@
-"""Tests for SSD/SmartSSD devices, nodes, and the distributed cluster."""
+"""Tests for SSD/SmartSSD devices and the distributed cluster."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.features.specs import get_model
 from repro.features.synthetic import generate_raw_table
 from repro.storage.cluster import DistributedStorage, PlacementPolicy
-from repro.storage.node import CpuNode, GpuNode, StorageNode
 from repro.storage.smartssd import SmartSsd
 from repro.storage.ssd import SsdModel
 
@@ -17,7 +16,6 @@ class TestSsdModel:
         ssd = SsdModel("d0")
         ssd.write_object("k", b"hello")
         assert ssd.read_object("k") == b"hello"
-        assert ssd.num_objects == 1
         assert ssd.bytes_stored == 5
         assert ssd.bytes_read == 5
 
@@ -36,18 +34,6 @@ class TestSsdModel:
         with pytest.raises(CapacityError, match="full"):
             ssd.write_object("k", b"x" * 11)
 
-    def test_read_time(self):
-        ssd = SsdModel("d0", read_bw=1e9, read_latency=1e-4)
-        assert ssd.read_time(1e9) == pytest.approx(1.0 + 1e-4)
-        with pytest.raises(ConfigurationError):
-            ssd.read_time(-1)
-
-    def test_silent_read_skips_counters(self):
-        ssd = SsdModel("d0")
-        ssd.write_object("k", b"abc")
-        ssd.read_object_silent("k")
-        assert ssd.bytes_read == 0
-
 
 class TestSmartSsd:
     def test_composition(self):
@@ -56,51 +42,12 @@ class TestSmartSsd:
         assert dev.tdp <= 25.0
         assert dev.active_power <= dev.tdp
 
-    def test_p2p_faster_than_network_wire(self):
-        dev = SmartSsd("isp0")
-        from repro.hardware.calibration import CALIBRATION
-
-        bytes_ = 50e6
-        p2p = dev.p2p_time(bytes_)
-        network = bytes_ / CALIBRATION.network_bandwidth
-        assert p2p < network
-
     def test_throughput_and_latency(self):
         dev = SmartSsd("isp0")
         spec = get_model("RM5")
         assert dev.throughput(spec) > 0
         assert dev.batch_latency(spec) > 0
         assert dev.batches_preprocessed == 1
-
-
-class TestNodes:
-    def test_cpu_node(self):
-        node = CpuNode()
-        assert node.num_cores == 32
-        assert node.power == 350.0
-        assert node.price == 12_000.0
-
-    def test_gpu_node(self):
-        node = GpuNode(num_gpus=8)
-        assert node.colocated_cores_per_gpu == 16
-        with pytest.raises(ConfigurationError):
-            GpuNode(num_gpus=0)
-
-    def test_storage_node_device_kinds(self):
-        node = StorageNode()
-        node.add_device(SsdModel("plain"))
-        node.add_device(SmartSsd("smart"))
-        assert len(node.plain_ssds) == 1
-        assert len(node.smartssds) == 1
-
-    def test_storage_node_device_for(self):
-        node = StorageNode()
-        ssd = SsdModel("plain")
-        ssd.write_object("k", b"x")
-        node.add_device(ssd)
-        assert node.device_for("k") is ssd
-        with pytest.raises(ConfigurationError):
-            node.device_for("missing")
 
 
 class TestDistributedStorage:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.features.specs import all_models, get_model
 from repro.sim.engine import Engine, Timeout
 from repro.training.dlrm import DlrmCostModel
@@ -62,7 +63,7 @@ class TestGpuTrainingModel:
         assert gpu.node_throughput(spec, 8) == pytest.approx(
             8 * gpu.max_training_throughput(spec)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             gpu.node_throughput(spec, 0)
 
     def test_iteration_breakdown_components(self, gpu):
@@ -126,5 +127,5 @@ class TestTrainManager:
         assert manager.stats.gpu_utilization < 0.1
 
     def test_invalid_gpus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             TrainManager(get_model("RM1"), num_gpus=0)

@@ -9,15 +9,6 @@ class TestConversions:
     def test_gbps(self):
         assert units.gbps(10.0) == pytest.approx(1.25e9)
 
-    def test_gb_per_s(self):
-        assert units.gb_per_s(3.0) == pytest.approx(3e9)
-
-    def test_mhz(self):
-        assert units.mhz(223.0) == pytest.approx(223e6)
-
-    def test_joules_to_kwh(self):
-        assert units.joules_to_kwh(3_600_000.0) == pytest.approx(1.0)
-
     def test_year_consistency(self):
         assert units.YEAR == pytest.approx(365 * 24 * 3600.0)
 
