@@ -36,6 +36,7 @@ differences even though absolute numbers are not.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
 from dataclasses import asdict, dataclass
@@ -842,17 +843,41 @@ def scaling_line(report: Dict[str, object], op: str, unit: str) -> str:
 
 
 def bench_ops(size: int, reps: int, rng: np.random.Generator) -> List[BenchResult]:
-    """The numpy preprocessing kernels the Transform phase is built from."""
-    from repro.ops.bucketize import bucketize
+    """The numpy preprocessing kernels the Transform phase is built from.
+
+    Their scalar references are too slow to time at ``size``, so there is
+    no scalar row; a 4,096-element sample of each kernel's output is checked
+    against its reference before the kernel is timed.
+    """
+    from repro.ops.bucketize import bucketize, search_bucket_id
     from repro.ops.lognorm import log_normalize
-    from repro.ops.sigridhash import sigrid_hash
+    from repro.ops.sigridhash import sigrid_hash, sigrid_hash_scalar
 
     dense = rng.lognormal(1.5, 1.2, size).astype(np.float64)
     sparse = rng.integers(0, 2**40, size).astype(np.int64)
     boundaries = np.sort(rng.lognormal(1.5, 1.2, 4096))
+    seed, table = 0xC0FFEE, 500_000
+
+    ids, values = sparse[:4096], dense[:4096]
+    _check_arrays(
+        [sigrid_hash_scalar(value, seed, table) for value in ids.tolist()],
+        sigrid_hash(ids, seed, table),
+    )
+    _check_arrays(
+        [search_bucket_id(value, boundaries) for value in values],
+        bucketize(values, boundaries),
+    )
+    # float32 of libm's log1p: numpy's SIMD log1p may differ from it in the
+    # last float64 bit, which the float32 rounding can pass on as one ulp
+    if not np.allclose(
+        [math.log1p(max(value, 0.0)) for value in values.tolist()],
+        log_normalize(values), rtol=2.0**-23, atol=0.0,
+    ):
+        raise ReproError("vectorized output differs from scalar reference")
+
     results = []
     for op, fn, payload in (
-        ("sigrid_hash", lambda: sigrid_hash(sparse, 0xC0FFEE, 500_000), sparse.nbytes),
+        ("sigrid_hash", lambda: sigrid_hash(sparse, seed, table), sparse.nbytes),
         ("bucketize", lambda: bucketize(dense, boundaries), dense.nbytes),
         ("log_normalize", lambda: log_normalize(dense), dense.nbytes),
     ):

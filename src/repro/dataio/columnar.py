@@ -218,8 +218,12 @@ class ColumnarFileWriter:
             lengths, values = column
             offsets = np.concatenate(([0], np.cumsum(lengths)))
             return {
-                PART_LENGTHS: lengths[start:stop].astype(np.int32),
-                PART_VALUES: values[offsets[start] : offsets[stop]].astype(np.int64),
+                # views when the table already holds int32 / int64: the
+                # encoders only read them
+                PART_LENGTHS: lengths[start:stop].astype(np.int32, copy=False),
+                PART_VALUES: values[offsets[start] : offsets[stop]].astype(
+                    np.int64, copy=False
+                ),
             }
         return {PART_VALUES: np.asarray(column)[start:stop]}
 

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import OpError
-from repro.ops.dest import destination
+from repro.ops.dest import destination, jagged_column
 
 
 def clamp(
@@ -35,6 +35,8 @@ def clamp(
     float32 out: into ``out`` (same shape; may be ``values`` itself) when
     given, else a fresh array.
     """
+    if low != low or high != high:  # np.clip would answer all-NaN
+        raise OpError(f"clamp bounds must not be NaN, got [{low}, {high}]")
     if low > high:
         raise OpError(f"clamp range is empty: [{low}, {high}]")
     values = np.asarray(values)
@@ -59,12 +61,7 @@ def truncate_list(
     """
     if max_length <= 0:
         raise OpError("max_length must be positive")
-    lengths = np.asarray(lengths, dtype=np.int32)
-    values = np.asarray(values, dtype=np.int64)
-    if lengths.ndim != 1 or values.ndim != 1:
-        raise OpError("truncate_list inputs must be 1-D")
-    if int(lengths.sum()) != len(values):
-        raise OpError("lengths do not sum to len(values)")
+    lengths, values = jagged_column("truncate_list", lengths, values)
     if not len(lengths) or lengths.max(initial=0) <= max_length:
         return lengths, values
 

@@ -1,9 +1,12 @@
-"""Where a kernel's result lands.
+"""What a kernel is handed, and where its result lands.
 
 Every op kernel allocates and returns its result by default; a caller that
 already owns the result's final home — the pipeline filling the mini-batch
 it is building — passes it as the keyword-only ``out=`` instead, and the
 kernel writes there without a full-size temporary or a copy afterwards.
+The kernels that compare or take logarithms accept real numbers only, and
+say so themselves instead of leaking whatever numpy raises (or, for complex
+input, merely warns about) halfway through the column.
 """
 
 from __future__ import annotations
@@ -13,6 +16,37 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import OpError
+
+
+def real_values(op: str, values) -> np.ndarray:
+    """``values`` as an array of real numbers (bool, integer or float
+    dtype); text, complex and object columns are the caller's mistake."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise OpError(
+            f"{op} input must be real numbers, got dtype {values.dtype}"
+        )
+    return values
+
+
+def jagged_column(
+    op: str, lengths, values
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One sparse feature as ``(int32 lengths, int64 ids)``: both 1-D, no
+    negative length (``[-1, 4]`` sums to three ids as well as ``[1, 2]``
+    does), the lengths summing to the id count."""
+    lengths = np.asarray(lengths, dtype=np.int32)
+    values = np.asarray(values, dtype=np.int64)
+    if lengths.ndim != 1 or values.ndim != 1:
+        raise OpError(f"{op} inputs must be 1-D")
+    if len(lengths) and lengths.min() < 0:
+        row = int(lengths.argmin())
+        raise OpError(
+            f"{op} lengths must not be negative, got {lengths[row]} at row {row}"
+        )
+    if int(lengths.sum()) != len(values):
+        raise OpError("lengths do not sum to len(values)")
+    return lengths, values
 
 
 def destination(

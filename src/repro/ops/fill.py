@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import OpError
-from repro.ops.dest import destination
+from repro.ops.dest import destination, jagged_column
 
 
 def fill_dense(
@@ -47,12 +47,7 @@ def fill_sparse(
     pooled reduction to be defined; TorchRec pads empty bags the same way.
     A column with no empty row is returned as it came, not copied.
     """
-    lengths = np.asarray(lengths, dtype=np.int32)
-    values = np.asarray(values, dtype=np.int64)
-    if lengths.ndim != 1 or values.ndim != 1:
-        raise OpError("fill_sparse inputs must be 1-D")
-    if int(lengths.sum()) != len(values):
-        raise OpError("lengths do not sum to len(values)")
+    lengths, values = jagged_column("fill_sparse", lengths, values)
     empty = lengths == 0
     if not empty.any():
         return lengths, values

@@ -23,12 +23,13 @@ materialize data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dataio.columnar import TableData
-from repro.errors import FormatError, OpError, PipelineError
+from repro.errors import FormatError, OpError, PipelineError, is_int
 from repro.features.minibatch import KeyedJaggedTensor, MiniBatch
 from repro.features.specs import ModelSpec
 from repro.features.synthetic import SyntheticTableGenerator
@@ -97,6 +98,21 @@ class OpCounts:
         )
 
 
+def _check_dense_clamp(dense_clamp) -> None:
+    """``(low, high)``: two real numbers with ``low <= high`` — which no
+    NaN satisfies, and either infinity does."""
+    bounds = tuple(dense_clamp) if isinstance(dense_clamp, (tuple, list)) else ()
+    if not (
+        len(bounds) == 2
+        and all(isinstance(b, Real) and not isinstance(b, bool) for b in bounds)
+        and bounds[0] <= bounds[1]
+    ):
+        raise PipelineError(
+            f"dense_clamp must be (low, high) numbers with low <= high, "
+            f"got {dense_clamp!r}"
+        )
+
+
 class PreprocessingPipeline:
     """Executable Transform phase for one Table I model."""
 
@@ -112,8 +128,15 @@ class PreprocessingPipeline:
         """``max_sparse_length`` truncates interaction histories before
         hashing; ``dense_clamp=(low, high)`` bounds dense outliers before
         Log — both optional steps from production TorchArrow recipes."""
-        if max_sparse_length is not None and max_sparse_length <= 0:
-            raise PipelineError("max_sparse_length must be positive")
+        if max_sparse_length is not None and not (
+            is_int(max_sparse_length) and max_sparse_length > 0
+        ):
+            raise PipelineError(
+                f"max_sparse_length must be a positive int, got "
+                f"{max_sparse_length!r}"
+            )
+        if dense_clamp is not None:
+            _check_dense_clamp(dense_clamp)
         self.spec = spec
         self.hash_seed = hash_seed
         self.generator_seed = generator_seed

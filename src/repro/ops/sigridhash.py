@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import OpError
+from repro.errors import OpError, is_int
 from repro.ops.dest import destination
+from repro.ops.tile import tile_scratch, tiles
 
 _MASK64 = (1 << 64) - 1
 
@@ -31,6 +32,12 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_MIX1_U64, _MIX2_U64 = np.uint64(_MIX1), np.uint64(_MIX2)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+#: ids are returned as int64: a modulus above this could produce ids that
+#: read back negative
+_MAX_MODULUS = (1 << 63) - 1
 
 
 def hash64(value: int, seed: int = 0) -> int:
@@ -51,26 +58,6 @@ def sigrid_hash_scalar(value: int, seed: int, max_value: int) -> int:
     return hash64(value, seed) % max_value
 
 
-def _hash64_into(h: np.ndarray, values: np.ndarray, gamma: np.uint64) -> None:
-    """Vectorized splitmix64 of ``values`` into the uint64 array ``h``.
-
-    Every step runs in place in ``h``; the only temporary is one scratch
-    for the shifted term, reused by all three xor-shifts.
-    """
-    np.copyto(h, values, casting="unsafe")  # two's-complement, as astype
-    scratch = np.empty_like(h)
-    with np.errstate(over="ignore"):
-        h += gamma
-        np.right_shift(h, np.uint64(30), out=scratch)
-        h ^= scratch
-        h *= np.uint64(_MIX1)
-        np.right_shift(h, np.uint64(27), out=scratch)
-        h ^= scratch
-        h *= np.uint64(_MIX2)
-        np.right_shift(h, np.uint64(31), out=scratch)
-        h ^= scratch
-
-
 class SigridHasher:
     """SigridHash with the per-(seed, table) constants computed once.
 
@@ -82,8 +69,13 @@ class SigridHasher:
     __slots__ = ("seed", "max_value", "_gamma", "_modulus")
 
     def __init__(self, seed: int, max_value: int) -> None:
-        if max_value <= 0:
-            raise OpError("max_value must be positive")
+        if not is_int(seed):
+            raise OpError(f"seed must be an int, got {seed!r}")
+        if not is_int(max_value) or not 1 <= max_value <= _MAX_MODULUS:
+            raise OpError(
+                f"max_value must be a positive int no larger than 2**63 - 1, "
+                f"got {max_value!r}"
+            )
         self.seed = seed
         self.max_value = max_value
         self._gamma = np.uint64((_GAMMA * (seed + 1)) & _MASK64)
@@ -93,7 +85,12 @@ class SigridHasher:
         self, values: np.ndarray, *, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Hash ``values`` into ``out`` (int64, same shape; allocated when
-        not given) and return it.  The mix runs in the destination itself."""
+        not given) and return it.
+
+        The mix runs in the destination itself, one tile at a time
+        (:mod:`repro.ops.tile`): every pass over a tile finds it in L2, and
+        the only temporary is one tile-sized scratch.
+        """
         values = np.asarray(values)
         if values.ndim != 1:
             raise OpError(
@@ -103,8 +100,31 @@ class SigridHasher:
             raise OpError("sigrid_hash input must be integer ids")
         out = destination("sigrid_hash", out, values.shape, np.int64)
         hashed = out.view(np.uint64)
-        _hash64_into(hashed, values, self._gamma)
-        np.remainder(hashed, self._modulus, out=hashed)
+        # native 64-bit ids are already the two's-complement words the mix
+        # starts from, and the seed add reads them in place; any other
+        # integer dtype is cast on the way into the add, as astype would
+        if values.dtype in (np.int64, np.uint64):
+            values = values.view(np.uint64)
+        gamma, modulus = self._gamma, self._modulus
+        scratch = tile_scratch(hashed)
+        for tile in tiles(len(values)):
+            h = hashed[tile]
+            s = scratch[: len(h)]
+            np.add(values[tile], gamma, out=h, dtype=np.uint64, casting="unsafe")
+            np.right_shift(h, _SHIFT1, out=s)
+            h ^= s
+            h *= _MIX1_U64
+            np.right_shift(h, _SHIFT2, out=s)
+            h ^= s
+            h *= _MIX2_U64
+            np.right_shift(h, _SHIFT3, out=s)
+            h ^= s
+            # h mod m as h - (h // m) * m: floor_divide by a scalar is a
+            # SIMD multiply-shift, remainder a hardware divide per id;
+            # (h // m) * m <= h, so neither step can wrap
+            np.floor_divide(h, modulus, out=s)
+            s *= modulus
+            h -= s
         return out
 
 

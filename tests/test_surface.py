@@ -36,7 +36,6 @@ _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = _FUNCTIONS + (ast.ClassDef,)
 
-_REFERENCE = "scalar reference the vectorized kernel's tests compare against"
 _LOOKUP = "one-call registry lookup of the library front door, re-exported by its package"
 _POOL = (
     "how tests/test_serve.py and tests/test_failure_injection.py observe worker "
@@ -45,12 +44,8 @@ _POOL = (
 
 #: qualified name -> why it stays although nothing calls it
 ALLOWED: Dict[str, str] = {
-    # reference implementations, and input that arrives from outside
-    "repro.ops.bucketize.search_bucket_id": _REFERENCE,
-    "repro.ops.sigridhash.sigrid_hash_scalar": _REFERENCE,
-    "repro.ops.sigridhash.hash64":
-        "the one-value hash that reference is written in; "
-        "tests/test_ops_sigridhash.py compares against it too",
+    # input that arrives from outside (the scalar kernel references have a
+    # caller now: `repro bench` checks the kernels against them before timing)
     "repro.features.criteo":
         "the Criteo TSV loader: an input format that arrives from outside the program",
     # the Sec. IV-B locality path (partitions are preprocessed where they live)

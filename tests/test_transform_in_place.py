@@ -39,6 +39,7 @@ from repro.ops import (
     truncate_list,
 )
 from repro.ops.pipeline import DENSE_BLOCK_COLUMNS, OpCounts, PreprocessingPipeline
+from repro.ops.tile import TILE_ELEMENTS
 
 #: two dense work blocks (16 + 3 columns) with Bucketize sources in both
 SPEC = ModelSpec(
@@ -268,7 +269,7 @@ MALFORMED = {
     "negative length": (
         replaced("cat_2", (np.array([3, -1, 2, 2], dtype=np.int32),
                            np.arange(6, dtype=np.int64))),
-        FormatError, None,
+        OpError, None,  # fill_sparse refuses it; once the batch's FormatError
     ),
 }
 
@@ -390,6 +391,27 @@ def test_run_peaks_at_the_batch_it_returns(rm5):
     pipe.run(raw)  # warm: imports, lazy numpy state
     (batch, _), peak = traced_peak(lambda: pipe.run(raw))
     assert peak <= 1.15 * batch_nbytes(batch)
+
+
+def test_column_kernels_allocate_tiles_not_columns():
+    """A 1 M-element column costs what a tile costs: the hash's one scratch
+    (the parent allocated a full-size one, 8 MB here), and the bucket
+    search's cast, permutation, sorted needles and ids, all per tile."""
+    tile_nbytes = 8 * TILE_ELEMENTS
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, 2**40, 1_000_000)
+    out = np.empty(len(ids), dtype=np.int64)
+    hasher = SigridHasher(1, 500_000)
+    hasher(ids[:8], out=out[:8])  # warm
+    _, peak = traced_peak(lambda: hasher(ids, out=out))
+    assert peak < 4 * tile_nbytes
+
+    bucketizer = Bucketizer(np.arange(1.0, 4097.0))
+    for dtype in (np.float64, np.float32):
+        values = rng.uniform(0.0, 5000.0, len(out)).astype(dtype)
+        bucketizer(values[:8], out=out[:8])
+        _, peak = traced_peak(lambda: bucketizer(values, out=out))
+        assert peak < 8 * tile_nbytes
 
 
 def test_inline_executor_holds_one_shard_beside_its_results(rm5):
