@@ -799,21 +799,22 @@ def bench_fleet(size: int, reps: int, seed: int) -> List[BenchResult]:
 
     # ns per node-epoch fault probe: the smallest day under node-down +
     # slow-node at the CLI's default rates minus the same day clean, over
-    # the probes made (counted on an untimed run); an "element" is one
-    # node asked one point, payload the key bytes hashed.  The difference
-    # also carries what the fires cause (displaced jobs rescheduling).
+    # the node-epochs asked (counted on an untimed run); an "element" is
+    # one node asked one point, payload the coin-stream bytes drawn.  The
+    # difference also carries what the fires cause (displaced jobs
+    # rescheduling).
     plan = FaultPlan(seed=seed, rules=tuple(
         FaultRule(point=point, rate=DEFAULT_RATES[point])
         for point in ("node-down", "slow-node")
     ))
 
     class CountingInjector(FaultInjector):
-        probes = key_bytes = 0
+        probes = stream_bytes = 0
 
-        def check_each(self, point, items, **context):
-            self.probes += len(items)
-            self.key_bytes += sum(map(len, items))
-            return super().check_each(point, items, **context)
+        def check_nodes(self, point, pool, epoch, node_ids):
+            self.probes += len(node_ids)
+            self.stream_bytes += 8 * (max(node_ids, default=-1) + 1)
+            return super().check_nodes(point, pool, epoch, node_ids)
 
     counted = CountingInjector(plan)
     day(smallest, counted)
@@ -821,8 +822,8 @@ def bench_fleet(size: int, reps: int, seed: int) -> List[BenchResult]:
         lambda: day(smallest, FaultInjector(plan)), max(1, reps // 2)
     )
     results.append(
-        _result("fleet_probe", "vectorized", counted.probes, counted.key_bytes,
-                faulted_s - clean_s[0])
+        _result("fleet_probe", "vectorized", counted.probes,
+                counted.stream_bytes, faulted_s - clean_s[0])
     )
     return results
 

@@ -834,7 +834,8 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     print(
         f"  completed {result.completed}  rejected {result.rejected}  "
         f"displacements {result.displacements}  "
-        f"reschedules {result.reschedules}"
+        f"reschedules {result.reschedules}  "
+        f"lost work {result.lost_work_hours:.1f}h"
     )
     print(
         f"  makespan {result.makespan_s:.0f}s  "

@@ -16,12 +16,12 @@ in plan order, whose ``match`` accepts the probe's context, and the context
 field that keys each rule's coin.  *Draw and record*: the coin
 (:meth:`~repro.faults.plan.FaultPlan.hash01` below the rule's ``rate``),
 then the rule's ``max_fires`` budget and the audit trail, under the lock.
-:meth:`FaultInjector.check` is resolve plus one draw;
-:meth:`FaultInjector.check_each` asks one point about many items — the
-fleet simulator's per-node probes — and, when every item shares one
-resolution, resolves once and draws per item with the coin reduced to one
-``sha256`` and one bytes compare.  Both return what a loop of ``check``
-would; nothing is remembered between probes.
+:meth:`FaultInjector.check` is resolve plus one draw, the coin for every
+job, stage and arrival point; :meth:`FaultInjector.check_nodes` asks one
+node point about a whole fleet pool in one fault epoch, resolves once and
+draws every node's coin from one keyed stream
+(:meth:`~repro.faults.plan.FaultPlan.stream_words`).  Nothing is
+remembered between probes.
 
 Installation is process-global and explicit: :func:`install` /
 :func:`uninstall`, or the :func:`installed` context manager (which also
@@ -33,12 +33,13 @@ PLAN.json``; ``repro chaos`` builds plans programmatically.
 from __future__ import annotations
 
 import errno
-import hashlib
 import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import FaultError
+import numpy as np
+
+from repro.errors import ConfigurationError, FaultError
 from repro.faults.plan import FaultPlan, FaultRule, fire_threshold
 
 #: the process-global injector; ``None`` means every probe is a no-op
@@ -145,46 +146,53 @@ class FaultInjector:
                 return rule
         return None
 
-    def check_each(self, point: str, items: Sequence[Any],
-                   **context: Any) -> List[Tuple[int, FaultRule]]:
-        """``check(point, item=item, **context)`` for every item in order:
-        ``[(position, rule), ...]`` for the items that fired.
+    def check_nodes(self, point: str, pool: str, epoch: int,
+                    node_ids: Sequence[int]) -> List[Tuple[int, FaultRule]]:
+        """Ask ``point`` about every listed node of ``pool`` in fault
+        epoch ``epoch``: ``[(position, rule), ...]`` for the nodes that
+        fired, in ``node_ids`` order.
 
-        Same coins, same budgets, same audit trail as that loop.  When
-        the items are strings, no rule of the point matches on ``item``
-        and every rule the shared context resolves keys on the item, the
-        rules are resolved once and an item costs one ``sha256`` and one
-        bytes compare (:func:`~repro.faults.plan.fire_threshold`);
-        anything else *is* that loop.
+        The point's rules are resolved once against ``{"pool": pool}``;
+        node ``id``'s coin is word ``id`` of the one stream keyed
+        ``f"{pool}:epoch-{epoch}"`` (:meth:`FaultPlan.stream_words`),
+        which every rule compares against its own
+        :func:`~repro.faults.plan.fire_threshold` in plan order.  Node
+        ids are never reused, so a node's fate does not depend on which
+        other nodes exist.  Budgets and the audit trail are
+        :meth:`check`'s, a fire audited under ``pool:node-<id>:epoch-<k>``.
+        A rule with a ``key``, or a ``match`` on ``item``, asks for a
+        coin the stream does not have: :class:`ConfigurationError`.
         """
         rules = self.plan.rules_for(point)
-        if not rules:
-            return []
-        shared = None  # the one resolution every item shares, if it exists
-        if (set(map(type, items)) == {str}
-                and not any("item" in rule.match for rule in rules)):
-            shared = self._resolve(point, {**context, "item": items[0]})
-        if shared is None or any(field != "item" for _, field in shared):
-            return [
-                (position, rule) for position, item in enumerate(items)
-                if (rule := self.check(point, item=item, **context)) is not None
-            ]
-        if not shared:
-            return []  # no rule accepts this context: nothing to hash
-        # every rule flips the same coin per item (one point, one key), so
-        # one digest serves them all and most items stop at the ceiling
-        armed = [(rule, fire_threshold(rule.rate)) for rule, _ in shared]
+        for rule in rules:
+            if rule.key is not None or "item" in rule.match:
+                raise ConfigurationError(
+                    f"fault rule {rule.to_dict()} cannot be drawn at {point!r}: "
+                    "node coins come from one stream per (pool, point, epoch) "
+                    "indexed by node id, so a node rule takes no key and no "
+                    "match on item"
+                )
+        armed = [
+            (rule, int.from_bytes(fire_threshold(rule.rate), "big"))
+            for rule in rules if rule.matches({"pool": pool})
+        ]
+        if not armed or not node_ids:
+            return []  # nothing to draw: build no stream
+        ids = np.asarray(node_ids, dtype=np.int64)
+        words = self.plan.stream_words(
+            point, f"{pool}:epoch-{epoch}", int(ids.max()) + 1
+        )[ids]
+        # every rule flips the same word per node, so most nodes stop at
+        # the highest threshold and never reach the per-rule loop
         ceiling = max(threshold for _, threshold in armed)
-        prefix = f"{self.plan.seed}:{point}:".encode("utf-8")
-        sha256 = hashlib.sha256
         fired: List[Tuple[int, FaultRule]] = []
-        for position, item in enumerate(items):
-            digest = sha256(prefix + item.encode("utf-8")).digest()
-            if digest < ceiling:
-                for rule, threshold in armed:
-                    if digest < threshold and self._record(rule, point, item):
-                        fired.append((position, rule))
-                        break
+        for position in np.flatnonzero(words < ceiling).tolist():
+            word = int(words[position])
+            key = f"{pool}:node-{node_ids[position]}:epoch-{epoch}"
+            for rule, threshold in armed:
+                if word < threshold and self._record(rule, point, key):
+                    fired.append((position, rule))
+                    break
         return fired
 
     def execute(self, rule: FaultRule, point: str) -> Optional[FaultRule]:

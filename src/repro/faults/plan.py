@@ -14,6 +14,9 @@ a stable identity from the probe's context (a job id, a job seed), so the
 same plan against the same workload injects the same faults into the same
 jobs run after run, which is what lets ``repro chaos`` assert a
 reproducible matrix and lets a failing chaos seed be replayed exactly.
+The fleet's node points ask a whole pool at once and draw from one keyed
+stream per (pool, point, epoch) instead (:meth:`FaultPlan.stream_words`):
+the same predicate on a different uniform word, just as pure.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError, is_int, strict_keys
 
@@ -247,6 +252,18 @@ class FaultPlan:
             f"{self.seed}:{point}:{key}".encode("utf-8")
         ).digest()
         return int.from_bytes(digest[:8], "big") / 2.0**64
+
+    def stream_words(self, point: str, stream: str, count: int) -> np.ndarray:
+        """The group coin: the first ``count`` big-endian 64-bit words of
+        ``shake_256(f"{seed}:{point}:{stream}")``.  Member ``i`` of the
+        group draws word ``i``; a rule fires for it iff ``word / 2**64 <
+        rate`` — ``hash01``'s predicate on another uniform word, so
+        ``word < fire_threshold(rate)`` decides it exactly.  A pure
+        function: a member's word depends on the seed, the point, the
+        stream key and its own index, never on which other members exist.
+        """
+        data = f"{self.seed}:{point}:{stream}".encode("utf-8")
+        return np.frombuffer(hashlib.shake_256(data).digest(8 * count), dtype=">u8")
 
     # -- serialization -------------------------------------------------------
 

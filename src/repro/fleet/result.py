@@ -117,6 +117,8 @@ class FleetResult:
     slo_attainment: float
     utilization: float
     total_cost: float
+    #: job-hours of progress displaced jobs lost since their last checkpoint
+    lost_work_hours: float
     jobs: Tuple[FleetJobRecord, ...] = ()
     pools: Tuple[PoolUsage, ...] = ()
     samples: Tuple[PoolSample, ...] = ()
@@ -134,8 +136,15 @@ class FleetResult:
 
     @property
     def digest(self) -> str:
-        """Short stable hash of the full result — what CI compares."""
-        return canonical_digest(self.to_dict())
+        """Short stable hash of the full result — what CI compares.
+
+        A run that lost no work hashes without its ``lost_work_hours``, so
+        every clean run keeps the digest it had before the field existed.
+        """
+        payload = self.to_dict()
+        if not payload["lost_work_hours"]:
+            del payload["lost_work_hours"]
+        return canonical_digest(payload)
 
     # -- derived views -------------------------------------------------------
 

@@ -20,11 +20,12 @@ the discrete-event :class:`~repro.sim.engine.Engine`:
 * **failure injection** rides the pure-hash
   :class:`~repro.faults.plan.FaultPlan` machinery through three fleet
   probe points — ``node-down`` (node fails, running jobs are displaced
-  and rescheduled, the node repairs after :data:`REPAIR_S`), ``slow-node``
-  (jobs on the node finish ``delay_s`` late), and ``arrival-burst``
-  (an arrival fans out into a flash crowd of clones).  Probes key on
-  stable identities (``pool:node:epoch``, job ids), so the same seed
-  replays the same episode event for event.
+  and resume from their last :data:`CHECKPOINT_S` checkpoint elsewhere,
+  the node repairs after :data:`REPAIR_S`), ``slow-node`` (jobs on the
+  node finish ``delay_s`` late), and ``arrival-burst`` (an arrival fans
+  out into a flash crowd of clones).  Node coins come from one keyed
+  stream per (pool, point, epoch) indexed by node id, arrival coins from
+  the job id, so the same seed replays the same episode event for event.
 
 The per-event path recomputes nothing: capacity, queued demand and the
 policy-ordered queue are ledgers updated where they change (``docs/fleet.md``,
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -66,19 +68,36 @@ BURST_CLONES = 2
 #: the scheduler's clock, in simulated seconds: the step the autoscaler and
 #: the ledgers advance by, how often every up node is asked for a fault, how
 #: long a downed node takes to repair, what a ``slow-node`` hit costs when its
-#: rule names no ``delay_s``, and the spacing of the ``PoolSample`` series.
+#: rule names no ``delay_s``, the spacing of the ``PoolSample`` series, how
+#: often a running job checkpoints its progress, and the queueing wait the
+#: SLO attainment counts against.
 #: Constants, not options: every golden digest is a function of them.
 STEP_S = 60.0
 FAULT_EPOCH_S = 600.0
 REPAIR_S = 900.0
 SLOW_PENALTY_S = 300.0
 SAMPLE_EVERY_S = 900.0
+CHECKPOINT_S = 1800.0
+SLO_QUEUE_S = 1800.0
 
 #: process-wide provisioning memo: (system factory, calibration) ->
 #: {(model spec, num_gpus): workers needed, None if it cannot run there}.
 #: Keyed on the factory object, not its registry name, so re-registering a
 #: system never serves a stale need; it holds plain ints, no system objects.
+#: Only the :data:`_NEED_MEMO_KEYS` most recently used keys are kept, so a
+#: sweep over many calibrations does not grow it without bound.
 _NEED_MEMO: Dict[tuple, Dict[tuple, Optional[int]]] = {}
+_NEED_MEMO_KEYS = 8
+
+
+def _need_memo(factory, calibration: Calibration) -> Dict[tuple, Optional[int]]:
+    """The memo of ``(factory, calibration)``, now the most recent key."""
+    key = (factory, calibration)
+    memo = _NEED_MEMO.pop(key, {})
+    _NEED_MEMO[key] = memo  # dicts keep insertion order: oldest first
+    while len(_NEED_MEMO) > _NEED_MEMO_KEYS:
+        del _NEED_MEMO[next(iter(_NEED_MEMO))]
+    return memo
 
 
 @dataclass(frozen=True)
@@ -157,7 +176,7 @@ class _Job:
     __slots__ = (
         "arrival", "needs", "state", "pool", "start_s", "finish_s",
         "waited_s", "enqueued_s", "reschedules", "displacements", "token",
-        "alloc",
+        "alloc", "remaining_s", "run_origin_s", "lost_s",
     )
 
     def __init__(self, arrival: JobArrival, needs: tuple) -> None:
@@ -174,6 +193,11 @@ class _Job:
         self.displacements = 0
         self.token = 0  # bumps invalidate in-flight completion callbacks
         self.alloc: List[_Node] = []  # nodes holding it (one pool)
+        self.remaining_s = arrival.duration_s  # work left after checkpoints
+        #: placement time plus this run's slow-node penalties: the run's
+        #: progress is ``now - run_origin_s``
+        self.run_origin_s = 0.0
+        self.lost_s = 0.0  # progress past a checkpoint that a displacement lost
 
 
 class _PoolState:
@@ -192,7 +216,7 @@ class _PoolState:
             spec.system, get_model(spec.model), calibration
         )
         self.factory = REGISTRY.get(spec.system)
-        self.needs = _NEED_MEMO.setdefault((self.factory, calibration), {})
+        self.needs = _need_memo(self.factory, calibration)
         self.nodes: List[_Node] = []  # id-ascending, up or repairing
         #: ledger: min-heap of (id, node) holding every up non-full node
         #: (``node.open``); stale entries are dropped when they surface
@@ -233,17 +257,8 @@ class _PoolState:
             heapq.heappush(self.open, (node.id, node))
 
 
-def _node_keys(pool: str, nodes: List[_Node], epoch: int) -> List[str]:
-    """The stable identity each node is probed under this epoch."""
-    return [f"{pool}:node-{node.id}:epoch-{epoch}" for node in nodes]
-
-
 class FleetSimulator:
     """Run one trace against one fleet (see module docstring)."""
-
-    #: an attribute so the reference probe loop kept in
-    #: ``tests/test_fault_batch_probe.py`` charges what ``_probe_nodes`` does
-    slow_penalty_s = SLOW_PENALTY_S
 
     def __init__(
         self,
@@ -252,7 +267,6 @@ class FleetSimulator:
         policy: str = "first-fit",
         autoscaler: str = "fixed",
         calibration: Calibration = CALIBRATION,
-        slo_queue_s: float = 1800.0,
         injector: Optional[FaultInjector] = None,
     ) -> None:
         if not isinstance(trace, Trace):
@@ -263,13 +277,10 @@ class FleetSimulator:
         names = [spec.name for spec in pool_specs]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate pool names in {names}")
-        if slo_queue_s < 0:
-            raise ConfigurationError("slo_queue_s must be non-negative")
         self.trace = trace
         self.calibration = calibration
         self.policy: PlacementPolicy = get_policy(policy)
         self.autoscaler: Autoscaler = get_autoscaler(autoscaler)
-        self.slo_queue_s = float(slo_queue_s)
         self._injector = injector
 
         self.engine = Engine()
@@ -425,9 +436,10 @@ class FleetSimulator:
             job.reschedules += 1
         job.token += 1
         token = job.token
-        job.finish_s = now + job.arrival.duration_s
+        job.run_origin_s = now
+        job.finish_s = now + job.remaining_s
         self.engine.schedule(
-            job.arrival.duration_s, lambda: self._complete(job, token)
+            job.remaining_s, lambda: self._complete(job, token)
         )
 
     def _drain(self) -> None:
@@ -476,8 +488,14 @@ class FleetSimulator:
     def _displace(self, job: _Job) -> None:
         """A node failure killed this job's allocation: requeue it once.
 
-        The job restarts from scratch (full duration) — checkpointing is
-        out of scope for the fleet tier."""
+        The job resumes from its last checkpoint.  Its progress in this
+        run is the time since placement minus this run's slow-node
+        penalties, clamped to the work it had left; it keeps whole
+        :data:`CHECKPOINT_S` intervals of that and loses the rest."""
+        done = min(max(self.engine.now - job.run_origin_s, 0.0), job.remaining_s)
+        kept = math.floor(done / CHECKPOINT_S) * CHECKPOINT_S
+        job.remaining_s -= kept
+        job.lost_s += done - kept
         self._free(job)
         job.token += 1  # invalidate the in-flight completion
         job.state = "queued"
@@ -512,13 +530,15 @@ class FleetSimulator:
         job.token += 1
         token = job.token
         job.finish_s += penalty_s
+        job.run_origin_s += penalty_s
         self.engine.schedule(
             job.finish_s - self.engine.now, lambda: self._complete(job, token)
         )
 
     def _probe_nodes(self, epoch: int) -> None:
         """Ask ``node-down`` then ``slow-node`` of every up node, one
-        batch probe per pool per point (``FaultInjector.check_each``).
+        injector call per pool per point (``FaultInjector.check_nodes``:
+        one coin stream per (pool, point, epoch)).
 
         Per pool: every up node is asked ``node-down`` in node order and
         the fired nodes fail; the survivors — a downed node is never
@@ -539,16 +559,14 @@ class FleetSimulator:
         slowed: Dict[str, float] = {}  # job_id -> worst penalty this epoch
         for name, pool in self.pools.items():
             nodes = [node for node in pool.nodes if node.up]
-            keys = _node_keys(name, nodes, epoch)
-            down = injector.check_each("node-down", keys, pool=name)
+            ids = [node.id for node in nodes]
+            down = injector.check_nodes("node-down", name, epoch, ids)
             for position, _ in down:
                 self._fail_node(pool, nodes[position])
             for position, _ in reversed(down):
-                del nodes[position], keys[position]
-            for position, rule in injector.check_each("slow-node", keys, pool=name):
-                penalty = (
-                    self.slow_penalty_s if rule.delay_s is None else rule.delay_s
-                )
+                del nodes[position], ids[position]
+            for position, rule in injector.check_nodes("slow-node", name, epoch, ids):
+                penalty = SLOW_PENALTY_S if rule.delay_s is None else rule.delay_s
                 for job_id in nodes[position].allocations:
                     slowed[job_id] = max(slowed.get(job_id, 0.0), penalty)
         for job_id in sorted(slowed):
@@ -772,7 +790,7 @@ class FleetSimulator:
         rejected = sum(1 for job in records if job.state == "rejected")
         mean_queue = sum(waits) / completed if completed else 0.0
         p95_queue = waits[max(0, -(-95 * completed // 100) - 1)] if completed else 0.0
-        attained = sum(1 for wait in waits if wait <= self.slo_queue_s)
+        attained = sum(1 for wait in waits if wait <= SLO_QUEUE_S)
         fires = {} if self._injector is None else self._injector.fire_counts()
         utilization = total_busy_wh / total_capacity_wh if total_capacity_wh else 0.0
         return FleetResult(
@@ -788,10 +806,13 @@ class FleetSimulator:
             makespan_s=round(self._last_terminal_s, 3),
             mean_queue_s=round(mean_queue, 3),
             p95_queue_s=round(p95_queue, 3),
-            slo_queue_s=self.slo_queue_s,
+            slo_queue_s=SLO_QUEUE_S,
             slo_attainment=round(attained / completed, 6) if completed else 1.0,
             utilization=round(utilization, 6),
             total_cost=round(total_cost, 6),
+            lost_work_hours=round(
+                sum(job.lost_s for job in self._jobs.values()) / 3600.0, 6
+            ),
             jobs=tuple(records),
             pools=tuple(usages),
             samples=tuple(self._samples),

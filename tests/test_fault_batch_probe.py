@@ -1,13 +1,18 @@
-"""The batch fault probe is the per-item probe, and the fleet simulator
-that uses it did not change its mind.
+"""The fleet's node coin, checked against a reference, and the simulator
+that draws it did not change its mind.
 
-``FaultInjector.check_each`` must be indistinguishable from a loop of
-``check(point, item=item, ...)`` — same fires, same ``max_fires`` budgets,
-same audit trail — and its byte-threshold compare must be exactly
-``hash01 < rate``.  ``FleetSimulator._probe_nodes`` is compared against the
-interleaved per-node loop it replaced, kept here as the reference, and two
-counting guards pin what the rewrite is for: no per-node ``check()`` calls,
-and no per-node work at all under a plan with nothing to say to the nodes.
+``FaultInjector.check_nodes`` draws node ``id``'s coin from word ``id`` of
+one ``shake_256`` stream per (pool, point, epoch).  A reference written
+here from the standard library alone — the word, then ``hash01``'s float
+predicate ``word / 2**64 < rate`` — must give the same fires, budgets and
+audit trail over random plans and node-id sets; a node's fate must not
+depend on which other nodes exist; and ``FleetSimulator._probe_nodes`` is
+compared against the interleaved per-node loop drawing that reference.
+Counting guards pin what the stream is for: one stream per (pool, point,
+epoch) whatever the node count, no per-node ``check()`` calls, and no
+node work at all under a plan with nothing to say to the nodes.  The
+per-key coin (``hash01``, every job, stage and arrival point) and its
+byte threshold are checked first.
 """
 
 import hashlib
@@ -17,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.experiments import fleet_resilience
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule, fire_threshold
@@ -27,11 +33,11 @@ from repro.fleet import (
     generate_trace,
     run_fleet,
 )
-from repro.fleet import simulator as fleet_simulator
+from repro.fleet.simulator import SLOW_PENALTY_S
 from repro.hardware.calibration import CALIBRATION
 from test_fleet import SMALL_POOLS, small_trace
 
-POINT = "slow-node"  # any catalogued point: check_each is not fleet-specific
+POINT = "slow-node"  # any catalogued point
 
 
 # -- the coin: digest bytes against fire_threshold(rate) ---------------------
@@ -98,59 +104,36 @@ class TestFireThreshold:
         assert fire_threshold(1e-300) == (1).to_bytes(8, "big")
 
 
-# -- check_each is a loop of check ------------------------------------------
-
-ITEMS = tuple(f"k{i}" for i in range(6))
-
-rule_specs = st.fixed_dictionaries({
-    "rate": st.one_of(
-        st.sampled_from((0.0, 1.0, 1e-300, 0.5)),
-        st.floats(min_value=0.0, max_value=1.0),
-        # within an ulp of the draw of (item index, ulps)
-        st.tuples(st.integers(0, len(ITEMS) - 1), st.sampled_from((-1, 0, 1))),
-    ),
-    "match": st.sampled_from((
-        {}, {"pool": "a"}, {"pool": "b"}, {"item": "k1"}, {"absent": 1},
-    )),
-    "key": st.sampled_from((None, "item", "pool", "missing")),
-    "max_fires": st.sampled_from((None, 0, 1, 3)),
-})
-
-item_lists = st.one_of(
-    st.lists(st.sampled_from(ITEMS), max_size=12),
-    # not all strings: the batch must fall back to the loop, unchanged
-    st.lists(st.sampled_from(ITEMS + (None, 7)), max_size=6),
-)
+# -- the node coin: one stream per (pool, point, epoch) -----------------------
 
 
-def build_plan(seed, specs, duplicate):
-    bare = FaultPlan(seed=seed)
-    rules = []
-    for spec in specs:
-        rate = spec["rate"]
-        if isinstance(rate, tuple):
-            rate = near(bare.hash01(POINT, ITEMS[rate[0]]), rate[1])
-        rules.append(FaultRule(
-            point=POINT, rate=rate, match=spec["match"], key=spec["key"],
-            max_fires=spec["max_fires"],
-        ))
-    if duplicate == "equal":  # a second, equal rule: its own budget
-        rules.append(FaultRule.from_dict(rules[0].to_dict()))
-    elif duplicate == "same":  # the same object twice: one shared budget
-        rules.append(rules[0])
-    return FaultPlan(seed=seed, rules=tuple(rules))
+def stream_word(seed, point, pool, epoch, node_id):
+    """Word ``node_id`` of the (pool, point, epoch) stream, stdlib only."""
+    data = f"{seed}:{point}:{pool}:epoch-{epoch}".encode("utf-8")
+    stream = hashlib.shake_256(data).digest(8 * (node_id + 1))
+    return int.from_bytes(stream[8 * node_id:], "big")
 
 
-def looped(injector, point, items, **context):
-    """What ``check_each`` must equal, written out."""
+def reference_draw(injector, point, pool, epoch, node_id):
+    """One node's probe, written out: the point's rules matching the pool,
+    in plan order; the first whose ``word / 2**64 < rate`` and whose budget
+    is not spent fires (and is audited through the injector)."""
+    word = stream_word(injector.plan.seed, point, pool, epoch, node_id)
+    for rule in injector.plan.rules_for(point):
+        if (rule.matches({"pool": pool}) and word / 2.0**64 < rule.rate
+                and injector._record(
+                    rule, point, f"{pool}:node-{node_id}:epoch-{epoch}")):
+            return rule
+    return None
+
+
+def reference_fires(injector, point, pool, epoch, node_ids):
+    """What ``check_nodes`` must return."""
     return [
-        (i, rule) for i, item in enumerate(items)
-        if (rule := injector.check(point, item=item, **context)) is not None
+        (position, rule) for position, node_id in enumerate(node_ids)
+        if (rule := reference_draw(injector, point, pool, epoch, node_id))
+        is not None
     ]
-
-
-def no_hashing(data=b""):
-    raise AssertionError(f"hashed {data!r}")
 
 
 def audit(injector):
@@ -160,113 +143,160 @@ def audit(injector):
     )
 
 
-class TestCheckEachIsCheck:
+node_id_sets = st.lists(
+    st.integers(min_value=0, max_value=3000), unique=True, max_size=40
+)
+
+rule_specs = st.fixed_dictionaries({
+    "rate": st.one_of(
+        st.sampled_from((0.0, 1.0, 1e-300, 0.5)),
+        st.floats(min_value=0.0, max_value=1.0),
+        # within an ulp of some drawn node's word: (node index, ulps)
+        st.tuples(st.integers(0, 39), st.sampled_from((-1, 0, 1))),
+    ),
+    "match": st.sampled_from(({}, {"pool": "a"}, {"pool": "b"}, {"absent": 1})),
+    "max_fires": st.sampled_from((None, 0, 1, 3)),
+})
+
+
+def build_plan(seed, specs, duplicate, pool, epoch, node_ids):
+    rules = []
+    for spec in specs:
+        rate = spec["rate"]
+        if isinstance(rate, tuple):
+            index, step = rate
+            node_id = node_ids[index % len(node_ids)] if node_ids else index
+            rate = near(stream_word(seed, POINT, pool, epoch, node_id) / 2.0**64,
+                        step)
+        rules.append(FaultRule(
+            point=POINT, rate=rate, match=spec["match"],
+            max_fires=spec["max_fires"],
+        ))
+    if duplicate == "equal":  # a second, equal rule: its own budget
+        rules.append(FaultRule.from_dict(rules[0].to_dict()))
+    elif duplicate == "same":  # the same object twice: one shared budget
+        rules.append(rules[0])
+    return FaultPlan(seed=seed, rules=tuple(rules))
+
+
+class TestNodeCoinIsTheStreamWord:
     @settings(max_examples=400, deadline=None)
     @given(
-        seed=st.integers(min_value=0, max_value=2**16),
+        seed=st.integers(min_value=-5, max_value=2**32),
         specs=st.lists(rule_specs, min_size=1, max_size=4),
         duplicate=st.sampled_from((None, None, "equal", "same")),
-        batches=st.lists(item_lists, min_size=1, max_size=3),
-        context=st.sampled_from((
-            {"pool": "a"}, {"pool": "b"}, {}, {"pool": "a", "job_id": "j1"},
-            {"pool": "a", "job_id": None, "seed": 3},
-        )),
+        pool=st.sampled_from(("a", "b")),
+        epoch=st.integers(min_value=0, max_value=500),
+        batches=st.lists(node_id_sets, min_size=1, max_size=3),
     )
-    def test_same_fires_budgets_and_audit(
-        self, seed, specs, duplicate, batches, context
+    def test_same_fires_budgets_and_audit_as_the_reference(
+        self, seed, specs, duplicate, pool, epoch, batches
     ):
         # one plan object for both injectors: budgets are keyed by rule id
-        plan = build_plan(seed, specs, duplicate)
-        batch, loop = FaultInjector(plan), FaultInjector(plan)
-        for items in batches:  # later batches inherit the spent budgets
-            got = batch.check_each(POINT, items, **context)
-            want = looped(loop, POINT, items, **context)
+        plan = build_plan(seed, specs, duplicate, pool, epoch, batches[0])
+        shipped, reference = FaultInjector(plan), FaultInjector(plan)
+        for node_ids in batches:  # later batches inherit the spent budgets
+            got = shipped.check_nodes(POINT, pool, epoch, node_ids)
+            want = reference_fires(reference, POINT, pool, epoch, node_ids)
             assert [(i, id(rule)) for i, rule in got] == [
                 (i, id(rule)) for i, rule in want
             ]
-            assert audit(batch) == audit(loop)
+            assert audit(shipped) == audit(reference)
 
-    def test_point_without_rules_is_empty_and_free(self, monkeypatch):
-        injector = FaultInjector(FaultPlan(seed=1, rules=(
-            FaultRule(point="node-down", rate=1.0),
-        )))
-        monkeypatch.setattr(hashlib, "sha256", no_hashing)
-        assert injector.check_each("slow-node", ["a", "b"], pool="p") == []
-        assert injector.fired() == []
-
-    def test_rules_matched_to_another_context_hash_nothing(self, monkeypatch):
-        injector = FaultInjector(FaultPlan(seed=1, rules=(
-            FaultRule(point="slow-node", rate=1.0, match={"pool": "other"}),
-        )))
-        monkeypatch.setattr(hashlib, "sha256", no_hashing)
-        assert injector.check_each("slow-node", ["a", "b"], pool="p") == []
-
-    def test_fast_path_makes_one_hash_per_item_for_any_number_of_rules(
-        self, monkeypatch
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        rate=st.floats(min_value=0.0, max_value=1.0),
+        epoch=st.integers(min_value=0, max_value=500),
+        node_ids=node_id_sets,
+        dropped=st.sets(st.integers(min_value=0, max_value=39)),
+    )
+    def test_dropping_other_nodes_never_changes_a_nodes_fate(
+        self, seed, rate, epoch, node_ids, dropped
     ):
-        hashed = []
-        real = hashlib.sha256
+        plan = FaultPlan(seed=seed, rules=(FaultRule(point=POINT, rate=rate),))
 
-        def counting(data=b""):
-            hashed.append(data)
-            return real(data)
+        def fired(ids):
+            return {
+                ids[position] for position, _ in
+                FaultInjector(plan).check_nodes(POINT, "a", epoch, ids)
+            }
 
-        injector = FaultInjector(FaultPlan(seed=9, rules=(
-            FaultRule(point="slow-node", rate=0.2),
-            FaultRule(point="slow-node", rate=0.6, max_fires=2),
-            FaultRule(point="slow-node", rate=1.0, key="item"),
+        kept = [n for i, n in enumerate(node_ids) if i not in dropped]
+        assert fired(kept) == fired(node_ids) & set(kept)
+
+    def test_rate_zero_never_fires_and_rate_one_fires_below_the_cut(self):
+        ids = list(range(2000))
+        never = FaultInjector(FaultPlan(seed=4, rules=(
+            FaultRule(point=POINT, rate=0.0),
         )))
-        monkeypatch.setattr(hashlib, "sha256", counting)
-        fired = injector.check_each("slow-node", list(ITEMS), pool="p")
-        assert hashed == [f"9:slow-node:{item}".encode() for item in ITEMS]
-        assert [position for position, _ in fired] == list(range(len(ITEMS)))
+        always = FaultInjector(FaultPlan(seed=4, rules=(
+            FaultRule(point=POINT, rate=1.0),
+        )))
+        assert never.check_nodes(POINT, "a", 3, ids) == []
+        assert [p for p, _ in always.check_nodes(POINT, "a", 3, ids)] == [
+            p for p in ids if stream_word(4, POINT, "a", 3, p) < 2**64 - 1024
+        ]
+
+    @pytest.mark.parametrize("rule", [
+        FaultRule(point=POINT, rate=0.5, key="item"),
+        FaultRule(point=POINT, rate=0.5, key="pool", max_fires=3),
+        FaultRule(point=POINT, rate=0.5, match={"item": "a:node-1:epoch-0"}),
+    ], ids=["key-item", "key-pool", "match-item"])
+    def test_a_rule_the_stream_cannot_honour_is_refused_by_name(self, rule):
+        plan = FaultPlan(seed=1, rules=(FaultRule(point=POINT, rate=0.1), rule))
+        with pytest.raises(ConfigurationError, match="cannot be drawn") as info:
+            FaultInjector(plan).check_nodes(POINT, "a", 0, [0, 1])
+        assert repr(rule.to_dict()) in str(info.value)
+        with pytest.raises(ConfigurationError, match="cannot be drawn"):
+            run_fleet(small_trace(10, 1), pools=SMALL_POOLS,
+                      injector=FaultInjector(plan))
 
 
-# -- the simulator: reference loop vs shipped batch probes -------------------
+# -- the simulator: interleaved reference loop vs shipped stream probes ------
 
 
 class InterleavedSimulator(FleetSimulator):
-    """The per-node interleaved probe loop ``_probe_nodes`` replaced (the
-    parent commit's body, verbatim): every up node is asked ``node-down``
-    and then, if it survived, ``slow-node``, one ``check()`` each."""
+    """The per-node interleaved probe loop, drawing the reference coin:
+    every up node is asked ``node-down`` and then, if it survived,
+    ``slow-node``, one node at a time."""
 
     def _probe_nodes(self, epoch):
-        if self._injector is None:
+        injector = self._injector
+        if injector is None:
             return
         slowed = {}
         for name, pool in self.pools.items():
             for node in [node for node in pool.nodes if node.up]:
-                item = f"{name}:node-{node.id}:epoch-{epoch}"
-                if self._probe("node-down", item=item, pool=name) is not None:
+                if reference_draw(injector, "node-down", name, epoch,
+                                  node.id) is not None:
                     for job_id in node.allocations:
                         slowed.pop(job_id, None)
                     self._fail_node(pool, node)
                     continue
-                rule = self._probe("slow-node", item=item, pool=name)
+                rule = reference_draw(injector, "slow-node", name, epoch, node.id)
                 if rule is not None:
-                    penalty = (
-                        self.slow_penalty_s if rule.delay_s is None else rule.delay_s
-                    )
+                    penalty = SLOW_PENALTY_S if rule.delay_s is None else rule.delay_s
                     for job_id in node.allocations:
                         slowed[job_id] = max(slowed.get(job_id, 0.0), penalty)
         for job_id in sorted(slowed):
             self._slow_job(self._jobs[job_id], slowed[job_id])
 
 
-#: rule shapes the issue names, per point; a plan below draws 0-2 of each
-#: point's in plan order, so most examples have the two points interacting
+#: rule shapes per point; a plan below draws 0-2 of each point's in plan
+#: order, so most examples have the two points interacting
 down_rules = st.one_of(
     st.builds(
         FaultRule, point=st.just("node-down"),
-        rate=st.sampled_from((0.005, 0.01)),  # uncapped: keep jobs finishable
+        rate=st.sampled_from((0.005, 0.01, 0.05)),
     ),
     st.builds(  # a budget: must land on the same nodes in both orders
         FaultRule, point=st.just("node-down"),
         rate=st.sampled_from((0.1, 0.5)), max_fires=st.sampled_from((1, 4)),
     ),
-    st.builds(  # one coin per pool, not per node: the per-item fallback
-        FaultRule, point=st.just("node-down"), rate=st.just(0.5),
-        key=st.just("pool"), max_fires=st.just(3),
+    st.builds(  # resolves for one pool only
+        FaultRule, point=st.just("node-down"), rate=st.just(0.02),
+        match=st.sampled_from(({"pool": "presto-ssd"}, {"pool": "disagg-cpu"})),
     ),
 )
 slow_rules = st.one_of(
@@ -280,10 +310,6 @@ slow_rules = st.one_of(
         FaultRule, point=st.just("slow-node"), rate=st.sampled_from((0.2, 1.0)),
         match=st.sampled_from(({"pool": "presto-ssd"}, {"pool": "disagg-cpu"})),
         max_fires=st.sampled_from((None, 7)),
-    ),
-    st.builds(
-        FaultRule, point=st.just("slow-node"), rate=st.just(0.5),
-        key=st.just("pool"), max_fires=st.just(3),
     ),
 )
 node_plans = st.builds(
@@ -317,7 +343,7 @@ def state_at(simulator_class, until_s, trace, plan, **kwargs):
     return (
         {
             job_id: (job.state, job.pool, job.finish_s, job.displacements,
-                     job.reschedules, job.token)
+                     job.reschedules, job.token, job.remaining_s, job.lost_s)
             for job_id, job in sim._jobs.items()
         },
         {
@@ -360,8 +386,8 @@ class TestSimulatorDidNotChangeItsMind:
     def test_every_node_down_every_epoch_never_asks_slow_node(
         self, slow, kind, num_jobs, trace_seed, fault_seed, policy, autoscaler
     ):
-        # nothing longer than the repair window ever finishes under this
-        # plan, so both sides stop at the same simulated hour instead
+        # no job that outlives an epoch ever finishes under this plan, so
+        # both sides stop at the same simulated hour instead
         trace = small_trace(num_jobs, trace_seed, kind)
         plan = FaultPlan(seed=fault_seed, rules=(
             FaultRule(point="node-down", rate=1.0), slow,
@@ -394,7 +420,7 @@ class TestSimulatorDidNotChangeItsMind:
         assert any(point == "node-down" for _, _, point in groups)
 
 
-# -- what the rewrite is for, as counts --------------------------------------
+# -- what the stream is for, as counts ---------------------------------------
 
 
 def resilience_run(injector):
@@ -409,6 +435,32 @@ def resilience_run(injector):
     return trace, result
 
 
+RESILIENCE_PLAN = FaultPlan(seed=11, rules=(
+    FaultRule(point="node-down", rate=fleet_resilience.DEFAULT_DOWN_RATE),
+    FaultRule(point="slow-node", rate=fleet_resilience.DEFAULT_SLOW_RATE,
+              delay_s=300.0),
+))
+
+
+def count_node_work(monkeypatch):
+    """Patch in counters: every ``check_nodes`` call as (point, pool,
+    epoch, nodes asked), every stream built as (point, stream key)."""
+    calls, streams = [], []
+    check_nodes, stream_words = FaultInjector.check_nodes, FaultPlan.stream_words
+
+    def counting_check(self, point, pool, epoch, node_ids):
+        calls.append((point, pool, epoch, len(node_ids)))
+        return check_nodes(self, point, pool, epoch, node_ids)
+
+    def counting_stream(self, point, stream, count):
+        streams.append((point, stream))
+        return stream_words(self, point, stream, count)
+
+    monkeypatch.setattr(FaultInjector, "check_nodes", counting_check)
+    monkeypatch.setattr(FaultPlan, "stream_words", counting_stream)
+    return calls, streams
+
+
 class TestProbeCounts:
     def test_check_is_entered_at_most_once_per_arrival(self, monkeypatch):
         entered = []
@@ -419,16 +471,33 @@ class TestProbeCounts:
             return check(self, point, **context)
 
         monkeypatch.setattr(FaultInjector, "check", counting)
-        plan = FaultPlan(seed=11, rules=(
-            FaultRule(point="node-down",
-                      rate=fleet_resilience.DEFAULT_DOWN_RATE),
-            FaultRule(point="slow-node",
-                      rate=fleet_resilience.DEFAULT_SLOW_RATE, delay_s=300.0),
-        ))
-        trace, result = resilience_run(FaultInjector(plan))
+        trace, result = resilience_run(FaultInjector(RESILIENCE_PLAN))
         assert result.fault_fires["slow-node:slow"] > 1000  # it was probing
         assert set(entered) == {"arrival-burst"}
         assert len(entered) <= len(trace)
+
+    def test_one_stream_per_pool_point_and_epoch_whatever_the_node_count(
+        self, monkeypatch
+    ):
+        calls, streams = count_node_work(monkeypatch)
+        resilience_run(FaultInjector(RESILIENCE_PLAN))
+        asked = [(point, f"{pool}:epoch-{epoch}")
+                 for point, pool, epoch, nodes in calls if nodes]
+        assert streams == asked
+        assert len(set(streams)) == len(streams)
+        epochs = {epoch for _, _, epoch, _ in calls}
+        assert len(streams) == 2 * 2 * len(epochs)  # no pool was ever all down
+        node_epochs = sum(nodes for *_, nodes in calls)
+        assert node_epochs > 100 * len(streams)
+
+    def test_rules_matched_to_no_pool_build_no_stream(self, monkeypatch):
+        calls, streams = count_node_work(monkeypatch)
+        _, clean = resilience_run(None)
+        _, result = resilience_run(FaultInjector(FaultPlan(seed=11, rules=(
+            FaultRule(point="node-down", rate=1.0, match={"pool": "elsewhere"}),
+        ))))
+        assert calls and streams == []
+        assert result.digest == clean.digest
 
     @pytest.mark.parametrize("plan", [
         FaultPlan(seed=11),
@@ -439,21 +508,7 @@ class TestProbeCounts:
         self, plan, monkeypatch
     ):
         _, clean = resilience_run(None)
-
-        keyed, hashed = [], []
-        node_keys, sha256 = fleet_simulator._node_keys, hashlib.sha256
-
-        def counting_keys(pool, nodes, epoch):
-            keyed.append(len(nodes))
-            return node_keys(pool, nodes, epoch)
-
-        def counting_sha256(data=b""):
-            if data.startswith((b"11:node-down:", b"11:slow-node:")):
-                hashed.append(data)
-            return sha256(data)
-
-        monkeypatch.setattr(fleet_simulator, "_node_keys", counting_keys)
-        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        calls, streams = count_node_work(monkeypatch)
         _, result = resilience_run(FaultInjector(plan))
-        assert keyed == [] and hashed == []
+        assert calls == [] and streams == []
         assert result.digest == clean.digest

@@ -3,10 +3,14 @@ traces replay byte-identically, the simulator is deterministic under
 every placement-policy x autoscaler combination (with and without fault
 injection), and results flow losslessly into telemetry."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api.registry import REGISTRY
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
@@ -15,6 +19,7 @@ from repro.fleet import (
     AUTOSCALE_KINDS,
     TRACE_KINDS,
     FleetResult,
+    FleetSimulator,
     JobArrival,
     PoolSnapshot,
     PoolSpec,
@@ -26,6 +31,9 @@ from repro.fleet import (
     get_policy,
     run_fleet,
 )
+from repro.fleet import simulator as fleet_simulator
+from repro.fleet.simulator import CHECKPOINT_S
+from repro.hardware.calibration import CALIBRATION
 from repro.telemetry import events_from_fleet_result
 
 #: a small heterogeneous fleet that keeps simulator tests fast
@@ -391,6 +399,117 @@ class TestFaultInjection:
         result = run_fleet(small_trace(num_jobs=20, seed=3), pools=SMALL_POOLS)
         assert result.fault_fires == {}
         assert result.displacements == 0
+
+
+class TestCheckpointedRestart:
+    """A displaced job keeps the whole ``CHECKPOINT_S`` intervals of its
+    run's progress (time placed minus that run's slow-node penalties) and
+    loses the rest."""
+
+    DURATION_S = 10_000.0
+
+    def running(self):
+        arrival = JobArrival(job_id="j", model="RM1", num_gpus=8,
+                             duration_s=self.DURATION_S, submit_s=0.0)
+        sim = FleetSimulator(Trace(kind="manual", seed=0, arrivals=(arrival,)),
+                             pools=SMALL_POOLS)
+        sim.engine.schedule(0.0, lambda: sim._on_arrival(arrival))
+        sim.engine.run(until=0.0)
+        job = sim._jobs["j"]
+        assert job.state == "running"
+        return sim, job
+
+    def displace_at(self, sim, job, t_s):
+        sim.engine.run(until=t_s)
+        sim._fail_node(sim.pools[job.pool], job.alloc[0])
+        assert job.state == "queued"
+
+    @pytest.mark.parametrize("progress_s, kept_s", [
+        (1799.0, 0.0), (1800.0, 1800.0), (3601.0, 3600.0),
+    ])
+    def test_keeps_whole_checkpoints_of_its_progress(self, progress_s, kept_s):
+        sim, job = self.running()
+        self.displace_at(sim, job, progress_s)
+        assert job.remaining_s == self.DURATION_S - kept_s
+        assert job.lost_s == progress_s - kept_s
+
+    def test_slow_node_penalties_are_not_progress(self):
+        sim, job = self.running()
+        sim.engine.run(until=100.0)
+        sim._slow_job(job, 300.0)
+        self.displace_at(sim, job, 2000.0)  # 1,700 s of progress
+        assert job.remaining_s == self.DURATION_S
+        assert job.lost_s == 1700.0
+
+    def test_the_next_run_schedules_only_the_remaining_work(self):
+        sim, job = self.running()
+        self.displace_at(sim, job, 3601.0)
+        sim._drain()
+        assert job.state == "running" and job.remaining_s == 6400.0
+        self.displace_at(sim, job, 3601.0 + 1800.0)  # a checkpoint exactly
+        sim._drain()
+        sim.engine.run()
+        assert job.state == "completed"
+        assert job.finish_s == 3601.0 + 1800.0 + 4600.0
+        assert job.lost_s == 1.0
+        assert job.reschedules == job.displacements == 2
+
+    def test_clean_run_loses_nothing(self):
+        result = run_fleet(small_trace(num_jobs=30, seed=4), pools=SMALL_POOLS)
+        assert result.lost_work_hours == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        trace_seed=st.integers(min_value=0, max_value=2**16),
+        fault_seed=st.integers(min_value=0, max_value=2**16),
+        down_rate=st.sampled_from((0.01, 0.05, 0.2)),
+        slow_rate=st.sampled_from((0.0, 0.1)),
+        policy=st.sampled_from(("first-fit", "best-fit", "priority")),
+    )
+    def test_lost_work_is_the_per_job_sum_and_under_a_checkpoint_each(
+        self, trace_seed, fault_seed, down_rate, slow_rate, policy
+    ):
+        plan = FaultPlan(seed=fault_seed, rules=(
+            FaultRule(point="node-down", rate=down_rate),
+            FaultRule(point="slow-node", rate=slow_rate, delay_s=300.0),
+        ))
+        sim = FleetSimulator(
+            small_trace(num_jobs=40, seed=trace_seed), pools=SMALL_POOLS,
+            policy=policy, autoscaler="target-utilization",
+            injector=FaultInjector(plan),
+        )
+        result = sim.run()
+        jobs = list(sim._jobs.values())
+        assert result.lost_work_hours == round(
+            sum(job.lost_s for job in jobs) / 3600.0, 6
+        )
+        for job in jobs:
+            assert job.reschedules == job.displacements
+            assert 0.0 <= job.lost_s <= CHECKPOINT_S * job.displacements
+            assert 0.0 <= job.remaining_s <= job.arrival.duration_s
+
+
+class TestNeedMemoBound:
+    def test_more_simulators_than_the_bound_keep_only_the_latest(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(fleet_simulator, "_NEED_MEMO", {})
+        bound = fleet_simulator._NEED_MEMO_KEYS
+        calibrations = [
+            dataclasses.replace(CALIBRATION, cpu_batch_overhead=0.01 + i / 1000)
+            for i in range(bound)  # two pools each: twice the bound in keys
+        ]
+        trace = small_trace(num_jobs=5, seed=2)
+        for calibration in calibrations:
+            sim = FleetSimulator(trace, pools=SMALL_POOLS, calibration=calibration)
+            assert len(fleet_simulator._NEED_MEMO) <= bound
+        factories = {REGISTRY.get(pool.system) for pool in SMALL_POOLS}
+        assert set(fleet_simulator._NEED_MEMO) == {
+            (factory, calibration)
+            for factory in factories for calibration in calibrations[-bound // 2:]
+        }
+        # a live simulator keeps its own memo however many came after it
+        assert sim.run().all_terminal()
 
 
 class TestFleetResult:

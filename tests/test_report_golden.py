@@ -8,7 +8,12 @@ short digest per experiment so a mismatch names the table that moved.
 Moved once since (PR 17): ``abl-row`` prints real columnar file bytes, and
 the sparse default codec went from LEB128 to byte packing (fraction 1:
 479,473 -> 373,959; 0.5: 192,820 -> 168,479); its three claims hold as
-before and the other 21 render digests are the PR 14 ones.
+before.  Moved again when displaced fleet jobs began resuming from their
+last checkpoint and node fault coins moved to one stream per (pool, point,
+epoch): ``fleet-resilience`` draws different nodes, prints its clean and
+faulted makespans and lost work, and gains the claim "faulted run ends
+within 1.5x of the clean makespan" (scoreboard 63 -> 64).  The other 20
+render digests are the PR 14 ones.
 
 Regenerate (only when a report change is intended and reviewed)::
 
@@ -22,8 +27,8 @@ import pytest
 from repro.api import EXPERIMENT_REGISTRY
 from repro.experiments.report import render_report, report_payload, run_all
 
-REPORT_SHA256 = "79cae6c513025530f38ebc7ee06974a895735340a14a48fd0b96c9e5e3cc4312"
-SCOREBOARD = {"held": 63, "total": 63}
+REPORT_SHA256 = "a5257bb072f7598af8ebd90d1f28c0df9c8c1d9ad3450793476faafc51ce92ac"
+SCOREBOARD = {"held": 64, "total": 64}
 
 #: experiment id -> sha256[:16] of its ``render()`` text
 RENDER_DIGESTS = {
@@ -48,7 +53,7 @@ RENDER_DIGESTS = {
     "abl-batch": "edc27ce815fa2355",
     "abl-fleet": "3e023369abe5d544",
     "fleet-tco": "8755f32518b860fb",
-    "fleet-resilience": "3ecdba4eee25193f",
+    "fleet-resilience": "a8c5b07994164a71",
 }
 
 
