@@ -2,28 +2,47 @@
 
 Couples a :class:`~repro.core.manager.PreprocessManager` (producer) to a
 :class:`~repro.training.trainer.TrainManager` (consumer) through the bounded
-input queue of Figure 9 and runs the discrete-event engine.  The emergent
-GPU utilization is the paper's headline system metric (Fig. 3's right axis):
-when preprocessing supply falls short of ``T``, the trainer starves and
-utilization drops below 100%.
+input queue of Figure 9.  The emergent GPU utilization is the paper's
+headline system metric (Fig. 3's right axis): when preprocessing supply
+falls short of ``T``, the trainer starves and utilization drops below 100%.
+
+The pipeline is one loop over a heap of ``(time, seq, kind, producer)``
+events (:func:`_simulate`):
+
+* a producer's batch is ``READY`` after its latency, later ones one
+  interval apart; it goes into the queue (``PUT``) or, while the queue is
+  full, joins a FIFO of blocked producers;
+* the trainer takes a batch (``GOT``) the moment one is queued, trains for
+  its step time (``TRAINED``), and takes the next; a taken batch frees one
+  slot, which admits the longest-blocked producer.
+
+Ordering rule: events pop by time, and simultaneous ones in the order they
+were pushed (``seq``).  Every handler pushes its own follow-up before the
+one it wakes — a put schedules the producer before the trainer it
+unblocks, a take schedules the trainer before the producer it admits.
 """
 
 from __future__ import annotations
 
+import collections
+import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, TYPE_CHECKING, Union
+from typing import Callable, List, Optional, TYPE_CHECKING, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.systems import PreprocessingSystem
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.api.registry import REGISTRY
 from repro.core.manager import PreprocessManager
 from repro.core.worker import PreprocessingWorker
-from repro.sim.engine import Engine
 from repro.training.trainer import TrainManager
+
+#: event kinds of :func:`_simulate`
+READY, PUT, GOT, TRAINED = range(4)
 
 
 @dataclass(frozen=True)
@@ -55,6 +74,74 @@ class PipelineStats:
         if span <= 0:
             return 0.0
         return min(self.training_time / span, 1.0)
+
+
+def _simulate(
+    producers: List[Tuple[float, float, int]],
+    capacity: int,
+    iteration: float,
+    step: float,
+    num_batches: int,
+) -> Tuple[float, float, float, float, float]:
+    """Run the Figure 9 pipeline to the last trained batch.
+
+    ``producers`` holds one ``(latency, interval, share)`` per worker with a
+    non-zero share.  Returns ``(wall, training, wait, first_batch,
+    production_end)`` in simulated seconds.
+    """
+    latencies, intervals, shares = zip(*producers)
+    if min(latencies + intervals + (iteration, step)) < 0:
+        raise SimulationError("negative delay in the pipeline model")
+    seq = itertools.count()
+    # every time is ``now + delay``, this one included (``now`` is 0.0)
+    heap = [(0.0 + delay, next(seq), READY, k) for k, delay in enumerate(latencies)]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    left = list(shares)
+    blocked: collections.deque = collections.deque()
+    queued = trained = 0
+    trainer_waiting = True  # its first take, at time 0, finds the queue empty
+    training = wait = first = wait_start = production_end = 0.0
+    while True:
+        now, _, kind, k = pop(heap)
+        if kind == READY:
+            if queued == capacity:
+                blocked.append(k)
+                continue
+            queued += 1
+            push(heap, (now, next(seq), PUT, k))
+            # the trainer waits only on an empty queue, so nobody is blocked
+            if trainer_waiting:
+                trainer_waiting = False
+                queued -= 1
+                push(heap, (now, next(seq), GOT, -1))
+        elif kind == PUT:
+            left[k] -= 1
+            if left[k]:
+                push(heap, (now + intervals[k], next(seq), READY, k))
+            else:
+                production_end = now
+        elif kind == GOT:
+            if trained == 0:
+                first = now
+            wait += now - wait_start
+            push(heap, (now + step, next(seq), TRAINED, -1))
+        else:
+            training += iteration
+            trained += 1
+            if trained == num_batches:
+                return now, training, wait, first, production_end
+            wait_start = now
+            if not queued:
+                trainer_waiting = True
+                continue
+            queued -= 1
+            push(heap, (now, next(seq), GOT, -1))
+            # producers block only on a full queue: the one freed slot
+            # admits at most one of them
+            if blocked:
+                queued += 1
+                push(heap, (now, next(seq), PUT, blocked.popleft()))
 
 
 class EndToEndSimulation:
@@ -114,9 +201,6 @@ class EndToEndSimulation:
         """
         if num_batches <= 0:
             raise ConfigurationError("num_batches must be positive")
-        engine = Engine()
-        queue = self.train_manager.make_input_queue()
-
         if provision_to_demand and self.system is not None:
             plan = self.system.provision_for(self.train_manager.num_gpus)
             launch_kwargs = {"num_workers": plan.num_workers}
@@ -130,42 +214,35 @@ class EndToEndSimulation:
             raise ConfigurationError(
                 "pass num_workers or provision_to_demand=True"
             )
-        producers = self.preprocess_manager.launch(
-            engine, queue, num_batches, **launch_kwargs
+        shares = self.preprocess_manager.launch(num_batches, **launch_kwargs)
+        trainer = self.train_manager
+        wall, training, wait, first, production_span = _simulate(
+            [
+                (worker.batch_latency(), worker.batch_interval(), share)
+                for worker, share in zip(self.preprocess_manager.workers, shares)
+                if share
+            ],
+            trainer.input_queue_capacity,
+            trainer.iteration_time(),
+            trainer.step_time(),
+            num_batches,
         )
-        trainer_process = engine.spawn(
-            "train-manager",
-            self.train_manager.run(engine, queue, num_batches),
-        )
-        engine.run()
-        if not trainer_process.finished:
-            raise ConfigurationError("trainer did not finish; broken pipeline")
-
-        stats = self.train_manager.stats
-        wall = stats.finish_time
         samples = num_batches * self.spec.batch_size
         consumed_time = wall if wall > 0 else 1.0
-        # Supply is what the preprocess manager actually produced over the
-        # time its workers were active — not a copy of the training rate.
-        # Well-fed producers finish (and stop being measured) before the
-        # trainer drains the queue, so supply can legitimately exceed demand.
-        produced_samples = (
-            self.preprocess_manager.total_batches_produced * self.spec.batch_size
-        )
-        production_span = max(
-            (p.finish_time for p in producers if p.finish_time is not None),
-            default=wall,
-        )
+        # Supply is what the workers produced over the time they were active
+        # — not a copy of the training rate.  Well-fed producers finish (and
+        # stop being measured) before the trainer drains the queue, so supply
+        # can legitimately exceed demand.
         if production_span <= 0:
             production_span = consumed_time
         return PipelineStats(
             spec_name=self.spec.name,
-            num_workers=len(self.preprocess_manager.workers),
+            num_workers=len(shares),
             num_batches=num_batches,
             wall_time=wall,
-            training_time=stats.training_time,
-            wait_time=stats.wait_time,
-            preprocessing_throughput=produced_samples / production_span,
+            training_time=training,
+            wait_time=wait,
+            preprocessing_throughput=samples / production_span,
             training_throughput=samples / consumed_time,
-            first_batch_time=stats.first_batch_time,
+            first_batch_time=first,
         )

@@ -2,8 +2,8 @@
 
 The preprocess manager receives the training job's configuration and the
 measured training throughput ``T`` from the train manager, derives the
-worker count via T/P, spawns the workers (CPU cores or SmartSSD ISP units),
-and keeps the train manager's input queue replenished (steps 2–5).
+worker count via T/P, builds the workers (CPU cores or SmartSSD ISP units)
+and splits the job's mini-batches among them (steps 2–5).
 """
 
 from __future__ import annotations
@@ -14,12 +14,10 @@ from repro.errors import ProvisioningError
 from repro.features.specs import ModelSpec
 from repro.core.provision import ProvisioningPlan, workers_for
 from repro.core.worker import PreprocessingWorker
-from repro.sim.engine import Engine, Process
-from repro.sim.resources import Store
 
 
 class PreprocessManager:
-    """Spawns and manages preprocessing workers for one training job."""
+    """Builds the preprocessing workers for one training job."""
 
     def __init__(
         self,
@@ -50,17 +48,16 @@ class PreprocessManager:
 
     def launch(
         self,
-        engine: Engine,
-        queue: Store,
         num_batches: int,
         num_workers: Optional[int] = None,
         training_throughput: Optional[float] = None,
-    ) -> List[Process]:
-        """Spawn workers that together produce ``num_batches`` mini-batches.
+    ) -> List[int]:
+        """Build the workers and return each one's share of ``num_batches``.
 
         Either pass an explicit ``num_workers`` or a ``training_throughput``
         to provision against.  Batches are split round-robin so every worker
-        produces an equal share (partitions are placed round-robin too).
+        produces an equal share (partitions are placed round-robin too); a
+        worker past ``num_batches`` gets a share of 0.
         """
         if num_workers is None:
             if training_throughput is None:
@@ -72,20 +69,5 @@ class PreprocessManager:
             raise ProvisioningError("cannot launch zero workers")
 
         self.workers = [self.worker_factory() for _ in range(num_workers)]
-        processes = []
         base, extra = divmod(num_batches, num_workers)
-        for index, worker in enumerate(self.workers):
-            share = base + (1 if index < extra else 0)
-            if share == 0:
-                continue
-            processes.append(
-                engine.spawn(
-                    f"worker-{index}", worker.produce(engine, queue, share)
-                )
-            )
-        return processes
-
-    @property
-    def total_batches_produced(self) -> int:
-        """Mini-batches produced across all workers so far."""
-        return sum(w.batches_produced for w in self.workers)
+        return [base + (1 if index < extra else 0) for index in range(num_workers)]

@@ -8,9 +8,9 @@ the same three quantities the paper's evaluation uses:
 * a steady-state throughput (per-batch for serial workers, pipeline-
   bottleneck for double-buffered devices).
 
-Workers are also DES producers: :meth:`PreprocessingWorker.produce` is a
-process that pushes mini-batch tokens into the train manager's input queue
-with the right timing.
+The end-to-end simulation (:mod:`repro.core.endtoend`) reads a worker's
+producer timing from ``batch_latency`` and ``batch_interval``: the first
+batch after the latency, the rest one interval apart.
 
 A worker can also run *functionally* (``preprocess_partition``).  Its
 :class:`PreprocessingPipeline` is built on the first read of ``pipeline``,
@@ -22,13 +22,10 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.exec.executor import transform_shard
 from repro.features.minibatch import MiniBatch
 from repro.features.specs import ModelSpec
 from repro.ops.pipeline import OpCounts, PreprocessingPipeline
-from repro.sim.engine import Engine, Timeout
-from repro.sim.resources import Store
 
 #: canonical step order (Figure 5 / Figure 12 legends)
 BREAKDOWN_STEPS = (
@@ -58,7 +55,6 @@ class PreprocessingWorker(abc.ABC):
         self, spec: ModelSpec, pipeline: Optional[PreprocessingPipeline] = None
     ) -> None:
         self.spec = spec
-        self.batches_produced = 0
         self._pipeline = pipeline
 
     # -- functional execution -------------------------------------------------
@@ -94,21 +90,3 @@ class PreprocessingWorker(abc.ABC):
     def batch_interval(self) -> float:
         """Seconds between consecutive mini-batches at steady state."""
         return self.spec.batch_size / self.throughput()
-
-    # -- DES producer -----------------------------------------------------------
-
-    def produce(self, engine: Engine, queue: Store, num_batches: int):
-        """Process: emit ``num_batches`` batch tokens into ``queue``.
-
-        The first batch appears after the full latency; subsequent batches
-        follow at the steady-state interval (equal to the latency for serial
-        CPU workers, the pipeline bottleneck for double-buffered devices).
-        """
-        if num_batches < 0:
-            raise ConfigurationError("num_batches must be non-negative")
-        latency = self.batch_latency()
-        interval = self.batch_interval()
-        for index in range(num_batches):
-            yield Timeout(latency if index == 0 else interval)
-            self.batches_produced += 1
-            yield queue.put({"worker": self.kind, "index": index})

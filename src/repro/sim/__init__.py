@@ -1,12 +1,10 @@
 """Minimal discrete-event simulation engine.
 
-A generator-based DES in the style of SimPy, sized to what the end-to-end
-pipeline model needs: a simulated clock, processes that ``yield`` timeouts /
-resource requests / queue operations, FCFS servers, and bounded
-producer-consumer stores (the paper's "input queue" in Figure 9).
+A generator-based DES in the style of SimPy, sized to what the fleet
+simulator needs: a simulated clock, processes that ``yield`` timeouts, and
+callbacks scheduled on the same (time, sequence)-ordered heap.
 """
 
 from repro.sim.engine import Engine, Process, Timeout
-from repro.sim.resources import Server, Store
 
-__all__ = ["Engine", "Process", "Timeout", "Server", "Store"]
+__all__ = ["Engine", "Process", "Timeout"]

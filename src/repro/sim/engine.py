@@ -1,22 +1,20 @@
 """Generator-based discrete-event engine.
 
-Processes are Python generators that yield *events*:
+Two kinds of work share one clock:
 
-* :class:`Timeout`  — resume after a simulated delay;
-* any object with a ``_subscribe(engine, process)`` method — resource/queue
-  primitives from :mod:`repro.sim.resources` implement this protocol and
-  resume the process when the request is satisfied, sending a value back
-  into the generator.
+* processes — Python generators that yield :class:`Timeout` events and are
+  resumed after the simulated delay;
+* callbacks — zero-argument functions scheduled ``delay`` seconds ahead with
+  :meth:`Engine.schedule` (the fleet simulator's job completions, repairs
+  and scale-ups).
 
 The event queue is a heap ordered by (time, sequence) so simultaneous events
 fire in FIFO order, which keeps runs fully deterministic.
 
-Heap entries are plain ``(time, seq, process, send_value, callback)`` tuples:
-stepping a process pushes the process handle itself (the fast path, no
-closure allocated per event), while arbitrary callbacks — used by resource
-internals such as ``Server`` completions — ride in the last slot as a slow
-path.  The (time, seq) prefix is unique, so tuple comparison never reaches
-the non-comparable payload.
+Heap entries are plain ``(time, seq, process, callback)`` tuples: stepping a
+process pushes the process handle itself (no closure allocated per event),
+while a callback rides in the last slot.  The (time, seq) prefix is unique,
+so tuple comparison never reaches the non-comparable payload.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ from repro.errors import SimulationError
 
 ProcessGenerator = Generator[Any, Any, None]
 
-#: one scheduled event: (time, seq, process, send_value, callback)
-_Event = Tuple[float, int, Optional["Process"], Any, Optional[Callable[[], None]]]
+#: one scheduled event: (time, seq, process, callback)
+_Event = Tuple[float, int, Optional["Process"], Optional[Callable[[], None]]]
 
 
 class Timeout:
@@ -76,27 +74,25 @@ class Engine:
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after ``delay`` simulated seconds (slow path)."""
+        """Run ``callback`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
-            self._heap, (self.now + delay, next(self._sequence), None, None, callback)
+            self._heap, (self.now + delay, next(self._sequence), None, callback)
         )
 
     def spawn(self, name: str, generator: ProcessGenerator) -> Process:
         """Register a process and schedule its first step at the current time."""
         process = Process(name, generator)
-        heapq.heappush(
-            self._heap, (self.now, next(self._sequence), process, None, None)
-        )
+        heapq.heappush(self._heap, (self.now, next(self._sequence), process, None))
         return process
 
-    def _step(self, process: Process, send_value: Any) -> None:
+    def _step(self, process: Process) -> None:
         """Advance one process by one yield."""
         if process.finished:
             raise SimulationError(f"stepping finished process {process.name!r}")
         try:
-            event = process.generator.send(send_value)
+            event = process.generator.send(None)
         except StopIteration:
             process.finished = True
             process.finish_time = self.now
@@ -106,20 +102,12 @@ class Engine:
             # no closure is allocated per event either way
             heapq.heappush(
                 self._heap,
-                (self.now + event.delay, next(self._sequence), process, None, None),
+                (self.now + event.delay, next(self._sequence), process, None),
             )
-        elif hasattr(event, "_subscribe"):
-            event._subscribe(self, process)
         else:
             raise SimulationError(
                 f"process {process.name!r} yielded unknown event {event!r}"
             )
-
-    def resume(self, process: Process, value: Any = None) -> None:
-        """Resume a process blocked on a resource event (used by resources)."""
-        heapq.heappush(
-            self._heap, (self.now, next(self._sequence), process, value, None)
-        )
 
     # -- running -------------------------------------------------------------
 
@@ -143,10 +131,10 @@ class Engine:
                 return until
             if time < now - 1e-12:
                 raise SimulationError("event heap went backwards in time")
-            _, _, process, send_value, callback = heappop(heap)
+            _, _, process, callback = heappop(heap)
             self.now = now = time
             if process is not None:
-                step(process, send_value)
+                step(process)
             else:
                 callback()
             events += 1

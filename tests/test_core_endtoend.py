@@ -9,8 +9,6 @@ from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.manager import PreprocessManager
 from repro.errors import ConfigurationError, ProvisioningError
 from repro.features.specs import get_model
-from repro.sim.engine import Engine
-from repro.sim.resources import Store
 
 
 class TestPreprocessManager:
@@ -26,25 +24,26 @@ class TestPreprocessManager:
     def test_launch_splits_batches_evenly(self):
         spec = get_model("RM1")
         manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
-        engine = Engine()
-        queue = Store("q")
-        manager.launch(engine, queue, num_batches=10, num_workers=3)
-        engine.run()
-        assert manager.total_batches_produced == 10
-        produced = sorted(w.batches_produced for w in manager.workers)
-        assert produced == [3, 3, 4]
+        shares = manager.launch(num_batches=10, num_workers=3)
+        assert sorted(shares) == [3, 3, 4]
+        assert len(manager.workers) == 3
+
+    def test_launch_gives_workers_past_the_batches_nothing(self):
+        spec = get_model("RM1")
+        manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
+        assert manager.launch(num_batches=2, num_workers=4) == [1, 1, 0, 0]
 
     def test_launch_needs_target(self):
         spec = get_model("RM1")
         manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
         with pytest.raises(ProvisioningError):
-            manager.launch(Engine(), Store("q"), num_batches=4)
+            manager.launch(num_batches=4)
 
     def test_launch_zero_workers_rejected(self):
         spec = get_model("RM1")
         manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
         with pytest.raises(ProvisioningError):
-            manager.launch(Engine(), Store("q"), num_batches=4, num_workers=0)
+            manager.launch(num_batches=4, num_workers=0)
 
 
 class TestEndToEnd:
@@ -97,6 +96,12 @@ class TestEndToEnd:
             sim.run(num_batches=0, num_workers=1)
         with pytest.raises(ConfigurationError):
             sim.run(num_batches=5)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_non_positive_queue_rejected_at_construction(self, capacity):
+        spec = get_model("RM1")
+        with pytest.raises(ConfigurationError, match="input_queue_capacity"):
+            EndToEndSimulation(spec, system="PreSto", queue_capacity=capacity)
 
     def test_stats_consistency(self):
         spec = get_model("RM1")

@@ -5,14 +5,13 @@ import pytest
 
 from repro.core.accel_worker import GpuPoolWorker, PreStoU280Worker, U280PoolWorker
 from repro.core.cpu_worker import CpuPreprocessingWorker
+from repro.core.endtoend import EndToEndSimulation
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.worker import BREAKDOWN_STEPS, breakdown_total
 from repro.dataio.partition import RowPartitioner
 from repro.errors import ConfigurationError
 from repro.features.specs import get_model
 from repro.features.synthetic import generate_raw_table
-from repro.sim.engine import Engine
-from repro.sim.resources import Store
 
 
 @pytest.fixture(scope="module")
@@ -90,51 +89,26 @@ class TestFunctionalEquivalence:
         assert counts.rows == 64
 
 
-class TestDesProduction:
-    def test_produces_exact_count(self):
-        spec = get_model("RM1")
-        worker = IspPreprocessingWorker(spec)
-        engine = Engine()
-        queue = Store("q")
-        engine.spawn("w", worker.produce(engine, queue, 5))
-        engine.run()
-        assert worker.batches_produced == 5
-        assert queue.total_put == 5
+class TestProducerTiming:
+    """A worker's latency and interval are its producer timing in the
+    end-to-end simulation."""
 
     def test_first_batch_at_latency(self):
         spec = get_model("RM1")
         worker = CpuPreprocessingWorker(spec)
-        engine = Engine()
-        queue = Store("q")
-        arrival = []
-
-        def consumer():
-            yield queue.get()
-            arrival.append(engine.now)
-
-        engine.spawn("w", worker.produce(engine, queue, 1))
-        engine.spawn("c", consumer())
-        engine.run()
-        assert arrival[0] == pytest.approx(worker.batch_latency())
+        sim = EndToEndSimulation(spec, lambda: CpuPreprocessingWorker(spec))
+        stats = sim.run(num_batches=1, num_workers=1)
+        assert stats.first_batch_time == worker.batch_latency()
 
     def test_steady_state_rate(self):
         spec = get_model("RM1")
         worker = IspPreprocessingWorker(spec)
-        engine = Engine()
-        queue = Store("q")
-        engine.spawn("w", worker.produce(engine, queue, 10))
-        engine.run()
-        expected = worker.batch_latency() + 9 * worker.batch_interval()
-        assert engine.now == pytest.approx(expected)
-
-    def test_negative_batches_rejected(self):
-        spec = get_model("RM1")
-        worker = CpuPreprocessingWorker(spec)
-        engine = Engine()
-        queue = Store("q")
-        engine.spawn("w", worker.produce(engine, queue, -1))
-        with pytest.raises(ConfigurationError):
-            engine.run()
+        sim = EndToEndSimulation(spec, lambda: IspPreprocessingWorker(spec))
+        stats = sim.run(num_batches=10, num_workers=1)
+        span = worker.batch_latency() + 9 * worker.batch_interval()
+        assert stats.preprocessing_throughput == pytest.approx(
+            10 * spec.batch_size / span
+        )
 
 
 class TestLocalityEnforcement:

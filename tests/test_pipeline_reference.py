@@ -1,0 +1,534 @@
+"""The Figure 9 pipeline loop, checked against the process-graph model it
+replaced.
+
+``EndToEndSimulation.run`` simulates producer -> bounded input queue ->
+trainer as one loop over a ``(time, seq)`` heap.  The model it replaced is
+kept here unchanged as the reference: one generator per worker putting batch
+tokens into a blocking :class:`Store`, one trainer generator taking them, on
+an engine that still speaks the ``resume`` / ``_subscribe`` protocol.  Both
+must give ``==`` equal :class:`PipelineStats` over every registered system,
+RM1-RM5, 1 and 8 GPUs, queue capacities 1-32, fewer batches than workers,
+and starved, balanced and over-fed worker counts; and over test-double
+workers whose dyadic timings make simultaneous events the rule.
+
+With one trainer, the order of a trainer event and a producer event at the
+same instant never moves a statistic, so the stats alone cannot see every
+``seq`` draw.  Both sides therefore also record their event trace — every
+``(time, kind, producer)`` they schedule, in ``seq`` order — and the traces
+must be equal too: the loop draws each ``seq`` where the engine drew one.
+"""
+
+import collections
+import heapq
+import itertools
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import REGISTRY
+from repro.core import endtoend
+from repro.core.endtoend import (
+    GOT,
+    PUT,
+    READY,
+    TRAINED,
+    EndToEndSimulation,
+    PipelineStats,
+)
+from repro.core.worker import PreprocessingWorker
+from repro.errors import ConfigurationError, SimulationError
+from repro.features.specs import get_model
+from repro.sim.engine import Engine, Timeout
+from repro.training.trainer import TrainManager
+
+MODELS = ("RM1", "RM2", "RM3", "RM4", "RM5")
+
+
+# -- the reference: the process graph as it ran on the engine ----------------
+
+
+class ReferenceEngine(Engine):
+    """The engine plus ``resume`` and the ``_subscribe`` protocol: a process
+    may yield any object with ``_subscribe(engine, process)``, which resumes
+    it later, sending a value back into the generator.  ``trace`` lists
+    every timeout and resume scheduled, as ``(time, how, process)``."""
+
+    __slots__ = ("trace",)
+
+    def __init__(self):
+        super().__init__()
+        self.trace = []
+
+    def _step(self, process, send_value=None):
+        if process.finished:
+            raise SimulationError(f"stepping finished process {process.name!r}")
+        try:
+            event = process.generator.send(send_value)
+        except StopIteration:
+            process.finished = True
+            process.finish_time = self.now
+            return
+        if isinstance(event, Timeout):
+            self.trace.append((self.now + event.delay, "timeout", process))
+            self.schedule(event.delay, lambda: self._step(process))
+        elif hasattr(event, "_subscribe"):
+            event._subscribe(self, process)
+        else:
+            raise SimulationError(
+                f"process {process.name!r} yielded unknown event {event!r}"
+            )
+
+    def resume(self, process, value=None):
+        """Resume a process blocked on a store, now, sending ``value``."""
+        self.trace.append((self.now, "resume", process))
+        self.schedule(0.0, lambda: self._step(process, value))
+
+
+class _StorePut:
+    __slots__ = ("store", "item")
+
+    def __init__(self, store, item):
+        self.store = store
+        self.item = item
+
+    def _subscribe(self, engine, process):
+        self.store._put(engine, process, self.item)
+
+
+class _StoreGet:
+    __slots__ = ("store",)
+
+    def __init__(self, store):
+        self.store = store
+
+    def _subscribe(self, engine, process):
+        self.store._get(engine, process)
+
+
+class Store:
+    """Bounded FIFO queue with blocking put/get; ``capacity=None`` is
+    unbounded.  Tracks put/get totals."""
+
+    def __init__(self, name, capacity=None):
+        if capacity is not None and capacity <= 0:
+            raise SimulationError("store capacity must be positive or None")
+        self.name = name
+        self.capacity = capacity
+        self.items = collections.deque()
+        self.total_put = 0
+        self.total_got = 0
+        self._blocked_puts = collections.deque()
+        self._blocked_gets = collections.deque()
+
+    def put(self, item):
+        """Yieldable: enqueue ``item``, blocking while the store is full."""
+        return _StorePut(self, item)
+
+    def get(self):
+        """Yieldable: dequeue the oldest item, blocking while empty."""
+        return _StoreGet(self)
+
+    def _put(self, engine, process, item):
+        if self.capacity is not None and len(self.items) >= self.capacity:
+            self._blocked_puts.append((process, item))
+            return
+        self.items.append(item)
+        self.total_put += 1
+        engine.resume(process, None)
+        self._drain_gets(engine)
+
+    def _get(self, engine, process):
+        if not self.items:
+            self._blocked_gets.append(process)
+            return
+        item = self.items.popleft()
+        self.total_got += 1
+        engine.resume(process, item)
+        self._drain_puts(engine)
+
+    def _drain_gets(self, engine):
+        while self._blocked_gets and self.items:
+            waiter = self._blocked_gets.popleft()
+            item = self.items.popleft()
+            self.total_got += 1
+            engine.resume(waiter, item)
+            self._drain_puts(engine)
+
+    def _drain_puts(self, engine):
+        while self._blocked_puts and (
+            self.capacity is None or len(self.items) < self.capacity
+        ):
+            producer, item = self._blocked_puts.popleft()
+            self.items.append(item)
+            self.total_put += 1
+            engine.resume(producer, None)
+            self._drain_gets(engine)
+
+    def __len__(self):
+        return len(self.items)
+
+
+def produce(worker, queue, num_batches):
+    """Process: emit ``num_batches`` batch tokens into ``queue``, the first
+    after the worker's latency, the rest one interval apart."""
+    latency = worker.batch_latency()
+    interval = worker.batch_interval()
+    for index in range(num_batches):
+        yield Timeout(latency if index == 0 else interval)
+        yield queue.put({"worker": worker.kind, "index": index})
+
+
+def train(engine, queue, manager, num_batches, stats):
+    """Process: train ``num_batches`` mini-batches taken from ``queue``."""
+    iteration = manager.iteration_time()
+    cal = manager.cal
+    h2d = cal.train_ready_batch_bytes(manager.spec) / cal.gpu_preproc_pcie_bw
+    for index in range(num_batches):
+        wait_start = engine.now
+        yield queue.get()
+        if index == 0:
+            stats["first_batch_time"] = engine.now
+        stats["wait_time"] += engine.now - wait_start
+        yield Timeout(max(h2d, iteration))
+        stats["training_time"] += iteration
+    stats["finish_time"] = engine.now
+
+
+def reference_run(sim, num_batches, num_workers=None, provision_to_demand=False):
+    """``EndToEndSimulation.run`` as the process graph computed it, and its
+    trace as ``(time, kind, producer)`` (producer -1 is the trainer)."""
+    if num_batches <= 0:
+        raise ConfigurationError("num_batches must be positive")
+    manager = sim.train_manager
+    engine = ReferenceEngine()
+    queue = Store("input-queue", capacity=manager.input_queue_capacity)
+    if provision_to_demand and sim.system is not None:
+        plan = sim.system.provision_for(manager.num_gpus)
+        kwargs = {"num_workers": plan.num_workers}
+    elif provision_to_demand:
+        kwargs = {"training_throughput": manager.measure_max_throughput()}
+    else:
+        kwargs = {"num_workers": num_workers}
+    shares = sim.preprocess_manager.launch(num_batches, **kwargs)
+    producers = [
+        engine.spawn(f"worker-{index}", produce(worker, queue, share))
+        for index, (worker, share) in enumerate(
+            zip(sim.preprocess_manager.workers, shares)
+        )
+        if share
+    ]
+    stats = {"training_time": 0.0, "wait_time": 0.0, "first_batch_time": 0.0}
+    trainer = engine.spawn(
+        "train-manager", train(engine, queue, manager, num_batches, stats)
+    )
+    engine.run()
+    assert trainer.finished and queue.total_put == queue.total_got == num_batches
+    wall = stats["finish_time"]
+    samples = num_batches * sim.spec.batch_size
+    consumed_time = wall if wall > 0 else 1.0
+    production_span = max(p.finish_time for p in producers)
+    if production_span <= 0:
+        production_span = consumed_time
+    kinds = {("timeout", False): READY, ("resume", False): PUT,
+             ("timeout", True): TRAINED, ("resume", True): GOT}
+    position = {process: k for k, process in enumerate(producers)}
+    position[trainer] = -1
+    trace = [
+        (time, kinds[how, process is trainer], position[process])
+        for time, how, process in engine.trace
+    ]
+    return trace, PipelineStats(
+        spec_name=sim.spec.name,
+        num_workers=len(sim.preprocess_manager.workers),
+        num_batches=num_batches,
+        wall_time=wall,
+        training_time=stats["training_time"],
+        wait_time=stats["wait_time"],
+        preprocessing_throughput=samples / production_span,
+        training_throughput=samples / consumed_time,
+        first_batch_time=stats["first_batch_time"],
+    )
+
+
+# -- the reference's own semantics -------------------------------------------
+
+
+class TestReferenceStore:
+    def test_fifo_order(self):
+        engine = ReferenceEngine()
+        store = Store("q")
+        got = []
+
+        def producer():
+            for i in range(3):
+                yield store.put(i)
+                yield Timeout(1.0)
+
+        def consumer():
+            for _ in range(3):
+                item = yield store.get()
+                got.append(item)
+
+        engine.spawn("p", producer())
+        engine.spawn("c", consumer())
+        engine.run()
+        assert got == [0, 1, 2]
+
+    def test_get_blocks_until_put(self):
+        engine = ReferenceEngine()
+        store = Store("q")
+        times = []
+
+        def consumer():
+            item = yield store.get()
+            times.append((engine.now, item))
+
+        def producer():
+            yield Timeout(5.0)
+            yield store.put("x")
+
+        engine.spawn("c", consumer())
+        engine.spawn("p", producer())
+        engine.run()
+        assert times == [(5.0, "x")]
+
+    def test_put_blocks_when_full(self):
+        engine = ReferenceEngine()
+        store = Store("q", capacity=1)
+        events = []
+
+        def producer():
+            yield store.put(1)
+            events.append(("put1", engine.now))
+            yield store.put(2)  # blocks until the consumer drains
+            events.append(("put2", engine.now))
+
+        def consumer():
+            yield Timeout(3.0)
+            yield store.get()
+
+        engine.spawn("p", producer())
+        engine.spawn("c", consumer())
+        engine.run()
+        assert events == [("put1", 0.0), ("put2", 3.0)]
+        assert store.total_put == 2 and store.total_got == 1 and len(store) == 1
+
+    def test_resume_value_delivered(self):
+        engine = ReferenceEngine()
+        seen = []
+
+        class Token:
+            def _subscribe(self, eng, process):
+                eng.resume(process, "payload")
+
+        def proc():
+            value = yield Token()
+            seen.append(value)
+
+        engine.spawn("p", proc())
+        engine.run()
+        assert seen == ["payload"]
+
+    def test_invalid_capacity(self):
+        with pytest.raises(SimulationError):
+            Store("q", capacity=0)
+
+    @given(
+        num_items=st.integers(min_value=1, max_value=50),
+        capacity=st.integers(min_value=1, max_value=8),
+        produce_gap=st.floats(min_value=0.0, max_value=2.0),
+        consume_gap=st.floats(min_value=0.0, max_value=2.0),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_items_conserved(self, num_items, capacity, produce_gap, consume_gap):
+        """Everything produced is consumed exactly once, in order."""
+        engine = ReferenceEngine()
+        store = Store("q", capacity=capacity)
+        got = []
+
+        def producer():
+            for i in range(num_items):
+                yield store.put(i)
+                yield Timeout(produce_gap)
+
+        def consumer():
+            for _ in range(num_items):
+                item = yield store.get()
+                got.append(item)
+                yield Timeout(consume_gap)
+
+        engine.spawn("p", producer())
+        engine.spawn("c", consumer())
+        engine.run()
+        assert got == list(range(num_items))
+        assert store.total_put == store.total_got == num_items
+        assert len(store) == 0
+
+
+# -- the loop against the reference ------------------------------------------
+
+
+#: worker count as a multiple of the T/P plan; None runs provision_to_demand
+REGIMES = {"starved": 0.25, "balanced": 1.0, "over-fed": 3.0, "provisioned": None}
+
+
+class RecordingHeapq:
+    """``heapq`` for the loop, noting every entry it schedules."""
+
+    heappop = staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.entries = []
+
+    def heapify(self, heap):
+        self.entries.extend(heap)
+        heapq.heapify(heap)
+
+    def heappush(self, heap, entry):
+        self.entries.append(entry)
+        heapq.heappush(heap, entry)
+
+
+def loop_run(sim, num_batches, **kwargs):
+    """``sim.run`` and the trace of the loop behind it."""
+    recorder = RecordingHeapq()
+    with mock.patch.object(endtoend, "heapq", recorder):
+        stats = sim.run(num_batches, **kwargs)
+    seqs = [entry[1] for entry in recorder.entries]
+    assert seqs == sorted(seqs)
+    return [(time, kind, k) for time, _, kind, k in recorder.entries], stats
+
+
+def assert_loop_is_reference(make_sim, num_batches, **kwargs):
+    """Same stats and the same trace on two fresh simulations."""
+    new = loop_run(make_sim(), num_batches, **kwargs)
+    ref = reference_run(make_sim(), num_batches, **kwargs)
+    assert new[1] == ref[1]
+    assert new[0] == ref[0]
+
+
+class FixedWorker(PreprocessingWorker):
+    """A producer with the given first-batch latency and interval."""
+
+    kind = "fixed"
+
+    def __init__(self, spec, latency, interval):
+        super().__init__(spec)
+        self.latency = latency
+        self.interval = interval
+
+    def batch_breakdown(self):
+        return {"else_time": self.latency}
+
+    def batch_latency(self):
+        return self.latency
+
+    def throughput(self):
+        return self.spec.batch_size / self.interval if self.interval else float("inf")
+
+    def batch_interval(self):
+        return self.interval
+
+
+class FixedTrainer(TrainManager):
+    """A trainer whose iteration takes ``iteration`` seconds."""
+
+    def __init__(self, spec, iteration, **kwargs):
+        super().__init__(spec, **kwargs)
+        self.iteration = iteration
+
+    def iteration_time(self):
+        return self.iteration
+
+
+class TestLoopEqualsTheProcessGraph:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(
+        system=st.sampled_from(REGISTRY.names()),
+        model=st.sampled_from(MODELS),
+        num_gpus=st.sampled_from([1, 8]),
+        capacity=st.integers(min_value=1, max_value=32),
+        num_batches=st.integers(min_value=1, max_value=400),
+        regime=st.sampled_from(sorted(REGIMES)),
+    )
+    def test_registered_systems(
+        self, system, model, num_gpus, capacity, num_batches, regime
+    ):
+        spec = get_model(model)
+
+        def make_sim():
+            return EndToEndSimulation(
+                spec, system=system, num_gpus=num_gpus, queue_capacity=capacity
+            )
+
+        factor = REGIMES[regime]
+        if factor is None:
+            kwargs = {"provision_to_demand": True}
+        else:
+            manager = make_sim().train_manager
+            planned = make_sim().preprocess_manager.plan(
+                manager.measure_max_throughput()
+            ).num_workers
+            kwargs = {"num_workers": max(1, round(planned * factor))}
+        try:
+            make_sim().run(1, **kwargs)
+        except ConfigurationError as exc:  # a co-located plan that cannot keep up
+            with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+                reference_run(make_sim(), 1, **kwargs)
+            return
+        assert_loop_is_reference(make_sim, num_batches, **kwargs)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        timings=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0]),
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        iteration=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+        num_workers=st.integers(min_value=1, max_value=12),
+        capacity=st.integers(min_value=1, max_value=6),
+        num_batches=st.integers(min_value=1, max_value=60),
+    )
+    def test_simultaneous_events(
+        self, timings, iteration, num_workers, capacity, num_batches
+    ):
+        """Dyadic timings put producers and the trainer on the same instants,
+        so a reordered ``seq`` draw changes who waits for whom."""
+        spec = get_model("RM1")
+
+        def make_sim():
+            cycle = itertools.cycle(timings)
+            sim = EndToEndSimulation(
+                spec, lambda: FixedWorker(spec, *next(cycle)),
+                queue_capacity=capacity,
+            )
+            sim.train_manager = FixedTrainer(
+                spec, iteration, input_queue_capacity=capacity
+            )
+            return sim
+
+        assert_loop_is_reference(make_sim, num_batches, num_workers=num_workers)
+
+    def test_worker_factory_provisioned_to_demand(self):
+        spec = get_model("RM3")
+
+        def make_sim():
+            return EndToEndSimulation(
+                spec, REGISTRY.create("Disagg", spec).make_worker, queue_capacity=4
+            )
+
+        assert_loop_is_reference(make_sim, 97, provision_to_demand=True)
+
+    @pytest.mark.parametrize("latency, interval", [(-1.0, 1.0), (1.0, -0.5)])
+    def test_negative_delay_is_a_typed_error(self, latency, interval):
+        spec = get_model("RM1")
+        sim = EndToEndSimulation(spec, lambda: FixedWorker(spec, latency, interval))
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.run(num_batches=3, num_workers=1)

@@ -127,22 +127,6 @@ class TestHeapEntryFastPath:
         # later sequence numbers and fire after the callbacks, FIFO
         assert log == ["cb1", "cb2", "p1", "p2"]
 
-    def test_resume_value_delivered(self):
-        engine = Engine()
-        seen = []
-
-        class Token:
-            def _subscribe(self, eng, process):
-                eng.resume(process, "payload")
-
-        def proc():
-            value = yield Token()
-            seen.append(value)
-
-        engine.spawn("p", proc())
-        engine.run()
-        assert seen == ["payload"]
-
     def test_run_until_preserves_pending_callbacks(self):
         engine = Engine()
         fired = []

@@ -95,11 +95,6 @@ ALLOWED: Dict[str, str] = {
     "repro.fleet.policy.available_policies":
         _LOOKUP + "; `repro fleet run --policy` help names it",
     "repro.fleet.autoscale.available_autoscalers": _LOOKUP,
-    # orphaned by the audit that added this guard; deleting it is its own change
-    "repro.sim.resources.Server":
-        "no model holds a Server since network/link.py went; the engine's resume "
-        "path and tests/test_sim_resources.py's conservation property run through it",
-    "repro.sim.resources.Server.request": "the yieldable of Server; goes or stays with it",
 }
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.features.specs import all_models, get_model
-from repro.sim.engine import Engine, Timeout
 from repro.training.dlrm import DlrmCostModel
 from repro.training.gpu import GpuTrainingModel
 from repro.training.trainer import TrainManager
@@ -92,40 +91,19 @@ class TestTrainManager:
             gpu.node_throughput(spec, 4)
         )
 
-    def test_run_consumes_batches(self):
+    def test_step_time_is_the_iteration_unless_h2d_dominates(self):
         spec = get_model("RM1")
         manager = TrainManager(spec, num_gpus=1)
-        engine = Engine()
-        queue = manager.make_input_queue()
-
-        def producer():
-            for i in range(5):
-                yield queue.put(i)
-                yield Timeout(0.001)
-
-        engine.spawn("producer", producer())
-        engine.spawn("trainer", manager.run(engine, queue, 5))
-        engine.run()
-        assert manager.stats.batches_trained == 5
-        assert manager.stats.training_time > 0
-        assert manager.stats.finish_time > 0
-
-    def test_starved_trainer_waits(self):
-        spec = get_model("RM1")
-        manager = TrainManager(spec, num_gpus=1)
-        engine = Engine()
-        queue = manager.make_input_queue()
-
-        def slow_producer():
-            yield Timeout(1.0)
-            yield queue.put(0)
-
-        engine.spawn("producer", slow_producer())
-        engine.spawn("trainer", manager.run(engine, queue, 1))
-        engine.run()
-        assert manager.stats.wait_time >= 1.0
-        assert manager.stats.gpu_utilization < 0.1
+        cal = manager.cal
+        h2d = cal.train_ready_batch_bytes(spec) / cal.gpu_preproc_pcie_bw
+        assert manager.step_time() == max(h2d, manager.iteration_time())
+        assert manager.step_time() >= manager.iteration_time()
 
     def test_invalid_gpus(self):
         with pytest.raises(ConfigurationError):
             TrainManager(get_model("RM1"), num_gpus=0)
+
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_invalid_queue_capacity(self, capacity):
+        with pytest.raises(ConfigurationError, match="input_queue_capacity"):
+            TrainManager(get_model("RM1"), input_queue_capacity=capacity)
