@@ -100,13 +100,32 @@ def _package_version() -> str:
 # ``render()`` text).
 
 
+#: exact types :func:`encode_value` returns unchanged
+_PRIMITIVE_TYPES = frozenset((bool, int, float, str, type(None)))
+
+#: dataclass type -> its field names, filled on first encode
+_DATACLASS_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
 def encode_value(value: Any) -> Any:
-    """Encode ``value`` into JSON-safe data (see :func:`decode_value`)."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: encode_value(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+    """Encode ``value`` into JSON-safe data (see :func:`decode_value`).
+
+    Dispatches on the exact type first (primitives, ``tuple``/``list``,
+    dataclasses already seen); subclasses such as ``IntEnum`` or a
+    ``NamedTuple`` take the ``isinstance`` chain below, with the same
+    output."""
+    kind = type(value)
+    if kind in _PRIMITIVE_TYPES:
+        return value
+    if kind is tuple or kind is list:
+        return [encode_value(v) for v in value]
+    names = _DATACLASS_FIELDS.get(kind)
+    if names is None and dataclasses.is_dataclass(kind):  # instance, not class
+        names = _DATACLASS_FIELDS[kind] = tuple(
+            f.name for f in dataclasses.fields(value)
+        )
+    if names is not None:
+        return {name: encode_value(getattr(value, name)) for name in names}
     if isinstance(value, Mapping):
         if all(isinstance(k, str) for k in value):
             return {k: encode_value(v) for k, v in value.items()}

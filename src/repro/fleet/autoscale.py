@@ -1,9 +1,11 @@
 """Autoscaling — provisioning policies that resize pools over simulated time.
 
 The fleet operator doesn't provision a static pool; capacity follows
-load.  An autoscaler is consulted once per scheduler step with a frozen
+load.  An autoscaler is consulted at scheduler steps with a frozen
 :class:`PoolSnapshot` of one pool and answers one question: how many
-nodes *should* this pool have.  The simulator enacts the answer — new
+nodes *should* this pool have.  The answer depends on the snapshot
+alone, so a pool that was told to hold is asked again only once its
+snapshot moves.  The simulator enacts the answer — new
 nodes come online only after the pool's ``scaleup_latency_s`` (capacity
 is never free or instant), shrinking removes idle nodes only (running
 jobs are never evicted by the autoscaler), and every capacity change
@@ -59,13 +61,20 @@ class Autoscaler:
     larger than today's capacity could ever be placed (keep it queued
     until the pool grows) or never will be (reject it up front instead
     of letting it head-of-line block the queue forever).
+
+    :meth:`target_nodes` must be a pure function of its
+    :class:`PoolSnapshot`: no clock, no counters, no state carried from
+    one call to the next.  The simulator relies on it — once a pool's
+    answer was "hold" (its current node count), it is not asked again
+    until that pool's snapshot changes.
     """
 
     name = "fixed"
     can_grow = False
 
     def target_nodes(self, pool: PoolSnapshot) -> int:
-        """The node count this pool should converge to."""
+        """The node count this pool should converge to; a pure function
+        of ``pool``."""
         return pool.clamp(pool.nodes)
 
 

@@ -12,7 +12,8 @@ the discrete-event :class:`~repro.sim.engine.Engine`:
   (memoized process-wide per (system factory, model spec, gpus,
   calibration), resolved once at admission) and may span nodes;
 * **autoscaling** consults a registered
-  :class:`~repro.fleet.autoscale.Autoscaler` once per step; growth pays
+  :class:`~repro.fleet.autoscale.Autoscaler` at each step about every
+  pool whose snapshot moved since its last "hold"; growth pays
   the pool's ``scaleup_latency_s`` before new nodes serve, shrinking
   retires only idle nodes, and every step integrates the pool's
   capacity-hour and energy ledgers (``power(capacity) x dt``) that
@@ -207,7 +208,7 @@ class _PoolState:
         "spec", "reference", "factory", "needs", "nodes", "open", "up",
         "busy", "queued", "pending", "grow_batches", "next_node_id",
         "peak_nodes", "capacity_worker_hours", "busy_worker_hours",
-        "energy_kwh", "jobs_completed", "node_failures",
+        "energy_kwh", "jobs_completed", "node_failures", "settled", "power",
     )
 
     def __init__(self, spec: PoolSpec, calibration: Calibration) -> None:
@@ -219,7 +220,8 @@ class _PoolState:
         self.needs = _need_memo(self.factory, calibration)
         self.nodes: List[_Node] = []  # id-ascending, up or repairing
         #: ledger: min-heap of (id, node) holding every up non-full node
-        #: (``node.open``); stale entries are dropped when they surface
+        #: (``node.open``); a node leaves it when it fills, and the stale
+        #: entries (failed or retired nodes) are dropped when they surface
         self.open: List[Tuple[int, _Node]] = []
         self.up = 0  # ledger: up nodes in ``nodes``
         self.busy = 0  # ledger: allocated workers across ``nodes``
@@ -235,6 +237,11 @@ class _PoolState:
         self.energy_kwh = 0.0
         self.jobs_completed = 0
         self.node_failures = 0
+        #: (committed_nodes, busy, queued) of the last snapshot the
+        #: autoscaler answered with "hold"; None until it does
+        self.settled: Optional[Tuple[int, int, int]] = None
+        #: (capacity, reference.power(capacity)) last integrated
+        self.power: Tuple[int, float] = (0, 0.0)
 
     @property
     def committed_nodes(self) -> int:
@@ -300,6 +307,9 @@ class FleetSimulator:
         self._last_fault_epoch = -1
         self._last_sample_s = -SAMPLE_EVERY_S
         self._samples: List[PoolSample] = []
+        #: (model name, num_gpus) -> needs, in front of the process-wide memo
+        self._needs_by_shape: Dict[Tuple[str, int], tuple] = {}
+        self._ran = False
 
     # -- fault probes --------------------------------------------------------
 
@@ -317,7 +327,13 @@ class FleetSimulator:
 
     def _needs(self, arrival: JobArrival) -> Tuple[Tuple[_PoolState, int], ...]:
         """(pool, workers ``arrival`` needs there) for every pool whose
-        maximum size could hold it, through the process-wide memo."""
+        maximum size could hold it: memoized per simulator on
+        ``(model name, num_gpus)``, then through the process-wide memo."""
+        shape = (arrival.model, arrival.num_gpus)
+        try:
+            return self._needs_by_shape[shape]
+        except KeyError:
+            pass
         model = get_model(arrival.model)
         key = (model, arrival.num_gpus)
         needs = []
@@ -333,7 +349,8 @@ class FleetSimulator:
                 pool.needs[key] = need
             if need is not None and need <= pool.spec.max_workers:
                 needs.append((pool, need))
-        return tuple(needs)
+        self._needs_by_shape[shape] = needs = tuple(needs)
+        return needs
 
     def _fits_ever(self, job: _Job) -> bool:
         """Can some pool ever offer the job its workers?  ``job.needs``
@@ -399,23 +416,29 @@ class FleetSimulator:
         ]
 
     def _place(self, job: _Job, pool_name: str, need: int) -> None:
-        """Fill up nodes lowest id first, spanning nodes as needed."""
+        """Fill up nodes lowest id first, spanning nodes as needed; a node
+        that fills leaves the open heap at once."""
         pool = self.pools[pool_name]
         now = self.engine.now
         remaining = need
         wpn = pool.spec.workers_per_node
-        while remaining > 0 and pool.open:
-            node = pool.open[0][1]
-            free = wpn - node.used
-            if free <= 0 or not node.up:
-                heapq.heappop(pool.open)
+        heap = pool.open
+        job_id = job.arrival.job_id
+        while remaining > 0 and heap:
+            node = heap[0][1]
+            if not node.up:  # stale: failed or retired since it was pushed
+                heapq.heappop(heap)
                 node.open = False
                 continue
+            free = wpn - node.used
             take = min(free, remaining)
-            node.allocations[job.arrival.job_id] = take
+            node.allocations[job_id] = take
             node.used += take
             job.alloc.append(node)
             remaining -= take
+            if take == free:
+                heapq.heappop(heap)
+                node.open = False
         if remaining > 0:  # _candidates said it fits; this is a bug
             raise FleetError(
                 f"pool {pool_name!r} lost capacity while placing "
@@ -465,12 +488,17 @@ class FleetSimulator:
 
     def _free(self, job: _Job) -> None:
         pool = self.pools[job.pool]
+        heap = pool.open
+        job_id = job.arrival.job_id
+        freed = 0
         for node in job.alloc:
-            released = node.allocations.pop(job.arrival.job_id)
+            released = node.allocations.pop(job_id)
             node.used -= released
-            pool.busy -= released
-            if node.up:
-                pool.reopen(node)
+            freed += released
+            if node.up and not node.open:  # pool.reopen, inlined
+                node.open = True
+                heapq.heappush(heap, (node.id, node))
+        pool.busy -= freed
         job.alloc = []
 
     def _complete(self, job: _Job, token: int) -> None:
@@ -583,24 +611,40 @@ class FleetSimulator:
             capacity = pool.up * pool.spec.workers_per_node
             pool.capacity_worker_hours += capacity * dt_h
             pool.busy_worker_hours += pool.busy * dt_h
-            watts = pool.reference.power(capacity) if capacity else 0.0
-            pool.energy_kwh += watts * dt_h / 1000.0
+            if capacity != pool.power[0]:
+                watts = pool.reference.power(capacity) if capacity else 0.0
+                pool.power = (capacity, watts)
+            pool.energy_kwh += pool.power[1] * dt_h / 1000.0
         self._last_integrate_s = now
 
     def _autoscale(self) -> None:
+        """Ask the autoscaler about every pool whose snapshot moved.
+
+        ``Autoscaler.target_nodes`` is a pure function of its snapshot,
+        and a snapshot's other fields are the pool's constant spec, so a
+        pool whose ``(committed_nodes, busy, queued)`` still equals the
+        key of its last "hold" answer would get "hold" again: it is
+        skipped.  A shrink that could not retire every node it was asked
+        to is not a hold; that pool is asked again next tick."""
         for pool in self.pools.values():
+            committed = pool.committed_nodes
+            key = (committed, pool.busy, pool.queued)
+            if key == pool.settled:
+                continue
             spec = pool.spec
             snapshot = PoolSnapshot(
-                nodes=pool.committed_nodes, workers_per_node=spec.workers_per_node,
+                nodes=committed, workers_per_node=spec.workers_per_node,
                 busy_workers=pool.busy, queued_workers=pool.queued,
                 min_nodes=spec.min_nodes, max_nodes=spec.max_nodes,
             )
             target = snapshot.clamp(int(self.autoscaler.target_nodes(snapshot)))
-            delta = target - pool.committed_nodes
+            delta = target - committed
             if delta > 0:
                 self._grow(pool, delta)
             elif delta < 0:
                 self._shrink(pool, -delta)
+            else:
+                pool.settled = key
             pool.peak_nodes = max(pool.peak_nodes, pool.committed_nodes)
 
     def _check_pending(self, pool: _PoolState) -> None:
@@ -721,7 +765,11 @@ class FleetSimulator:
                 return
 
     def run(self, max_events: int = 5_000_000) -> FleetResult:
-        """Execute the whole trace; returns the frozen result."""
+        """Execute the whole trace; returns the frozen result.  A simulator
+        runs once: its engine and ledgers are spent afterwards."""
+        if self._ran:
+            raise FleetError("a FleetSimulator runs once; build a new one")
+        self._ran = True
         if self._injector is None:
             self._injector = active_injector()
         for arrival in self.trace.arrivals:

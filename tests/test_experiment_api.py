@@ -7,12 +7,17 @@
   byte-identical render);
 * parallel ``render_report`` byte-identical to serial;
 * ``RunStore`` hit/miss/force semantics;
+* ``encode_value``'s exact-type fast path against the generic encoder;
 * the CLI surfaces (list/run/report/export) on top of it.
 """
 
+import dataclasses
+import enum
 import json
 import pkgutil
 import sys
+from collections.abc import Mapping
+from typing import NamedTuple, Optional, Tuple
 
 import pytest
 
@@ -327,6 +332,85 @@ class TestResultRoundTrips:
             decode_value(hint2, json.loads(json.dumps(encode_value(value2))))
             == value2
         )
+
+
+
+def generic_encode(value):
+    """``encode_value`` before its exact-type dispatch: the reference."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: generic_encode(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, Mapping):
+        if all(isinstance(k, str) for k in value):
+            return {k: generic_encode(v) for k, v in value.items()}
+        return [[generic_encode(k), generic_encode(v)] for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [generic_encode(v) for v in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise ConfigurationError(f"cannot encode {value!r}")
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Point(NamedTuple):
+    x: int
+    y: float
+
+
+@dataclasses.dataclass(frozen=True)
+class Leaf:
+    name: str
+    level: Level
+    weight: Optional[float] = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Tree:
+    leaves: Tuple[Leaf, ...]
+    by_id: dict
+    point: Point
+    flags: list
+
+
+class TestEncodeFastPath:
+    VALUES = [
+        True, False, 0, -7, 2**70, Level.HIGH, 1.5, float("inf"), "", "RM5",
+        None, Point(3, 4.5), (1, (2, [3, None])), [Level.LOW, "a"],
+        Leaf("a", Level.LOW),
+        Tree(
+            leaves=(Leaf("a", Level.LOW, 0.5), Leaf("b", Level.HIGH)),
+            by_id={1: Leaf("c", Level.LOW), 2: None},
+            point=Point(1, 2.0),
+            flags=[True, {"nested": Leaf("d", Level.HIGH)}],
+        ),
+        {"a": 1, "b": (2.0, None)},
+        {1: "one", 64: "sixty-four"},
+        {("RM1", "op"): 1.5, ("RM5", "log"): Point(0, 0.0)},
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_same_output_and_types_as_generic(self, value):
+        for _ in range(2):  # the second encode reads the field-name cache
+            fast, slow = encode_value(value), generic_encode(value)
+            assert fast == slow
+            assert json.dumps(fast) == json.dumps(slow)
+            assert type(fast) is type(slow)
+
+    def test_int_enum_and_bool_keep_their_identity(self):
+        assert encode_value(Level.HIGH) is Level.HIGH
+        assert encode_value(True) is True
+
+    @pytest.mark.parametrize("value", [Leaf, Tree, object(), {1, 2}, b"x"],
+                             ids=repr)
+    def test_unencodable_values_raise(self, value):
+        with pytest.raises(ConfigurationError, match="cannot encode"):
+            encode_value(value)
 
 
 class TestParallelReport:
