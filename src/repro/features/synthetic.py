@@ -20,13 +20,14 @@ ModelSpec`'s schema with Criteo-like statistics:
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from repro.dataio.columnar import TableData
 from repro.dataio.schema import TableSchema
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, is_int
 from repro.features.specs import ModelSpec
 
 #: Vocabulary from which raw sparse ids are drawn, before SigridHash limits
@@ -49,6 +50,104 @@ def _seed_key(*parts) -> int:
     return acc
 
 
+#: Rejection attempts per block of :func:`_zipf`.  An attempt reads two
+#: doubles, so a block's uniforms are 512 KB, inside L2, and so is each of
+#: its per-attempt temporaries.
+_ZIPF_BLOCK = 32_768
+
+#: Half-width of the guard band, relative to the value it guards: at least
+#: 64 ULP.  ``np.power`` and libm ``pow`` differ by at most 1 ULP on the
+#: measured inputs, so outside the band they round to the same decision.
+_ZIPF_BAND = 64 * 2.0**-52
+
+#: ``(double) INT64_MAX``, which rounds to 2**63: the sampler's cap on X.
+_INT64_MAX = 9223372036854775807.0
+
+
+def _zipf(rng: np.random.Generator, a: float, size: int) -> np.ndarray:
+    """What ``Generator.zipf`` draws from ``rng`` with exponent ``a``: the
+    same ``size`` int64 values, and ``rng`` left in the same state, computed
+    a block of attempts at a time.
+
+    numpy's ``random_zipf`` is a rejection loop.  Each attempt takes two
+    doubles ``U01, V`` (the ones ``rng.random`` returns), sets
+    ``U = U01*Umin + (1 - U01)``, ``X = floor(pow(U, -1/(a-1)))``, rejects
+    ``X`` outside ``[1, 2**63]``, and accepts iff
+    ``V*X*(T - 1)/(b - 1) <= T/b`` with ``T = pow(1 + 1/X, a - 1)`` and
+    ``b = 2**(a-1)``.  ``+ - * /`` and ``floor`` are exactly rounded, so the
+    same operations in the same order give the same bits; ``np.power`` is
+    not libm ``pow``, so an attempt whose ``pow`` lands within the guard
+    band of a decision is decided again with ``math.pow``, the libm call.
+    The block that completes the draw is drawn again from its saved state,
+    up to its last used attempt.
+    """
+    if a >= 1025:  # numpy returns 1 without drawing: b would overflow
+        return np.ones(size, dtype=np.int64)
+    am1 = a - 1.0
+    b = math.pow(2.0, am1)
+    umin = math.pow(_INT64_MAX, -am1)
+    out = np.empty(size, dtype=np.int64)
+    bit_generator = rng.bit_generator
+    filled = 0
+    while filled < size:
+        need = size - filled
+        # At least 72% of attempts are accepted (measured, a = 1.05 to 4),
+        # so the last block usually finishes the draw without running a
+        # full block past its end.
+        attempts = min(_ZIPF_BLOCK, need + need // 2 + 16)
+        state = bit_generator.state
+        uv = rng.random(2 * attempts)
+        x, accepted = _zipf_block(uv[0::2], uv[1::2], am1, b, umin)
+        taken = np.flatnonzero(accepted)[:need]
+        out[filled : filled + taken.size] = x[taken]
+        filled += taken.size
+        used = int(taken[-1]) + 1 if taken.size else attempts
+        if used < attempts:
+            bit_generator.state = state
+            rng.random(2 * used)
+    return out
+
+
+def _zipf_block(u01, v, am1, b, umin):
+    """One block of attempts: ``(X, accepted)``, exactly as libm decides."""
+    u = u01 * umin + (1.0 - u01)  # C's order: reassociated, the bits change
+    x, accepted, near = _zipf_decide(u, v, am1, b, np.power)
+    redo = np.flatnonzero(near)
+    x[redo], accepted[redo], _ = _zipf_decide(u[redo], v[redo], am1, b, _libm_power)
+    return x, accepted
+
+
+def _zipf_decide(u, v, am1, b, power):
+    """``(X, accepted, near)`` for attempts with uniform ``u``, computing
+    ``pow`` with ``power``; ``near`` marks the attempts whose decision
+    could flip if either ``pow`` result moved within the guard band."""
+    p = power(u, -1.0 / am1)
+    x = np.floor(p)
+    # Near a floor boundary: an integer lies within the band around p.  A
+    # NaN p is near (NaN != NaN); an infinite one is rejected either way.
+    near = np.floor(p * (1.0 - _ZIPF_BAND)) != np.floor(p * (1.0 + _ZIPF_BAND))
+    valid = (x >= 1.0) & (x <= _INT64_MAX)
+    vx = v * x
+    bm1 = b - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = power(1.0 + 1.0 / x, am1)
+        lhs = vx * (t - 1.0) / bm1
+        rhs = t / b
+        accepted = valid & (lhs <= rhs)
+        # Near the accept inequality: moving t across its band moves lhs by
+        # up to vx*t*band/bm1 and rhs by up to rhs*band, so the sides can
+        # swap only if they are closer than that.
+        slack = (vx * t / bm1 + rhs) * _ZIPF_BAND
+        near |= valid & ~(np.abs(lhs - rhs) > slack)
+    return x, accepted, near
+
+
+def _libm_power(base: np.ndarray, exponent: float) -> np.ndarray:
+    """Elementwise libm ``pow`` (``math.pow``), the call numpy's C sampler
+    makes; ``np.power`` may differ from it in the last bit."""
+    return np.array([math.pow(x, exponent) for x in base.tolist()], dtype=np.float64)
+
+
 class SyntheticTableGenerator:
     """Deterministic (seeded) generator of raw feature tables for one model."""
 
@@ -61,8 +160,10 @@ class SyntheticTableGenerator:
     ) -> None:
         if not 0.0 < ctr < 1.0:
             raise ConfigurationError(f"ctr must be in (0, 1), got {ctr}")
-        if zipf_exponent <= 1.0:
-            raise ConfigurationError("zipf_exponent must exceed 1.0")
+        if not 1.0 < zipf_exponent < math.inf:
+            raise ConfigurationError(
+                f"zipf_exponent must be finite and exceed 1.0, got {zipf_exponent}"
+            )
         self.spec = spec
         self.seed = seed
         self.ctr = ctr
@@ -90,14 +191,16 @@ class SyntheticTableGenerator:
         total = int(lengths.sum())
         # Zipf over a bounded vocabulary, then spread across the raw id space
         # with a multiplicative hash so ids look like production 64-bit hashes.
-        ranks = rng.zipf(self.zipf_exponent, size=total).astype(np.uint64)
+        ranks = _zipf(rng, self.zipf_exponent, total).astype(np.uint64)
         ids = (ranks * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(RAW_ID_SPACE)
         return lengths, ids.astype(np.int64)
 
     def generate(self, num_rows: int, partition: int = 0) -> TableData:
         """Generate one partition's raw table with ``num_rows`` rows."""
-        if num_rows <= 0:
-            raise ConfigurationError("num_rows must be positive")
+        if not is_int(num_rows) or num_rows <= 0:
+            raise ConfigurationError(
+                f"num_rows must be a positive int, got {num_rows!r}"
+            )
         rng = self._rng(partition)
         data: TableData = {
             self.schema.label.name: (rng.random(num_rows) < self.ctr).astype(np.int8)
