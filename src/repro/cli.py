@@ -29,10 +29,11 @@ Commands:
                         for one model and print the throughput/digest
                         summary; ``--check`` proves the parallel run is
                         byte-identical to the serial pipeline;
-* ``bench``           — run the kernel/end-to-end microbenchmarks, print the
-                        timing table and write ``BENCH_kernels.json`` (the
-                        repo's recorded perf trajectory; ``--quick`` for a
-                        CI-sized smoke run);
+* ``bench``           — run the scaling series no end-to-end workload runs
+                        (scenario build at 8/64 GPUs, fleet days at 10k/100k
+                        arrivals, the fleet fault probe), print the timing
+                        table and write ``BENCH_kernels.json`` (``--quick``
+                        for a CI-sized smoke run, ``BENCH_quick.json``);
 * ``serve``           — run the streaming preprocessing daemon: a bounded
                         work queue feeding a persistent worker pool, watched
                         job sources (``--watch DIR``, ``--synthetic SPEC``),
@@ -53,9 +54,9 @@ Commands:
                         optional node faults), or generate / round-trip a
                         seeded JSONL trace;
 * ``trend record|compare|report`` — flatten run artifacts (batch journals,
-                        serve indexes, bench reports, fleet results) into a
-                        committed summary, gate a run against the store's
-                        best-of-N baseline, or render the trend table.
+                        serve indexes, fleet results) into a committed
+                        summary, gate a run against the store's best-of-N
+                        baseline, or render the trend table.
 
 ``repro <command> --help`` is the authority on each command's flags.
 
@@ -923,35 +924,32 @@ def cmd_fleet_trace_replay(args: argparse.Namespace) -> int:
 
 
 def _trend_sources(args: argparse.Namespace):
-    """``(batch_journals, serve_indexes, bench_reports, fleet_results)``
-    path tuples from the repeatable ``--batch-journal``/``--batch-run``/
-    ``--serve-index``/``--bench-report``/``--fleet-result`` flags
-    (``--batch-run`` resolves a run id to its journal under the default
-    store root / ``$REPRO_CACHE_DIR``)."""
+    """``(batch_journals, serve_indexes, fleet_results)`` path tuples from
+    the repeatable ``--batch-journal``/``--batch-run``/``--serve-index``/
+    ``--fleet-result`` flags (``--batch-run`` resolves a run id to its
+    journal under the default store root / ``$REPRO_CACHE_DIR``)."""
     from repro.batch import BatchJournal
 
     batch = list(getattr(args, "batch_journal", None) or ())
     for run_id in getattr(args, "batch_run", None) or ():
         batch.append(BatchJournal.for_run(run_id).path)
     serve = tuple(getattr(args, "serve_index", None) or ())
-    bench = tuple(getattr(args, "bench_report", None) or ())
     fleet = tuple(getattr(args, "fleet_result", None) or ())
-    return tuple(batch), serve, bench, fleet
+    return tuple(batch), serve, fleet
 
 
 def _trend_summary_from_sources(args: argparse.Namespace):
     """Build the current run's summary from the source flags."""
     from repro import telemetry
 
-    batch, serve, bench, fleet = _trend_sources(args)
-    if not (batch or serve or bench or fleet):
+    batch, serve, fleet = _trend_sources(args)
+    if not (batch or serve or fleet):
         raise SystemExit(
             "no telemetry sources: pass --batch-journal/--batch-run, "
-            "--serve-index, --bench-report, and/or --fleet-result"
+            "--serve-index, and/or --fleet-result"
         )
     events = telemetry.collect_events(
-        batch_journals=batch, serve_indexes=serve, bench_reports=bench,
-        fleet_results=fleet,
+        batch_journals=batch, serve_indexes=serve, fleet_results=fleet,
     )
     meta = {}
     for pair in getattr(args, "meta", None) or ():
@@ -1006,8 +1004,7 @@ def cmd_trend_compare(args: argparse.Namespace) -> int:
     from repro import telemetry
 
     store = telemetry.TrendStore(args.store)
-    batch, serve, bench, fleet = _trend_sources(args)
-    if batch or serve or bench or fleet:
+    if any(_trend_sources(args)):
         current = _trend_summary_from_sources(args)
     else:
         current = store.load(args.run_id)
@@ -1079,7 +1076,7 @@ def cmd_trend_report(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the microbenchmarks; print a table and write the JSON report."""
+    """Run the scaling benchmarks; print a table and write the JSON report."""
     from repro import benchmark
 
     report = benchmark.run_benchmarks(quick=args.quick, seed=args.seed)
@@ -1087,10 +1084,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(benchmark.render_report(report))
-    if args.out:
-        benchmark.write_report(report, args.out)
+    out = args.out
+    if out is None:  # a quick run never replaces the committed full baseline
+        out = "BENCH_quick.json" if args.quick else "BENCH_kernels.json"
+    if out:
+        benchmark.write_report(report, out)
         if not args.json:
-            print(f"wrote {args.out}")
+            print(f"wrote {out}")
     return 0
 
 
@@ -1450,8 +1450,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--serve-index", action="append", metavar="PATH",
                        help="serve job index (jobs.jsonl) to read "
                             "(repeatable)")
-        p.add_argument("--bench-report", action="append", metavar="PATH",
-                       help="repro bench JSON report to read (repeatable)")
         p.add_argument("--fleet-result", action="append", metavar="PATH",
                        help="fleet result JSON (repro fleet run --out) to "
                             "read (repeatable)")
@@ -1527,14 +1525,16 @@ def build_parser() -> argparse.ArgumentParser:
     trend_report.set_defaults(func=cmd_trend_report)
 
     bench = sub.add_parser(
-        "bench", help="run kernel microbenchmarks, write BENCH_kernels.json"
+        "bench", help="run the scaling benchmarks, write BENCH_kernels.json"
     )
     bench.add_argument("--quick", action="store_true",
                        help="small inputs for CI smoke runs")
     bench.add_argument("--seed", type=int, default=0,
                        help="rng seed for benchmark inputs")
-    bench.add_argument("--out", default="BENCH_kernels.json",
-                       help="JSON report path ('' to skip writing)")
+    bench.add_argument("--out", default=None,
+                       help="JSON report path (default BENCH_kernels.json, "
+                            "BENCH_quick.json with --quick; '' to skip "
+                            "writing)")
     bench.add_argument("--json", action="store_true",
                        help="print the JSON report instead of the table")
     bench.set_defaults(func=cmd_bench)

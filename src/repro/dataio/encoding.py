@@ -36,8 +36,8 @@ The VARINT and RLE codecs are vectorized: whole columns are zig-zagged,
 per-value byte widths computed with one ``searchsorted``, and the 7-bit
 groups of every value scattered/gathered one byte-width class at a time
 (:func:`encode_uvarints` / :func:`decode_uvarints`).  The element-at-a-time
-implementations are kept as ``*_scalar`` references that property tests (and
-``repro bench``) cross-check byte-for-byte.
+implementations are kept as ``*_scalar`` references that property tests
+cross-check byte-for-byte.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ record boundaries in batch (:meth:`RowFileReader._scan_records`) and then
 gathers labels, dense values, and sparse ids column-at-a-time.  The output
 is byte-identical to the original row-by-row writer and record walker,
 which are kept as :meth:`RowFileWriter.write_scalar` and
-:meth:`RowFileReader._scan_records_scalar` for cross-checks and benchmarks.
+:meth:`RowFileReader._scan_records_scalar` for cross-checks.
 
 Batched record-boundary discovery works on the continuation-bit index (the
 positions of all bytes with a clear high bit — every varint ends on one,
@@ -237,8 +237,7 @@ class RowFileWriter:
     def write_scalar(self, data: TableData) -> bytes:
         """Row-by-row reference writer (the original implementation).
 
-        Kept for byte-identity cross-checks in tests and as the scalar
-        baseline that ``repro bench`` measures the vectorized writer against.
+        Kept for byte-identity cross-checks in tests.
         """
         label, dense_columns, sparse_columns, num_rows = self._validated_columns(data)
 
@@ -442,8 +441,8 @@ class RowFileReader:
         """Row-at-a-time reference scan (the original implementation).
 
         Kept as the correctness oracle for the batched scan (property tests
-        assert identical geometry), the fallback for files the fast path
-        cannot prove, and the scalar baseline ``repro bench`` measures.
+        assert identical geometry) and the fallback for files the fast path
+        cannot prove.
         """
         num_sparse = len(self.sparse_names)
         fixed_bytes = 1 + _DENSE_FIELD * len(self.dense_names)

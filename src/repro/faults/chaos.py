@@ -169,9 +169,9 @@ def run_episode(
 ) -> Dict[str, Any]:
     """One fault class against one live service; returns the episode report.
 
-    ``runner``/``verify_serial`` exist for the benchmark harness (a stub
-    data plane has no serial digest to verify against); ``repro chaos``
-    always runs the real runner with verification on.
+    ``runner``/``verify_serial`` let a caller drive the episode with a stub
+    data plane (which has no serial digest to verify against); ``repro
+    chaos`` always runs the real runner with verification on.
     """
     from repro.journal import JsonlJournal
     from repro.serve import JobLogIndex, PreprocessService, ServiceClient, ServiceServer

@@ -11,7 +11,7 @@ losslessly through plain dicts via the typed codec in
 byte-identical ``to_dict()`` — and it flattens into
 :class:`~repro.telemetry.events.TimingEvent` records
 (:meth:`FleetResult.telemetry_events`) so fleet runs land in the trend
-store next to batch, serve, and bench timings.
+store next to batch and serve timings.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Structured run telemetry: one timing-event schema over the batch
-journal, the serve job index, ``repro bench`` reports, and fleet
-simulation results, plus the committed trend store and noise-aware
-regression comparison behind ``repro trend`` (see
-``docs/telemetry.md``)."""
+journal, the serve job index, and fleet simulation results, plus the
+committed trend store and noise-aware regression comparison behind
+``repro trend`` (see ``docs/telemetry.md``)."""
 
 from repro.telemetry.events import (
     EVENT_OUTCOMES,
@@ -12,7 +11,6 @@ from repro.telemetry.events import (
     TimingEvent,
     collect_events,
     events_from_batch_journal,
-    events_from_bench_report,
     events_from_fleet_result,
     events_from_job_index,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "TimingEvent",
     "collect_events",
     "events_from_batch_journal",
-    "events_from_bench_report",
     "events_from_fleet_result",
     "events_from_job_index",
     "DEFAULT_BASELINE_RUNS",

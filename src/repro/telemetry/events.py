@@ -3,28 +3,28 @@
 Three subsystems already measure themselves: the batch tier journals one
 terminal line per task (:class:`~repro.batch.journal.BatchJournal`), the
 serve tier persists per-stage :class:`~repro.serve.records.StageEvent`
-telemetry through its :class:`~repro.serve.records.JobLogIndex`, and
-``repro bench`` writes per-kernel timings to ``BENCH_kernels.json``.
-Each speaks its own dialect.  This module flattens all three into one
-frozen, dict-round-trippable :class:`TimingEvent`:
+telemetry through its :class:`~repro.serve.records.JobLogIndex`, and a
+fleet run returns a :class:`~repro.fleet.result.FleetResult`.  Each speaks
+its own dialect.  This module flattens all three into one frozen,
+dict-round-trippable :class:`TimingEvent`:
 
-* ``source`` — which subsystem measured it (``batch``/``serve``/``bench``);
+* ``source`` — which subsystem measured it (``batch``/``serve``/``fleet``);
 * ``run_id`` — the run the event belongs to (journal run id, spool name,
-  bench mode);
+  fleet trace);
 * ``task`` — the unit of work: an experiment label (``fig11``), a job's
-  content label (``RM1 x8192/4``), or a bench op (``varint_encode``);
+  content label (``RM1 x8192/4``), or a fleet model / pool;
 * ``stage`` — where inside the task: the batch tier's whole-task
   ``"task"`` stage, a pipeline stage (``extract``/``transform``), the
-  serve tier's whole-job ``"job"`` rollup, or a bench variant;
+  serve tier's whole-job ``"job"`` rollup, or a fleet phase;
 * ``elapsed_s``/``attempts``/``outcome`` — the measurement itself, plus
-  auxiliary ``metrics`` (``ns_per_element``, ``mb_per_s``, ...);
+  auxiliary ``metrics`` (``utilization``, ``slo_attainment``, ...);
 * ``cached`` — the timing is a replay stamp, not a measurement (a batch
   result prefilled from the RunStore or the journal).  Trend summaries
   skip cached events so a cache hit can never masquerade as a 1000x
   speedup.
 
 The extractors (`events_from_batch_journal`, `events_from_job_index`,
-`events_from_bench_report`) are read-only: they parse the artifacts the
+`events_from_fleet_result`) are read-only: they parse the artifacts the
 subsystems already write — no subsystem grows a telemetry dependency.
 """
 
@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro.errors import TelemetryError, is_int, strict_keys
 
 #: every subsystem that can emit timing events
-EVENT_SOURCES = ("batch", "serve", "bench", "fleet")
+EVENT_SOURCES = ("batch", "serve", "fleet")
 
 #: every outcome a timing event can carry.  ``ok`` timings feed trend
 #: comparison; the rest are kept for attribution (a task that flipped
@@ -256,54 +256,6 @@ def events_from_job_index(
     return events
 
 
-def events_from_bench_report(
-    report: Union[str, Mapping[str, Any]], run_id: Optional[str] = None
-) -> List[TimingEvent]:
-    """Timing events from a ``repro bench`` JSON report (path or payload).
-
-    One event per (op, variant) result; ``ns_per_element`` — the
-    machine-portable trajectory metric — and ``mb_per_s`` ride in
-    ``metrics`` next to the raw best-of-reps ``elapsed_s``.
-    """
-    if isinstance(report, str):
-        try:
-            with open(report) as handle:
-                report = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise TelemetryError(f"cannot read bench report {report}: {exc}")
-    if not isinstance(report, Mapping) or "results" not in report:
-        raise TelemetryError(
-            "bench report must be a mapping with a 'results' list "
-            "(the BENCH_kernels.json shape)"
-        )
-    resolved = run_id or (
-        "bench-quick" if report.get("quick") else "bench-full"
-    )
-    events = []
-    for entry in report["results"]:
-        try:
-            metrics = {"ns_per_element": float(entry["ns_per_element"]),
-                       "mb_per_s": float(entry["mb_per_s"])}
-            if "speedup_vs_scalar" in entry:
-                metrics["speedup_vs_scalar"] = float(
-                    entry["speedup_vs_scalar"]
-                )
-            events.append(TimingEvent(
-                source="bench",
-                run_id=resolved,
-                task=str(entry["op"]),
-                stage=str(entry["variant"]),
-                outcome="ok",
-                elapsed_s=float(entry["elapsed_s"]),
-                metrics=metrics,
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TelemetryError(
-                f"malformed bench result entry {entry!r}: {exc}"
-            )
-    return events
-
-
 def events_from_fleet_result(
     result: Union[str, Mapping[str, Any], Any], run_id: Optional[str] = None
 ) -> List[TimingEvent]:
@@ -340,18 +292,15 @@ def events_from_fleet_result(
 def collect_events(
     batch_journals: Tuple[str, ...] = (),
     serve_indexes: Tuple[str, ...] = (),
-    bench_reports: Tuple[str, ...] = (),
     fleet_results: Tuple[str, ...] = (),
     run_id: Optional[str] = None,
 ) -> List[TimingEvent]:
-    """Extract and concatenate events from any mix of the four sources."""
+    """Extract and concatenate events from any mix of the three sources."""
     events: List[TimingEvent] = []
     for path in batch_journals:
         events.extend(events_from_batch_journal(path, run_id=run_id))
     for path in serve_indexes:
         events.extend(events_from_job_index(path, run_id=run_id))
-    for path in bench_reports:
-        events.extend(events_from_bench_report(path, run_id=run_id))
     for path in fleet_results:
         events.extend(events_from_fleet_result(path, run_id=run_id))
     return events

@@ -14,11 +14,11 @@ shared CI runners:
   over the last N committed runs, so one slow baseline run cannot make
   everything after it look like an improvement (or mask a regression);
 * **per-metric relative thresholds** — wall-clock ``elapsed_s`` gates at
-  2x (runners vary), per-element ``ns_per_element`` at 1.5x; callers can
-  override per metric;
-* **direction-aware** — ``elapsed_s``/``ns_per_element`` regress upward,
-  ``mb_per_s``/``speedup_vs_scalar`` and a fleet run's
-  ``completed``/``slo_attainment``/``utilization`` regress downward;
+  2x (runners vary), every other metric at 1.5x; callers can override per
+  metric;
+* **direction-aware** — ``elapsed_s`` regresses upward, a fleet run's
+  ``completed``/``slo_attainment``/``utilization`` (and any ``*_per_s``
+  rate) regress downward;
 * **absolute noise floor** — sub-``min_elapsed_s`` timings (scheduler
   jitter territory) are never regressions; they stay in the table but
   classify as within-band.
@@ -44,21 +44,12 @@ from repro.telemetry.events import TimingEvent
 SUMMARY_SCHEMA = 1
 
 #: metrics where larger values are better (everything else regresses up):
-#: the bench throughputs and a fleet result's completed jobs, SLO
-#: attainment and utilization
-HIGHER_IS_BETTER = (
-    "mb_per_s", "speedup_vs_scalar",
-    "completed", "slo_attainment", "utilization",
-)
+#: a fleet result's completed jobs, SLO attainment and utilization
+HIGHER_IS_BETTER = ("completed", "slo_attainment", "utilization")
 
 #: default per-metric regression thresholds (current/baseline ratio in the
 #: bad direction).  Wall clock gates loosest: shared runners are noisy.
-DEFAULT_THRESHOLDS = {
-    "elapsed_s": 2.0,
-    "ns_per_element": 1.5,
-    "mb_per_s": 1.5,
-    "speedup_vs_scalar": 1.5,
-}
+DEFAULT_THRESHOLDS = {"elapsed_s": 2.0}
 
 #: fallback threshold for metrics not named above
 DEFAULT_THRESHOLD = 1.5
@@ -493,7 +484,7 @@ def compare_summaries(
             current=sample.best, ratio=ratio, threshold=threshold,
         ))
     # a series is "missing" only when its *source* reported this run at
-    # all — a batch-only gate run is not missing the bench baselines
+    # all — a batch-only gate run is not missing the fleet baselines
     current_sources = {sample.source for sample in current.samples}
     for key, base in baseline_best.items():
         if key in current_keys or base.source not in current_sources:

@@ -133,51 +133,92 @@ class TestExport:
 
 
 class TestBench:
-    def test_bench_quick_writes_json(self, tmp_path, capsys):
+    def test_quick_json_keeps_the_scaling_rows_and_the_full_baseline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """One quick run from a working directory: the kept rows, schema 2,
+        the 8/64-GPU scaling line, and the report lands in
+        ``BENCH_quick.json``, never over the full-mode ``BENCH_kernels.json``."""
         import json
 
-        out_path = tmp_path / "BENCH_kernels.json"
-        # tiny seed-stable run; --quick keeps it a few seconds
-        assert main(["bench", "--quick", "--out", str(out_path)]) == 0
-        table = capsys.readouterr().out
-        assert "varint_encode" in table
-        assert "rowfile_write" in table
+        from repro.benchmark import scaling_line
 
-        report = json.loads(out_path.read_text())
-        assert report["schema_version"] == 1
-        assert report["quick"] is True
-        ops = {entry["op"] for entry in report["results"]}
-        assert {
-            "varint_encode",
-            "varint_decode",
-            "varint_roundtrip",
-            "rle_encode",
-            "rle_decode",
-            "rowfile_write",
-            "rowfile_read",
-            "ingestion_assembly",
-            "engine_events",
-            "sigrid_hash",
-        } <= ops
-        for entry in report["results"]:
-            assert entry["elapsed_s"] > 0
-            assert entry["ns_per_element"] > 0
-            assert entry["mb_per_s"] > 0
-        # every scalar/vectorized pair carries the measured speedup
-        speedups = [
-            entry["speedup_vs_scalar"]
-            for entry in report["results"]
-            if entry["variant"] == "vectorized" and "speedup_vs_scalar" in entry
-        ]
-        assert len(speedups) >= 5
-        assert all(s > 0 for s in speedups)
-
-    def test_bench_json_mode_skips_table(self, tmp_path, capsys):
-        import json
-
-        assert main(["bench", "--quick", "--json", "--out", ""]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--quick", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert not (tmp_path / "BENCH_kernels.json").exists()
+        assert json.loads((tmp_path / "BENCH_quick.json").read_text()) == report
+
+        assert report["schema_version"] == 2
         assert report["quick"] is True
+        assert [entry["op"] for entry in report["results"]] == [
+            "scenario_build@8gpu", "scenario_build@64gpu",
+            "fleet_step@10k", "fleet_probe",
+        ]
+        for entry in report["results"]:
+            assert set(entry) == {"op", "size", "elapsed_s", "ns_per_element"}
+            assert entry["size"] > 0
+        workers = [entry["size"] for entry in report["results"][:2]]
+        assert workers == [367, 2931]
+        assert scaling_line(report, "scenario_build", "worker").startswith(
+            "scenario_build us/worker: @8gpu "
+        )
+        # quick mode stops the fleet series at 10k: no ratio line
+        assert scaling_line(report, "fleet_step", "event") == ""
+
+    @staticmethod
+    def fake_report(quick=False, seed=0):
+        """A full-mode-shaped report with round us-per-element figures."""
+        rows = [("scenario_build@8gpu", 367, 20.0),
+                ("scenario_build@64gpu", 2931, 5.0),
+                ("fleet_step@10k", 25003, 16.0),
+                ("fleet_step@100k", 246406, 24.0),
+                ("fleet_probe", 80487, 0.5)]
+        return {"schema_version": 2, "quick": quick, "results": [
+            {"op": op, "size": size, "elapsed_s": us * size / 1e6,
+             "ns_per_element": us * 1e3}
+            for op, size, us in rows
+        ]}
+
+    @pytest.mark.parametrize("argv, written", [
+        (["bench"], "BENCH_kernels.json"),
+        (["bench", "--quick"], "BENCH_quick.json"),
+        (["bench", "--quick", "--out", "mine.json"], "mine.json"),
+        (["bench", "--out", ""], None),
+    ])
+    def test_report_path_follows_the_mode(
+        self, argv, written, tmp_path, monkeypatch, capsys
+    ):
+        """Without ``--out`` the mode names the file; ``--out`` overrides
+        it, and ``--out ''`` writes nothing."""
+        import json
+
+        from repro import benchmark
+
+        monkeypatch.setattr(benchmark, "run_benchmarks", self.fake_report)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        files = sorted(path.name for path in tmp_path.iterdir())
+        if written is None:
+            assert files == []
+            assert "wrote" not in out
+        else:
+            assert files == [written]
+            assert out.rstrip().endswith(f"wrote {written}")
+            report = json.loads((tmp_path / written).read_text())
+            assert report == self.fake_report(quick="--quick" in argv)
+
+    def test_full_table_prints_both_scaling_lines(self):
+        from repro.benchmark import render_report
+
+        lines = render_report(self.fake_report()).splitlines()
+        assert "Scaling benchmarks (full mode)" in lines[0]
+        assert lines[-2:] == [
+            "scenario_build us/worker: @8gpu 20.0, @64gpu 5.0 "
+            "(@64gpu/@8gpu 0.25x)",
+            "fleet_step us/event: @10k 16.0, @100k 24.0 (@100k/@10k 1.50x)",
+        ]
 
 
 class TestPreprocess:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OpError
+from repro.features.specs import get_model
+from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops.bucketize import bucketize, search_bucket_id
 
 
@@ -43,6 +45,22 @@ class TestVectorized:
     def test_empty_input(self):
         out = bucketize(np.array([]), np.array([1.0]))
         assert len(out) == 0
+
+    def test_rm5_minibatch_column(self):
+        """One dense column of an 8,192-row RM5 mini-batch against the
+        model's m = 4,096 generated boundaries."""
+        spec = get_model("RM5")
+        boundaries = SyntheticTableGenerator(spec, seed=0).bucket_boundaries(
+            "int_0"
+        )
+        assert len(boundaries) == spec.bucket_size == 4096
+        dense = np.random.default_rng(0).lognormal(1.5, 1.2, 8192)
+        out = bucketize(dense, boundaries)
+        assert out.min() >= 0
+        assert out.max() <= len(boundaries)
+        np.testing.assert_array_equal(
+            out, np.digitize(dense, boundaries, right=False)
+        )
 
     def test_nonincreasing_boundaries_rejected(self):
         with pytest.raises(OpError, match="strictly increasing"):

@@ -34,6 +34,13 @@ class TestLogNormalize:
         with pytest.raises(OpError):
             log_normalize(np.zeros((2, 2)))
 
+    def test_rm5_minibatch_column(self):
+        """One dense column of an 8,192-row RM5 mini-batch."""
+        dense = np.random.default_rng(0).lognormal(1.5, 1.2, 8192)
+        out = log_normalize(dense)
+        assert np.all(out >= 0)
+        np.testing.assert_allclose(out, np.log1p(dense), rtol=1e-6)
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=100))
     @settings(max_examples=40, deadline=None)
     def test_always_finite_nonnegative(self, values):

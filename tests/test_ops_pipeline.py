@@ -19,9 +19,20 @@ class TestPipelineRun:
     def test_output_shapes(self, rm1):
         spec, pipe, raw = rm1
         batch, counts = pipe.run(raw)
+        assert batch.batch_size == 128
         assert batch.dense.shape == (128, spec.num_dense)
         assert batch.sparse.num_keys == spec.num_tables  # 26 raw + 13 generated
         assert len(batch.labels) == 128
+
+    def test_minibatch_of_1024_rows(self):
+        """The whole Transform phase on a 1,024-row RM1 mini-batch."""
+        spec = get_model("RM1")
+        pipe = PreprocessingPipeline(spec)
+        batch, _ = pipe.run(generate_raw_table(spec, 1024))
+        assert batch.batch_size == 1024
+        assert batch.dense.shape == (1024, spec.num_dense)
+        assert batch.sparse.num_keys == spec.num_tables
+        batch.validate_index_range(pipe.table_sizes)
 
     def test_indices_within_tables(self, rm1):
         _, pipe, raw = rm1

@@ -39,6 +39,17 @@ class TestVectorized:
         assert out.min() >= 0
         assert out.max() < 12345
 
+    def test_rm5_minibatch_column(self):
+        """One sparse column of an 8,192-row RM5 mini-batch (average
+        length 20) hashed into a 500,000-row table."""
+        values = np.random.default_rng(0).integers(0, 2**40, 8192 * 20)
+        out = sigrid_hash(values.astype(np.int64), 0xC0FFEE, 500_000)
+        assert len(out) == 8192 * 20
+        assert out.min() >= 0
+        assert out.max() < 500_000
+        for value, got in zip(values[:64].tolist(), out[:64].tolist()):
+            assert got == sigrid_hash_scalar(value, 0xC0FFEE, 500_000)
+
     def test_uniformity(self):
         """Hash outputs should spread evenly over the table (chi-square-ish)."""
         values = np.arange(100_000, dtype=np.int64)

@@ -1,9 +1,9 @@
 """Tests for the structured run-telemetry tier (repro.telemetry):
 
 * ``TimingEvent`` validation and dict round trips;
-* the three extractors — batch journal, serve job index, bench report —
-  including label fallback for pre-label journals, cached stamps, stage
-  rollups, and loud errors on missing/malformed sources;
+* the batch-journal and serve-job-index extractors, including label
+  fallback for pre-label journals, cached stamps, stage rollups, and loud
+  errors on missing/malformed sources;
 * ``summarize_events`` aggregation (best/mean/count, direction-aware,
   cached and non-ok filtering);
 * ``TrendStore`` record/load round trips, byte-stable files, run-id
@@ -36,7 +36,6 @@ from repro.telemetry import (
     TrendStore,
     compare_summaries,
     events_from_batch_journal,
-    events_from_bench_report,
     events_from_job_index,
     higher_is_better,
     render_history,
@@ -55,15 +54,13 @@ def make_event(**overrides):
 
 class TestTimingEvent:
     def test_round_trip(self):
-        event = make_event(metrics={"mb_per_s": 12.5}, at=100.0)
+        event = make_event(metrics={"utilization": 0.5}, at=100.0)
         assert TimingEvent.from_dict(event.to_dict()) == event
 
     def test_key_and_metric_values(self):
-        event = make_event(metrics={"ns_per_element": 7.0})
+        event = make_event(metrics={"peak_nodes": 7.0})
         assert event.key == "batch/fig11/task"
-        assert event.metric_values() == {
-            "elapsed_s": 0.5, "ns_per_element": 7.0
-        }
+        assert event.metric_values() == {"elapsed_s": 0.5, "peak_nodes": 7.0}
 
     def test_untimed_event_has_no_elapsed_metric(self):
         event = make_event(elapsed_s=None)
@@ -83,6 +80,7 @@ class TestTimingEvent:
         {"attempts": -1},
         {"metrics": {"": 1.0}},
         {"metrics": {"x": "fast"}},
+        {"source": "bench"},
     ])
     def test_rejects_bad_fields(self, overrides):
         with pytest.raises(TelemetryError):
@@ -215,45 +213,6 @@ class TestServeExtraction:
             events_from_job_index(str(tmp_path / "nope.jsonl"))
 
 
-BENCH_REPORT = {
-    "schema_version": 1,
-    "quick": True,
-    "results": [
-        {"op": "varint_encode", "variant": "vectorized", "size": 1024,
-         "elapsed_s": 0.002, "ns_per_element": 20.0, "mb_per_s": 100.0,
-         "speedup_vs_scalar": 9.5},
-        {"op": "varint_encode", "variant": "scalar", "size": 1024,
-         "elapsed_s": 0.02, "ns_per_element": 200.0, "mb_per_s": 10.0},
-    ],
-}
-
-
-class TestBenchExtraction:
-    def test_extracts_ops_variants_and_metrics(self):
-        events = events_from_bench_report(BENCH_REPORT)
-        assert [(e.task, e.stage) for e in events] == [
-            ("varint_encode", "vectorized"), ("varint_encode", "scalar"),
-        ]
-        assert events[0].run_id == "bench-quick"
-        assert events[0].metrics["speedup_vs_scalar"] == 9.5
-        assert "speedup_vs_scalar" not in events[1].metrics
-
-    def test_reads_report_from_path(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(BENCH_REPORT))
-        assert len(events_from_bench_report(str(path))) == 2
-
-    def test_malformed_report_is_loud(self, tmp_path):
-        with pytest.raises(TelemetryError, match="results"):
-            events_from_bench_report({"quick": True})
-        with pytest.raises(TelemetryError, match="malformed"):
-            events_from_bench_report(
-                {"results": [{"op": "x", "variant": "v"}]}
-            )
-        with pytest.raises(TelemetryError, match="cannot read"):
-            events_from_bench_report(str(tmp_path / "nope.json"))
-
-
 class TestSummarize:
     def test_aggregates_best_mean_count(self):
         events = [make_event(elapsed_s=v) for v in (0.5, 0.3, 0.7)]
@@ -264,12 +223,12 @@ class TestSummarize:
         assert sample.count == 3
 
     def test_best_is_direction_aware(self):
-        events = [make_event(elapsed_s=None, metrics={"mb_per_s": v})
-                  for v in (10.0, 30.0, 20.0)]
+        events = [make_event(elapsed_s=None, metrics={"utilization": v})
+                  for v in (0.1, 0.3, 0.2)]
         summary = summarize_events(events, run_id="r", recorded_at=1.0)
         (sample,) = summary.samples
-        assert sample.metric == "mb_per_s"
-        assert sample.best == 30.0  # higher is better
+        assert sample.metric == "utilization"
+        assert sample.best == 0.3  # higher is better
 
     def test_skips_cached_and_non_ok(self):
         events = [
@@ -362,11 +321,11 @@ class TestCompare:
         assert "fig11" in text and TASK_STAGE in text
         assert "3.2" in text  # the ratio, named in the delta
 
-    def test_direction_aware_throughput_regression(self):
-        baseline = summary_of("base", {"varint": 100.0}, metric="mb_per_s",
-                              source="bench")
-        current = summary_of("cur", {"varint": 40.0}, metric="mb_per_s",
-                             source="bench")
+    def test_direction_aware_attainment_regression(self):
+        baseline = summary_of("base", {"fleet": 1.0},
+                              metric="slo_attainment", source="fleet")
+        current = summary_of("cur", {"fleet": 0.4},
+                             metric="slo_attainment", source="fleet")
         comparison = compare_summaries(current, [baseline])
         (delta,) = comparison.deltas
         assert delta.status == "regression"
@@ -397,14 +356,14 @@ class TestCompare:
     def test_new_and_missing_scoped_to_present_sources(self):
         baseline = RunSummary(run_id="base", recorded_at=1.0, samples=(
             summary_of("x", {"fig11": 0.5}).samples
-            + summary_of("x", {"varint": 10.0}, metric="ns_per_element",
-                         source="bench").samples
+            + summary_of("x", {"fleet": 0.6}, metric="utilization",
+                         source="fleet").samples
         ))
         current = summary_of("cur", {"fig12": 0.5})
         comparison = compare_summaries(current, [baseline])
         status = {(d.source, d.task): d.status for d in comparison.deltas}
-        # fig12 is new, fig11 is missing; the bench series is NOT
-        # missing — this run had no bench source at all
+        # fig12 is new, fig11 is missing; the fleet series is NOT
+        # missing — this run had no fleet source at all
         assert status == {("batch", "fig12"): "new",
                           ("batch", "fig11"): "missing"}
 
@@ -653,18 +612,6 @@ class TestTrendCLI:
         assert main(["trend", "report",
                      "--store", str(tmp_path / "empty")]) == 0
         assert "no committed runs" in capsys.readouterr().out
-
-    def test_bench_source_flows_through_cli(self, tmp_path, capsys):
-        report = tmp_path / "bench.json"
-        report.write_text(json.dumps(BENCH_REPORT))
-        store = str(tmp_path / "trend")
-        assert main(["trend", "record", "--store", store, "--run-id", "b",
-                     "--bench-report", str(report),
-                     "--recorded-at", "1.0"]) == 0
-        summary = TrendStore(store).load("b")
-        metrics = {s.metric for s in summary.samples}
-        assert metrics == {"elapsed_s", "ns_per_element", "mb_per_s",
-                           "speedup_vs_scalar"}
 
 
 class TestCommittedBaseline:
