@@ -2,15 +2,15 @@
 
 Walks the paper's core flow on the public Criteo-style model (RM1):
 
-1. generate raw feature data and shard it into per-mini-batch partitions;
-2. store the partitions on SmartSSD devices (a distributed storage system);
-3. preprocess one partition with the baseline CPU worker and with the
+1. generate raw feature data and shard it into per-mini-batch partitions
+   (one columnar file each — the unit a SmartSSD stores and preprocesses);
+2. preprocess one partition with the baseline CPU worker and with the
    PreSto ISP worker — functionally identical tensors, very different time;
-4. declare the experiment as a `Scenario` and `.run()` it — the one front
+3. declare the experiment as a `Scenario` and `.run()` it — the one front
    door that validates the config, provisions ceil(T/P) workers, simulates
    the full preprocessing-feeds-training pipeline, and returns a uniform
    `RunResult`;
-5. compare design points with a parallel `Sweep` over the system registry.
+4. compare design points with a parallel `Sweep` over the system registry.
 
 Run:  python examples/quickstart.py
 """
@@ -23,8 +23,6 @@ from repro.core.isp_worker import IspPreprocessingWorker
 from repro.dataio.partition import RowPartitioner
 from repro.experiments.common import format_table
 from repro.features.synthetic import SyntheticTableGenerator
-from repro.storage.cluster import DistributedStorage
-from repro.storage.smartssd import SmartSsd
 from repro.units import pretty_bytes, pretty_time
 
 
@@ -42,18 +40,10 @@ def main() -> None:
     print(f"\nPartitioned {rows} rows into {len(partitions)} columnar files "
           f"({pretty_bytes(sum(p.size for p in partitions))} total)")
 
-    # 2. place partitions on SmartSSDs
-    devices = [SmartSsd(f"smartssd-{i}") for i in range(2)]
-    storage = DistributedStorage(devices)
-    storage.store_partitions("criteo", partitions)
-    for i, device in enumerate(devices):
-        keys = storage.partitions_on(i, "criteo")
-        print(f"  {device.name}: {len(keys)} partitions")
-
-    # 3. preprocess one partition both ways — identical tensors
-    raw = storage.read_partition("criteo", 0)
+    # 2. preprocess one partition both ways — identical tensors
+    raw = partitions[0].file_bytes
     cpu_worker = CpuPreprocessingWorker(spec)
-    isp_worker = IspPreprocessingWorker(spec, device=devices[0])
+    isp_worker = IspPreprocessingWorker(spec)
     cpu_batch, counts = cpu_worker.preprocess_partition(raw)
     isp_batch, _ = isp_worker.preprocess_partition(raw)
     assert np.array_equal(cpu_batch.dense, isp_batch.dense)
@@ -71,7 +61,7 @@ def main() -> None:
     print(f"  one SmartSSD : {pretty_time(isp_latency)} "
           f"({cpu_latency / isp_latency:.1f}x faster)")
 
-    # 4. one declarative scenario: validated at construction, provisioned
+    # 3. one declarative scenario: validated at construction, provisioned
     #    via T/P, simulated end to end
     scenario = Scenario(model="RM1", system="PreSto", num_gpus=1,
                         num_batches=200)
@@ -82,7 +72,7 @@ def main() -> None:
           f"{100 * result.steady_state_utilization:.1f}%")
     assert scenario == Scenario.from_dict(scenario.to_dict())  # config files
 
-    # 5. a parallel sweep across registered design points — results come
+    # 4. a parallel sweep across registered design points — results come
     #    back in grid order regardless of the pool's scheduling
     sweep = Sweep.grid(models="RM1", systems=("Disagg", "PreSto", "U280"),
                        num_gpus=(1,), num_batches=200)

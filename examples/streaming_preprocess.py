@@ -1,9 +1,9 @@
 """The streaming preprocessing service, end to end and in-process.
 
-The batch path (`examples/full_data_path.py`) preprocesses one table and
-exits; this example runs preprocessing as the *service* the deployment
-story needs: an always-on daemon that producers stream work into and
-training jobs poll results out of.
+The batch path (`repro preprocess`, `PreprocessJob.run`) preprocesses one
+table and exits; this example runs preprocessing as the *service* the
+deployment story needs: an always-on daemon that producers stream work into
+and training jobs poll results out of.
 
 1. **start the service** — bounded queue, persistent worker pool, a spool
    directory holding the JSONL job index;

@@ -9,13 +9,12 @@ system computes the same tensors as a direct in-memory pipeline.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.hardware.cpu import CpuCoreModel
 from repro.core.worker import PreprocessingWorker
-from repro.ops.pipeline import PreprocessingPipeline
 
 
 class CpuPreprocessingWorker(PreprocessingWorker):
@@ -29,9 +28,8 @@ class CpuPreprocessingWorker(PreprocessingWorker):
         calibration: Calibration = CALIBRATION,
         remote_storage: bool = True,
         colocated: bool = False,
-        pipeline: Optional[PreprocessingPipeline] = None,
     ) -> None:
-        super().__init__(spec, pipeline)
+        super().__init__(spec)
         self.cal = calibration
         self.remote_storage = remote_storage
         self.colocated = colocated

@@ -13,15 +13,12 @@ validation.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
-from repro.errors import ConfigurationError
-from repro.features.minibatch import MiniBatch
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.storage.smartssd import SmartSsd
 from repro.core.worker import PreprocessingWorker
-from repro.ops.pipeline import OpCounts, PreprocessingPipeline
 
 
 class IspPreprocessingWorker(PreprocessingWorker):
@@ -29,16 +26,10 @@ class IspPreprocessingWorker(PreprocessingWorker):
 
     kind = "PreSto"
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        device: Optional[SmartSsd] = None,
-        calibration: Calibration = CALIBRATION,
-        pipeline: Optional[PreprocessingPipeline] = None,
-    ) -> None:
-        super().__init__(spec, pipeline)
+    def __init__(self, spec: ModelSpec, calibration: Calibration = CALIBRATION) -> None:
+        super().__init__(spec)
         self.cal = calibration
-        self.device = device or SmartSsd("smartssd-0", calibration)
+        self.device = SmartSsd(calibration)
 
     # -- performance -----------------------------------------------------------
 
@@ -49,21 +40,3 @@ class IspPreprocessingWorker(PreprocessingWorker):
     def throughput(self) -> float:
         """Pipeline-bottleneck throughput (double-buffered stages)."""
         return self.device.throughput(self.spec)
-
-    # -- functional execution ----------------------------------------------------
-
-    def preprocess_local(
-        self, dataset: str, index: int, storage
-    ) -> Tuple[MiniBatch, OpCounts]:
-        """Preprocess a partition stored on *this* worker's device.
-
-        Raises if the partition lives elsewhere — PreSto never moves raw
-        data across devices (the locality property of Section IV-B).
-        """
-        device = storage.device_of(dataset, index)
-        if device is not self.device:
-            raise ConfigurationError(
-                f"partition {index} of {dataset!r} is not local to {self.device.name}"
-            )
-        key = storage.partition_key(dataset, index)
-        return self.preprocess_partition(self.device.ssd.read_object(key), index)

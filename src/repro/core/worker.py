@@ -51,17 +51,15 @@ class PreprocessingWorker(abc.ABC):
     #: human-readable design-point name ("Disagg", "PreSto", ...)
     kind: str = "abstract"
 
-    def __init__(
-        self, spec: ModelSpec, pipeline: Optional[PreprocessingPipeline] = None
-    ) -> None:
+    def __init__(self, spec: ModelSpec) -> None:
         self.spec = spec
-        self._pipeline = pipeline
+        self._pipeline: Optional[PreprocessingPipeline] = None
 
     # -- functional execution -------------------------------------------------
 
     @property
     def pipeline(self) -> PreprocessingPipeline:
-        """The injected pipeline, else one built on first access and kept."""
+        """The worker's pipeline, built on first access and kept."""
         if self._pipeline is None:
             self._pipeline = PreprocessingPipeline(self.spec)
         return self._pipeline

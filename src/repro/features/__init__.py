@@ -1,12 +1,11 @@
 """Dataset substrate: model/dataset specs (Table I), synthetic raw-data
 generators (Criteo-like RM1 plus production-scale RM2–RM5), the real Criteo
-TSV loader, the Figure-1 ingestion path, and the train-ready mini-batch
-containers (KeyedJaggedTensor-style)."""
+TSV loader, and the train-ready mini-batch containers
+(KeyedJaggedTensor-style)."""
 
 from repro.features.specs import ModelSpec, MLPSpec, RECSYS_MODELS, get_model
 from repro.features.synthetic import SyntheticTableGenerator, generate_raw_table
 from repro.features.criteo import load_criteo_tsv, dump_criteo_tsv
-from repro.features.ingestion import run_ingestion
 from repro.features.minibatch import KeyedJaggedTensor, MiniBatch
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "generate_raw_table",
     "load_criteo_tsv",
     "dump_criteo_tsv",
-    "run_ingestion",
     "KeyedJaggedTensor",
     "MiniBatch",
 ]

@@ -14,22 +14,36 @@ available — the synthetic generator remains the default for offline use.
 Criteo's sparse features are fixed length 1 per sample; missing categorical
 fields become empty lists (length 0), which the pipeline's fill op pads —
 the same null handling TorchArrow's DLRM recipe applies.
+
+The text arrives from outside the program, so a field is taken only in its
+strict form: a label is ``0`` or ``1``, a dense field ASCII decimal digits
+with an optional ``-`` that a float32 holds finitely, a categorical field
+hex digits that fit ``int64``.  Anything else is a :class:`FormatError`
+naming the line.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Iterable, List, TextIO, Tuple, Union
+import math
+import re
+from typing import Iterable, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
 from repro.dataio.columnar import TableData
-from repro.errors import FormatError
+from repro.errors import ConfigurationError, FormatError, is_int
 from repro.features.specs import ModelSpec, get_model
 
 NUM_DENSE = 13
 NUM_SPARSE = 26
 FIELDS_PER_LINE = 1 + NUM_DENSE + NUM_SPARSE
+
+_DENSE = re.compile(r"-?[0-9]+")
+_CATEGORICAL = re.compile(r"[0-9a-fA-F]+")
+_INT64_MAX = 2**63 - 1
+#: float32 max plus half an ulp: the smallest float64 a float32 cast makes inf
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 
 def parse_line(line: str, line_number: int = 0) -> Tuple[int, List[float], List[int]]:
@@ -38,54 +52,64 @@ def parse_line(line: str, line_number: int = 0) -> Tuple[int, List[float], List[
     Missing dense fields become NaN; missing categorical fields become -1
     sentinels that :func:`load_criteo_tsv` turns into empty lists.
     """
-    fields = line.rstrip("\n").split("\t")
+    fields = line.rstrip("\r\n").split("\t")
     if len(fields) != FIELDS_PER_LINE:
         raise FormatError(
             f"line {line_number}: expected {FIELDS_PER_LINE} tab-separated "
             f"fields, got {len(fields)}"
         )
-    try:
-        label = int(fields[0])
-    except ValueError:
-        raise FormatError(f"line {line_number}: bad label {fields[0]!r}") from None
-    if label not in (0, 1):
-        raise FormatError(f"line {line_number}: label must be 0/1, got {label}")
+    if fields[0] not in ("0", "1"):
+        raise FormatError(
+            f"line {line_number}: bad label {fields[0]!r}; must be 0 or 1"
+        )
+    label = int(fields[0])
 
     dense: List[float] = []
     for raw in fields[1 : 1 + NUM_DENSE]:
         if raw == "":
             dense.append(float("nan"))
-        else:
-            try:
-                dense.append(float(int(raw)))
-            except ValueError:
-                raise FormatError(
-                    f"line {line_number}: bad integer feature {raw!r}"
-                ) from None
+            continue
+        if not _DENSE.fullmatch(raw):
+            raise FormatError(f"line {line_number}: bad integer feature {raw!r}")
+        try:
+            value = float(int(raw))
+        except (OverflowError, ValueError):  # past float64, or int's digit limit
+            value = math.inf
+        if abs(value) >= _FLOAT32_OVERFLOW:
+            raise FormatError(
+                f"line {line_number}: integer feature {raw!r} is beyond float32"
+            )
+        dense.append(value)
 
     sparse: List[int] = []
     for raw in fields[1 + NUM_DENSE :]:
         if raw == "":
             sparse.append(-1)  # missing marker
-        else:
-            try:
-                sparse.append(int(raw, 16))
-            except ValueError:
-                raise FormatError(
-                    f"line {line_number}: bad categorical feature {raw!r}"
-                ) from None
+            continue
+        if not _CATEGORICAL.fullmatch(raw):
+            raise FormatError(f"line {line_number}: bad categorical feature {raw!r}")
+        sparse_id = int(raw, 16)
+        if sparse_id > _INT64_MAX:
+            raise FormatError(
+                f"line {line_number}: categorical feature {raw!r} "
+                "does not fit int64"
+            )
+        sparse.append(sparse_id)
     return label, dense, sparse
 
 
 def load_criteo_tsv(
     source: Union[str, TextIO, Iterable[str]],
-    max_rows: int = None,
+    max_rows: Optional[int] = None,
     spec: ModelSpec = None,
 ) -> TableData:
     """Parse Criteo TSV text into a raw table matching RM1's schema.
 
-    ``source`` may be a path, an open text file, or any iterable of lines.
+    ``source`` may be a path, an open text file, or any iterable of lines;
+    ``max_rows``, when given, is a positive int.
     """
+    if max_rows is not None and not (is_int(max_rows) and max_rows > 0):
+        raise ConfigurationError(f"max_rows must be a positive int, got {max_rows!r}")
     spec = spec or get_model("RM1")
     if spec.num_dense != NUM_DENSE or spec.num_sparse != NUM_SPARSE:
         raise FormatError(

@@ -2,9 +2,9 @@
 
 The paper's ISP unit (Section IV-B): the FPGA pulls raw feature data from
 the *local* SSD over an internal PCIe switch (P2P, never touching the host
-or the network) and runs the PreSto accelerator on it.  This class composes
-the SSD object store with the accelerator timing model and enforces the
-25 W NVMe power envelope that makes the device a drop-in SSD replacement.
+or the network) and runs the PreSto accelerator on it.  This class is the
+accelerator timing model plus the 25 W NVMe power envelope that makes the
+device a drop-in SSD replacement.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from repro.errors import CapacityError
 from repro.features.specs import ModelSpec
 from repro.hardware.accelerator import AcceleratorModel, AcceleratorStages
 from repro.hardware.calibration import CALIBRATION, Calibration
-from repro.storage.ssd import SsdModel
 
 #: NVMe U.2 power envelope (watts); a SmartSSD must stay inside it.
 NVME_POWER_ENVELOPE = 25.0
@@ -22,28 +21,20 @@ NVME_POWER_ENVELOPE = 25.0
 class SmartSsd:
     """One PreSto ISP unit: local SSD + on-device FPGA accelerator."""
 
-    def __init__(self, name: str, calibration: Calibration = CALIBRATION) -> None:
+    def __init__(self, calibration: Calibration = CALIBRATION) -> None:
         self.cal = calibration
-        self.name = name
-        self.ssd = SsdModel(name=f"{name}/ssd")
         self.accelerator = AcceleratorModel(calibration)
         if calibration.smartssd_tdp > NVME_POWER_ENVELOPE:
             raise CapacityError(
                 f"SmartSSD TDP {calibration.smartssd_tdp} W exceeds the "
                 f"{NVME_POWER_ENVELOPE} W NVMe envelope"
             )
-        self.batches_preprocessed = 0
 
     # -- timing ---------------------------------------------------------------
 
     def preprocess_stages(self, spec: ModelSpec) -> AcceleratorStages:
         """Stage times for one mini-batch preprocessed fully in-device."""
         return self.accelerator.batch_stages(spec)
-
-    def batch_latency(self, spec: ModelSpec) -> float:
-        """End-to-end in-storage preprocessing latency per mini-batch."""
-        self.batches_preprocessed += 1
-        return self.preprocess_stages(spec).latency
 
     def throughput(self, spec: ModelSpec) -> float:
         """Steady-state samples/s of this device (double-buffered pipeline)."""

@@ -9,7 +9,6 @@ from repro.core.endtoend import EndToEndSimulation
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.worker import BREAKDOWN_STEPS, breakdown_total
 from repro.dataio.partition import RowPartitioner
-from repro.errors import ConfigurationError
 from repro.features.specs import get_model
 from repro.features.synthetic import generate_raw_table
 
@@ -110,23 +109,3 @@ class TestProducerTiming:
             10 * spec.batch_size / span
         )
 
-
-class TestLocalityEnforcement:
-    def test_isp_refuses_remote_partition(self):
-        from repro.storage.cluster import DistributedStorage
-        from repro.storage.smartssd import SmartSsd
-
-        spec = get_model("RM1")
-        data = generate_raw_table(spec, 64)
-        parts = RowPartitioner(spec.schema(), rows_per_partition=32).partition_all(
-            data
-        )
-        devices = [SmartSsd("isp0"), SmartSsd("isp1")]
-        storage = DistributedStorage(devices)
-        storage.store_partitions("ds", parts)
-
-        worker0 = IspPreprocessingWorker(spec, device=devices[0])
-        batch, _ = worker0.preprocess_local("ds", 0, storage)  # local: fine
-        assert batch.batch_size == 32
-        with pytest.raises(ConfigurationError, match="not local"):
-            worker0.preprocess_local("ds", 1, storage)  # lives on isp1

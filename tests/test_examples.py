@@ -13,7 +13,7 @@ EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 def test_examples_present():
     names = {path.name for path in EXAMPLES}
     assert "quickstart.py" in names
-    assert len(EXAMPLES) >= 3  # the deliverable floor; we ship five
+    assert len(EXAMPLES) >= 3  # the deliverable floor
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)

@@ -17,8 +17,6 @@ from repro.errors import EncodingError, FormatError, ReproError
 from repro.features.specs import get_model
 from repro.features.synthetic import generate_raw_table
 from repro.serve import PreprocessService
-from repro.storage.cluster import DistributedStorage
-from repro.storage.smartssd import SmartSsd
 
 
 @pytest.fixture(scope="module")
@@ -72,17 +70,6 @@ class TestCorruptedPartitions:
 
 
 class TestStorageFailures:
-    def test_reading_missing_partition(self):
-        spec = get_model("RM1")
-        data = generate_raw_table(spec, 64)
-        parts = RowPartitioner(spec.schema(), rows_per_partition=32).partition_all(
-            data
-        )
-        storage = DistributedStorage([SmartSsd("isp0")])
-        storage.store_partitions("ds", parts)
-        with pytest.raises(ReproError):
-            storage.read_partition("ds", 99)
-
     def test_chunk_decode_error_type(self, partition_bytes):
         """Corruption inside a chunk surfaces as EncodingError specifically."""
         spec, raw = partition_bytes

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.errors import FormatError
+from repro.errors import ConfigurationError, FormatError
 from repro.features.criteo import (
     dump_criteo_tsv,
     load_criteo_tsv,
@@ -56,6 +56,53 @@ class TestParseLine:
         with pytest.raises(FormatError, match="categorical"):
             parse_line(line)
 
+    @pytest.mark.parametrize("cat", ["-1a", "+1a", "0x1a", "1_a", " 1a", "1a "])
+    def test_categorical_is_hex_digits_only(self, cat):
+        """``int(raw, 16)`` takes signs, prefixes, underscores and spaces;
+        a categorical field must be bare hex digits, else the error names
+        the line."""
+        with pytest.raises(FormatError, match="line 4: bad categorical"):
+            parse_line(sample_line(cat=cat), line_number=4)
+
+    def test_categorical_wider_than_int64(self):
+        """20 hex digits used to raise a bare OverflowError."""
+        with pytest.raises(FormatError, match="line 1: categorical .* int64"):
+            load_criteo_tsv([sample_line(cat="f" * 20)])
+
+    def test_categorical_int64_edge(self):
+        _, values = load_criteo_tsv([sample_line(cat="7" + "f" * 15)])["cat_0"]
+        assert values.tolist() == [2**63 - 1]
+        with pytest.raises(FormatError, match="line 1: categorical .* int64"):
+            load_criteo_tsv([sample_line(cat="8" + "0" * 15)])
+
+    @pytest.mark.parametrize("digits", [60, 400, 5000])
+    def test_dense_beyond_float32(self, digits):
+        """A 60-digit value used to load as inf, a 400-digit one raised a
+        bare OverflowError; both are input errors naming the line."""
+        with pytest.raises(FormatError, match="line 1: integer feature .* float32"):
+            load_criteo_tsv([sample_line(dense_value="9" * digits)])
+
+    def test_dense_float32_edge(self):
+        """float32's largest value loads; half an ulp more rounds to inf."""
+        largest = int(np.finfo(np.float32).max)
+        data = load_criteo_tsv([sample_line(dense_value=str(-largest))])
+        assert data["int_0"].tolist() == [-largest]
+        with pytest.raises(FormatError, match="line 1: .* float32"):
+            load_criteo_tsv([sample_line(dense_value=str(2**128 - 2**103))])
+
+    @pytest.mark.parametrize("value", ["+5", "1_0", " 5", "\u0665"])
+    def test_dense_is_ascii_decimal(self, value):
+        with pytest.raises(FormatError, match="line 1: bad integer feature"):
+            load_criteo_tsv([sample_line(dense_value=value)])
+
+    def test_crlf_line_ending(self):
+        """A CRLF terminator is not part of the last field, so an empty
+        last categorical is missing, not a bad ``"\\r"``."""
+        label, _, sparse = parse_line(sample_line() + "\r\n")
+        assert label == 1 and sparse == [0x7F3B] * 26
+        _, _, sparse = parse_line(sample_line()[: -len("7f3b")] + "\r\n")
+        assert sparse == [0x7F3B] * 25 + [-1]
+
 
 class TestLoadTsv:
     def test_load_from_lines(self):
@@ -77,6 +124,13 @@ class TestLoadTsv:
         lines = [sample_line() for _ in range(10)]
         data = load_criteo_tsv(lines, max_rows=3)
         assert len(data["label"]) == 3
+
+    @pytest.mark.parametrize("max_rows", [0, -3, 2.5, True, "3"])
+    def test_max_rows_must_be_a_positive_int(self, max_rows):
+        """0 and -3 used to load one row and 2.5 three."""
+        lines = [sample_line() for _ in range(10)]
+        with pytest.raises(ConfigurationError, match="max_rows"):
+            load_criteo_tsv(lines, max_rows=max_rows)
 
     def test_blank_lines_skipped(self):
         data = load_criteo_tsv([sample_line(), "", "   \n", sample_line()])

@@ -1,4 +1,4 @@
-"""Cross-module integration tests: raw data -> storage -> extract ->
+"""Cross-module integration tests: raw data -> partition files -> extract ->
 transform -> train-ready tensors, through the real functional components."""
 
 import numpy as np
@@ -11,30 +11,23 @@ from repro.dataio.partition import RowPartitioner
 from repro.features.specs import get_model
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops.pipeline import PreprocessingPipeline
-from repro.storage.cluster import DistributedStorage
-from repro.storage.smartssd import SmartSsd
 
 
 @pytest.fixture(scope="module")
 def pipeline_world():
-    """A small but complete deployment: RM1 data partitioned over two
-    SmartSSDs."""
+    """RM1 data written as four 64-row columnar partition files."""
     spec = get_model("RM1")
     generator = SyntheticTableGenerator(spec, seed=42)
     data = generator.generate(256)
     partitioner = RowPartitioner(spec.schema(), rows_per_partition=64)
-    partitions = partitioner.partition_all(data)
-    devices = [SmartSsd(f"isp{i}") for i in range(2)]
-    storage = DistributedStorage(devices)
-    storage.store_partitions("rm1", partitions)
-    return spec, data, partitions, storage, devices
+    return spec, data, partitioner.partition_all(data)
 
 
 class TestStorageToTensors:
     def test_stored_equals_direct_pipeline(self, pipeline_world):
-        """Preprocessing a stored partition gives the same tensors as
+        """Preprocessing a partition file gives the same tensors as
         running the pipeline on the in-memory rows directly."""
-        spec, data, partitions, storage, _ = pipeline_world
+        spec, data, partitions = pipeline_world
         pipe = PreprocessingPipeline(spec)
 
         # direct: slice rows 64..128 in memory
@@ -52,9 +45,8 @@ class TestStorageToTensors:
                 direct_raw[column.name] = raw[64:128]
         direct_batch, _ = pipe.run(direct_raw)
 
-        # via storage: read partition 1 back off its device
-        stored_bytes = storage.read_partition("rm1", 1)
-        reader = ColumnarFileReader(stored_bytes)
+        # via the file: read partition 1 back from its bytes
+        reader = ColumnarFileReader(partitions[1].file_bytes)
         stored_raw = reader.read_columns(pipe.required_columns())
         stored_batch, _ = pipe.run(stored_raw)
 
@@ -64,26 +56,18 @@ class TestStorageToTensors:
         )
         np.testing.assert_array_equal(direct_batch.labels, stored_batch.labels)
 
-    def test_every_partition_preprocessable_locally(self, pipeline_world):
-        """Each SmartSSD can produce train-ready tensors for exactly the
-        partitions it stores (PreSto's locality argument)."""
-        spec, _, partitions, storage, devices = pipeline_world
-        for part in partitions:
-            device = storage.device_of("rm1", part.index)
-            worker = IspPreprocessingWorker(spec, device=device)
-            batch, counts = worker.preprocess_local("rm1", part.index, storage)
-            assert batch.batch_size == part.num_rows
-            assert counts.rows == part.num_rows
-            batch.validate_index_range(worker.pipeline.table_sizes)
-
     def test_cpu_and_isp_agree_on_all_partitions(self, pipeline_world):
-        spec, _, partitions, storage, _ = pipeline_world
+        """Every partition yields whole train-ready batches, and the ISP
+        worker's tensors equal the CPU worker's."""
+        spec, _, partitions = pipeline_world
         cpu = CpuPreprocessingWorker(spec)
         isp = IspPreprocessingWorker(spec)
         for part in partitions:
-            raw = storage.read_partition("rm1", part.index)
-            a, _ = cpu.preprocess_partition(raw, part.index)
-            b, _ = isp.preprocess_partition(raw, part.index)
+            a, _ = cpu.preprocess_partition(part.file_bytes, part.index)
+            b, counts = isp.preprocess_partition(part.file_bytes, part.index)
+            assert b.batch_size == part.num_rows
+            assert counts.rows == part.num_rows
+            b.validate_index_range(isp.pipeline.table_sizes)
             np.testing.assert_array_equal(a.dense, b.dense)
             np.testing.assert_array_equal(a.sparse.values, b.sparse.values)
 
@@ -91,12 +75,12 @@ class TestStorageToTensors:
 class TestBatchContents:
     def test_hashed_ids_depend_on_raw_ids(self, pipeline_world):
         """SigridHash must propagate raw id differences into the indices."""
-        spec, _, _, storage, _ = pipeline_world
+        spec, _, partitions = pipeline_world
         pipe = PreprocessingPipeline(spec)
-        raw0 = ColumnarFileReader(storage.read_partition("rm1", 0)).read_columns(
+        raw0 = ColumnarFileReader(partitions[0].file_bytes).read_columns(
             pipe.required_columns()
         )
-        raw1 = ColumnarFileReader(storage.read_partition("rm1", 1)).read_columns(
+        raw1 = ColumnarFileReader(partitions[1].file_bytes).read_columns(
             pipe.required_columns()
         )
         batch0, _ = pipe.run(raw0)
@@ -104,9 +88,9 @@ class TestBatchContents:
         assert not np.array_equal(batch0.sparse.values, batch1.sparse.values)
 
     def test_bucketized_features_bounded_by_buckets(self, pipeline_world):
-        spec, _, _, storage, _ = pipeline_world
+        spec, _, partitions = pipeline_world
         pipe = PreprocessingPipeline(spec)
-        raw = ColumnarFileReader(storage.read_partition("rm1", 0)).read_columns(
+        raw = ColumnarFileReader(partitions[0].file_bytes).read_columns(
             pipe.required_columns()
         )
         batch, _ = pipe.run(raw)
@@ -116,9 +100,9 @@ class TestBatchContents:
             assert values.min() >= 0
 
     def test_dense_no_nans_after_pipeline(self, pipeline_world):
-        spec, _, _, storage, _ = pipeline_world
+        spec, _, partitions = pipeline_world
         pipe = PreprocessingPipeline(spec)
-        raw = ColumnarFileReader(storage.read_partition("rm1", 2)).read_columns(
+        raw = ColumnarFileReader(partitions[2].file_bytes).read_columns(
             pipe.required_columns()
         )
         batch, _ = pipe.run(raw)

@@ -17,7 +17,6 @@ import pytest
 from repro import Scenario
 from repro.api.registry import REGISTRY
 from repro.core.cpu_worker import CpuPreprocessingWorker
-from repro.core.dataloader import StorageDataLoader
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.dataio.partition import RowPartitioner
 from repro.errors import ConfigurationError
@@ -27,9 +26,6 @@ from repro.features.synthetic import generate_raw_table
 from repro.fleet import FleetSimulator, default_pools, generate_trace
 from repro.fleet import simulator as fleet_simulator
 from repro.ops.pipeline import PreprocessingPipeline
-from repro.storage.cluster import DistributedStorage
-from repro.storage.smartssd import SmartSsd
-from repro.storage.ssd import SsdModel
 
 
 @pytest.fixture
@@ -95,23 +91,6 @@ class TestModelledPathsBuildNothing:
 
 
 class TestFunctionalPathsBuildOne:
-    def test_loader_over_mixed_storage_shares_its_pipeline(
-        self, builds, rm1_partitions
-    ):
-        spec, parts = rm1_partitions
-        storage = DistributedStorage([SmartSsd("isp0"), SsdModel("ssd0")])
-        storage.store_partitions("ds", parts)
-        loader = StorageDataLoader(spec, storage, "ds", len(parts))
-        batches = list(loader.epoch())
-        assert len(batches) == len(parts)
-        assert set(loader.last_epoch_stats.batches_per_device) == {
-            "isp0", "cpu-pool"
-        }
-        workers = [*loader._isp_workers.values(), loader._cpu_worker]
-        assert len(workers) == 2
-        assert all(worker.pipeline is loader.pipeline for worker in workers)
-        assert builds == ["RM1"]
-
     @pytest.mark.parametrize(
         "worker_cls", [CpuPreprocessingWorker, IspPreprocessingWorker]
     )
@@ -128,18 +107,6 @@ class TestFunctionalPathsBuildOne:
         assert worker.pipeline is worker.pipeline
         np.testing.assert_array_equal(first.dense, again.dense)
         np.testing.assert_array_equal(first.sparse.values, again.sparse.values)
-
-    def test_injected_pipeline_is_the_one_used(self, builds, rm1_partitions):
-        spec, parts = rm1_partitions
-        shared = PreprocessingPipeline(spec)
-        workers = [
-            CpuPreprocessingWorker(spec, pipeline=shared),
-            IspPreprocessingWorker(spec, pipeline=shared),
-        ]
-        for worker in workers:
-            assert worker.pipeline is shared
-            worker.preprocess_partition(parts[0].file_bytes)
-        assert builds == ["RM1"]
 
 
 def run_digest(system, num_batches):

@@ -49,20 +49,13 @@ ALLOWED: Dict[str, str] = {
     "repro.features.criteo":
         "the Criteo TSV loader: an input format that arrives from outside the program",
     "repro.features.synthetic.generate_raw_table":
-        "the one-call raw table the top-level package exports; the op, storage "
-        "and data-loader tests build their inputs through it",
+        "the one-call raw table the top-level package exports; the op, data-io, "
+        "worker and Criteo tests build their inputs through it",
     # the element-at-a-time originals the vectorized paths must equal
     "repro.ops.sigridhash.sigrid_hash_scalar": _REFERENCE,
     "repro.ops.sigridhash.hash64": _REFERENCE,
     "repro.ops.bucketize.search_bucket_id": _REFERENCE,
     "repro.dataio.rowformat.RowFileWriter.write_scalar": _REFERENCE,
-    # the Sec. IV-B locality path (partitions are preprocessed where they live)
-    "repro.core.isp_worker.IspPreprocessingWorker.preprocess_local":
-        "the locality check of Sec. IV-B; tests/test_integration.py proves the "
-        "modelled system computes the in-memory pipeline's tensors through it",
-    "repro.core.dataloader.StorageDataLoader.in_storage":
-        "tests/test_core_dataloader.py tells a pure PreSto deployment from a mixed "
-        "one through it",
     # where tests of *other* behaviour look
     "repro.dataio.columnar.ColumnarFileReader.read_row_group":
         "the format's corruption and compatibility tests read single row groups "
