@@ -1,5 +1,7 @@
 """Tests for the worker abstractions and each worker technology."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ from repro.core.endtoend import EndToEndSimulation
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.worker import BREAKDOWN_STEPS, breakdown_total
 from repro.dataio.partition import RowPartitioner
-from repro.features.specs import get_model
+from repro.errors import CapacityError
+from repro.features.specs import MODEL_NAMES, get_model
 from repro.features.synthetic import generate_raw_table
+from repro.hardware.calibration import CALIBRATION
+from repro.storage.smartssd import SmartSsd
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +63,26 @@ class TestWorkerContracts:
     def test_isp_pipelined_interval_below_latency(self):
         worker = IspPreprocessingWorker(get_model("RM3"))
         assert worker.batch_interval() < worker.batch_latency()
+
+
+class TestIspWorkerIsItsSmartSsd:
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_timing_is_the_device_pipeline(self, model):
+        """The Figure 12 breakdown sums to the device's first-batch
+        latency, and batches then leave one slowest stage apart."""
+        spec = get_model(model)
+        worker = IspPreprocessingWorker(spec)
+        stages = SmartSsd().preprocess_stages(spec)
+        assert worker.batch_breakdown() == stages.as_dict()
+        assert worker.batch_latency() == pytest.approx(stages.latency)
+        assert worker.batch_interval() == pytest.approx(stages.bottleneck)
+
+    def test_builds_its_device_from_its_calibration(self):
+        cal = dataclasses.replace(CALIBRATION, smartssd_active_power=12.0)
+        assert IspPreprocessingWorker(get_model("RM1"), cal).device.active_power == 12.0
+        hot = dataclasses.replace(CALIBRATION, smartssd_tdp=30.0)
+        with pytest.raises(CapacityError, match="NVMe envelope"):
+            IspPreprocessingWorker(get_model("RM1"), hot)
 
 
 class TestFunctionalEquivalence:

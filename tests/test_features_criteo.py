@@ -46,6 +46,17 @@ class TestParseLine:
         with pytest.raises(FormatError, match="bad label"):
             parse_line(bad)
 
+    @pytest.mark.parametrize("label", ["01", " 1", "1.0", "", "-0", "true"])
+    def test_label_is_exactly_0_or_1(self, label):
+        """A label ``int()`` would take (``01``, `` 1``) is still bad."""
+        with pytest.raises(FormatError, match="line 2: bad label"):
+            parse_line(sample_line(label=label), line_number=2)
+
+    @pytest.mark.parametrize("raw, value", [("0", 0.0), ("-0", 0.0), ("-7", -7.0)])
+    def test_dense_signed_decimal(self, raw, value):
+        _, dense, _ = parse_line(sample_line(dense_value=raw))
+        assert dense == [value] * 13
+
     def test_bad_dense(self):
         line = sample_line(dense_value="notanint")
         with pytest.raises(FormatError, match="integer feature"):
@@ -90,7 +101,7 @@ class TestParseLine:
         with pytest.raises(FormatError, match="line 1: .* float32"):
             load_criteo_tsv([sample_line(dense_value=str(2**128 - 2**103))])
 
-    @pytest.mark.parametrize("value", ["+5", "1_0", " 5", "\u0665"])
+    @pytest.mark.parametrize("value", ["+5", "1_0", " 5", "\u0665", "-", "--5", "5-"])
     def test_dense_is_ascii_decimal(self, value):
         with pytest.raises(FormatError, match="line 1: bad integer feature"):
             load_criteo_tsv([sample_line(dense_value=value)])
@@ -132,6 +143,23 @@ class TestLoadTsv:
         with pytest.raises(ConfigurationError, match="max_rows"):
             load_criteo_tsv(lines, max_rows=max_rows)
 
+    def test_max_rows_beyond_input_loads_everything(self):
+        lines = [sample_line() for _ in range(4)]
+        assert len(load_criteo_tsv(lines, max_rows=100)["label"]) == 4
+
+    def test_max_rows_stops_before_later_bad_lines(self):
+        """Lines past ``max_rows`` are never parsed."""
+        lines = [sample_line(), sample_line(), "not\ta\tcriteo\tline"]
+        assert len(load_criteo_tsv(lines, max_rows=2)["label"]) == 2
+        with pytest.raises(FormatError, match="line 3"):
+            load_criteo_tsv(lines)
+
+    def test_error_line_counts_blank_lines(self):
+        """The line a FormatError names is the line in the file."""
+        lines = [sample_line(), "", sample_line(cat="-1a")]
+        with pytest.raises(FormatError, match="line 3: bad categorical"):
+            load_criteo_tsv(lines)
+
     def test_blank_lines_skipped(self):
         data = load_criteo_tsv([sample_line(), "", "   \n", sample_line()])
         assert len(data["label"]) == 2
@@ -149,6 +177,13 @@ class TestLoadTsv:
         data = load_criteo_tsv(handle)
         assert len(data["label"]) == 2
 
+    def test_path(self, tmp_path):
+        path = tmp_path / "day_0.tsv"
+        path.write_text(sample_line(label=0) + "\n" + sample_line() + "\n")
+        data = load_criteo_tsv(str(path))
+        assert data["label"].tolist() == [0, 1]
+        assert data["cat_25"][1].tolist() == [0x7F3B, 0x7F3B]
+
 
 class TestRoundTrip:
     def test_dump_then_load(self):
@@ -162,6 +197,17 @@ class TestRoundTrip:
             np.nan_to_num(original["int_2"], nan=-1),
         )
         np.testing.assert_array_equal(reloaded["cat_9"][1], original["cat_9"][1])
+
+    def test_missing_fields_survive(self):
+        """Missing dense values stay NaN and missing categoricals stay
+        empty lists through dump and load."""
+        line = "\t".join(["0"] + ["", "4"] * 6 + [""] + ["", "1f"] * 13)
+        data = load_criteo_tsv([line])
+        reloaded = load_criteo_tsv(io.StringIO(dump_criteo_tsv(data)))
+        assert dump_criteo_tsv(reloaded) == line + "\n"
+        assert np.isnan(reloaded["int_0"][0]) and reloaded["int_1"].tolist() == [4.0]
+        assert reloaded["cat_0"][0].tolist() == [0]
+        assert reloaded["cat_1"][1].tolist() == [0x1F]
 
     def test_loaded_data_is_preprocessable(self):
         """TSV-loaded rows run through the full Transform phase."""

@@ -8,7 +8,7 @@ from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.dataio.columnar import ColumnarFileReader
 from repro.dataio.partition import RowPartitioner
-from repro.features.specs import get_model
+from repro.features.specs import MODEL_NAMES, get_model
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops.pipeline import PreprocessingPipeline
 
@@ -70,6 +70,32 @@ class TestStorageToTensors:
             b.validate_index_range(isp.pipeline.table_sizes)
             np.testing.assert_array_equal(a.dense, b.dense)
             np.testing.assert_array_equal(a.sparse.values, b.sparse.values)
+
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_every_model_yields_valid_identical_batches(self, model):
+        """Each Table I model's partitions become whole, NaN-free,
+        in-range batches, identical on the CPU and ISP workers."""
+        spec = get_model(model)
+        data = SyntheticTableGenerator(spec, seed=11).generate(48)
+        partitions = RowPartitioner(spec.schema(), rows_per_partition=32).partition_all(
+            data
+        )
+        assert [part.num_rows for part in partitions] == [32, 16]
+        cpu = CpuPreprocessingWorker(spec)
+        isp = IspPreprocessingWorker(spec)
+        for part in partitions:
+            a, _ = cpu.preprocess_partition(part.file_bytes, part.index)
+            b, counts = isp.preprocess_partition(part.file_bytes, part.index)
+            assert b.batch_id == part.index
+            assert b.dense.shape == (part.num_rows, spec.num_dense)
+            assert counts.rows == part.num_rows
+            assert not np.any(np.isnan(b.dense))
+            b.validate_index_range(isp.pipeline.table_sizes)
+            np.testing.assert_array_equal(a.dense, b.dense)
+            np.testing.assert_array_equal(a.sparse.lengths, b.sparse.lengths)
+            np.testing.assert_array_equal(a.sparse.values, b.sparse.values)
+            np.testing.assert_array_equal(a.labels, b.labels)
 
 
 class TestBatchContents:
