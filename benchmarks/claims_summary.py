@@ -2,10 +2,11 @@
 
 CI runs a fast registry-driven subset of the report, pipes the JSON here,
 and appends the output to ``$GITHUB_STEP_SUMMARY`` — a per-run record of
-which paper claims hold, next to the perf trend.  With ``--journal`` the
-run's batch journal (the authoritative per-experiment timing record) is
-rendered as a second table through :mod:`repro.telemetry`, so the summary
-also says how long each experiment took and how hard it was retried.
+which paper claims hold.  With ``--journal`` the run's batch journal (the
+authoritative per-experiment timing record, read through
+:class:`~repro.batch.BatchJournal`) is rendered as a second table, so the
+summary also says how long each experiment took and how hard it was
+retried.
 Report-only: exit code is always 0 when inputs parse; the test suite, not
 CI formatting, gates claim regressions.
 
@@ -26,7 +27,7 @@ sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"
 ))
 
-from repro import telemetry  # noqa: E402
+from repro.batch import BatchJournal  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 
 
@@ -57,24 +58,38 @@ def render(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _task(line: dict) -> str:
+    return str(line.get("label") or line.get("key"))
+
+
 def render_timings(journal_path: str) -> str:
-    """Per-experiment timing table from the run's batch journal."""
-    events = telemetry.events_from_batch_journal(journal_path)
-    lines = [
+    """Per-experiment timing table from the run's batch journal.
+
+    One row per terminal task line, named by its label (the content key
+    for lines written before labels were stamped).  A row is cached when
+    the task made no attempt or its line is stamped ``cached``.
+    """
+    outcomes = BatchJournal(journal_path).load().outcomes
+    terminal = [outcomes[index] for index in sorted(outcomes)]
+    rows = [
         "### Experiment timings (from the run journal)",
         "",
         "| experiment | outcome | attempts | elapsed | cached |",
         "| --- | :---: | ---: | ---: | :---: |",
     ]
-    for event in sorted(events, key=lambda e: e.task):
-        elapsed = "—" if event.elapsed_s is None else f"{event.elapsed_s:.3f}s"
-        mark = "✅" if event.outcome == "ok" else f"❌ {event.outcome}"
-        lines.append(
-            f"| {event.task} | {mark} | {event.attempts} | {elapsed} "
-            f"| {'cache' if event.cached else '—'} |"
+    for line in sorted(terminal, key=_task):
+        attempts = int(line.get("attempts") or 0)
+        elapsed = line.get("elapsed_s")
+        elapsed = "—" if elapsed is None else f"{float(elapsed):.3f}s"
+        status = line.get("status")
+        mark = "✅" if status == "ok" else f"❌ {status}"
+        cached = bool(line.get("cached")) or attempts == 0
+        rows.append(
+            f"| {_task(line)} | {mark} | {attempts} | {elapsed} "
+            f"| {'cache' if cached else '—'} |"
         )
-    lines.append("")
-    return "\n".join(lines)
+    rows.append("")
+    return "\n".join(rows)
 
 
 def main(argv: List[str]) -> int:

@@ -143,11 +143,12 @@ class BatchJournal:
         """Append one task's terminal line (``ok`` carries the encoded
         result payload so resume can replay it without re-running).
 
-        The line stamps timing consistently for the telemetry tier:
-        ``elapsed_s`` is always a float (never null — BatchOutcome
-        enforces it), ``label`` names the experiment the way humans and
-        trend comparison do, and ``cached`` marks cache-prefilled
-        completions whose 0.0 stamp is bookkeeping, not a measurement.
+        The line stamps timing consistently for its readers (resume and
+        ``benchmarks/claims_summary.py``): ``elapsed_s`` is always a
+        float (never null — BatchOutcome enforces it), ``label`` names
+        the experiment the way humans do, and ``cached`` marks
+        cache-prefilled completions whose 0.0 stamp is bookkeeping, not
+        a measurement.
         """
         line = {
             "type": "task",

@@ -52,11 +52,7 @@ Commands:
 * ``fleet run`` / ``fleet trace gen|replay`` — simulate an arrival trace on
                         the multi-tenant fleet (placement policy, autoscaler,
                         optional node faults), or generate / round-trip a
-                        seeded JSONL trace;
-* ``trend record|compare|report`` — flatten run artifacts (batch journals,
-                        serve indexes, fleet results) into a committed
-                        summary, gate a run against the store's best-of-N
-                        baseline, or render the trend table.
+                        seeded JSONL trace.
 
 ``repro <command> --help`` is the authority on each command's flags.
 
@@ -923,158 +919,6 @@ def cmd_fleet_trace_replay(args: argparse.Namespace) -> int:
     return 0 if identical else 1
 
 
-def _trend_sources(args: argparse.Namespace):
-    """``(batch_journals, serve_indexes, fleet_results)`` path tuples from
-    the repeatable ``--batch-journal``/``--batch-run``/``--serve-index``/
-    ``--fleet-result`` flags (``--batch-run`` resolves a run id to its
-    journal under the default store root / ``$REPRO_CACHE_DIR``)."""
-    from repro.batch import BatchJournal
-
-    batch = list(getattr(args, "batch_journal", None) or ())
-    for run_id in getattr(args, "batch_run", None) or ():
-        batch.append(BatchJournal.for_run(run_id).path)
-    serve = tuple(getattr(args, "serve_index", None) or ())
-    fleet = tuple(getattr(args, "fleet_result", None) or ())
-    return tuple(batch), serve, fleet
-
-
-def _trend_summary_from_sources(args: argparse.Namespace):
-    """Build the current run's summary from the source flags."""
-    from repro import telemetry
-
-    batch, serve, fleet = _trend_sources(args)
-    if not (batch or serve or fleet):
-        raise SystemExit(
-            "no telemetry sources: pass --batch-journal/--batch-run, "
-            "--serve-index, and/or --fleet-result"
-        )
-    events = telemetry.collect_events(
-        batch_journals=batch, serve_indexes=serve, fleet_results=fleet,
-    )
-    meta = {}
-    for pair in getattr(args, "meta", None) or ():
-        if "=" not in pair:
-            raise SystemExit(f"--meta expects KEY=VALUE, got {pair!r}")
-        key, _, value = pair.partition("=")
-        meta[key.strip()] = value.strip()
-    return telemetry.summarize_events(
-        events,
-        run_id=args.run_id,
-        recorded_at=getattr(args, "recorded_at", None),
-        meta=meta,
-        include_cached=bool(getattr(args, "include_cached", False)),
-    )
-
-
-def _parse_thresholds(pairs) -> Dict[str, float]:
-    overrides: Dict[str, float] = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        try:
-            if not sep:
-                raise ValueError("missing '='")
-            overrides[key.strip()] = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"--threshold expects METRIC=RATIO (e.g. elapsed_s=2.0), "
-                f"got {pair!r}"
-            )
-    return overrides
-
-
-def cmd_trend_record(args: argparse.Namespace) -> int:
-    """Summarize run telemetry and commit it to the trend store."""
-    from repro import telemetry
-
-    summary = _trend_summary_from_sources(args)
-    path = telemetry.TrendStore(args.store).record(summary)
-    if args.json:
-        print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(
-            f"recorded {len(summary.samples)} sample(s) for run "
-            f"{summary.run_id!r} -> {path}"
-        )
-    return 0
-
-
-def cmd_trend_compare(args: argparse.Namespace) -> int:
-    """Compare a run against the store's best-of-N baseline; exit 1 on
-    regression (unless ``--fail-on none``)."""
-    from repro import telemetry
-
-    store = telemetry.TrendStore(args.store)
-    if any(_trend_sources(args)):
-        current = _trend_summary_from_sources(args)
-    else:
-        current = store.load(args.run_id)
-    baselines = store.baselines(exclude=current.run_id)
-    comparison = telemetry.compare_summaries(
-        current,
-        baselines,
-        thresholds=_parse_thresholds(args.threshold),
-        min_elapsed_s=(
-            args.min_elapsed if args.min_elapsed is not None
-            else telemetry.DEFAULT_MIN_ELAPSED_S
-        ),
-    )
-    if args.markdown:
-        blob = telemetry.render_markdown(comparison)
-        if args.markdown == "-":
-            print(blob)
-        else:
-            with open(args.markdown, "w") as handle:
-                handle.write(blob + "\n")
-    regressions = comparison.regressions()
-    if args.json:
-        print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
-    else:
-        counts = comparison.counts()
-        print(
-            f"run {comparison.run_id!r} vs "
-            f"{len(comparison.baseline_runs)} baseline run(s): "
-            f"{counts['regression']} regression(s), "
-            f"{counts['improvement']} improvement(s), "
-            f"{counts['within']} within band, {counts['new']} new, "
-            f"{counts['missing']} missing"
-        )
-        for delta in regressions:
-            print(f"REGRESSION {delta.describe()}")
-        for delta in comparison.improvements():
-            print(f"improvement {delta.describe()}")
-    if regressions and args.fail_on == "regression":
-        for delta in regressions:
-            print(f"REGRESSION {delta.describe()}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_trend_report(args: argparse.Namespace) -> int:
-    """The long-run trend: every committed series' value per run."""
-    from repro import telemetry
-
-    store = telemetry.TrendStore(args.store)
-    summaries = store.summaries()
-    payload = telemetry.render_history(summaries, metric=args.metric)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    if not payload["runs"]:
-        print(f"trend store {args.store} has no committed runs")
-        return 0
-    print("runs: " + ", ".join(payload["runs"]))
-    for series in payload["series"]:
-        values = ", ".join(
-            "-" if value is None else f"{value:g}"
-            for value in series["values"]
-        )
-        print(
-            f"{series['source']}/{series['task']}/{series['stage']} "
-            f"{series['metric']}: {values}"
-        )
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run the scaling benchmarks; print a table and write the JSON report."""
     from repro import benchmark
@@ -1358,8 +1202,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--spool-root", default=None, metavar="DIR",
                        help="keep each episode's spool (journals, indexes) "
                             "under DIR instead of a deleted temp dir — CI "
-                            "uploads these and feeds them to `repro trend "
-                            "record`")
+                            "uploads these as the run's artifacts")
     chaos.add_argument("--json", action="store_true",
                        help="emit the deterministic report as JSON")
     chaos.set_defaults(func=cmd_chaos)
@@ -1399,8 +1242,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--fault-seed", type=int, default=0,
                            help="fault plan seed (default 0)")
     fleet_run.add_argument("--out", default=None, metavar="PATH",
-                           help="also write the FleetResult as JSON (feeds "
-                                "repro trend --fleet-result)")
+                           help="also write the FleetResult as JSON "
+                                "(FleetResult.from_dict reads it back)")
     fleet_run.add_argument("--json", action="store_true",
                            help="print the full result as byte-stable JSON")
     fleet_run.set_defaults(func=cmd_fleet_run)
@@ -1431,98 +1274,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_replay.add_argument("--json", action="store_true",
                               help="print the summary as JSON")
     trace_replay.set_defaults(func=cmd_fleet_trace_replay)
-
-    trend = sub.add_parser(
-        "trend",
-        help="record run telemetry and compare it against the committed "
-             "trend baseline",
-    )
-    trend_sub = trend.add_subparsers(dest="trend_command", required=True)
-
-    def _add_trend_source_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--batch-journal", action="append", metavar="PATH",
-                       help="batch run journal (.jsonl) to read "
-                            "(repeatable)")
-        p.add_argument("--batch-run", action="append", metavar="RUN_ID",
-                       help="batch run id; resolves to its journal under "
-                            "the default store root / $REPRO_CACHE_DIR "
-                            "(repeatable)")
-        p.add_argument("--serve-index", action="append", metavar="PATH",
-                       help="serve job index (jobs.jsonl) to read "
-                            "(repeatable)")
-        p.add_argument("--fleet-result", action="append", metavar="PATH",
-                       help="fleet result JSON (repro fleet run --out) to "
-                            "read (repeatable)")
-        p.add_argument("--include-cached", action="store_true",
-                       help="keep cache-replayed timings (excluded by "
-                            "default: a cache hit is not a measurement)")
-        p.add_argument("--recorded-at", type=float, default=None,
-                       metavar="EPOCH_S",
-                       help="summary timestamp override (default: now; "
-                            "pin it for reproducible stores)")
-        p.add_argument("--meta", action="append", metavar="KEY=VALUE",
-                       help="summary metadata, e.g. host=ci (repeatable)")
-
-    trend_record = trend_sub.add_parser(
-        "record", help="summarize run telemetry into the trend store"
-    )
-    trend_record.add_argument("--store", default="benchmarks/trend",
-                              help="trend store directory "
-                                   "(default benchmarks/trend)")
-    trend_record.add_argument("--run-id", required=True,
-                              help="summary id (one file per run id)")
-    _add_trend_source_options(trend_record)
-    trend_record.add_argument("--json", action="store_true",
-                              help="print the recorded summary as JSON")
-    trend_record.set_defaults(func=cmd_trend_record)
-
-    trend_compare = trend_sub.add_parser(
-        "compare",
-        help="compare a run against the store's best-of-N baseline; "
-             "exits 1 on regression",
-    )
-    trend_compare.add_argument("--store", default="benchmarks/trend",
-                               help="trend store directory "
-                                    "(default benchmarks/trend)")
-    trend_compare.add_argument("--run-id", required=True,
-                               help="the run to compare (loaded from the "
-                                    "store unless source flags are given)")
-    _add_trend_source_options(trend_compare)
-    trend_compare.add_argument("--threshold", action="append",
-                               metavar="METRIC=RATIO",
-                               help="per-metric regression threshold "
-                                    "override, e.g. elapsed_s=2.0 "
-                                    "(repeatable)")
-    trend_compare.add_argument("--min-elapsed", type=float, default=None,
-                               metavar="SECONDS",
-                               help="wall-clock noise floor: elapsed_s "
-                                    "series under this on both sides never "
-                                    "regress (default 0.05)")
-    trend_compare.add_argument("--fail-on",
-                               choices=("regression", "none"),
-                               default="regression",
-                               help="'regression' (default) exits 1 on any "
-                                    "regression; 'none' is report-only")
-    trend_compare.add_argument("--markdown", default=None, metavar="PATH",
-                               help="also write the comparison table as "
-                                    "markdown ('-' for stdout)")
-    trend_compare.add_argument("--json", action="store_true",
-                               help="print the comparison as byte-stable "
-                                    "JSON")
-    trend_compare.set_defaults(func=cmd_trend_compare)
-
-    trend_report = trend_sub.add_parser(
-        "report", help="print the long-run trend across committed runs"
-    )
-    trend_report.add_argument("--store", default="benchmarks/trend",
-                              help="trend store directory "
-                                   "(default benchmarks/trend)")
-    trend_report.add_argument("--metric", default=None,
-                              help="restrict to one metric "
-                                   "(e.g. elapsed_s)")
-    trend_report.add_argument("--json", action="store_true",
-                              help="print the byte-stable JSON payload")
-    trend_report.set_defaults(func=cmd_trend_report)
 
     bench = sub.add_parser(
         "bench", help="run the scaling benchmarks, write BENCH_kernels.json"

@@ -111,11 +111,6 @@ class ChaosError(ReproError):
     digest divergence, duplicate completions, or leaked workers)."""
 
 
-class TelemetryError(ReproError):
-    """A telemetry source could not be read or a trend comparison was
-    ill-posed (unknown metric, empty store, malformed run summary)."""
-
-
 class FleetError(ReproError):
     """A fleet simulation failed: unreadable trace, a job that can never
     fit any pool at maximum scale, or a broken simulator invariant."""

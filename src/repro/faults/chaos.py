@@ -32,7 +32,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.api.preprocess import PreprocessJob
-from repro.errors import ChaosError, ConfigurationError, ReproError
+from repro.errors import ChaosError, ConfigurationError, ReproError, is_int
 from repro.faults.injector import FaultInjector, installed
 from repro.faults.plan import (
     DEFAULT_RATES,
@@ -456,7 +456,7 @@ def run_fleet_episode(
     Keyword names mirror :func:`run_episode` so one CLI drives every
     tier; serve/batch-only kwargs are accepted and ignored.  The run's
     ``FleetResult`` JSON lands in ``spool_dir/fleet_result.json`` for CI
-    artifact upload and ``repro trend record --fleet-result``.
+    artifact upload.
     """
     from repro.fleet.simulator import FleetSimulator
     from repro.fleet.trace import generate_trace
@@ -465,7 +465,7 @@ def run_fleet_episode(
     violations = episode.violations
     trace = generate_trace(
         trace_kind,
-        num_jobs=max(1, num_jobs) * 20,
+        num_jobs=num_jobs * 20,
         seed=seed,
         horizon_s=6 * 3600.0,
         mean_duration_s=1200.0,
@@ -540,8 +540,10 @@ def run_chaos(
     drives the simulated cluster scheduler (:func:`run_fleet_episode`).
     ``faults`` defaults to the tier's canonical matrix.  Episode
     keywords are checked against every tier's signature: one that no
-    tier names is a :class:`ConfigurationError`, not silently ignored.
-    The report's ``ok`` is True iff no episode recorded a violation.
+    tier names is a :class:`ConfigurationError`, not silently ignored,
+    and so is a ``num_jobs`` that is not a positive int (an episode of
+    no jobs would pass having checked nothing).  The report's ``ok`` is
+    True iff no episode recorded a violation.
     Everything except the ``elapsed_s`` fields is deterministic for a
     fixed seed (see :func:`deterministic_view`).
     """
@@ -568,6 +570,12 @@ def run_chaos(
         raise ConfigurationError(
             f"no chaos tier takes keyword(s) {unknown}; known: {sorted(known)}"
         )
+    if "num_jobs" in episode_kwargs:
+        num_jobs = episode_kwargs["num_jobs"]
+        if not is_int(num_jobs) or num_jobs < 1:
+            raise ConfigurationError(
+                f"num_jobs must be a positive int, got {num_jobs!r}"
+            )
     episode, default_faults = tiers[tier]
     if faults is None:
         faults = default_faults

@@ -9,8 +9,8 @@ with pluggable placement policies (:mod:`repro.fleet.policy`,
 accounting (:mod:`repro.fleet.autoscale`), and seed-replayable failure
 injection through :mod:`repro.faults` — producing frozen, deterministic
 :class:`~repro.fleet.result.FleetResult` records that feed the
-``fleet_tco`` and ``fleet_resilience`` experiments, ``repro report``,
-and the telemetry trend store.
+``fleet_tco`` and ``fleet_resilience`` experiments, ``repro report``
+and ``repro fleet run``.
 """
 
 from repro.fleet.autoscale import (

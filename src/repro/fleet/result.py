@@ -1,4 +1,4 @@
-"""Fleet run results — frozen, dict-round-trippable, telemetry-emitting.
+"""Fleet run results — frozen and dict-round-trippable.
 
 A :class:`FleetResult` is the complete record of one
 :class:`~repro.fleet.simulator.FleetSimulator` run: one
@@ -8,16 +8,14 @@ downsampled :class:`PoolSample` time series, and the fault-injection
 audit.  Like every experiment result in the repo it round-trips
 losslessly through plain dicts via the typed codec in
 :mod:`repro.api.experiment` — the same seed always yields the
-byte-identical ``to_dict()`` — and it flattens into
-:class:`~repro.telemetry.events.TimingEvent` records
-(:meth:`FleetResult.telemetry_events`) so fleet runs land in the trend
-store next to batch and serve timings.
+byte-identical ``to_dict()``, which is what ``repro fleet run --out``
+writes and the fleet chaos episode leaves in its spool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.api.experiment import canonical_digest, decode_value, encode_value
 from repro.errors import ConfigurationError
@@ -160,71 +158,3 @@ class FleetResult:
             f"no pool {name!r} in result; pools: "
             + ", ".join(u.name for u in self.pools)
         )
-
-    # -- telemetry -----------------------------------------------------------
-
-    def telemetry_events(self, run_id: str = "fleet") -> List:
-        """Flatten the run into :class:`TimingEvent` records.
-
-        Per completed job: a ``queue`` event (submit -> start wait) and a
-        ``run`` event (start -> finish), keyed by model so timings
-        aggregate across runs; rejected jobs emit one ``skipped`` queue
-        event.  Per pool: one ``capacity`` event carrying the
-        utilization/energy/cost metrics.  One whole-run ``fleet/run``
-        rollup carries the headline numbers.
-        """
-        from repro.telemetry.events import TimingEvent
-
-        events: List[TimingEvent] = []
-        for job in self.jobs:
-            if job.state == "completed":
-                events.append(TimingEvent(
-                    source="fleet", run_id=run_id, task=job.model,
-                    stage="queue", outcome="ok", elapsed_s=job.queue_s,
-                    attempts=1 + job.reschedules, at=job.start_s,
-                ))
-                elapsed = None
-                if job.finish_s is not None and job.start_s is not None:
-                    elapsed = max(0.0, job.finish_s - job.start_s)
-                events.append(TimingEvent(
-                    source="fleet", run_id=run_id, task=job.model,
-                    stage="run", outcome="ok", elapsed_s=elapsed,
-                    attempts=1 + job.reschedules, at=job.finish_s,
-                ))
-            elif job.state == "rejected":
-                events.append(TimingEvent(
-                    source="fleet", run_id=run_id, task=job.model,
-                    stage="queue", outcome="skipped", elapsed_s=None,
-                    at=job.submit_s,
-                ))
-        for usage in self.pools:
-            events.append(TimingEvent(
-                source="fleet", run_id=run_id, task=usage.name,
-                stage="capacity", outcome="ok",
-                elapsed_s=None,
-                metrics={
-                    "capacity_worker_hours": usage.capacity_worker_hours,
-                    "busy_worker_hours": usage.busy_worker_hours,
-                    "utilization": usage.utilization,
-                    "energy_kwh": usage.energy_kwh,
-                    "total_cost": usage.total_cost,
-                    "peak_nodes": float(usage.peak_nodes),
-                    "node_failures": float(usage.node_failures),
-                },
-            ))
-        events.append(TimingEvent(
-            source="fleet", run_id=run_id, task="fleet", stage="run",
-            outcome="ok", elapsed_s=self.makespan_s,
-            metrics={
-                "num_jobs": float(self.num_jobs),
-                "completed": float(self.completed),
-                "rejected": float(self.rejected),
-                "displacements": float(self.displacements),
-                "mean_queue_s": self.mean_queue_s,
-                "p95_queue_s": self.p95_queue_s,
-                "slo_attainment": self.slo_attainment,
-                "utilization": self.utilization,
-                "total_cost": self.total_cost,
-            },
-        ))
-        return events

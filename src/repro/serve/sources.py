@@ -47,9 +47,6 @@ class JobSource:
     def take(self, limit: int) -> List[PreprocessJob]:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.name
-
 
 class DirectoryJobSource(JobSource):
     """Watch a directory for dropped job-spec JSON files.

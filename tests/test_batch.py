@@ -256,6 +256,30 @@ class TestBatchJournal:
         assert state.started == {0, 1, 2}
         assert state.max_terminal_per_segment == 1
 
+    def test_terminal_lines_stamp_timing_label_and_cached(self, tmp_path):
+        # readers take these straight off the line: elapsed_s is never
+        # null, and a cache-prefilled 0.0 is marked as no measurement
+        journal = self._journal(tmp_path)
+        journal.start_run(["k0", "k1", "k2"], BatchPolicy())
+        for outcome in (
+            BatchOutcome(index=0, key="k0", label="fig11", state="ok",
+                         attempts=1, elapsed_s=0.25, result={}),
+            BatchOutcome(index=1, key="k1", label="fig12", state="ok",
+                         attempts=0, result={}),
+            BatchOutcome(index=2, key="k2", label="fig13", state="failed",
+                         attempts=2, elapsed_s=1, error="boom"),
+        ):
+            journal.task_done(outcome, payload={})
+        with open(journal.path) as handle:
+            lines = [json.loads(line) for line in handle]
+        terminal = [line for line in lines if line["type"] == "task"]
+        assert [line["label"] for line in terminal] == [
+            "fig11", "fig12", "fig13"
+        ]
+        assert [line["elapsed_s"] for line in terminal] == [0.25, 0.0, 1.0]
+        assert all(type(line["elapsed_s"]) is float for line in terminal)
+        assert [line["cached"] for line in terminal] == [False, True, False]
+
     def test_resume_segments_supersede(self, tmp_path):
         journal = self._journal(tmp_path)
         journal.start_run(["k0"], BatchPolicy())

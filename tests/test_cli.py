@@ -481,13 +481,6 @@ def _typed_failures():
          + ", ".join(sorted(FAULT_POINTS))),
         ("sweep-gpus", ["sweep", "--gpus", "0", "--serial"],
          "num_gpus must be a positive int, got 0"),
-        ("trend-report", ["trend", "report", "--store", "{tmp}/store"],
-         "cannot read trend summary {tmp}/store/bad.json: Expecting value: "
-         "line 1 column 1 (char 0)"),
-        ("trend-compare",
-         ["trend", "compare", "--store", "/nonexistent", "--run-id", "x"],
-         f"cannot read trend summary /nonexistent/x.json: {missing} "
-         "'/nonexistent/x.json'"),
         ("run-id", ["run", "nope"],
          "unknown experiment 'nope'; registered experiments: "
          + ", ".join(EXPERIMENT_REGISTRY.ids())),
@@ -509,8 +502,6 @@ class TestTypedErrorBoundary:
     @pytest.fixture
     def scratch(self, tmp_path):
         (tmp_path / "blocker").write_text("a file where a directory is wanted")
-        (tmp_path / "store").mkdir()
-        (tmp_path / "store" / "bad.json").write_text("not json")
         return tmp_path
 
     @pytest.mark.parametrize("argv, message", _typed_failures())
@@ -541,12 +532,6 @@ class TestTypedErrorBoundary:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"[Errno 20] Not a directory: '{target}'\n"
-
-    def test_an_absent_trend_store_is_empty_not_an_error(self, capsys):
-        assert main(["trend", "report", "--store", "/nonexistent"]) == 0
-        assert capsys.readouterr().out == (
-            "trend store /nonexistent has no committed runs\n"
-        )
 
     def test_handlers_that_do_more_than_exit_stay(self, capsys):
         # argument parsers keep their own, more specific messages

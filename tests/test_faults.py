@@ -729,6 +729,20 @@ class TestChaos:
         with pytest.raises(ConfigurationError, match="num_jbos"):
             run_chaos(tier=tier, num_jbos=3)
 
+    @pytest.mark.parametrize("num_jobs", [0, -2, True])
+    @pytest.mark.parametrize("tier,fault", [
+        ("serve", "worker-crash"),
+        ("batch", "worker-crash"),
+        ("fleet", "node-down"),
+    ])
+    def test_job_count_must_be_a_positive_int(self, tier, fault, num_jobs,
+                                              tmp_path):
+        # an episode of no jobs would pass having checked nothing
+        with pytest.raises(ConfigurationError,
+                           match="num_jobs must be a positive int"):
+            run_chaos((fault,), seed=7, tier=tier, num_jobs=num_jobs,
+                      rows=64, spool_root=str(tmp_path))
+
     def test_tier_foreign_keywords_stay_accepted(self, tmp_path):
         # one call shape drives every tier: serve/batch-only keywords are
         # known, so the fleet episode ignores them instead of rejecting

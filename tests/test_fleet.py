@@ -1,7 +1,7 @@
 """Tests for the trace-driven fleet simulation tier: seeded arrival
 traces replay byte-identically, the simulator is deterministic under
 every placement-policy x autoscaler combination (with and without fault
-injection), and results flow losslessly into telemetry."""
+injection), and results round-trip losslessly through their dicts."""
 
 import dataclasses
 import json
@@ -34,7 +34,6 @@ from repro.fleet import (
 from repro.fleet import simulator as fleet_simulator
 from repro.fleet.simulator import CHECKPOINT_S
 from repro.hardware.calibration import CALIBRATION
-from repro.telemetry import events_from_fleet_result
 
 #: a small heterogeneous fleet that keeps simulator tests fast
 SMALL_POOLS = (
@@ -527,23 +526,6 @@ class TestFleetResult:
         with pytest.raises(ConfigurationError):
             result.pool("nonexistent")
 
-    def test_telemetry_events(self, result):
-        events = result.telemetry_events()
-        assert events
-        assert all(e.source == "fleet" for e in events)
-        run_events = [e for e in events if e.stage == "run"]
-        assert len([e for e in run_events if e.task != "fleet"]) == (
-            result.completed
-        )
-
-    def test_telemetry_extractor_from_file(self, result, tmp_path):
-        path = tmp_path / "fleet.json"
-        path.write_text(json.dumps(result.to_dict()))
-        events = events_from_fleet_result(str(path))
-        assert events == result.telemetry_events(
-            run_id=f"fleet-{result.trace_kind}-{result.trace_seed}"
-        )
-
 
 class TestFleetCli:
     def test_trace_gen_and_replay(self, tmp_path, capsys):
@@ -605,8 +587,7 @@ class TestFleetCli:
         capsys.readouterr()
         with open(out) as handle:
             payload = json.load(handle)
-        events = events_from_fleet_result(out)
-        assert events
+        assert FleetResult.from_dict(payload).to_dict() == payload
         assert payload["policy"] == "first-fit"
 
     def test_unknown_fault_rejected(self, capsys):

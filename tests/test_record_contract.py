@@ -1,4 +1,4 @@
-"""One contract, fourteen records.
+"""One contract, eleven records.
 
 Every dict-round-trippable record rebuilds itself from its own
 ``to_dict()`` output and rejects a payload carrying a key it does not
@@ -12,20 +12,16 @@ import pytest
 
 from repro.api import ExperimentRun, PreprocessJob, RunResult, Scenario
 from repro.batch import BatchPolicy
-from repro.errors import ConfigurationError, ServeError, TelemetryError
+from repro.errors import ConfigurationError, ServeError
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.fleet.trace import JobArrival, Trace
 from repro.serve.records import JobRecord, StageEvent
-from repro.telemetry.events import TimingEvent
-from repro.telemetry.trend import MetricSample, RunSummary
 
 _JOB = PreprocessJob("RM1", num_rows=256, num_shards=2, processes=1, seed=3)
 _RULE = FaultRule("hung-stage", rate=0.5, match={"stage": "extract"}, delay_s=2.0)
 _ARRIVAL = JobArrival("job-1", "RM5", num_gpus=8, duration_s=60.0, submit_s=1.5)
 _STAGE = StageEvent("extract", "completed", at=2.0, elapsed_s=0.25,
                     metrics={"bytes_read": 10})
-_SAMPLE = MetricSample("batch", "fig11", "task", "elapsed_s",
-                       best=0.5, mean=0.75, count=2)
 
 
 def _run_result() -> RunResult:
@@ -98,28 +94,6 @@ RECORDS = {
         "unknown Trace keys ['bogus']; expected a subset of ['arrivals', "
         "'kind', 'seed']",
     ),
-    TimingEvent: (
-        TimingEvent("batch", "run-1", "fig11", "task", "ok", elapsed_s=0.5,
-                    attempts=2, at=3.0, metrics={"rows": 4}),
-        TelemetryError,
-        "unknown TimingEvent keys ['bogus']; expected a subset of ['at', "
-        "'attempts', 'cached', 'elapsed_s', 'metrics', 'outcome', 'run_id', "
-        "'source', 'stage', 'task']",
-    ),
-    MetricSample: (
-        _SAMPLE,
-        TelemetryError,
-        "unknown MetricSample keys ['bogus']; expected a subset of "
-        "['attempts', 'best', 'count', 'mean', 'metric', 'outcome', 'source', "
-        "'stage', 'task']",
-    ),
-    RunSummary: (
-        RunSummary("run-1", recorded_at=9.0, meta={"host": "ci"},
-                   samples=(_SAMPLE,)),
-        TelemetryError,
-        "unknown RunSummary keys ['bogus']; expected a subset of ['meta', "
-        "'recorded_at', 'run_id', 'samples']",
-    ),
     StageEvent: (
         _STAGE,
         ServeError,
@@ -146,7 +120,7 @@ def _instance(cls):
 
 
 def test_the_contract_covers_every_record():
-    assert len(RECORDS) == 14
+    assert len(RECORDS) == 11
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -186,7 +160,7 @@ INTEGER_FIELDS = [
     (BatchPolicy, "max_retries"), (BatchPolicy, "processes"),
     (FaultRule, "max_fires"), (FaultPlan, "seed"),
     (JobArrival, "num_gpus"), (JobArrival, "priority"), (Trace, "seed"),
-    (TimingEvent, "attempts"), (MetricSample, "count"), (JobRecord, "attempts"),
+    (JobRecord, "attempts"),
 ]
 
 

@@ -88,9 +88,6 @@ ALLOWED: Dict[str, str] = {
     "repro.storage.smartssd.SmartSsd.tdp":
         "tests/test_storage.py checks the device stays inside the 25 W NVMe "
         "envelope through it",
-    "repro.telemetry.trend.TrendStore.run_ids":
-        "tests/test_telemetry.py pins the oldest-first order of committed runs "
-        "through it",
     # the documented lookups of the public API
     "repro.api.registry.get_system": _LOOKUP,
     "repro.api.experiment.get_experiment": _LOOKUP,
@@ -117,7 +114,7 @@ def _registers(node: ast.AST) -> bool:
 
 def _imports(tree: ast.AST) -> Set[str]:
     """Dotted names a file imports or reaches through an imported package
-    (``from repro import telemetry`` ... ``telemetry.compare``)."""
+    (``from repro import fleet`` ... ``fleet.run_fleet``)."""
     found: Set[str] = set()
     bound: Dict[str, str] = {}
     for node in ast.walk(tree):
