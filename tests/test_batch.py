@@ -14,6 +14,7 @@
   resumed output must be byte-identical to an uninterrupted run.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -33,6 +34,7 @@ from repro.api import (
     Sweep,
     run_experiments,
 )
+from repro.batch.journal import content_key
 from repro.batch.policy import merge_policy
 from repro.errors import (
     BatchError,
@@ -322,6 +324,75 @@ class TestBatchJournal:
         journal.task_started(0, "DIFFERENT", 1)
         with pytest.raises(BatchError):
             journal.load()
+
+    @pytest.mark.parametrize("line, message", [
+        ([1, 2], "expected an object, got list"),
+        ({"type": "run", "run_id": "x", "tasks": []}, "duplicate run header"),
+        ({"type": "task", "index": 2, "key": "k0", "status": "started"},
+         "task index 2 out of range"),
+        ({"type": "task", "index": -1, "key": "k1", "status": "started"},
+         "task index -1 out of range"),
+        ({"type": "task", "index": True, "key": "k1", "status": "started"},
+         "task index True out of range"),
+        ({"type": "task", "index": 0, "key": "k0", "status": "exploded"},
+         "unknown task status 'exploded'"),
+        ({"type": "note"}, "unknown line type 'note'"),
+    ], ids=["non-object", "duplicate-header", "index-past-end",
+            "negative-index", "bool-index", "unknown-status", "unknown-type"])
+    def test_malformed_line_names_itself(self, tmp_path, line, message):
+        journal = self._journal(tmp_path)
+        journal.start_run(["k0", "k1"], BatchPolicy())
+        with open(journal.path, "a") as handle:
+            handle.write(json.dumps(line) + "\n")
+        with pytest.raises(BatchError, match=f"at line 2: {message}"):
+            journal.load()
+
+    def test_task_line_before_the_header_is_loud(self, tmp_path):
+        path = tmp_path / "headless.jsonl"
+        path.write_text(json.dumps({"type": "task", "index": 0, "key": "k0",
+                                    "status": "started"}) + "\n")
+        with pytest.raises(BatchError,
+                           match="at line 1: task line before the run header"):
+            BatchJournal(str(path)).load()
+
+    def test_missing_journal_has_no_run_header(self, tmp_path):
+        with pytest.raises(BatchError, match="has no run header"):
+            BatchJournal(str(tmp_path / "nope.jsonl")).load()
+
+    def test_pre_label_journal_still_loads(self, tmp_path):
+        # journals written before labels and cached stamps existed
+        path = tmp_path / "old.jsonl"
+        header = {"type": "run", "run_id": None, "tasks": ["abc123"],
+                  "policy": {}, "at": 1.0}
+        line = {"type": "task", "index": 0, "key": "abc123", "status": "ok",
+                "attempts": 1, "elapsed_s": 0.5, "error": None, "at": 2.0,
+                "result": {}}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(line) + "\n")
+        state = BatchJournal(str(path)).load()
+        assert state.run_id is None and state.keys == ("abc123",)
+        assert state.completed() == {0}
+        assert state.outcomes[0] == line
+
+    def test_duplicate_completions_in_one_segment_are_counted(self, tmp_path):
+        journal = self._journal(tmp_path)
+        journal.start_run(["k0"], BatchPolicy())
+        for result in ("first", "second"):
+            journal.task_done(BatchOutcome(index=0, key="k0", label="t0",
+                                           state="ok", attempts=1,
+                                           result=result), payload=result)
+        state = journal.load()
+        assert state.max_terminal_per_segment == 2
+        assert state.outcomes[0]["result"] == "second"  # the last line wins
+
+    def test_content_key_digests_the_task_not_its_position(self):
+        run = ExperimentRun("fig3", params={"model": "RM1"})
+        key = content_key(0, run)
+        assert key == content_key(5, run)
+        assert key == hashlib.sha256(
+            json.dumps(run.to_dict(), sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        assert key != content_key(0, ExperimentRun("fig3",
+                                                   params={"model": "RM5"}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
-"""Tests for ``benchmarks/claims_summary.py``'s journal timing table.
+"""Tests for ``benchmarks/claims_summary.py``.
 
 ``render_timings`` turns a batch journal into the Markdown table CI
 appends to its step summary.  The expected bytes are pinned here: one
 row per terminal task, sorted by label (the content key when a line
 predates labels), cached when ``attempts == 0`` or the line is stamped
-``cached``.
+``cached``.  ``main`` prints the claims scoreboard first and exits 2 on
+a usage error or an unreadable journal.
 """
 
 import importlib.util
+import io
 import json
 import os
 
@@ -101,3 +103,58 @@ def test_main_prints_scoreboard_then_timings(claims_summary, tmp_path,
 def test_missing_journal_is_loud(claims_summary, tmp_path):
     with pytest.raises(ReproError, match="no run header"):
         claims_summary.render_timings(str(tmp_path / "nope.jsonl"))
+
+
+REPORT = {
+    "scoreboard": {"held": 0, "total": 1},
+    "experiments": [{"id": "fig12", "claims": [{
+        "description": "throughput", "holds": False, "paper_value": 4.0,
+        "measured_value": 3.0, "relative_error": -0.25,
+    }]}],
+}
+
+
+def test_render_falls_back_to_the_experiment_id(claims_summary):
+    assert claims_summary.render(REPORT).splitlines()[2:] == [
+        "**0/1 claims within tolerance**",
+        "",
+        "| experiment | claim | paper | measured | err | holds |",
+        "| --- | --- | ---: | ---: | ---: | :---: |",
+        "| fig12 | throughput | 4 | 3 | -25% | ❌ |",
+    ]
+
+
+def test_report_is_read_from_stdin(claims_summary, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(REPORT)))
+    assert claims_summary.main(["claims_summary.py", "-"]) == 0
+    assert capsys.readouterr().out == claims_summary.render(REPORT) + "\n"
+
+
+@pytest.mark.parametrize("args", [[], ["a.json", "b.json"]],
+                         ids=["no-report", "two-reports"])
+def test_exactly_one_report_is_required(claims_summary, capsys, args):
+    assert claims_summary.main(["claims_summary.py", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Usage:" in captured.err
+
+
+def test_journal_flag_needs_a_path(claims_summary, capsys):
+    assert claims_summary.main(
+        ["claims_summary.py", "report.json", "--journal"]) == 2
+    assert capsys.readouterr().err == "--journal requires a path\n"
+
+
+def test_unreadable_journal_exits_2_after_the_scoreboard(claims_summary,
+                                                         tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(REPORT))
+    journal = str(tmp_path / "nope.jsonl")
+    assert claims_summary.main(
+        ["claims_summary.py", str(report), "--journal", journal]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == claims_summary.render(REPORT) + "\n"
+    assert captured.err.startswith(
+        f"claims-summary: cannot read journal: batch journal {journal} "
+        "has no run header"
+    )

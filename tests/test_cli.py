@@ -13,6 +13,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_trend_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["trend", "report"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'trend'" in capsys.readouterr().err
+
     def test_known_commands(self):
         parser = build_parser()
         assert parser.parse_args(["report"]).command == "report"
@@ -479,6 +485,9 @@ def _typed_failures():
         ("chaos-fault", ["chaos", "--tier", "fleet", "--faults", "nope"],
          "unknown fault class 'nope'; known: "
          + ", ".join(sorted(FAULT_POINTS))),
+        *[(f"chaos-jobs-{tier}", ["chaos", "--tier", tier, "--jobs", "0"],
+           "num_jobs must be a positive int, got 0")
+          for tier in ("serve", "batch", "fleet")],
         ("sweep-gpus", ["sweep", "--gpus", "0", "--serial"],
          "num_gpus must be a positive int, got 0"),
         ("run-id", ["run", "nope"],

@@ -729,7 +729,7 @@ class TestChaos:
         with pytest.raises(ConfigurationError, match="num_jbos"):
             run_chaos(tier=tier, num_jbos=3)
 
-    @pytest.mark.parametrize("num_jobs", [0, -2, True])
+    @pytest.mark.parametrize("num_jobs", [0, -2, True, 1.5, "3", None])
     @pytest.mark.parametrize("tier,fault", [
         ("serve", "worker-crash"),
         ("batch", "worker-crash"),
@@ -742,6 +742,18 @@ class TestChaos:
                            match="num_jobs must be a positive int"):
             run_chaos((fault,), seed=7, tier=tier, num_jobs=num_jobs,
                       rows=64, spool_root=str(tmp_path))
+
+    @pytest.mark.parametrize("tier,fault,jobs", [
+        ("serve", "worker-crash", 1),
+        ("batch", "worker-crash", 1),
+        ("fleet", "node-down", 20),  # 20 arrivals per requested job
+    ])
+    def test_one_job_is_the_smallest_episode(self, tier, fault, jobs,
+                                             tmp_path):
+        report = run_chaos((fault,), seed=7, tier=tier, num_jobs=1, rows=64,
+                           spool_root=str(tmp_path))
+        assert report["ok"]
+        assert report["episodes"][0]["jobs"] == jobs
 
     def test_tier_foreign_keywords_stay_accepted(self, tmp_path):
         # one call shape drives every tier: serve/batch-only keywords are

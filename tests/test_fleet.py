@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.experiment import canonical_digest
 from repro.api.registry import REGISTRY
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
@@ -525,6 +526,58 @@ class TestFleetResult:
         assert result.pool("disagg-cpu").system == "Disagg"
         with pytest.raises(ConfigurationError):
             result.pool("nonexistent")
+
+    def test_headline_counts_match_the_job_records(self, result):
+        states = [job.state for job in result.jobs]
+        assert result.num_jobs == len(result.jobs) == 20
+        assert result.completed == states.count("completed") > 0
+        assert result.rejected == states.count("rejected")
+        assert result.completed == sum(p.jobs_completed for p in result.pools)
+        assert result.displacements == sum(j.displacements for j in result.jobs)
+        assert result.reschedules == sum(j.reschedules for j in result.jobs)
+
+    def test_queue_statistics_follow_completed_waits(self, result):
+        waits = sorted(j.queue_s for j in result.jobs if j.state == "completed")
+        assert result.mean_queue_s == pytest.approx(
+            sum(waits) / len(waits), abs=1e-3)
+        assert waits[0] <= result.p95_queue_s <= waits[-1]
+        attained = sum(1 for wait in waits if wait <= result.slo_queue_s)
+        assert result.slo_attainment == pytest.approx(attained / len(waits))
+
+    def test_round_trip_through_a_json_file(self, result, tmp_path):
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(result.to_dict()))
+        clone = FleetResult.from_dict(json.loads(path.read_text()))
+        assert clone == result
+        assert clone.digest == result.digest
+
+    def test_digest_leaves_out_zero_lost_work(self, result):
+        assert result.lost_work_hours == 0.0
+        payload = result.to_dict()
+        del payload["lost_work_hours"]
+        assert result.digest == canonical_digest(payload)
+        lossy = dataclasses.replace(result, lost_work_hours=0.5)
+        assert lossy.digest == canonical_digest(lossy.to_dict())
+        assert lossy.digest != result.digest
+
+    def test_all_terminal_flags_an_unfinished_job(self, result):
+        assert result.all_terminal()
+        queued = dataclasses.replace(result.jobs[0], state="queued")
+        unfinished = dataclasses.replace(
+            result, jobs=(queued,) + result.jobs[1:])
+        assert not unfinished.all_terminal()
+
+    def test_job_record_rejects_an_unknown_state(self, result):
+        with pytest.raises(ConfigurationError, match="state must be one of"):
+            dataclasses.replace(result.jobs[0], state="paused")
+
+    def test_pool_utilization_and_cost_views(self, result):
+        usage = result.pool("disagg-cpu")
+        assert usage.utilization == pytest.approx(
+            usage.busy_worker_hours / usage.capacity_worker_hours)
+        assert usage.total_cost == usage.capex + usage.opex
+        idle = dataclasses.replace(usage, capacity_worker_hours=0.0)
+        assert idle.utilization == 0.0
 
 
 class TestFleetCli:

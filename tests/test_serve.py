@@ -71,6 +71,17 @@ class TestStageEvent:
             StageEvent.from_dict({"stage": "x", "status": "started", "at": 1.0,
                                   "bogus": 1})
 
+    @pytest.mark.parametrize("stage", ["", "   ", None, 3])
+    def test_blank_or_non_string_stage_rejected(self, stage):
+        with pytest.raises(ServeError, match="non-empty string"):
+            StageEvent(stage, "started", at=1.0)
+
+    def test_skipped_stage_needs_no_error_and_round_trips(self):
+        # a failed stage's successors are written explicitly as skipped
+        event = StageEvent("transform", "skipped", at=12.0)
+        assert event.error is None and event.elapsed_s is None
+        assert StageEvent.from_dict(event.to_dict()) == event
+
 
 class TestJobRecord:
     def test_dict_round_trip(self):
@@ -123,6 +134,65 @@ class TestJobRecord:
         with pytest.raises(ServeError, match="unknown"):
             JobRecord.from_dict(data)
 
+    @pytest.mark.parametrize("job_id", ["", "   ", None, 7])
+    def test_blank_or_non_string_job_id_rejected(self, job_id):
+        with pytest.raises(ServeError, match="job_id"):
+            JobRecord(job_id=job_id, job=JOB)
+
+    def test_job_must_be_a_preprocess_job(self):
+        with pytest.raises(ServeError, match="PreprocessJob"):
+            JobRecord(job_id="j", job=JOB.to_dict())
+
+    @pytest.mark.parametrize("attempts", [-1, True, 1.0, "1"])
+    def test_attempts_must_be_a_non_negative_int(self, attempts):
+        with pytest.raises(ServeError, match="attempts"):
+            JobRecord(job_id="j", job=JOB, attempts=attempts)
+
+    def test_stages_are_stage_events_held_as_a_tuple(self):
+        event = StageEvent("generate", "started", at=1.0)
+        record = JobRecord(job_id="j", job=JOB, stages=[event])
+        assert record.stages == (event,)
+        with pytest.raises(ServeError, match="StageEvents"):
+            JobRecord(job_id="j", job=JOB, stages=(event.to_dict(),))
+
+    @pytest.mark.parametrize("state, terminal", [
+        ("queued", False), ("running", False), ("interrupted", False),
+        ("completed", True), ("failed", True), ("cancelled", True),
+    ])
+    def test_only_finished_states_are_terminal(self, state, terminal):
+        record = JobRecord(job_id="j", job=JOB, state=state, error="e",
+                           digest="d")
+        assert record.is_terminal is terminal
+
+    def test_mark_failed_keeps_the_error(self):
+        failed = (JobRecord(job_id="j", job=JOB, submitted_at=1.0)
+                  .mark_running(at=2.0).mark_failed(at=3.0, error="boom"))
+        assert failed.state == "failed" and failed.error == "boom"
+        assert failed.completed_at == 3.0 and failed.digest is None
+        assert failed.is_terminal
+
+    def test_mark_cancelled_needs_no_reason(self):
+        cancelled = JobRecord(job_id="j", job=JOB).mark_cancelled(at=4.0)
+        assert cancelled.state == "cancelled" and cancelled.error is None
+        assert cancelled.completed_at == 4.0 and cancelled.is_terminal
+        reason = JobRecord(job_id="j", job=JOB).mark_cancelled(4.0, "drain")
+        assert reason.error == "drain"
+
+    def test_interrupted_job_resumes_with_its_history(self):
+        running = JobRecord(job_id="j", job=JOB, submitted_at=1.0
+                            ).mark_running(at=2.0)
+        interrupted = running.mark_interrupted(at=5.0)
+        assert interrupted.state == "interrupted"
+        assert not interrupted.is_terminal
+        assert interrupted.error == (
+            "daemon exited at 5.000 with this job in flight"
+        )
+        resumed = interrupted.mark_running(at=9.0)
+        assert resumed.attempts == 2
+        assert resumed.started_at == 2.0 and resumed.submitted_at == 1.0
+        done = resumed.mark_completed(at=10.0, digest="d")
+        assert done.error is None  # completion clears the interruption note
+
 
 class TestJobLogIndex:
     def test_last_line_per_job_wins(self, tmp_path):
@@ -164,6 +234,64 @@ class TestJobLogIndex:
         index.append(JobRecord(job_id="job-2", job=JOB, submitted_at=2.0))
         with pytest.raises(ServeError, match="line 2"):
             index.load()
+
+    def test_stage_history_survives_the_index(self, tmp_path):
+        # the per-stage timings and metrics a reader takes off jobs.jsonl
+        record = (
+            JobRecord(job_id="job-1", job=JOB, submitted_at=10.0)
+            .mark_running(at=11.0)
+            .with_stage(StageEvent("extract", "started", at=11.0))
+            .with_stage(StageEvent("extract", "completed", at=12.0,
+                                   elapsed_s=1.0, metrics={"mb_per_s": 3.5}))
+            .with_stage(StageEvent("transform", "completed", at=14.0,
+                                   elapsed_s=2.0))
+            .mark_completed(at=14.0, digest="sha256:aa")
+        )
+        index = JobLogIndex(str(tmp_path / "jobs.jsonl"))
+        index.append(record)
+        (loaded,) = index.load()
+        assert loaded == record
+        assert loaded.job.label == JOB.label
+        assert [(e.stage, e.status) for e in loaded.stages] == [
+            ("extract", "started"), ("extract", "completed"),
+            ("transform", "completed"),
+        ]
+        assert loaded.stages[1].metrics == {"mb_per_s": 3.5}
+        assert [e.elapsed_s for e in loaded.stages] == [None, 1.0, 2.0]
+        assert loaded.completed_at - loaded.started_at == pytest.approx(3.0)
+
+    def test_in_flight_job_loads_with_no_stages(self, tmp_path):
+        index = JobLogIndex(str(tmp_path / "jobs.jsonl"))
+        index.append(JobRecord(job_id="job-1", job=JOB, submitted_at=1.0))
+        (loaded,) = index.load()
+        assert loaded.state == "queued" and loaded.stages == ()
+        assert loaded.started_at is None and loaded.digest is None
+
+    def test_failed_job_keeps_its_failed_and_skipped_stages(self, tmp_path):
+        record = (
+            JobRecord(job_id="job-1", job=JOB, submitted_at=10.0)
+            .mark_running(at=11.0)
+            .with_stage(StageEvent("extract", "failed", at=12.0,
+                                   elapsed_s=1.0, error="boom"))
+            .with_stage(StageEvent("transform", "skipped", at=12.0))
+            .mark_failed(at=12.0, error="boom")
+        )
+        index = JobLogIndex(str(tmp_path / "jobs.jsonl"))
+        index.append(record)
+        (loaded,) = index.load()
+        assert loaded.state == "failed" and loaded.error == "boom"
+        assert [(e.stage, e.status, e.error) for e in loaded.stages] == [
+            ("extract", "failed", "boom"), ("transform", "skipped", None),
+        ]
+
+    def test_unfinished_jobs_order_by_start_then_submission(self, tmp_path):
+        index = JobLogIndex(str(tmp_path / "jobs.jsonl"))
+        index.append(JobRecord(job_id="queued", job=JOB, submitted_at=5.0))
+        index.append(JobRecord(job_id="started", job=JOB, submitted_at=1.0)
+                     .mark_running(at=7.0))
+        index.append(JobRecord(job_id="done", job=JOB, submitted_at=2.0)
+                     .mark_running(at=3.0).mark_completed(6.0, "d"))
+        assert [r.job_id for r in index.load()] == ["started", "done", "queued"]
 
 
 # ---------------------------------------------------------------------------
