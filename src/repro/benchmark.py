@@ -22,8 +22,8 @@ Results are emitted as ``BENCH_kernels.json`` (``BENCH_quick.json`` with
       "python": "3.12.3",
       "numpy": "1.26.4",
       "results": [
-        {"op": "scenario_build@8gpu", "size": 367, "elapsed_s": 0.0075,
-         "ns_per_element": 20437.5},
+        {"op": "scenario_build@8gpu", "size": 367, "elapsed_s": 0.0013,
+         "ns_per_element": 3614.0},
         ...
       ]
     }
@@ -77,9 +77,10 @@ SCENARIO_BUILD_SERIES = (("8gpu", 8), ("64gpu", 64))
 
 def bench_scenario_build(reps: int) -> List[BenchResult]:
     """Model tier: one RM5/Disagg ``Scenario`` of 200 batches end to end
-    (T/P planning, one modelled worker per core, the engine run).  An
-    "element" is one worker — 367 and 2,931 — so the rows read as cost
-    per worker, which stays flat only while workers build no pipeline."""
+    (T/P planning, one priced worker launched into every core slot, the
+    pipeline loop).  An "element" is one worker slot — 367 and 2,931 — so
+    the rows read as cost per worker, which falls as the launch grows
+    while a launch neither builds a pipeline nor prices a worker per slot."""
     from repro.api.scenario import Scenario
 
     results = []

@@ -28,12 +28,12 @@ import collections
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, TYPE_CHECKING, Tuple, Union
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.systems import PreprocessingSystem
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, is_int
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.api.registry import REGISTRY
@@ -155,6 +155,8 @@ class EndToEndSimulation:
     ``worker_factory`` is the other supported form: any zero-argument
     callable returning a worker, for pipelines whose workers are not a
     registered system's (a bare ``CpuPreprocessingWorker``, a test double).
+    A system launches one worker object into every slot; a factory is
+    called once per slot, and each distinct worker it returns is priced.
     """
 
     def __init__(
@@ -173,7 +175,10 @@ class EndToEndSimulation:
         if system is not None:
             if isinstance(system, str):
                 system = REGISTRY.create(system, spec, calibration)
-            worker_factory = system.make_worker
+            # a modelled worker's timing is a pure function of its spec and
+            # calibration: the N identical workers of a launch are one object
+            worker = system.make_worker()
+            worker_factory = lambda: worker
         self.system = system
         self.spec = spec
         self.calibration = calibration
@@ -199,8 +204,10 @@ class EndToEndSimulation:
         planner ``repro provision`` and the fleet tier use — so a design that
         cannot sustain the demand raises its own typed error here too.
         """
-        if num_batches <= 0:
-            raise ConfigurationError("num_batches must be positive")
+        if not is_int(num_batches) or num_batches <= 0:
+            raise ConfigurationError(
+                f"num_batches must be a positive int, got {num_batches!r}"
+            )
         if provision_to_demand and self.system is not None:
             plan = self.system.provision_for(self.train_manager.num_gpus)
             launch_kwargs = {"num_workers": plan.num_workers}
@@ -215,13 +222,21 @@ class EndToEndSimulation:
                 "pass num_workers or provision_to_demand=True"
             )
         shares = self.preprocess_manager.launch(num_batches, **launch_kwargs)
+        # each distinct worker object is priced once, however many slots it fills
+        timings: Dict[int, Tuple[float, float]] = {}
+        producers = []
+        for worker, share in zip(self.preprocess_manager.workers, shares):
+            if share:
+                timing = timings.get(id(worker))
+                if timing is None:
+                    timing = timings[id(worker)] = (
+                        worker.batch_latency(),
+                        worker.batch_interval(),
+                    )
+                producers.append((*timing, share))
         trainer = self.train_manager
         wall, training, wait, first, production_span = _simulate(
-            [
-                (worker.batch_latency(), worker.batch_interval(), share)
-                for worker, share in zip(self.preprocess_manager.workers, shares)
-                if share
-            ],
+            producers,
             trainer.input_queue_capacity,
             trainer.iteration_time(),
             trainer.step_time(),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.errors import ProvisioningError
+from repro.errors import ConfigurationError, ProvisioningError, is_int
 from repro.features.specs import ModelSpec
 from repro.core.provision import ProvisioningPlan, workers_for
 from repro.core.worker import PreprocessingWorker
@@ -59,12 +59,20 @@ class PreprocessManager:
         produces an equal share (partitions are placed round-robin too); a
         worker past ``num_batches`` gets a share of 0.
         """
+        if not is_int(num_batches) or num_batches <= 0:
+            raise ConfigurationError(
+                f"num_batches must be a positive int, got {num_batches!r}"
+            )
         if num_workers is None:
             if training_throughput is None:
                 raise ProvisioningError(
                     "need num_workers or training_throughput to launch"
                 )
             num_workers = self.plan(training_throughput).num_workers
+        if not is_int(num_workers):
+            raise ConfigurationError(
+                f"num_workers must be a positive int, got {num_workers!r}"
+            )
         if num_workers <= 0:
             raise ProvisioningError("cannot launch zero workers")
 

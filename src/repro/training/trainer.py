@@ -10,7 +10,7 @@ from :meth:`TrainManager.iteration_time` and :meth:`TrainManager.step_time`.
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, is_int
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.training.gpu import GpuTrainingModel
@@ -26,10 +26,12 @@ class TrainManager:
         calibration: Calibration = CALIBRATION,
         input_queue_capacity: int = 16,
     ) -> None:
-        if num_gpus <= 0:
-            raise ConfigurationError("num_gpus must be positive")
-        if input_queue_capacity <= 0:
-            raise ConfigurationError("input_queue_capacity must be positive")
+        for name, value in (
+            ("num_gpus", num_gpus),
+            ("input_queue_capacity", input_queue_capacity),
+        ):
+            if not is_int(value) or value <= 0:
+                raise ConfigurationError(f"{name} must be a positive int, got {value!r}")
         self.spec = spec
         self.num_gpus = num_gpus
         self.cal = calibration

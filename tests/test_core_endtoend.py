@@ -7,8 +7,24 @@ from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.endtoend import EndToEndSimulation
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.manager import PreprocessManager
-from repro.errors import ConfigurationError, ProvisioningError
+from repro.errors import ConfigurationError, ProvisioningError, ReproError
 from repro.features.specs import get_model
+
+MODELS = ["RM1", "RM2", "RM3", "RM4", "RM5"]
+
+
+@pytest.fixture
+def breakdowns(monkeypatch):
+    """How many times a CPU worker computed its step breakdown."""
+    calls = []
+    original = CpuPreprocessingWorker.batch_breakdown
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CpuPreprocessingWorker, "batch_breakdown", counting)
+    return calls
 
 
 class TestPreprocessManager:
@@ -44,6 +60,24 @@ class TestPreprocessManager:
         manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
         with pytest.raises(ProvisioningError):
             manager.launch(num_batches=4, num_workers=0)
+
+    @pytest.mark.parametrize(
+        "num_batches, num_workers, name",
+        [
+            (2.5, 2, "num_batches"),
+            (True, 1, "num_batches"),
+            (0, 1, "num_batches"),
+            (4, 2.0, "num_workers"),
+            (4, True, "num_workers"),
+        ],
+    )
+    def test_launch_counts_must_be_positive_ints(
+        self, num_batches, num_workers, name
+    ):
+        spec = get_model("RM1")
+        manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
+        with pytest.raises(ConfigurationError, match=f"{name} must be a positive int"):
+            manager.launch(num_batches=num_batches, num_workers=num_workers)
 
 
 class TestEndToEnd:
@@ -116,6 +150,22 @@ class TestEndToEnd:
         with pytest.raises(ConfigurationError):
             sim.run(num_batches=5)
 
+    @pytest.mark.parametrize(
+        "num_batches, num_workers, name",
+        [
+            (2.5, 1, "num_batches"),  # an IndexError inside the event loop
+            (True, 1, "num_batches"),  # a run of ``True`` batches
+            (-1.5, 1, "num_batches"),
+            (3, 2.0, "num_workers"),  # a TypeError from ``range``
+            (3, True, "num_workers"),
+        ],
+    )
+    def test_run_counts_must_be_positive_ints(self, num_batches, num_workers, name):
+        spec = get_model("RM1")
+        sim = EndToEndSimulation(spec, lambda: CpuPreprocessingWorker(spec))
+        with pytest.raises(ConfigurationError, match=f"{name} must be a positive int"):
+            sim.run(num_batches=num_batches, num_workers=num_workers)
+
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_non_positive_queue_rejected_at_construction(self, capacity):
         spec = get_model("RM1")
@@ -177,3 +227,68 @@ class TestOnePlannerForASystemBuiltSimulation:
         assert result.steady_state_utilization == pytest.approx(
             fig3_colocated.run().utilization_at_16, rel=0.10
         )
+
+
+class TestOneWorkerIsPricedOnce:
+    """The N workers of a system-built launch are one object, priced once;
+    a ``worker_factory`` that returns fresh workers is priced per worker."""
+
+    @pytest.mark.parametrize("num_gpus, num_workers", [(8, 367), (64, 2931)])
+    def test_pricing_does_not_grow_with_the_launch(
+        self, breakdowns, num_gpus, num_workers
+    ):
+        result = Scenario(
+            model="RM5", system="Disagg", num_gpus=num_gpus, num_batches=200
+        ).run()
+        assert result.num_workers == num_workers
+        # provision_for, batch_latency, batch_interval and the result's
+        # worker_throughput: one breakdown each, at 8 GPUs as at 64
+        assert len(breakdowns) == 4
+
+    def test_system_launch_fills_every_slot_with_one_worker(self):
+        spec = get_model("RM5")
+        sim = EndToEndSimulation(spec, system="Disagg", num_gpus=8)
+        stats = sim.run(num_batches=200, provision_to_demand=True)
+        workers = sim.preprocess_manager.workers
+        assert stats.num_workers == len(workers) == 367
+        assert len({id(worker) for worker in workers}) == 1
+
+    def test_fresh_workers_are_priced_each(self, breakdowns):
+        spec = get_model("RM5")
+        system = REGISTRY.create("Disagg", spec)
+        sim = EndToEndSimulation(spec, worker_factory=system.make_worker)
+        sim.run(num_batches=10, num_workers=16)
+        # ten workers with a share, each asked for its latency and interval
+        assert len(breakdowns) == 20
+        assert len({id(worker) for worker in breakdowns}) == 10
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_one_priced_worker_equals_fresh_workers(self, name, model):
+        """A system-built simulation and one whose factory builds a fresh
+        worker per slot give ``==`` statistics, or the same typed error."""
+        spec = get_model(model)
+        system = REGISTRY.create(name, spec)
+
+        def outcome(run):
+            try:
+                return run()
+            except ReproError as exc:
+                return type(exc), str(exc)
+
+        for num_gpus in (1, 8, 64):
+            for num_batches in (1, 3, 200, 5000):
+                one = outcome(
+                    lambda: EndToEndSimulation(
+                        spec, system=system, num_gpus=num_gpus
+                    ).run(num_batches, provision_to_demand=True)
+                )
+                fresh = outcome(
+                    lambda: EndToEndSimulation(
+                        spec, worker_factory=system.make_worker, num_gpus=num_gpus
+                    ).run(
+                        num_batches,
+                        num_workers=system.provision_for(num_gpus).num_workers,
+                    )
+                )
+                assert one == fresh, (num_gpus, num_batches)

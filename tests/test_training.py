@@ -99,11 +99,12 @@ class TestTrainManager:
         assert manager.step_time() == max(h2d, manager.iteration_time())
         assert manager.step_time() >= manager.iteration_time()
 
-    def test_invalid_gpus(self):
-        with pytest.raises(ConfigurationError):
-            TrainManager(get_model("RM1"), num_gpus=0)
+    @pytest.mark.parametrize("num_gpus", [0, 2.5, 8.0, True])
+    def test_invalid_gpus(self, num_gpus):
+        with pytest.raises(ConfigurationError, match="num_gpus"):
+            TrainManager(get_model("RM1"), num_gpus=num_gpus)
 
-    @pytest.mark.parametrize("capacity", [0, -3])
+    @pytest.mark.parametrize("capacity", [0, -3, 2.5, True])
     def test_invalid_queue_capacity(self, capacity):
         with pytest.raises(ConfigurationError, match="input_queue_capacity"):
             TrainManager(get_model("RM1"), input_queue_capacity=capacity)
