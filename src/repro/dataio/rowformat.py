@@ -27,11 +27,14 @@ which are kept as :meth:`RowFileWriter.write_scalar` and
 
 Batched record-boundary discovery works on the continuation-bit index (the
 positions of all bytes with a clear high bit — every varint ends on one,
-but the fixed label/dense section emits spurious entries too):
+but the fixed label/dense section emits spurious entries too), built once
+as int32 by :meth:`RowFileReader.read_columns`:
 
-1. a sliding window count of index entries over the fixed-section width
-   re-synchronizes the index cursor at each record start *exactly* (no
-   per-row ``searchsorted``);
+1. the fixed section's spurious entries are skipped by one bisection per
+   record: the first index entry at or after ``record_start +
+   fixed_bytes`` ends the record's first list length, and it is searched
+   for above the previous record's last terminator only (nothing is built
+   over the whole body);
 2. a single pass over the rows chases record ends through precomputed
    byte tables — a handful of C-speed lookups per row instead of per-row
    varint decoding;
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_left
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -59,7 +63,7 @@ from repro.dataio.encoding import (
     write_uvarint,
 )
 from repro.dataio.schema import TableSchema
-from repro.errors import FormatError, SchemaError
+from repro.errors import FormatError, SchemaError, is_int
 from repro.faults.injector import fault_point
 
 ROW_MAGIC = b"PRSTR\n"
@@ -70,38 +74,6 @@ _DENSE_FIELD = _F32.size + 1  # float32 payload + null-marker byte
 #: below this row count the batched scan's setup costs exceed the scalar
 #: walk; tiny files take the scalar path directly
 _MIN_BATCH_SCAN_ROWS = 64
-
-
-def _window_counts(flags: np.ndarray, width: int) -> np.ndarray:
-    """Sliding sum of a 0/1 uint8 array over ``[x, x + width)`` windows.
-
-    Built by pairwise doubling (log2(width) adds over the array) instead of
-    a cumulative sum, which is both faster and dtype-stable: the result
-    fits uint8 for widths up to 255 and uint16 beyond.
-    """
-    if width > 255:
-        flags = flags.astype(np.uint16)
-    parts: List[Tuple[np.ndarray, int]] = []
-    cur, cur_width = flags, 1
-    remaining = width
-    while remaining:
-        if remaining & 1:
-            parts.append((cur, cur_width))
-        remaining >>= 1
-        if remaining:
-            cur = cur[:-cur_width] + cur[cur_width:]
-            cur_width *= 2
-    acc: Optional[np.ndarray] = None
-    offset = 0
-    for arr, part_width in parts:
-        seg = arr[offset:]
-        if acc is None:
-            acc = seg  # read-only view; later combines allocate fresh arrays
-        else:
-            n = min(len(acc), len(seg))
-            acc = acc[:n] + seg[:n]
-        offset += part_width
-    return acc
 
 
 class RowFileWriter:
@@ -115,7 +87,16 @@ class RowFileWriter:
         label = data.get(self.schema.label.name)
         if label is None:
             raise SchemaError(f"missing label column {self.schema.label.name!r}")
+        label = np.asarray(label)
+        self.schema.label.validate_values(label, label.size)
         num_rows = len(label)
+        # a record stores the label as one byte; the reader returns int8
+        if label.dtype.kind not in "biu" or (
+            num_rows and not -128 <= label.min() <= label.max() <= 127
+        ):
+            raise SchemaError(
+                f"label column {self.schema.label.name!r} must hold int8 integers"
+            )
 
         dense_columns = []
         for column in self.schema.dense:
@@ -186,9 +167,7 @@ class RowFileWriter:
         out[: len(ROW_MAGIC)] = np.frombuffer(ROW_MAGIC, dtype=np.uint8)
 
         # labels: one byte at the head of every record
-        out[record_starts] = (
-            np.asarray(label).astype(np.int64, copy=False) & 0xFF
-        ).astype(np.uint8)
+        out[record_starts] = label.astype(np.int8).view(np.uint8)
 
         # dense fields: 4 little-endian float32 bytes + 1 null-marker byte
         for index, values in enumerate(dense_columns):
@@ -288,15 +267,36 @@ class RowFileReader:
             buffer[-len(ROW_MAGIC) - _FOOTER_LEN.size : -len(ROW_MAGIC)]
         )
         footer_end = len(buffer) - len(ROW_MAGIC) - _FOOTER_LEN.size
+        self._body_end = footer_end - footer_len
+        if self._body_end < len(ROW_MAGIC):
+            raise FormatError("footer length exceeds file size")
         try:
-            meta = json.loads(buffer[footer_end - footer_len : footer_end].decode())
+            meta = json.loads(buffer[self._body_end : footer_end].decode())
         except (ValueError, UnicodeDecodeError) as exc:
             raise FormatError(f"unparseable row-format footer: {exc}") from exc
+        if not (
+            isinstance(meta, dict)
+            and set(meta) == {"dense", "sparse", "label", "num_rows"}
+            and all(
+                isinstance(names, list) and all(isinstance(n, str) for n in names)
+                for names in (meta["dense"], meta["sparse"])
+            )
+            and isinstance(meta["label"], str)
+            and is_int(meta["num_rows"])
+            and meta["num_rows"] >= 0
+        ):
+            raise FormatError("malformed row-format footer structure")
         self.dense_names: List[str] = meta["dense"]
         self.sparse_names: List[str] = meta["sparse"]
         self.label_name: str = meta["label"]
         self.num_rows: int = meta["num_rows"]
-        self._body_end = footer_end - footer_len
+        # the smallest record: its fixed section plus a 1-byte list length
+        # per sparse column
+        min_record = 1 + _DENSE_FIELD * len(self.dense_names) + len(self.sparse_names)
+        if self.num_rows * min_record > self._body_end - len(ROW_MAGIC):
+            raise FormatError(
+                f"footer claims {self.num_rows} rows, more than the body holds"
+            )
 
     def _scan_records(
         self, body: np.ndarray, terminators: np.ndarray
@@ -325,7 +325,7 @@ class RowFileReader:
         """Batched record-boundary discovery; ``None`` means "use scalar".
 
         One C-speed chase pass finds each record's final varint terminator;
-        everything else — re-synchronization counts, list lengths, id
+        everything else — re-synchronization cursors, list lengths, id
         geometry, and the full verification that every boundary is exactly
         what a scalar walk would produce — is whole-column numpy.  The
         verification closes an induction (record 0's start is fixed, each
@@ -350,18 +350,15 @@ class RowFileReader:
 
         buf = self._buf
         num_terminators = len(terminators)
-        terms32 = terminators.astype(np.int32)
-        window = _window_counts((body < 0x80).view(np.uint8), fixed_bytes)
-        window_bytes = memoryview(np.ascontiguousarray(window))
         # byte value at each terminator: the value of any 1-byte varint there
-        term_bytes = memoryview(body[terms32])
-        term_pos = memoryview(terms32)
+        term_bytes = memoryview(body[terminators])
+        term_pos = memoryview(terminators)
 
         # exact scalar parse of row 0 seeds the chase (handles multi-byte
         # length varints in the first record for free)
         try:
             offset = magic + fixed_bytes
-            index = int(np.searchsorted(terminators, offset))
+            index = bisect_left(term_pos, offset)
             for _ in range(num_sparse):
                 count, offset = read_uvarint(buf, offset)
                 if count > body_end or index + count >= num_terminators:
@@ -379,8 +376,9 @@ class RowFileReader:
         try:
             for _ in range(num_rows - 1):
                 record_start = term_pos[end] + 1
-                index = end + 1 + window_bytes[record_start]
-                count = buf[record_start + fixed_bytes]
+                first_varint = record_start + fixed_bytes
+                index = bisect_left(term_pos, first_varint, end + 1)
+                count = buf[first_varint]
                 for _ in range(last_col):
                     index += count + 1
                     count = term_bytes[index]
@@ -402,13 +400,9 @@ class RowFileReader:
         first_varint = record_starts + fixed_bytes
         if int(first_varint[-1]) >= body_end:
             return None
-        cursor = np.empty(num_rows, dtype=np.int64)
-        cursor[0] = np.searchsorted(terminators, magic + fixed_bytes)
-        np.add(
-            ends_arr[:-1],
-            1 + window[first_varint[1:] - fixed_bytes],
-            out=cursor[1:],
-        )
+        # searched in the index's own dtype: a mixed-dtype search would
+        # copy the whole index
+        cursor = terminators.searchsorted(first_varint.astype(terminators.dtype))
         counts = np.empty((num_rows, num_sparse), dtype=np.int64)
         id_term_index = np.empty((num_rows, num_sparse), dtype=np.int64)
         first_bytes = body[first_varint]
@@ -451,6 +445,7 @@ class RowFileReader:
         id_term_index = np.empty((self.num_rows, num_sparse), dtype=np.int64)
 
         buf = self._buf
+        term_pos = memoryview(terminators)  # indexes to plain ints
         num_terminators = len(terminators)
         offset = len(ROW_MAGIC)
         for row in range(self.num_rows):
@@ -459,7 +454,7 @@ class RowFileReader:
             if num_sparse:
                 # the fixed section may contain bytes with a clear high bit,
                 # so re-sync the terminator cursor once per row
-                index = int(np.searchsorted(terminators, offset))
+                index = bisect_left(term_pos, offset)
                 for col in range(num_sparse):
                     if index >= num_terminators:
                         raise FormatError("row records do not align with the footer")
@@ -479,7 +474,7 @@ class RowFileReader:
                             raise FormatError(
                                 "row records do not align with the footer"
                             )
-                        offset = int(terminators[index - 1]) + 1
+                        offset = term_pos[index - 1] + 1
         if offset != self._body_end:
             raise FormatError("row records do not align with the footer")
         return record_starts, counts, id_term_index
@@ -495,8 +490,9 @@ class RowFileReader:
 
         body = np.frombuffer(self._buf, dtype=np.uint8, count=self._body_end)
         # every byte with a clear continuation bit; inside a varint region
-        # each one terminates exactly one varint
-        terminators = np.flatnonzero(body < 0x80)
+        # each one terminates exactly one varint.  int32 positions: the one
+        # copy of the index that the scan and the id gather below share
+        terminators = np.flatnonzero(body < 0x80).astype(np.int32)
         record_starts, counts, id_term_index = self._scan_records(body, terminators)
         # scanning touched the entire record body regardless of selection
         self.bytes_scanned += self._body_end - len(ROW_MAGIC)
@@ -527,11 +523,10 @@ class RowFileReader:
         # all requested columns' ids in one ragged gather: every id varint
         # starts right after the previous terminator, so its width is the
         # terminator-position delta and one batch decode covers everything
-        terms32 = terminators.astype(np.int32)
-        deltas = np.empty(len(terms32), dtype=np.int32)
-        if len(terms32):
-            deltas[0] = terms32[0] + 1
-            np.subtract(terms32[1:], terms32[:-1], out=deltas[1:])
+        deltas = np.empty(len(terminators), dtype=np.int32)
+        if len(terminators):
+            deltas[0] = terminators[0] + 1
+            np.subtract(terminators[1:], terminators[:-1], out=deltas[1:])
         first = np.concatenate(
             [id_term_index[:, col] for col, _ in sparse_wanted]
         )
@@ -541,7 +536,7 @@ class RowFileReader:
         term_idx = np.repeat(first, lengths) + (
             np.arange(total, dtype=np.int64) - np.repeat(run_offsets[:-1], lengths)
         )
-        id_terms = terms32[term_idx]
+        id_terms = terminators[term_idx]
         widths = deltas[term_idx]
         # the file buffer extends past the body (footer + trailing magic),
         # so the batch decoder's 8-byte loads never need padding

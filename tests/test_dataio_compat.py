@@ -5,7 +5,8 @@
   sparse parts LEB128) must read back equal to the generator's table, and
   the old codec stays selectable through ``encoding_policy``.
 * Damaged files — random byte mutations and hostile footer entries — may
-  only raise ``FormatError`` / ``EncodingError``.
+  only raise ``FormatError`` / ``EncodingError``; the row file, framed the
+  same way under its own magic, is held to the same rule.
 * The footer's chunk index answers exactly what a rescan would.
 """
 
@@ -37,6 +38,7 @@ from repro.dataio.encoding import (
     read_uvarint,
     write_uvarint,
 )
+from repro.dataio.rowformat import RowFileReader, write_row_table
 from repro.dataio.schema import ColumnKind, TableSchema
 from repro.errors import EncodingError, FormatError
 from repro.features.synthetic import SyntheticTableGenerator
@@ -200,7 +202,9 @@ def with_footer(buffer: bytes, edit) -> bytes:
     footer = json.loads(buffer[start:-tail])
     edit(footer)
     encoded = json.dumps(footer, separators=(",", ":")).encode()
-    return buffer[:start] + encoded + struct.pack("<I", len(encoded)) + MAGIC
+    # the trailing magic is the buffer's own: row files frame a footer alike
+    magic = buffer[-len(MAGIC):]
+    return buffer[:start] + encoded + struct.pack("<I", len(encoded)) + magic
 
 
 HOSTILE = st.one_of(
@@ -218,20 +222,31 @@ class TestDamagedFiles:
     SCHEMA, DATA = small_table(num_rows=24, seed=5)
     BUFFER = write_table(SCHEMA, DATA, row_group_size=16)
     NAMES = list(DATA)
+    # the row file is long enough for the batched record scan
+    ROW_DATA = small_table(num_rows=96, seed=5)[1]
+    FORMATS = {
+        "columnar": (ColumnarFileReader, BUFFER, DATA),
+        "row": (RowFileReader, write_row_table(SCHEMA, ROW_DATA), ROW_DATA),
+    }
+    ON_BOTH_FORMATS = pytest.mark.parametrize("fmt", sorted(FORMATS))
 
-    def read_or_typed_error(self, buffer: bytes):
+    def read_or_typed_error(self, buffer: bytes, fmt: str = "columnar"):
+        reader = self.FORMATS[fmt][0]
         try:
-            return ColumnarFileReader(buffer).read_columns(self.NAMES)
+            return reader(buffer).read_columns(self.NAMES)
         except (FormatError, EncodingError):
             return None
 
-    def test_undamaged(self):
-        assert_tables_equal(self.read_or_typed_error(self.BUFFER), self.DATA)
+    @ON_BOTH_FORMATS
+    def test_undamaged(self, fmt):
+        _, buffer, table = self.FORMATS[fmt]
+        assert_tables_equal(self.read_or_typed_error(buffer, fmt), table)
 
+    @ON_BOTH_FORMATS
     @given(st.data())
     @settings(max_examples=400, deadline=None)
-    def test_byte_mutations(self, data):
-        buffer = bytearray(self.BUFFER)
+    def test_byte_mutations(self, fmt, data):
+        buffer = bytearray(self.FORMATS[fmt][1])
         for _ in range(data.draw(st.integers(1, 4))):
             kind = data.draw(st.sampled_from(("flip", "set", "cut", "insert")))
             position = data.draw(st.integers(0, len(buffer) - 1))
@@ -245,17 +260,19 @@ class TestDamagedFiles:
                 buffer[position:position] = data.draw(st.binary(max_size=8))
             if not buffer:
                 break
-        self.read_or_typed_error(bytes(buffer))
+        self.read_or_typed_error(bytes(buffer), fmt)
 
-    def test_every_single_byte_of_the_footer_region(self):
+    @ON_BOTH_FORMATS
+    def test_every_single_byte_of_the_footer_region(self, fmt):
         """Exhaustive over the part of the file no CRC covers."""
+        original = self.FORMATS[fmt][1]
         tail = len(MAGIC) + 4
-        (footer_len,) = struct.unpack("<I", self.BUFFER[-tail:-len(MAGIC)])
-        for position in range(len(self.BUFFER) - tail - footer_len, len(self.BUFFER)):
+        (footer_len,) = struct.unpack("<I", original[-tail:-len(MAGIC)])
+        for position in range(len(original) - tail - footer_len, len(original)):
             for value in (0x00, 0x2D, 0x2E, 0x30, 0x39, 0x65, 0x22, 0xFF):
-                buffer = bytearray(self.BUFFER)
+                buffer = bytearray(original)
                 buffer[position] = value
-                self.read_or_typed_error(bytes(buffer))
+                self.read_or_typed_error(bytes(buffer), fmt)
 
     @given(
         st.integers(0, 10**6),
@@ -273,18 +290,14 @@ class TestDamagedFiles:
 
         self.read_or_typed_error(with_footer(self.BUFFER, edit))
 
-    @given(
-        st.sampled_from(
-            ("dense", "sparse", "label", "num_rows", "row_group_rows", "chunks")
-        ),
-        HOSTILE,
-    )
+    @ON_BOTH_FORMATS
+    @given(st.data(), HOSTILE)
     @settings(max_examples=200, deadline=None)
-    def test_hostile_footer_fields(self, field, value):
+    def test_hostile_footer_fields(self, fmt, data, value):
         def edit(footer):
-            footer[field] = value
+            footer[data.draw(st.sampled_from(sorted(footer)))] = value
 
-        self.read_or_typed_error(with_footer(self.BUFFER, edit))
+        self.read_or_typed_error(with_footer(self.FORMATS[fmt][1], edit), fmt)
 
     def test_chunk_past_the_end_and_before_the_start(self):
         for field, value in (

@@ -1,21 +1,31 @@
 """Tests for the row-oriented file format (the overfetch strawman)."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import PreprocessJob
 from repro.dataio.columnar import ColumnarFileReader, write_table
-from repro.dataio.rowformat import RowFileReader, RowFileWriter, write_row_table
+from repro.dataio.rowformat import (
+    ROW_MAGIC,
+    RowFileReader,
+    RowFileWriter,
+    write_row_table,
+)
 from repro.dataio.schema import TableSchema
 from repro.errors import FormatError, SchemaError
 from repro.features.specs import get_model
-from repro.features.synthetic import generate_raw_table
+from repro.features.synthetic import SyntheticTableGenerator, generate_raw_table
+from test_dataio_compat import with_footer
+from test_transform_in_place import traced_peak
 
 
-def make_table(num_rows=40, seed=3):
+def make_table(num_rows=40, seed=3, num_dense=3):
     rng = np.random.default_rng(seed)
-    schema = TableSchema.with_counts(3, 2)
+    schema = TableSchema.with_counts(num_dense, 2)
     data = {"label": (rng.random(num_rows) < 0.5).astype(np.int8)}
     for name in schema.dense_names:
         column = rng.random(num_rows).astype(np.float32)
@@ -191,6 +201,84 @@ class TestErrors:
         schema, data = make_table(num_rows=17)
         assert RowFileReader(write_row_table(schema, data)).num_rows == 17
 
+    @pytest.mark.parametrize("write", ["write", "write_scalar"])
+    @pytest.mark.parametrize(
+        "label, match",
+        [
+            ([[1], [0]], "must be 1-D"),
+            (np.array([300, 0]), "int8"),
+            (np.array([0.7, 0.0]), "int8"),
+        ],
+        ids=["2-d", "past-int8", "float"],
+    )
+    def test_label_must_be_one_int8_column(self, write, label, match):
+        schema, data = make_table(num_rows=2)
+        data["label"] = label
+        with pytest.raises(SchemaError, match=match):
+            getattr(RowFileWriter(schema), write)(data)
+
+
+class TestFooter:
+    """The reader rejects any footer the writer could not have produced."""
+
+    SCHEMA, DATA = make_table(num_rows=8)
+    BUFFER = write_row_table(SCHEMA, DATA)
+    MISSING = object()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("num_rows", MISSING, id="num_rows-missing"),
+            ("num_rows", "200"),
+            ("num_rows", 2.5),
+            ("num_rows", True),
+            ("num_rows", -1),
+            ("dense", 5),
+            pytest.param("sparse", ["cat_0", 1], id="sparse-not-str"),
+            ("label", None),
+            ("extra", 1),
+        ],
+    )
+    def test_malformed_structure(self, field, value):
+        def edit(footer):
+            if value is self.MISSING:
+                del footer[field]
+            else:
+                footer[field] = value
+
+        with pytest.raises(FormatError, match="malformed row-format footer"):
+            RowFileReader(with_footer(self.BUFFER, edit))
+
+    def test_footer_that_is_not_an_object(self):
+        body = self.BUFFER[: RowFileReader(self.BUFFER)._body_end]
+        footer = b'["dense","sparse","label","num_rows"]'
+        with pytest.raises(FormatError, match="malformed row-format footer"):
+            RowFileReader(body + footer + struct.pack("<I", len(footer)) + ROW_MAGIC)
+
+    def test_more_rows_than_the_body_holds(self):
+        def claiming(num_rows):
+            def edit(footer):
+                footer["num_rows"] = num_rows
+
+            return with_footer(self.BUFFER, edit)
+
+        # the smallest record: a label byte, three 5-byte dense fields and
+        # two 1-byte list lengths
+        body_bytes = RowFileReader(self.BUFFER)._body_end - len(ROW_MAGIC)
+        most = body_bytes // (1 + 3 * 5 + 2)
+        assert RowFileReader(claiming(most)).num_rows == most
+        for num_rows in (most + 1, 10**12):
+            with pytest.raises(FormatError, match="more than the body holds"):
+                RowFileReader(claiming(num_rows))
+
+    def test_footer_length_past_the_start_of_the_file(self):
+        # this length wraps a negative slice start round onto the real footer
+        tail = len(ROW_MAGIC) + 4
+        (footer_len,) = struct.unpack("<I", self.BUFFER[-tail : -len(ROW_MAGIC)])
+        framed = struct.pack("<I", footer_len + len(self.BUFFER)) + ROW_MAGIC
+        with pytest.raises(FormatError, match="footer length exceeds file size"):
+            RowFileReader(self.BUFFER[:-tail] + framed)
+
 
 class TestCorruptFiles:
     def test_corrupt_huge_length_prefix_raises_format_error(self):
@@ -343,6 +431,16 @@ class TestBatchedScanMatchesScalar:
             write_row_table(schema, data), monkeypatch=monkeypatch
         )
 
+    def test_wide_fixed_section(self):
+        # 52 dense fields make a 261-byte fixed section (RM2-RM5: 2,521):
+        # more spurious terminators than a byte counts precede each
+        # record's first list length
+        schema, data = make_table(num_rows=96, seed=12, num_dense=52)
+        buffer = write_row_table(schema, data)
+        reader = RowFileReader(buffer)
+        assert self._geometry(reader, reader._scan_records_batch) is not None
+        self._assert_scan_equal(buffer, force_batch=False)
+
     def test_truncated_file_raises_format_error(self):
         schema, data = make_table(num_rows=100, seed=9)
         buffer = write_row_table(schema, data)
@@ -371,3 +469,18 @@ class TestBatchedScanMatchesScalar:
         corrupted = RowFileReader(bytes(buffer))
         with pytest.raises(FormatError):
             corrupted.read_columns(schema.sparse_names)
+
+
+class TestReaderMemory:
+    def test_read_peak_stays_within_ten_file_sizes(self):
+        """tracemalloc peak of one RM5 read: 8.8x the file with one shared
+        int32 terminator index; a second structure over every body byte
+        breaks the 10x ceiling."""
+        job = PreprocessJob("RM5", num_rows=256, seed=0)
+        data = SyntheticTableGenerator(job.spec(), seed=0).generate(256)
+        pipeline = job.build_pipeline()
+        buffer = RowFileWriter(pipeline.schema).write(data)
+        _, peak = traced_peak(
+            lambda: RowFileReader(buffer).read_columns(pipeline.required_columns())
+        )
+        assert peak <= 10 * len(buffer)
