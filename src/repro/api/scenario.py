@@ -112,6 +112,8 @@ class Scenario:
 
     def build_calibration(self) -> Calibration:
         """The paper calibration with this scenario's overrides applied."""
+        if not self.calibration:
+            return CALIBRATION  # frozen: nothing to copy
         return dataclasses.replace(CALIBRATION, **dict(self.calibration))
 
     def build_system(self):
@@ -135,7 +137,7 @@ class Scenario:
 
         spec = self.spec()
         calibration = self.build_calibration()
-        system = self.build_system()
+        system = REGISTRY.create(self.system, spec, calibration)
         sim = EndToEndSimulation(
             spec,
             system=system,
@@ -213,5 +215,9 @@ def _normalize_overrides(overrides: Any) -> Tuple[Tuple[str, float], ...]:
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise ConfigurationError(
                 f"calibration override {name!r} must be a number, got {value!r}"
+            )
+        if not -float("inf") < value < float("inf"):
+            raise ConfigurationError(
+                f"calibration override {name!r} must be finite, got {value!r}"
             )
     return tuple(sorted(pairs))

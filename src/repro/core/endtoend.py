@@ -6,20 +6,27 @@ input queue of Figure 9.  The emergent GPU utilization is the paper's
 headline system metric (Fig. 3's right axis): when preprocessing supply
 falls short of ``T``, the trainer starves and utilization drops below 100%.
 
-The pipeline is one loop over a heap of ``(time, seq, kind, producer)``
-events (:func:`_simulate`):
+The pipeline is one loop (:func:`_simulate`) whose heap holds only
+producer events, ``(time, seq, producer)``: a producer's batch is
+``READY`` after its latency, later ones one interval apart.
 
-* a producer's batch is ``READY`` after its latency, later ones one
-  interval apart; it goes into the queue (``PUT``) or, while the queue is
-  full, joins a FIFO of blocked producers;
-* the trainer takes a batch (``GOT``) the moment one is queued, trains for
-  its step time (``TRAINED``), and takes the next; a taken batch frees one
-  slot, which admits the longest-blocked producer.
+* The trainer is one scalar, the time its current batch finishes (``inf``
+  while it waits).  It is busy for ``TrainManager.step_time()`` per batch:
+  the iteration, or the host-to-device copy when that is longer — each
+  data-parallel GPU copies its own ``1/num_gpus`` of the batch over its own
+  link.
+* A ``READY`` batch goes to a waiting trainer at once, else into the
+  queue, and its producer's next batch is scheduled; while the queue is
+  full the producer joins a FIFO of blocked producers instead.
+* A finished batch takes the next queued one at once, and the freed slot
+  admits the longest-blocked producer.
 
-Ordering rule: events pop by time, and simultaneous ones in the order they
-were pushed (``seq``).  Every handler pushes its own follow-up before the
-one it wakes — a put schedules the producer before the trainer it
-unblocks, a take schedules the trainer before the producer it admits.
+Ordering rule: producer events pop by time, simultaneous ones in the order
+they were pushed (``seq``); on a tie with a producer the trainer goes first.
+With one trainer, the order of a trainer event and a producer event at the
+same instant never moves a statistic.  Each batch costs one heap push and
+one pop, and only the slots that produce are touched one by one: a
+system-built launch fills every slot with one worker object, priced once.
 """
 
 from __future__ import annotations
@@ -40,10 +47,6 @@ from repro.api.registry import REGISTRY
 from repro.core.manager import PreprocessManager
 from repro.core.worker import PreprocessingWorker
 from repro.training.trainer import TrainManager
-
-#: event kinds of :func:`_simulate`
-READY, PUT, GOT, TRAINED = range(4)
-
 
 @dataclass(frozen=True)
 class PipelineStats:
@@ -90,58 +93,62 @@ def _simulate(
     production_end)`` in simulated seconds.
     """
     latencies, intervals, shares = zip(*producers)
-    if min(latencies + intervals + (iteration, step)) < 0:
+    inf = float("inf")
+    # distinct values only: the producers of a launch repeat one timing
+    delays = {*latencies, *intervals, iteration, step}
+    if not all(-inf < delay < inf for delay in delays):
+        raise SimulationError("non-finite delay in the pipeline model")
+    if min(delays) < 0:
         raise SimulationError("negative delay in the pipeline model")
     seq = itertools.count()
     # every time is ``now + delay``, this one included (``now`` is 0.0)
-    heap = [(0.0 + delay, next(seq), READY, k) for k, delay in enumerate(latencies)]
+    heap = [(0.0 + delay, next(seq), k) for k, delay in enumerate(latencies)]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     left = list(shares)
     blocked: collections.deque = collections.deque()
     queued = trained = 0
-    trainer_waiting = True  # its first take, at time 0, finds the queue empty
+    done = inf  # when the trainer's batch finishes; inf while it waits
     training = wait = first = wait_start = production_end = 0.0
     while True:
-        now, _, kind, k = pop(heap)
-        if kind == READY:
+        if heap and heap[0][0] < done:
+            now, _, k = pop(heap)
             if queued == capacity:
                 blocked.append(k)
                 continue
-            queued += 1
-            push(heap, (now, next(seq), PUT, k))
-            # the trainer waits only on an empty queue, so nobody is blocked
-            if trainer_waiting:
-                trainer_waiting = False
-                queued -= 1
-                push(heap, (now, next(seq), GOT, -1))
-        elif kind == PUT:
-            left[k] -= 1
-            if left[k]:
-                push(heap, (now + intervals[k], next(seq), READY, k))
+            if done == inf:
+                # the trainer waits only on an empty queue: it takes k's batch
+                if trained == 0:
+                    first = now
+                wait += now - wait_start
+                done = now + step
             else:
-                production_end = now
-        elif kind == GOT:
-            if trained == 0:
-                first = now
-            wait += now - wait_start
-            push(heap, (now + step, next(seq), TRAINED, -1))
+                queued += 1
         else:
+            # the trainer goes first on a tie: a trainer event and a producer
+            # event at one instant never move a statistic in either order
+            now = done
             training += iteration
             trained += 1
             if trained == num_batches:
                 return now, training, wait, first, production_end
             wait_start = now
             if not queued:
-                trainer_waiting = True
+                done = inf
                 continue
-            queued -= 1
-            push(heap, (now, next(seq), GOT, -1))
-            # producers block only on a full queue: the one freed slot
-            # admits at most one of them
-            if blocked:
-                queued += 1
-                push(heap, (now, next(seq), PUT, blocked.popleft()))
+            # it takes the next queued batch at once; producers block only on
+            # a full queue, so the freed slot admits at most one of them
+            done = now + step
+            if not blocked:
+                queued -= 1
+                continue
+            k = blocked.popleft()
+        # k's batch is in the queue (or the trainer): schedule its next one
+        left[k] -= 1
+        if left[k]:
+            push(heap, (now + intervals[k], next(seq), k))
+        else:
+            production_end = now
 
 
 class EndToEndSimulation:
@@ -156,7 +163,8 @@ class EndToEndSimulation:
     callable returning a worker, for pipelines whose workers are not a
     registered system's (a bare ``CpuPreprocessingWorker``, a test double).
     A system launches one worker object into every slot; a factory is
-    called once per slot, and each distinct worker it returns is priced.
+    called once per slot.  Each distinct worker in a slot that gets a share
+    of the batches is priced once.
     """
 
     def __init__(
@@ -177,8 +185,7 @@ class EndToEndSimulation:
                 system = REGISTRY.create(system, spec, calibration)
             # a modelled worker's timing is a pure function of its spec and
             # calibration: the N identical workers of a launch are one object
-            worker = system.make_worker()
-            worker_factory = lambda: worker
+            worker_factory = system.make_worker()
         self.system = system
         self.spec = spec
         self.calibration = calibration
@@ -222,18 +229,22 @@ class EndToEndSimulation:
                 "pass num_workers or provision_to_demand=True"
             )
         shares = self.preprocess_manager.launch(num_batches, **launch_kwargs)
-        # each distinct worker object is priced once, however many slots it fills
+        # the round-robin split leaves only the slots past ``num_batches``
+        # idle; each distinct worker object is priced once, however many
+        # slots it fills
+        producing = min(len(shares), num_batches)
+        workers = self.preprocess_manager.workers
         timings: Dict[int, Tuple[float, float]] = {}
         producers = []
-        for worker, share in zip(self.preprocess_manager.workers, shares):
-            if share:
-                timing = timings.get(id(worker))
-                if timing is None:
-                    timing = timings[id(worker)] = (
-                        worker.batch_latency(),
-                        worker.batch_interval(),
-                    )
-                producers.append((*timing, share))
+        for worker, share in zip(workers[:producing], shares[:producing]):
+            timing = timings.get(id(worker))
+            if timing is None:
+                timing = timings[id(worker)] = (
+                    worker.batch_latency(),
+                    worker.batch_interval(),
+                )
+            latency, interval = timing
+            producers.append((latency, interval, share))
         trainer = self.train_manager
         wall, training, wait, first, production_span = _simulate(
             producers,

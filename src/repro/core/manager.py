@@ -22,8 +22,10 @@ class PreprocessManager:
     def __init__(
         self,
         spec: ModelSpec,
-        worker_factory: Callable[[], PreprocessingWorker],
+        worker_factory: Callable[[], PreprocessingWorker] | PreprocessingWorker,
     ) -> None:
+        """``worker_factory`` is called once per launched slot; a worker
+        passed instead fills every slot itself."""
         self.spec = spec
         self.worker_factory = worker_factory
         self.workers: List[PreprocessingWorker] = []
@@ -32,7 +34,10 @@ class PreprocessManager:
 
     def measure_worker_throughput(self) -> float:
         """Offline measurement of one worker's throughput ``P``."""
-        return self.worker_factory().throughput()
+        worker = self.worker_factory
+        if not isinstance(worker, PreprocessingWorker):
+            worker = worker()
+        return worker.throughput()
 
     def plan(self, training_throughput: float) -> ProvisioningPlan:
         """Derive the worker allocation from the trainer's demand ``T``."""
@@ -76,6 +81,10 @@ class PreprocessManager:
         if num_workers <= 0:
             raise ProvisioningError("cannot launch zero workers")
 
-        self.workers = [self.worker_factory() for _ in range(num_workers)]
+        worker = self.worker_factory
+        if isinstance(worker, PreprocessingWorker):
+            self.workers = [worker] * num_workers
+        else:
+            self.workers = [worker() for _ in range(num_workers)]
         base, extra = divmod(num_batches, num_workers)
-        return [base + (1 if index < extra else 0) for index in range(num_workers)]
+        return [base + 1] * extra + [base] * (num_workers - extra)

@@ -47,11 +47,14 @@ class TrainManager:
         return self.spec.batch_size / self.measure_max_throughput()
 
     def step_time(self) -> float:
-        """Seconds the GPU is busy per mini-batch.  H2D overlaps compute: the
-        next batch is prefetched while the current one trains, so the copy
-        only shows when it dominates."""
-        h2d = (
-            self.cal.train_ready_batch_bytes(self.spec)
-            / self.cal.gpu_preproc_pcie_bw
-        )
+        """Seconds the GPUs are busy per mini-batch: the longer of the
+        iteration and the host-to-device copy, which overlaps the previous
+        batch's iteration.  Data-parallel GPUs each copy their own
+        ``1/num_gpus`` of the batch over their own PCIe link."""
+        bandwidth = self.cal.gpu_preproc_pcie_bw
+        if not bandwidth > 0:
+            raise ConfigurationError(
+                f"gpu_preproc_pcie_bw must be positive, got {bandwidth!r}"
+            )
+        h2d = self.cal.train_ready_batch_bytes(self.spec) / (self.num_gpus * bandwidth)
         return max(h2d, self.iteration_time())

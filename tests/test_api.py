@@ -117,6 +117,19 @@ class TestScenarioValidation:
             Scenario(model="RM1", system="PreSto",
                      calibration={"ssd_read_bw": "fast"})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_override(self, value):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            Scenario(model="RM1", system="PreSto", num_gpus=1, num_batches=50,
+                     calibration={"gpu_preproc_pcie_bw": value})
+
+    def test_zero_copy_bandwidth_is_a_typed_error(self):
+        scenario = Scenario(model="RM1", system="PreSto", num_gpus=1,
+                            num_batches=50,
+                            calibration={"gpu_preproc_pcie_bw": 0.0})
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            scenario.run()
+
     def test_scenario_is_frozen_and_hashable(self):
         scenario = Scenario(model="RM1", system="PreSto",
                             calibration={"ssd_read_bw": 4e9})

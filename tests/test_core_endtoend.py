@@ -1,13 +1,22 @@
 """Tests for the preprocess manager and the end-to-end DES pipeline."""
 
+import sys
+from unittest import mock
+
 import pytest
 
 from repro.api import REGISTRY, Scenario
+from repro.core import endtoend
 from repro.core.cpu_worker import CpuPreprocessingWorker
-from repro.core.endtoend import EndToEndSimulation
+from repro.core.endtoend import EndToEndSimulation, _simulate
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.manager import PreprocessManager
-from repro.errors import ConfigurationError, ProvisioningError, ReproError
+from repro.errors import (
+    ConfigurationError,
+    ProvisioningError,
+    ReproError,
+    SimulationError,
+)
 from repro.features.specs import get_model
 
 MODELS = ["RM1", "RM2", "RM3", "RM4", "RM5"]
@@ -292,3 +301,100 @@ class TestOneWorkerIsPricedOnce:
                     )
                 )
                 assert one == fresh, (num_gpus, num_batches)
+
+
+class TestOnlyProducingSlotsCostWork:
+    """A system-built run costs the same Python work per slot at 367 slots
+    as at 2,931 when only 200 of them produce: the workers fill their slots
+    without a factory call each, and only the producing slots are priced
+    and simulated."""
+
+    @staticmethod
+    def counted_run(num_gpus):
+        spec = get_model("RM5")
+        system = REGISTRY.create("Disagg", spec)
+        make_worker = system.make_worker
+        made = []
+        system.make_worker = lambda: made.append(1) or make_worker()
+        sim = EndToEndSimulation(spec, system=system, num_gpus=num_gpus)
+        codes = {EndToEndSimulation.run.__code__, PreprocessManager.launch.__code__}
+        lines = []
+
+        def count(frame, event, arg):
+            if event == "line":
+                lines.append(frame.f_code.co_name)
+            return count
+
+        def calls(frame, event, arg):
+            # run, launch and the comprehensions they call
+            if frame.f_code in codes or frame.f_back.f_code in codes:
+                return count
+            return None
+
+        producers = []
+        simulate = endtoend._simulate
+
+        def recording(*args):
+            producers.append(len(args[0]))
+            return simulate(*args)
+
+        previous = sys.gettrace()
+        with mock.patch.object(endtoend, "_simulate", recording):
+            sys.settrace(calls)
+            try:
+                stats = sim.run(num_batches=200, provision_to_demand=True)
+            finally:
+                sys.settrace(previous)
+        return stats, len(made), producers, len(lines)
+
+    def test_per_slot_work_does_not_grow_with_the_launch(self):
+        small = self.counted_run(8)
+        large = self.counted_run(64)
+        assert (small[0].num_workers, large[0].num_workers) == (367, 2931)
+        # the constructor's worker and provision_for's throughput probe
+        assert small[1] == large[1] == 2
+        assert small[2] == large[2] == [200]
+        assert small[3] == large[3]
+
+
+class TestNonFiniteDelays:
+    @pytest.mark.parametrize(
+        "producer",
+        [(float("nan"), 1.0, 3), (1.0, float("inf"), 3), (float("inf"), 1.0, 3)],
+    )
+    def test_non_finite_producer_is_a_typed_error(self, producer):
+        with pytest.raises(SimulationError, match="non-finite delay"):
+            _simulate([producer], 4, 0.5, 0.5, 3)
+
+    @pytest.mark.parametrize("iteration", [float("nan"), float("inf")])
+    def test_non_finite_trainer_is_a_typed_error(self, iteration):
+        with pytest.raises(SimulationError, match="non-finite delay"):
+            _simulate([(1.0, 1.0, 3)], 4, iteration, iteration, 3)
+
+
+def test_provisioned_to_demand_saturates_the_trainer():
+    """The Fig. 9 law: ``ceil(T/P)`` workers keep the trainer busy.  Every
+    registered system x RM1-RM5 x 1/8/64 GPUs, run long enough that the
+    warmup amortises, reads a steady-state utilization of at least 0.99 —
+    or raises the typed error of a design that cannot be provisioned
+    (Co-located's fixed per-GPU core budget)."""
+    unsaturated, unprovisionable = [], set()
+    for name in REGISTRY.names():
+        for model in MODELS:
+            for num_gpus in (1, 8, 64):
+                scenario = Scenario(model=model, system=name, num_gpus=num_gpus)
+                try:
+                    plan = scenario.provision_plan()
+                except ConfigurationError:
+                    unprovisionable.add(name)
+                    with pytest.raises(ConfigurationError):
+                        scenario.run()
+                    continue
+                batches = max(20 * plan.num_workers, 200)
+                result = scenario.replace(num_batches=batches).run()
+                if result.steady_state_utilization < 0.99:
+                    unsaturated.append(
+                        (name, model, num_gpus, result.steady_state_utilization)
+                    )
+    assert unsaturated == []
+    assert unprovisionable <= {"Co-located"}

@@ -238,6 +238,11 @@ class TestExperimentRun:
         with pytest.raises(ConfigurationError, match="calibration"):
             ExperimentRun("fig3", calibration={"warp_speed": 9.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_calibration_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            ExperimentRun("fig4", calibration={"cpu_log_per_element": value})
+
     def test_calibration_on_calibrationless_experiment_rejected(self):
         run = ExperimentRun(
             "table1", calibration={"cpu_log_per_element": 10e-9}

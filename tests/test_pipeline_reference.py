@@ -1,27 +1,35 @@
-"""The Figure 9 pipeline loop, checked against the process-graph model it
-replaced.
+"""The Figure 9 pipeline loop, checked against the two models it replaced.
 
 ``EndToEndSimulation.run`` simulates producer -> bounded input queue ->
-trainer as one loop over a ``(time, seq)`` heap.  The model it replaced is
-kept here unchanged as the reference: one generator per worker putting batch
-tokens into a blocking :class:`Store`, one trainer generator taking them, on
-an engine that still speaks the ``resume`` / ``_subscribe`` protocol.  Both
-must give ``==`` equal :class:`PipelineStats` over every registered system,
-RM1-RM5, 1 and 8 GPUs, queue capacities 1-32, fewer batches than workers,
-and starved, balanced and over-fed worker counts; and over test-double
-workers whose dyadic timings make simultaneous events the rule.
+trainer as one loop whose heap holds only producer ``READY`` events
+``(time, seq, producer)``; the trainer is one scalar, the time its batch
+finishes.  Two references are kept here unchanged:
+
+* the process graph: one generator per worker putting batch tokens into a
+  blocking :class:`Store`, one trainer generator taking them, on an engine
+  that still speaks the ``resume`` / ``_subscribe`` protocol;
+* :func:`heap_loop`, the loop that put every ``READY`` / ``PUT`` / ``GOT``
+  / ``TRAINED`` event on a ``(time, seq, kind, producer)`` heap.
+
+All three must give ``==`` equal :class:`PipelineStats` over every
+registered system, RM1-RM5, 1 and 8 GPUs, queue capacities 1-32, fewer
+batches than workers, and starved, balanced and over-fed worker counts; and
+over test-double workers whose dyadic timings make simultaneous events the
+rule.  ``_simulate`` must also return exactly what :func:`heap_loop` returns.
 
 With one trainer, the order of a trainer event and a producer event at the
 same instant never moves a statistic, so the stats alone cannot see every
-``seq`` draw.  Both sides therefore also record their event trace — every
-``(time, kind, producer)`` they schedule, in ``seq`` order — and the traces
-must be equal too: the loop draws each ``seq`` where the engine drew one.
+``seq`` draw.  The loop's only draws are its ``READY`` pushes, so it records
+each ``(time, producer)`` it schedules, in ``seq`` order, and that trace must
+equal the process graph's producer timeouts in the order the engine
+scheduled them.
 """
 
 import collections
 import heapq
 import itertools
 import re
+from typing import List, Tuple
 from unittest import mock
 
 import pytest
@@ -30,14 +38,7 @@ from hypothesis import strategies as st
 
 from repro.api import REGISTRY
 from repro.core import endtoend
-from repro.core.endtoend import (
-    GOT,
-    PUT,
-    READY,
-    TRAINED,
-    EndToEndSimulation,
-    PipelineStats,
-)
+from repro.core.endtoend import EndToEndSimulation, PipelineStats
 from repro.core.worker import PreprocessingWorker
 from repro.errors import ConfigurationError, SimulationError
 from repro.features.specs import get_model
@@ -185,7 +186,9 @@ def train(engine, queue, manager, num_batches, stats):
     """Process: train ``num_batches`` mini-batches taken from ``queue``."""
     iteration = manager.iteration_time()
     cal = manager.cal
-    h2d = cal.train_ready_batch_bytes(manager.spec) / cal.gpu_preproc_pcie_bw
+    h2d = cal.train_ready_batch_bytes(manager.spec) / (
+        manager.num_gpus * cal.gpu_preproc_pcie_bw
+    )
     for index in range(num_batches):
         wait_start = engine.now
         yield queue.get()
@@ -198,8 +201,8 @@ def train(engine, queue, manager, num_batches, stats):
 
 
 def reference_run(sim, num_batches, num_workers=None, provision_to_demand=False):
-    """``EndToEndSimulation.run`` as the process graph computed it, and its
-    trace as ``(time, kind, producer)`` (producer -1 is the trainer)."""
+    """``EndToEndSimulation.run`` as the process graph computed it, and the
+    ``(time, producer)`` of each producer timeout it scheduled."""
     if num_batches <= 0:
         raise ConfigurationError("num_batches must be positive")
     manager = sim.train_manager
@@ -232,13 +235,11 @@ def reference_run(sim, num_batches, num_workers=None, provision_to_demand=False)
     production_span = max(p.finish_time for p in producers)
     if production_span <= 0:
         production_span = consumed_time
-    kinds = {("timeout", False): READY, ("resume", False): PUT,
-             ("timeout", True): TRAINED, ("resume", True): GOT}
     position = {process: k for k, process in enumerate(producers)}
-    position[trainer] = -1
     trace = [
-        (time, kinds[how, process is trainer], position[process])
+        (time, position[process])
         for time, how, process in engine.trace
+        if how == "timeout" and process is not trainer
     ]
     return trace, PipelineStats(
         spec_name=sim.spec.name,
@@ -368,6 +369,84 @@ class TestReferenceStore:
         assert len(store) == 0
 
 
+# -- the second reference: the loop with every event on its heap -------------
+
+
+# ``_simulate`` as it was while the trainer's events shared the heap with
+# the producers', kept verbatim
+
+#: event kinds of :func:`heap_loop`
+READY, PUT, GOT, TRAINED = range(4)
+
+
+def heap_loop(
+    producers: List[Tuple[float, float, int]],
+    capacity: int,
+    iteration: float,
+    step: float,
+    num_batches: int,
+) -> Tuple[float, float, float, float, float]:
+    """Run the Figure 9 pipeline to the last trained batch.
+
+    ``producers`` holds one ``(latency, interval, share)`` per worker with a
+    non-zero share.  Returns ``(wall, training, wait, first_batch,
+    production_end)`` in simulated seconds.
+    """
+    latencies, intervals, shares = zip(*producers)
+    if min(latencies + intervals + (iteration, step)) < 0:
+        raise SimulationError("negative delay in the pipeline model")
+    seq = itertools.count()
+    # every time is ``now + delay``, this one included (``now`` is 0.0)
+    heap = [(0.0 + delay, next(seq), READY, k) for k, delay in enumerate(latencies)]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    left = list(shares)
+    blocked: collections.deque = collections.deque()
+    queued = trained = 0
+    trainer_waiting = True  # its first take, at time 0, finds the queue empty
+    training = wait = first = wait_start = production_end = 0.0
+    while True:
+        now, _, kind, k = pop(heap)
+        if kind == READY:
+            if queued == capacity:
+                blocked.append(k)
+                continue
+            queued += 1
+            push(heap, (now, next(seq), PUT, k))
+            # the trainer waits only on an empty queue, so nobody is blocked
+            if trainer_waiting:
+                trainer_waiting = False
+                queued -= 1
+                push(heap, (now, next(seq), GOT, -1))
+        elif kind == PUT:
+            left[k] -= 1
+            if left[k]:
+                push(heap, (now + intervals[k], next(seq), READY, k))
+            else:
+                production_end = now
+        elif kind == GOT:
+            if trained == 0:
+                first = now
+            wait += now - wait_start
+            push(heap, (now + step, next(seq), TRAINED, -1))
+        else:
+            training += iteration
+            trained += 1
+            if trained == num_batches:
+                return now, training, wait, first, production_end
+            wait_start = now
+            if not queued:
+                trainer_waiting = True
+                continue
+            queued -= 1
+            push(heap, (now, next(seq), GOT, -1))
+            # producers block only on a full queue: the one freed slot
+            # admits at most one of them
+            if blocked:
+                queued += 1
+                push(heap, (now, next(seq), PUT, blocked.popleft()))
+
+
 # -- the loop against the reference ------------------------------------------
 
 
@@ -393,13 +472,23 @@ class RecordingHeapq:
 
 
 def loop_run(sim, num_batches, **kwargs):
-    """``sim.run`` and the trace of the loop behind it."""
+    """``sim.run`` and the trace of the loop behind it; the loop must return
+    exactly what :func:`heap_loop` returns on the same inputs."""
     recorder = RecordingHeapq()
-    with mock.patch.object(endtoend, "heapq", recorder):
+    simulate = endtoend._simulate
+
+    def checked(*args):
+        result = simulate(*args)
+        assert result == heap_loop(*args)
+        return result
+
+    with mock.patch.object(endtoend, "heapq", recorder), mock.patch.object(
+        endtoend, "_simulate", checked
+    ):
         stats = sim.run(num_batches, **kwargs)
     seqs = [entry[1] for entry in recorder.entries]
     assert seqs == sorted(seqs)
-    return [(time, kind, k) for time, _, kind, k in recorder.entries], stats
+    return [(time, k) for time, _, k in recorder.entries], stats
 
 
 def assert_loop_is_reference(make_sim, num_batches, **kwargs):

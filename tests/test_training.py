@@ -1,9 +1,12 @@
 """Tests for the DLRM cost model, GPU training model, and train manager."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.features.specs import all_models, get_model
+from repro.hardware.calibration import CALIBRATION
 from repro.training.dlrm import DlrmCostModel
 from repro.training.gpu import GpuTrainingModel
 from repro.training.trainer import TrainManager
@@ -98,6 +101,23 @@ class TestTrainManager:
         h2d = cal.train_ready_batch_bytes(spec) / cal.gpu_preproc_pcie_bw
         assert manager.step_time() == max(h2d, manager.iteration_time())
         assert manager.step_time() >= manager.iteration_time()
+
+    def test_each_gpu_copies_its_own_share(self):
+        """Data-parallel GPUs copy ``1/num_gpus`` of the batch each, over
+        their own links, so the copy shrinks with the iteration."""
+        spec = get_model("RM5")
+        manager = TrainManager(spec, num_gpus=64)
+        cal = manager.cal
+        h2d = cal.train_ready_batch_bytes(spec) / (64 * cal.gpu_preproc_pcie_bw)
+        assert manager.step_time() == max(h2d, manager.iteration_time())
+        assert manager.step_time() == manager.iteration_time()
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1e9])
+    def test_copy_bandwidth_must_be_positive(self, bandwidth):
+        calibration = dataclasses.replace(CALIBRATION, gpu_preproc_pcie_bw=bandwidth)
+        manager = TrainManager(get_model("RM1"), calibration=calibration)
+        with pytest.raises(ConfigurationError, match="gpu_preproc_pcie_bw"):
+            manager.step_time()
 
     @pytest.mark.parametrize("num_gpus", [0, 2.5, 8.0, True])
     def test_invalid_gpus(self, num_gpus):
