@@ -112,10 +112,10 @@ def _fleet_day(trace, pools, injector=None):
 
 
 def bench_fleet_step(max_jobs: int, reps: int, seed: int) -> List[BenchResult]:
-    """Events/s of the fleet step loop on a warm memo (``_best_of``'s first
-    call warms it), for each day of the series up to ``max_jobs``
-    arrivals.  An "element" is one simulator event: the time-step ticks
-    plus one arrival and one completion per job."""
+    """Events/s of the fleet step loop, each run a fresh simulator that
+    provisions its shapes cold, for each day of the series up to
+    ``max_jobs`` arrivals.  An "element" is one simulator event: the
+    time-step ticks plus one arrival and one completion per job."""
     from repro.fleet import default_pools, generate_trace
 
     pools = default_pools()
@@ -150,9 +150,9 @@ def bench_fleet_probe(reps: int, seed: int) -> List[BenchResult]:
     class CountingInjector(FaultInjector):
         probes = 0
 
-        def check_nodes(self, point, pool, epoch, node_ids):
-            self.probes += len(node_ids)
-            return super().check_nodes(point, pool, epoch, node_ids)
+        def check_nodes(self, point, pool, epoch, nodes):
+            self.probes += sum(node.up for node in nodes.values())
+            return super().check_nodes(point, pool, epoch, nodes)
 
     counted = CountingInjector(plan)
     _fleet_day(trace, pools, counted)

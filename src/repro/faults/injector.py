@@ -35,7 +35,7 @@ from __future__ import annotations
 import errno
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -147,21 +147,22 @@ class FaultInjector:
         return None
 
     def check_nodes(self, point: str, pool: str, epoch: int,
-                    node_ids: Sequence[int]) -> List[Tuple[int, FaultRule]]:
-        """Ask ``point`` about every listed node of ``pool`` in fault
-        epoch ``epoch``: ``[(position, rule), ...]`` for the nodes that
-        fired, in ``node_ids`` order.
+                    nodes: Mapping[int, Any]) -> List[Tuple[int, FaultRule]]:
+        """Ask ``point`` about every up node in ``nodes`` (id -> node) of
+        ``pool`` in fault epoch ``epoch``: ``[(node_id, rule), ...]`` for
+        the nodes that fired, in id order.
 
         The point's rules are resolved once against ``{"pool": pool}``;
         node ``id``'s coin is word ``id`` of the one stream keyed
         ``f"{pool}:epoch-{epoch}"`` (:meth:`FaultPlan.stream_words`),
         which every rule compares against its own
-        :func:`~repro.faults.plan.fire_threshold` in plan order.  Node
-        ids are never reused, so a node's fate does not depend on which
-        other nodes exist.  Budgets and the audit trail are
-        :meth:`check`'s, a fire audited under ``pool:node-<id>:epoch-<k>``.
-        A rule with a ``key``, or a ``match`` on ``item``, asks for a
-        coin the stream does not have: :class:`ConfigurationError`.
+        :func:`~repro.faults.plan.fire_threshold` in plan order.  The
+        stream's output is prefix-stable and node ids are never reused,
+        so a node's fate does not depend on which other nodes exist.
+        Budgets and the audit trail are :meth:`check`'s, a fire audited
+        under ``pool:node-<id>:epoch-<k>``.  A rule with a ``key``, or a
+        ``match`` on ``item``, asks for a coin the stream does not have:
+        :class:`ConfigurationError`.
         """
         rules = self.plan.rules_for(point)
         for rule in rules:
@@ -176,22 +177,24 @@ class FaultInjector:
             (rule, int.from_bytes(fire_threshold(rule.rate), "big"))
             for rule in rules if rule.matches({"pool": pool})
         ]
-        if not armed or not node_ids:
+        if not armed or not any(node.up for node in nodes.values()):
             return []  # nothing to draw: build no stream
-        ids = np.asarray(node_ids, dtype=np.int64)
         words = self.plan.stream_words(
-            point, f"{pool}:epoch-{epoch}", int(ids.max()) + 1
-        )[ids]
-        # every rule flips the same word per node, so most nodes stop at
-        # the highest threshold and never reach the per-rule loop
+            point, f"{pool}:epoch-{epoch}", max(nodes) + 1
+        )
+        # every rule flips the same word per node, so most ids stop at the
+        # highest threshold and never reach the per-rule loop
         ceiling = max(threshold for _, threshold in armed)
         fired: List[Tuple[int, FaultRule]] = []
-        for position in np.flatnonzero(words < ceiling).tolist():
-            word = int(words[position])
-            key = f"{pool}:node-{node_ids[position]}:epoch-{epoch}"
+        for node_id in np.flatnonzero(words < ceiling).tolist():
+            node = nodes.get(node_id)
+            if node is None or not node.up:
+                continue
+            word = int(words[node_id])
+            key = f"{pool}:node-{node_id}:epoch-{epoch}"
             for rule, threshold in armed:
                 if word < threshold and self._record(rule, point, key):
-                    fired.append((position, rule))
+                    fired.append((node_id, rule))
                     break
         return fired
 

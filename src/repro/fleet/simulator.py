@@ -9,8 +9,8 @@ the discrete-event :class:`~repro.sim.engine.Engine`:
 * **placement** is delegated to a registered
   :class:`~repro.fleet.policy.PlacementPolicy`; a job needs
   ``system.provision_for(num_gpus).num_workers`` workers in a pool
-  (memoized process-wide per (system factory, model spec, gpus,
-  calibration), resolved once at admission) and may span nodes;
+  (memoized per simulator on (model, gpus), resolved once at admission)
+  and may span nodes;
 * **autoscaling** consults a registered
   :class:`~repro.fleet.autoscale.Autoscaler` at each step about every
   pool whose snapshot moved since its last "hold"; growth pays
@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cost import capacity_cost
 from repro.api.registry import REGISTRY
-from repro.errors import ConfigurationError, FleetError, ProvisioningError
+from repro.errors import ConfigurationError, FleetError, ProvisioningError, is_int
 from repro.faults.injector import FaultInjector, active_injector
 from repro.features.specs import get_model
 from repro.fleet.policy import Candidate, PlacementPolicy, get_policy
@@ -61,7 +61,7 @@ from repro.fleet.result import (
 )
 from repro.fleet.trace import JobArrival, Trace
 from repro.hardware.calibration import CALIBRATION, Calibration
-from repro.sim.engine import Engine, Timeout
+from repro.sim.engine import Engine
 
 #: extra clones an ``arrival-burst`` fault fans one arrival into
 BURST_CLONES = 2
@@ -81,26 +81,6 @@ SAMPLE_EVERY_S = 900.0
 CHECKPOINT_S = 1800.0
 SLO_QUEUE_S = 1800.0
 
-#: process-wide provisioning memo: (system factory, calibration) ->
-#: {(model spec, num_gpus): workers needed, None if it cannot run there}.
-#: Keyed on the factory object, not its registry name, so re-registering a
-#: system never serves a stale need; it holds plain ints, no system objects.
-#: Only the :data:`_NEED_MEMO_KEYS` most recently used keys are kept, so a
-#: sweep over many calibrations does not grow it without bound.
-_NEED_MEMO: Dict[tuple, Dict[tuple, Optional[int]]] = {}
-_NEED_MEMO_KEYS = 8
-
-
-def _need_memo(factory, calibration: Calibration) -> Dict[tuple, Optional[int]]:
-    """The memo of ``(factory, calibration)``, now the most recent key."""
-    key = (factory, calibration)
-    memo = _NEED_MEMO.pop(key, {})
-    _NEED_MEMO[key] = memo  # dicts keep insertion order: oldest first
-    while len(_NEED_MEMO) > _NEED_MEMO_KEYS:
-        del _NEED_MEMO[next(iter(_NEED_MEMO))]
-    return memo
-
-
 @dataclass(frozen=True)
 class PoolSpec:
     """One pool of preprocessing capacity built from a registered system."""
@@ -117,6 +97,12 @@ class PoolSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
             raise ConfigurationError("pool name must be a non-empty string")
+        for field in ("nodes", "workers_per_node", "min_nodes", "max_nodes"):
+            if not is_int(getattr(self, field)):
+                raise ConfigurationError(
+                    f"pool {self.name!r}: {field} must be an int, "
+                    f"got {getattr(self, field)!r}"
+                )
         if self.workers_per_node <= 0:
             raise ConfigurationError(
                 f"pool {self.name!r}: workers_per_node must be positive"
@@ -131,9 +117,12 @@ class PoolSpec:
                 f"pool {self.name!r}: initial nodes {self.nodes} outside "
                 f"[{self.min_nodes}, {self.max_nodes}]"
             )
-        if self.scaleup_latency_s < 0:
+        if not isinstance(self.scaleup_latency_s, (int, float)) or not (
+            0.0 <= self.scaleup_latency_s < math.inf
+        ):
             raise ConfigurationError(
-                f"pool {self.name!r}: scaleup_latency_s must be non-negative"
+                f"pool {self.name!r}: scaleup_latency_s must be non-negative "
+                f"and finite, got {self.scaleup_latency_s!r}"
             )
 
     @property
@@ -205,7 +194,7 @@ class _PoolState:
     """One pool's live nodes, pending growth, and usage ledgers."""
 
     __slots__ = (
-        "spec", "reference", "factory", "needs", "nodes", "open", "up",
+        "spec", "reference", "factory", "nodes", "open", "up",
         "busy", "queued", "pending", "grow_batches", "next_node_id",
         "peak_nodes", "capacity_worker_hours", "busy_worker_hours",
         "energy_kwh", "jobs_completed", "node_failures", "settled", "power",
@@ -217,8 +206,9 @@ class _PoolState:
             spec.system, get_model(spec.model), calibration
         )
         self.factory = REGISTRY.get(spec.system)
-        self.needs = _need_memo(self.factory, calibration)
-        self.nodes: List[_Node] = []  # id-ascending, up or repairing
+        #: id -> node, up or repairing; ids only grow, so insertion order
+        #: is id order
+        self.nodes: Dict[int, _Node] = {}
         #: ledger: min-heap of (id, node) holding every up non-full node
         #: (``node.open``); a node leaves it when it fills, and the stale
         #: entries (failed or retired nodes) are dropped when they surface
@@ -253,7 +243,7 @@ class _PoolState:
         return self.up * self.spec.workers_per_node - self.busy
 
     def add_node(self, node: _Node) -> None:
-        self.nodes.append(node)
+        self.nodes[node.id] = node
         self.up += 1
         self.reopen(node)
 
@@ -307,47 +297,30 @@ class FleetSimulator:
         self._last_fault_epoch = -1
         self._last_sample_s = -SAMPLE_EVERY_S
         self._samples: List[PoolSample] = []
-        #: (model name, num_gpus) -> needs, in front of the process-wide memo
+        #: (model name, num_gpus) -> needs: each shape is provisioned once
         self._needs_by_shape: Dict[Tuple[str, int], tuple] = {}
         self._ran = False
-
-    # -- fault probes --------------------------------------------------------
-
-    def _probe(self, point: str, **context):
-        """Cooperative fleet probe: the matched rule, or ``None``, from
-        the injector :meth:`run` resolved (the simulator's own, else the
-        process-global one).  Fleet actions (``down``/``slow``/``burst``)
-        are enacted here in simulated time — never via the generic
-        wall-clock executor."""
-        if self._injector is None:
-            return None
-        return self._injector.check(point, **context)
 
     # -- provisioning --------------------------------------------------------
 
     def _needs(self, arrival: JobArrival) -> Tuple[Tuple[_PoolState, int], ...]:
         """(pool, workers ``arrival`` needs there) for every pool whose
         maximum size could hold it: memoized per simulator on
-        ``(model name, num_gpus)``, then through the process-wide memo."""
+        ``(model name, num_gpus)``."""
         shape = (arrival.model, arrival.num_gpus)
         try:
             return self._needs_by_shape[shape]
         except KeyError:
             pass
         model = get_model(arrival.model)
-        key = (model, arrival.num_gpus)
         needs = []
         for pool in self.pools.values():
+            system = pool.factory(model, self.calibration)
             try:
-                need = pool.needs[key]
-            except KeyError:
-                system = pool.factory(model, self.calibration)
-                try:
-                    need = system.provision_for(arrival.num_gpus).num_workers
-                except (ConfigurationError, ProvisioningError):
-                    need = None  # this technology cannot sustain the job
-                pool.needs[key] = need
-            if need is not None and need <= pool.spec.max_workers:
+                need = system.provision_for(arrival.num_gpus).num_workers
+            except (ConfigurationError, ProvisioningError):
+                continue  # this technology cannot sustain the job
+            if need <= pool.spec.max_workers:
                 needs.append((pool, need))
         self._needs_by_shape[shape] = needs = tuple(needs)
         return needs
@@ -378,7 +351,12 @@ class FleetSimulator:
         self._arrived += 1
         jobs = [arrival]
         job_id = arrival.job_id
-        rule = self._probe("arrival-burst", job_id=job_id, item=job_id)
+        # fleet rules are enacted here in simulated time, never through
+        # the generic wall-clock ``FaultInjector.execute``
+        injector = self._injector
+        rule = None if injector is None else injector.check(
+            "arrival-burst", job_id=job_id, item=job_id
+        )
         if rule is not None:
             clones = int(rule.delay_s) if rule.delay_s else BURST_CLONES
             suffix = 0
@@ -409,12 +387,6 @@ class FleetSimulator:
 
     # -- placement -----------------------------------------------------------
 
-    def _candidates(self, job: _Job) -> List[Candidate]:
-        return [
-            (pool.spec.name, pool.free_workers(), need)
-            for pool, need in job.needs if need <= pool.free_workers()
-        ]
-
     def _place(self, job: _Job, pool_name: str, need: int) -> None:
         """Fill up nodes lowest id first, spanning nodes as needed; a node
         that fills leaves the open heap at once."""
@@ -439,7 +411,7 @@ class FleetSimulator:
             if take == free:
                 heapq.heappop(heap)
                 node.open = False
-        if remaining > 0:  # _candidates said it fits; this is a bug
+        if remaining > 0:  # _drain said it fits; this is a bug
             raise FleetError(
                 f"pool {pool_name!r} lost capacity while placing "
                 f"{job.arrival.job_id!r}"
@@ -471,18 +443,23 @@ class FleetSimulator:
         queue = self._queue
         while queue:
             job = queue[0][2]
-            candidates = self._candidates(job)
+            candidates: List[Candidate] = [
+                (pool.spec.name, free, need) for pool, need in job.needs
+                if need <= (free := pool.free_workers())
+            ]
             if not candidates:
                 break
             choice = self.policy.choose_pool(job.arrival, candidates)
-            by_name = {name: need for name, _, need in candidates}
-            if choice not in by_name:
+            for name, _, need in candidates:
+                if name == choice:
+                    break
+            else:
                 raise FleetError(
                     f"policy {self.policy.name!r} chose {choice!r} which is "
                     f"not a candidate for {job.arrival.job_id!r}"
                 )
             heapq.heappop(queue)
-            self._place(job, choice, by_name[choice])
+            self._place(job, name, need)
 
     # -- completion / displacement ------------------------------------------
 
@@ -586,16 +563,12 @@ class FleetSimulator:
             return  # an injector with nothing to say to the nodes
         slowed: Dict[str, float] = {}  # job_id -> worst penalty this epoch
         for name, pool in self.pools.items():
-            nodes = [node for node in pool.nodes if node.up]
-            ids = [node.id for node in nodes]
-            down = injector.check_nodes("node-down", name, epoch, ids)
-            for position, _ in down:
-                self._fail_node(pool, nodes[position])
-            for position, _ in reversed(down):
-                del nodes[position], ids[position]
-            for position, rule in injector.check_nodes("slow-node", name, epoch, ids):
+            nodes = pool.nodes
+            for node_id, _ in injector.check_nodes("node-down", name, epoch, nodes):
+                self._fail_node(pool, nodes[node_id])
+            for node_id, rule in injector.check_nodes("slow-node", name, epoch, nodes):
                 penalty = SLOW_PENALTY_S if rule.delay_s is None else rule.delay_s
-                for job_id in nodes[position].allocations:
+                for job_id in nodes[node_id].allocations:
                     slowed[job_id] = max(slowed.get(job_id, 0.0), penalty)
         for job_id in sorted(slowed):
             self._slow_job(self._jobs[job_id], slowed[job_id])
@@ -666,7 +639,7 @@ class FleetSimulator:
                   "up non-full nodes missing from the open heap")
         for name, pool in self.pools.items():
             self._check_pending(pool)
-            nodes, wpn = pool.nodes, pool.spec.workers_per_node
+            nodes, wpn = pool.nodes.values(), pool.spec.workers_per_node
             used = [sum(node.allocations.values()) for node in nodes]
             in_heap = {id(node) for _, node in pool.open}
             ledger = (
@@ -725,17 +698,18 @@ class FleetSimulator:
             pool.pending -= cancelled
             count -= cancelled
         self._check_pending(pool)
-        for index in range(len(pool.nodes) - 1, -1, -1):  # id-descending
-            if count <= 0:
+        retired: List[_Node] = []
+        for node in reversed(pool.nodes.values()):  # id-descending
+            if len(retired) >= count:
                 break
-            node = pool.nodes[index]
             if node.up and not node.allocations:
-                node.up = False
-                del pool.nodes[index]
-                pool.up -= 1
-                count -= 1
+                retired.append(node)
+        for node in retired:
+            node.up = False
+            del pool.nodes[node.id]
+        pool.up -= len(retired)
         if len(pool.open) > 2 * len(pool.nodes):  # shed retired entries
-            pool.open = [(n.id, n) for n in pool.nodes if n.open]
+            pool.open = [(n.id, n) for n in pool.nodes.values() if n.open]
 
     def _sample(self) -> None:
         now = self.engine.now
@@ -750,19 +724,19 @@ class FleetSimulator:
 
     # -- the run -------------------------------------------------------------
 
-    def _step_process(self):
-        while True:
-            yield Timeout(STEP_S)
-            self._integrate()
-            epoch = int(self.engine.now // FAULT_EPOCH_S)
-            if epoch != self._last_fault_epoch:
-                self._last_fault_epoch = epoch
-                self._probe_nodes(epoch)
-            self._autoscale()
-            self._drain()
-            self._sample()
-            if self._arrived >= self._expected and self._terminal >= len(self._jobs):
-                return
+    def _tick(self) -> None:
+        """One scheduler step; the next is :data:`STEP_S` ahead until every
+        expected job has arrived and ended."""
+        self._integrate()
+        epoch = int(self.engine.now // FAULT_EPOCH_S)
+        if epoch != self._last_fault_epoch:
+            self._last_fault_epoch = epoch
+            self._probe_nodes(epoch)
+        self._autoscale()
+        self._drain()
+        self._sample()
+        if self._arrived < self._expected or self._terminal < len(self._jobs):
+            self.engine.schedule(STEP_S, self._tick)
 
     def run(self, max_events: int = 5_000_000) -> FleetResult:
         """Execute the whole trace; returns the frozen result.  A simulator
@@ -777,7 +751,9 @@ class FleetSimulator:
                 arrival.submit_s,
                 lambda arrival=arrival: self._on_arrival(arrival),
             )
-        self.engine.spawn("fleet-step", self._step_process())
+        # the first tick draws its sequence number at t=0, behind every
+        # arrival: same-time events fire in that order, and digests see it
+        self.engine.schedule(0.0, lambda: self.engine.schedule(STEP_S, self._tick))
         self.engine.run(max_events=max_events)
         self._integrate()
         self.check_ledgers()
@@ -789,8 +765,12 @@ class FleetSimulator:
         return self._build_result()
 
     def _build_result(self) -> FleetResult:
-        records = [
-            FleetJobRecord(
+        records: List[FleetJobRecord] = []
+        waits: List[float] = []  # queue_s of the completed jobs
+        rejected = displacements = reschedules = 0
+        for job_id, job in sorted(self._jobs.items()):
+            queue_s = round(job.waited_s, 3)
+            records.append(FleetJobRecord(
                 job_id=job_id,
                 model=job.arrival.model,
                 num_gpus=job.arrival.num_gpus,
@@ -800,12 +780,16 @@ class FleetSimulator:
                 submit_s=job.arrival.submit_s,
                 start_s=round(job.start_s, 3) if job.start_s is not None else None,
                 finish_s=round(job.finish_s, 3) if job.finish_s is not None else None,
-                queue_s=round(job.waited_s, 3),
+                queue_s=queue_s,
                 reschedules=job.reschedules,
                 displacements=job.displacements,
-            )
-            for job_id, job in sorted(self._jobs.items())
-        ]
+            ))
+            if job.state == "completed":
+                waits.append(queue_s)
+            elif job.state == "rejected":
+                rejected += 1
+            displacements += job.displacements
+            reschedules += job.reschedules
         usages = []
         total_cost = total_capacity_wh = total_busy_wh = 0.0
         for name, pool in sorted(self.pools.items()):
@@ -833,9 +817,8 @@ class FleetSimulator:
             total_cost += cost.total
             total_capacity_wh += pool.capacity_worker_hours
             total_busy_wh += pool.busy_worker_hours
-        waits = sorted(job.queue_s for job in records if job.state == "completed")
+        waits.sort()
         completed = len(waits)
-        rejected = sum(1 for job in records if job.state == "rejected")
         mean_queue = sum(waits) / completed if completed else 0.0
         p95_queue = waits[max(0, -(-95 * completed // 100) - 1)] if completed else 0.0
         attained = sum(1 for wait in waits if wait <= SLO_QUEUE_S)
@@ -849,8 +832,8 @@ class FleetSimulator:
             num_jobs=len(records),
             completed=completed,
             rejected=rejected,
-            displacements=sum(job.displacements for job in records),
-            reschedules=sum(job.reschedules for job in records),
+            displacements=displacements,
+            reschedules=reschedules,
             makespan_s=round(self._last_terminal_s, 3),
             mean_queue_s=round(mean_queue, 3),
             p95_queue_s=round(p95_queue, 3),
@@ -858,6 +841,8 @@ class FleetSimulator:
             slo_attainment=round(attained / completed, 6) if completed else 1.0,
             utilization=round(utilization, 6),
             total_cost=round(total_cost, 6),
+            # summed in admission order, not record order: float addition
+            # is not associative, and the digest holds the sum
             lost_work_hours=round(
                 sum(job.lost_s for job in self._jobs.values()) / 3600.0, 6
             ),

@@ -73,15 +73,19 @@ class JobArrival:
                 f"arrival {self.job_id!r}: num_gpus must be a positive int, "
                 f"got {self.num_gpus!r}"
             )
-        if not isinstance(self.duration_s, (int, float)) or self.duration_s <= 0:
+        if not isinstance(self.duration_s, (int, float)) or not (
+            0.0 < self.duration_s < math.inf
+        ):
             raise ConfigurationError(
-                f"arrival {self.job_id!r}: duration_s must be positive, "
-                f"got {self.duration_s!r}"
+                f"arrival {self.job_id!r}: duration_s must be positive and "
+                f"finite, got {self.duration_s!r}"
             )
-        if not isinstance(self.submit_s, (int, float)) or self.submit_s < 0:
+        if not isinstance(self.submit_s, (int, float)) or not (
+            0.0 <= self.submit_s < math.inf
+        ):
             raise ConfigurationError(
-                f"arrival {self.job_id!r}: submit_s must be non-negative, "
-                f"got {self.submit_s!r}"
+                f"arrival {self.job_id!r}: submit_s must be non-negative and "
+                f"finite, got {self.submit_s!r}"
             )
         if not is_int(self.priority) or self.priority < 0:
             raise ConfigurationError(
@@ -319,14 +323,12 @@ def generate_trace(
         raise ConfigurationError(
             f"num_jobs must be a positive int, got {num_jobs!r}"
         )
-    if horizon_s <= 0:
-        raise ConfigurationError(
-            f"horizon_s must be positive, got {horizon_s!r}"
-        )
-    if mean_duration_s <= 0:
-        raise ConfigurationError(
-            f"mean_duration_s must be positive, got {mean_duration_s!r}"
-        )
+    for name, value in (("horizon_s", horizon_s),
+                        ("mean_duration_s", mean_duration_s)):
+        if not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
+            raise ConfigurationError(
+                f"{name} must be positive and finite, got {value!r}"
+            )
     names: Tuple[str, ...]
     weights: Tuple[int, ...]
     if models is None:

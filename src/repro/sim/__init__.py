@@ -1,8 +1,8 @@
 """Minimal discrete-event simulation engine.
 
-A generator-based DES in the style of SimPy, sized to what the fleet
-simulator needs: a simulated clock, processes that ``yield`` timeouts, and
-callbacks scheduled on the same (time, sequence)-ordered heap.
+Sized to what the fleet simulator needs: a simulated clock and callbacks
+on one (time, sequence)-ordered heap.  Generator processes that ``yield``
+timeouts share that heap; only tests and the benchmark probe use them.
 """
 
 from repro.sim.engine import Engine, Process, Timeout

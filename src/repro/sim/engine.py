@@ -1,12 +1,13 @@
-"""Generator-based discrete-event engine.
+"""Discrete-event engine.
 
 Two kinds of work share one clock:
 
-* processes — Python generators that yield :class:`Timeout` events and are
-  resumed after the simulated delay;
 * callbacks — zero-argument functions scheduled ``delay`` seconds ahead with
-  :meth:`Engine.schedule` (the fleet simulator's job completions, repairs
-  and scale-ups).
+  :meth:`Engine.schedule`: the fleet simulator's steps, job completions,
+  repairs and scale-ups;
+* processes — Python generators that yield :class:`Timeout` events and are
+  resumed after the simulated delay.  Only tests and the e2e benchmark's
+  engine-dispatch probe run them.
 
 The event queue is a heap ordered by (time, sequence) so simultaneous events
 fire in FIFO order, which keeps runs fully deterministic.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -37,8 +39,8 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
+        if not 0.0 <= delay < inf:
+            raise SimulationError(f"timeout {delay} must be non-negative and finite")
         self.delay = delay
 
     def __repr__(self) -> str:
@@ -48,13 +50,12 @@ class Timeout:
 class Process:
     """Handle for one running process; usable for completion queries."""
 
-    __slots__ = ("name", "generator", "finished", "finish_time")
+    __slots__ = ("name", "generator", "finished")
 
     def __init__(self, name: str, generator: ProcessGenerator) -> None:
         self.name = name
         self.generator = generator
         self.finished = False
-        self.finish_time: Optional[float] = None
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else "running"
@@ -75,8 +76,8 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not 0.0 <= delay < inf:
+            raise SimulationError(f"delay {delay} must be non-negative and finite")
         heapq.heappush(
             self._heap, (self.now + delay, next(self._sequence), None, callback)
         )
@@ -95,7 +96,6 @@ class Engine:
             event = process.generator.send(None)
         except StopIteration:
             process.finished = True
-            process.finish_time = self.now
             return
         if type(event) is Timeout or isinstance(event, Timeout):
             # exact-type check first: the common case skips isinstance, and
@@ -111,8 +111,8 @@ class Engine:
 
     # -- running -------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
-        """Execute events until the heap drains or ``until`` is reached.
+    def run(self, max_events: int = 50_000_000) -> float:
+        """Execute events until the heap drains.
 
         Returns the final simulated time.  ``max_events`` guards against
         accidental infinite loops in model code.
@@ -125,13 +125,9 @@ class Engine:
         step = self._step
         now = self.now
         while heap:
-            time = heap[0][0]
-            if until is not None and time > until:
-                self.now = until
-                return until
+            time, _, process, callback = heappop(heap)
             if time < now - 1e-12:
                 raise SimulationError("event heap went backwards in time")
-            _, _, process, callback = heappop(heap)
             self.now = now = time
             if process is not None:
                 step(process)

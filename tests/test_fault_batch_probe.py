@@ -33,9 +33,9 @@ from repro.fleet import (
     generate_trace,
     run_fleet,
 )
-from repro.fleet.simulator import SLOW_PENALTY_S
+from repro.fleet.simulator import SLOW_PENALTY_S, STEP_S, _Node
 from repro.hardware.calibration import CALIBRATION
-from test_fleet import SMALL_POOLS, small_trace
+from test_fleet import SMALL_POOLS, run_until, small_trace
 
 POINT = "slow-node"  # any catalogued point
 
@@ -130,10 +130,19 @@ def reference_draw(injector, point, pool, epoch, node_id):
 def reference_fires(injector, point, pool, epoch, node_ids):
     """What ``check_nodes`` must return."""
     return [
-        (position, rule) for position, node_id in enumerate(node_ids)
+        (node_id, rule) for node_id in sorted(node_ids)
         if (rule := reference_draw(injector, point, pool, epoch, node_id))
         is not None
     ]
+
+
+def up_nodes(node_ids, down=()):
+    """The id -> node map ``check_nodes`` takes, in id order; the ``down``
+    ids are present but not up."""
+    nodes = {node_id: _Node(node_id) for node_id in sorted(node_ids)}
+    for node_id in down:
+        nodes[node_id].up = False
+    return nodes
 
 
 def audit(injector):
@@ -196,7 +205,7 @@ class TestNodeCoinIsTheStreamWord:
         plan = build_plan(seed, specs, duplicate, pool, epoch, batches[0])
         shipped, reference = FaultInjector(plan), FaultInjector(plan)
         for node_ids in batches:  # later batches inherit the spent budgets
-            got = shipped.check_nodes(POINT, pool, epoch, node_ids)
+            got = shipped.check_nodes(POINT, pool, epoch, up_nodes(node_ids))
             want = reference_fires(reference, POINT, pool, epoch, node_ids)
             assert [(i, id(rule)) for i, rule in got] == [
                 (i, id(rule)) for i, rule in want
@@ -216,14 +225,17 @@ class TestNodeCoinIsTheStreamWord:
     ):
         plan = FaultPlan(seed=seed, rules=(FaultRule(point=POINT, rate=rate),))
 
-        def fired(ids):
+        def fired(nodes):
             return {
-                ids[position] for position, _ in
-                FaultInjector(plan).check_nodes(POINT, "a", epoch, ids)
+                node_id for node_id, _ in
+                FaultInjector(plan).check_nodes(POINT, "a", epoch, nodes)
             }
 
         kept = [n for i, n in enumerate(node_ids) if i not in dropped]
-        assert fired(kept) == fired(node_ids) & set(kept)
+        assert fired(up_nodes(kept)) == fired(up_nodes(node_ids)) & set(kept)
+        # a node that is down is not asked, and costs no other node its coin
+        downed = [n for i, n in enumerate(node_ids) if i in dropped]
+        assert fired(up_nodes(node_ids, down=downed)) == fired(up_nodes(kept))
 
     def test_rate_zero_never_fires_and_rate_one_fires_below_the_cut(self):
         ids = list(range(2000))
@@ -233,8 +245,8 @@ class TestNodeCoinIsTheStreamWord:
         always = FaultInjector(FaultPlan(seed=4, rules=(
             FaultRule(point=POINT, rate=1.0),
         )))
-        assert never.check_nodes(POINT, "a", 3, ids) == []
-        assert [p for p, _ in always.check_nodes(POINT, "a", 3, ids)] == [
+        assert never.check_nodes(POINT, "a", 3, up_nodes(ids)) == []
+        assert [p for p, _ in always.check_nodes(POINT, "a", 3, up_nodes(ids))] == [
             p for p in ids if stream_word(4, POINT, "a", 3, p) < 2**64 - 1024
         ]
 
@@ -246,7 +258,7 @@ class TestNodeCoinIsTheStreamWord:
     def test_a_rule_the_stream_cannot_honour_is_refused_by_name(self, rule):
         plan = FaultPlan(seed=1, rules=(FaultRule(point=POINT, rate=0.1), rule))
         with pytest.raises(ConfigurationError, match="cannot be drawn") as info:
-            FaultInjector(plan).check_nodes(POINT, "a", 0, [0, 1])
+            FaultInjector(plan).check_nodes(POINT, "a", 0, up_nodes([0, 1]))
         assert repr(rule.to_dict()) in str(info.value)
         with pytest.raises(ConfigurationError, match="cannot be drawn"):
             run_fleet(small_trace(10, 1), pools=SMALL_POOLS,
@@ -267,7 +279,7 @@ class InterleavedSimulator(FleetSimulator):
             return
         slowed = {}
         for name, pool in self.pools.items():
-            for node in [node for node in pool.nodes if node.up]:
+            for node in [node for node in pool.nodes.values() if node.up]:
                 if reference_draw(injector, "node-down", name, epoch,
                                   node.id) is not None:
                     for job_id in node.allocations:
@@ -337,8 +349,8 @@ def state_at(simulator_class, until_s, trace, plan, **kwargs):
         sim.engine.schedule(
             entry.submit_s, lambda entry=entry: sim._on_arrival(entry)
         )
-    sim.engine.spawn("fleet-step", sim._step_process())
-    sim.engine.run(until=until_s)
+    sim.engine.schedule(0.0, lambda: sim.engine.schedule(STEP_S, sim._tick))
+    run_until(sim.engine, until_s)
     sim.check_ledgers()
     return (
         {
@@ -348,7 +360,8 @@ def state_at(simulator_class, until_s, trace, plan, **kwargs):
         },
         {
             name: (pool.node_failures,
-                   [(node.id, node.up, node.used) for node in pool.nodes])
+                   [(node.id, node.up, node.used)
+                    for node in pool.nodes.values()])
             for name, pool in sim.pools.items()
         },
         injector.fire_counts(),
@@ -444,13 +457,14 @@ RESILIENCE_PLAN = FaultPlan(seed=11, rules=(
 
 def count_node_work(monkeypatch):
     """Patch in counters: every ``check_nodes`` call as (point, pool,
-    epoch, nodes asked), every stream built as (point, stream key)."""
+    epoch, up nodes asked), every stream built as (point, stream key)."""
     calls, streams = [], []
     check_nodes, stream_words = FaultInjector.check_nodes, FaultPlan.stream_words
 
-    def counting_check(self, point, pool, epoch, node_ids):
-        calls.append((point, pool, epoch, len(node_ids)))
-        return check_nodes(self, point, pool, epoch, node_ids)
+    def counting_check(self, point, pool, epoch, nodes):
+        asked = sum(node.up for node in nodes.values())
+        calls.append((point, pool, epoch, asked))
+        return check_nodes(self, point, pool, epoch, nodes)
 
     def counting_stream(self, point, stream, count):
         streams.append((point, stream))

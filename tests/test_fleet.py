@@ -5,13 +5,13 @@ injection), and results round-trip losslessly through their dicts."""
 
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.experiment import canonical_digest
-from repro.api.registry import REGISTRY
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
@@ -32,9 +32,7 @@ from repro.fleet import (
     get_policy,
     run_fleet,
 )
-from repro.fleet import simulator as fleet_simulator
 from repro.fleet.simulator import CHECKPOINT_S
-from repro.hardware.calibration import CALIBRATION
 
 #: a small heterogeneous fleet that keeps simulator tests fast
 SMALL_POOLS = (
@@ -67,6 +65,28 @@ def small_trace(num_jobs=40, seed=5, kind="diurnal"):
         horizon_s=6 * 3600.0,
         mean_duration_s=1200.0,
     )
+
+
+class _Stopped(Exception):
+    """Ends :func:`run_until`'s ``Engine.run``."""
+
+
+def run_until(engine, t_s):
+    """Run ``engine`` through every event due by ``t_s``, then stop with
+    the clock at ``t_s`` and every later event still pending."""
+    heap = engine._heap
+
+    def stop():
+        if heap and heap[0][0] <= t_s:
+            engine.schedule(0.0, stop)  # the rest of this instant first
+        else:
+            raise _Stopped
+
+    engine.schedule(t_s - engine.now, stop)
+    try:
+        engine.run()
+    except _Stopped:
+        pass
 
 
 class TestTraceGeneration:
@@ -414,13 +434,13 @@ class TestCheckpointedRestart:
         sim = FleetSimulator(Trace(kind="manual", seed=0, arrivals=(arrival,)),
                              pools=SMALL_POOLS)
         sim.engine.schedule(0.0, lambda: sim._on_arrival(arrival))
-        sim.engine.run(until=0.0)
+        run_until(sim.engine, 0.0)
         job = sim._jobs["j"]
         assert job.state == "running"
         return sim, job
 
     def displace_at(self, sim, job, t_s):
-        sim.engine.run(until=t_s)
+        run_until(sim.engine, t_s)
         sim._fail_node(sim.pools[job.pool], job.alloc[0])
         assert job.state == "queued"
 
@@ -435,7 +455,7 @@ class TestCheckpointedRestart:
 
     def test_slow_node_penalties_are_not_progress(self):
         sim, job = self.running()
-        sim.engine.run(until=100.0)
+        run_until(sim.engine, 100.0)
         sim._slow_job(job, 300.0)
         self.displace_at(sim, job, 2000.0)  # 1,700 s of progress
         assert job.remaining_s == self.DURATION_S
@@ -487,29 +507,6 @@ class TestCheckpointedRestart:
             assert job.reschedules == job.displacements
             assert 0.0 <= job.lost_s <= CHECKPOINT_S * job.displacements
             assert 0.0 <= job.remaining_s <= job.arrival.duration_s
-
-
-class TestNeedMemoBound:
-    def test_more_simulators_than_the_bound_keep_only_the_latest(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(fleet_simulator, "_NEED_MEMO", {})
-        bound = fleet_simulator._NEED_MEMO_KEYS
-        calibrations = [
-            dataclasses.replace(CALIBRATION, cpu_batch_overhead=0.01 + i / 1000)
-            for i in range(bound)  # two pools each: twice the bound in keys
-        ]
-        trace = small_trace(num_jobs=5, seed=2)
-        for calibration in calibrations:
-            sim = FleetSimulator(trace, pools=SMALL_POOLS, calibration=calibration)
-            assert len(fleet_simulator._NEED_MEMO) <= bound
-        factories = {REGISTRY.get(pool.system) for pool in SMALL_POOLS}
-        assert set(fleet_simulator._NEED_MEMO) == {
-            (factory, calibration)
-            for factory in factories for calibration in calibrations[-bound // 2:]
-        }
-        # a live simulator keeps its own memo however many came after it
-        assert sim.run().all_terminal()
 
 
 class TestFleetResult:
@@ -648,3 +645,54 @@ class TestFleetCli:
             cli_main(
                 ["fleet", "run", "--jobs", "5", "--faults", "meteor-strike"]
             )
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite time, or a fractional count, is refused where it
+    enters the fleet, never run into a hang or a silently wrong result."""
+
+    @pytest.mark.parametrize("kind", TRACE_KINDS)
+    @pytest.mark.parametrize("horizon_s", [math.nan, math.inf])
+    def test_trace_horizon(self, kind, horizon_s):
+        with pytest.raises(ConfigurationError, match="horizon_s must be"):
+            generate_trace(kind, num_jobs=10, seed=1, horizon_s=horizon_s)
+
+    @pytest.mark.parametrize("mean_duration_s", [math.nan, math.inf])
+    def test_trace_mean_duration(self, mean_duration_s):
+        with pytest.raises(ConfigurationError, match="mean_duration_s must be"):
+            generate_trace("diurnal", num_jobs=10, seed=1,
+                           mean_duration_s=mean_duration_s)
+
+    @pytest.mark.parametrize("field, value", [
+        ("submit_s", math.nan), ("submit_s", math.inf),
+        ("duration_s", math.nan), ("duration_s", math.inf),
+    ])
+    def test_arrival_times(self, field, value):
+        fields = dict(job_id="j", model="RM1", num_gpus=8,
+                      duration_s=600.0, submit_s=0.0)
+        fields[field] = value
+        with pytest.raises(ConfigurationError, match=f"{field} must be"):
+            JobArrival(**fields)
+
+    def test_replayed_nan_duration_is_refused_at_load(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        generate_trace("diurnal", num_jobs=3, seed=1).save(str(path))
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["duration_s"] = math.nan
+        lines[2] = json.dumps(record)  # writes a bare NaN, as json allows
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit, match="trace line 3: .*duration_s"):
+            cli_main(["fleet", "run", "--trace", str(path)])
+
+    @pytest.mark.parametrize("latency_s", [math.nan, math.inf])
+    def test_pool_scaleup_latency(self, latency_s):
+        with pytest.raises(ConfigurationError, match="scaleup_latency_s"):
+            dataclasses.replace(SMALL_POOLS[1], scaleup_latency_s=latency_s)
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers_per_node", 2.5), ("max_nodes", 64.5), ("nodes", True),
+    ])
+    def test_pool_counts_are_ints(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an int"):
+            dataclasses.replace(SMALL_POOLS[1], **{field: value})

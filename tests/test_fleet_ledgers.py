@@ -1,9 +1,9 @@
 """The fleet step loop's incremental ledgers and the contracts they rest
 on: ``check_ledgers`` recounts every counter (and catches planted drift),
 the placement policy's ``order_key`` is the one definition of queue
-order, the provisioning memo is shared across simulators but keyed on
-the factory object, and the conservation laws hold after every tick of
-random small traces under random fault plans."""
+order, a re-registered system is provisioned afresh, and the
+conservation laws hold after every tick of random small traces under
+random fault plans."""
 
 import dataclasses
 
@@ -28,7 +28,8 @@ from repro.fleet import (
     register_policy,
     run_fleet,
 )
-from test_fleet import SMALL_POOLS as POOLS
+from repro.fleet.simulator import STEP_S
+from test_fleet import SMALL_POOLS as POOLS, run_until
 
 
 def arrival(job_id, submit_s=0.0, priority=0, duration_s=600.0, **fields):
@@ -68,8 +69,8 @@ class TestCheckLedgers:
             sim.engine.schedule(
                 entry.submit_s, lambda entry=entry: sim._on_arrival(entry)
             )
-        sim.engine.spawn("fleet-step", sim._step_process())
-        sim.engine.run(until=600.0)
+        sim.engine.schedule(0.0, lambda: sim.engine.schedule(STEP_S, sim._tick))
+        run_until(sim.engine, 600.0)
         assert sim._queue and any(pool.busy for pool in sim.pools.values())
         return sim
 
@@ -86,7 +87,9 @@ class TestCheckLedgers:
 
     def test_node_used_drift_is_caught(self):
         sim = self.mid_run()
-        node = next(n for n in sim.pools["disagg-cpu"].nodes if n.allocations)
+        node = next(
+            n for n in sim.pools["disagg-cpu"].nodes.values() if n.allocations
+        )
         node.used -= 1
         with pytest.raises(FleetError, match="node.used"):
             sim.check_ledgers()
@@ -94,7 +97,7 @@ class TestCheckLedgers:
     def test_lost_open_heap_entry_is_caught(self):
         sim = self.mid_run()
         pool = sim.pools["presto-ssd"]
-        node = next(n for n in pool.nodes if n.up and n.used < 8)
+        node = next(n for n in pool.nodes.values() if n.up and n.used < 8)
         node.open = False  # an up, non-full node the placer can't see
         with pytest.raises(FleetError, match="open"):
             sim.check_ledgers()
@@ -114,6 +117,21 @@ class TestCheckLedgers:
         )
         run_fleet(manual_trace(arrival("a")), pools=POOLS)
         assert calls == [1]
+
+
+def test_first_tick_runs_behind_what_the_arrivals_at_zero_scheduled():
+    """The first tick draws its sequence number at t=0, after the t=0
+    arrivals ran: a job placed at t=0 that ends exactly on that tick has
+    ended when the tick looks."""
+    sim = FleetSimulator(manual_trace(arrival("a", duration_s=60.0)),
+                         pools=one_pool())
+    seen = []
+    autoscale = sim._autoscale
+    sim._autoscale = lambda: (
+        seen.append((sim.engine.now, sim.pools["only"].busy)), autoscale()
+    )
+    assert sim.run().completed == 1
+    assert seen == [(60.0, 0)]
 
 
 class TestOrderKeyContract:
@@ -200,26 +218,6 @@ class TestOrderKeyContract:
 
 
 class TestSharedNeedMemo:
-    def test_second_simulator_pays_no_provisioning(self):
-        calls = []
-
-        @register_system("Test-Counting")
-        class Counting(PreStoSystem):
-            def provision_for(self, num_gpus=8):
-                calls.append(num_gpus)
-                return super().provision_for(num_gpus)
-
-        try:
-            trace = manual_trace(arrival("a", num_gpus=8), arrival("b"))
-            pools = one_pool(system="Test-Counting", nodes=4, model="RM1")
-            first = run_fleet(trace, pools=pools)
-            assert sorted(calls) == [8, 16]
-            second = run_fleet(trace, pools=pools)
-            assert sorted(calls) == [8, 16]  # served from the memo
-            assert first.digest == second.digest
-        finally:
-            REGISTRY.unregister("Test-Counting")
-
     def test_reregistered_system_is_not_served_a_stale_need(self):
         """The memo keys on the factory object, not the registry name:
         replacing a system between two runs changes the need, and a
@@ -319,7 +317,7 @@ def test_ledgers_and_conservation_hold_every_tick(
         for pool in sim.pools.values():
             wpn = pool.spec.workers_per_node
             assert 0 <= pool.busy <= pool.up * wpn
-            assert all(0 <= node.used <= wpn for node in pool.nodes)
+            assert all(0 <= node.used <= wpn for node in pool.nodes.values())
             assert pool.spec.min_nodes <= pool.committed_nodes <= pool.spec.max_nodes
 
     sim._place, sim._displace, sim._sample = (

@@ -8,7 +8,7 @@ called only when a pool's capacity changes, and a job's needs are
 memoized per ``(model name, num_gpus)``.  :class:`ReferenceFleetSimulator`
 keeps the bodies those replaced (ask every pool every tick, re-peek full
 nodes on the next placement, reopen node by node, call ``power()`` per
-pool per tick, resolve every arrival through the process-wide memo).  A
+pool per tick, provision every arrival afresh).  A
 derandomized hypothesis search over trace kind x policy x autoscaler x
 fault plan asserts that both produce the same digest and the same fault
 audit, with ``check_ledgers()`` green after every tick on both sides.
@@ -52,19 +52,14 @@ class ReferenceFleetSimulator(FleetSimulator):
 
     def _needs(self, arrival):
         model = get_model(arrival.model)
-        key = (model, arrival.num_gpus)
         needs = []
         for pool in self.pools.values():
+            system = pool.factory(model, self.calibration)
             try:
-                need = pool.needs[key]
-            except KeyError:
-                system = pool.factory(model, self.calibration)
-                try:
-                    need = system.provision_for(arrival.num_gpus).num_workers
-                except (ConfigurationError, ProvisioningError):
-                    need = None  # this technology cannot sustain the job
-                pool.needs[key] = need
-            if need is not None and need <= pool.spec.max_workers:
+                need = system.provision_for(arrival.num_gpus).num_workers
+            except (ConfigurationError, ProvisioningError):
+                continue  # this technology cannot sustain the job
+            if need <= pool.spec.max_workers:
                 needs.append((pool, need))
         return tuple(needs)
 
@@ -85,7 +80,7 @@ class ReferenceFleetSimulator(FleetSimulator):
             node.used += take
             job.alloc.append(node)
             remaining -= take
-        if remaining > 0:  # _candidates said it fits; this is a bug
+        if remaining > 0:  # _drain said it fits; this is a bug
             raise FleetError(
                 f"pool {pool_name!r} lost capacity while placing "
                 f"{job.arrival.job_id!r}"

@@ -24,7 +24,6 @@ from repro.experiments.report import run_all
 from repro.features.specs import get_model
 from repro.features.synthetic import generate_raw_table
 from repro.fleet import FleetSimulator, default_pools, generate_trace
-from repro.fleet import simulator as fleet_simulator
 from repro.ops.pipeline import PreprocessingPipeline
 
 
@@ -75,13 +74,13 @@ class TestModelledPathsBuildNothing:
         assert design.worker_throughput() > 0
         assert builds == []
 
-    def test_fleet_needs_on_a_cold_memo(self, builds, monkeypatch):
-        monkeypatch.setattr(fleet_simulator, "_NEED_MEMO", {})
+    def test_fleet_needs_on_a_cold_memo(self, builds):
         trace = generate_trace("diurnal", num_jobs=40, seed=1)
         sim = FleetSimulator(trace, pools=default_pools())
+        assert sim._needs_by_shape == {}
         needs = [sim._needs(arrival) for arrival in trace.arrivals]
         assert any(needs)
-        assert fleet_simulator._NEED_MEMO  # the cold memo was filled here
+        assert sim._needs_by_shape  # the cold memo was filled here
         assert builds == []
 
     def test_report_figures(self, builds):

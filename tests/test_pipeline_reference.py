@@ -55,13 +55,15 @@ class ReferenceEngine(Engine):
     """The engine plus ``resume`` and the ``_subscribe`` protocol: a process
     may yield any object with ``_subscribe(engine, process)``, which resumes
     it later, sending a value back into the generator.  ``trace`` lists
-    every timeout and resume scheduled, as ``(time, how, process)``."""
+    every timeout and resume scheduled, as ``(time, how, process)``;
+    ``finish_times`` maps each finished process to when it finished."""
 
-    __slots__ = ("trace",)
+    __slots__ = ("trace", "finish_times")
 
     def __init__(self):
         super().__init__()
         self.trace = []
+        self.finish_times = {}
 
     def _step(self, process, send_value=None):
         if process.finished:
@@ -70,7 +72,7 @@ class ReferenceEngine(Engine):
             event = process.generator.send(send_value)
         except StopIteration:
             process.finished = True
-            process.finish_time = self.now
+            self.finish_times[process] = self.now
             return
         if isinstance(event, Timeout):
             self.trace.append((self.now + event.delay, "timeout", process))
@@ -232,7 +234,7 @@ def reference_run(sim, num_batches, num_workers=None, provision_to_demand=False)
     wall = stats["finish_time"]
     samples = num_batches * sim.spec.batch_size
     consumed_time = wall if wall > 0 else 1.0
-    production_span = max(p.finish_time for p in producers)
+    production_span = max(engine.finish_times[p] for p in producers)
     if production_span <= 0:
         production_span = consumed_time
     position = {process: k for k, process in enumerate(producers)}

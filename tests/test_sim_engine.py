@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,33 +39,8 @@ class TestTimeouts:
         engine.run()
         assert p.finished
 
-    def test_run_until(self):
-        engine = Engine()
-
-        def proc():
-            yield Timeout(10.0)
-
-        p = engine.spawn("p", proc())
-        engine.run(until=5.0)
-        assert engine.now == 5.0
-        assert not p.finished
-        engine.run()
-        assert p.finished
-        assert engine.now == 10.0
-
 
 class TestProcessLifecycle:
-    def test_finish_time_recorded(self):
-        engine = Engine()
-
-        def proc():
-            yield Timeout(3.0)
-
-        p = engine.spawn("p", proc())
-        engine.run()
-        assert p.finished
-        assert p.finish_time == 3.0
-
     def test_unknown_event_rejected(self):
         engine = Engine()
 
@@ -104,6 +81,15 @@ class TestProcessLifecycle:
         with pytest.raises(SimulationError):
             engine.schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, delay):
+        engine = Engine()
+        with pytest.raises(SimulationError, match="non-negative and finite"):
+            engine.schedule(delay, lambda: None)
+        with pytest.raises(SimulationError, match="non-negative and finite"):
+            Timeout(delay)
+        assert engine.run() == 0.0  # nothing was queued
+
 
 class TestHeapEntryFastPath:
     """Tuple heap entries: callbacks and process steps interleave in
@@ -126,16 +112,6 @@ class TestHeapEntryFastPath:
         # their own t=1.0 timeouts only after stepping at t=0, so they get
         # later sequence numbers and fire after the callbacks, FIFO
         assert log == ["cb1", "cb2", "p1", "p2"]
-
-    def test_run_until_preserves_pending_callbacks(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(10.0, lambda: fired.append(engine.now))
-        engine.run(until=5.0)
-        assert fired == []
-        assert engine.now == 5.0
-        engine.run()
-        assert fired == [10.0]
 
     def test_slots_reject_stray_attributes(self):
         engine = Engine()
