@@ -3,7 +3,7 @@
 Every error raised by this package derives from :class:`ReproError`, so
 callers can catch the whole family with one ``except`` clause while tests
 can still assert the precise subclass.  :func:`strict_keys` lives here too:
-the one unknown-key check every record's ``from_dict`` raises its typed
+the one shape check every record's ``from_dict`` raises its typed
 error through.
 """
 
@@ -122,21 +122,34 @@ def strict_keys(
     error: Type[ReproError],
     noun: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """``data`` as a fresh dict, once every key is a dataclass field of ``cls``.
+    """``data`` as a fresh dict, once its keys are exactly a valid field set.
 
-    The one unknown-key check behind every record's ``from_dict``: a stray
-    key raises the caller's own ``error`` type, naming the record (``noun``,
+    The one shape check behind every record's ``from_dict``: a payload that
+    is not a mapping, a stray key, or a missing field that has no default
+    raises the caller's own ``error`` type, naming the record (``noun``,
     else the class name) and the keys it accepts.
     """
-    known = {f.name for f in dataclasses.fields(cls)}
+    name = noun or cls.__name__
+    if not isinstance(data, Mapping):
+        raise error(f"{name} must be a JSON object, got {type(data).__name__}")
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
     unknown = set(data) - known
     if unknown:
         # the two wordings predate this helper; callers' messages are pinned
         expected = "expected" if noun else "expected a subset of"
         raise error(
-            f"unknown {noun or cls.__name__} keys {sorted(unknown)}; "
+            f"unknown {name} keys {sorted(unknown)}; "
             f"{expected} {sorted(known)}"
         )
+    missing = [
+        f.name for f in fields
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise error(f"{name} is missing required keys {missing}")
     return dict(data)
 
 

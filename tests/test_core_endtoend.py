@@ -398,3 +398,34 @@ def test_provisioned_to_demand_saturates_the_trainer():
                     )
     assert unsaturated == []
     assert unprovisionable <= {"Co-located"}
+
+
+def test_one_worker_short_of_demand_supplies_its_share():
+    """The law's other side: an explicit ``ceil(T/P) - 1`` workers supply
+    ``n P`` of the ``T`` the trainer asks for, so the steady state reads
+    ``n P / T``.  Every provisionable system x RM1/RM3/RM5 x 1/8 GPUs
+    whose plan needs two or more workers; the largest gap reads 0.0026
+    (Disagg RM1 on one GPU)."""
+    gaps = {}
+    for name in REGISTRY.names():
+        for model in ("RM1", "RM3", "RM5"):
+            for num_gpus in (1, 8):
+                scenario = Scenario(model=model, system=name, num_gpus=num_gpus)
+                try:
+                    plan = scenario.provision_plan()
+                except ConfigurationError:
+                    continue
+                workers = plan.num_workers - 1
+                if workers < 1:
+                    continue
+                result = scenario.replace(
+                    num_workers=workers, num_batches=max(20 * workers, 200)
+                ).run()
+                share = (
+                    workers * plan.worker_throughput / plan.training_throughput
+                )
+                gaps[name, model, num_gpus] = abs(
+                    result.steady_state_utilization - share
+                )
+    assert len(gaps) >= 20
+    assert max(gaps.values()) < 0.005, max(gaps.items(), key=lambda kv: kv[1])

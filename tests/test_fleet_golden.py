@@ -27,6 +27,7 @@ import time
 import pytest
 
 from repro.api.experiment import canonical_digest
+from repro.cli import main as cli_main
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.fleet import (
@@ -196,8 +197,16 @@ GOLDEN = {
     "default/bursty/priority/queue-depth/faulted": "366c2cc002e4b0d9",
 }
 
-#: the 10k-job day: 32 s on the scanning loop, ~2 s on the ledgers
+#: the 10k-job day: 32 s on the scanning loop, ~2 s on the ledgers.  The
+#: wall bound is loose on purpose: it catches a quadratic loop, not noise.
 ANCHOR_10K = "bccc5ac109d90c5f"
+ANCHOR_10K_MAX_WALL_S = 20.0
+
+#: ``repro fleet run`` on a replayed 120-job diurnal trace under node-down
+#: and slow-node faults: pins the fault draws themselves (node coins from one
+#: stream per pool, point and epoch; displaced jobs resume from their last
+#: checkpoint), which a rerun of one commit cannot
+FAULTED_REPLAY = "2cea4e300f20038c"
 
 
 #: the bursty seed-11 cells on the default fleet, faulted, under
@@ -252,13 +261,32 @@ def test_matrix_is_complete():
 
 
 def test_ten_thousand_job_anchor():
+    started = time.perf_counter()
     trace = generate_trace("diurnal", num_jobs=10000, seed=1)
     result = run_fleet(
         trace, pools=default_pools(), policy="best-fit",
         autoscaler="target-utilization",
     )
+    assert time.perf_counter() - started < ANCHOR_10K_MAX_WALL_S
     assert result.all_terminal()
     assert result.digest == ANCHOR_10K
+
+
+def test_faulted_replayed_trace_through_the_cli(tmp_path, capsys):
+    trace = str(tmp_path / "trace.jsonl")
+    assert cli_main(["fleet", "trace", "gen", "--kind", "diurnal",
+                     "--jobs", "120", "--seed", "7", "--out", trace]) == 0
+    argv = ["fleet", "run", "--trace", trace, "--policy", "best-fit",
+            "--autoscale", "target-utilization",
+            "--faults", "node-down,slow-node", "--fault-seed", "7"]
+    capsys.readouterr()
+    runs = []
+    for _ in range(2):
+        assert cli_main(argv + ["--json"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    assert cli_main(argv) == 0
+    assert f"  digest {FAULTED_REPLAY}" in capsys.readouterr().out.splitlines()
 
 
 if __name__ == "__main__":

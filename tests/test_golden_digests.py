@@ -5,8 +5,9 @@ from LEB128 to byte packing — so a storage-format change that moves the
 train-ready bytes fails here instead of only disagreeing with itself
 (``--check`` compares a run with its own serial twin).  ``file_bytes`` and
 ``bytes_read`` are format properties and are *expected* to move with the
-codec; the digests are not.  CI's ``serve-smoke`` job asserts the first
-literal against the ``repro preprocess`` command line.
+codec; the digests are not.  The first literal is the digest of ``repro
+preprocess --rows 4096 --shards 4``, serial or fanned out; this file is the
+one place it is stated.
 
 Also here: the inline executor path holds one shard at a time — it lets go
 of each step's input once the next has consumed it, and does not slice the

@@ -8,6 +8,8 @@ check lives in one helper (:func:`repro.errors.strict_keys`), and a
 change there must not reword any record's error.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.api import ExperimentRun, PreprocessJob, RunResult, Scenario
@@ -174,3 +176,43 @@ def test_true_is_not_a_count(cls, field):
         cls.from_dict(payload)
     assert type(excinfo.value) is error
     assert field in str(excinfo.value) and "True" in str(excinfo.value)
+
+
+def _required_fields(cls):
+    return [
+        f.name for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+
+
+#: payloads no record can be read from: a journal line, a dropped spec file or
+#: a protocol frame holding one of these used to escape as a bare
+#: ``TypeError`` / ``KeyError`` instead of the record's own error
+BAD_SHAPES = {"int": 42, "null": None, "pairs": [["model", "RM1"]], "empty": {}}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_a_malformed_payload_is_the_records_own_typed_error(cls, shape):
+    payload = BAD_SHAPES[shape]
+    if shape == "empty" and not _required_fields(cls):
+        assert cls.from_dict(payload) == cls()  # every field has a default
+        return
+    error = RECORDS[cls][1]
+    with pytest.raises(error) as excinfo:
+        cls.from_dict(payload)
+    assert type(excinfo.value) is error
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, name) for cls in CLASSES for name in _required_fields(cls)],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_a_missing_required_key_is_named(cls, field):
+    error = RECORDS[cls][1]
+    payload = _instance(cls).to_dict()
+    del payload[field]
+    with pytest.raises(error, match=f"missing required keys .*'{field}'"):
+        cls.from_dict(payload)

@@ -235,6 +235,14 @@ class TestJobLogIndex:
         with pytest.raises(ServeError, match="line 2"):
             index.load()
 
+    def test_a_record_without_its_job_is_loud_and_typed(self, tmp_path):
+        # a complete ``{}`` line used to escape as ``KeyError: 'job'`` and
+        # kill ``repro serve`` at start-up with a traceback
+        path = tmp_path / "jobs.jsonl"
+        path.write_text("{}\n")
+        with pytest.raises(ServeError, match="line 1.*missing required keys"):
+            JobLogIndex(str(path)).load()
+
     def test_stage_history_survives_the_index(self, tmp_path):
         # the per-stage timings and metrics a reader takes off jobs.jsonl
         record = (
@@ -777,6 +785,15 @@ class TestDirectoryJobSource:
         assert list(source.rejected) == [str(tmp_path / "bad.json")]
         assert source.take(10) == []  # the bad file is never retried
 
+    def test_a_spec_of_the_wrong_shape_is_rejected_not_raised(self, tmp_path):
+        # ``{}`` used to raise ``TypeError`` out of ``take`` and end the
+        # watcher thread, so later valid specs were never ingested
+        source = DirectoryJobSource(str(tmp_path))
+        (tmp_path / "a.json").write_text("{}")
+        (tmp_path / "b.json").write_text(json.dumps(JOB.to_dict()))
+        assert source.take(10) == [JOB]
+        assert list(source.rejected) == [str(tmp_path / "a.json")]
+
 
 class TestSyntheticJobSource:
     def test_emits_distinct_seeds(self):
@@ -916,6 +933,14 @@ class TestProtocol:
             client.status("job-424242")
         with pytest.raises(JobNotFoundError):
             client.cancel("job-424242")
+
+    def test_an_empty_job_is_a_typed_error_not_a_dropped_connection(
+        self, served
+    ):
+        _, client, _ = served
+        with pytest.raises(ConfigurationError, match="missing required keys"):
+            client.submit({})
+        assert client.ping() is True
 
     def test_endpoint_discovery(self, served):
         server, _, tmp_path = served
