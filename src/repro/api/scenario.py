@@ -140,16 +140,13 @@ class Scenario:
         system = REGISTRY.create(self.system, spec, calibration)
         sim = EndToEndSimulation(
             spec,
-            system=system,
+            system,
             num_gpus=self.num_gpus,
             calibration=calibration,
             queue_capacity=self.queue_capacity,
         )
-        stats = sim.run(
-            num_batches=self.num_batches,
-            num_workers=self.num_workers,
-            provision_to_demand=self.provision == "demand",
-        )
+        # ``num_workers`` is None exactly when provisioning to demand
+        stats = sim.run(self.num_batches, self.num_workers)
         demand = GpuTrainingModel(calibration).node_throughput(spec, self.num_gpus)
         worker_throughput = system.worker_throughput()
         supply_capacity = stats.num_workers * worker_throughput

@@ -187,7 +187,7 @@ class BatchJournal:
             if not complete:
                 continue  # torn final append from a killed run
             try:
-                payload = json.loads(text)
+                payload = json.loads(text.decode("utf-8"))
             except ValueError as exc:
                 raise BatchError(
                     f"corrupt batch journal {self.path} at line {number}: "
@@ -204,6 +204,14 @@ class BatchJournal:
                     raise BatchError(
                         f"corrupt batch journal {self.path} at line "
                         f"{number}: duplicate run header"
+                    )
+                if not isinstance(payload.get("tasks") or [], list) or (
+                    not isinstance(payload.get("policy") or {}, dict)
+                ):
+                    raise BatchError(
+                        f"corrupt batch journal {self.path} at line "
+                        f"{number}: run header needs a tasks list and a "
+                        f"policy object"
                     )
                 header = payload
             elif kind == "resume":

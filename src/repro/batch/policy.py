@@ -2,7 +2,8 @@
 
 A :class:`BatchPolicy` is the frozen, dict-round-trippable knob set that
 decides how one batch run treats misbehaving tasks: how often a raising
-task is retried (``max_retries`` with exponential backoff), how long a
+task is retried (``max_retries``, waiting ``backoff_s`` before the first
+retry and doubling per retry), how long a
 task may run before the stuck worker is terminated and replaced
 (``task_timeout_s``), how many worker processes to use (``processes``),
 and whether a non-ok task aborts the batch with a typed error
@@ -33,7 +34,6 @@ class BatchPolicy:
 
     max_retries: int = 1
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     task_timeout_s: Optional[float] = None
     failure_mode: str = "strict"
     processes: Optional[int] = None
@@ -47,13 +47,6 @@ class BatchPolicy:
         if not isinstance(self.backoff_s, (int, float)) or self.backoff_s < 0:
             raise ConfigurationError(
                 f"backoff_s must be non-negative, got {self.backoff_s!r}"
-            )
-        if (
-            not isinstance(self.backoff_factor, (int, float))
-            or self.backoff_factor < 1.0
-        ):
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1.0, got {self.backoff_factor!r}"
             )
         if self.task_timeout_s is not None and (
             not isinstance(self.task_timeout_s, (int, float))
@@ -83,9 +76,9 @@ class BatchPolicy:
         return max(1, min(tasks, configured))
 
     def backoff_for(self, attempt: int) -> float:
-        """Delay before retry number ``attempt`` (1-based): exponential,
-        ``backoff_s * backoff_factor ** (attempt - 1)``."""
-        return self.backoff_s * self.backoff_factor ** max(0, attempt - 1)
+        """Delay before retry number ``attempt`` (1-based): doubling,
+        ``backoff_s * 2 ** (attempt - 1)``."""
+        return self.backoff_s * 2 ** max(0, attempt - 1)
 
     # -- serialization -------------------------------------------------------
 
@@ -93,7 +86,6 @@ class BatchPolicy:
         return {
             "max_retries": self.max_retries,
             "backoff_s": self.backoff_s,
-            "backoff_factor": self.backoff_factor,
             "task_timeout_s": self.task_timeout_s,
             "failure_mode": self.failure_mode,
             "processes": self.processes,

@@ -25,8 +25,8 @@ Ordering rule: producer events pop by time, simultaneous ones in the order
 they were pushed (``seq``); on a tie with a producer the trainer goes first.
 With one trainer, the order of a trainer event and a producer event at the
 same instant never moves a statistic.  Each batch costs one heap push and
-one pop, and only the slots that produce are touched one by one: a
-system-built launch fills every slot with one worker object, priced once.
+one pop, and only the slots that produce are touched one by one: every
+launched slot is the system's one worker, priced once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import collections
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Tuple, Union
+from typing import List, Optional, TYPE_CHECKING, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.systems import PreprocessingSystem
@@ -45,7 +45,6 @@ from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.api.registry import REGISTRY
 from repro.core.manager import PreprocessManager
-from repro.core.worker import PreprocessingWorker
 from repro.training.trainer import TrainManager
 
 @dataclass(frozen=True)
@@ -154,42 +153,30 @@ def _simulate(
 class EndToEndSimulation:
     """Build and run one preprocessing-feeds-training pipeline.
 
-    Preferred construction names a registered system design point::
+    ``system`` names a registered design point or is a
+    :class:`~repro.core.systems.PreprocessingSystem` instance::
 
-        EndToEndSimulation(spec, system="PreSto", num_gpus=8)
+        EndToEndSimulation(spec, "PreSto", num_gpus=8)
 
-    (or passes a :class:`~repro.core.systems.PreprocessingSystem` instance).
-    ``worker_factory`` is the other supported form: any zero-argument
-    callable returning a worker, for pipelines whose workers are not a
-    registered system's (a bare ``CpuPreprocessingWorker``, a test double).
-    A system launches one worker object into every slot; a factory is
-    called once per slot.  Each distinct worker in a slot that gets a share
-    of the batches is priced once.
+    A modelled worker's timing is a pure function of its spec and
+    calibration, so the system's one worker fills every launched slot and
+    is priced once.
     """
 
     def __init__(
         self,
         spec: ModelSpec,
-        worker_factory: Optional[Callable[[], PreprocessingWorker]] = None,
+        system: Union[str, "PreprocessingSystem"],
         num_gpus: int = 1,
         calibration: Calibration = CALIBRATION,
         queue_capacity: int = 16,
-        system: Union[str, "PreprocessingSystem", None] = None,
     ) -> None:
-        if (worker_factory is None) == (system is None):
-            raise ConfigurationError(
-                "pass exactly one of worker_factory or system"
-            )
-        if system is not None:
-            if isinstance(system, str):
-                system = REGISTRY.create(system, spec, calibration)
-            # a modelled worker's timing is a pure function of its spec and
-            # calibration: the N identical workers of a launch are one object
-            worker_factory = system.make_worker()
+        if isinstance(system, str):
+            system = REGISTRY.create(system, spec, calibration)
         self.system = system
         self.spec = spec
         self.calibration = calibration
-        self.preprocess_manager = PreprocessManager(spec, worker_factory)
+        self.preprocess_manager = PreprocessManager(system.make_worker())
         self.train_manager = TrainManager(
             spec,
             num_gpus=num_gpus,
@@ -198,53 +185,28 @@ class EndToEndSimulation:
         )
 
     def run(
-        self,
-        num_batches: int,
-        num_workers: Optional[int] = None,
-        provision_to_demand: bool = False,
+        self, num_batches: int, num_workers: Optional[int] = None
     ) -> PipelineStats:
-        """Simulate ``num_batches`` training iterations.
+        """Simulate ``num_batches`` training iterations on ``num_workers``.
 
-        ``provision_to_demand=True`` runs the full Figure 9 flow: measure T,
-        plan ceil(T/P) workers, then launch.  A simulation built from a
-        ``system`` takes the plan from ``system.provision_for`` — the one
-        planner ``repro provision`` and the fleet tier use — so a design that
-        cannot sustain the demand raises its own typed error here too.
+        With no ``num_workers`` this is the full Figure 9 flow: the plan
+        comes from ``system.provision_for`` — the one planner ``repro
+        provision`` and the fleet tier use — so a design that cannot sustain
+        the demand raises its own typed error here too.
         """
         if not is_int(num_batches) or num_batches <= 0:
             raise ConfigurationError(
                 f"num_batches must be a positive int, got {num_batches!r}"
             )
-        if provision_to_demand and self.system is not None:
+        if num_workers is None:
             plan = self.system.provision_for(self.train_manager.num_gpus)
-            launch_kwargs = {"num_workers": plan.num_workers}
-        elif provision_to_demand:
-            launch_kwargs = {
-                "training_throughput": self.train_manager.measure_max_throughput()
-            }
-        elif num_workers is not None:
-            launch_kwargs = {"num_workers": num_workers}
-        else:
-            raise ConfigurationError(
-                "pass num_workers or provision_to_demand=True"
-            )
-        shares = self.preprocess_manager.launch(num_batches, **launch_kwargs)
+            num_workers = plan.num_workers
+        shares = self.preprocess_manager.launch(num_batches, num_workers)
         # the round-robin split leaves only the slots past ``num_batches``
-        # idle; each distinct worker object is priced once, however many
-        # slots it fills
-        producing = min(len(shares), num_batches)
-        workers = self.preprocess_manager.workers
-        timings: Dict[int, Tuple[float, float]] = {}
-        producers = []
-        for worker, share in zip(workers[:producing], shares[:producing]):
-            timing = timings.get(id(worker))
-            if timing is None:
-                timing = timings[id(worker)] = (
-                    worker.batch_latency(),
-                    worker.batch_interval(),
-                )
-            latency, interval = timing
-            producers.append((latency, interval, share))
+        # idle; the one worker is priced once, however many slots it fills
+        worker = self.preprocess_manager.worker
+        latency, interval = worker.batch_latency(), worker.batch_interval()
+        producers = [(latency, interval, share) for share in shares[:num_batches]]
         trainer = self.train_manager
         wall, training, wait, first, production_span = _simulate(
             producers,

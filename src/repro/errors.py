@@ -153,6 +153,17 @@ def strict_keys(
     return dict(data)
 
 
+def as_tuple(values: Any, name: str, error: Type[ReproError]) -> tuple:
+    """``tuple(values)``, or the caller's ``error`` naming the field when
+    ``values`` is not a sequence at all (a number, ``null``) — a record's
+    list field, read from a payload, must not escape as a bare
+    ``TypeError``."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{name} must be a list, got {values!r}") from None
+
+
 def is_int(value: Any) -> bool:
     """Whether ``value`` is an ``int`` that is not a ``bool``.
 

@@ -257,7 +257,7 @@ def run_episode(
         for _, text, complete in JsonlJournal(index_path).read():
             if not complete:
                 continue  # torn final append — load() tolerates it too
-            payload = json.loads(text)
+            payload = json.loads(text.decode("utf-8"))
             if payload.get("state") in TERMINAL_STATES:
                 terminal_lines[payload["job_id"]] += 1
     except (ReproError, OSError, ValueError) as exc:

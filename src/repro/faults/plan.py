@@ -29,7 +29,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, is_int, strict_keys
+from repro.errors import ConfigurationError, as_tuple, is_int, strict_keys
 
 #: the catalog of named fault points (probe sites) woven through the code:
 #: point -> (module that hosts the probe, what firing there means)
@@ -225,7 +225,7 @@ class FaultPlan:
             raise ConfigurationError(
                 f"seed must be an int, got {self.seed!r}"
             )
-        rules = tuple(self.rules)
+        rules = as_tuple(self.rules, "rules", ConfigurationError)
         for rule in rules:
             if not isinstance(rule, FaultRule):
                 raise ConfigurationError(
@@ -276,9 +276,8 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         payload = strict_keys(cls, data, ConfigurationError)
-        payload["rules"] = tuple(
-            FaultRule.from_dict(rule) for rule in payload.get("rules", ())
-        )
+        rules = as_tuple(payload.get("rules", ()), "rules", ConfigurationError)
+        payload["rules"] = tuple(map(FaultRule.from_dict, rules))
         return cls(**payload)
 
     def to_json(self) -> str:

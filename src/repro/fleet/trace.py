@@ -23,7 +23,13 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, FleetError, is_int, strict_keys
+from repro.errors import (
+    ConfigurationError,
+    FleetError,
+    as_tuple,
+    is_int,
+    strict_keys,
+)
 from repro.features.specs import MODEL_NAMES
 
 #: the built-in arrival-process shapes
@@ -125,7 +131,7 @@ class Trace:
             raise ConfigurationError(
                 f"trace seed must be an int, got {self.seed!r}"
             )
-        arrivals = tuple(self.arrivals)
+        arrivals = as_tuple(self.arrivals, "arrivals", ConfigurationError)
         seen = set()
         for arrival in arrivals:
             if not isinstance(arrival, JobArrival):
@@ -166,9 +172,10 @@ class Trace:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Trace":
         payload = strict_keys(cls, data, ConfigurationError)
-        payload["arrivals"] = tuple(
-            JobArrival.from_dict(a) for a in payload.get("arrivals", ())
+        arrivals = as_tuple(
+            payload.get("arrivals", ()), "arrivals", ConfigurationError
         )
+        payload["arrivals"] = tuple(map(JobArrival.from_dict, arrivals))
         return cls(**payload)
 
     def to_jsonl(self) -> str:

@@ -127,26 +127,30 @@ class JsonlJournal:
 
     # -- reading -------------------------------------------------------------
 
-    def read(self) -> List[Tuple[int, str, bool]]:
-        """Every non-empty line as ``(number, text, complete)``.
+    def read(self) -> List[Tuple[int, bytes, bool]]:
+        """Every non-empty line as ``(number, line, complete)``.
 
-        ``complete`` is ``False`` only for a newline-less final line — the
-        torn tail a killed writer leaves; callers skip it silently and
-        treat a parse failure on any *complete* line as loud corruption.
+        ``line`` is the line's bytes, undecoded: a damaged byte is one
+        corrupt line, so each caller decodes its lines inside the same
+        ``ValueError`` handler that parses them (``UnicodeDecodeError`` is
+        a ``ValueError``).  ``complete`` is ``False`` only for a
+        newline-less final line — the torn tail a killed writer leaves;
+        callers skip it silently and treat a decode or parse failure on any
+        *complete* line as loud corruption.
         """
         with self._lock:
             return self._read_locked()
 
-    def _read_locked(self) -> List[Tuple[int, str, bool]]:
+    def _read_locked(self) -> List[Tuple[int, bytes, bool]]:
         if not os.path.exists(self.path):
             return []
-        with open(self.path) as handle:
+        with open(self.path, "rb") as handle:
             raw = handle.readlines()
-        out: List[Tuple[int, str, bool]] = []
+        out: List[Tuple[int, bytes, bool]] = []
         for number, line in enumerate(raw, start=1):
             text = line.strip()
             if not text:
                 continue
-            complete = line.endswith("\n") or number != len(raw)
+            complete = line.endswith(b"\n") or number != len(raw)
             out.append((number, text, complete))
         return out

@@ -6,7 +6,7 @@ A fixed crew of worker threads pulls job ids off a
 owns three responsibilities the batch executor never needed:
 
 * **retry with backoff** — a runner that raises an ``Exception`` is retried
-  up to ``max_retries`` extra times, sleeping ``backoff_s * factor**n``
+  up to ``max_retries`` extra times, sleeping ``backoff_s * 2**n``
   between attempts; only then is the job reported failed;
 * **worker replacement** — a worker that *dies* (a ``BaseException`` such
   as ``SystemExit`` escaping the runner, the stand-in for a crashed
@@ -55,7 +55,6 @@ class WorkerPool:
         num_workers: int = 2,
         max_retries: int = 1,
         backoff_s: float = 0.05,
-        backoff_factor: float = 2.0,
         sleep: Callable[[float], None] = time.sleep,
         on_done: Optional[Callable[[Any, Any, Optional[BaseException]], None]] = None,
         on_retry: Optional[Callable[[Any, int, Exception, float], None]] = None,
@@ -74,8 +73,8 @@ class WorkerPool:
             raise ServeError(
                 f"max_retries must be a non-negative int, got {max_retries!r}"
             )
-        if backoff_s < 0 or backoff_factor <= 0:
-            raise ServeError("backoff_s must be >= 0 and backoff_factor > 0")
+        if backoff_s < 0:
+            raise ServeError("backoff_s must be >= 0")
         if job_timeout_s is not None and job_timeout_s <= 0:
             raise ServeError(
                 f"job_timeout_s must be positive, got {job_timeout_s!r}"
@@ -89,7 +88,6 @@ class WorkerPool:
         self.num_workers = num_workers
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        self.backoff_factor = backoff_factor
         self._runner = runner
         self._sleep = sleep
         self._on_done = on_done or (lambda item, result, error: None)
@@ -236,7 +234,7 @@ class WorkerPool:
                     return
                 if self._is_abandoned(name):
                     return
-                delay = self.backoff_s * self.backoff_factor ** (attempt - 1)
+                delay = self.backoff_s * 2 ** (attempt - 1)
                 self._on_retry(item, attempt, error, delay)
                 if delay > 0:
                     self._sleep(delay)

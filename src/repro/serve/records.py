@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.preprocess import PreprocessJob
-from repro.errors import ReproError, ServeError, is_int, strict_keys
+from repro.errors import ReproError, ServeError, as_tuple, is_int, strict_keys
 from repro.journal import JsonlJournal
 
 #: every state a job can be in; the last three are terminal.  "interrupted"
@@ -117,7 +117,9 @@ class JobRecord:
             raise ServeError("failed jobs must include error details")
         if self.state == "completed" and not self.digest:
             raise ServeError("completed jobs must include the output digest")
-        object.__setattr__(self, "stages", tuple(self.stages))
+        object.__setattr__(
+            self, "stages", as_tuple(self.stages, "stages", ServeError)
+        )
         for event in self.stages:
             if not isinstance(event, StageEvent):
                 raise ServeError(f"stages must hold StageEvents, got {event!r}")
@@ -195,9 +197,8 @@ class JobRecord:
         """Rebuild a record from :meth:`to_dict` output (strict keys)."""
         payload = strict_keys(cls, data, ServeError)
         payload["job"] = PreprocessJob.from_dict(payload["job"])
-        payload["stages"] = tuple(
-            StageEvent.from_dict(event) for event in payload.get("stages", ())
-        )
+        stages = as_tuple(payload.get("stages", ()), "stages", ServeError)
+        payload["stages"] = tuple(map(StageEvent.from_dict, stages))
         return cls(**payload)
 
 
@@ -283,7 +284,7 @@ class JobLogIndex:
         latest: Dict[str, JobRecord] = {}
         for number, text, complete in self._journal.read():
             try:
-                payload = json.loads(text)
+                payload = json.loads(text.decode("utf-8"))
                 record = JobRecord.from_dict(payload)
             except (ValueError, ReproError) as exc:
                 if not complete:

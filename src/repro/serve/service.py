@@ -61,7 +61,6 @@ class PreprocessService:
         policy: str = "block",
         max_retries: int = 1,
         backoff_s: float = 0.05,
-        backoff_factor: float = 2.0,
         poll_interval: float = 0.2,
         runner: Optional[ServiceRunner] = None,
         clock: Callable[[], float] = time.time,
@@ -83,7 +82,6 @@ class PreprocessService:
             num_workers=num_workers,
             max_retries=max_retries,
             backoff_s=backoff_s,
-            backoff_factor=backoff_factor,
             sleep=sleep,
             on_done=self._on_done,
             on_retry=self._on_retry,

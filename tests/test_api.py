@@ -247,31 +247,10 @@ class TestEndToEndConstruction:
     def test_endtoend_accepts_system_name(self):
         from repro.core.endtoend import EndToEndSimulation
 
-        sim = EndToEndSimulation(get_model("RM1"), system="PreSto", num_gpus=1)
-        stats = sim.run(num_batches=20, provision_to_demand=True)
+        sim = EndToEndSimulation(get_model("RM1"), "PreSto", num_gpus=1)
+        stats = sim.run(num_batches=20)
         assert stats.num_batches == 20
         assert stats.num_workers >= 1
-
-    def test_endtoend_legacy_worker_factory_still_works(self):
-        from repro.core.cpu_worker import CpuPreprocessingWorker
-        from repro.core.endtoend import EndToEndSimulation
-
-        spec = get_model("RM1")
-        sim = EndToEndSimulation(spec, lambda: CpuPreprocessingWorker(spec))
-        stats = sim.run(num_batches=10, num_workers=2)
-        assert stats.num_workers == 2
-
-    def test_endtoend_requires_exactly_one_source(self):
-        from repro.core.cpu_worker import CpuPreprocessingWorker
-        from repro.core.endtoend import EndToEndSimulation
-
-        spec = get_model("RM1")
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            EndToEndSimulation(spec)
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            EndToEndSimulation(
-                spec, lambda: CpuPreprocessingWorker(spec), system="PreSto"
-            )
 
 
 class TestProvisioningBoundary:

@@ -102,7 +102,7 @@ class TestBatchPolicy:
         assert BatchPolicy().worker_count(1) == 1
 
     def test_backoff_is_exponential(self):
-        policy = BatchPolicy(backoff_s=0.1, backoff_factor=2.0)
+        policy = BatchPolicy(backoff_s=0.1)
         assert policy.backoff_for(1) == pytest.approx(0.1)
         assert policy.backoff_for(2) == pytest.approx(0.2)
         assert policy.backoff_for(3) == pytest.approx(0.4)
@@ -111,7 +111,6 @@ class TestBatchPolicy:
         {"max_retries": -1},
         {"max_retries": 1.5},
         {"backoff_s": -0.1},
-        {"backoff_factor": 0.5},
         {"task_timeout_s": 0},
         {"task_timeout_s": -1.0},
         {"failure_mode": "maybe"},
@@ -183,7 +182,7 @@ class TestJsonlJournal:
         journal.append('{"b": 2}')
         entries = journal.read()
         assert [(t, c) for _, t, c in entries] == [
-            ('{"a": 1}', True), ('{"b": 2}', True),
+            (b'{"a": 1}', True), (b'{"b": 2}', True),
         ]
         assert journal.lines == 2
 
@@ -194,13 +193,13 @@ class TestJsonlJournal:
         entries = journal.read()
         assert entries[-1][2] is False  # torn tail is incomplete
         journal.append('{"b": 2}')  # heals before appending
-        assert [t for _, t, _ in journal.read()] == ['{"a": 1}', '{"b": 2}']
+        assert [t for _, t, _ in journal.read()] == [b'{"a": 1}', b'{"b": 2}']
 
     def test_rewrite_replaces_contents(self, tmp_path):
         journal = JsonlJournal(str(tmp_path / "j.jsonl"))
         journal.append('{"a": 1}')
         journal.rewrite(['{"z": 9}'])
-        assert [t for _, t, _ in journal.read()] == ['{"z": 9}']
+        assert [t for _, t, _ in journal.read()] == [b'{"z": 9}']
         assert journal.lines == 1
 
 
@@ -346,6 +345,14 @@ class TestBatchJournal:
             handle.write(json.dumps(line) + "\n")
         with pytest.raises(BatchError, match=f"at line 2: {message}"):
             journal.load()
+
+    @pytest.mark.parametrize("field, value", [("tasks", 5), ("policy", 5)])
+    def test_a_header_of_the_wrong_shape_names_itself(self, tmp_path, field, value):
+        header = {"type": "run", "run_id": "x", "tasks": ["k0"], "policy": {}}
+        path = tmp_path / "header.jsonl"
+        path.write_text(json.dumps({**header, field: value}) + "\n")
+        with pytest.raises(BatchError, match="at line 1: run header needs"):
+            BatchJournal(str(path)).load()
 
     def test_task_line_before_the_header_is_loud(self, tmp_path):
         path = tmp_path / "headless.jsonl"

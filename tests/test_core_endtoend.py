@@ -11,12 +11,7 @@ from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.endtoend import EndToEndSimulation, _simulate
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.manager import PreprocessManager
-from repro.errors import (
-    ConfigurationError,
-    ProvisioningError,
-    ReproError,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, ProvisioningError, SimulationError
 from repro.features.specs import get_model
 
 MODELS = ["RM1", "RM2", "RM3", "RM4", "RM5"]
@@ -37,36 +32,20 @@ def breakdowns(monkeypatch):
 
 
 class TestPreprocessManager:
-    def test_plan_matches_provision_math(self):
-        spec = get_model("RM5")
-        manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
-        plan = manager.plan(training_throughput=1_000_000.0)
-        import math
-
-        expected = math.ceil(1_000_000.0 / manager.measure_worker_throughput())
-        assert plan.num_workers == expected
-
     def test_launch_splits_batches_evenly(self):
         spec = get_model("RM1")
-        manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
+        manager = PreprocessManager(IspPreprocessingWorker(spec))
         shares = manager.launch(num_batches=10, num_workers=3)
         assert sorted(shares) == [3, 3, 4]
-        assert len(manager.workers) == 3
 
     def test_launch_gives_workers_past_the_batches_nothing(self):
         spec = get_model("RM1")
-        manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
+        manager = PreprocessManager(IspPreprocessingWorker(spec))
         assert manager.launch(num_batches=2, num_workers=4) == [1, 1, 0, 0]
-
-    def test_launch_needs_target(self):
-        spec = get_model("RM1")
-        manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
-        with pytest.raises(ProvisioningError):
-            manager.launch(num_batches=4)
 
     def test_launch_zero_workers_rejected(self):
         spec = get_model("RM1")
-        manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
+        manager = PreprocessManager(IspPreprocessingWorker(spec))
         with pytest.raises(ProvisioningError):
             manager.launch(num_batches=4, num_workers=0)
 
@@ -84,7 +63,7 @@ class TestPreprocessManager:
         self, num_batches, num_workers, name
     ):
         spec = get_model("RM1")
-        manager = PreprocessManager(spec, lambda: IspPreprocessingWorker(spec))
+        manager = PreprocessManager(IspPreprocessingWorker(spec))
         with pytest.raises(ConfigurationError, match=f"{name} must be a positive int"):
             manager.launch(num_batches=num_batches, num_workers=num_workers)
 
@@ -94,38 +73,30 @@ class TestEndToEnd:
         """With ceil(T/P) workers, steady-state GPU utilization approaches 1
         (warmup excluded by running enough batches)."""
         spec = get_model("RM1")
-        sim = EndToEndSimulation(
-            spec, lambda: CpuPreprocessingWorker(spec), num_gpus=1
-        )
-        stats = sim.run(num_batches=300, provision_to_demand=True)
+        sim = EndToEndSimulation(spec, "Disagg", num_gpus=1)
+        stats = sim.run(num_batches=300)
         assert stats.gpu_utilization > 0.9
         assert stats.num_batches == 300
 
     def test_starved_pipeline_low_utilization(self):
         """One CPU core cannot feed a whole GPU (the Fig. 3 problem)."""
         spec = get_model("RM5")
-        sim = EndToEndSimulation(
-            spec, lambda: CpuPreprocessingWorker(spec), num_gpus=1
-        )
+        sim = EndToEndSimulation(spec, "Disagg", num_gpus=1)
         stats = sim.run(num_batches=10, num_workers=1)
         assert stats.gpu_utilization < 0.1
         assert stats.wait_time > 0
 
     def test_presto_provisioning_feeds_8_gpus(self):
         spec = get_model("RM5")
-        sim = EndToEndSimulation(
-            spec, lambda: IspPreprocessingWorker(spec), num_gpus=8
-        )
-        stats = sim.run(num_batches=400, provision_to_demand=True)
+        sim = EndToEndSimulation(spec, "PreSto", num_gpus=8)
+        stats = sim.run(num_batches=400)
         assert stats.num_workers == 9  # the Fig. 14 allocation
         assert stats.gpu_utilization > 0.85
 
     def test_disagg_provisioning_feeds_8_gpus(self):
         spec = get_model("RM5")
-        sim = EndToEndSimulation(
-            spec, lambda: CpuPreprocessingWorker(spec), num_gpus=8
-        )
-        stats = sim.run(num_batches=200, provision_to_demand=True)
+        sim = EndToEndSimulation(spec, "Disagg", num_gpus=8)
+        stats = sim.run(num_batches=200)
         assert stats.num_workers == 367  # the Fig. 4 allocation
         # the one-batch warmup (a full 2.8 s CPU batch latency) dominates a
         # short run, so assert the steady state
@@ -134,30 +105,24 @@ class TestEndToEnd:
     def test_colocated_16_cores_starve_one_gpu(self):
         """Sixteen host cores cannot feed one A100 on RM5 (Figure 3)."""
         spec = get_model("RM5")
-        sim = EndToEndSimulation(
-            spec, lambda: CpuPreprocessingWorker(spec), num_gpus=1
-        )
+        sim = EndToEndSimulation(spec, "Disagg", num_gpus=1)
         assert sim.run(num_batches=50, num_workers=16).gpu_utilization < 0.35
 
     def test_more_workers_higher_throughput(self):
         spec = get_model("RM5")
-        sim = EndToEndSimulation(
-            spec, lambda: CpuPreprocessingWorker(spec), num_gpus=1
-        )
+        sim = EndToEndSimulation(spec, "Disagg", num_gpus=1)
         few = sim.run(num_batches=40, num_workers=4)
-        sim2 = EndToEndSimulation(
-            spec, lambda: CpuPreprocessingWorker(spec), num_gpus=1
-        )
+        sim2 = EndToEndSimulation(spec, "Disagg", num_gpus=1)
         many = sim2.run(num_batches=40, num_workers=16)
         assert many.training_throughput > 2 * few.training_throughput
 
     def test_invalid_runs(self):
         spec = get_model("RM1")
-        sim = EndToEndSimulation(spec, lambda: CpuPreprocessingWorker(spec))
+        sim = EndToEndSimulation(spec, "Disagg")
         with pytest.raises(ConfigurationError):
             sim.run(num_batches=0, num_workers=1)
         with pytest.raises(ConfigurationError):
-            sim.run(num_batches=5)
+            sim.run(num_batches=0)
 
     @pytest.mark.parametrize(
         "num_batches, num_workers, name",
@@ -171,7 +136,7 @@ class TestEndToEnd:
     )
     def test_run_counts_must_be_positive_ints(self, num_batches, num_workers, name):
         spec = get_model("RM1")
-        sim = EndToEndSimulation(spec, lambda: CpuPreprocessingWorker(spec))
+        sim = EndToEndSimulation(spec, "Disagg")
         with pytest.raises(ConfigurationError, match=f"{name} must be a positive int"):
             sim.run(num_batches=num_batches, num_workers=num_workers)
 
@@ -179,13 +144,11 @@ class TestEndToEnd:
     def test_non_positive_queue_rejected_at_construction(self, capacity):
         spec = get_model("RM1")
         with pytest.raises(ConfigurationError, match="input_queue_capacity"):
-            EndToEndSimulation(spec, system="PreSto", queue_capacity=capacity)
+            EndToEndSimulation(spec, "PreSto", queue_capacity=capacity)
 
     def test_stats_consistency(self):
         spec = get_model("RM1")
-        sim = EndToEndSimulation(
-            spec, lambda: CpuPreprocessingWorker(spec), num_gpus=1
-        )
+        sim = EndToEndSimulation(spec, "Disagg", num_gpus=1)
         stats = sim.run(num_batches=50, num_workers=8)
         assert stats.wall_time > 0
         assert stats.training_time <= stats.wall_time
@@ -195,23 +158,7 @@ class TestEndToEnd:
 class TestOnePlannerForASystemBuiltSimulation:
     """A simulation built from a ``system`` plans through
     ``system.provision_for`` — the planner ``repro provision`` and the fleet
-    tier use — not a second T/P beside it."""
-
-    @pytest.mark.parametrize("num_gpus", [1, 8])
-    @pytest.mark.parametrize("model", ["RM1", "RM5"])
-    @pytest.mark.parametrize(
-        "name", [name for name in REGISTRY.names() if name != "Co-located"]
-    )
-    def test_elastic_systems_plan_what_the_manager_planned(
-        self, name, model, num_gpus
-    ):
-        spec = get_model(model)
-        system = REGISTRY.create(name, spec)
-        sim = EndToEndSimulation(spec, system=system, num_gpus=num_gpus)
-        manager_plan = sim.preprocess_manager.plan(
-            sim.train_manager.measure_max_throughput()
-        )
-        assert system.provision_for(num_gpus) == manager_plan
+    tier use."""
 
     @pytest.mark.parametrize("model, num_gpus", [("RM5", 8), ("RM1", 1)])
     def test_unsustainable_colocated_job_is_the_systems_own_error(
@@ -239,8 +186,7 @@ class TestOnePlannerForASystemBuiltSimulation:
 
 
 class TestOneWorkerIsPricedOnce:
-    """The N workers of a system-built launch are one object, priced once;
-    a ``worker_factory`` that returns fresh workers is priced per worker."""
+    """The N workers of a launch are the system's one worker, priced once."""
 
     @pytest.mark.parametrize("num_gpus, num_workers", [(8, 367), (64, 2931)])
     def test_pricing_does_not_grow_with_the_launch(
@@ -254,53 +200,13 @@ class TestOneWorkerIsPricedOnce:
         # worker_throughput: one breakdown each, at 8 GPUs as at 64
         assert len(breakdowns) == 4
 
-    def test_system_launch_fills_every_slot_with_one_worker(self):
+    def test_system_launch_fills_every_slot_with_one_worker(self, breakdowns):
         spec = get_model("RM5")
-        sim = EndToEndSimulation(spec, system="Disagg", num_gpus=8)
-        stats = sim.run(num_batches=200, provision_to_demand=True)
-        workers = sim.preprocess_manager.workers
-        assert stats.num_workers == len(workers) == 367
-        assert len({id(worker) for worker in workers}) == 1
-
-    def test_fresh_workers_are_priced_each(self, breakdowns):
-        spec = get_model("RM5")
-        system = REGISTRY.create("Disagg", spec)
-        sim = EndToEndSimulation(spec, worker_factory=system.make_worker)
-        sim.run(num_batches=10, num_workers=16)
-        # ten workers with a share, each asked for its latency and interval
-        assert len(breakdowns) == 20
-        assert len({id(worker) for worker in breakdowns}) == 10
-
-    @pytest.mark.parametrize("model", MODELS)
-    @pytest.mark.parametrize("name", REGISTRY.names())
-    def test_one_priced_worker_equals_fresh_workers(self, name, model):
-        """A system-built simulation and one whose factory builds a fresh
-        worker per slot give ``==`` statistics, or the same typed error."""
-        spec = get_model(model)
-        system = REGISTRY.create(name, spec)
-
-        def outcome(run):
-            try:
-                return run()
-            except ReproError as exc:
-                return type(exc), str(exc)
-
-        for num_gpus in (1, 8, 64):
-            for num_batches in (1, 3, 200, 5000):
-                one = outcome(
-                    lambda: EndToEndSimulation(
-                        spec, system=system, num_gpus=num_gpus
-                    ).run(num_batches, provision_to_demand=True)
-                )
-                fresh = outcome(
-                    lambda: EndToEndSimulation(
-                        spec, worker_factory=system.make_worker, num_gpus=num_gpus
-                    ).run(
-                        num_batches,
-                        num_workers=system.provision_for(num_gpus).num_workers,
-                    )
-                )
-                assert one == fresh, (num_gpus, num_batches)
+        sim = EndToEndSimulation(spec, "Disagg", num_gpus=8)
+        stats = sim.run(num_batches=200, num_workers=367)
+        assert stats.num_workers == 367
+        # 200 producing slots, one latency and one interval asked of one worker
+        assert breakdowns == [sim.preprocess_manager.worker] * 2
 
 
 class TestOnlyProducingSlotsCostWork:
@@ -342,7 +248,7 @@ class TestOnlyProducingSlotsCostWork:
         with mock.patch.object(endtoend, "_simulate", recording):
             sys.settrace(calls)
             try:
-                stats = sim.run(num_batches=200, provision_to_demand=True)
+                stats = sim.run(num_batches=200)
             finally:
                 sys.settrace(previous)
         return stats, len(made), producers, len(lines)

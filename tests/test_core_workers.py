@@ -119,15 +119,15 @@ class TestProducerTiming:
 
     def test_first_batch_at_latency(self):
         spec = get_model("RM1")
-        worker = CpuPreprocessingWorker(spec)
-        sim = EndToEndSimulation(spec, lambda: CpuPreprocessingWorker(spec))
+        sim = EndToEndSimulation(spec, "Disagg")
+        worker = sim.system.make_worker()
         stats = sim.run(num_batches=1, num_workers=1)
         assert stats.first_batch_time == worker.batch_latency()
 
     def test_steady_state_rate(self):
         spec = get_model("RM1")
-        worker = IspPreprocessingWorker(spec)
-        sim = EndToEndSimulation(spec, lambda: IspPreprocessingWorker(spec))
+        sim = EndToEndSimulation(spec, "PreSto")
+        worker = sim.system.make_worker()
         stats = sim.run(num_batches=10, num_workers=1)
         span = worker.batch_latency() + 9 * worker.batch_interval()
         assert stats.preprocessing_throughput == pytest.approx(

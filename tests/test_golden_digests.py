@@ -9,22 +9,28 @@ codec; the digests are not.  The first literal is the digest of ``repro
 preprocess --rows 4096 --shards 4``, serial or fanned out; this file is the
 one place it is stated.
 
-Also here: the inline executor path holds one shard at a time — it lets go
+Also here: one digest over every ``Scenario`` outcome of a grid that spans
+the model tier's axes, so a refactor of the Figure 9 simulation that moves
+any statistic, worker count, price or typed error fails here; and the
+inline executor path holds one shard at a time — it lets go
 of each step's input once the next has consumed it, and does not slice the
 next partition before the current one is transformed.
 """
 
 import gc
+import hashlib
+import itertools
 import json
 import weakref
 
 import pytest
 
-from repro.api import PreprocessJob
+from repro.api import REGISTRY, PreprocessJob, Scenario
 from repro.api.preprocess import minibatch_digest
 from repro.cli import main
 from repro.dataio.columnar import ColumnarFileReader
 from repro.dataio.partition import RowPartitioner
+from repro.errors import ReproError
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops.pipeline import PreprocessingPipeline
 
@@ -36,6 +42,43 @@ GOLDEN = {
     ("RM5", 300, 3): "59aa2cabbe4268875a9c35709cf00439524a2db5f3faed5992c6d6ba4df8edb3",
     ("RM2", 512, 2): "6739d3856c06b92f485658dcda3c4fe15d17baac96710e77468c72bee40187e1",
 }
+
+
+#: sha256 over every cell of :func:`scenario_grid`, in grid order
+SCENARIO_GRID_DIGEST = (
+    "228fe90b9711654a1aa00fdc02a942cdfd4310a61921ed62c7d84bc98a407881"
+)
+
+
+def scenario_grid():
+    """Every built-in system x RM1-RM5 x 1/8/64 GPUs, provisioned to demand
+    or with 3 or 500 workers, for 1, 7 or 200 batches: 810 scenarios."""
+    for system, model, num_gpus, num_workers, num_batches in itertools.product(
+        REGISTRY.names(),
+        ("RM1", "RM2", "RM3", "RM4", "RM5"),
+        (1, 8, 64),
+        (None, 3, 500),
+        (1, 7, 200),
+    ):
+        yield Scenario(
+            model=model, system=system, num_gpus=num_gpus,
+            num_workers=num_workers, num_batches=num_batches,
+        )
+
+
+def scenario_outcome(scenario):
+    """The run's result record, or the typed error's type and text."""
+    try:
+        return scenario.run().to_dict()
+    except ReproError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def test_every_scenario_outcome():
+    outcomes = [scenario_outcome(scenario) for scenario in scenario_grid()]
+    assert len(outcomes) == 810
+    payload = json.dumps(outcomes, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == SCENARIO_GRID_DIGEST
 
 
 @pytest.mark.parametrize("shape", GOLDEN)

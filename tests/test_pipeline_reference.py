@@ -13,9 +13,12 @@ finishes.  Two references are kept here unchanged:
 
 All three must give ``==`` equal :class:`PipelineStats` over every
 registered system, RM1-RM5, 1 and 8 GPUs, queue capacities 1-32, fewer
-batches than workers, and starved, balanced and over-fed worker counts; and
-over test-double workers whose dyadic timings make simultaneous events the
-rule.  ``_simulate`` must also return exactly what :func:`heap_loop` returns.
+batches than workers, and starved, balanced and over-fed worker counts.
+``_simulate`` and the process graph must also agree when both are driven
+from the same ``(latency, interval, share)`` tuples of producers that differ
+from one another, with dyadic timings that make simultaneous events the
+rule.  ``_simulate`` must always return exactly what :func:`heap_loop`
+returns.
 
 With one trainer, the order of a trainer event and a producer event at the
 same instant never moves a statistic, so the stats alone cannot see every
@@ -38,12 +41,14 @@ from hypothesis import strategies as st
 
 from repro.api import REGISTRY
 from repro.core import endtoend
-from repro.core.endtoend import EndToEndSimulation, PipelineStats
+from repro.core.endtoend import EndToEndSimulation, PipelineStats, _simulate
+from repro.core.manager import PreprocessManager
+from repro.core.provision import workers_for
+from repro.core.systems import PreStoSystem
 from repro.core.worker import PreprocessingWorker
 from repro.errors import ConfigurationError, SimulationError
 from repro.features.specs import get_model
 from repro.sim.engine import Engine, Timeout
-from repro.training.trainer import TrainManager
 
 MODELS = ("RM1", "RM2", "RM3", "RM4", "RM5")
 
@@ -174,85 +179,99 @@ class Store:
         return len(self.items)
 
 
-def produce(worker, queue, num_batches):
+def produce(latency, interval, queue, num_batches):
     """Process: emit ``num_batches`` batch tokens into ``queue``, the first
-    after the worker's latency, the rest one interval apart."""
-    latency = worker.batch_latency()
-    interval = worker.batch_interval()
+    after ``latency``, the rest ``interval`` apart."""
     for index in range(num_batches):
         yield Timeout(latency if index == 0 else interval)
-        yield queue.put({"worker": worker.kind, "index": index})
+        yield queue.put(index)
 
 
-def train(engine, queue, manager, num_batches, stats):
+def train(engine, queue, iteration, step, num_batches, stats):
     """Process: train ``num_batches`` mini-batches taken from ``queue``."""
-    iteration = manager.iteration_time()
-    cal = manager.cal
-    h2d = cal.train_ready_batch_bytes(manager.spec) / (
-        manager.num_gpus * cal.gpu_preproc_pcie_bw
-    )
     for index in range(num_batches):
         wait_start = engine.now
         yield queue.get()
         if index == 0:
             stats["first_batch_time"] = engine.now
         stats["wait_time"] += engine.now - wait_start
-        yield Timeout(max(h2d, iteration))
+        yield Timeout(step)
         stats["training_time"] += iteration
     stats["finish_time"] = engine.now
 
 
-def reference_run(sim, num_batches, num_workers=None, provision_to_demand=False):
-    """``EndToEndSimulation.run`` as the process graph computed it, and the
-    ``(time, producer)`` of each producer timeout it scheduled."""
-    if num_batches <= 0:
-        raise ConfigurationError("num_batches must be positive")
-    manager = sim.train_manager
+def reference_pipeline(producers, capacity, iteration, step, num_batches):
+    """``_simulate`` as the process graph computed it, and the ``(time,
+    producer)`` of each producer timeout it scheduled."""
     engine = ReferenceEngine()
-    queue = Store("input-queue", capacity=manager.input_queue_capacity)
-    if provision_to_demand and sim.system is not None:
-        plan = sim.system.provision_for(manager.num_gpus)
-        kwargs = {"num_workers": plan.num_workers}
-    elif provision_to_demand:
-        kwargs = {"training_throughput": manager.measure_max_throughput()}
-    else:
-        kwargs = {"num_workers": num_workers}
-    shares = sim.preprocess_manager.launch(num_batches, **kwargs)
-    producers = [
-        engine.spawn(f"worker-{index}", produce(worker, queue, share))
-        for index, (worker, share) in enumerate(
-            zip(sim.preprocess_manager.workers, shares)
-        )
-        if share
+    queue = Store("input-queue", capacity=capacity)
+    processes = [
+        engine.spawn(f"worker-{k}", produce(latency, interval, queue, share))
+        for k, (latency, interval, share) in enumerate(producers)
     ]
     stats = {"training_time": 0.0, "wait_time": 0.0, "first_batch_time": 0.0}
     trainer = engine.spawn(
-        "train-manager", train(engine, queue, manager, num_batches, stats)
+        "train-manager",
+        train(engine, queue, iteration, step, num_batches, stats),
     )
     engine.run()
     assert trainer.finished and queue.total_put == queue.total_got == num_batches
-    wall = stats["finish_time"]
-    samples = num_batches * sim.spec.batch_size
-    consumed_time = wall if wall > 0 else 1.0
-    production_span = max(engine.finish_times[p] for p in producers)
-    if production_span <= 0:
-        production_span = consumed_time
-    position = {process: k for k, process in enumerate(producers)}
+    position = {process: k for k, process in enumerate(processes)}
     trace = [
         (time, position[process])
         for time, how, process in engine.trace
         if how == "timeout" and process is not trainer
     ]
+    return trace, (
+        stats["finish_time"],
+        stats["training_time"],
+        stats["wait_time"],
+        stats["first_batch_time"],
+        max(engine.finish_times[process] for process in processes),
+    )
+
+
+def reference_run(sim, num_batches, num_workers=None):
+    """``EndToEndSimulation.run`` as the process graph computed it, and the
+    ``(time, producer)`` of each producer timeout it scheduled."""
+    if num_batches <= 0:
+        raise ConfigurationError("num_batches must be positive")
+    manager = sim.train_manager
+    if num_workers is None:
+        num_workers = sim.system.provision_for(manager.num_gpus).num_workers
+    shares = sim.preprocess_manager.launch(num_batches, num_workers)
+    worker = sim.preprocess_manager.worker
+    producers = [
+        (worker.batch_latency(), worker.batch_interval(), share)
+        for share in shares
+        if share
+    ]
+    iteration = manager.iteration_time()
+    cal = manager.cal
+    h2d = cal.train_ready_batch_bytes(manager.spec) / (
+        manager.num_gpus * cal.gpu_preproc_pcie_bw
+    )
+    trace, (wall, training, wait, first, production_span) = reference_pipeline(
+        producers,
+        manager.input_queue_capacity,
+        iteration,
+        max(h2d, iteration),
+        num_batches,
+    )
+    samples = num_batches * sim.spec.batch_size
+    consumed_time = wall if wall > 0 else 1.0
+    if production_span <= 0:
+        production_span = consumed_time
     return trace, PipelineStats(
         spec_name=sim.spec.name,
-        num_workers=len(sim.preprocess_manager.workers),
+        num_workers=len(shares),
         num_batches=num_batches,
         wall_time=wall,
-        training_time=stats["training_time"],
-        wait_time=stats["wait_time"],
+        training_time=training,
+        wait_time=wait,
         preprocessing_throughput=samples / production_span,
         training_throughput=samples / consumed_time,
-        first_batch_time=stats["first_batch_time"],
+        first_batch_time=first,
     )
 
 
@@ -452,7 +471,7 @@ def heap_loop(
 # -- the loop against the reference ------------------------------------------
 
 
-#: worker count as a multiple of the T/P plan; None runs provision_to_demand
+#: worker count as a multiple of the T/P plan; None provisions to demand
 REGIMES = {"starved": 0.25, "balanced": 1.0, "over-fed": 3.0, "provisioned": None}
 
 
@@ -473,30 +492,37 @@ class RecordingHeapq:
         heapq.heappush(heap, entry)
 
 
-def loop_run(sim, num_batches, **kwargs):
-    """``sim.run`` and the trace of the loop behind it; the loop must return
-    exactly what :func:`heap_loop` returns on the same inputs."""
+def loop_simulate(*args):
+    """``_simulate(*args)`` and the ``(time, producer)`` of each entry it
+    scheduled; it must return exactly what :func:`heap_loop` returns."""
     recorder = RecordingHeapq()
-    simulate = endtoend._simulate
-
-    def checked(*args):
-        result = simulate(*args)
-        assert result == heap_loop(*args)
-        return result
-
-    with mock.patch.object(endtoend, "heapq", recorder), mock.patch.object(
-        endtoend, "_simulate", checked
-    ):
-        stats = sim.run(num_batches, **kwargs)
+    with mock.patch.object(endtoend, "heapq", recorder):
+        result = _simulate(*args)
+    assert result == heap_loop(*args)
     seqs = [entry[1] for entry in recorder.entries]
     assert seqs == sorted(seqs)
-    return [(time, k) for time, _, k in recorder.entries], stats
+    return [(time, k) for time, _, k in recorder.entries], result
 
 
-def assert_loop_is_reference(make_sim, num_batches, **kwargs):
+def loop_run(sim, num_batches, num_workers=None):
+    """``sim.run`` and the trace of the loop behind it."""
+    traces = []
+
+    def traced(*args):
+        trace, result = loop_simulate(*args)
+        traces.append(trace)
+        return result
+
+    with mock.patch.object(endtoend, "_simulate", traced):
+        stats = sim.run(num_batches, num_workers)
+    [trace] = traces
+    return trace, stats
+
+
+def assert_loop_is_reference(make_sim, num_batches, num_workers=None):
     """Same stats and the same trace on two fresh simulations."""
-    new = loop_run(make_sim(), num_batches, **kwargs)
-    ref = reference_run(make_sim(), num_batches, **kwargs)
+    new = loop_run(make_sim(), num_batches, num_workers)
+    ref = reference_run(make_sim(), num_batches, num_workers)
     assert new[1] == ref[1]
     assert new[0] == ref[0]
 
@@ -524,15 +550,16 @@ class FixedWorker(PreprocessingWorker):
         return self.interval
 
 
-class FixedTrainer(TrainManager):
-    """A trainer whose iteration takes ``iteration`` seconds."""
+class FixedSystem(PreStoSystem):
+    """A design point whose one worker is a :class:`FixedWorker`."""
 
-    def __init__(self, spec, iteration, **kwargs):
-        super().__init__(spec, **kwargs)
-        self.iteration = iteration
+    def __init__(self, spec, latency, interval):
+        super().__init__(spec)
+        self.latency = latency
+        self.interval = interval
 
-    def iteration_time(self):
-        return self.iteration
+    def make_worker(self):
+        return FixedWorker(self.spec, self.latency, self.interval)
 
 
 class TestLoopEqualsTheProcessGraph:
@@ -552,25 +579,26 @@ class TestLoopEqualsTheProcessGraph:
 
         def make_sim():
             return EndToEndSimulation(
-                spec, system=system, num_gpus=num_gpus, queue_capacity=capacity
+                spec, system, num_gpus=num_gpus, queue_capacity=capacity
             )
 
         factor = REGIMES[regime]
-        if factor is None:
-            kwargs = {"provision_to_demand": True}
-        else:
-            manager = make_sim().train_manager
-            planned = make_sim().preprocess_manager.plan(
-                manager.measure_max_throughput()
-            ).num_workers
-            kwargs = {"num_workers": max(1, round(planned * factor))}
+        num_workers = None
+        if factor is not None:
+            sim = make_sim()
+            # T/P without co-location's core budget: a scale, not a plan
+            planned = workers_for(
+                sim.train_manager.measure_max_throughput(),
+                sim.system.worker_throughput(),
+            )
+            num_workers = max(1, round(planned * factor))
         try:
-            make_sim().run(1, **kwargs)
+            make_sim().run(1, num_workers)
         except ConfigurationError as exc:  # a co-located plan that cannot keep up
             with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
-                reference_run(make_sim(), 1, **kwargs)
+                reference_run(make_sim(), 1, num_workers)
             return
-        assert_loop_is_reference(make_sim, num_batches, **kwargs)
+        assert_loop_is_reference(make_sim, num_batches, num_workers)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -583,43 +611,33 @@ class TestLoopEqualsTheProcessGraph:
             max_size=6,
         ),
         iteration=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+        h2d=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
         num_workers=st.integers(min_value=1, max_value=12),
         capacity=st.integers(min_value=1, max_value=6),
         num_batches=st.integers(min_value=1, max_value=60),
     )
     def test_simultaneous_events(
-        self, timings, iteration, num_workers, capacity, num_batches
+        self, timings, iteration, h2d, num_workers, capacity, num_batches
     ):
         """Dyadic timings put producers and the trainer on the same instants,
-        so a reordered ``seq`` draw changes who waits for whom."""
+        so a reordered ``seq`` draw changes who waits for whom.  Producers
+        differ from one another here, so both sides are driven from the same
+        ``(latency, interval, share)`` tuples."""
         spec = get_model("RM1")
-
-        def make_sim():
-            cycle = itertools.cycle(timings)
-            sim = EndToEndSimulation(
-                spec, lambda: FixedWorker(spec, *next(cycle)),
-                queue_capacity=capacity,
-            )
-            sim.train_manager = FixedTrainer(
-                spec, iteration, input_queue_capacity=capacity
-            )
-            return sim
-
-        assert_loop_is_reference(make_sim, num_batches, num_workers=num_workers)
-
-    def test_worker_factory_provisioned_to_demand(self):
-        spec = get_model("RM3")
-
-        def make_sim():
-            return EndToEndSimulation(
-                spec, REGISTRY.create("Disagg", spec).make_worker, queue_capacity=4
-            )
-
-        assert_loop_is_reference(make_sim, 97, provision_to_demand=True)
+        shares = PreprocessManager(FixedWorker(spec, 0.0, 0.0)).launch(
+            num_batches, num_workers
+        )
+        cycle = itertools.cycle(timings)
+        producers = [(*next(cycle), share) for share in shares if share]
+        args = (producers, capacity, iteration, max(h2d, iteration), num_batches)
+        new = loop_simulate(*args)
+        ref = reference_pipeline(*args)
+        assert new[1] == ref[1]
+        assert new[0] == ref[0]
 
     @pytest.mark.parametrize("latency, interval", [(-1.0, 1.0), (1.0, -0.5)])
     def test_negative_delay_is_a_typed_error(self, latency, interval):
         spec = get_model("RM1")
-        sim = EndToEndSimulation(spec, lambda: FixedWorker(spec, latency, interval))
+        sim = EndToEndSimulation(spec, FixedSystem(spec, latency, interval))
         with pytest.raises(SimulationError, match="negative delay"):
             sim.run(num_batches=3, num_workers=1)

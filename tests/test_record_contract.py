@@ -68,8 +68,8 @@ RECORDS = {
                     processes=2),
         ConfigurationError,
         "unknown BatchPolicy keys ['bogus']; expected a subset of "
-        "['backoff_factor', 'backoff_s', 'failure_mode', 'max_retries', "
-        "'processes', 'task_timeout_s']",
+        "['backoff_s', 'failure_mode', 'max_retries', 'processes', "
+        "'task_timeout_s']",
     ),
     FaultRule: (
         _RULE,
@@ -188,8 +188,15 @@ def _required_fields(cls):
 
 #: payloads no record can be read from: a journal line, a dropped spec file or
 #: a protocol frame holding one of these used to escape as a bare
-#: ``TypeError`` / ``KeyError`` instead of the record's own error
-BAD_SHAPES = {"int": 42, "null": None, "pairs": [["model", "RM1"]], "empty": {}}
+#: ``TypeError`` / ``KeyError`` instead of the record's own error.  The last
+#: three are a FaultPlan, a Trace and a JobRecord whose list field is a
+#: number; every other record rejects their keys.
+BAD_SHAPES = {
+    "int": 42, "null": None, "pairs": [["model", "RM1"]], "empty": {},
+    "rules-int": {"seed": 1, "rules": 42},
+    "arrivals-int": {"kind": "diurnal", "seed": 1, "arrivals": 42},
+    "stages-int": {"job_id": "j", "job": {"model": "RM1"}, "stages": 42},
+}
 
 
 @pytest.mark.parametrize("shape", sorted(BAD_SHAPES))

@@ -421,7 +421,6 @@ class TestWorkerPool:
             num_workers=1,
             max_retries=3,
             backoff_s=0.1,
-            backoff_factor=2.0,
             sleep=delays.append,
         )
         pool.start()
