@@ -35,16 +35,14 @@ import collections
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.systems import PreprocessingSystem
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, SimulationError, is_int
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.api.registry import REGISTRY
 from repro.core.manager import PreprocessManager
+from repro.core.systems import PreprocessingSystem
 from repro.training.trainer import TrainManager
 
 @dataclass(frozen=True)
@@ -166,13 +164,18 @@ class EndToEndSimulation:
     def __init__(
         self,
         spec: ModelSpec,
-        system: Union[str, "PreprocessingSystem"],
+        system: Union[str, PreprocessingSystem],
         num_gpus: int = 1,
         calibration: Calibration = CALIBRATION,
         queue_capacity: int = 16,
     ) -> None:
         if isinstance(system, str):
             system = REGISTRY.create(system, spec, calibration)
+        if not isinstance(system, PreprocessingSystem):
+            raise ConfigurationError(
+                f"system must be a registered name or a PreprocessingSystem, "
+                f"got {system!r}"
+            )
         self.system = system
         self.spec = spec
         self.calibration = calibration

@@ -252,6 +252,20 @@ class TestEndToEndConstruction:
         assert stats.num_batches == 20
         assert stats.num_workers >= 1
 
+    def test_endtoend_requires_exactly_one_source(self):
+        """The system is the simulation's one source of workers: a bare
+        worker factory in its place is a typed error, not a second form."""
+        from repro.core.cpu_worker import CpuPreprocessingWorker
+        from repro.core.endtoend import EndToEndSimulation
+
+        spec = get_model("RM1")
+        with pytest.raises(TypeError):
+            EndToEndSimulation(spec)
+        with pytest.raises(ConfigurationError, match="PreprocessingSystem"):
+            EndToEndSimulation(spec, lambda: CpuPreprocessingWorker(spec))
+        with pytest.raises(ConfigurationError, match="unknown system"):
+            EndToEndSimulation(spec, "no-such-system")
+
 
 class TestProvisioningBoundary:
     def test_subnormal_demand_gets_a_worker(self):

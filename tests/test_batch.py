@@ -111,6 +111,7 @@ class TestBatchPolicy:
         {"max_retries": -1},
         {"max_retries": 1.5},
         {"backoff_s": -0.1},
+        {"backoff_s": "0.1"},
         {"task_timeout_s": 0},
         {"task_timeout_s": -1.0},
         {"failure_mode": "maybe"},

@@ -1,5 +1,6 @@
 """Tests for the preprocess manager and the end-to-end DES pipeline."""
 
+import math
 import sys
 from unittest import mock
 
@@ -11,7 +12,13 @@ from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.endtoend import EndToEndSimulation, _simulate
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.manager import PreprocessManager
-from repro.errors import ConfigurationError, ProvisioningError, SimulationError
+from repro.core.provision import ProvisioningPlan, workers_for
+from repro.errors import (
+    ConfigurationError,
+    ProvisioningError,
+    ReproError,
+    SimulationError,
+)
 from repro.features.specs import get_model
 
 MODELS = ["RM1", "RM2", "RM3", "RM4", "RM5"]
@@ -32,6 +39,15 @@ def breakdowns(monkeypatch):
 
 
 class TestPreprocessManager:
+    def test_plan_matches_provision_math(self):
+        """The worker count for a demand ``T`` is the paper's ``ceil(T/P)``
+        of the manager's worker."""
+        spec = get_model("RM5")
+        manager = PreprocessManager(IspPreprocessingWorker(spec))
+        worker_throughput = manager.worker.throughput()
+        expected = math.ceil(1_000_000.0 / worker_throughput)
+        assert workers_for(1_000_000.0, worker_throughput) == expected
+
     def test_launch_splits_batches_evenly(self):
         spec = get_model("RM1")
         manager = PreprocessManager(IspPreprocessingWorker(spec))
@@ -42,6 +58,15 @@ class TestPreprocessManager:
         spec = get_model("RM1")
         manager = PreprocessManager(IspPreprocessingWorker(spec))
         assert manager.launch(num_batches=2, num_workers=4) == [1, 1, 0, 0]
+
+    def test_launch_needs_target(self):
+        """A launch needs its worker count: the plan is the caller's."""
+        spec = get_model("RM1")
+        manager = PreprocessManager(IspPreprocessingWorker(spec))
+        with pytest.raises(TypeError):
+            manager.launch(num_batches=4)
+        with pytest.raises(ConfigurationError, match="num_workers"):
+            manager.launch(num_batches=4, num_workers=None)
 
     def test_launch_zero_workers_rejected(self):
         spec = get_model("RM1")
@@ -160,6 +185,31 @@ class TestOnePlannerForASystemBuiltSimulation:
     ``system.provision_for`` — the planner ``repro provision`` and the fleet
     tier use."""
 
+    @pytest.mark.parametrize("num_gpus", [1, 8])
+    @pytest.mark.parametrize("model", ["RM1", "RM5"])
+    @pytest.mark.parametrize(
+        "name", [name for name in REGISTRY.names() if name != "Co-located"]
+    )
+    def test_elastic_systems_plan_what_the_manager_planned(
+        self, name, model, num_gpus
+    ):
+        """For an elastic system the plan is Fig. 9's ``ceil(T/P)``: ``T``
+        measured by the train manager, ``P`` of the preprocess manager's
+        worker; a demand-provisioned run launches that many workers."""
+        spec = get_model(model)
+        system = REGISTRY.create(name, spec)
+        sim = EndToEndSimulation(spec, system, num_gpus=num_gpus)
+        demand = sim.train_manager.measure_max_throughput()
+        worker_throughput = sim.preprocess_manager.worker.throughput()
+        manager_plan = ProvisioningPlan(
+            spec_name=spec.name,
+            training_throughput=demand,
+            worker_throughput=worker_throughput,
+            num_workers=workers_for(demand, worker_throughput),
+        )
+        assert system.provision_for(num_gpus) == manager_plan
+        assert sim.run(num_batches=1).num_workers == manager_plan.num_workers
+
     @pytest.mark.parametrize("model, num_gpus", [("RM5", 8), ("RM1", 1)])
     def test_unsustainable_colocated_job_is_the_systems_own_error(
         self, model, num_gpus
@@ -207,6 +257,65 @@ class TestOneWorkerIsPricedOnce:
         assert stats.num_workers == 367
         # 200 producing slots, one latency and one interval asked of one worker
         assert breakdowns == [sim.preprocess_manager.worker] * 2
+
+    def test_fresh_workers_are_priced_each(self, breakdowns):
+        """Each simulation makes and prices its own worker: no price is
+        carried from one simulation of a system to the next."""
+        spec = get_model("RM5")
+        system = REGISTRY.create("Disagg", spec)
+        sims = [EndToEndSimulation(spec, system) for _ in range(2)]
+        for sim in sims:
+            sim.run(num_batches=10, num_workers=16)
+        first, second = (sim.preprocess_manager.worker for sim in sims)
+        assert first is not second
+        # one latency and one interval asked of each simulation's worker
+        assert breakdowns == [first, first, second, second]
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_one_priced_worker_equals_fresh_workers(self, name, model):
+        """A demand-provisioned run hands the loop exactly the producers that
+        a fresh worker per producing slot, priced each, would give — or
+        raises the same typed error as the plan it could not make."""
+        spec = get_model(model)
+        system = REGISTRY.create(name, spec)
+
+        def outcome(run):
+            try:
+                return run()
+            except ReproError as exc:
+                return type(exc), str(exc)
+
+        def fresh_producers(num_gpus, num_batches):
+            num_workers = system.provision_for(num_gpus).num_workers
+            shares = PreprocessManager(system.make_worker()).launch(
+                num_batches, num_workers
+            )
+            producers = []
+            for share in shares:
+                if share:
+                    worker = system.make_worker()
+                    producers.append(
+                        (worker.batch_latency(), worker.batch_interval(), share)
+                    )
+            return producers
+
+        for num_gpus in (1, 8, 64):
+            for num_batches in (1, 3, 200, 5000):
+                seen = []
+
+                def recording(producers, *rest):
+                    seen.append(producers)
+                    return _simulate(producers, *rest)
+
+                sim = EndToEndSimulation(spec, system, num_gpus=num_gpus)
+                with mock.patch.object(endtoend, "_simulate", recording):
+                    one = outcome(lambda: sim.run(num_batches))
+                fresh = outcome(lambda: fresh_producers(num_gpus, num_batches))
+                if seen:
+                    assert seen == [fresh], (num_gpus, num_batches)
+                else:
+                    assert one == fresh, (num_gpus, num_batches)
 
 
 class TestOnlyProducingSlotsCostWork:
