@@ -53,11 +53,11 @@ def opex(
 def cost_breakdown(
     capex: float,
     power_watts: float,
-    duration_hours: float = None,
     calibration: Calibration = CALIBRATION,
 ) -> CostBreakdown:
-    """Assemble the CapEx/OpEx record for one deployment."""
-    hours = duration_hours if duration_hours is not None else calibration.amortization_hours
+    """Assemble the CapEx/OpEx record for one deployment over the
+    calibration's amortization window."""
+    hours = calibration.amortization_hours
     return CostBreakdown(
         capex=capex,
         opex=opex(power_watts, hours, calibration),
@@ -114,7 +114,6 @@ def cost_efficiency(
     throughput: float,
     capex: float,
     power_watts: float,
-    duration_hours: float = None,
     calibration: Calibration = CALIBRATION,
 ) -> float:
     """Section V-C metric: useful work per dollar.
@@ -125,7 +124,7 @@ def cost_efficiency(
     """
     if throughput < 0:
         raise ConfigurationError("throughput must be non-negative")
-    breakdown = cost_breakdown(capex, power_watts, duration_hours, calibration)
+    breakdown = cost_breakdown(capex, power_watts, calibration)
     if breakdown.total <= 0:
         raise ConfigurationError("total cost must be positive")
     samples = throughput * breakdown.duration_hours * HOUR

@@ -788,12 +788,10 @@ def _execute_run(task: Tuple[ExperimentRun, str]) -> ExperimentResult:
 def run_experiments(
     runs: Sequence[ExperimentRun],
     parallel: bool = False,
-    processes: Optional[int] = None,
     store: Optional[RunStore] = None,
     force: bool = False,
     *,
     policy: Optional["BatchPolicy"] = None,
-    failure_mode: Optional[str] = None,
     journal: Optional["BatchJournal"] = None,
     resume: bool = False,
 ) -> Union[List[ExperimentResult], List["BatchOutcome"]]:
@@ -804,15 +802,14 @@ def run_experiments(
     :class:`~repro.batch.runner.BatchRunner`: every completed task is
     cached *as it finishes*, so a later task failing in ``strict`` mode
     (typed :class:`~repro.errors.BatchTaskError`) no longer discards the
-    results already computed.  ``failure_mode="degrade"`` returns one
-    :class:`~repro.batch.outcomes.BatchOutcome` per run (``result`` holds
-    the :class:`ExperimentResult` when ok) so callers can render partial
-    reports.  With a ``journal``, ``resume=True`` replays completed runs
-    from it and re-executes the rest; ``processes`` must be positive and
-    is always clamped to the pending-task count.
+    results already computed.  A ``policy`` in ``degrade`` mode returns
+    one :class:`~repro.batch.outcomes.BatchOutcome` per run (``result``
+    holds the :class:`ExperimentResult` when ok) so callers can render
+    partial reports.  With a ``journal``, ``resume=True`` replays
+    completed runs from it and re-executes the rest; the pool is always
+    clamped to the pending-task count.
     """
-    from repro.batch import BatchRunner
-    from repro.batch.policy import merge_policy
+    from repro.batch import BatchPolicy, BatchRunner
 
     runs = list(runs)
     for run in runs:
@@ -820,7 +817,7 @@ def run_experiments(
             raise ConfigurationError(
                 f"run_experiments takes ExperimentRun records, got {run!r}"
             )
-    batch_policy = merge_policy(policy, processes, failure_mode)
+    batch_policy = policy if policy is not None else BatchPolicy()
     precomputed: Dict[int, ExperimentResult] = {}
     for index, run in enumerate(runs):
         cached = store.load(run) if (store is not None and not force) else None

@@ -7,10 +7,11 @@ and side-effect free, so fan-out is safe) and always returns results in
 scenario order — a parallel run is indistinguishable from a serial one
 except for wall-clock time.  A worker death, a raising scenario, or a
 stuck task becomes a per-scenario outcome instead of a pool-wide crash:
-``failure_mode="degrade"`` returns :class:`~repro.batch.outcomes.\
-BatchOutcome` records for every scenario, and attaching a
-:class:`~repro.batch.journal.BatchJournal` makes the sweep resumable
-(``resume=True`` skips scenarios the journal already completed).
+a ``degrade`` :class:`~repro.batch.policy.BatchPolicy` returns
+:class:`~repro.batch.outcomes.BatchOutcome` records for every scenario,
+and attaching a :class:`~repro.batch.journal.BatchJournal` makes the
+sweep resumable (``resume=True`` skips scenarios the journal already
+completed).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import (
 from repro.batch import (
     BatchJournal, BatchOutcome, BatchPolicy, BatchRunner, content_key,
 )
-from repro.batch.policy import merge_policy
 from repro.errors import ConfigurationError
 from repro.api.result import RunResult
 from repro.api.scenario import Scenario
@@ -85,10 +85,8 @@ class Sweep:
     def run(
         self,
         parallel: bool = True,
-        processes: Optional[int] = None,
         *,
         policy: Optional[BatchPolicy] = None,
-        failure_mode: Optional[str] = None,
         journal: Optional[BatchJournal] = None,
         resume: bool = False,
     ) -> Union[List[RunResult], List[BatchOutcome]]:
@@ -98,12 +96,13 @@ class Sweep:
         rows and raises a typed error on the first non-ok scenario —
         already-completed scenarios are still journaled first.
         ``degrade`` mode returns one :class:`BatchOutcome` per scenario
-        (``outcome.result`` holds the :class:`RunResult` when ok).
-        ``processes`` must be positive; the pool is always clamped to the
-        scenario count.  With a ``journal``, ``resume=True`` replays it
-        and skips scenarios whose results it already holds.
+        (``outcome.result`` holds the :class:`RunResult` when ok).  The
+        pool is always clamped to the scenario count.  With a ``journal``,
+        ``resume=True`` replays it and skips scenarios whose results it
+        already holds.
         """
-        policy = merge_policy(policy, processes, failure_mode)
+        if policy is None:
+            policy = BatchPolicy()
         runner = BatchRunner(
             _run_scenario,
             policy=policy,

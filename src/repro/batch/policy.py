@@ -16,6 +16,7 @@ run can see exactly how the interrupted one was configured.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
@@ -44,16 +45,18 @@ class BatchPolicy:
                 f"max_retries must be a non-negative int, "
                 f"got {self.max_retries!r}"
             )
-        if not isinstance(self.backoff_s, (int, float)) or self.backoff_s < 0:
+        if not isinstance(self.backoff_s, (int, float)) or not (
+            0 <= self.backoff_s < math.inf
+        ):
             raise ConfigurationError(
-                f"backoff_s must be non-negative, got {self.backoff_s!r}"
+                f"backoff_s must be finite and non-negative, got {self.backoff_s!r}"
             )
         if self.task_timeout_s is not None and (
             not isinstance(self.task_timeout_s, (int, float))
-            or self.task_timeout_s <= 0
+            or not 0 < self.task_timeout_s < math.inf
         ):
             raise ConfigurationError(
-                f"task_timeout_s must be positive (or None), "
+                f"task_timeout_s must be positive and finite (or None), "
                 f"got {self.task_timeout_s!r}"
             )
         if self.failure_mode not in FAILURE_MODES:
@@ -95,30 +98,3 @@ class BatchPolicy:
     def from_dict(cls, data: Mapping[str, Any]) -> "BatchPolicy":
         return cls(**strict_keys(cls, data, ConfigurationError))
 
-
-def merge_policy(
-    policy: Optional[BatchPolicy],
-    processes: Optional[int] = None,
-    failure_mode: Optional[str] = None,
-) -> BatchPolicy:
-    """Fold the batch entry points' convenience kwargs into one policy.
-
-    ``Sweep.run`` and ``run_experiments`` accept ``processes`` and
-    ``failure_mode`` directly for the common cases; explicit values
-    override the given (or default) policy, and validation — including
-    rejecting ``processes=0`` — happens in :class:`BatchPolicy`.
-    """
-    if policy is None:
-        policy = BatchPolicy()
-    elif not isinstance(policy, BatchPolicy):
-        raise ConfigurationError(
-            f"policy must be a BatchPolicy, got {policy!r}"
-        )
-    overrides: Dict[str, Any] = {}
-    if processes is not None:
-        overrides["processes"] = processes
-    if failure_mode is not None:
-        overrides["failure_mode"] = failure_mode
-    if not overrides:
-        return policy
-    return BatchPolicy.from_dict({**policy.to_dict(), **overrides})

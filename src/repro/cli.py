@@ -79,6 +79,7 @@ from typing import Any, Dict, List, Optional
 from repro.api import (
     EXPERIMENT_REGISTRY,
     REGISTRY,
+    BatchPolicy,
     ExperimentRun,
     PreprocessJob,
     RunResult,
@@ -284,10 +285,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     results = report_mod.run_all(
         kinds=_parse_only(args.only),
         parallel=args.parallel,
-        processes=args.processes,
         store=_store_from_args(args),
         force=args.force,
-        failure_mode=args.failure_mode,
+        policy=BatchPolicy(
+            failure_mode=args.failure_mode, processes=args.processes
+        ),
         journal=journal,
         resume=resume,
     )
@@ -369,8 +371,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a scenario grid (models x systems x gpus) and tabulate it."""
-    from repro.batch import BatchPolicy
-
     journal, resume = _batch_journal(args)
     sweep = Sweep.grid(
         models=_csv(args.models),
@@ -383,12 +383,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     policy = BatchPolicy(
         max_retries=args.max_retries,
         task_timeout_s=args.task_timeout,
+        failure_mode=args.failure_mode,
+        processes=args.processes,
     )
     results = sweep.run(
         parallel=not args.serial,
-        processes=args.processes,
         policy=policy,
-        failure_mode=args.failure_mode,
         journal=journal,
         resume=resume,
     )
@@ -967,7 +967,7 @@ def _add_batch_options(parser: argparse.ArgumentParser) -> None:
                         help="replay RUN_ID's journal: skip completed tasks, "
                              "re-run only interrupted/failed ones")
     parser.add_argument("--failure-mode", choices=("strict", "degrade"),
-                        default=None,
+                        default="strict",
                         help="strict aborts on the first failure (default); "
                              "degrade keeps going and reports per-task "
                              "outcomes")

@@ -64,11 +64,9 @@ class PreprocessingWorker(abc.ABC):
             self._pipeline = PreprocessingPipeline(self.spec)
         return self._pipeline
 
-    def preprocess_partition(
-        self, file_bytes: bytes, batch_id: int = 0
-    ) -> Tuple[MiniBatch, OpCounts]:
+    def preprocess_partition(self, file_bytes: bytes) -> Tuple[MiniBatch, OpCounts]:
         """Actually run Extract + Transform on one stored partition."""
-        shard = transform_shard(self.pipeline, (batch_id, file_bytes))
+        shard = transform_shard(self.pipeline, (0, file_bytes))
         return shard.batch, shard.counts
 
     # -- performance interface ----------------------------------------------

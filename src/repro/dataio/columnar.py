@@ -10,9 +10,9 @@ File layout::
   label columns have a single ``values`` part, sparse columns have a
   ``lengths`` part (int32, one per row) and a ``values`` part (int64 ids).
 * Each chunk is framed and CRC-protected by :mod:`repro.dataio.encoding`,
-  and names its own codec: the writer's encoding policy decides what new
+  and names its own codec: :func:`default_encoding_policy` decides what new
   files hold, the reader decodes whatever the chunk says, so files written
-  under an older policy stay readable.
+  under an older policy, in any of the five codecs, stay readable.
 * The footer is a JSON document describing the schema and every chunk's
   (offset, size), followed by its byte length and the trailing magic, so a
   reader can locate and decode any column *selectively* — the property the
@@ -166,7 +166,7 @@ def default_encoding_policy(kind: ColumnKind, part: str, values: np.ndarray) -> 
     frame-of-reference byte packing stores in the bytes its range needs at
     copy speed.  (LEB128 ``VARINT``, the default of earlier commits, only
     wins on mostly-tiny-with-rare-huge ids, which no generator or loader
-    here produces; it stays selectable through ``encoding_policy``.)
+    here produces; files that hold it stay readable.)
     """
     if kind is ColumnKind.LABEL:
         return enc.Encoding.RLE
@@ -183,13 +183,11 @@ class ColumnarFileWriter:
         self,
         schema: TableSchema,
         row_group_size: int = 8192,
-        encoding_policy=default_encoding_policy,
     ) -> None:
         if row_group_size <= 0:
             raise FormatError("row_group_size must be positive")
         self.schema = schema
         self.row_group_size = row_group_size
-        self.encoding_policy = encoding_policy
 
     # -- helpers ----------------------------------------------------------
 
@@ -249,7 +247,7 @@ class ColumnarFileWriter:
                     column.kind, data[column.name], start, stop
                 )
                 for part, values in sorted(parts.items()):
-                    codec = self.encoding_policy(column.kind, part, values)
+                    codec = default_encoding_policy(column.kind, part, values)
                     chunk_bytes = enc.encode_column(values, codec)
                     chunks.append(
                         ColumnChunk(
@@ -396,10 +394,9 @@ def write_table(
     schema: TableSchema,
     data: TableData,
     row_group_size: int = 8192,
-    encoding_policy=default_encoding_policy,
 ) -> bytes:
     """Convenience wrapper around :class:`ColumnarFileWriter`."""
-    return ColumnarFileWriter(schema, row_group_size, encoding_policy).write(data)
+    return ColumnarFileWriter(schema, row_group_size).write(data)
 
 
 def read_columns(buffer: bytes, names: Sequence[str]) -> TableData:

@@ -50,13 +50,12 @@ class RowPartitioner:
         self,
         schema: TableSchema,
         rows_per_partition: int = 8192,
-        row_group_size: int = 8192,
     ) -> None:
         if rows_per_partition <= 0:
             raise PartitionError("rows_per_partition must be positive")
         self.schema = schema
         self.rows_per_partition = rows_per_partition
-        self._writer = ColumnarFileWriter(schema, row_group_size=row_group_size)
+        self._writer = ColumnarFileWriter(schema)
 
     def num_partitions(self, data: TableData) -> int:
         """How many partitions :meth:`partitions` yields for ``data``."""

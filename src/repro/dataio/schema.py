@@ -114,11 +114,10 @@ class TableSchema:
         self,
         dense: Sequence[DenseFeature],
         sparse: Sequence[SparseFeature],
-        label: LabelColumn = None,
     ) -> None:
         self.dense: List[DenseFeature] = list(dense)
         self.sparse: List[SparseFeature] = list(sparse)
-        self.label: LabelColumn = label if label is not None else LabelColumn()
+        self.label = LabelColumn()
         self._by_name: Dict[str, object] = {}
         for column in self.columns():
             if column.name in self._by_name:

@@ -76,11 +76,9 @@ def run_all(
     *,
     kinds: Optional[Sequence[str]] = None,
     parallel: bool = False,
-    processes: Optional[int] = None,
     store: Optional[RunStore] = None,
     force: bool = False,
     policy: Optional[BatchPolicy] = None,
-    failure_mode: Optional[str] = None,
     journal: Optional[BatchJournal] = None,
     resume: bool = False,
 ) -> Dict[str, object]:
@@ -88,20 +86,18 @@ def run_all(
 
     Results come back keyed by paper title, in paper order, regardless of
     ``parallel`` or cache hits — a parallel or cached run renders
-    byte-identically to a serial fresh one.  In ``degrade`` mode a non-ok
-    experiment's slot holds an :class:`ExperimentFailure` marker instead
-    of aborting the report; with a ``journal``, ``resume=True`` replays
-    completed experiments and re-runs only the missing ones.
+    byte-identically to a serial fresh one.  Under a ``degrade`` policy a
+    non-ok experiment's slot holds an :class:`ExperimentFailure` marker
+    instead of aborting the report; with a ``journal``, ``resume=True``
+    replays completed experiments and re-runs only the missing ones.
     """
     specs = _selected_specs(include_ablations, kinds)
     runs = [ExperimentRun(spec.id) for spec in specs]
     results = run_experiments(
-        runs, parallel=parallel, processes=processes, store=store,
-        force=force, policy=policy, failure_mode=failure_mode,
+        runs, parallel=parallel, store=store, force=force, policy=policy,
         journal=journal, resume=resume,
     )
-    effective_mode = failure_mode or (policy.failure_mode if policy else None)
-    if effective_mode == "degrade":
+    if policy is not None and policy.failure_mode == "degrade":
         results = [
             outcome.result if outcome.ok else ExperimentFailure(outcome)
             for outcome in results
@@ -119,17 +115,9 @@ def collect_claims(results: Dict[str, object]) -> List[Tuple[str, PaperClaim]]:
     return claims
 
 
-def render_report(
-    results: Optional[Dict[str, object]] = None, **run_kwargs
-) -> str:
-    """The full text report (every table + the claims scoreboard).
-
-    Keyword arguments (``parallel``, ``processes``, ``store``, ``force``,
-    ``kinds``, ``include_ablations``) are forwarded to :func:`run_all` when
-    ``results`` is not supplied.
-    """
-    if results is None:
-        results = run_all(**run_kwargs)
+def render_report(results: Dict[str, object]) -> str:
+    """The full text report of :func:`run_all`'s ``results`` (every table
+    + the claims scoreboard)."""
     sections = []
     for name, result in results.items():
         sections.append("=" * 78)
@@ -172,14 +160,13 @@ def experiment_record(
     return record
 
 
-def report_payload(results: Optional[Dict[str, object]] = None, **run_kwargs) -> Dict:
-    """The report as one JSON-able payload (``repro report --json``).
+def report_payload(results: Dict[str, object]) -> Dict:
+    """:func:`run_all`'s ``results`` as one JSON-able payload (``repro
+    report --json``).
 
     Per experiment: id, title, kind, columns/rows, claims, and the full
     encoded result; plus the held/total claims scoreboard.
     """
-    if results is None:
-        results = run_all(**run_kwargs)
     by_title = {
         spec.title: spec for spec in EXPERIMENT_REGISTRY.experiments()
     }

@@ -27,13 +27,13 @@ from __future__ import annotations
 import io
 import math
 import re
-from typing import Iterable, List, Optional, TextIO, Tuple, Union
+from typing import Iterable, List, TextIO, Tuple, Union
 
 import numpy as np
 
 from repro.dataio.columnar import TableData
-from repro.errors import ConfigurationError, FormatError, is_int
-from repro.features.specs import ModelSpec, get_model
+from repro.errors import FormatError
+from repro.features.specs import get_model
 
 NUM_DENSE = 13
 NUM_SPARSE = 26
@@ -98,28 +98,14 @@ def parse_line(line: str, line_number: int = 0) -> Tuple[int, List[float], List[
     return label, dense, sparse
 
 
-def load_criteo_tsv(
-    source: Union[str, TextIO, Iterable[str]],
-    max_rows: Optional[int] = None,
-    spec: ModelSpec = None,
-) -> TableData:
+def load_criteo_tsv(source: Union[str, TextIO, Iterable[str]]) -> TableData:
     """Parse Criteo TSV text into a raw table matching RM1's schema.
 
-    ``source`` may be a path, an open text file, or any iterable of lines;
-    ``max_rows``, when given, is a positive int.
+    ``source`` may be a path, an open text file, or any iterable of lines.
     """
-    if max_rows is not None and not (is_int(max_rows) and max_rows > 0):
-        raise ConfigurationError(f"max_rows must be a positive int, got {max_rows!r}")
-    spec = spec or get_model("RM1")
-    if spec.num_dense != NUM_DENSE or spec.num_sparse != NUM_SPARSE:
-        raise FormatError(
-            f"Criteo TSV has {NUM_DENSE}+{NUM_SPARSE} features; "
-            f"{spec.name} expects {spec.num_dense}+{spec.num_sparse}"
-        )
-
     if isinstance(source, str):
         with open(source, "r") as handle:
-            return load_criteo_tsv(handle, max_rows=max_rows, spec=spec)
+            return load_criteo_tsv(handle)
 
     labels: List[int] = []
     dense_rows: List[List[float]] = []
@@ -131,12 +117,10 @@ def load_criteo_tsv(
         labels.append(label)
         dense_rows.append(dense)
         sparse_rows.append(sparse)
-        if max_rows is not None and len(labels) >= max_rows:
-            break
     if not labels:
         raise FormatError("no rows in Criteo TSV input")
 
-    schema = spec.schema()
+    schema = get_model("RM1").schema()
     dense_matrix = np.array(dense_rows, dtype=np.float32)
     data: TableData = {schema.label.name: np.array(labels, dtype=np.int8)}
     for column_index, name in enumerate(schema.dense_names):
@@ -149,10 +133,9 @@ def load_criteo_tsv(
     return data
 
 
-def dump_criteo_tsv(data: TableData, spec: ModelSpec = None) -> str:
+def dump_criteo_tsv(data: TableData) -> str:
     """Inverse of :func:`load_criteo_tsv`, for tests and fixtures."""
-    spec = spec or get_model("RM1")
-    schema = spec.schema()
+    schema = get_model("RM1").schema()
     labels = data[schema.label.name]
     out = io.StringIO()
     sparse_columns = []

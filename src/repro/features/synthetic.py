@@ -36,7 +36,10 @@ from repro.features.specs import ModelSpec
 RAW_ID_SPACE = 2**40
 
 #: Click-through rate of the synthetic labels (Criteo-like).
-DEFAULT_CTR = 0.03
+CTR = 0.03
+
+#: Exponent of the Zipf distribution raw sparse ids are drawn from.
+ZIPF_EXPONENT = 1.2
 
 
 def _seed_key(*parts) -> int:
@@ -151,28 +154,10 @@ def _libm_power(base: np.ndarray, exponent: float) -> np.ndarray:
 class SyntheticTableGenerator:
     """Deterministic (seeded) generator of raw feature tables for one model."""
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        seed: int = 0,
-        ctr: float = DEFAULT_CTR,
-        zipf_exponent: float = 1.2,
-    ) -> None:
-        if not 0.0 < ctr < 1.0:
-            raise ConfigurationError(f"ctr must be in (0, 1), got {ctr}")
-        if not 1.0 < zipf_exponent < math.inf:
-            raise ConfigurationError(
-                f"zipf_exponent must be finite and exceed 1.0, got {zipf_exponent}"
-            )
+    def __init__(self, spec: ModelSpec, seed: int = 0) -> None:
         self.spec = spec
         self.seed = seed
-        self.ctr = ctr
-        self.zipf_exponent = zipf_exponent
         self.schema: TableSchema = spec.schema()
-
-    def _rng(self, partition: int) -> np.random.Generator:
-        """Independent stream per partition so shards are reproducible."""
-        return np.random.default_rng(_seed_key(self.seed, self.spec.name, partition))
 
     def _dense_column(self, rng: np.random.Generator, num_rows: int) -> np.ndarray:
         values = rng.lognormal(mean=1.5, sigma=1.2, size=num_rows)
@@ -191,19 +176,20 @@ class SyntheticTableGenerator:
         total = int(lengths.sum())
         # Zipf over a bounded vocabulary, then spread across the raw id space
         # with a multiplicative hash so ids look like production 64-bit hashes.
-        ranks = _zipf(rng, self.zipf_exponent, total).astype(np.uint64)
+        ranks = _zipf(rng, ZIPF_EXPONENT, total).astype(np.uint64)
         ids = (ranks * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(RAW_ID_SPACE)
         return lengths, ids.astype(np.int64)
 
-    def generate(self, num_rows: int, partition: int = 0) -> TableData:
-        """Generate one partition's raw table with ``num_rows`` rows."""
+    def generate(self, num_rows: int) -> TableData:
+        """Generate a raw table with ``num_rows`` rows."""
         if not is_int(num_rows) or num_rows <= 0:
             raise ConfigurationError(
                 f"num_rows must be a positive int, got {num_rows!r}"
             )
-        rng = self._rng(partition)
+        # the trailing 0 is part of the seed key the golden table digests pin
+        rng = np.random.default_rng(_seed_key(self.seed, self.spec.name, 0))
         data: TableData = {
-            self.schema.label.name: (rng.random(num_rows) < self.ctr).astype(np.int8)
+            self.schema.label.name: (rng.random(num_rows) < CTR).astype(np.int8)
         }
         for column in self.schema.dense:
             data[column.name] = self._dense_column(rng, num_rows)

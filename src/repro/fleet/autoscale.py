@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from repro.errors import ConfigurationError
 from repro.registry import Registry
 
 #: the built-in provisioning policies
@@ -119,7 +118,7 @@ class FixedAutoscaler(Autoscaler):
 
 @register_autoscaler("target-utilization")
 class TargetUtilizationAutoscaler(Autoscaler):
-    """Track a worker-utilization setpoint (default 70%).
+    """Track a worker-utilization setpoint of 70%.
 
     Sizes the pool so ``busy / capacity`` sits at the target; demand
     from the queue counts toward busy so a backlog pulls capacity up
@@ -127,13 +126,7 @@ class TargetUtilizationAutoscaler(Autoscaler):
     """
 
     can_grow = True
-
-    def __init__(self, target: float = 0.7) -> None:
-        if not (0.0 < target <= 1.0):
-            raise ConfigurationError(
-                f"utilization target must be in (0, 1], got {target!r}"
-            )
-        self.target = target
+    target = 0.7
 
     def target_nodes(self, pool: PoolSnapshot) -> int:
         demand = pool.busy_workers + pool.queued_workers

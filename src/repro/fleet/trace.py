@@ -21,7 +21,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -30,7 +30,6 @@ from repro.errors import (
     is_int,
     strict_keys,
 )
-from repro.features.specs import MODEL_NAMES
 
 #: the built-in arrival-process shapes
 TRACE_KINDS = ("poisson", "diurnal", "bursty")
@@ -313,7 +312,6 @@ def generate_trace(
     seed: int = 0,
     horizon_s: float = DAY_S,
     mean_duration_s: float = 5_400.0,
-    models: Optional[Sequence[str]] = None,
 ) -> Trace:
     """A frozen, seeded synthetic trace — same arguments, same bytes.
 
@@ -336,22 +334,8 @@ def generate_trace(
             raise ConfigurationError(
                 f"{name} must be positive and finite, got {value!r}"
             )
-    names: Tuple[str, ...]
-    weights: Tuple[int, ...]
-    if models is None:
-        names = tuple(m for m, _ in _MODEL_WEIGHTS)
-        weights = tuple(w for _, w in _MODEL_WEIGHTS)
-    else:
-        names = tuple(models)
-        weights = tuple(1 for _ in names)
-        for name in names:
-            if name not in MODEL_NAMES:
-                raise ConfigurationError(
-                    f"unknown model {name!r}; expected one of {MODEL_NAMES}"
-                )
-    if not names:
-        raise ConfigurationError("models must name at least one model")
-
+    names = tuple(m for m, _ in _MODEL_WEIGHTS)
+    weights = tuple(w for _, w in _MODEL_WEIGHTS)
     rng = random.Random(f"{kind}:{seed}")
     times = _SUBMIT_TIMES[kind](rng, num_jobs, horizon_s)
     # log-normal durations with sigma=0.6, mean pinned to mean_duration_s

@@ -111,7 +111,6 @@ class AcceleratorModel:
         calibration: Calibration = CALIBRATION,
         unit_scale: float = 1.0,
         ingress_bw: Optional[float] = None,
-        egress_bw: Optional[float] = None,
     ) -> None:
         if unit_scale <= 0:
             raise ConfigurationError("unit_scale must be positive")
@@ -121,9 +120,7 @@ class AcceleratorModel:
             ingress_bw if ingress_bw is not None else calibration.p2p_bandwidth
         )
         self.egress_bw = (
-            egress_bw
-            if egress_bw is not None
-            else calibration.network_bandwidth * calibration.network_rpc_efficiency
+            calibration.network_bandwidth * calibration.network_rpc_efficiency
         )
         self.host_overhead = calibration.accel_host_overhead
 
@@ -163,9 +160,9 @@ class AcceleratorModel:
         """End-to-end seconds to preprocess one mini-batch."""
         return self.batch_stages(spec).latency
 
-    def device_throughput(self, spec: ModelSpec, batch_size: Optional[int] = None) -> float:
+    def device_throughput(self, spec: ModelSpec) -> float:
         """Steady-state samples/s of one device (pipeline bottleneck)."""
-        counts = OpCounts.expected_for(spec, batch_size)
+        counts = OpCounts.expected_for(spec)
         return counts.rows / self.batch_stages(spec, counts).bottleneck
 
     def op_time(self, spec: ModelSpec, op: str) -> float:

@@ -121,11 +121,6 @@ class UtilizationSample:
 class CacheModel:
     """Derive Figure 6's utilization metrics for one (op, model) pair."""
 
-    def __init__(self, active_cores: int = CORES_PER_NODE) -> None:
-        if active_cores <= 0 or active_cores > CORES_PER_NODE:
-            raise ConfigurationError("active_cores must be in [1, 32]")
-        self.active_cores = active_cores
-
     def _elements_per_column(self, op: str, spec: ModelSpec) -> float:
         counts = OpCounts.expected_for(spec)
         if op == "bucketize":
@@ -164,13 +159,13 @@ class CacheModel:
         bytes_per_s_per_core = (
             profile.stream_bytes_per_element / (cycles_per_element / CORE_FREQ_HZ)
         )
-        node_bw = bytes_per_s_per_core * self.active_cores
+        node_bw = bytes_per_s_per_core * CORES_PER_NODE
         mem_util = min(node_bw / NODE_MEM_BW, 1.0)
 
         # LLC hit rate: working-set probes hit when resident; streaming
         # accesses hit for every element sharing a cache line with the last.
         ws = profile.working_set_bytes(spec)
-        resident = ws * self.active_cores / 2 <= LLC_BYTES_PER_SOCKET
+        resident = ws * CORES_PER_NODE / 2 <= LLC_BYTES_PER_SOCKET
         ws_hit = 0.97 if resident else 0.35
         elem_bytes = profile.stream_bytes_per_element
         stream_hit = max(1.0 - elem_bytes / CACHE_LINE, 0.0)

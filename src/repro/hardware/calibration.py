@@ -158,15 +158,13 @@ class Calibration:
         lengths = self.bytes_per_length_entry * spec.num_sparse
         return (dense + ids + lengths) * (1.0 + self.file_format_overhead)
 
-    def encoded_batch_bytes(self, spec: ModelSpec, batch_size: int = None) -> float:
+    def encoded_batch_bytes(self, spec: ModelSpec) -> float:
         """Encoded bytes of one mini-batch partition."""
-        rows = batch_size if batch_size is not None else spec.batch_size
-        return self.encoded_bytes_per_sample(spec) * rows
+        return self.encoded_bytes_per_sample(spec) * spec.batch_size
 
-    def train_ready_batch_bytes(self, spec: ModelSpec, batch_size: int = None) -> float:
+    def train_ready_batch_bytes(self, spec: ModelSpec) -> float:
         """Train-ready tensor bytes of one mini-batch (the Load payload)."""
-        rows = batch_size if batch_size is not None else spec.batch_size
-        return spec.train_ready_bytes_per_sample() * rows
+        return spec.train_ready_bytes_per_sample() * spec.batch_size
 
     def accel_element_rate(self, lanes: int) -> float:
         """Aggregate elements/s of a unit with ``lanes`` pipelined PEs."""

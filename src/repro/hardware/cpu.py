@@ -121,9 +121,9 @@ class CpuCoreModel:
 
     # -- throughput ---------------------------------------------------------------
 
-    def core_throughput(self, spec: ModelSpec, batch_size: Optional[int] = None) -> float:
+    def core_throughput(self, spec: ModelSpec) -> float:
         """Steady-state samples/s of one dedicated (disaggregated) core."""
-        counts = OpCounts.expected_for(spec, batch_size)
+        counts = OpCounts.expected_for(spec)
         latency = self.batch_latency(spec, counts).total
         return counts.rows / latency
 

@@ -18,7 +18,6 @@ from repro.ops.sigridhash import (
     sigrid_hash_scalar,
 )
 from repro.ops.lognorm import log_normalize
-from repro.ops.clip import clamp, truncate_list
 from repro.ops.fill import fill_dense, fill_sparse
 from repro.ops.format import to_minibatch
 from repro.ops.pipeline import PreprocessingPipeline, OpCounts
@@ -32,8 +31,6 @@ __all__ = [
     "sigrid_hash_scalar",
     "hash64",
     "log_normalize",
-    "clamp",
-    "truncate_list",
     "fill_dense",
     "fill_sparse",
     "to_minibatch",

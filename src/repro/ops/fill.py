@@ -17,12 +17,9 @@ from repro.ops.dest import destination, jagged_column
 
 
 def fill_dense(
-    values: np.ndarray,
-    fill_value: float = 0.0,
-    *,
-    out: Optional[np.ndarray] = None,
+    values: np.ndarray, *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Replace NaNs in a dense column with ``fill_value`` (float32 out).
+    """Replace NaNs in a dense column with 0 (float32 out).
 
     The result lands in ``out`` (float32, same shape) when given, else in a
     fresh array; either way it is returned.
@@ -34,14 +31,14 @@ def fill_dense(
     np.copyto(out, values, casting="unsafe")  # the cast astype would do
     nan_mask = np.isnan(out)
     if nan_mask.any():
-        out[nan_mask] = fill_value
+        out[nan_mask] = 0.0
     return out
 
 
 def fill_sparse(
-    lengths: np.ndarray, values: np.ndarray, default_id: int = 0
+    lengths: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Give every empty sparse row a single ``default_id`` entry.
+    """Give every empty sparse row a single id 0 entry.
 
     Embedding lookups need at least one index per (sample, feature) for the
     pooled reduction to be defined; TorchRec pads empty bags the same way.
@@ -59,6 +56,6 @@ def fill_sparse(
     is_default = np.zeros(len(values) + int(empty.sum()), dtype=bool)
     is_default[row_starts[empty]] = True
     out = np.empty(len(is_default), dtype=np.int64)
-    out[is_default] = default_id
+    out[is_default] = 0
     out[~is_default] = values
     return new_lengths, out

@@ -21,7 +21,6 @@ def to_minibatch(
     labels: np.ndarray,
     dense_order: List[str],
     sparse_order: List[str],
-    batch_id: int = 0,
 ) -> MiniBatch:
     """Assemble a MiniBatch from normalized columns.
 
@@ -56,5 +55,4 @@ def to_minibatch(
         dense=dense,
         sparse=kjt,
         labels=np.asarray(labels, dtype=np.float32),
-        batch_id=batch_id,
     )

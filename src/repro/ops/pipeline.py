@@ -23,18 +23,16 @@ materialize data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dataio.columnar import TableData
-from repro.errors import FormatError, OpError, PipelineError, is_int
+from repro.errors import FormatError, OpError, PipelineError
 from repro.features.minibatch import KeyedJaggedTensor, MiniBatch
 from repro.features.specs import ModelSpec
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops.bucketize import Bucketizer
-from repro.ops.clip import clamp, truncate_list
 from repro.ops.fill import fill_dense, fill_sparse
 from repro.ops.lognorm import log_normalize
 from repro.ops.sigridhash import SigridHasher
@@ -98,67 +96,24 @@ class OpCounts:
         )
 
 
-def _check_dense_clamp(dense_clamp) -> None:
-    """``(low, high)``: two real numbers with ``low <= high`` — which no
-    NaN satisfies, and either infinity does."""
-    bounds = tuple(dense_clamp) if isinstance(dense_clamp, (tuple, list)) else ()
-    if not (
-        len(bounds) == 2
-        and all(isinstance(b, Real) and not isinstance(b, bool) for b in bounds)
-        and bounds[0] <= bounds[1]
-    ):
-        raise PipelineError(
-            f"dense_clamp must be (low, high) numbers with low <= high, "
-            f"got {dense_clamp!r}"
-        )
-
-
 class PreprocessingPipeline:
     """Executable Transform phase for one Table I model."""
 
     def __init__(
         self,
         spec: ModelSpec,
-        boundaries: Optional[Dict[str, np.ndarray]] = None,
         hash_seed: int = DEFAULT_HASH_SEED,
         generator_seed: int = 0,
-        max_sparse_length: Optional[int] = None,
-        dense_clamp: Optional[Tuple[float, float]] = None,
     ) -> None:
-        """``max_sparse_length`` truncates interaction histories before
-        hashing; ``dense_clamp=(low, high)`` bounds dense outliers before
-        Log — both optional steps from production TorchArrow recipes."""
-        if max_sparse_length is not None and not (
-            is_int(max_sparse_length) and max_sparse_length > 0
-        ):
-            raise PipelineError(
-                f"max_sparse_length must be a positive int, got "
-                f"{max_sparse_length!r}"
-            )
-        if dense_clamp is not None:
-            _check_dense_clamp(dense_clamp)
         self.spec = spec
         self.hash_seed = hash_seed
         self.generator_seed = generator_seed
-        self.max_sparse_length = max_sparse_length
-        self.dense_clamp = dense_clamp
         self.schema = spec.schema()
-        if boundaries is None:
-            gen = SyntheticTableGenerator(spec, seed=generator_seed)
-            boundaries = {
-                name: gen.bucket_boundaries(name)
-                for name in spec.bucketize_source_names
-            }
-        missing = [n for n in spec.bucketize_source_names if n not in boundaries]
-        if missing:
-            raise PipelineError(f"missing bucket boundaries for {missing}")
-        for name, edges in boundaries.items():
-            if len(edges) != spec.bucket_size:
-                raise PipelineError(
-                    f"boundaries for {name!r} have {len(edges)} edges, "
-                    f"Table I says bucket size {spec.bucket_size}"
-                )
-        self.boundaries = boundaries
+        gen = SyntheticTableGenerator(spec, seed=generator_seed)
+        self.boundaries: Dict[str, np.ndarray] = {
+            name: gen.bucket_boundaries(name)
+            for name in spec.bucketize_source_names
+        }
         #: embedding-table sizes: hashed features use the model's average
         #: table size; generated features have bucket_size + 1 rows.
         self.table_sizes: Dict[str, int] = {}
@@ -209,8 +164,8 @@ class PreprocessingPipeline:
         if not dense_names:
             raise OpError("a mini-batch needs at least one dense column")
 
-        # fill (+ truncate) the raw sparse features: the id counts size the
-        # batch, and an untouched column comes back as the raw arrays
+        # fill the raw sparse features: the id counts size the batch, and an
+        # untouched column comes back as the raw arrays
         jagged = [self._filled_sparse(raw, name) for name in schema.sparse_names]
         generated = len(self.spec.generated_sparse_names)
         batch_sizes = {len(lengths) for lengths, _ in jagged}
@@ -265,19 +220,17 @@ class PreprocessingPipeline:
     def _filled_sparse(
         self, raw: TableData, name: str
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One raw sparse feature after the optional truncation and the
-        empty-row fill, as ``(lengths, ids)``."""
+        """One raw sparse feature after the empty-row fill, as ``(lengths,
+        ids)``."""
         if name not in raw:
             raise PipelineError(f"raw table is missing sparse column {name!r}")
         lengths, values = raw[name]
-        if self.max_sparse_length is not None:
-            lengths, values = truncate_list(lengths, values, self.max_sparse_length)
         return fill_sparse(lengths, values)
 
     def _transform_dense(
         self, raw: TableData, dense: np.ndarray, generated_ids: np.ndarray
     ) -> None:
-        """fill -> (clamp) -> Bucketize -> Log over every dense feature, a
+        """fill -> Bucketize -> Log over every dense feature, a
         block of columns at a time: each column is filled into one reused
         float32 work block (its Bucketize ids going to ``generated_ids``),
         then the block is normalized and stored transposed into
@@ -296,8 +249,6 @@ class PreprocessingPipeline:
                         f"batch is {rows}"
                     )
                 fill_dense(column, out=filled)
-                if self.dense_clamp is not None:
-                    clamp(filled, *self.dense_clamp, out=filled)
                 slot = self._generated_slot.get(name)
                 if slot is not None:
                     self._bucketizers[name](filled, out=generated_ids[slot])
@@ -306,9 +257,7 @@ class PreprocessingPipeline:
             )
 
     def run_many(
-        self,
-        raws: Iterable[TableData],
-        start_batch_id: int = 0,
+        self, raws: Iterable[TableData]
     ) -> List[Tuple[MiniBatch, OpCounts]]:
         """Transform a stream of raw partitions with one prepared pipeline.
 
@@ -316,13 +265,10 @@ class PreprocessingPipeline:
         constants, and the column order are prepared once (at construction)
         and amortized over every batch, instead of a naive driver paying
         pipeline setup — including synthetic boundary generation — per
-        partition.  Batch ids are assigned sequentially from
-        ``start_batch_id``, matching the partition order.
+        partition.  Batch ids are assigned sequentially from 0, matching
+        the partition order.
         """
-        return [
-            self.run(raw, batch_id=start_batch_id + index)
-            for index, raw in enumerate(raws)
-        ]
+        return [self.run(raw, batch_id=index) for index, raw in enumerate(raws)]
 
     def required_columns(self) -> Tuple[str, ...]:
         """Columns the Extract phase must fetch (everything this model uses)."""

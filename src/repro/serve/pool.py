@@ -33,6 +33,7 @@ share the in-memory lifecycle store.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -43,6 +44,9 @@ from repro.serve.queue import BoundedJobQueue
 
 #: runner(item, attempt) -> result; raising Exception triggers a retry
 JobRunner = Callable[[Any, int], Any]
+
+#: seconds between two deadline checks of the watchdog
+WATCHDOG_INTERVAL_S = 0.05
 
 
 class WorkerPool:
@@ -62,7 +66,6 @@ class WorkerPool:
             Callable[[str, Any, BaseException], None]
         ] = None,
         job_timeout_s: Optional[float] = None,
-        watchdog_interval_s: float = 0.05,
         on_timeout: Optional[Callable[[str, Any, float], None]] = None,
     ) -> None:
         if not is_int(num_workers) or num_workers <= 0:
@@ -73,16 +76,13 @@ class WorkerPool:
             raise ServeError(
                 f"max_retries must be a non-negative int, got {max_retries!r}"
             )
-        if backoff_s < 0:
-            raise ServeError("backoff_s must be >= 0")
-        if job_timeout_s is not None and job_timeout_s <= 0:
+        if not 0 <= backoff_s < math.inf:
             raise ServeError(
-                f"job_timeout_s must be positive, got {job_timeout_s!r}"
+                f"backoff_s must be finite and >= 0, got {backoff_s!r}"
             )
-        if watchdog_interval_s <= 0:
+        if job_timeout_s is not None and not 0 < job_timeout_s < math.inf:
             raise ServeError(
-                f"watchdog_interval_s must be positive, "
-                f"got {watchdog_interval_s!r}"
+                f"job_timeout_s must be positive and finite, got {job_timeout_s!r}"
             )
         self.queue = queue
         self.num_workers = num_workers
@@ -96,7 +96,6 @@ class WorkerPool:
             lambda worker, item, error: None
         )
         self.job_timeout_s = job_timeout_s
-        self.watchdog_interval_s = watchdog_interval_s
         self._on_timeout = on_timeout or (lambda worker, item, elapsed: None)
         self._lock = threading.Lock()
         self._threads: Dict[str, threading.Thread] = {}
@@ -248,7 +247,7 @@ class WorkerPool:
     # -- watchdog ------------------------------------------------------------
 
     def _watchdog_main(self) -> None:
-        while not self._watchdog_stop.wait(self.watchdog_interval_s):
+        while not self._watchdog_stop.wait(WATCHDOG_INTERVAL_S):
             self._check_deadlines()
 
     def _check_deadlines(self) -> None:

@@ -43,6 +43,10 @@ from repro.serve.service import PreprocessService
 #: protocol revision, negotiated nowhere — checked in ping for sanity
 PROTOCOL_VERSION = 1
 
+#: seconds a client waits to connect, and for the reply to an op that
+#: does not block on a job
+CLIENT_TIMEOUT_S = 30.0
+
 ENDPOINT_FILENAME = "endpoint.json"
 
 
@@ -67,10 +71,11 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
             try:
+                # a non-UTF-8 line is a UnicodeDecodeError, a ValueError
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 request = json.loads(line)
                 if not isinstance(request, dict) or "op" not in request:
                     raise ProtocolError(
@@ -307,7 +312,6 @@ class ServiceClient:
         host: Optional[str] = None,
         port: Optional[int] = None,
         spool_dir: Optional[str] = None,
-        timeout: Optional[float] = 30.0,
     ) -> None:
         if host is None or port is None:
             if spool_dir is None:
@@ -319,7 +323,6 @@ class ServiceClient:
             port = port or int(endpoint["port"])
         self.host = host
         self.port = port
-        self.timeout = timeout
 
     # -- plumbing ------------------------------------------------------------
 
@@ -327,7 +330,7 @@ class ServiceClient:
         try:
             return socket.create_connection(
                 (self.host, self.port),
-                timeout=self.timeout if timeout is None else timeout,
+                timeout=CLIENT_TIMEOUT_S if timeout is None else timeout,
             )
         except OSError as exc:
             raise ServeError(
@@ -337,7 +340,7 @@ class ServiceClient:
     def _roundtrip(self, request: Dict[str, Any]) -> Dict[str, Any]:
         # blocking ops (submit --wait) outlive the default socket timeout:
         # wait as long as the caller asked, or indefinitely if unbounded
-        socket_timeout: Optional[float] = self.timeout
+        socket_timeout: Optional[float] = CLIENT_TIMEOUT_S
         if request.get("wait") or request["op"] == "watch":
             wait_timeout = request.get("wait_timeout", request.get("timeout"))
             socket_timeout = (

@@ -202,6 +202,12 @@ class JobRecord:
         return cls(**payload)
 
 
+#: the index compacts once it holds more lines than this, and more than
+#: :data:`COMPACT_RATIO` lines per distinct job
+COMPACT_MIN_LINES = 512
+COMPACT_RATIO = 8.0
+
+
 def _completion_key(record: JobRecord) -> float:
     """Most recent activity: completion, else start, else submission."""
     for stamp in (record.completed_at, record.started_at, record.submitted_at):
@@ -231,28 +237,12 @@ class JobLogIndex:
     The index also self-bounds: every transition appends a line, so a
     long-lived daemon's index grows without limit unless compacted.
     :meth:`maybe_compact` rewrites the file down to the latest record per
-    job once the line count exceeds ``compact_ratio`` times the distinct
-    job count (and ``compact_min_lines``, so small spools never churn).
+    job once the line count exceeds :data:`COMPACT_RATIO` times the distinct
+    job count (and :data:`COMPACT_MIN_LINES`, so small spools never churn).
     """
 
-    def __init__(
-        self,
-        path: str,
-        fsync: bool = False,
-        compact_min_lines: int = 512,
-        compact_ratio: float = 8.0,
-    ) -> None:
-        if compact_min_lines < 1:
-            raise ServeError(
-                f"compact_min_lines must be >= 1, got {compact_min_lines!r}"
-            )
-        if compact_ratio < 1.0:
-            raise ServeError(
-                f"compact_ratio must be >= 1.0, got {compact_ratio!r}"
-            )
+    def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
-        self.compact_min_lines = compact_min_lines
-        self.compact_ratio = compact_ratio
         self.compactions = 0
         self._lock = threading.Lock()
         # the file mechanics — torn-tail healing, fsync, fault probes,
@@ -301,7 +291,7 @@ class JobLogIndex:
         """Whether the line count warrants a rewrite (cheap, in-memory)."""
         jobs = max(1, len(self._jobs))
         return self._journal.lines >= max(
-            self.compact_min_lines, int(self.compact_ratio * jobs)
+            COMPACT_MIN_LINES, int(COMPACT_RATIO * jobs)
         )
 
     def maybe_compact(self) -> bool:

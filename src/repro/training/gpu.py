@@ -12,7 +12,6 @@ node-level provisioning target in Figures 4 and 14).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
@@ -41,12 +40,10 @@ class GpuTrainingModel:
     def __init__(self, calibration: Calibration = CALIBRATION) -> None:
         self.cal = calibration
 
-    def iteration_breakdown(
-        self, spec: ModelSpec, batch_size: Optional[int] = None
-    ) -> IterationBreakdown:
-        """Per-iteration time components at ``batch_size``."""
+    def iteration_breakdown(self, spec: ModelSpec) -> IterationBreakdown:
+        """Per-iteration time components at the model's batch size."""
         cal = self.cal
-        rows = batch_size if batch_size is not None else spec.batch_size
+        rows = spec.batch_size
         work = DlrmCostModel(spec).workload(cal.gpu_embedding_traffic_multiplier)
         compute = rows * work.training_flops / (
             cal.gpu_peak_flops * cal.gpu_flops_efficiency
@@ -60,20 +57,15 @@ class GpuTrainingModel:
             fixed_overhead=cal.gpu_iteration_overhead,
         )
 
-    def max_training_throughput(
-        self, spec: ModelSpec, batch_size: Optional[int] = None
-    ) -> float:
+    def max_training_throughput(self, spec: ModelSpec) -> float:
         """``T``: samples/s one A100 sustains when never input-starved."""
-        rows = batch_size if batch_size is not None else spec.batch_size
-        return rows / self.iteration_breakdown(spec, rows).total
+        return spec.batch_size / self.iteration_breakdown(spec).total
 
-    def node_throughput(
-        self, spec: ModelSpec, num_gpus: int = 8, batch_size: Optional[int] = None
-    ) -> float:
+    def node_throughput(self, spec: ModelSpec, num_gpus: int = 8) -> float:
         """Aggregate demand of a multi-GPU training node (data parallel)."""
         if num_gpus <= 0:
             raise ConfigurationError("num_gpus must be positive")
-        return num_gpus * self.max_training_throughput(spec, batch_size)
+        return num_gpus * self.max_training_throughput(spec)
 
     def utilization(
         self, spec: ModelSpec, preprocessing_throughput: float

@@ -47,7 +47,7 @@ class TestCostEfficiency:
         with pytest.raises(ConfigurationError):
             cost_efficiency(-1.0, 1000.0, 100.0)
         with pytest.raises(ConfigurationError):
-            cost_efficiency(1.0, 0.0, 0.0, duration_hours=0.0)
+            cost_efficiency(1.0, 0.0, 0.0)
 
 
 class TestEnergy:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import (
     REGISTRY,
+    BatchPolicy,
     RunResult,
     Scenario,
     Sweep,
@@ -235,7 +236,7 @@ class TestSweep:
         sweep = Sweep.grid(models=("RM1", "RM2"), systems=("PreSto", "Disagg"),
                            num_gpus=(1,), num_batches=20)
         serial = sweep.run(parallel=False)
-        parallel = sweep.run(parallel=True, processes=2)
+        parallel = sweep.run(parallel=True, policy=BatchPolicy(processes=2))
         assert [r.scenario for r in serial] == list(sweep)
         assert serial == parallel
         serial_bytes = json.dumps([r.to_dict() for r in serial]).encode()

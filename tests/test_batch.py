@@ -7,8 +7,8 @@
 * ``BatchRunner`` serial + parallel: retries, degrade vs strict, wall
   clock timeouts, SIGKILLed workers, journaled resume;
 * the ``Sweep.run`` / ``run_experiments`` entry points on top of it
-  (clamp fix, ``processes=0`` rejection, caching completed results even
-  when a later task fails strict);
+  (the pool clamp, caching completed results even when a later task
+  fails strict);
 * ``repro chaos --tier batch`` invariants and the CLI's resume surface,
   including a subprocess SIGKILL of ``repro report --parallel`` whose
   resumed output must be byte-identical to an uninterrupted run.
@@ -35,7 +35,6 @@ from repro.api import (
     run_experiments,
 )
 from repro.batch.journal import content_key
-from repro.batch.policy import merge_policy
 from repro.errors import (
     BatchError,
     BatchTaskError,
@@ -118,6 +117,11 @@ class TestBatchPolicy:
         {"processes": 0},
         {"processes": -2},
         {"processes": "4"},
+        # `sweep --task-timeout nan` never reaped a hung scenario
+        {"backoff_s": float("nan")},
+        {"backoff_s": float("inf")},
+        {"task_timeout_s": float("nan")},
+        {"task_timeout_s": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -131,20 +135,6 @@ class TestBatchPolicy:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
             BatchPolicy.from_dict({"max_retries": 1, "bogus": True})
-
-    def test_merge_policy_overrides(self):
-        base = BatchPolicy(max_retries=5)
-        merged = merge_policy(base, processes=3, failure_mode="degrade")
-        assert merged.max_retries == 5
-        assert merged.processes == 3
-        assert merged.failure_mode == "degrade"
-        assert merge_policy(base) is base
-
-    def test_merge_policy_validates(self):
-        with pytest.raises(ConfigurationError):
-            merge_policy(None, processes=0)
-        with pytest.raises(ConfigurationError):
-            merge_policy("not a policy")
 
 
 # ---------------------------------------------------------------------------
@@ -640,25 +630,21 @@ class TestSweepBatch:
         return Sweep.grid(models=["RM1"], systems=list(systems),
                           num_gpus=[8], num_batches=10)
 
-    @pytest.mark.parametrize("processes", [0, -1])
-    def test_rejects_non_positive_processes(self, processes):
-        with pytest.raises(ConfigurationError):
-            self._sweep().run(processes=processes)
-
     def test_oversized_processes_clamps_and_completes(self):
-        results = self._sweep().run(parallel=True, processes=32)
+        results = self._sweep().run(
+            parallel=True, policy=BatchPolicy(processes=32))
         assert len(results) == 2
 
     def test_parallel_matches_serial(self):
         sweep = self._sweep()
         serial = sweep.run(parallel=False)
-        parallel = sweep.run(parallel=True, processes=2)
+        parallel = sweep.run(parallel=True, policy=BatchPolicy(processes=2))
         assert [r.to_dict() for r in parallel] == [
             r.to_dict() for r in serial]
 
     def test_degrade_returns_outcomes(self):
-        outcomes = self._sweep().run(parallel=False,
-                                     failure_mode="degrade")
+        outcomes = self._sweep().run(
+            parallel=False, policy=BatchPolicy(failure_mode="degrade"))
         assert all(isinstance(o, BatchOutcome) for o in outcomes)
         assert all(o.ok for o in outcomes)
         assert all(o.result.to_dict() for o in outcomes)
@@ -674,12 +660,6 @@ class TestSweepBatch:
 
 
 class TestRunExperimentsBatch:
-    @pytest.mark.parametrize("processes", [0, -3])
-    def test_rejects_non_positive_processes(self, processes):
-        with pytest.raises(ConfigurationError):
-            run_experiments([ExperimentRun("table1")], parallel=True,
-                            processes=processes)
-
     def test_strict_failure_still_caches_completed(self, tmp_path):
         """The satellite fix: a later task failing strict no longer
         discards results already computed — they land in the store as
@@ -719,7 +699,7 @@ class TestRunExperimentsBatch:
 
         try:
             results = report_mod.run_all(
-                kinds=["ablation"], failure_mode="degrade",
+                kinds=["ablation"],
                 policy=BatchPolicy(max_retries=0, backoff_s=0.001,
                                    failure_mode="degrade"))
             marker = results["_Batch Test Flaky"]

@@ -106,8 +106,8 @@ class TestFunctionalEquivalence:
     def test_functional_batch_valid(self, rm1_partition):
         spec, part = rm1_partition
         worker = CpuPreprocessingWorker(spec)
-        batch, counts = worker.preprocess_partition(part.file_bytes, batch_id=3)
-        assert batch.batch_id == 3
+        batch, counts = worker.preprocess_partition(part.file_bytes)
+        assert batch.batch_id == 0
         assert batch.batch_size == 64
         batch.validate_index_range(worker.pipeline.table_sizes)
         assert counts.rows == 64

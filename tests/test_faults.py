@@ -6,6 +6,7 @@ import json
 import os
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -415,24 +416,19 @@ class TestIndexDurability:
         assert loaded["job-000002"].digest == "d2"
 
     def test_maybe_compact_thresholds(self, tmp_path):
-        index = JobLogIndex(
-            str(tmp_path / "jobs.jsonl"),
-            compact_min_lines=4, compact_ratio=2.0,
-        )
+        from repro.serve import records
+
+        index = JobLogIndex(str(tmp_path / "jobs.jsonl"))
         record = self._record(1)
-        index.append(record)
-        assert not index.maybe_compact()  # 1 line < max(4, 2*1)
-        for _ in range(5):
-            index.append(record.mark_running(2.0))
-        assert index.maybe_compact()  # 6 lines >= max(4, 2)
+        with mock.patch.object(records, "COMPACT_MIN_LINES", 4), \
+                mock.patch.object(records, "COMPACT_RATIO", 2.0):
+            index.append(record)
+            assert not index.maybe_compact()  # 1 line < max(4, 2*1)
+            for _ in range(5):
+                index.append(record.mark_running(2.0))
+            assert index.maybe_compact()  # 6 lines >= max(4, 2)
         with open(index.path) as handle:
             assert len(handle.readlines()) == 1
-
-    def test_knob_validation(self, tmp_path):
-        with pytest.raises(ServeError):
-            JobLogIndex(str(tmp_path / "i"), compact_min_lines=0)
-        with pytest.raises(ServeError):
-            JobLogIndex(str(tmp_path / "i"), compact_ratio=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +568,6 @@ class TestServiceFaults:
             num_workers=1,
             max_retries=0,
             job_timeout_s=0.1,
-            watchdog_interval_s=0.02,
             on_done=lambda item, result, error: reports.append(
                 (item, result, error)
             ),

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, FormatError
+from repro.errors import FormatError
 from repro.features.criteo import (
     dump_criteo_tsv,
     load_criteo_tsv,
@@ -131,29 +131,6 @@ class TestLoadTsv:
         assert lengths.tolist() == [0]
         assert len(values) == 0
 
-    def test_max_rows(self):
-        lines = [sample_line() for _ in range(10)]
-        data = load_criteo_tsv(lines, max_rows=3)
-        assert len(data["label"]) == 3
-
-    @pytest.mark.parametrize("max_rows", [0, -3, 2.5, True, "3"])
-    def test_max_rows_must_be_a_positive_int(self, max_rows):
-        """0 and -3 used to load one row and 2.5 three."""
-        lines = [sample_line() for _ in range(10)]
-        with pytest.raises(ConfigurationError, match="max_rows"):
-            load_criteo_tsv(lines, max_rows=max_rows)
-
-    def test_max_rows_beyond_input_loads_everything(self):
-        lines = [sample_line() for _ in range(4)]
-        assert len(load_criteo_tsv(lines, max_rows=100)["label"]) == 4
-
-    def test_max_rows_stops_before_later_bad_lines(self):
-        """Lines past ``max_rows`` are never parsed."""
-        lines = [sample_line(), sample_line(), "not\ta\tcriteo\tline"]
-        assert len(load_criteo_tsv(lines, max_rows=2)["label"]) == 2
-        with pytest.raises(FormatError, match="line 3"):
-            load_criteo_tsv(lines)
-
     def test_error_line_counts_blank_lines(self):
         """The line a FormatError names is the line in the file."""
         lines = [sample_line(), "", sample_line(cat="-1a")]
@@ -167,10 +144,6 @@ class TestLoadTsv:
     def test_empty_input_rejected(self):
         with pytest.raises(FormatError, match="no rows"):
             load_criteo_tsv([])
-
-    def test_wrong_spec_rejected(self):
-        with pytest.raises(FormatError, match="expects"):
-            load_criteo_tsv([sample_line()], spec=get_model("RM5"))
 
     def test_file_object(self):
         handle = io.StringIO(sample_line() + "\n" + sample_line() + "\n")

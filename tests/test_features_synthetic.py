@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.features import synthetic
 from repro.features.specs import get_model
-from repro.features.synthetic import RAW_ID_SPACE, SyntheticTableGenerator
+from repro.features.synthetic import CTR, RAW_ID_SPACE, SyntheticTableGenerator
 
 BLOCK = synthetic._ZIPF_BLOCK
 
@@ -37,13 +37,6 @@ class TestGeneration:
         assert not np.array_equal(
             np.nan_to_num(a["int_0"]), np.nan_to_num(b["int_0"])
         )
-
-    def test_partitions_independent(self):
-        spec = get_model("RM1")
-        gen = SyntheticTableGenerator(spec, seed=0)
-        p0 = gen.generate(32, partition=0)
-        p1 = gen.generate(32, partition=1)
-        assert not np.array_equal(np.nan_to_num(p0["int_0"]), np.nan_to_num(p1["int_0"]))
 
     def test_criteo_sparse_length_fixed_one(self):
         spec = get_model("RM1")
@@ -75,17 +68,12 @@ class TestGeneration:
 
     def test_labels_are_clicks(self):
         spec = get_model("RM1")
-        data = SyntheticTableGenerator(spec, seed=0, ctr=0.5).generate(2000)
+        data = SyntheticTableGenerator(spec, seed=0).generate(2000)
         rate = float(data["label"].mean())
-        assert rate == pytest.approx(0.5, abs=0.05)
+        assert rate == pytest.approx(CTR, abs=0.015)
 
     def test_invalid_args(self):
         spec = get_model("RM1")
-        with pytest.raises(ConfigurationError):
-            SyntheticTableGenerator(spec, ctr=1.5)
-        for exponent in (0.5, 1.0, math.nan, math.inf):
-            with pytest.raises(ConfigurationError, match="zipf_exponent"):
-                SyntheticTableGenerator(spec, zipf_exponent=exponent)
         for rows in (0, -3, 2.5, True, "8"):
             with pytest.raises(ConfigurationError, match="num_rows"):
                 SyntheticTableGenerator(spec).generate(rows)

@@ -22,10 +22,10 @@ class TestByteModel:
         model_per_sample = CALIBRATION.encoded_bytes_per_sample(spec)
         assert model_per_sample == pytest.approx(real_per_sample, rel=0.25)
 
-    def test_batch_bytes_scale_with_rows(self):
+    def test_encoded_batch_bytes(self):
         spec = get_model("RM5")
-        assert CALIBRATION.encoded_batch_bytes(spec, 100) == pytest.approx(
-            100 * CALIBRATION.encoded_bytes_per_sample(spec)
+        assert CALIBRATION.encoded_batch_bytes(spec) == pytest.approx(
+            spec.batch_size * CALIBRATION.encoded_bytes_per_sample(spec)
         )
 
     def test_train_ready_bytes(self):

@@ -38,20 +38,6 @@ class TestCacheModel:
         with pytest.raises(ConfigurationError):
             model.sample("resize", get_model("RM1"))
 
-    def test_bad_core_count(self):
-        with pytest.raises(ConfigurationError):
-            CacheModel(active_cores=0)
-        with pytest.raises(ConfigurationError):
-            CacheModel(active_cores=64)
-
-    def test_fewer_cores_less_bandwidth(self):
-        spec = get_model("RM5")
-        full = CacheModel(active_cores=32).sample("log", spec)
-        half = CacheModel(active_cores=16).sample("log", spec)
-        assert half.memory_bw_utilization == pytest.approx(
-            full.memory_bw_utilization / 2
-        )
-
     def test_node_bw_matches_paper(self):
         assert NODE_MEM_BW == pytest.approx(281.6e9)
 

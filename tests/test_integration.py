@@ -63,8 +63,8 @@ class TestStorageToTensors:
         cpu = CpuPreprocessingWorker(spec)
         isp = IspPreprocessingWorker(spec)
         for part in partitions:
-            a, _ = cpu.preprocess_partition(part.file_bytes, part.index)
-            b, counts = isp.preprocess_partition(part.file_bytes, part.index)
+            a, _ = cpu.preprocess_partition(part.file_bytes)
+            b, counts = isp.preprocess_partition(part.file_bytes)
             assert b.batch_size == part.num_rows
             assert counts.rows == part.num_rows
             b.validate_index_range(isp.pipeline.table_sizes)
@@ -85,9 +85,8 @@ class TestStorageToTensors:
         cpu = CpuPreprocessingWorker(spec)
         isp = IspPreprocessingWorker(spec)
         for part in partitions:
-            a, _ = cpu.preprocess_partition(part.file_bytes, part.index)
-            b, counts = isp.preprocess_partition(part.file_bytes, part.index)
-            assert b.batch_id == part.index
+            a, _ = cpu.preprocess_partition(part.file_bytes)
+            b, counts = isp.preprocess_partition(part.file_bytes)
             assert b.dense.shape == (part.num_rows, spec.num_dense)
             assert counts.rows == part.num_rows
             assert not np.any(np.isnan(b.dense))

@@ -1,5 +1,7 @@
 """Tests for Log normalization, fill ops, and format conversion."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,8 +53,8 @@ class TestLogNormalize:
 
 class TestFillDense:
     def test_fills_nans(self):
-        out = fill_dense(np.array([1.0, np.nan, 3.0]), fill_value=9.0)
-        np.testing.assert_array_equal(out, [1.0, 9.0, 3.0])
+        out = fill_dense(np.array([1.0, np.nan, 3.0]))
+        np.testing.assert_array_equal(out, [1.0, 0.0, 3.0])
 
     def test_no_nans_copy(self):
         values = np.array([1.0, 2.0], dtype=np.float32)
@@ -69,7 +71,7 @@ class TestFillSparse:
     def test_empty_rows_get_default(self):
         lengths = np.array([2, 0, 1], dtype=np.int32)
         values = np.array([10, 11, 12], dtype=np.int64)
-        new_lengths, new_values = fill_sparse(lengths, values, default_id=0)
+        new_lengths, new_values = fill_sparse(lengths, values)
         assert new_lengths.tolist() == [2, 1, 1]
         assert new_values.tolist() == [10, 11, 0, 12]
 
@@ -82,10 +84,10 @@ class TestFillSparse:
 
     def test_all_empty(self):
         new_lengths, new_values = fill_sparse(
-            np.zeros(3, dtype=np.int32), np.array([], dtype=np.int64), default_id=7
+            np.zeros(3, dtype=np.int32), np.array([], dtype=np.int64)
         )
         assert new_lengths.tolist() == [1, 1, 1]
-        assert new_values.tolist() == [7, 7, 7]
+        assert new_values.tolist() == [0, 0, 0]
 
     def test_mismatched_inputs_rejected(self):
         with pytest.raises(OpError, match="sum"):
@@ -99,15 +101,15 @@ class TestFillSparse:
         """Values are conserved; only empty rows gain one default entry."""
         lengths = np.array(lengths, dtype=np.int32)
         values = np.arange(int(lengths.sum()), dtype=np.int64) + 100
-        new_lengths, new_values = fill_sparse(lengths, values, default_id=-1)
+        new_lengths, new_values = fill_sparse(lengths, values)
         assert np.all(new_lengths >= 1)
         assert int(new_lengths.sum()) == len(new_values)
         # non-default values preserved in order
-        kept = new_values[new_values != -1]
+        kept = new_values[new_values != 0]
         np.testing.assert_array_equal(kept, values)
 
 
-def fill_sparse_scalar(lengths, values, default_id=0):
+def fill_sparse_scalar(lengths, values):
     """The row-at-a-time loop ``fill_sparse`` ran before it became a masked
     store: the reference the vectorized form must reproduce."""
     empty = lengths == 0
@@ -119,7 +121,7 @@ def fill_sparse_scalar(lengths, values, default_id=0):
     for row in range(len(lengths)):
         start, stop = out_offsets[row], out_offsets[row + 1]
         if empty[row]:
-            out[start] = default_id
+            out[start] = 0
         else:
             out[start:stop] = values[in_offsets[row] : in_offsets[row + 1]]
     return new_lengths, out
@@ -127,11 +129,11 @@ def fill_sparse_scalar(lengths, values, default_id=0):
 
 class TestFillSparseVectorized:
     @staticmethod
-    def check(lengths, default_id=-7):
+    def check(lengths):
         lengths = np.array(lengths, dtype=np.int32)
         values = np.arange(int(lengths.sum()), dtype=np.int64) * 5 + 11
-        expected_lengths, expected = fill_sparse_scalar(lengths, values, default_id)
-        new_lengths, new_values = fill_sparse(lengths, values, default_id)
+        expected_lengths, expected = fill_sparse_scalar(lengths, values)
+        new_lengths, new_values = fill_sparse(lengths, values)
         assert new_lengths.dtype == np.int32 and new_values.dtype == np.int64
         np.testing.assert_array_equal(new_lengths, expected_lengths)
         np.testing.assert_array_equal(new_values, expected)
@@ -149,6 +151,41 @@ class TestFillSparseVectorized:
         self.check(lengths)
 
 
+def count_lines(function, *args):
+    """Python lines executed inside ``function``'s own frame for one call."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not function.__code__:
+            return None
+        if event == "line":
+            lines += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+class TestNoRowLoops:
+    """One empty row sent every row of a column through a Python loop in
+    ``fill_sparse`` (8.4 ms per 8,192 rows).  Counted, not timed: the
+    Python lines executed must not grow with the rows."""
+
+    def test_lines_executed_do_not_grow_with_rows(self):
+        def lines_executed(rows):
+            lengths = np.full(rows, 3, dtype=np.int32)
+            lengths[1] = 0
+            values = np.arange(int(lengths.sum()), dtype=np.int64)
+            return count_lines(fill_sparse, lengths, values)
+
+        assert 0 < lines_executed(4096) == lines_executed(8)
+
+
 class TestToMinibatch:
     def _inputs(self, batch=4):
         dense = {"d0": np.arange(batch, dtype=np.float32)}
@@ -163,11 +200,11 @@ class TestToMinibatch:
 
     def test_basic_assembly(self):
         dense, sparse, labels = self._inputs()
-        mb = to_minibatch(dense, sparse, labels, ["d0"], ["s0"], batch_id=5)
+        mb = to_minibatch(dense, sparse, labels, ["d0"], ["s0"])
         assert mb.batch_size == 4
         assert mb.dense.shape == (4, 1)
         assert mb.sparse.keys == ["s0"]
-        assert mb.batch_id == 5
+        assert mb.batch_id == 0
 
     def test_missing_dense_rejected(self):
         dense, sparse, labels = self._inputs()

@@ -116,23 +116,6 @@ class TestOpCounts:
         )
 
 
-class TestPipelineConstruction:
-    def test_wrong_boundary_count_rejected(self):
-        spec = get_model("RM1")
-        gen = SyntheticTableGenerator(spec)
-        boundaries = {
-            name: gen.bucket_boundaries(name)[:-1]  # one edge short
-            for name in spec.bucketize_source_names
-        }
-        with pytest.raises(PipelineError, match="bucket size"):
-            PreprocessingPipeline(spec, boundaries=boundaries)
-
-    def test_missing_boundaries_rejected(self):
-        spec = get_model("RM1")
-        with pytest.raises(PipelineError, match="missing bucket boundaries"):
-            PreprocessingPipeline(spec, boundaries={})
-
-
 class TestPreparedKernels:
     """The cached per-pipeline op kernels must match the one-shot functions."""
 
@@ -186,8 +169,10 @@ class TestPreparedKernels:
 class TestRunMany:
     def test_matches_sequential_runs(self, rm1):
         spec, pipe, _ = rm1
-        gen = SyntheticTableGenerator(spec, seed=11)
-        shards = [gen.generate(32, partition=p) for p in range(3)]
+        shards = [
+            SyntheticTableGenerator(spec, seed=seed).generate(32)
+            for seed in range(3)
+        ]
         fused = pipe.run_many(shards)
         assert len(fused) == 3
         for index, (raw, (batch, counts)) in enumerate(zip(shards, fused)):
@@ -198,13 +183,6 @@ class TestRunMany:
             np.testing.assert_array_equal(
                 batch.sparse.values, single_batch.sparse.values
             )
-
-    def test_start_batch_id(self, rm1):
-        spec, pipe, _ = rm1
-        gen = SyntheticTableGenerator(spec, seed=12)
-        shards = [gen.generate(16, partition=p) for p in range(2)]
-        fused = pipe.run_many(shards, start_batch_id=7)
-        assert [batch.batch_id for batch, _ in fused] == [7, 8]
 
     def test_empty_iterable(self, rm1):
         _, pipe, _ = rm1

@@ -27,19 +27,17 @@ from hypothesis import strategies as st
 from test_golden_digests import GOLDEN
 
 from repro.api import PreprocessJob
-from repro.errors import OpError, PipelineError
+from repro.errors import OpError
 from repro.features.specs import get_model
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops import (
     Bucketizer,
     SigridHasher,
-    clamp,
     fill_sparse,
     log_normalize,
     search_bucket_id,
     sigrid_hash_scalar,
     tile,
-    truncate_list,
 )
 from repro.ops.pipeline import PreprocessingPipeline
 
@@ -299,20 +297,6 @@ BAD_CONSTRUCTIONS = {
     "modulus 0": (lambda: SigridHasher(0, 0), OpError, "max_value .* got 0"),
     "seed 1.5": (lambda: SigridHasher(1.5, 10), OpError, "seed must be an int, got 1.5"),
     "seed True": (lambda: SigridHasher(True, 10), OpError, "seed must be an int"),
-    "clamp (5, 1)": (lambda: PreprocessingPipeline(RM1, dense_clamp=(5, 1)),
-                     PipelineError, r"dense_clamp must be .* got \(5, 1\)"),
-    "clamp 'ab'": (lambda: PreprocessingPipeline(RM1, dense_clamp="ab"),
-                   PipelineError, "dense_clamp must be .* got 'ab'"),
-    "clamp NaN": (lambda: PreprocessingPipeline(RM1, dense_clamp=(float("nan"), 3)),
-                  PipelineError, "dense_clamp"),
-    "clamp of one": (lambda: PreprocessingPipeline(RM1, dense_clamp=(1.0,)),
-                     PipelineError, "dense_clamp"),
-    "length 2.5": (lambda: PreprocessingPipeline(RM1, max_sparse_length=2.5),
-                   PipelineError, "max_sparse_length must be a positive int, got 2.5"),
-    "length True": (lambda: PreprocessingPipeline(RM1, max_sparse_length=True),
-                    PipelineError, "max_sparse_length .* got True"),
-    "length 0": (lambda: PreprocessingPipeline(RM1, max_sparse_length=0),
-                 PipelineError, "max_sparse_length .* got 0"),
 }
 
 
@@ -328,8 +312,6 @@ def test_constructors_accept_the_edges_of_their_ranges():
     assert SigridHasher(-3, 2**63 - 1)(np.array([1, -1]))[0] >= 0
     assert SigridHasher(2**70, 1)(np.array([1, 2, 3])).tolist() == [0, 0, 0]
     assert Bucketizer(np.array([-np.inf, 0.0, np.inf])).num_buckets == 4
-    PreprocessingPipeline(RM1, dense_clamp=(-np.inf, np.float32(3.0)))
-    PreprocessingPipeline(RM1, dense_clamp=[2, 2], max_sparse_length=1)
 
 
 # -- typed errors: call time -------------------------------------------------------
@@ -338,18 +320,6 @@ BAD_CALLS = {
     "fill_sparse, negative length": (
         lambda: fill_sparse(np.array([-1, 4]), np.array([1, 2, 3])),
         "fill_sparse lengths must not be negative, got -1 at row 0",
-    ),
-    "truncate_list, negative length": (
-        lambda: truncate_list(np.array([2, 2, -1]), np.array([1, 2, 3]), 1),
-        "truncate_list lengths must not be negative, got -1 at row 2",
-    ),
-    "clamp, NaN low": (
-        lambda: clamp(np.zeros(3), float("nan"), 3.0),
-        "clamp bounds must not be NaN",
-    ),
-    "clamp, NaN high": (
-        lambda: clamp(np.zeros(3), 0.0, float("nan")),
-        "clamp bounds must not be NaN",
     ),
     "bucketize, text": (
         lambda: Bucketizer(EDGES)(np.array(["a"])),

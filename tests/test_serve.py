@@ -496,10 +496,20 @@ class TestWorkerPool:
 
     def test_invalid_construction(self):
         queue = BoundedJobQueue()
-        with pytest.raises(ServeError):
-            WorkerPool(queue, lambda i, a: i, num_workers=0)
-        with pytest.raises(ServeError):
-            WorkerPool(queue, lambda i, a: i, max_retries=-1)
+        for bad in (
+            {"num_workers": 0},
+            {"max_retries": -1},
+            {"backoff_s": -0.1},
+            # a NaN backoff made time.sleep raise a bare ValueError at the
+            # first retry; a NaN deadline timed every job out at the first
+            # watchdog tick, an infinite one never
+            {"backoff_s": float("nan")},
+            {"backoff_s": float("inf")},
+            {"job_timeout_s": float("nan")},
+            {"job_timeout_s": float("inf")},
+        ):
+            with pytest.raises(ServeError):
+                WorkerPool(queue, lambda i, a: i, **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +897,7 @@ def served(tmp_path):
     )
     server = ServiceServer(service, host="127.0.0.1", port=0)
     server.start()
-    client = ServiceClient(host=server.host, port=server.port, timeout=30.0)
+    client = ServiceClient(host=server.host, port=server.port)
     yield server, client, tmp_path
     server.stop(drain=True, timeout=30.0)
 
@@ -945,7 +955,7 @@ class TestProtocol:
         server, _, tmp_path = served
         endpoint = read_endpoint(str(tmp_path))
         assert endpoint["port"] == server.port
-        by_spool = ServiceClient(spool_dir=str(tmp_path), timeout=30.0)
+        by_spool = ServiceClient(spool_dir=str(tmp_path))
         assert by_spool.ping() is True
 
     def test_missing_endpoint_is_loud(self, tmp_path):
@@ -958,7 +968,7 @@ class TestProtocol:
         )
         server = ServiceServer(service, host="127.0.0.1", port=0)
         server.start()
-        client = ServiceClient(host=server.host, port=server.port, timeout=30.0)
+        client = ServiceClient(host=server.host, port=server.port)
         job_id = client.submit(JOB).job_id
         assert client.shutdown(drain=True) is True
         assert server.wait(timeout=30.0)

@@ -1,4 +1,5 @@
-"""Every public definition of ``src/repro`` has a caller.
+"""Every public definition of ``src/repro`` has a caller, and every option
+a setter.
 
 The rule (``docs/robustness.md``, "Public surface"): a *caller* is a
 reference from ``src/repro`` outside the definition's own body — package
@@ -19,14 +20,24 @@ that defines ``name``); a method is matched by bare attribute name
 whose name another class also uses, and any name the corpus happens to
 mention.  A call from code that itself has no caller is not a caller: the
 scan runs to a fixed point.  It never names code that is called.
+
+Options follow the same rule (:func:`option_audit`): a *setter* of a
+defaulted parameter is a call from ``src/repro`` outside the function's
+own body, or from ``examples/`` or ``benchmarks/``, that passes it — by
+keyword, by position, through ``*`` / ``**`` forwarding, or by handing the
+callable to a table or another call that invokes it — or a ``name=``
+mention under ``docs/`` or ``.github/``.  Tests are witnesses here too.
+An option no one sets is the constant it always was; one kept anyway is
+listed in :data:`ALLOWED_OPTIONS`, which cannot go stale either.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS_DIRS = ("examples", "docs", "benchmarks", ".github")
@@ -329,3 +340,271 @@ def test_a_stale_allowlist_entry_is_named(tmp_path):
     orphans, stale = audit(src, corpus, allowed)
     assert orphans == ["pkg.used.chained", "pkg.used.never_called"]
     assert stale == ["pkg.used.Thing.hidden", "pkg.used.gone", "pkg.used.helper"]
+
+
+# -- options -----------------------------------------------------------------
+
+_SEAM = (
+    "the test seam tests/test_serve.py substitutes a fake clock through, so "
+    "record timestamps and retry waits run without real time passing"
+)
+
+#: option ``qualified(param)`` -> why it stays although nothing sets it
+ALLOWED_OPTIONS: Dict[str, str] = {
+    "repro.serve.service.PreprocessService(clock)": _SEAM,
+    "repro.serve.service.PreprocessService(sleep)": _SEAM,
+}
+
+
+class Option(NamedTuple):
+    """One defaulted parameter and the calls that can reach it."""
+
+    callee: str  # the bare name a call uses: function, method, or class
+    path: Path
+    start: int  # the defining function's lines, whose own calls don't count
+    end: int
+    param: str
+    position: Optional[int]  # index among the positional arguments, if any
+    exempt: bool  # a registered experiment runner: ExperimentRun sets it
+
+
+def _decorators(node: ast.AST) -> List[str]:
+    names = []
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        names.append(getattr(target, "attr", getattr(target, "id", "")))
+    return names
+
+
+def options(src_root: Path) -> Dict[str, Option]:
+    """Defaulted parameters of the public functions, and of the public
+    methods and ``__init__`` of the public classes, under ``src_root``:
+    ``module.function(param)``, ``module.Class.method(param)`` or, for
+    ``__init__``, ``module.Class(param)``."""
+    found: Dict[str, Option] = {}
+
+    def add(qualified: str, callee: str, function: ast.AST, path: Path,
+            bound: bool, exempt: bool) -> None:
+        args = function.args
+        positional = [a.arg for a in args.posonlyargs + args.args][bound:]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        for name in defaulted if args.defaults else ():
+            found[f"{qualified}({name})"] = Option(
+                callee, path, function.lineno, function.end_lineno, name,
+                positional.index(name), exempt)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found[f"{qualified}({arg.arg})"] = Option(
+                    callee, path, function.lineno, function.end_lineno,
+                    arg.arg, None, exempt)
+
+    for path in sorted(src_root.rglob("*.py")):
+        module = _module_name(path, src_root)
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, _DEFS) or node.name.startswith("_"):
+                continue
+            if isinstance(node, _FUNCTIONS):
+                registered = "register_experiment" in _decorators(node)
+                add(f"{module}.{node.name}", node.name, node, path, False,
+                    registered)
+                continue
+            for member in node.body:
+                if not isinstance(member, _FUNCTIONS):
+                    continue
+                if member.name == "__init__":
+                    add(f"{module}.{node.name}", node.name, member, path, True,
+                        False)
+                elif not member.name.startswith("_"):
+                    bound = "staticmethod" not in _decorators(member)
+                    add(f"{module}.{node.name}.{member.name}", member.name,
+                        member, path, bound, False)
+    return found
+
+
+class _Call(NamedTuple):
+    path: Path
+    line: int
+    positional: int  # plain positional arguments before any ``*``
+    starred: bool
+    keywords: Set[str]
+    forwards: bool  # a ``**`` argument
+
+
+def _calls(path: Path, tree: ast.AST, calls: Dict[str, List[_Call]],
+           handed: Dict[str, List[Tuple[Path, int]]]) -> None:
+    """Record every call by the bare name it uses (``cls(...)`` inside a
+    class by that class too), and every callable handed on as a value: a
+    table entry or an argument of another call."""
+
+    def hand(value: ast.AST) -> None:
+        name = getattr(value, "attr", getattr(value, "id", None))
+        if name is not None:
+            handed.setdefault(name, []).append((path, value.lineno))
+
+    def visit(node: ast.AST, classes: Tuple[ast.ClassDef, ...]) -> None:
+        if isinstance(node, ast.ClassDef):
+            classes += (node,)
+        elif isinstance(node, (ast.Dict, ast.List, ast.Tuple, ast.Set)):
+            for value in node.values if isinstance(node, ast.Dict) else node.elts:
+                hand(value)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            names = [getattr(func, "attr", getattr(func, "id", ""))]
+            if names == ["cls"] and classes:
+                names.append(classes[-1].name)
+            stars = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            call = _Call(
+                path, node.lineno, stars[0] if stars else len(node.args),
+                bool(stars), {k.arg for k in node.keywords if k.arg},
+                any(k.arg is None for k in node.keywords),
+            )
+            for name in names:
+                calls.setdefault(name, []).append(call)
+            if names[0] not in ("isinstance", "issubclass"):
+                for value in node.args + [k.value for k in node.keywords]:
+                    hand(value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, classes)
+
+    visit(tree, ())
+
+
+def option_audit(
+    src_root: Path, corpus: Iterable[Path], allowed: Dict[str, str],
+    uncalled: Iterable[str] = (),
+) -> Tuple[List[str], List[str]]:
+    """``(unset, stale)``: options under ``src_root`` with no setter and no
+    ``allowed`` entry, and ``allowed`` entries that name nothing, name an
+    option with a setter, or give no reason.  Options of the ``uncalled``
+    definitions (:data:`ALLOWED`'s) are not audited: nothing calls them."""
+    calls: Dict[str, List[_Call]] = {}
+    handed: Dict[str, List[Tuple[Path, int]]] = {}
+    mentioned: Set[str] = set()
+    for path in sorted(src_root.rglob("*.py")) + sorted(corpus):
+        text = path.read_text(errors="replace")
+        if path.suffix == ".py":
+            _calls(path, ast.parse(text, filename=str(path)), calls, handed)
+        else:
+            mentioned.update(re.findall(r"([A-Za-z_][A-Za-z0-9_]*)=", text))
+
+    def set_by(option: Option, call: _Call) -> bool:
+        if call.path == option.path and option.start <= call.line <= option.end:
+            return False
+        if option.param in call.keywords or call.forwards:
+            return True
+        return option.position is not None and (
+            option.position < call.positional or call.starred)
+
+    skip = set(uncalled)
+    unset = set()
+    for qualified, option in options(src_root).items():
+        if option.exempt or qualified.partition("(")[0] in skip:
+            continue
+        if option.param in mentioned:
+            continue
+        if any(set_by(option, call) for call in calls.get(option.callee, ())):
+            continue
+        if any(path != option.path or not option.start <= line <= option.end
+               for path, line in handed.get(option.callee, ())):
+            continue
+        unset.add(qualified)
+    stale = sorted(
+        name for name, reason in allowed.items()
+        if name not in unset or not reason.strip()
+    )
+    return sorted(unset - set(allowed)), stale
+
+
+def test_every_option_has_a_setter():
+    unset, stale = option_audit(
+        REPO / "src", corpus_files(), ALLOWED_OPTIONS, uncalled=ALLOWED)
+    assert not unset, (
+        "options no call in src/, examples/ or benchmarks/ passes and no "
+        "docs/ or .github/ line names (tests do not count) — make each the "
+        "constant it always was, or add it to ALLOWED_OPTIONS with the "
+        "reason it stays:\n  " + "\n  ".join(unset)
+    )
+    assert not stale, (
+        "ALLOWED_OPTIONS entries that are gone, have a setter now, or give "
+        "no reason:\n  " + "\n  ".join(stale)
+    )
+
+
+def _options_repo(root: Path) -> Tuple[Path, List[Path]]:
+    """A package whose options are set in every way the audit knows, plus
+    ``only_tested(flag)``, which only a test passes."""
+    package = root / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "knobs.py").write_text(
+        "def only_tested(x, flag=False):\n    return only_tested(x, flag=flag)\n\n"
+        "def by_keyword(x, depth=1):\n    return depth\n\n"
+        "def by_position(x, depth=1):\n    return depth\n\n"
+        "def forwarded(x, depth=1, *, width=2):\n    return depth\n\n"
+        "def tabled(x, depth=1):\n    return depth\n\n"
+        "class Widget:\n"
+        "    def __init__(self, size=1, color='red'):\n        self.size = size\n"
+        "    @classmethod\n"
+        "    def small(cls):\n        return cls(0)\n"
+        "    def paint(self, color='blue'):\n        return color\n"
+    )
+    (package / "cli.py").write_text(
+        "from pkg.knobs import Widget, by_keyword, by_position, forwarded, "
+        "only_tested, tabled\n\n"
+        "TABLE = {'tabled': tabled}\n\n"
+        "def main(**options):\n"
+        "    only_tested(1)\n"
+        "    by_keyword(1, depth=2)\n"
+        "    by_position(1, 2)\n"
+        "    forwarded(1, **options)\n"
+        "    return Widget.small(), TABLE\n"
+    )
+    tests = root / "tests"
+    tests.mkdir()
+    (tests / "test_knobs.py").write_text(
+        "from pkg.knobs import Widget, only_tested\n\n"
+        "def test_flag():\n    only_tested(1, flag=True)\n"
+        "    Widget(color='green').paint(color='red')\n"
+    )
+    docs = root / "docs" / "knobs.md"
+    docs.parent.mkdir()
+    docs.write_text("Paint it with `widget.paint(color=...)`.\n")
+    return root / "src", [docs]
+
+
+def test_a_test_only_option_is_named(tmp_path):
+    src, corpus = _options_repo(tmp_path)
+    unset, stale = option_audit(src, corpus, {})
+    # keyword, positional, cls(...), ** and table setters count; the
+    # function's call of itself and the test's calls do not; the docs
+    # line sets every option named color
+    assert unset == ["pkg.knobs.only_tested(flag)"]
+    assert stale == []
+    assert len(options(src)) == 9
+    # without the docs line nothing sets a color
+    assert option_audit(src, [], {})[0] == [
+        "pkg.knobs.Widget(color)", "pkg.knobs.Widget.paint(color)",
+        "pkg.knobs.only_tested(flag)",
+    ]
+
+
+def test_a_stale_option_entry_is_named(tmp_path):
+    src, corpus = _options_repo(tmp_path)
+    allowed = {
+        "pkg.knobs.only_tested(flag)": "a test seam",
+        "pkg.knobs.by_keyword(depth)": "has a setter now",
+        "pkg.knobs.gone(depth)": "names nothing",
+    }
+    unset, stale = option_audit(src, corpus, allowed)
+    assert unset == []
+    assert stale == ["pkg.knobs.by_keyword(depth)", "pkg.knobs.gone(depth)"]
+    allowed = {"pkg.knobs.only_tested(flag)": " "}
+    assert option_audit(src, corpus, allowed)[1] == ["pkg.knobs.only_tested(flag)"]
+
+
+if __name__ == "__main__":
+    # the figure CI records beside the src/ line count
+    sys.stdout.write(
+        f"options: {len(options(REPO / 'src'))} defaulted public parameters, "
+        f"{len(ALLOWED_OPTIONS)} in ALLOWED_OPTIONS\n"
+    )
