@@ -29,7 +29,9 @@ from repro.ops.tile import tiles
 
 
 def _check_boundaries(boundaries: np.ndarray) -> np.ndarray:
-    boundaries = np.asarray(boundaries, dtype=np.float64)
+    boundaries = real_values("bucket boundaries", boundaries).astype(
+        np.float64, copy=False
+    )
     if boundaries.ndim != 1 or len(boundaries) == 0:
         raise OpError("bucket boundaries must be a non-empty 1-D array")
     if np.isnan(boundaries).any():

@@ -4,9 +4,9 @@ Every op kernel allocates and returns its result by default; a caller that
 already owns the result's final home — the pipeline filling the mini-batch
 it is building — passes it as the keyword-only ``out=`` instead, and the
 kernel writes there without a full-size temporary or a copy afterwards.
-The kernels that compare or take logarithms accept real numbers only, and
-say so themselves instead of leaking whatever numpy raises (or, for complex
-input, merely warns about) halfway through the column.
+The kernels that compare, fill or take logarithms accept real numbers
+only, and say so themselves instead of leaking whatever numpy raises (or,
+for complex input, merely warns about) halfway through the column.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import OpError
-from repro.ops.dest import destination, jagged_column
+from repro.ops.dest import destination, jagged_column, real_values
 
 
 def fill_dense(
@@ -24,7 +24,7 @@ def fill_dense(
     The result lands in ``out`` (float32, same shape) when given, else in a
     fresh array; either way it is returned.
     """
-    values = np.asarray(values)
+    values = real_values("fill_dense", values)
     if values.ndim != 1:
         raise OpError(f"fill_dense input must be 1-D, got shape {values.shape}")
     out = destination("fill_dense", out, values.shape, np.float32)

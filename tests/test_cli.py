@@ -505,6 +505,44 @@ def _typed_failures():
     return [pytest.param(argv, message, id=name) for name, argv, message in cases]
 
 
+_PROCESSES = "processes must be a positive int (or None for the cpu-count default), got {}"
+_TASK_TIMEOUT = "task_timeout_s must be positive and finite (or None), got {}"
+
+#: ``(id, argv, message)``: retry, deadline and pool values the CLI hands
+#: to ``BatchPolicy`` (report, sweep) or ``WorkerPool`` (serve), refused
+#: before any work starts.  A NaN or infinite deadline or backoff used to
+#: pass: ``sweep --task-timeout nan`` never reaped a hung scenario and
+#: ``serve --job-timeout nan`` timed out every job at the first tick.
+POLICY_FAILURES = [
+    ("sweep-processes-0", ["sweep", "--processes", "0", "--serial"],
+     _PROCESSES.format(0)),
+    ("sweep-processes-negative", ["sweep", "--processes", "-1"],
+     _PROCESSES.format(-1)),
+    ("report-processes-0", ["report", "--processes", "0"],
+     _PROCESSES.format(0)),
+    ("report-processes-negative", ["report", "--processes", "-2", "--parallel"],
+     _PROCESSES.format(-2)),
+    ("preprocess-processes-0", ["preprocess", "--processes", "0"],
+     "processes must be a positive int, got 0"),
+    ("sweep-task-timeout-nan", ["sweep", "--task-timeout", "nan", "--serial"],
+     _TASK_TIMEOUT.format("nan")),
+    ("sweep-task-timeout-inf", ["sweep", "--task-timeout", "inf"],
+     _TASK_TIMEOUT.format("inf")),
+    ("sweep-task-timeout-0", ["sweep", "--task-timeout", "0"],
+     _TASK_TIMEOUT.format("0.0")),
+    ("sweep-max-retries-negative", ["sweep", "--max-retries", "-1"],
+     "max_retries must be a non-negative int, got -1"),
+    ("serve-job-timeout-nan", ["serve", "--spool", "{tmp}", "--job-timeout", "nan"],
+     "job_timeout_s must be positive and finite, got nan"),
+    ("serve-job-timeout-inf", ["serve", "--spool", "{tmp}", "--job-timeout", "inf"],
+     "job_timeout_s must be positive and finite, got inf"),
+    ("serve-backoff-nan", ["serve", "--spool", "{tmp}", "--backoff", "nan"],
+     "backoff_s must be finite and >= 0, got nan"),
+    ("serve-backoff-inf", ["serve", "--spool", "{tmp}", "--backoff", "inf"],
+     "backoff_s must be finite and >= 0, got inf"),
+]
+
+
 class TestTypedErrorBoundary:
     """``main()`` is the one place a ReproError/OSError becomes an exit."""
 
@@ -521,6 +559,29 @@ class TestTypedErrorBoundary:
         # a str code is what the interpreter prints, one line, exit status 1
         assert excinfo.value.code == message.format(tmp=scratch)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [pytest.param(argv, message, id=name)
+         for name, argv, message in POLICY_FAILURES],
+    )
+    def test_bad_policy_value_exits_before_any_work(
+            self, argv, message, tmp_path, capsys):
+        from unittest import mock
+
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+
+        def serving(*args, **kwargs):  # a value let through would serve forever
+            raise AssertionError("serve got past its pool's validation")
+
+        with mock.patch("repro.serve.ServiceServer", serving), \
+                pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == message
+        captured = capsys.readouterr()
+        # refused up front: no table, no listening line, no traceback
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_uncreatable_export_dir_is_one_line_on_stderr(self, scratch):
         import os

@@ -121,6 +121,19 @@ class TestTraceGeneration:
         with pytest.raises(ConfigurationError, match="kind"):
             generate_trace("weibull", num_jobs=10, seed=0)
 
+    @pytest.mark.parametrize("kind", TRACE_KINDS)
+    def test_jobs_draw_from_the_fixed_mix(self, kind):
+        """Every kind draws the same job mix: all five models, weighted
+        toward RM5; 8 to 32 GPUs; priorities 0 to 2; durations of at least
+        five minutes."""
+        trace = generate_trace(kind, num_jobs=600, seed=5)
+        models = [a.model for a in trace.arrivals]
+        assert set(models) == {"RM1", "RM2", "RM3", "RM4", "RM5"}
+        assert models.count("RM5") > models.count("RM1")
+        assert {a.num_gpus for a in trace.arrivals} <= {8, 16, 32}
+        assert {a.priority for a in trace.arrivals} <= {0, 1, 2}
+        assert min(a.duration_s for a in trace.arrivals) >= 300.0
+
     def test_jsonl_round_trip_byte_identical(self):
         trace = generate_trace("poisson", num_jobs=25, seed=7)
         text = trace.to_jsonl()

@@ -1,10 +1,13 @@
 """Tests for the cache/utilization model, GPU preprocessing model, and
 power models."""
 
+from unittest import mock
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.features.specs import get_model
+from repro.hardware import cache
 from repro.hardware.cache import CacheModel, NODE_MEM_BW, OPERATOR_PROFILES
 from repro.hardware.calibration import CALIBRATION
 from repro.hardware.gpu_preproc import GpuPreprocModel
@@ -37,6 +40,16 @@ class TestCacheModel:
     def test_unknown_op(self, model):
         with pytest.raises(ConfigurationError):
             model.sample("resize", get_model("RM1"))
+
+    def test_fewer_cores_less_bandwidth(self):
+        """Node bandwidth is per-core demand times the node's cores."""
+        spec = get_model("RM5")
+        full = CacheModel().sample("log", spec)
+        with mock.patch.object(cache, "CORES_PER_NODE", 16):
+            half = CacheModel().sample("log", spec)
+        assert half.memory_bw_utilization == pytest.approx(
+            full.memory_bw_utilization / 2
+        )
 
     def test_node_bw_matches_paper(self):
         assert NODE_MEM_BW == pytest.approx(281.6e9)

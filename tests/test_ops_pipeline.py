@@ -73,6 +73,25 @@ class TestPipelineRun:
         assert len(cols) == 1 + spec.num_dense + spec.num_sparse
 
 
+@pytest.mark.parametrize("model", ["RM1", "RM2", "RM3", "RM4", "RM5"])
+def test_every_model_bucketizes_against_the_generators_boundaries(model):
+    """The boundaries are a constant of the model: the generator's, one
+    strictly increasing ``bucket_size`` edge array per Bucketize source,
+    and every generated id lands in its ``bucket_size + 1``-row table."""
+    spec = get_model(model)
+    pipe = PreprocessingPipeline(spec)
+    gen = SyntheticTableGenerator(spec, seed=pipe.generator_seed)
+    assert sorted(pipe.boundaries) == sorted(spec.bucketize_source_names)
+    for name, edges in pipe.boundaries.items():
+        assert edges.shape == (spec.bucket_size,)
+        assert np.all(np.diff(edges) > 0)
+        np.testing.assert_array_equal(edges, gen.bucket_boundaries(name))
+        np.testing.assert_array_equal(pipe._bucketizers[name].boundaries, edges)
+    batch, counts = pipe.run(generate_raw_table(spec, 64))
+    batch.validate_index_range(pipe.table_sizes)
+    assert counts.bucket_boundaries == spec.bucket_size
+
+
 class TestOpCounts:
     def test_measured_matches_expected_rm1(self, rm1):
         spec, pipe, raw = rm1

@@ -33,6 +33,7 @@ from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops import (
     Bucketizer,
     SigridHasher,
+    fill_dense,
     fill_sparse,
     log_normalize,
     search_bucket_id,
@@ -297,6 +298,11 @@ BAD_CONSTRUCTIONS = {
     "modulus 0": (lambda: SigridHasher(0, 0), OpError, "max_value .* got 0"),
     "seed 1.5": (lambda: SigridHasher(1.5, 10), OpError, "seed must be an int, got 1.5"),
     "seed True": (lambda: SigridHasher(True, 10), OpError, "seed must be an int"),
+    # numeric text used to parse as edges, other text raised a bare ValueError
+    "text edges": (lambda: Bucketizer(np.array(["1", "2"])), OpError,
+                   "bucket boundaries input must be real numbers, got dtype <U1"),
+    "complex edges": (lambda: Bucketizer(np.array([1 + 2j, 3j])), OpError,
+                      "bucket boundaries input must be real numbers, got dtype complex128"),
 }
 
 
@@ -328,6 +334,15 @@ BAD_CALLS = {
     "bucketize, complex": (
         lambda: Bucketizer(EDGES)(np.array([1 + 2j])),
         "bucketize input must be real numbers, got dtype complex128",
+    ),
+    # a bare ValueError, and a ComplexWarning that dropped the imaginary part
+    "fill_dense, text": (
+        lambda: fill_dense(np.array(["a"])),
+        "fill_dense input must be real numbers, got dtype <U1",
+    ),
+    "fill_dense, complex": (
+        lambda: fill_dense(np.array([1 + 2j])),
+        "fill_dense input must be real numbers, got dtype complex128",
     ),
     "log_normalize, text": (
         lambda: log_normalize(np.array(["a"])),

@@ -18,7 +18,7 @@ import pytest
 from repro.api import PreprocessJob
 from repro.serve import PreprocessService, ServiceServer
 
-MUTATIONS = 300
+MUTATIONS = 60  # per op
 JOB = PreprocessJob(model="RM1", num_rows=64, num_shards=1)
 PING = b'{"op": "ping"}\n'
 
@@ -72,21 +72,38 @@ def assert_typed(reply):
         assert isinstance(reply.get("kind"), str) and reply["kind"], reply
 
 
-def test_a_line_that_is_not_utf8_is_a_typed_error_and_the_connection_lives(server):
+#: request lines that are not UTF-8, each a different decode failure
+NOT_UTF8 = {
+    "no lead byte": b"\xff\xfe",
+    "lone continuation": b"\x80",
+    "overlong slash": b"\xc0\xaf",
+    "encoded surrogate": b"\xed\xa0\x80",
+    "truncated sequence": b"\xe2\x82",
+    "inside a string": b'{"op": "ping", "x": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("line", NOT_UTF8.values(), ids=list(NOT_UTF8))
+def test_a_line_that_is_not_utf8_is_a_typed_error_and_the_connection_lives(
+        server, line):
     server, _ = server
-    error, pong = exchange(server, b"\xff\xfe", PING)
+    error, pong = exchange(server, line, PING)
     assert error["ok"] is False
     assert error["kind"] == "UnicodeDecodeError"
     assert pong["result"] == "pong"
 
 
-def test_every_damaged_frame_gets_one_typed_reply(server):
+OPS = ("ping", "status", "jobs", "counts", "cancel")
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_every_damaged_frame_gets_one_typed_reply(server, op):
     server, job_id = server
-    rng = random.Random(7)
-    clean = frames(job_id)
+    rng = random.Random(f"{op}-7")
+    clean = frames(job_id)[OPS.index(op)]
     kinds = {}
     for _ in range(MUTATIONS):
-        reply, pong = exchange(server, mutated(rng.choice(clean), rng), PING)
+        reply, pong = exchange(server, mutated(clean, rng), PING)
         assert_typed(reply)
         assert pong["result"] == "pong"
         kind = "ok" if reply["ok"] else reply["kind"]

@@ -907,6 +907,25 @@ class TestProtocol:
         _, client, _ = served
         assert client.ping() is True
 
+    def test_a_silent_daemon_times_the_client_out(self):
+        """A listener that never replies costs the client CLIENT_TIMEOUT_S,
+        not a hang; the CLI reports the OSError as one line."""
+        import socket
+        from unittest import mock
+
+        from repro.serve import protocol
+
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            host, port = listener.getsockname()
+            client = ServiceClient(host=host, port=port)
+            with mock.patch.object(protocol, "CLIENT_TIMEOUT_S", 0.2):
+                started = time.monotonic()
+                with pytest.raises(OSError, match="timed out"):
+                    client.ping()
+            assert time.monotonic() - started < 5.0
+
     def test_submit_wait_round_trip(self, served):
         _, client, _ = served
         record = client.submit(JOB, wait=True, wait_timeout=30.0)

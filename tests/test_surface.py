@@ -39,6 +39,8 @@ import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 CORPUS_DIRS = ("examples", "docs", "benchmarks", ".github")
 CORPUS_SUFFIXES = {".py", ".md", ".yml", ".yaml"}
@@ -600,6 +602,111 @@ def test_a_stale_option_entry_is_named(tmp_path):
     assert stale == ["pkg.knobs.by_keyword(depth)", "pkg.knobs.gone(depth)"]
     allowed = {"pkg.knobs.only_tested(flag)": " "}
     assert option_audit(src, corpus, allowed)[1] == ["pkg.knobs.only_tested(flag)"]
+
+
+_KNOBS = (
+    "def f(x, depth=1, *, width=2):\n    return depth\n\n"
+    "class Widget:\n"
+    "    def __init__(self, size=1):\n        self.size = size\n"
+    "    @classmethod\n"
+    "    def small(cls):\n        return cls()\n"
+    "    @staticmethod\n"
+    "    def make(depth=1):\n        return depth\n"
+    "    def paint(self, color='blue'):\n        return color\n"
+)
+
+#: ``id -> (caller source, option, set?)``: one way of reaching one option
+#: per case, alone
+SETTER_FORMS = {
+    "keyword": ("f(1, depth=2)", "pkg.knobs.f(depth)", True),
+    "position": ("f(1, 2)", "pkg.knobs.f(depth)", True),
+    "starred positionals": ("f(*ARGS)", "pkg.knobs.f(depth)", True),
+    "** forwarding": ("f(1, **OPTIONS)", "pkg.knobs.f(width)", True),
+    "keyword-only by keyword": ("f(1, width=3)", "pkg.knobs.f(width)", True),
+    "table entry": ("TABLE = {'f': f}", "pkg.knobs.f(depth)", True),
+    "handed to a call": ("register(f)", "pkg.knobs.f(depth)", True),
+    "staticmethod position": ("Widget.make(2)", "pkg.knobs.Widget.make(depth)", True),
+    "bound method position": ("Widget().paint('red')",
+                              "pkg.knobs.Widget.paint(color)", True),
+    "too few positionals": ("f(1)", "pkg.knobs.f(depth)", False),
+    "keyword-only by position": ("f(1, 2)", "pkg.knobs.f(width)", False),
+    "another keyword": ("f(1, depth=2)", "pkg.knobs.f(width)", False),
+    "isinstance argument": ("isinstance(1, Widget)", "pkg.knobs.Widget(size)",
+                            False),
+    "class called by name": ("Widget(size=2)", "pkg.knobs.Widget(size)", True),
+    "no call at all": ("X = 1", "pkg.knobs.Widget.paint(color)", False),
+}
+
+
+@pytest.mark.parametrize("form", SETTER_FORMS)
+def test_each_setter_form_alone(form, tmp_path):
+    caller, option, is_set = SETTER_FORMS[form]
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "knobs.py").write_text(_KNOBS)
+    (package / "use.py").write_text(
+        "from pkg.knobs import Widget, f\n"
+        "ARGS = (1, 2)\nOPTIONS = {}\n\n"
+        "def register(callable_):\n    return callable_\n\n"
+        f"{caller}\n"
+    )
+    assert option in options(tmp_path / "src")
+    unset, stale = option_audit(tmp_path / "src", [], {})
+    assert (option not in unset) is is_set, unset
+    assert stale == []
+
+
+def test_cls_inside_its_class_is_a_call_of_that_class(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    knobs = package / "knobs.py"
+    knobs.write_text(_KNOBS)
+    assert "pkg.knobs.Widget(size)" in option_audit(tmp_path / "src", [], {})[0]
+    knobs.write_text(_KNOBS.replace("return cls()", "return cls(0)"))
+    assert "pkg.knobs.Widget(size)" not in option_audit(tmp_path / "src", [], {})[0]
+
+
+def test_a_corpus_call_sets_and_a_test_call_does_not(tmp_path):
+    """A call under ``examples/`` sets an option, a ``name=`` line in the
+    docs sets every option so named, and ``tests/`` is never read."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "knobs.py").write_text(_KNOBS)
+    (tmp_path / "examples").mkdir()
+    demo = tmp_path / "examples" / "demo.py"
+    demo.write_text("from pkg.knobs import f\nf(1, depth=2)\n")
+    (tmp_path / "docs").mkdir()
+    docs = tmp_path / "docs" / "knobs.md"
+    docs.write_text("Call `paint(color='red')`.\n")
+    src = tmp_path / "src"
+    unset = option_audit(src, [], {})[0]
+    assert {"pkg.knobs.f(depth)", "pkg.knobs.Widget.paint(color)"} <= set(unset)
+    unset = option_audit(src, [demo, docs], {})[0]
+    assert "pkg.knobs.f(depth)" not in unset
+    assert "pkg.knobs.Widget.paint(color)" not in unset
+    assert "pkg.knobs.f(width)" in unset
+    assert not any(path.is_relative_to(REPO / "tests") for path in corpus_files())
+
+
+def test_a_registered_experiment_runner_and_an_uncalled_definition_are_not_audited(
+        tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "runners.py").write_text(
+        "def register_experiment(name):\n    return lambda fn: fn\n\n"
+        "@register_experiment('fig3')\n"
+        "def fig3(scale=1.0):\n    return scale\n\n"
+        "def orphan(depth=1):\n    return depth\n\n"
+        "def plain(depth=1):\n    return depth\n"
+    )
+    src = tmp_path / "src"
+    unset, _ = option_audit(src, [], {}, uncalled=["pkg.runners.orphan"])
+    assert unset == ["pkg.runners.plain(depth)"]
+    assert options(src)["pkg.runners.fig3(scale)"].exempt
 
 
 if __name__ == "__main__":
