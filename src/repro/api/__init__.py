@@ -14,9 +14,9 @@ Five pieces:
   sharded preprocessing run through :class:`repro.exec.ShardExecutor`,
   with a content digest proving parallel == serial output;
 * the streaming-service surface — :class:`JobRecord` / :class:`StageEvent`
-  lifecycle records and the :data:`SOURCE_REGISTRY` /
-  :func:`register_source` job-source plugin catalog behind ``repro serve``
-  (the service itself lives in :mod:`repro.serve`);
+  lifecycle records and the :class:`JobSource` base a user source
+  subclasses to feed ``repro serve`` (the service itself lives in
+  :mod:`repro.serve`);
 * :class:`ExperimentRegistry` / :func:`register_experiment` /
   :class:`ExperimentRun` / :class:`RunStore` — the paper-experiment
   catalog: every figure/table/ablation module registers its runner, runs
@@ -64,17 +64,14 @@ from repro.batch import (
     BatchRunner,
 )
 
-# the serve-layer job/record types and source plugins are part of the API
+# the serve-layer job/record types and the source base are part of the API
 # surface, but repro.serve builds on the modules above (its records hold
 # PreprocessJobs), so they re-export lazily to keep the import acyclic
 _SERVE_EXPORTS = {
     "JobLogIndex": "repro.serve.records",
     "JobRecord": "repro.serve.records",
     "StageEvent": "repro.serve.records",
-    "SOURCE_REGISTRY": "repro.serve.sources",
     "JobSource": "repro.serve.sources",
-    "SourceRegistry": "repro.serve.sources",
-    "register_source": "repro.serve.sources",
 }
 
 
@@ -124,8 +121,5 @@ __all__ = [
     "JobLogIndex",
     "JobRecord",
     "StageEvent",
-    "SOURCE_REGISTRY",
     "JobSource",
-    "SourceRegistry",
-    "register_source",
 ]

@@ -93,6 +93,7 @@ from repro.errors import ConfigurationError, ProvisioningError, ReproError
 from repro.experiments import report as report_mod
 from repro.experiments.common import format_table
 from repro.features.specs import MODEL_NAMES, get_model
+from repro.fleet import AUTOSCALERS, POLICIES
 
 #: ``--only`` choices -> registry kinds
 _ONLY_KINDS = {"figures": "figure", "tables": "table", "ablations": "ablation"}
@@ -552,7 +553,7 @@ DEFAULT_SPOOL = ".repro-serve"
 
 def _parse_synthetic(spec: str):
     """``MODEL[:ROWS[:SHARDS[:COUNT]]]`` -> a synthetic job source."""
-    from repro.serve import SOURCE_REGISTRY
+    from repro.serve import SyntheticJobSource
 
     parts = spec.split(":")
     if len(parts) > 4 or not parts[0]:
@@ -567,7 +568,7 @@ def _parse_synthetic(spec: str):
             kwargs["num_shards"] = int(parts[2])
         if len(parts) > 3:
             kwargs["count"] = int(parts[3])
-        return SOURCE_REGISTRY.create("synthetic", **kwargs)
+        return SyntheticJobSource(**kwargs)
     except (ValueError, ReproError) as exc:
         raise SystemExit(f"--synthetic {spec!r}: {exc}")
 
@@ -620,7 +621,7 @@ def _print_record(record, as_json: bool, verbose: bool = False) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the streaming preprocessing daemon until shutdown."""
-    from repro.serve import PreprocessService, ServiceServer, SOURCE_REGISTRY
+    from repro.serve import DirectoryJobSource, PreprocessService, ServiceServer
 
     if args.faults:
         from repro.faults import FaultInjector, FaultPlan, install
@@ -637,7 +638,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         index_fsync=not args.no_fsync,
     )
     for path in args.watch or []:
-        service.attach_source(SOURCE_REGISTRY.create("directory", path=path))
+        service.attach_source(DirectoryJobSource(path))
     for spec in args.synthetic or []:
         service.attach_source(_parse_synthetic(spec))
     server = ServiceServer(service, host=args.host, port=args.port)
@@ -1231,10 +1232,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 "generating one")
     _add_fleet_trace_options(fleet_run)
     fleet_run.add_argument("--policy", default="first-fit",
-                           help="placement policy (default first-fit; see "
-                                "repro.fleet.available_policies)")
+                           help="placement policy: "
+                                f"{', '.join(POLICIES)} (default first-fit)")
     fleet_run.add_argument("--autoscale", default="target-utilization",
-                           help="autoscaling policy (default "
+                           help="autoscaling policy: "
+                                f"{', '.join(AUTOSCALERS)} (default "
                                 "target-utilization)")
     fleet_run.add_argument("--faults", default=None,
                            help="comma-separated fleet faults to inject "

@@ -4,7 +4,7 @@ The paper's TCO argument is fleet-scale: "hundreds to thousands of
 production RecSys models ... numerous concurrent training jobs"
 (Section III-A).  This package simulates that fleet end to end —
 seeded arrival traces (:mod:`repro.fleet.trace`), a cluster scheduler
-with pluggable placement policies (:mod:`repro.fleet.policy`,
+with a table of placement policies (:mod:`repro.fleet.policy`,
 :mod:`repro.fleet.simulator`), autoscaling with capacity-hour cost
 accounting (:mod:`repro.fleet.autoscale`), and seed-replayable failure
 injection through :mod:`repro.faults` — producing frozen, deterministic
@@ -13,22 +13,8 @@ injection through :mod:`repro.faults` — producing frozen, deterministic
 and ``repro fleet run``.
 """
 
-from repro.fleet.autoscale import (
-    AUTOSCALE_KINDS,
-    AUTOSCALER_REGISTRY,
-    Autoscaler,
-    PoolSnapshot,
-    available_autoscalers,
-    get_autoscaler,
-    register_autoscaler,
-)
-from repro.fleet.policy import (
-    POLICY_REGISTRY,
-    PlacementPolicy,
-    available_policies,
-    get_policy,
-    register_policy,
-)
+from repro.fleet.autoscale import AUTOSCALERS, Autoscaler, PoolSnapshot
+from repro.fleet.policy import POLICIES, PlacementPolicy
 from repro.fleet.result import (
     FleetJobRecord,
     FleetResult,
@@ -51,8 +37,7 @@ from repro.fleet.trace import (
 )
 
 __all__ = [
-    "AUTOSCALE_KINDS",
-    "AUTOSCALER_REGISTRY",
+    "AUTOSCALERS",
     "Autoscaler",
     "BURST_CLONES",
     "DAY_S",
@@ -60,7 +45,7 @@ __all__ = [
     "FleetResult",
     "FleetSimulator",
     "JobArrival",
-    "POLICY_REGISTRY",
+    "POLICIES",
     "PlacementPolicy",
     "PoolSample",
     "PoolSnapshot",
@@ -68,13 +53,7 @@ __all__ = [
     "PoolUsage",
     "TRACE_KINDS",
     "Trace",
-    "available_autoscalers",
-    "available_policies",
     "default_pools",
     "generate_trace",
-    "get_autoscaler",
-    "get_policy",
-    "register_autoscaler",
-    "register_policy",
     "run_fleet",
 ]

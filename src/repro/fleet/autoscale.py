@@ -12,21 +12,16 @@ jobs are never evicted by the autoscaler), and every capacity change
 lands in the pool's capacity-hour ledger that
 :func:`repro.analysis.cost.capacity_cost` turns into dollars.
 
-Like placement policies, autoscalers live in a registry
-(:func:`register_autoscaler`) so ``repro fleet --autoscale`` and the
-experiments resolve them by name.
+Like placement policies, autoscalers sit in one closed table,
+:data:`AUTOSCALERS`, where ``repro fleet run --autoscale`` and the
+experiments' names are looked up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
-
-from repro.registry import Registry
-
-#: the built-in provisioning policies
-AUTOSCALE_KINDS = ("fixed", "target-utilization", "queue-depth")
+from typing import Dict, Type
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,8 @@ class PoolSnapshot:
 
 
 class Autoscaler:
-    """Base autoscaler: hold the current node count (``fixed``).
+    """Base autoscaler and ``fixed``: static provisioning, the pool keeps
+    its current node count.
 
     Subclasses that can ever *raise* a pool's node count must set
     ``can_grow = True`` — the simulator uses it to decide whether a job
@@ -68,7 +64,6 @@ class Autoscaler:
     until that pool's snapshot changes.
     """
 
-    name = "fixed"
     can_grow = False
 
     def target_nodes(self, pool: PoolSnapshot) -> int:
@@ -77,46 +72,6 @@ class Autoscaler:
         return pool.clamp(pool.nodes)
 
 
-class AutoscalerRegistry(Registry[Callable[[], Autoscaler]]):
-    """Name -> :class:`Autoscaler` factory catalog."""
-
-    noun = "autoscaler"
-    plural = "autoscalers"
-
-    def create(self, name: str) -> Autoscaler:
-        """A fresh autoscaler instance carrying its registered name."""
-        scaler = self.get(name)()
-        scaler.name = name
-        return scaler
-
-
-#: the process-wide autoscaler catalog
-AUTOSCALER_REGISTRY = AutoscalerRegistry()
-
-
-def register_autoscaler(
-    name: str, *, replace: bool = False
-) -> Callable[[Callable[[], Autoscaler]], Callable[[], Autoscaler]]:
-    """Class decorator registering an autoscaler by name."""
-    return AUTOSCALER_REGISTRY.decorator(name, replace=replace)
-
-
-def get_autoscaler(name: str) -> Autoscaler:
-    """Instantiate one registered autoscaler by name."""
-    return AUTOSCALER_REGISTRY.create(name)
-
-
-def available_autoscalers() -> Tuple[str, ...]:
-    """Registered autoscaler names, registration order."""
-    return AUTOSCALER_REGISTRY.names()
-
-
-@register_autoscaler("fixed")
-class FixedAutoscaler(Autoscaler):
-    """Static provisioning: the pool keeps its declared node count."""
-
-
-@register_autoscaler("target-utilization")
 class TargetUtilizationAutoscaler(Autoscaler):
     """Track a worker-utilization setpoint of 70%.
 
@@ -136,7 +91,6 @@ class TargetUtilizationAutoscaler(Autoscaler):
         return pool.clamp(wanted)
 
 
-@register_autoscaler("queue-depth")
 class QueueDepthAutoscaler(Autoscaler):
     """Chase the backlog: size the pool to exactly the workers running
     plus queued jobs need (no utilization headroom, unlike
@@ -156,3 +110,11 @@ class QueueDepthAutoscaler(Autoscaler):
         if not demand:
             return pool.clamp(pool.min_nodes)
         return pool.clamp(math.ceil(demand / pool.workers_per_node))
+
+
+#: name -> autoscaler class, in the order the goldens iterate
+AUTOSCALERS: Dict[str, Type[Autoscaler]] = {
+    "fixed": Autoscaler,
+    "target-utilization": TargetUtilizationAutoscaler,
+    "queue-depth": QueueDepthAutoscaler,
+}

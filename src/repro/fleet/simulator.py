@@ -6,13 +6,15 @@ against heterogeneous pools of preprocessing capacity
 a PreSto SmartSSD pool), admitting, queueing, and rescheduling jobs on
 the discrete-event :class:`~repro.sim.engine.Engine`:
 
-* **placement** is delegated to a registered
-  :class:`~repro.fleet.policy.PlacementPolicy`; a job needs
+* **placement** is delegated to a
+  :class:`~repro.fleet.policy.PlacementPolicy` named in
+  :data:`~repro.fleet.policy.POLICIES`; a job needs
   ``system.provision_for(num_gpus).num_workers`` workers in a pool
   (memoized per simulator on (model, gpus), resolved once at admission)
   and may span nodes;
-* **autoscaling** consults a registered
-  :class:`~repro.fleet.autoscale.Autoscaler` at each step about every
+* **autoscaling** consults an
+  :class:`~repro.fleet.autoscale.Autoscaler` named in
+  :data:`~repro.fleet.autoscale.AUTOSCALERS` at each step about every
   pool whose snapshot moved since its last "hold"; growth pays
   the pool's ``scaleup_latency_s`` before new nodes serve, shrinking
   retires only idle nodes, and every step integrates the pool's
@@ -51,8 +53,8 @@ from repro.api.registry import REGISTRY
 from repro.errors import ConfigurationError, FleetError, ProvisioningError, is_int
 from repro.faults.injector import FaultInjector, active_injector
 from repro.features.specs import get_model
-from repro.fleet.policy import Candidate, PlacementPolicy, get_policy
-from repro.fleet.autoscale import Autoscaler, PoolSnapshot, get_autoscaler
+from repro.fleet.policy import POLICIES, Candidate, PlacementPolicy
+from repro.fleet.autoscale import AUTOSCALERS, Autoscaler, PoolSnapshot
 from repro.fleet.result import (
     FleetJobRecord,
     FleetResult,
@@ -254,6 +256,15 @@ class _PoolState:
             heapq.heappush(self.open, (node.id, node))
 
 
+def _lookup(table: Dict[str, type], noun: str, name: str):
+    """A fresh instance of the class ``table`` holds under ``name``."""
+    if name not in table:
+        raise ConfigurationError(
+            f"unknown {noun} {name!r}; known: {', '.join(table)}"
+        )
+    return table[name]()
+
+
 class FleetSimulator:
     """Run one trace against one fleet (see module docstring)."""
 
@@ -276,8 +287,9 @@ class FleetSimulator:
             raise ConfigurationError(f"duplicate pool names in {names}")
         self.trace = trace
         self.calibration = calibration
-        self.policy: PlacementPolicy = get_policy(policy)
-        self.autoscaler: Autoscaler = get_autoscaler(autoscaler)
+        self.policy_name, self.autoscaler_name = policy, autoscaler
+        self.policy: PlacementPolicy = _lookup(POLICIES, "placement policy", policy)
+        self.autoscaler: Autoscaler = _lookup(AUTOSCALERS, "autoscaler", autoscaler)
         self._injector = injector
 
         self.engine = Engine()
@@ -455,7 +467,7 @@ class FleetSimulator:
                     break
             else:
                 raise FleetError(
-                    f"policy {self.policy.name!r} chose {choice!r} which is "
+                    f"policy {self.policy_name!r} chose {choice!r} which is "
                     f"not a candidate for {job.arrival.job_id!r}"
                 )
             heapq.heappop(queue)
@@ -827,8 +839,8 @@ class FleetSimulator:
         return FleetResult(
             trace_kind=self.trace.kind,
             trace_seed=self.trace.seed,
-            policy=self.policy.name,
-            autoscaler=self.autoscaler.name,
+            policy=self.policy_name,
+            autoscaler=self.autoscaler_name,
             num_jobs=len(records),
             completed=completed,
             rejected=rejected,

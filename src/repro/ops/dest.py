@@ -34,9 +34,18 @@ def jagged_column(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One sparse feature as ``(int32 lengths, int64 ids)``: both 1-D, no
     negative length (``[-1, 4]`` sums to three ids as well as ``[1, 2]``
-    does), the lengths summing to the id count."""
-    lengths = np.asarray(lengths, dtype=np.int32)
-    values = np.asarray(values, dtype=np.int64)
+    does), the lengths summing to the id count.  Neither is cast from a
+    non-integer dtype (a float length or id would truncate); an empty
+    one may have any dtype."""
+    lengths = np.asarray(lengths)
+    values = np.asarray(values)
+    for what, array in (("lengths", lengths), ("ids", values)):
+        if array.size and array.dtype.kind not in "iu":
+            raise OpError(
+                f"{op} {what} must be integers, got dtype {array.dtype}"
+            )
+    lengths = lengths.astype(np.int32, copy=False)
+    values = values.astype(np.int64, copy=False)
     if lengths.ndim != 1 or values.ndim != 1:
         raise OpError(f"{op} inputs must be 1-D")
     if len(lengths) and lengths.min() < 0:

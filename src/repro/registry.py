@@ -1,14 +1,13 @@
 """One name -> entry catalog behind every plugin registry.
 
-Systems, experiments, placement policies, autoscalers and job sources
-all plug in the same way: a decorator stores a callable under a stable
-name, entry points look it up by that name, and a wrong name fails with
-a typed error that lists the right ones.  :class:`Registry` is that idea
-written once; the five catalogs (:mod:`repro.api.registry`,
-:mod:`repro.api.experiment`, :mod:`repro.fleet.policy`,
-:mod:`repro.fleet.autoscale`, :mod:`repro.serve.sources`) subclass it
-and keep only what is theirs — aliases, paper ordering, how an entry is
-instantiated.
+Systems and experiments, the two catalogs users extend, plug in the same
+way: a decorator stores a callable under a stable name, entry points
+look it up by that name, and a wrong name fails with a typed error that
+lists the right ones.  :class:`Registry` is that idea written once; the
+two catalogs (:mod:`repro.api.registry`, :mod:`repro.api.experiment`)
+subclass it and keep only what is theirs — aliases, paper ordering, how
+an entry is instantiated.  The closed sets nobody extends (placement
+policies, autoscalers, job sources) are plain tables or classes instead.
 
 A leaf module: it imports nothing from :mod:`repro` but the errors, so
 any tier can build on it (the way :mod:`repro.journal` sits under both

@@ -35,13 +35,10 @@ from repro.serve.records import (
     StageEvent,
 )
 from repro.serve.sources import (
-    SOURCE_REGISTRY,
     DirectoryJobSource,
     JobSource,
-    SourceRegistry,
     SourceWatcher,
     SyntheticJobSource,
-    register_source,
 )
 from repro.serve.service import PIPELINE_STAGES, PreprocessService
 from repro.serve.protocol import (
@@ -61,13 +58,10 @@ __all__ = [
     "JobLogIndex",
     "JobRecord",
     "StageEvent",
-    "SOURCE_REGISTRY",
     "DirectoryJobSource",
     "JobSource",
-    "SourceRegistry",
     "SourceWatcher",
     "SyntheticJobSource",
-    "register_source",
     "PIPELINE_STAGES",
     "PreprocessService",
     "PROTOCOL_VERSION",

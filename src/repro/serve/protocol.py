@@ -326,12 +326,11 @@ class ServiceClient:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _connect(self, timeout: Optional[float] = None) -> socket.socket:
+    def _connect(self, timeout: Optional[float]) -> socket.socket:
+        """A connection whose socket ops give up after ``timeout`` seconds;
+        ``None`` blocks, as a wait with no deadline must."""
         try:
-            return socket.create_connection(
-                (self.host, self.port),
-                timeout=CLIENT_TIMEOUT_S if timeout is None else timeout,
-            )
+            return socket.create_connection((self.host, self.port), timeout=timeout)
         except OSError as exc:
             raise ServeError(
                 f"cannot reach daemon at {self.host}:{self.port}: {exc}"

@@ -90,7 +90,7 @@ class PreprocessService:
             on_timeout=self._on_timeout,
         )
         self.watcher = SourceWatcher(
-            submit=self.submit_job,
+            submit=self.submit,
             free_slots=lambda: self.queue.free,
             poll_interval=poll_interval,
         )
@@ -249,10 +249,6 @@ class PreprocessService:
                 )
             raise
         return record
-
-    def submit_job(self, job: PreprocessJob, source: str) -> JobRecord:
-        """Watcher-facing alias (positional source)."""
-        return self.submit(job, source=source)
 
     # -- queries -------------------------------------------------------------
 

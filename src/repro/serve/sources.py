@@ -2,19 +2,20 @@
 
 A *source* turns the outside world into :class:`~repro.api.PreprocessJob`s:
 a watched spool directory where producers drop job-spec JSON files, a
-synthetic generator standing in for live inference traffic, or any
-user-registered plugin.  The :class:`SourceWatcher` polls every attached
-source on a fixed cadence and submits what it finds — but only up to the
-queue's free capacity, so ingestion cooperates with backpressure instead of
-blocking the poll loop or flooding the pool.
+synthetic generator standing in for live inference traffic, or any user
+subclass of :class:`JobSource`.  The :class:`SourceWatcher` polls every
+attached source on a fixed cadence and submits what it finds — but only up
+to the queue's free capacity, so ingestion cooperates with backpressure
+instead of blocking the poll loop or flooding the pool.
 
-Sources register by kind with :data:`SOURCE_REGISTRY` (the same shape as the
-system and experiment registries), so ``repro serve`` can construct them
-from the command line and user plugins slot in without touching the daemon::
+``repro serve --watch`` / ``--synthetic`` construct the two built-ins
+directly; any other source plugs into a running service as an instance,
+without touching the daemon::
 
-    @register_source("kafkaesque")
     class MyQueueSource(JobSource):
         def take(self, limit): ...
+
+    service.attach_source(MyQueueSource())
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import glob
 import json
 import os
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.api.preprocess import PreprocessJob
 from repro.errors import ConfigurationError, QueueClosedError, ReproError, is_int
-from repro.registry import Registry
 from repro.serve.records import JobRecord
 
 
@@ -127,41 +127,6 @@ class SyntheticJobSource(JobSource):
     @property
     def exhausted(self) -> bool:
         return self.emitted >= self.count
-
-
-# --------------------------------------------------------------------------
-# source registry (plugin surface)
-# --------------------------------------------------------------------------
-
-
-class SourceRegistry(Registry[Callable[..., JobSource]]):
-    """kind -> factory catalog of job source plugins."""
-
-    noun = "source kind"
-    plural = "source kinds"
-
-    def names(self) -> Tuple[str, ...]:
-        """Registered kinds, sorted."""
-        return tuple(sorted(self._entries))
-
-    kinds = names
-
-    def create(self, kind: str, **kwargs) -> JobSource:
-        """Build one source of ``kind`` from its keyword configuration."""
-        return self.get(kind)(**kwargs)
-
-
-#: the global source catalog ``repro serve`` constructs from
-SOURCE_REGISTRY = SourceRegistry()
-
-
-def register_source(kind: str, replace: bool = False):
-    """Class decorator registering a :class:`JobSource` under ``kind``."""
-    return SOURCE_REGISTRY.decorator(kind, replace=replace)
-
-
-SOURCE_REGISTRY.register("directory", DirectoryJobSource)
-SOURCE_REGISTRY.register("synthetic", SyntheticJobSource)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.experiments import fleet_resilience
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule, fire_threshold
 from repro.fleet import (
-    AUTOSCALE_KINDS,
+    AUTOSCALERS,
     TRACE_KINDS,
     FleetSimulator,
     generate_trace,
@@ -337,7 +337,7 @@ small_fleets = dict(
     trace_seed=st.integers(min_value=0, max_value=2**16),
     fault_seed=st.integers(min_value=0, max_value=2**16),
     policy=st.sampled_from(("first-fit", "best-fit", "priority")),
-    autoscaler=st.sampled_from(AUTOSCALE_KINDS),
+    autoscaler=st.sampled_from(tuple(AUTOSCALERS)),
 )
 
 

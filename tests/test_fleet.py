@@ -17,7 +17,8 @@ from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.fleet import (
-    AUTOSCALE_KINDS,
+    AUTOSCALERS,
+    POLICIES,
     TRACE_KINDS,
     FleetResult,
     FleetSimulator,
@@ -25,11 +26,7 @@ from repro.fleet import (
     PoolSnapshot,
     PoolSpec,
     Trace,
-    available_autoscalers,
-    available_policies,
     generate_trace,
-    get_autoscaler,
-    get_policy,
     run_fleet,
 )
 from repro.fleet.simulator import CHECKPOINT_S
@@ -150,22 +147,56 @@ class TestTraceGeneration:
         assert header["format"] == "repro-fleet-trace"
 
 
-class TestRegistries:
+class TestTables:
     def test_builtin_policies(self):
-        assert {"first-fit", "best-fit", "priority"} <= set(
-            available_policies()
-        )
+        assert tuple(POLICIES) == ("first-fit", "best-fit", "priority")
 
     def test_builtin_autoscalers(self):
-        assert set(AUTOSCALE_KINDS) <= set(available_autoscalers())
+        assert tuple(AUTOSCALERS) == ("fixed", "target-utilization", "queue-depth")
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_policy("round-robin")
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown placement policy 'round-robin'; "
+                  "known: first-fit, best-fit, priority$",
+        ):
+            FleetSimulator(small_trace(), policy="round-robin")
 
     def test_unknown_autoscaler_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_autoscaler("predictive")
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown autoscaler 'predictive'; "
+                  "known: fixed, target-utilization, queue-depth$",
+        ):
+            FleetSimulator(small_trace(), autoscaler="predictive")
+
+    @pytest.mark.parametrize("field, name", [
+        ("policy", "First-Fit"), ("policy", "first_fit"), ("policy", " best-fit"),
+        ("policy", ""), ("autoscaler", "Fixed"),
+        ("autoscaler", "target_utilization"), ("autoscaler", "queue-depth "),
+    ])
+    def test_names_are_exact(self, field, name):
+        """No case folding or alias: a near miss is an unknown name."""
+        with pytest.raises(ConfigurationError, match=f"unknown .*{name!r}"):
+            FleetSimulator(small_trace(), **{field: name})
+
+    def test_each_simulator_gets_its_own_instances(self):
+        first, second = (
+            FleetSimulator(small_trace(), policy="best-fit",
+                           autoscaler="queue-depth")
+            for _ in range(2)
+        )
+        assert type(first.policy) is POLICIES["best-fit"]
+        assert type(first.autoscaler) is AUTOSCALERS["queue-depth"]
+        assert first.policy is not second.policy
+        assert first.autoscaler is not second.autoscaler
+
+    def test_the_result_carries_the_names_it_was_given(self):
+        result = run_fleet(
+            small_trace(num_jobs=3), pools=SMALL_POOLS, policy="priority",
+            autoscaler="queue-depth",
+        )
+        assert (result.policy, result.autoscaler) == ("priority", "queue-depth")
 
 
 class TestAutoscalers:
@@ -182,22 +213,22 @@ class TestAutoscalers:
         return PoolSnapshot(**defaults)
 
     def test_fixed_holds(self):
-        scaler = get_autoscaler("fixed")
+        scaler = AUTOSCALERS["fixed"]()
         assert scaler.target_nodes(self.snapshot()) == 8
 
     def test_target_utilization_grows_under_load(self):
-        scaler = get_autoscaler("target-utilization")
+        scaler = AUTOSCALERS["target-utilization"]()
         snap = self.snapshot(busy_workers=30, queued_workers=20)
         # ceil(50 / (0.7 * 4)) = 18 nodes
         assert scaler.target_nodes(snap) == 18
 
     def test_target_utilization_shrinks_when_idle(self):
-        scaler = get_autoscaler("target-utilization")
+        scaler = AUTOSCALERS["target-utilization"]()
         snap = self.snapshot(busy_workers=0, queued_workers=0)
         assert scaler.target_nodes(snap) == 2  # min_nodes
 
     def test_queue_depth_sizes_to_demand(self):
-        scaler = get_autoscaler("queue-depth")
+        scaler = AUTOSCALERS["queue-depth"]()
         snap = self.snapshot(queued_workers=9)
         # ceil((16 busy + 9 queued) / 4) — absolute, not added to nodes
         assert scaler.target_nodes(snap) == 7
@@ -206,30 +237,30 @@ class TestAutoscalers:
         """The same backlog must not be re-added on top of capacity
         already on the way: once committed nodes cover busy + queued
         demand, the target stops growing."""
-        scaler = get_autoscaler("queue-depth")
+        scaler = AUTOSCALERS["queue-depth"]()
         grown = self.snapshot(nodes=20, busy_workers=16, queued_workers=9)
         assert scaler.target_nodes(grown) == 7
         assert scaler.target_nodes(grown) <= grown.nodes
 
     def test_queue_depth_sheds_when_idle(self):
-        scaler = get_autoscaler("queue-depth")
+        scaler = AUTOSCALERS["queue-depth"]()
         snap = self.snapshot(busy_workers=0, queued_workers=0)
         assert scaler.target_nodes(snap) == 2  # min_nodes
 
     def test_clamped_to_max(self):
-        scaler = get_autoscaler("queue-depth")
+        scaler = AUTOSCALERS["queue-depth"]()
         snap = self.snapshot(queued_workers=10_000)
         assert scaler.target_nodes(snap) == 32
 
     def test_can_grow_flags(self):
-        assert get_autoscaler("fixed").can_grow is False
-        assert get_autoscaler("target-utilization").can_grow is True
-        assert get_autoscaler("queue-depth").can_grow is True
+        assert AUTOSCALERS["fixed"]().can_grow is False
+        assert AUTOSCALERS["target-utilization"]().can_grow is True
+        assert AUTOSCALERS["queue-depth"]().can_grow is True
 
 
 class TestSimulatorDeterminism:
     @pytest.mark.parametrize("policy", ("first-fit", "best-fit", "priority"))
-    @pytest.mark.parametrize("autoscaler", AUTOSCALE_KINDS)
+    @pytest.mark.parametrize("autoscaler", tuple(AUTOSCALERS))
     def test_rerun_identical(self, policy, autoscaler):
         trace = small_trace(num_jobs=25, seed=13)
         runs = [
@@ -652,6 +683,28 @@ class TestFleetCli:
             payload = json.load(handle)
         assert FleetResult.from_dict(payload).to_dict() == payload
         assert payload["policy"] == "first-fit"
+
+    def test_unknown_policy_is_one_line_on_stderr(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "fleet", "run", "--jobs", "5",
+             "--policy", "round-robin"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "unknown placement policy 'round-robin'; "
+            "known: first-fit, best-fit, priority\n"
+        )
 
     def test_unknown_fault_rejected(self, capsys):
         with pytest.raises(SystemExit, match="unknown fleet fault"):

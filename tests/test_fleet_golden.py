@@ -31,15 +31,14 @@ from repro.cli import main as cli_main
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.fleet import (
-    AUTOSCALE_KINDS,
+    AUTOSCALERS,
+    POLICIES,
     TRACE_KINDS,
     default_pools,
     generate_trace,
     run_fleet,
 )
 from test_fleet import SMALL_POOLS
-
-POLICIES = ("first-fit", "best-fit", "priority")
 
 #: fleet label -> (pools, trace shape).  "bench" is the small two-pool
 #: fleet ``repro bench`` ran on when these were recorded (the fleet tests'
@@ -82,7 +81,7 @@ CASES = [
     for fleet in FLEETS
     for kind in TRACE_KINDS
     for policy in POLICIES
-    for autoscaler in AUTOSCALE_KINDS
+    for autoscaler in AUTOSCALERS
     for faults in ("clean", "faulted")
 ]
 

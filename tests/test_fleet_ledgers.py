@@ -17,15 +17,13 @@ from repro.errors import FleetError, ProvisioningError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.fleet import (
-    AUTOSCALE_KINDS,
-    POLICY_REGISTRY,
+    AUTOSCALERS,
+    POLICIES,
     FleetSimulator,
     JobArrival,
     PlacementPolicy,
     PoolSpec,
     Trace,
-    get_policy,
-    register_policy,
     run_fleet,
 )
 from repro.fleet.simulator import STEP_S
@@ -137,21 +135,9 @@ def test_first_tick_runs_behind_what_the_arrivals_at_zero_scheduled():
 class TestOrderKeyContract:
     def test_builtin_keys(self):
         job = arrival("a", priority=3)
-        assert get_policy("first-fit").order_key(job) == 0
-        assert get_policy("best-fit").order_key(job) == 0
-        assert get_policy("priority").order_key(job) == -3
-
-    def test_queue_order_is_sorted_by_order_key(self):
-        """One definition of order: ``queue_order`` derives from the key
-        (stable, so equal keys keep the given enqueue order)."""
-        queued = [
-            arrival("low-0", priority=0), arrival("high-0", priority=2),
-            arrival("low-1", priority=0), arrival("high-1", priority=2),
-        ]
-        fifo = get_policy("first-fit").queue_order(queued)
-        assert [j.job_id for j in fifo] == ["low-0", "high-0", "low-1", "high-1"]
-        ranked = get_policy("priority").queue_order(queued)
-        assert [j.job_id for j in ranked] == ["high-0", "high-1", "low-0", "low-1"]
+        assert POLICIES["first-fit"]().order_key(job) == 0
+        assert POLICIES["best-fit"]().order_key(job) == 0
+        assert POLICIES["priority"]().order_key(job) == -3
 
     def test_equal_keys_are_served_in_enqueue_order(self):
         # one 8-worker node, every RM1/16-GPU job needs 5 of them: strictly
@@ -167,28 +153,21 @@ class TestOrderKeyContract:
                 f"job-{i}" for i in range(5)
             ]
 
-    def test_user_registered_key_is_honoured(self):
-        @register_policy("test-shortest-first")
+    def test_user_registered_key_is_honoured(self, monkeypatch):
         class ShortestFirst(PlacementPolicy):
             def order_key(self, job):
                 return job.duration_s
 
-        try:
-            trace = manual_trace(
-                arrival("blocker", submit_s=0.0, duration_s=500.0),
-                arrival("long", submit_s=1.0, duration_s=900.0),
-                arrival("short", submit_s=2.0, duration_s=100.0),
-                arrival("medium", submit_s=3.0, duration_s=400.0),
-            )
-            result = run_fleet(
-                trace, pools=one_pool(), policy="test-shortest-first"
-            )
-            assert start_order(result) == ["blocker", "short", "medium", "long"]
-            assert get_policy("test-shortest-first").queue_order(
-                trace.arrivals[1:]
-            ) == [trace.arrivals[2], trace.arrivals[3], trace.arrivals[1]]
-        finally:
-            POLICY_REGISTRY.unregister("test-shortest-first")
+        monkeypatch.setitem(POLICIES, "test-shortest-first", ShortestFirst)
+        trace = manual_trace(
+            arrival("blocker", submit_s=0.0, duration_s=500.0),
+            arrival("long", submit_s=1.0, duration_s=900.0),
+            arrival("short", submit_s=2.0, duration_s=100.0),
+            arrival("medium", submit_s=3.0, duration_s=400.0),
+        )
+        result = run_fleet(trace, pools=one_pool(), policy="test-shortest-first")
+        assert start_order(result) == ["blocker", "short", "medium", "long"]
+        assert result.policy == "test-shortest-first"
 
     def test_displaced_job_rejoins_behind_its_class(self):
         """A displaced job re-enters the queue behind the already-queued
@@ -274,8 +253,8 @@ fault_rates = st.fixed_dictionaries({
 @settings(max_examples=40, deadline=None)
 @given(
     jobs=st.lists(arrival_fields, min_size=1, max_size=25),
-    policy=st.sampled_from(("first-fit", "best-fit", "priority")),
-    autoscaler=st.sampled_from(AUTOSCALE_KINDS),
+    policy=st.sampled_from(tuple(POLICIES)),
+    autoscaler=st.sampled_from(tuple(AUTOSCALERS)),
     rates=fault_rates,
     fault_seed=st.integers(min_value=0, max_value=2**16),
 )

@@ -31,16 +31,14 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.features.specs import get_model
 from repro.fleet import (
-    AUTOSCALER_REGISTRY,
+    AUTOSCALERS,
+    POLICIES,
     TRACE_KINDS,
     FleetResult,
     FleetSimulator,
     JobArrival,
     PoolSpec,
     Trace,
-    available_autoscalers,
-    available_policies,
-    register_autoscaler,
 )
 from repro.fleet.autoscale import PoolSnapshot, TargetUtilizationAutoscaler
 from test_fleet import SMALL_POOLS, small_trace
@@ -172,8 +170,8 @@ POINT_RATES = {
 
 
 @pytest.mark.parametrize("point", FAULT_POINTS)
-@pytest.mark.parametrize("autoscaler", available_autoscalers())
-@pytest.mark.parametrize("policy", available_policies())
+@pytest.mark.parametrize("autoscaler", tuple(AUTOSCALERS))
+@pytest.mark.parametrize("policy", tuple(POLICIES))
 @pytest.mark.parametrize("kind", TRACE_KINDS)
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -226,20 +224,17 @@ ONE_POOL = (PoolSpec(
 
 class TestAutoscalerContract:
     @pytest.fixture
-    def counting(self):
+    def counting(self, monkeypatch):
         """``target-utilization``'s answers, with every question logged."""
         asked = []
 
-        @register_autoscaler("test-counting")
         class Counting(TargetUtilizationAutoscaler):
             def target_nodes(self, pool):
                 asked.append(pool)
                 return super().target_nodes(pool)
 
-        try:
-            yield asked
-        finally:
-            AUTOSCALER_REGISTRY.unregister("test-counting")
+        monkeypatch.setitem(AUTOSCALERS, "test-counting", Counting)
+        return asked
 
     def run(self, cls, autoscaler):
         sim = cls(idle_gap_trace(), pools=ONE_POOL, autoscaler=autoscaler)

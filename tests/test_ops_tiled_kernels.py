@@ -327,6 +327,23 @@ BAD_CALLS = {
         lambda: fill_sparse(np.array([-1, 4]), np.array([1, 2, 3])),
         "fill_sparse lengths must not be negative, got -1 at row 0",
     ),
+    # a float length or id used to truncate: [1.5] read as one id
+    "fill_sparse, float lengths": (
+        lambda: fill_sparse(np.array([1.5]), np.array([1])),
+        "fill_sparse lengths must be integers, got dtype float64",
+    ),
+    "fill_sparse, float ids": (
+        lambda: fill_sparse(np.array([1]), np.array([7.9])),
+        "fill_sparse ids must be integers, got dtype float64",
+    ),
+    "fill_sparse, bool lengths": (
+        lambda: fill_sparse(np.array([True]), np.array([1])),
+        "fill_sparse lengths must be integers, got dtype bool",
+    ),
+    "fill_sparse, text ids": (
+        lambda: fill_sparse(np.array([1]), np.array(["7"])),
+        "fill_sparse ids must be integers, got dtype <U1",
+    ),
     "bucketize, text": (
         lambda: Bucketizer(EDGES)(np.array(["a"])),
         "bucketize input must be real numbers, got dtype <U1",
@@ -361,3 +378,12 @@ def test_calls_refuse_what_numpy_would_leak_or_let_through(case, recwarn):
     with pytest.raises(OpError, match=message):
         call()
     assert not recwarn.list  # complex input used to be a ComplexWarning
+
+
+def test_an_empty_sparse_column_may_have_any_dtype():
+    # np.array([]) is float64: an empty column has no id to truncate
+    lengths, values = fill_sparse(np.array([]), np.array([]))
+    assert (lengths.dtype, values.dtype) == (np.int32, np.int64)
+    assert len(lengths) == len(values) == 0
+    lengths, values = fill_sparse(np.array([0, 0]), np.array([]))
+    assert lengths.tolist() == [1, 1] and values.tolist() == [0, 0]

@@ -1,10 +1,9 @@
-"""One contract, five registries.
+"""One contract, two registries.
 
-Systems, experiments, placement policies, autoscalers and job sources
-all sit on :class:`repro.registry.Registry`; whatever a subclass adds
-(aliases, paper order, sorted kinds), the base behaviour below must hold
-for every one of them — on fresh instances and on the process-wide
-catalogs.
+Systems and experiments, the two catalogs users extend, sit on
+:class:`repro.registry.Registry`; whatever a subclass adds (aliases,
+paper order), the base behaviour below must hold for both — on fresh
+instances and on the process-wide catalogs.
 """
 
 from dataclasses import dataclass
@@ -19,25 +18,7 @@ from repro.api.experiment import (
 )
 from repro.api.registry import REGISTRY, SystemRegistry, register_system
 from repro.errors import ConfigurationError
-from repro.fleet.autoscale import (
-    AUTOSCALER_REGISTRY,
-    Autoscaler,
-    AutoscalerRegistry,
-    register_autoscaler,
-)
-from repro.fleet.policy import (
-    POLICY_REGISTRY,
-    PlacementPolicy,
-    PolicyRegistry,
-    register_policy,
-)
 from repro.registry import Registry
-from repro.serve.sources import (
-    SOURCE_REGISTRY,
-    JobSource,
-    SourceRegistry,
-    register_source,
-)
 
 
 @dataclass(frozen=True)
@@ -53,11 +34,8 @@ def _entry(kind):
             return _Result()
 
         return runner
-    base = {"policy": PlacementPolicy, "autoscaler": Autoscaler,
-            "source": JobSource}.get(kind)
-    if base is None:  # a system factory: (spec, calibration) -> system
-        return lambda spec, calibration=None: (spec, calibration)
-    return type("Plugin", (base,), {})
+    # a system factory: (spec, calibration) -> system
+    return lambda spec, calibration=None: (spec, calibration)
 
 
 def _options(kind, name, order=0):
@@ -76,12 +54,6 @@ REGISTRIES = {
         ExperimentRegistry, EXPERIMENT_REGISTRY, register_experiment,
         ("b", "a", "c"),
     ),
-    "policy": (PolicyRegistry, POLICY_REGISTRY, register_policy, ("c", "a", "b")),
-    "autoscaler": (
-        AutoscalerRegistry, AUTOSCALER_REGISTRY, register_autoscaler,
-        ("c", "a", "b"),
-    ),
-    "source": (SourceRegistry, SOURCE_REGISTRY, register_source, ("a", "b", "c")),
 }
 
 KINDS = sorted(REGISTRIES)
@@ -220,18 +192,3 @@ class TestWhatEachSubclassKeeps:
         assert registry.canonical("title of A") == "a"
         assert registry.ids() == registry.names() == ("b", "a", "c")
         assert [spec.order for spec in registry.experiments()] == [1, 2, 3]
-
-    def test_policy_and_autoscaler_create_stamp_the_name(self):
-        for kind in ("policy", "autoscaler"):
-            registry, entries = _fresh(kind, names=("mine",))
-            made = registry.create("mine")
-            assert isinstance(made, entries["mine"]) and made.name == "mine"
-
-    def test_source_kinds_sorted_and_create_forwards_kwargs(self):
-        registry = SourceRegistry()
-        registry.register("zeta", lambda **kwargs: ("zeta", kwargs))
-        registry.register("alpha", lambda **kwargs: ("alpha", kwargs))
-        assert registry.kinds() == registry.names() == ("alpha", "zeta")
-        assert registry.create("zeta", path="p") == ("zeta", {"path": "p"})
-        with pytest.raises(ConfigurationError, match="unknown source kind"):
-            registry.create("kafkaesque")

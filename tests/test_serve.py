@@ -22,10 +22,10 @@ from repro.serve import (
     DirectoryJobSource,
     JobLogIndex,
     JobRecord,
+    JobSource,
     PreprocessService,
     ServiceClient,
     ServiceServer,
-    SourceRegistry,
     SourceWatcher,
     StageEvent,
     SyntheticJobSource,
@@ -823,25 +823,34 @@ class TestSyntheticJobSource:
             SyntheticJobSource(model="NoSuchModel")
 
 
-class TestSourceRegistry:
-    def test_builtins_registered(self):
-        from repro.serve.sources import SOURCE_REGISTRY
+class TestUserSource:
+    def test_a_user_source_plugs_in_as_an_instance(self, tmp_path):
+        """No catalog: a JobSource subclass is attached as an object, and
+        the watcher submits its jobs under the source's own name."""
 
-        assert set(SOURCE_REGISTRY.kinds()) >= {"directory", "synthetic"}
-        source = SOURCE_REGISTRY.create("synthetic", model="RM1", count=1)
-        assert isinstance(source, SyntheticJobSource)
+        class ListSource(JobSource):
+            name = "list:mine"
 
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError, match="unknown source kind"):
-            SourceRegistry().create("kafkaesque")
+            def __init__(self, jobs):
+                self.pending = list(jobs)
 
-    def test_plugin_registration(self):
-        registry = SourceRegistry()
-        registry.register("custom", SyntheticJobSource)
-        with pytest.raises(ConfigurationError, match="already registered"):
-            registry.register("custom", SyntheticJobSource)
-        registry.register("custom", DirectoryJobSource, replace=True)
-        assert registry.kinds() == ("custom",)
+            def take(self, limit):
+                taken, self.pending = self.pending[:limit], self.pending[limit:]
+                return taken
+
+        jobs = [dataclasses.replace(JOB, seed=seed) for seed in (5, 6)]
+        with PreprocessService(
+            spool_dir=str(tmp_path), runner=fast_runner, poll_interval=0.02,
+        ) as service:
+            service.attach_source(ListSource(jobs))
+            deadline = time.monotonic() + 30.0
+            while (len(service.jobs(state="completed")) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            records = service.jobs()
+        assert [r.state for r in records] == ["completed", "completed"]
+        assert {r.source for r in records} == {"list:mine"}
+        assert sorted(r.digest for r in records) == ["digest-5", "digest-6"]
 
 
 class TestSourceWatcher:
@@ -925,6 +934,35 @@ class TestProtocol:
                 with pytest.raises(OSError, match="timed out"):
                     client.ping()
             assert time.monotonic() - started < 5.0
+
+    def test_an_unbounded_wait_outlives_the_client_timeout(self, tmp_path):
+        """``submit --wait`` and ``watch`` with no deadline block until the
+        job ends, however long past CLIENT_TIMEOUT_S that is."""
+        from unittest import mock
+
+        from repro.serve import protocol
+
+        def slow_runner(job, record_stage):
+            time.sleep(0.6)
+            return fast_runner(job, record_stage)
+
+        service = PreprocessService(
+            spool_dir=str(tmp_path), num_workers=1, runner=slow_runner
+        )
+        server = ServiceServer(service, host="127.0.0.1", port=0)
+        server.start()
+        client = ServiceClient(host=server.host, port=server.port)
+        try:
+            with mock.patch.object(protocol, "CLIENT_TIMEOUT_S", 0.2):
+                record = client.submit(JOB, wait=True)
+                assert record.state == "completed"
+                assert record.digest == f"digest-{JOB.seed}"
+                job_id = client.submit(JOB).job_id
+                events = list(client.watch(job_id))
+            assert events[-1].job_id == job_id
+            assert events[-1].state == "completed"
+        finally:
+            server.stop(drain=True, timeout=30.0)
 
     def test_submit_wait_round_trip(self, served):
         _, client, _ = served

@@ -105,9 +105,6 @@ ALLOWED: Dict[str, str] = {
     "repro.api.registry.get_system": _LOOKUP,
     "repro.api.experiment.get_experiment": _LOOKUP,
     "repro.api.experiment.available_experiments": _LOOKUP,
-    "repro.fleet.policy.available_policies":
-        _LOOKUP + "; `repro fleet run --policy` help names it",
-    "repro.fleet.autoscale.available_autoscalers": _LOOKUP,
 }
 
 
