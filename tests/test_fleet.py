@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.api.experiment import canonical_digest
 from repro.cli import main as cli_main
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FleetError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.fleet import (
@@ -23,6 +23,7 @@ from repro.fleet import (
     FleetResult,
     FleetSimulator,
     JobArrival,
+    PlacementPolicy,
     PoolSnapshot,
     PoolSpec,
     Trace,
@@ -198,6 +199,22 @@ class TestTables:
         )
         assert (result.policy, result.autoscaler) == ("priority", "queue-depth")
 
+    def test_a_choice_outside_the_candidates_names_the_policy(self, monkeypatch):
+        class Elsewhere(PlacementPolicy):
+            def choose_pool(self, job, candidates):
+                return "no-such-pool"
+
+        monkeypatch.setitem(POLICIES, "test-elsewhere", Elsewhere)
+        with pytest.raises(
+            FleetError,
+            match="policy 'test-elsewhere' chose 'no-such-pool' which is not "
+                  "a candidate for",
+        ):
+            run_fleet(
+                small_trace(num_jobs=3), pools=SMALL_POOLS,
+                policy="test-elsewhere",
+            )
+
 
 class TestAutoscalers:
     def snapshot(self, **kwargs):
@@ -256,6 +273,163 @@ class TestAutoscalers:
         assert AUTOSCALERS["fixed"]().can_grow is False
         assert AUTOSCALERS["target-utilization"]().can_grow is True
         assert AUTOSCALERS["queue-depth"]().can_grow is True
+
+
+#: arrivals as traces hold them (only the fields a policy may read vary)
+arrivals = st.builds(
+    JobArrival,
+    job_id=st.just("job"),
+    model=st.sampled_from(("RM1", "RM5")),
+    num_gpus=st.integers(1, 64),
+    duration_s=st.floats(1.0, 1e4),
+    submit_s=st.floats(0.0, 1e5),
+    priority=st.integers(0, 3),
+)
+
+#: candidate lists as the simulator builds them: distinct pool names in
+#: declaration order, each with at least the workers the job needs free
+candidate_lists = st.lists(
+    st.tuples(st.integers(1, 64), st.integers(0, 64)), min_size=1, max_size=6,
+).map(lambda rows: [
+    (f"pool-{index}", need + spare, need)
+    for index, (need, spare) in enumerate(rows)
+])
+
+
+@pytest.mark.parametrize("name", tuple(POLICIES))
+class TestPolicyContract:
+    """What the simulator relies on from every entry of ``POLICIES``."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(job=arrivals, candidates=candidate_lists)
+    def test_choose_pool_returns_one_of_the_candidates(self, name, job, candidates):
+        choice = POLICIES[name]().choose_pool(job, candidates)
+        assert choice in [pool for pool, _, _ in candidates]
+
+    @settings(max_examples=50, deadline=None)
+    @given(jobs=st.lists(arrivals, min_size=1, max_size=8))
+    def test_order_key_is_a_pure_comparable_function_of_the_arrival(
+        self, name, jobs
+    ):
+        first, second = POLICIES[name](), POLICIES[name]()
+        keys = [first.order_key(job) for job in jobs]
+        assert keys == [first.order_key(job) for job in jobs]
+        assert keys == [second.order_key(job) for job in jobs]
+        sorted(keys)  # mutually comparable: the queue is a heap on them
+
+
+class TestPolicyChoices:
+    @settings(max_examples=50, deadline=None)
+    @given(job=arrivals, candidates=candidate_lists)
+    def test_first_fit_and_priority_take_the_first_candidate(self, job, candidates):
+        for name in ("first-fit", "priority"):
+            assert POLICIES[name]().choose_pool(job, candidates) == candidates[0][0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(job=arrivals, candidates=candidate_lists)
+    def test_best_fit_takes_the_tightest_fit_first_on_ties(self, job, candidates):
+        leftover = [free - need for _, free, need in candidates]
+        tightest = candidates[leftover.index(min(leftover))][0]
+        assert POLICIES["best-fit"]().choose_pool(job, candidates) == tightest
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=arrivals, b=arrivals)
+    def test_priority_offers_capacity_to_the_higher_priority_first(self, a, b):
+        policy = POLICIES["priority"]()
+        if a.priority > b.priority:
+            assert policy.order_key(a) < policy.order_key(b)
+        elif a.priority == b.priority:
+            assert policy.order_key(a) == policy.order_key(b)
+
+
+@st.composite
+def snapshots(draw):
+    """Pool snapshots the simulator can build: committed nodes within the
+    bounds, no more busy workers than the pool has."""
+    min_nodes = draw(st.integers(0, 8))
+    max_nodes = draw(st.integers(max(min_nodes, 1), 64))
+    nodes = draw(st.integers(min_nodes, max_nodes))
+    workers_per_node = draw(st.integers(1, 16))
+    return PoolSnapshot(
+        nodes=nodes,
+        workers_per_node=workers_per_node,
+        busy_workers=draw(st.integers(0, nodes * workers_per_node)),
+        queued_workers=draw(st.integers(0, 2000)),
+        min_nodes=min_nodes,
+        max_nodes=max_nodes,
+    )
+
+
+@pytest.mark.parametrize("name", tuple(AUTOSCALERS))
+class TestAutoscalerContract:
+    """What the simulator relies on from every entry of ``AUTOSCALERS``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool=snapshots())
+    def test_target_stays_within_the_pool_bounds(self, name, pool):
+        target = AUTOSCALERS[name]().target_nodes(pool)
+        assert isinstance(target, int)
+        assert pool.min_nodes <= target <= pool.max_nodes
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool=snapshots())
+    def test_target_is_a_pure_function_of_the_snapshot(self, name, pool):
+        """A pool told to hold is not asked again until its snapshot
+        moves, so no answer may depend on a previous call."""
+        scaler = AUTOSCALERS[name]()
+        target = scaler.target_nodes(pool)
+        assert scaler.target_nodes(pool) == target
+        assert AUTOSCALERS[name]().target_nodes(pool) == target
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool=snapshots())
+    def test_a_scaler_that_cannot_grow_never_asks_to(self, name, pool):
+        """``can_grow`` decides whether an oversized job waits or is
+        rejected, so a scaler that says False must never add nodes."""
+        scaler = AUTOSCALERS[name]()
+        if not scaler.can_grow:
+            assert scaler.target_nodes(pool) <= pool.nodes
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool=snapshots())
+    def test_a_growing_scaler_covers_the_demand(self, name, pool):
+        scaler = AUTOSCALERS[name]()
+        demand = pool.busy_workers + pool.queued_workers
+        if scaler.can_grow:
+            target = scaler.target_nodes(pool)
+            assert target * pool.workers_per_node >= min(
+                demand, pool.max_nodes * pool.workers_per_node
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool=snapshots())
+    def test_an_idle_pool_is_never_grown(self, name, pool):
+        idle = dataclasses.replace(pool, busy_workers=0, queued_workers=0)
+        assert AUTOSCALERS[name]().target_nodes(idle) <= idle.nodes
+
+
+class TestPoolSnapshot:
+    def snapshot(self, **kwargs):
+        return PoolSnapshot(**{**dict(
+            nodes=8, workers_per_node=4, busy_workers=16, queued_workers=3,
+            min_nodes=2, max_nodes=32,
+        ), **kwargs})
+
+    def test_capacity_and_utilization_count_workers(self):
+        pool = self.snapshot()
+        assert pool.capacity == 32
+        assert pool.utilization == 0.5  # queued demand is not busy
+
+    def test_a_pool_without_nodes_has_zero_utilization(self):
+        pool = self.snapshot(nodes=0, busy_workers=0, min_nodes=0)
+        assert pool.capacity == 0
+        assert pool.utilization == 0.0
+
+    @pytest.mark.parametrize(
+        "nodes, clamped", [(0, 2), (2, 2), (9, 9), (32, 32), (99, 32)]
+    )
+    def test_clamp_keeps_a_count_within_the_bounds(self, nodes, clamped):
+        assert self.snapshot().clamp(nodes) == clamped
 
 
 class TestSimulatorDeterminism:
@@ -705,6 +879,24 @@ class TestFleetCli:
             "unknown placement policy 'round-robin'; "
             "known: first-fit, best-fit, priority\n"
         )
+
+    def test_unknown_autoscaler_is_one_line_and_no_output(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["fleet", "run", "--jobs", "5", "--autoscale", "predictive"])
+        assert str(info.value) == (
+            "unknown autoscaler 'predictive'; "
+            "known: fixed, target-utilization, queue-depth"
+        )
+        assert capsys.readouterr().out == ""
+
+    def test_run_help_lists_every_table_name(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no wrap inside a name
+        with pytest.raises(SystemExit) as info:
+            cli_main(["fleet", "run", "--help"])
+        assert info.value.code == 0
+        help_text = capsys.readouterr().out
+        assert f"placement policy: {', '.join(POLICIES)}" in help_text
+        assert f"autoscaling policy: {', '.join(AUTOSCALERS)}" in help_text
 
     def test_unknown_fault_rejected(self, capsys):
         with pytest.raises(SystemExit, match="unknown fleet fault"):

@@ -139,6 +139,25 @@ class TestOrderKeyContract:
         assert POLICIES["best-fit"]().order_key(job) == 0
         assert POLICIES["priority"]().order_key(job) == -3
 
+    def test_queue_order_is_sorted_by_order_key(self):
+        """One definition of order: the simulator's queue serves jobs by
+        the policy's key, and equal keys keep their enqueue order."""
+        trace = manual_trace(
+            arrival("blocker", submit_s=0.0),
+            arrival("low-0", submit_s=1.0, priority=0),
+            arrival("high-0", submit_s=2.0, priority=2),
+            arrival("low-1", submit_s=3.0, priority=0),
+            arrival("high-1", submit_s=4.0, priority=2),
+        )
+        fifo = run_fleet(trace, pools=one_pool(), policy="first-fit")
+        assert start_order(fifo) == [
+            "blocker", "low-0", "high-0", "low-1", "high-1",
+        ]
+        ranked = run_fleet(trace, pools=one_pool(), policy="priority")
+        assert start_order(ranked) == [
+            "blocker", "high-0", "high-1", "low-0", "low-1",
+        ]
+
     def test_equal_keys_are_served_in_enqueue_order(self):
         # one 8-worker node, every RM1/16-GPU job needs 5 of them: strictly
         # one at a time, so start order is queue order

@@ -4,6 +4,7 @@ line-oriented socket protocol — all in-process, no external network."""
 
 import dataclasses
 import json
+import os
 import threading
 import time
 
@@ -803,6 +804,17 @@ class TestDirectoryJobSource:
         assert source.take(10) == [JOB]
         assert list(source.rejected) == [str(tmp_path / "a.json")]
 
+    def test_an_empty_path_is_refused(self):
+        with pytest.raises(ConfigurationError, match="needs a path"):
+            DirectoryJobSource("")
+
+    def test_a_missing_spool_is_created_and_labels_its_records(self, tmp_path):
+        path = str(tmp_path / "incoming" / "jobs")
+        source = DirectoryJobSource(path)
+        assert os.path.isdir(path)
+        assert source.name == f"watch:{path}"
+        assert source.take(10) == []
+
 
 class TestSyntheticJobSource:
     def test_emits_distinct_seeds(self):
@@ -821,6 +833,14 @@ class TestSyntheticJobSource:
     def test_bad_model_fails_at_attach_time(self):
         with pytest.raises(ConfigurationError):
             SyntheticJobSource(model="NoSuchModel")
+
+    def test_every_job_has_the_template_shape_and_the_model_label(self):
+        source = SyntheticJobSource(model="RM1", num_rows=64, num_shards=2, count=2)
+        assert source.name == "synthetic:RM1"
+        assert source.take(10) == [
+            PreprocessJob(model="RM1", num_rows=64, num_shards=2, seed=seed)
+            for seed in (0, 1)
+        ]
 
 
 class TestUserSource:
@@ -874,6 +894,25 @@ class TestSourceWatcher:
         watcher.attach(source)
         watcher.detach(source)
         assert watcher.poll_once() == 0
+
+    def test_a_closed_queue_ends_the_tick(self):
+        """Once the service refuses work, the tick stops offering it:
+        the rest of the batch and later sources wait for the next poll."""
+        submitted = []
+
+        def submit(job, source):
+            if len(submitted) == 1:
+                raise QueueClosedError("closed")
+            submitted.append(job.seed)
+
+        watcher = SourceWatcher(submit=submit, free_slots=lambda: 8)
+        first = SyntheticJobSource(model="RM1", count=3)
+        later = SyntheticJobSource(model="RM1", count=3, seed=10)
+        watcher.attach(first)
+        watcher.attach(later)
+        assert watcher.poll_once() == 1
+        assert submitted == [0]
+        assert later.emitted == 0
 
     def test_service_ingests_from_attached_source(self, tmp_path):
         with PreprocessService(
