@@ -133,22 +133,18 @@ class Scenario:
     def run(self) -> RunResult:
         """Simulate the full preprocessing-feeds-training pipeline."""
         from repro.core.endtoend import EndToEndSimulation
-        from repro.training.gpu import GpuTrainingModel
 
-        spec = self.spec()
-        calibration = self.build_calibration()
-        system = REGISTRY.create(self.system, spec, calibration)
         sim = EndToEndSimulation(
-            spec,
-            system,
+            self.spec(),
+            self.system,
             num_gpus=self.num_gpus,
-            calibration=calibration,
+            calibration=self.build_calibration(),
             queue_capacity=self.queue_capacity,
         )
         # ``num_workers`` is None exactly when provisioning to demand
         stats = sim.run(self.num_batches, self.num_workers)
-        demand = GpuTrainingModel(calibration).node_throughput(spec, self.num_gpus)
-        worker_throughput = system.worker_throughput()
+        demand = sim.train_manager.max_throughput
+        worker_throughput = sim.worker_throughput
         supply_capacity = stats.num_workers * worker_throughput
         return RunResult(
             scenario=self,
@@ -165,8 +161,8 @@ class Scenario:
             training_demand=demand,
             worker_throughput=worker_throughput,
             headroom=supply_capacity / demand if demand > 0 else float("inf"),
-            power_watts=system.power(stats.num_workers),
-            capex_dollars=system.capex(stats.num_workers),
+            power_watts=sim.system.power(stats.num_workers),
+            capex_dollars=sim.system.capex(stats.num_workers),
         )
 
     # -- serialization -----------------------------------------------------

@@ -803,14 +803,17 @@ def _fleet_trace(args: argparse.Namespace):
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
-    """Run one trace through the fleet simulator; print or save the result."""
-    from repro.fleet import run_fleet
+    """Run one trace through the fleet simulator; print or save the result.
+    A mistyped name is refused before the trace is generated or loaded."""
+    from repro.fleet.simulator import AUTOSCALERS, POLICIES, _lookup, run_fleet
 
-    trace = _fleet_trace(args)
+    _lookup(POLICIES, "placement policy", args.policy)
+    _lookup(AUTOSCALERS, "autoscaler", args.autoscale)
     injector = (
         _fleet_injector(args.faults, args.fault_seed)
         if args.faults else None
     )
+    trace = _fleet_trace(args)
     result = run_fleet(
         trace,
         policy=args.policy,

@@ -9,7 +9,7 @@ system computes the same tensors as a direct in-memory pipeline.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
@@ -55,4 +55,8 @@ class CpuPreprocessingWorker(PreprocessingWorker):
 
     def throughput(self) -> float:
         """Serial worker: one batch per end-to-end latency."""
-        return self.spec.batch_size / self.batch_latency()
+        return self.price()[1]
+
+    def price(self) -> Tuple[float, float]:
+        latency = self.batch_latency()
+        return latency, self.spec.batch_size / latency

@@ -6,9 +6,9 @@ input queue of Figure 9.  The emergent GPU utilization is the paper's
 headline system metric (Fig. 3's right axis): when preprocessing supply
 falls short of ``T``, the trainer starves and utilization drops below 100%.
 
-The pipeline is one loop (:func:`_simulate`) whose heap holds only
-producer events, ``(time, seq, producer)``: a producer's batch is
-``READY`` after its latency, later ones one interval apart.
+The pipeline is one loop (:func:`_simulate`).  Every launched slot is the
+system's one worker, priced once: each producer's batch is ``READY`` after
+one latency, later ones one interval apart, in a FIFO of ``(time, k)``.
 
 * The trainer is one scalar, the time its current batch finishes (``inf``
   while it waits).  It is busy for ``TrainManager.step_time()`` per batch:
@@ -21,19 +21,19 @@ producer events, ``(time, seq, producer)``: a producer's batch is
 * A finished batch takes the next queued one at once, and the freed slot
   admits the longest-blocked producer.
 
-Ordering rule: producer events pop by time, simultaneous ones in the order
-they were pushed (``seq``); on a tie with a producer the trainer goes first.
+Ordering rule: producer events are taken by time, simultaneous ones in the
+order they were scheduled; on a tie with a producer the trainer goes first.
 With one trainer, the order of a trainer event and a producer event at the
-same instant never moves a statistic.  Each batch costs one heap push and
-one pop, and only the slots that produce are touched one by one: every
-launched slot is the system's one worker, priced once.
+same instant never moves a statistic.  A FIFO keeps that order unsorted:
+the first events all sit at the latency, each later one at ``now +
+interval`` with ``now`` never decreasing nor below the latency and
+``interval >= 0``, so events are scheduled in time order.  Each batch costs
+one append and one popleft.
 """
 
 from __future__ import annotations
 
 import collections
-import heapq
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -77,7 +77,9 @@ class PipelineStats:
 
 
 def _simulate(
-    producers: List[Tuple[float, float, int]],
+    latency: float,
+    interval: float,
+    shares: List[int],
     capacity: int,
     iteration: float,
     step: float,
@@ -85,31 +87,27 @@ def _simulate(
 ) -> Tuple[float, float, float, float, float]:
     """Run the Figure 9 pipeline to the last trained batch.
 
-    ``producers`` holds one ``(latency, interval, share)`` per worker with a
-    non-zero share.  Returns ``(wall, training, wait, first_batch,
-    production_end)`` in simulated seconds.
+    Producer ``k``'s first batch is ready after ``latency``, the rest of its
+    ``shares[k] > 0`` one ``interval`` apart.  Returns ``(wall, training,
+    wait, first_batch, production_end)`` in simulated seconds.
     """
-    latencies, intervals, shares = zip(*producers)
     inf = float("inf")
-    # distinct values only: the producers of a launch repeat one timing
-    delays = {*latencies, *intervals, iteration, step}
+    delays = (latency, interval, iteration, step)
     if not all(-inf < delay < inf for delay in delays):
         raise SimulationError("non-finite delay in the pipeline model")
     if min(delays) < 0:
         raise SimulationError("negative delay in the pipeline model")
-    seq = itertools.count()
     # every time is ``now + delay``, this one included (``now`` is 0.0)
-    heap = [(0.0 + delay, next(seq), k) for k, delay in enumerate(latencies)]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
+    ready = collections.deque((0.0 + latency, k) for k in range(len(shares)))
+    schedule, take = ready.append, ready.popleft
     left = list(shares)
     blocked: collections.deque = collections.deque()
     queued = trained = 0
     done = inf  # when the trainer's batch finishes; inf while it waits
     training = wait = first = wait_start = production_end = 0.0
     while True:
-        if heap and heap[0][0] < done:
-            now, _, k = pop(heap)
+        if ready and ready[0][0] < done:
+            now, k = take()
             if queued == capacity:
                 blocked.append(k)
                 continue
@@ -143,7 +141,7 @@ def _simulate(
         # k's batch is in the queue (or the trainer): schedule its next one
         left[k] -= 1
         if left[k]:
-            push(heap, (now + intervals[k], next(seq), k))
+            schedule((now + interval, k))
         else:
             production_end = now
 
@@ -158,7 +156,7 @@ class EndToEndSimulation:
 
     A modelled worker's timing is a pure function of its spec and
     calibration, so the system's one worker fills every launched slot and
-    is priced once.
+    is priced once, here: ``latency`` and ``worker_throughput`` (``P``).
     """
 
     def __init__(
@@ -178,8 +176,8 @@ class EndToEndSimulation:
             )
         self.system = system
         self.spec = spec
-        self.calibration = calibration
         self.preprocess_manager = PreprocessManager(system.make_worker())
+        self.latency, self.worker_throughput = self.preprocess_manager.worker.price()
         self.train_manager = TrainManager(
             spec,
             num_gpus=num_gpus,
@@ -205,14 +203,12 @@ class EndToEndSimulation:
             plan = self.system.provision_for(self.train_manager.num_gpus)
             num_workers = plan.num_workers
         shares = self.preprocess_manager.launch(num_batches, num_workers)
-        # the round-robin split leaves only the slots past ``num_batches``
-        # idle; the one worker is priced once, however many slots it fills
-        worker = self.preprocess_manager.worker
-        latency, interval = worker.batch_latency(), worker.batch_interval()
-        producers = [(latency, interval, share) for share in shares[:num_batches]]
         trainer = self.train_manager
+        # the round-robin split leaves only the slots past ``num_batches`` idle
         wall, training, wait, first, production_span = _simulate(
-            producers,
+            self.latency,
+            self.spec.batch_size / self.worker_throughput,
+            shares[:num_batches],
             trainer.input_queue_capacity,
             trainer.iteration_time(),
             trainer.step_time(),

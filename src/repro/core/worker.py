@@ -8,9 +8,9 @@ the same three quantities the paper's evaluation uses:
 * a steady-state throughput (per-batch for serial workers, pipeline-
   bottleneck for double-buffered devices).
 
-The end-to-end simulation (:mod:`repro.core.endtoend`) reads a worker's
-producer timing from ``batch_latency`` and ``batch_interval``: the first
-batch after the latency, the rest one interval apart.
+The end-to-end simulation (:mod:`repro.core.endtoend`) prices its one
+worker once, with ``price``: the first batch after the latency, the rest
+``batch_size / throughput`` apart.
 
 A worker can also run *functionally* (``preprocess_partition``).  Its
 :class:`PreprocessingPipeline` is built on the first read of ``pipeline``,
@@ -83,6 +83,6 @@ class PreprocessingWorker(abc.ABC):
     def throughput(self) -> float:
         """Steady-state samples/s of this worker."""
 
-    def batch_interval(self) -> float:
-        """Seconds between consecutive mini-batches at steady state."""
-        return self.spec.batch_size / self.throughput()
+    def price(self) -> Tuple[float, float]:
+        """``(batch_latency(), throughput())``, from one breakdown if it can."""
+        return self.batch_latency(), self.throughput()

@@ -1,11 +1,11 @@
 """Train manager — the consumer side of the Figure 9 software architecture.
 
-The train manager lives on the GPU training node.  At job launch it
-stress-tests the GPU to measure the maximum training throughput ``T``
-(step 2) and sizes the mini-batch input queue; then it loops: pop a
-mini-batch from the queue, transfer it to the GPU, and run one training
-iteration (steps 6–7).  :mod:`repro.core.endtoend` simulates that loop
-from :meth:`TrainManager.iteration_time` and :meth:`TrainManager.step_time`.
+The train manager lives on the GPU training node.  At job launch, when it
+is constructed, it stress-tests the GPUs once to measure the maximum
+training throughput ``T`` (step 2) and sizes the mini-batch input queue;
+then it loops: pop a mini-batch, transfer it to the GPU, and run one
+training iteration (steps 6–7).  :mod:`repro.core.endtoend` simulates that
+loop from ``iteration_time`` and ``step_time``, which read that ``T``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ class TrainManager:
         self.cal = calibration
         self.gpu_model = GpuTrainingModel(calibration)
         self.input_queue_capacity = input_queue_capacity
+        self.max_throughput = self.measure_max_throughput()
 
     def measure_max_throughput(self) -> float:
         """Step 2: stress-test the GPUs with dummy inputs to find ``T``."""
@@ -44,7 +45,7 @@ class TrainManager:
 
     def iteration_time(self) -> float:
         """Seconds per training iteration across the data-parallel GPUs."""
-        return self.spec.batch_size / self.measure_max_throughput()
+        return self.spec.batch_size / self.max_throughput
 
     def step_time(self) -> float:
         """Seconds the GPUs are busy per mini-batch: the longer of the

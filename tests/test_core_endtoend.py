@@ -20,6 +20,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.features.specs import get_model
+from repro.training.gpu import GpuTrainingModel
 
 MODELS = ["RM1", "RM2", "RM3", "RM4", "RM5"]
 
@@ -246,17 +247,40 @@ class TestOneWorkerIsPricedOnce:
             model="RM5", system="Disagg", num_gpus=num_gpus, num_batches=200
         ).run()
         assert result.num_workers == num_workers
-        # provision_for, batch_latency, batch_interval and the result's
-        # worker_throughput: one breakdown each, at 8 GPUs as at 64
-        assert len(breakdowns) == 4
+        # provision_for's throughput probe and the simulation's one pricing,
+        # which the result's worker_throughput reads: at 8 GPUs as at 64
+        assert len(breakdowns) == 2
+
+    @pytest.mark.parametrize(
+        "num_gpus, num_workers, measured", [(8, None, 2), (64, None, 2), (8, 5, 1)]
+    )
+    def test_the_gpus_are_measured_once(self, num_gpus, num_workers, measured):
+        """``T`` is measured once per plan and once by the train manager at
+        launch; the iteration, the step and the result read that value."""
+        calls = []
+        original = GpuTrainingModel.node_throughput
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        with mock.patch.object(GpuTrainingModel, "node_throughput", counting):
+            result = Scenario(
+                model="RM5", system="Disagg", num_gpus=num_gpus,
+                num_workers=num_workers, num_batches=200,
+            ).run()
+        assert len(calls) == measured
+        assert result.training_demand == original(
+            GpuTrainingModel(), get_model("RM5"), num_gpus
+        )
 
     def test_system_launch_fills_every_slot_with_one_worker(self, breakdowns):
         spec = get_model("RM5")
         sim = EndToEndSimulation(spec, "Disagg", num_gpus=8)
         stats = sim.run(num_batches=200, num_workers=367)
         assert stats.num_workers == 367
-        # 200 producing slots, one latency and one interval asked of one worker
-        assert breakdowns == [sim.preprocess_manager.worker] * 2
+        # 200 producing slots, one worker priced once
+        assert breakdowns == [sim.preprocess_manager.worker]
 
     def test_fresh_workers_are_priced_each(self, breakdowns):
         """Each simulation makes and prices its own worker: no price is
@@ -268,8 +292,8 @@ class TestOneWorkerIsPricedOnce:
             sim.run(num_batches=10, num_workers=16)
         first, second = (sim.preprocess_manager.worker for sim in sims)
         assert first is not second
-        # one latency and one interval asked of each simulation's worker
-        assert breakdowns == [first, first, second, second]
+        # one breakdown of each simulation's worker
+        assert breakdowns == [first, second]
 
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("name", REGISTRY.names())
@@ -295,18 +319,17 @@ class TestOneWorkerIsPricedOnce:
             for share in shares:
                 if share:
                     worker = system.make_worker()
-                    producers.append(
-                        (worker.batch_latency(), worker.batch_interval(), share)
-                    )
+                    interval = spec.batch_size / worker.throughput()
+                    producers.append((worker.batch_latency(), interval, share))
             return producers
 
         for num_gpus in (1, 8, 64):
             for num_batches in (1, 3, 200, 5000):
                 seen = []
 
-                def recording(producers, *rest):
-                    seen.append(producers)
-                    return _simulate(producers, *rest)
+                def recording(latency, interval, shares, *rest):
+                    seen.append([(latency, interval, share) for share in shares])
+                    return _simulate(latency, interval, shares, *rest)
 
                 sim = EndToEndSimulation(spec, system, num_gpus=num_gpus)
                 with mock.patch.object(endtoend, "_simulate", recording):
@@ -350,7 +373,7 @@ class TestOnlyProducingSlotsCostWork:
         simulate = endtoend._simulate
 
         def recording(*args):
-            producers.append(len(args[0]))
+            producers.append(len(args[2]))
             return simulate(*args)
 
         previous = sys.gettrace()
@@ -374,17 +397,17 @@ class TestOnlyProducingSlotsCostWork:
 
 class TestNonFiniteDelays:
     @pytest.mark.parametrize(
-        "producer",
-        [(float("nan"), 1.0, 3), (1.0, float("inf"), 3), (float("inf"), 1.0, 3)],
+        "latency, interval",
+        [(float("nan"), 1.0), (1.0, float("inf")), (float("inf"), 1.0)],
     )
-    def test_non_finite_producer_is_a_typed_error(self, producer):
+    def test_non_finite_producer_is_a_typed_error(self, latency, interval):
         with pytest.raises(SimulationError, match="non-finite delay"):
-            _simulate([producer], 4, 0.5, 0.5, 3)
+            _simulate(latency, interval, [3], 4, 0.5, 0.5, 3)
 
     @pytest.mark.parametrize("iteration", [float("nan"), float("inf")])
     def test_non_finite_trainer_is_a_typed_error(self, iteration):
         with pytest.raises(SimulationError, match="non-finite delay"):
-            _simulate([(1.0, 1.0, 3)], 4, iteration, iteration, 3)
+            _simulate(1.0, 1.0, [3], 4, iteration, iteration, 3)
 
 
 def test_provisioned_to_demand_saturates_the_trainer():

@@ -18,6 +18,12 @@ from repro.hardware.calibration import CALIBRATION
 from repro.storage.smartssd import SmartSsd
 
 
+def interval(worker):
+    """Seconds between a worker's mini-batches at steady state: how the
+    end-to-end simulation spaces them."""
+    return worker.spec.batch_size / worker.throughput()
+
+
 @pytest.fixture(scope="module")
 def rm1_partition():
     spec = get_model("RM1")
@@ -54,15 +60,17 @@ class TestWorkerContracts:
             sum(breakdown[s] for s in BREAKDOWN_STEPS)
         )
         assert worker.throughput() > 0
-        assert worker.batch_interval() > 0
+        assert interval(worker) > 0
+        # one pricing is exactly the two asked one by one
+        assert worker.price() == (worker.batch_latency(), worker.throughput())
 
     def test_cpu_serial_interval_equals_latency(self):
         worker = CpuPreprocessingWorker(get_model("RM3"))
-        assert worker.batch_interval() == pytest.approx(worker.batch_latency())
+        assert interval(worker) == pytest.approx(worker.batch_latency())
 
     def test_isp_pipelined_interval_below_latency(self):
         worker = IspPreprocessingWorker(get_model("RM3"))
-        assert worker.batch_interval() < worker.batch_latency()
+        assert interval(worker) < worker.batch_latency()
 
 
 class TestIspWorkerIsItsSmartSsd:
@@ -75,7 +83,7 @@ class TestIspWorkerIsItsSmartSsd:
         stages = SmartSsd().preprocess_stages(spec)
         assert worker.batch_breakdown() == stages.as_dict()
         assert worker.batch_latency() == pytest.approx(stages.latency)
-        assert worker.batch_interval() == pytest.approx(stages.bottleneck)
+        assert interval(worker) == pytest.approx(stages.bottleneck)
 
     def test_builds_its_device_from_its_calibration(self):
         cal = dataclasses.replace(CALIBRATION, smartssd_active_power=12.0)
@@ -129,7 +137,7 @@ class TestProducerTiming:
         sim = EndToEndSimulation(spec, "PreSto")
         worker = sim.system.make_worker()
         stats = sim.run(num_batches=10, num_workers=1)
-        span = worker.batch_latency() + 9 * worker.batch_interval()
+        span = worker.batch_latency() + 9 * interval(worker)
         assert stats.preprocessing_throughput == pytest.approx(
             10 * spec.batch_size / span
         )

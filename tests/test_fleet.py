@@ -898,6 +898,27 @@ class TestFleetCli:
         assert f"placement policy: {', '.join(POLICIES)}" in help_text
         assert f"autoscaling policy: {', '.join(AUTOSCALERS)}" in help_text
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--policy", "unknown placement policy 'nope'; "
+                     "known: first-fit, best-fit, priority"),
+        ("--autoscale", "unknown autoscaler 'nope'; "
+                        "known: fixed, target-utilization, queue-depth"),
+        ("--faults", "unknown fleet fault 'nope'; "
+                     "known: arrival-burst, node-down, slow-node"),
+    ], ids=["policy", "autoscale", "faults"])
+    def test_a_bad_name_is_refused_before_the_trace(
+        self, flag, message, capsys, monkeypatch
+    ):
+        """No trace is generated for a run that cannot start."""
+        def generate_trace(*args, **kwargs):
+            raise AssertionError("the trace was generated")
+
+        monkeypatch.setattr("repro.fleet.generate_trace", generate_trace)
+        with pytest.raises(SystemExit) as info:
+            cli_main(["fleet", "run", "--jobs", "200000", flag, "nope"])
+        assert str(info.value) == message
+        assert capsys.readouterr().out == ""
+
     def test_unknown_fault_rejected(self, capsys):
         with pytest.raises(SystemExit, match="unknown fleet fault"):
             cli_main(

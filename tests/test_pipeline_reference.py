@@ -1,9 +1,11 @@
 """The Figure 9 pipeline loop, checked against the two models it replaced.
 
 ``EndToEndSimulation.run`` simulates producer -> bounded input queue ->
-trainer as one loop whose heap holds only producer ``READY`` events
-``(time, seq, producer)``; the trainer is one scalar, the time its batch
-finishes.  Two references are kept here unchanged:
+trainer as one loop over one producer timing: every launched slot is the
+system's one worker, so each producer's first batch is ``READY`` after the
+same latency and the rest one interval apart.  The ``READY`` events wait
+in a FIFO of ``(time, producer)``; the trainer is one scalar, the time its
+batch finishes.  Two references are kept here unchanged:
 
 * the process graph: one generator per worker putting batch tokens into a
   blocking :class:`Store`, one trainer generator taking them, on an engine
@@ -14,24 +16,25 @@ finishes.  Two references are kept here unchanged:
 All three must give ``==`` equal :class:`PipelineStats` over every
 registered system, RM1-RM5, 1 and 8 GPUs, queue capacities 1-32, fewer
 batches than workers, and starved, balanced and over-fed worker counts.
-``_simulate`` and the process graph must also agree when both are driven
-from the same ``(latency, interval, share)`` tuples of producers that differ
-from one another, with dyadic timings that make simultaneous events the
-rule.  ``_simulate`` must always return exactly what :func:`heap_loop`
-returns.
+``_simulate`` and the process graph must also agree on dyadic timings that
+make simultaneous events the rule, and ``_simulate`` must always return
+exactly what :func:`heap_loop` returns.  Producers that differ from one
+another are outside ``_simulate``'s domain: nothing builds them.
 
 With one trainer, the order of a trainer event and a producer event at the
 same instant never moves a statistic, so the stats alone cannot see every
-``seq`` draw.  The loop's only draws are its ``READY`` pushes, so it records
-each ``(time, producer)`` it schedules, in ``seq`` order, and that trace must
-equal the process graph's producer timeouts in the order the engine
-scheduled them.
+ordering draw.  The loop's only draws are its ``READY`` appends, so it
+records each ``(time, producer)`` it schedules, in order, and that trace
+must equal the process graph's producer timeouts in the order the engine
+scheduled them.  The appended times must never decrease: that is why a
+FIFO can stand in for the heap.
 """
 
 import collections
 import heapq
 import itertools
 import re
+from types import SimpleNamespace
 from typing import List, Tuple
 from unittest import mock
 
@@ -241,10 +244,9 @@ def reference_run(sim, num_batches, num_workers=None):
         num_workers = sim.system.provision_for(manager.num_gpus).num_workers
     shares = sim.preprocess_manager.launch(num_batches, num_workers)
     worker = sim.preprocess_manager.worker
+    interval = worker.spec.batch_size / worker.throughput()
     producers = [
-        (worker.batch_latency(), worker.batch_interval(), share)
-        for share in shares
-        if share
+        (worker.batch_latency(), interval, share) for share in shares if share
     ]
     iteration = manager.iteration_time()
     cal = manager.cal
@@ -474,34 +476,41 @@ def heap_loop(
 #: worker count as a multiple of the T/P plan; None provisions to demand
 REGIMES = {"starved": 0.25, "balanced": 1.0, "over-fed": 3.0, "provisioned": None}
 
-
-class RecordingHeapq:
-    """``heapq`` for the loop, noting every entry it schedules."""
-
-    heappop = staticmethod(heapq.heappop)
-
-    def __init__(self):
-        self.entries = []
-
-    def heapify(self, heap):
-        self.entries.extend(heap)
-        heapq.heapify(heap)
-
-    def heappush(self, heap, entry):
-        self.entries.append(entry)
-        heapq.heappush(heap, entry)
+#: dyadic seconds: sums of them are exact, so events coincide
+LATENCIES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+INTERVALS = (0.0, 0.25, 0.5, 1.0, 1.5, 3.0)
+ITERATIONS = (0.0, 0.25, 0.5, 1.0, 2.0)
+COPIES = (0.0, 0.5, 1.0, 3.0)
 
 
-def loop_simulate(*args):
-    """``_simulate(*args)`` and the ``(time, producer)`` of each entry it
-    scheduled; it must return exactly what :func:`heap_loop` returns."""
-    recorder = RecordingHeapq()
-    with mock.patch.object(endtoend, "heapq", recorder):
-        result = _simulate(*args)
-    assert result == heap_loop(*args)
-    seqs = [entry[1] for entry in recorder.entries]
-    assert seqs == sorted(seqs)
-    return [(time, k) for time, _, k in recorder.entries], result
+def loop_simulate(latency, interval, shares, *rest):
+    """``_simulate`` and the ``(time, producer)`` of each ``READY`` event it
+    scheduled, in order.  It must return exactly what :func:`heap_loop`
+    returns on the same producers, and schedule in time order."""
+    scheduled = []
+
+    class RecordingDeque(collections.deque):
+        """``collections.deque`` for the loop, noting each ``(time,
+        producer)`` entry; the blocked FIFO's producer indices are not
+        events."""
+
+        def __init__(self, entries=()):
+            super().__init__(entries)
+            scheduled.extend(entry for entry in self if isinstance(entry, tuple))
+
+        def append(self, entry):
+            if isinstance(entry, tuple):
+                scheduled.append(entry)
+            super().append(entry)
+
+    recording = SimpleNamespace(deque=RecordingDeque)
+    with mock.patch.object(endtoend, "collections", recording):
+        result = _simulate(latency, interval, shares, *rest)
+    producers = [(latency, interval, share) for share in shares]
+    assert result == heap_loop(producers, *rest)
+    times = [time for time, _ in scheduled]
+    assert times == sorted(times)
+    return scheduled, result
 
 
 def loop_run(sim, num_batches, num_workers=None):
@@ -546,8 +555,12 @@ class FixedWorker(PreprocessingWorker):
     def throughput(self):
         return self.spec.batch_size / self.interval if self.interval else float("inf")
 
-    def batch_interval(self):
-        return self.interval
+
+def launch(num_batches, num_workers):
+    """The non-zero shares a launch of ``num_workers`` gives its producers."""
+    worker = FixedWorker(get_model("RM1"), 0.0, 0.0)
+    shares = PreprocessManager(worker).launch(num_batches, num_workers)
+    return [share for share in shares if share]
 
 
 class FixedSystem(PreStoSystem):
@@ -602,36 +615,24 @@ class TestLoopEqualsTheProcessGraph:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        timings=st.lists(
-            st.tuples(
-                st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0]),
-                st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        iteration=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
-        h2d=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        latency=st.sampled_from(LATENCIES),
+        interval=st.sampled_from(INTERVALS),
+        iteration=st.sampled_from(ITERATIONS),
+        h2d=st.sampled_from(COPIES),
         num_workers=st.integers(min_value=1, max_value=12),
         capacity=st.integers(min_value=1, max_value=6),
         num_batches=st.integers(min_value=1, max_value=60),
     )
     def test_simultaneous_events(
-        self, timings, iteration, h2d, num_workers, capacity, num_batches
+        self, latency, interval, iteration, h2d, num_workers, capacity, num_batches
     ):
         """Dyadic timings put producers and the trainer on the same instants,
-        so a reordered ``seq`` draw changes who waits for whom.  Producers
-        differ from one another here, so both sides are driven from the same
-        ``(latency, interval, share)`` tuples."""
-        spec = get_model("RM1")
-        shares = PreprocessManager(FixedWorker(spec, 0.0, 0.0)).launch(
-            num_batches, num_workers
-        )
-        cycle = itertools.cycle(timings)
-        producers = [(*next(cycle), share) for share in shares if share]
-        args = (producers, capacity, iteration, max(h2d, iteration), num_batches)
-        new = loop_simulate(*args)
-        ref = reference_pipeline(*args)
+        so a reordered draw changes who waits for whom."""
+        shares = launch(num_batches, num_workers)
+        producers = [(latency, interval, share) for share in shares]
+        rest = (capacity, iteration, max(h2d, iteration), num_batches)
+        new = loop_simulate(latency, interval, shares, *rest)
+        ref = reference_pipeline(producers, *rest)
         assert new[1] == ref[1]
         assert new[0] == ref[0]
 
@@ -641,3 +642,28 @@ class TestLoopEqualsTheProcessGraph:
         sim = EndToEndSimulation(spec, FixedSystem(spec, latency, interval))
         with pytest.raises(SimulationError, match="negative delay"):
             sim.run(num_batches=3, num_workers=1)
+
+
+class TestTheFifoIsTheHeap:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        latency=st.sampled_from(LATENCIES),
+        interval=st.sampled_from(INTERVALS),
+        iteration=st.sampled_from(ITERATIONS),
+        h2d=st.sampled_from(COPIES),
+        num_workers=st.integers(min_value=1, max_value=48),
+        capacity=st.integers(min_value=1, max_value=32),
+        num_batches=st.integers(min_value=1, max_value=400),
+    )
+    def test_one_timing_loop_equals_the_heap_loop(
+        self, latency, interval, iteration, h2d, num_workers, capacity, num_batches
+    ):
+        """``_simulate`` returns ``==`` what the all-events heap loop returns
+        on one timing, ties included: zero latencies and intervals put every
+        event of a launch on one instant."""
+        shares = launch(num_batches, num_workers)
+        producers = [(latency, interval, share) for share in shares]
+        rest = (capacity, iteration, max(h2d, iteration), num_batches)
+        assert _simulate(latency, interval, shares, *rest) == heap_loop(
+            producers, *rest
+        )
