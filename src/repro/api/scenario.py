@@ -18,20 +18,22 @@ Quick start::
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, is_int, strict_keys
 from repro.features.specs import ModelSpec, get_model
-from repro.hardware.calibration import CALIBRATION, Calibration
+from repro.hardware.calibration import (
+    CALIBRATION,
+    FIELD_DOMAINS,
+    Calibration,
+    check_field,
+)
 from repro.api.registry import REGISTRY
 from repro.api.result import RunResult
 
 #: valid values of :attr:`Scenario.provision`
 PROVISION_MODES = ("demand", "explicit")
-
-_CALIBRATION_FIELDS = frozenset(f.name for f in dataclasses.fields(Calibration))
 
 #: overrides accepted at construction (normalized to a sorted tuple of pairs)
 CalibrationOverrides = Union[
@@ -188,7 +190,9 @@ class Scenario:
 
 
 def _normalize_overrides(overrides: Any) -> Tuple[Tuple[str, float], ...]:
-    """Validate calibration overrides and freeze them as sorted pairs."""
+    """Validate calibration overrides and freeze them as sorted pairs: each
+    value must lie in its field's domain (:func:`check_field`, the check
+    :class:`Calibration` construction runs)."""
     if overrides is None:
         return ()
     items = overrides.items() if isinstance(overrides, Mapping) else overrides
@@ -200,17 +204,10 @@ def _normalize_overrides(overrides: Any) -> Tuple[Tuple[str, float], ...]:
             f"got {overrides!r}"
         )
     for name, value in pairs:
-        if name not in _CALIBRATION_FIELDS:
+        if name not in FIELD_DOMAINS:
             raise ConfigurationError(
                 f"unknown calibration field {name!r}; see repro.hardware."
                 "calibration.Calibration for the tunables"
             )
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ConfigurationError(
-                f"calibration override {name!r} must be a number, got {value!r}"
-            )
-        if not -float("inf") < value < float("inf"):
-            raise ConfigurationError(
-                f"calibration override {name!r} must be finite, got {value!r}"
-            )
+        check_field(name, value)
     return tuple(sorted(pairs))

@@ -29,11 +29,6 @@ Commands:
                         for one model and print the throughput/digest
                         summary; ``--check`` proves the parallel run is
                         byte-identical to the serial pipeline;
-* ``bench``           — run the scaling series no end-to-end workload runs
-                        (scenario build at 8/64 GPUs, fleet days at 10k/100k
-                        arrivals, the fleet fault probe), print the timing
-                        table and write ``BENCH_kernels.json`` (``--quick``
-                        for a CI-sized smoke run, ``BENCH_quick.json``);
 * ``serve``           — run the streaming preprocessing daemon: a bounded
                         work queue feeding a persistent worker pool, watched
                         job sources (``--watch DIR``, ``--synthetic SPEC``),
@@ -88,12 +83,12 @@ from repro.api import (
     Sweep,
     available_systems,
 )
-from repro.api.scenario import _CALIBRATION_FIELDS
 from repro.errors import ConfigurationError, ProvisioningError, ReproError
 from repro.experiments import report as report_mod
 from repro.experiments.common import format_table
 from repro.features.specs import MODEL_NAMES, get_model
 from repro.fleet import AUTOSCALERS, POLICIES
+from repro.hardware.calibration import FIELD_DOMAINS
 
 #: ``--only`` choices -> registry kinds
 _ONLY_KINDS = {"figures": "figure", "tables": "table", "ablations": "ablation"}
@@ -179,7 +174,7 @@ def _experiment_runs_for(
     overrides = overrides or {}
     for name in overrides:
         takes_param = any(name in spec.param_names() for spec in specs)
-        takes_cal = name in _CALIBRATION_FIELDS and any(
+        takes_cal = name in FIELD_DOMAINS and any(
             spec.takes_calibration for spec in specs
         )
         if not takes_param and not takes_cal:
@@ -199,7 +194,7 @@ def _experiment_runs_for(
         calibration = {
             name: value
             for name, value in overrides.items()
-            if name in _CALIBRATION_FIELDS
+            if name in FIELD_DOMAINS
             and name not in params
             and spec.takes_calibration
         }
@@ -923,25 +918,6 @@ def cmd_fleet_trace_replay(args: argparse.Namespace) -> int:
     return 0 if identical else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the scaling benchmarks; print a table and write the JSON report."""
-    from repro import benchmark
-
-    report = benchmark.run_benchmarks(quick=args.quick, seed=args.seed)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(benchmark.render_report(report))
-    out = args.out
-    if out is None:  # a quick run never replaces the committed full baseline
-        out = "BENCH_quick.json" if args.quick else "BENCH_kernels.json"
-    if out:
-        benchmark.write_report(report, out)
-        if not args.json:
-            print(f"wrote {out}")
-    return 0
-
-
 def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batches", type=int, default=200,
                         help="training iterations to simulate")
@@ -1280,20 +1256,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="print the summary as JSON")
     trace_replay.set_defaults(func=cmd_fleet_trace_replay)
 
-    bench = sub.add_parser(
-        "bench", help="run the scaling benchmarks, write BENCH_kernels.json"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="small inputs for CI smoke runs")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="rng seed for benchmark inputs")
-    bench.add_argument("--out", default=None,
-                       help="JSON report path (default BENCH_kernels.json, "
-                            "BENCH_quick.json with --quick; '' to skip "
-                            "writing)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the JSON report instead of the table")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -45,7 +45,10 @@ def workers_for(training_throughput: float, worker_throughput: float) -> int:
     Nominally ``ceil(T / P)``, but computed so the sufficient-and-tight
     contract holds even when floating point misbehaves: ``T / P`` can
     underflow to zero for subnormal demands (allocating zero workers for a
-    positive demand) or round across an integer boundary.
+    positive demand) or round across an integer boundary.  A ratio of
+    2**53 or more (a near-subnormal ``P`` overflows it to infinity) has no
+    exact count, since a step of one worker no longer moves ``count * P``:
+    that raises instead of looping.
     """
     if worker_throughput <= 0:
         raise ProvisioningError("worker throughput must be positive")
@@ -53,7 +56,13 @@ def workers_for(training_throughput: float, worker_throughput: float) -> int:
         raise ProvisioningError("training throughput must be non-negative")
     if training_throughput == 0:
         return 0
-    count = max(1, math.ceil(training_throughput / worker_throughput))
+    ratio = training_throughput / worker_throughput
+    if not ratio < 2.0**53:
+        raise ProvisioningError(
+            f"T / P = {training_throughput!r} / {worker_throughput!r} samples/s "
+            "has no exact worker count"
+        )
+    count = max(1, math.ceil(ratio))
     while count * worker_throughput < training_throughput:
         count += 1
     while count > 1 and (count - 1) * worker_throughput >= training_throughput:

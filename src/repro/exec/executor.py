@@ -258,13 +258,6 @@ class ShardExecutor:
         # outcomes come back in input order, so parallel == serial order
         return [outcome.result for outcome in outcomes]
 
-    def run_staged(
-        self, data: TableData, on_stage: Optional[StageCallback] = None
-    ) -> List[ShardResult]:
-        """The inline staged run under its earlier name:
-        ``run(data, parallel=False, on_stage=on_stage)``."""
-        return self.run(data, parallel=False, on_stage=on_stage)
-
     def iter_shards(
         self, data: TableData, on_stage: Optional[StageCallback] = None
     ) -> Iterator[ShardResult]:

@@ -179,16 +179,17 @@ class FaultInjector:
         ]
         if not armed or not any(node.up for node in nodes.values()):
             return []  # nothing to draw: build no stream
+        ids = np.sort(np.fromiter(nodes, np.int64, len(nodes)))
         words = self.plan.stream_words(
-            point, f"{pool}:epoch-{epoch}", max(nodes) + 1
+            point, f"{pool}:epoch-{epoch}", int(ids[-1]) + 1
         )
         # every rule flips the same word per node, so most ids stop at the
-        # highest threshold and never reach the per-rule loop
+        # highest threshold and never reach the per-rule loop; only the
+        # live ids are read, never the retired ones below them
         ceiling = max(threshold for _, threshold in armed)
         fired: List[Tuple[int, FaultRule]] = []
-        for node_id in np.flatnonzero(words < ceiling).tolist():
-            node = nodes.get(node_id)
-            if node is None or not node.up:
+        for node_id in ids[words[ids] < ceiling].tolist():
+            if not nodes[node_id].up:
                 continue
             word = int(words[node_id])
             key = f"{pool}:node-{node_id}:epoch-{epoch}"

@@ -26,127 +26,162 @@ only by the Figure 6 characterization live in :mod:`repro.hardware.cache`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import Any
 
+from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.units import GBPS, GB_PER_S, MHZ
+
+#: domain -> whether a finite number lies in it.  Every calibration field
+#: names its domain beside its default: rates, sizes, powers and prices are
+#: positive, costs in seconds are non-negative, efficiencies are fractions.
+DOMAINS = {
+    "positive": lambda value: value > 0,
+    "non-negative": lambda value: value >= 0,
+    "a fraction in (0, 1]": lambda value: 0 < value <= 1,
+}
+
+
+def _positive(default: float) -> Any:
+    return field(default=default, metadata={"domain": "positive"})
+
+
+def _non_negative(default: float) -> Any:
+    return field(default=default, metadata={"domain": "non-negative"})
+
+
+def _fraction(default: float) -> Any:
+    return field(default=default, metadata={"domain": "a fraction in (0, 1]"})
 
 
 @dataclass(frozen=True)
 class Calibration:
-    """All tunable constants of the performance models."""
+    """All tunable constants of the performance models.
+
+    Construction checks every field against its stated domain
+    (:func:`check_field`), so no model divides by a zero bandwidth.
+    """
 
     # --- CPU-centric preprocessing (per core, Xeon Gold 6242 class) -------
     #: effective Log normalization cost per dense element (seconds)
-    cpu_log_per_element: float = 140e-9
+    cpu_log_per_element: float = _non_negative(140e-9)
     #: effective SigridHash cost per sparse id (seconds)
-    cpu_hash_per_element: float = 190e-9
+    cpu_hash_per_element: float = _non_negative(190e-9)
     #: Bucketize: fixed per-element cost plus per-binary-search-step cost
-    cpu_bucketize_base: float = 60e-9
-    cpu_bucketize_per_step: float = 70e-9
+    cpu_bucketize_base: float = _non_negative(60e-9)
+    cpu_bucketize_per_step: float = _non_negative(70e-9)
     #: columnar decode cost per encoded byte (~200 MB/s effective)
-    cpu_decode_per_byte: float = 5e-9
+    cpu_decode_per_byte: float = _non_negative(5e-9)
     #: format conversion cost per packed element
-    cpu_format_per_element: float = 10e-9
+    cpu_format_per_element: float = _non_negative(10e-9)
     #: missing-value fill cost per touched element (part of "Else")
-    cpu_fill_per_element: float = 6e-9
+    cpu_fill_per_element: float = _non_negative(6e-9)
     #: fixed per-mini-batch worker overhead: batch setup, dispatch ("Else")
-    cpu_batch_overhead: float = 15e-3
+    cpu_batch_overhead: float = _non_negative(15e-3)
     #: memcpy of the train-ready tensors into the RPC buffer (bytes/s)
-    cpu_load_copy_bw: float = 2.0 * GB_PER_S
+    cpu_load_copy_bw: float = _positive(2.0 * GB_PER_S)
 
     # --- network (10 GbE, PyTorch RPC) -------------------------------------
     #: raw link bandwidth
-    network_bandwidth: float = 10.0 * GBPS
+    network_bandwidth: float = _positive(10.0 * GBPS)
     #: achievable fraction for bulk raw-data reads (sequential, streamed)
-    network_read_efficiency: float = 1.0
+    network_read_efficiency: float = _fraction(1.0)
     #: achievable fraction for tensor RPC responses (serialization framing)
-    network_rpc_efficiency: float = 0.72
+    network_rpc_efficiency: float = _fraction(0.72)
     #: fixed latency per RPC round trip
-    rpc_request_overhead: float = 0.5e-3
+    rpc_request_overhead: float = _non_negative(0.5e-3)
     #: read amplification of remote raw fetches: row-group framing, footer
     #: metadata, and label/offset chunks fetched alongside the wanted columns
-    storage_protocol_overhead: float = 1.35
+    storage_protocol_overhead: float = _positive(1.35)
 
     # --- storage devices -----------------------------------------------------
     #: plain datacenter NVMe SSD sequential read
-    ssd_read_bw: float = 3.0 * GB_PER_S
-    ssd_read_latency: float = 80e-6
+    ssd_read_bw: float = _positive(3.0 * GB_PER_S)
+    ssd_read_latency: float = _non_negative(80e-6)
     #: SmartSSD P2P (SSD -> FPGA DRAM over the internal PCIe switch)
-    p2p_bandwidth: float = 2.0 * GB_PER_S
+    p2p_bandwidth: float = _positive(2.0 * GB_PER_S)
 
     # --- PreSto accelerator (SmartSSD FPGA @ 223 MHz, Table II) -----------
-    accelerator_clock_hz: float = 223.0 * MHZ
+    accelerator_clock_hz: float = _positive(223.0 * MHZ)
     #: hardwired Parquet decoder aggregate throughput (bytes/s); decoding is
     #: the least parallelizable stage (Section VI-A)
-    accel_decode_bw: float = 0.94 * GB_PER_S
+    accel_decode_bw: float = _positive(0.94 * GB_PER_S)
     #: parallel processing elements per unit (elements/cycle aggregate)
-    accel_hash_lanes: int = 2
-    accel_log_lanes: int = 1
-    accel_bucketize_lanes: int = 1
-    accel_format_lanes: int = 1
+    accel_hash_lanes: int = _positive(2)
+    accel_log_lanes: int = _positive(1)
+    accel_bucketize_lanes: int = _positive(1)
+    accel_format_lanes: int = _positive(1)
     #: host-side orchestration per batch (XRT kernel management + RPC); half
     #: is accounted to Extract (issuing P2P reads), half to Else
-    accel_host_overhead: float = 25e-3
+    accel_host_overhead: float = _non_negative(25e-3)
 
     # --- co-located preprocessing (Fig. 3) ---------------------------------
     #: throughput de-rating when preprocessing shares the training node
-    colocation_factor: float = 0.55
+    colocation_factor: float = _fraction(0.55)
     #: multi-worker scaling exponent: eff(n) = n**exp (15x at 16 cores)
-    colocation_scaling_exponent: float = 0.977
+    colocation_scaling_exponent: float = _positive(0.977)
 
     # --- A100 training model (per GPU) ---------------------------------------
-    gpu_peak_flops: float = 312e12  # fp16 tensor core peak
-    gpu_flops_efficiency: float = 0.35
-    gpu_gather_bw: float = 317e9  # effective HBM bw for random embedding rows
-    gpu_iteration_overhead: float = 8e-3  # framework/optimizer host work
-    gpu_kernel_overhead_per_table: float = 80e-6  # fwd+bwd+optimizer kernels
+    gpu_peak_flops: float = _positive(312e12)  # fp16 tensor core peak
+    gpu_flops_efficiency: float = _fraction(0.35)
+    #: effective HBM bandwidth for random embedding rows
+    gpu_gather_bw: float = _positive(317e9)
+    gpu_iteration_overhead: float = _non_negative(8e-3)  # framework/optimizer host work
+    #: fwd+bwd+optimizer kernels
+    gpu_kernel_overhead_per_table: float = _non_negative(80e-6)
     #: optimizer traffic multiplier on embedding bytes (grad + momentum)
-    gpu_embedding_traffic_multiplier: float = 4.0
+    gpu_embedding_traffic_multiplier: float = _positive(4.0)
 
     # --- alternative preprocessing accelerators (Fig. 16) -----------------
     #: NVTabular on A100: per-kernel overhead dominates the many tiny
     #: per-column kernels (Section VI-C: "challenging for the GPU to
     #: amortize the cost of CUDA kernel launches")
-    gpu_preproc_kernel_overhead: float = 85e-6
-    gpu_preproc_element_rate: float = 100e9  # elements/s once launched
-    gpu_preproc_pcie_bw: float = 20e9
+    gpu_preproc_kernel_overhead: float = _non_negative(85e-6)
+    gpu_preproc_element_rate: float = _positive(100e9)  # elements/s once launched
+    gpu_preproc_pcie_bw: float = _positive(20e9)
     #: U280 accelerator = PreSto units scaled by its larger fabric
-    u280_unit_scale: float = 2.0
-    u280_pcie_bw: float = 6.0 * GB_PER_S
+    u280_unit_scale: float = _positive(2.0)
+    u280_pcie_bw: float = _positive(6.0 * GB_PER_S)
 
     # --- power (watts) -------------------------------------------------------
     #: measured draw of one SmartSSD during preprocessing (TDP is 25 W)
-    smartssd_active_power: float = 16.0
-    smartssd_tdp: float = 25.0
+    smartssd_active_power: float = _positive(16.0)
+    smartssd_tdp: float = _positive(25.0)
     #: per-core share of a loaded 2-socket Xeon 6242 node (350 W / 32 cores)
-    cpu_node_power: float = 350.0
-    cpu_cores_per_node: int = 32
+    cpu_node_power: float = _positive(350.0)
+    cpu_cores_per_node: int = _positive(32)
     #: storage-host orchestration share attributed to PreSto
-    presto_host_power: float = 150.0
-    a100_tdp: float = 250.0
-    a100_preproc_active_power: float = 100.0  # underutilized during preproc
-    u280_tdp: float = 225.0
-    u280_active_power: float = 46.0
+    presto_host_power: float = _positive(150.0)
+    a100_tdp: float = _positive(250.0)
+    a100_preproc_active_power: float = _positive(100.0)  # underutilized during preproc
+    u280_tdp: float = _positive(225.0)
+    u280_active_power: float = _positive(46.0)
 
     # --- cost (US dollars; Section V-C) --------------------------------------
-    cpu_node_price: float = 12_000.0  # Dell R640-class 2-socket node
-    smartssd_price: float = 2_500.0
-    presto_host_share_price: float = 3_000.0
-    a100_price: float = 10_000.0
-    u280_price: float = 7_500.0
-    electricity_per_kwh: float = 0.0733
-    amortization_years: float = 3.0
+    cpu_node_price: float = _positive(12_000.0)  # Dell R640-class 2-socket node
+    smartssd_price: float = _positive(2_500.0)
+    presto_host_share_price: float = _positive(3_000.0)
+    a100_price: float = _positive(10_000.0)
+    u280_price: float = _positive(7_500.0)
+    electricity_per_kwh: float = _non_negative(0.0733)
+    amortization_years: float = _positive(3.0)
 
     # --- dataset byte model ---------------------------------------------------
     #: encoded bytes per dense value (float32 PLAIN)
-    bytes_per_dense_value: float = 4.0
+    bytes_per_dense_value: float = _positive(4.0)
     #: encoded bytes per sparse id (zig-zag varint of ~40-bit ids)
-    bytes_per_sparse_id: float = 6.0
+    bytes_per_sparse_id: float = _positive(6.0)
     #: encoded bytes per sparse length entry (varint of small counts)
-    bytes_per_length_entry: float = 1.2
+    bytes_per_length_entry: float = _positive(1.2)
     #: file framing overhead (headers, CRCs, footer) as a fraction
-    file_format_overhead: float = 0.02
+    file_format_overhead: float = _non_negative(0.02)
+
+    def __post_init__(self) -> None:
+        for name in FIELD_DOMAINS:
+            check_field(name, getattr(self, name))
 
     # -- derived helpers ------------------------------------------------------
 
@@ -184,6 +219,28 @@ class Calibration:
     def amortization_hours(self) -> float:
         """Duration used by the cost-efficiency metric (3 years)."""
         return self.amortization_years * 365.0 * 24.0
+
+
+#: field name -> its domain (a key of :data:`DOMAINS`)
+FIELD_DOMAINS = {spec.name: spec.metadata["domain"] for spec in fields(Calibration)}
+
+
+def check_field(name: str, value: Any) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is a finite real
+    number in calibration field ``name``'s domain."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"calibration field {name!r} must be a number, got {value!r}"
+        )
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"calibration field {name!r} must be finite, got {value!r}"
+        )
+    domain = FIELD_DOMAINS[name]
+    if not DOMAINS[domain](value):
+        raise ConfigurationError(
+            f"calibration field {name!r} must be {domain}, got {value!r}"
+        )
 
 
 #: The default, paper-anchored calibration used by every experiment.

@@ -6,7 +6,6 @@ These kernels implement the exact transformations the paper offloads:
 * :func:`sigrid_hash` — Algorithm 2, feature normalization via seeded hash;
 * :func:`log_normalize` — dense feature normalization;
 * :func:`fill_dense` / :func:`fill_sparse` — missing-value handling;
-* :func:`to_minibatch` — format conversion into train-ready tensors;
 * :class:`PreprocessingPipeline` — the full per-model op graph.
 """
 
@@ -19,7 +18,6 @@ from repro.ops.sigridhash import (
 )
 from repro.ops.lognorm import log_normalize
 from repro.ops.fill import fill_dense, fill_sparse
-from repro.ops.format import to_minibatch
 from repro.ops.pipeline import PreprocessingPipeline, OpCounts
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "log_normalize",
     "fill_dense",
     "fill_sparse",
-    "to_minibatch",
     "PreprocessingPipeline",
     "OpCounts",
 ]

@@ -23,7 +23,7 @@ materialize data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -255,20 +255,6 @@ class PreprocessingPipeline:
             log_normalize(
                 block, out=dense[:, first : first + len(block_names)].T
             )
-
-    def run_many(
-        self, raws: Iterable[TableData]
-    ) -> List[Tuple[MiniBatch, OpCounts]]:
-        """Transform a stream of raw partitions with one prepared pipeline.
-
-        The fused form of the Transform phase: boundary structures, hash
-        constants, and the column order are prepared once (at construction)
-        and amortized over every batch, instead of a naive driver paying
-        pipeline setup — including synthetic boundary generation — per
-        partition.  Batch ids are assigned sequentially from 0, matching
-        the partition order.
-        """
-        return [self.run(raw, batch_id=index) for index, raw in enumerate(raws)]
 
     def required_columns(self) -> Tuple[str, ...]:
         """Columns the Extract phase must fetch (everything this model uses)."""

@@ -53,9 +53,5 @@ class TrainManager:
         batch's iteration.  Data-parallel GPUs each copy their own
         ``1/num_gpus`` of the batch over their own PCIe link."""
         bandwidth = self.cal.gpu_preproc_pcie_bw
-        if not bandwidth > 0:
-            raise ConfigurationError(
-                f"gpu_preproc_pcie_bw must be positive, got {bandwidth!r}"
-            )
         h2d = self.cal.train_ready_batch_bytes(self.spec) / (self.num_gpus * bandwidth)
         return max(h2d, self.iteration_time())

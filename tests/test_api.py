@@ -20,7 +20,7 @@ from repro.api import (
 )
 from repro.core.provision import workers_for
 from repro.core.systems import PreStoSystem
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProvisioningError
 from repro.features.specs import get_model
 from repro.hardware.calibration import CALIBRATION
 
@@ -125,11 +125,10 @@ class TestScenarioValidation:
                      calibration={"gpu_preproc_pcie_bw": value})
 
     def test_zero_copy_bandwidth_is_a_typed_error(self):
-        scenario = Scenario(model="RM1", system="PreSto", num_gpus=1,
-                            num_batches=50,
-                            calibration={"gpu_preproc_pcie_bw": 0.0})
+        """Refused at construction, by the field's stated domain."""
         with pytest.raises(ConfigurationError, match="must be positive"):
-            scenario.run()
+            Scenario(model="RM1", system="PreSto", num_gpus=1, num_batches=50,
+                     calibration={"gpu_preproc_pcie_bw": 0.0})
 
     def test_scenario_is_frozen_and_hashable(self):
         scenario = Scenario(model="RM1", system="PreSto",
@@ -278,3 +277,11 @@ class TestProvisioningBoundary:
 
     def test_exact_multiple_stays_tight(self):
         assert workers_for(90.0, 30.0) == 3
+
+    @pytest.mark.parametrize("demand, supply", [
+        (5e6, 1e-303),  # T / P overflows to infinity
+        (2.0**60, 1.0),  # a one-worker step no longer moves count * P
+    ])
+    def test_a_ratio_with_no_exact_count_is_a_typed_error(self, demand, supply):
+        with pytest.raises(ProvisioningError, match="has no exact worker count"):
+            workers_for(demand, supply)

@@ -19,6 +19,14 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "invalid choice: 'trend'" in capsys.readouterr().err
 
+    def test_bench_is_not_a_command(self, capsys):
+        """Scaling is a tier-1 call-count law (tests/test_count_laws.py),
+        not a timed command."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_known_commands(self):
         parser = build_parser()
         assert parser.parse_args(["report"]).command == "report"
@@ -136,95 +144,6 @@ class TestExport:
         assert files == ["fig4.csv", "table1.csv"]
         content = (tmp_path / "fig4.csv").read_text()
         assert "RM5" in content and "367" in content
-
-
-class TestBench:
-    def test_quick_json_keeps_the_scaling_rows_and_the_full_baseline(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """One quick run from a working directory: the kept rows, schema 2,
-        the 8/64-GPU scaling line, and the report lands in
-        ``BENCH_quick.json``, never over the full-mode ``BENCH_kernels.json``."""
-        import json
-
-        from repro.benchmark import scaling_line
-
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--quick", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert not (tmp_path / "BENCH_kernels.json").exists()
-        assert json.loads((tmp_path / "BENCH_quick.json").read_text()) == report
-
-        assert report["schema_version"] == 2
-        assert report["quick"] is True
-        assert [entry["op"] for entry in report["results"]] == [
-            "scenario_build@8gpu", "scenario_build@64gpu",
-            "fleet_step@10k", "fleet_probe",
-        ]
-        for entry in report["results"]:
-            assert set(entry) == {"op", "size", "elapsed_s", "ns_per_element"}
-            assert entry["size"] > 0
-        workers = [entry["size"] for entry in report["results"][:2]]
-        assert workers == [367, 2931]
-        assert scaling_line(report, "scenario_build", "worker").startswith(
-            "scenario_build us/worker: @8gpu "
-        )
-        # quick mode stops the fleet series at 10k: no ratio line
-        assert scaling_line(report, "fleet_step", "event") == ""
-
-    @staticmethod
-    def fake_report(quick=False, seed=0):
-        """A full-mode-shaped report with round us-per-element figures."""
-        rows = [("scenario_build@8gpu", 367, 20.0),
-                ("scenario_build@64gpu", 2931, 5.0),
-                ("fleet_step@10k", 25003, 16.0),
-                ("fleet_step@100k", 246406, 24.0),
-                ("fleet_probe", 80487, 0.5)]
-        return {"schema_version": 2, "quick": quick, "results": [
-            {"op": op, "size": size, "elapsed_s": us * size / 1e6,
-             "ns_per_element": us * 1e3}
-            for op, size, us in rows
-        ]}
-
-    @pytest.mark.parametrize("argv, written", [
-        (["bench"], "BENCH_kernels.json"),
-        (["bench", "--quick"], "BENCH_quick.json"),
-        (["bench", "--quick", "--out", "mine.json"], "mine.json"),
-        (["bench", "--out", ""], None),
-    ])
-    def test_report_path_follows_the_mode(
-        self, argv, written, tmp_path, monkeypatch, capsys
-    ):
-        """Without ``--out`` the mode names the file; ``--out`` overrides
-        it, and ``--out ''`` writes nothing."""
-        import json
-
-        from repro import benchmark
-
-        monkeypatch.setattr(benchmark, "run_benchmarks", self.fake_report)
-        monkeypatch.chdir(tmp_path)
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        files = sorted(path.name for path in tmp_path.iterdir())
-        if written is None:
-            assert files == []
-            assert "wrote" not in out
-        else:
-            assert files == [written]
-            assert out.rstrip().endswith(f"wrote {written}")
-            report = json.loads((tmp_path / written).read_text())
-            assert report == self.fake_report(quick="--quick" in argv)
-
-    def test_full_table_prints_both_scaling_lines(self):
-        from repro.benchmark import render_report
-
-        lines = render_report(self.fake_report()).splitlines()
-        assert "Scaling benchmarks (full mode)" in lines[0]
-        assert lines[-2:] == [
-            "scenario_build us/worker: @8gpu 20.0, @64gpu 5.0 "
-            "(@64gpu/@8gpu 0.25x)",
-            "fleet_step us/event: @10k 16.0, @100k 24.0 (@100k/@10k 1.50x)",
-        ]
 
 
 class TestPreprocess:
@@ -582,6 +501,21 @@ class TestTypedErrorBoundary:
         # refused up front: no table, no listening line, no traceback
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value, message", [
+        # the parent: ZeroDivisionError from the CPU worker's read time
+        ("0", r"calibration field 'network_bandwidth' must be positive, "
+              r"got 0\.0"),
+        # the parent: OverflowError from ceil(T / P) in workers_for
+        ("1e-300", r"T / P = \S+ / \S+ samples/s has no exact worker count"),
+    ])
+    def test_calibration_out_of_its_domain_is_one_line(self, value, message):
+        import re
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--model", "RM1", "--system", "Disagg",
+                  "--set", f"network_bandwidth={value}", "--batches", "3"])
+        assert re.fullmatch(message, excinfo.value.code)
 
     def test_uncreatable_export_dir_is_one_line_on_stderr(self, scratch):
         import os

@@ -239,7 +239,7 @@ class TestStageTelemetry:
         still reads the way every run did before."""
         events, record = self.recorder()
         executor = ShardExecutor.for_shards(pipeline, 4, NUM_ROWS)
-        staged = executor.run(raw_table, parallel=False, on_stage=record)
+        executor.run(raw_table, parallel=False, on_stage=record)
         assert events == [
             ("partition", "started", []),
             ("extract", "started", []),
@@ -248,13 +248,6 @@ class TestStageTelemetry:
             ("extract", "completed", self.EXTRACT),
             ("transform", "completed", self.TRANSFORM),
         ]
-        # run_staged is the same path under the service's name for it
-        again, record = self.recorder()
-        delegated = executor.run_staged(raw_table, on_stage=record)
-        assert again == events
-        assert minibatch_digest([r.batch for r in delegated]) == (
-            minibatch_digest([r.batch for r in staged])
-        )
 
     def test_one_shard_reads_as_every_run_used_to(self, pipeline, raw_table):
         events, record = self.recorder()

@@ -35,6 +35,7 @@ from repro.fleet import (
 )
 from repro.fleet.simulator import SLOW_PENALTY_S, STEP_S, _Node
 from repro.hardware.calibration import CALIBRATION
+from test_count_laws import count_calls
 from test_fleet import SMALL_POOLS, run_until, small_trace
 
 POINT = "slow-node"  # any catalogued point
@@ -512,6 +513,23 @@ class TestProbeCounts:
         ))))
         assert calls and streams == []
         assert result.digest == clean.digest
+
+    def test_retired_ids_below_the_live_nodes_cost_no_calls(self):
+        """Node ids are never reused, so a long day leaves its live nodes
+        far above id 0.  One ``check_nodes`` on ten live nodes makes the
+        same Python calls whether 0 or 10,000 lower ids were retired: it
+        reads the live ids' words, never the retired ones' (at rate 1.0
+        each of those was a hit and one ``dict.get``)."""
+        plan = FaultPlan(seed=11, rules=(FaultRule(point=POINT, rate=1.0),))
+
+        def probe(first):
+            nodes = up_nodes(range(first, first + 10))
+            fired = FaultInjector(plan).check_nodes(POINT, "a", 3, nodes)
+            assert [node_id for node_id, _ in fired] == list(nodes)
+
+        probe(0)  # warm-up: the rule's threshold, the stream's hasher
+        calls = [count_calls(lambda: probe(first)) for first in (0, 10_000)]
+        assert calls[0] == calls[1]
 
     @pytest.mark.parametrize("plan", [
         FaultPlan(seed=11),

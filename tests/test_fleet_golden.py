@@ -41,10 +41,11 @@ from repro.fleet import (
 from test_fleet import SMALL_POOLS
 
 #: fleet label -> (pools, trace shape).  "bench" is the small two-pool
-#: fleet ``repro bench`` ran on when these were recorded (the fleet tests'
-#: ``SMALL_POOLS``).  Both are sized so 200 jobs queue, autoscale and
-#: (faulted) get displaced: the bench fleet is small, and the default
-#: pools see the jobs compressed into two hours.
+#: fleet of the fleet tests (``SMALL_POOLS``); the label is the name of a
+#: since-deleted timing command that ran on it when these were recorded,
+#: and it stays because the digest keys carry it.  Both are sized so 200
+#: jobs queue, autoscale and (faulted) get displaced: the bench fleet is
+#: small, and the default pools see the jobs compressed into two hours.
 FLEETS = {
     "bench": (SMALL_POOLS, dict(horizon_s=6 * 3600.0, mean_duration_s=1200.0)),
     "default": (None, dict(horizon_s=2 * 3600.0, mean_duration_s=1200.0)),

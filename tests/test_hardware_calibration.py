@@ -1,12 +1,20 @@
 """Tests for the calibration constants, including validation of the
 analytic byte model against the real columnar writer."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.dataio.columnar import write_table
+from repro.errors import ConfigurationError
 from repro.features.specs import all_models, get_model
 from repro.features.synthetic import SyntheticTableGenerator
-from repro.hardware.calibration import CALIBRATION, Calibration
+from repro.hardware.calibration import (
+    CALIBRATION,
+    DOMAINS,
+    FIELD_DOMAINS,
+    Calibration,
+)
 
 
 class TestByteModel:
@@ -60,3 +68,44 @@ class TestDerivedHelpers:
         custom = Calibration(cpu_hash_per_element=1e-6)
         assert custom.cpu_hash_per_element != CALIBRATION.cpu_hash_per_element
         assert CALIBRATION.cpu_hash_per_element == 190e-9
+
+
+#: domain -> (values inside it, values outside it)
+DOMAIN_CASES = {
+    "positive": ((5e-324, 1e300), (0.0, -1.0)),
+    "non-negative": ((0.0, 1e300), (-5e-324, -1.0)),
+    "a fraction in (0, 1]": ((5e-324, 1.0), (0.0, 1.0000001, -0.5)),
+}
+
+
+class TestDomains:
+    def test_every_field_states_one_domain(self):
+        assert list(FIELD_DOMAINS) == [f.name for f in fields(Calibration)]
+        assert set(FIELD_DOMAINS.values()) == set(DOMAINS) == set(DOMAIN_CASES)
+
+    @pytest.mark.parametrize("name", list(FIELD_DOMAINS))
+    def test_construction_checks_the_domain(self, name):
+        domain = FIELD_DOMAINS[name]
+        inside, outside = DOMAIN_CASES[domain]
+        for value in inside:
+            assert getattr(Calibration(**{name: value}), name) == value
+        for value in outside + (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=repr(name)):
+                Calibration(**{name: value})
+
+    @pytest.mark.parametrize("name", ["network_bandwidth", "cpu_batch_overhead",
+                                      "colocation_factor"])
+    def test_an_override_reaches_the_same_check(self, name):
+        """A ``Scenario`` override and a constructed ``Calibration`` refuse
+        an out-of-domain value with one message."""
+        from repro.api import Scenario
+
+        value = DOMAIN_CASES[FIELD_DOMAINS[name]][1][-1]
+        with pytest.raises(ConfigurationError) as direct:
+            Calibration(**{name: value})
+        with pytest.raises(ConfigurationError) as override:
+            Scenario(model="RM1", system="Disagg", calibration={name: value})
+        assert str(override.value) == str(direct.value) == (
+            f"calibration field {name!r} must be {FIELD_DOMAINS[name]}, "
+            f"got {value!r}"
+        )

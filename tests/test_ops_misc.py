@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import OpError
 from repro.ops.fill import fill_dense, fill_sparse
-from repro.ops.format import to_minibatch
 from repro.ops.lognorm import log_normalize
 
 
@@ -184,58 +183,3 @@ class TestNoRowLoops:
             return count_lines(fill_sparse, lengths, values)
 
         assert 0 < lines_executed(4096) == lines_executed(8)
-
-
-class TestToMinibatch:
-    def _inputs(self, batch=4):
-        dense = {"d0": np.arange(batch, dtype=np.float32)}
-        sparse = {
-            "s0": (
-                np.ones(batch, dtype=np.int32),
-                np.arange(batch, dtype=np.int64),
-            )
-        }
-        labels = np.zeros(batch, dtype=np.int8)
-        return dense, sparse, labels
-
-    def test_basic_assembly(self):
-        dense, sparse, labels = self._inputs()
-        mb = to_minibatch(dense, sparse, labels, ["d0"], ["s0"])
-        assert mb.batch_size == 4
-        assert mb.dense.shape == (4, 1)
-        assert mb.sparse.keys == ["s0"]
-        assert mb.batch_id == 0
-
-    def test_missing_dense_rejected(self):
-        dense, sparse, labels = self._inputs()
-        with pytest.raises(OpError, match="missing dense"):
-            to_minibatch(dense, sparse, labels, ["d0", "d1"], ["s0"])
-
-    def test_missing_sparse_rejected(self):
-        dense, sparse, labels = self._inputs()
-        with pytest.raises(OpError, match="missing sparse"):
-            to_minibatch(dense, sparse, labels, ["d0"], ["s0", "s1"])
-
-    def test_batch_mismatch_rejected(self):
-        dense, sparse, labels = self._inputs()
-        dense["d0"] = dense["d0"][:-1]
-        with pytest.raises(OpError):
-            to_minibatch(dense, sparse, labels, ["d0"], ["s0"])
-
-    def test_column_order_respected(self):
-        batch = 3
-        dense = {
-            "a": np.full(batch, 1.0, dtype=np.float32),
-            "b": np.full(batch, 2.0, dtype=np.float32),
-        }
-        sparse = {
-            "s0": (np.ones(batch, dtype=np.int32), np.zeros(batch, dtype=np.int64))
-        }
-        mb = to_minibatch(dense, sparse, np.zeros(batch), ["b", "a"], ["s0"])
-        assert mb.dense[0, 0] == 2.0
-        assert mb.dense[0, 1] == 1.0
-
-    def test_no_dense_rejected(self):
-        _, sparse, labels = self._inputs()
-        with pytest.raises(OpError, match="at least one dense"):
-            to_minibatch({}, sparse, labels, [], ["s0"])

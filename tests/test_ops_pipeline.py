@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import PipelineError
+from repro.errors import OpError, PipelineError
 from repro.features.specs import get_model
 from repro.features.synthetic import SyntheticTableGenerator, generate_raw_table
+from repro.ops.fill import fill_dense
+from repro.ops.lognorm import log_normalize
 from repro.ops.pipeline import OpCounts, PreprocessingPipeline
 
 
@@ -152,7 +154,6 @@ class TestPreparedKernels:
         assert prepared.num_buckets == 65
 
     def test_bucketizer_validates_once(self):
-        from repro.errors import OpError
         from repro.ops.bucketize import Bucketizer
 
         with pytest.raises(OpError, match="strictly increasing"):
@@ -171,7 +172,6 @@ class TestPreparedKernels:
         )
 
     def test_sigrid_hasher_validates(self):
-        from repro.errors import OpError
         from repro.ops.sigridhash import SigridHasher
 
         with pytest.raises(OpError, match="positive"):
@@ -185,24 +185,23 @@ class TestPreparedKernels:
         assert set(pipe._hashers) == set(pipe.schema.sparse_names)
 
 
-class TestRunMany:
-    def test_matches_sequential_runs(self, rm1):
-        spec, pipe, _ = rm1
-        shards = [
-            SyntheticTableGenerator(spec, seed=seed).generate(32)
-            for seed in range(3)
-        ]
-        fused = pipe.run_many(shards)
-        assert len(fused) == 3
-        for index, (raw, (batch, counts)) in enumerate(zip(shards, fused)):
-            single_batch, single_counts = pipe.run(raw, batch_id=index)
-            assert batch.batch_id == index
-            assert counts == single_counts
-            np.testing.assert_array_equal(batch.dense, single_batch.dense)
-            np.testing.assert_array_equal(
-                batch.sparse.values, single_batch.sparse.values
-            )
+class TestRunAssemblesTheBatch:
+    """Format conversion happens inside ``run``: the checks and the column
+    layout the stand-alone packing step used to own."""
 
-    def test_empty_iterable(self, rm1):
-        _, pipe, _ = rm1
-        assert pipe.run_many([]) == []
+    def test_short_dense_column_is_refused(self, rm1):
+        spec, pipe, raw = rm1
+        name = spec.schema().dense_names[0]
+        short = dict(raw, **{name: raw[name][:-1]})
+        with pytest.raises(
+            OpError, match=f"dense column '{name}' has 127 rows, batch is 128"
+        ):
+            pipe.run(short)
+
+    def test_dense_columns_follow_the_schema_order(self, rm1):
+        spec, pipe, raw = rm1
+        batch, _ = pipe.run(raw)
+        for index, name in enumerate(spec.schema().dense_names):
+            np.testing.assert_array_equal(
+                batch.dense[:, index], log_normalize(fill_dense(raw[name]))
+            )

@@ -5,7 +5,8 @@ has every kernel fill its slot through ``out=``.  Three things are pinned:
 
 * **differential** — on hostile tables the batch and the ``OpCounts`` are
   bit-identical to a reference assembled here from the one-shot public ops
-  and ``to_minibatch`` (the body ``run`` had before it wrote in place);
+  and a column-stacked batch (the body ``run`` had before it wrote in
+  place);
 * **error parity** — a malformed table raises the same typed error with
   the same message as that reference;
 * **memory** — measured with ``tracemalloc`` (it sees numpy's buffers, so
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FormatError, OpError, PipelineError
 from repro.exec import ShardExecutor
+from repro.features.minibatch import KeyedJaggedTensor, MiniBatch
 from repro.features.specs import MLPSpec, ModelSpec, get_model
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops import (
@@ -34,7 +36,6 @@ from repro.ops import (
     fill_sparse,
     log_normalize,
     sigrid_hash,
-    to_minibatch,
 )
 from repro.ops.pipeline import DENSE_BLOCK_COLUMNS, OpCounts, PreprocessingPipeline
 from repro.ops.tile import TILE_ELEMENTS
@@ -79,12 +80,21 @@ def reference_run(pipe: PreprocessingPipeline, raw, batch_id=0):
             np.ones(rows, dtype=np.int32),
             bucketize(filled[source], pipe.boundaries[source]),
         )
-    batch = to_minibatch(
-        dense_columns={n: log_normalize(v) for n, v in filled.items()},
-        sparse_columns=sparse,
-        labels=labels,
-        dense_order=schema.dense_names,
-        sparse_order=schema.sparse_names + spec.generated_sparse_names,
+    for name in schema.dense_names:
+        if len(filled[name]) != rows:
+            raise OpError(
+                f"dense column {name!r} has {len(filled[name])} rows, "
+                f"batch is {rows}"
+            )
+    batch = MiniBatch(
+        dense=np.column_stack(
+            [log_normalize(filled[name]) for name in schema.dense_names]
+        ),
+        sparse=KeyedJaggedTensor.from_dict({
+            name: sparse[name]
+            for name in schema.sparse_names + spec.generated_sparse_names
+        }),
+        labels=np.asarray(labels, dtype=np.float32),
     )
     batch.batch_id = batch_id
     dense_values = rows * len(schema.dense_names)
