@@ -1,16 +1,13 @@
-"""The paper's contribution: preprocessing workers (CPU baseline, PreSto ISP,
-and the alternative accelerators), system design points, the T/P
-provisioning logic, the preprocess manager, and the end-to-end
-preprocessing-feeds-training simulation."""
+"""The paper's contribution: one system class and one worker class per
+design point (CPU core, PreSto ISP unit on a SmartSSD, A100 pool, U280 pool
+and PreSto (U280)), the T/P provisioning logic, the preprocess manager, and
+the end-to-end preprocessing-feeds-training simulation.  A system states its
+device's power and price; a worker holds its one hardware timing model."""
 
 from repro.core.worker import BREAKDOWN_STEPS, PreprocessingWorker
 from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.isp_worker import IspPreprocessingWorker
-from repro.core.accel_worker import (
-    GpuPoolWorker,
-    U280PoolWorker,
-    PreStoU280Worker,
-)
+from repro.core.accel_worker import GpuPoolWorker, U280Worker
 from repro.core.provision import ProvisioningPlan, provision
 from repro.core.systems import (
     PreprocessingSystem,
@@ -30,8 +27,7 @@ __all__ = [
     "CpuPreprocessingWorker",
     "IspPreprocessingWorker",
     "GpuPoolWorker",
-    "U280PoolWorker",
-    "PreStoU280Worker",
+    "U280Worker",
     "ProvisioningPlan",
     "provision",
     "PreprocessingSystem",

@@ -4,11 +4,11 @@ Three design points compared against PreSto (SmartSSD):
 
 * :class:`GpuPoolWorker` — an A100 in a disaggregated accelerator pool
   running NVTabular-style preprocessing (kernel-launch bound);
-* :class:`U280PoolWorker` — a discrete U280 FPGA in a disaggregated pool:
-  2x the PreSto units, but raw data and tensors cross the network;
-* :class:`PreStoU280Worker` — the same U280 integrated *inside* the storage
-  node over PCIe ("PreSto (U280)"): no raw-data network hop, larger fabric,
-  but a 225 W card instead of a 25 W device.
+* :class:`U280Worker` — a discrete U280 FPGA with 2x the PreSto units.  In
+  a disaggregated pool raw data and tensors cross the network; integrated
+  *inside* the storage node ("PreSto (U280)") raw data arrives over PCIe,
+  with no network hop, on a 225 W card instead of a 25 W device.  The two
+  differ only in that ingress link.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from repro.core.worker import PreprocessingWorker
 class GpuPoolWorker(PreprocessingWorker):
     """One A100 GPU preprocessing in a disaggregated pool."""
 
-    kind = "A100"
-
     def __init__(self, spec: ModelSpec, calibration: Calibration = CALIBRATION) -> None:
         super().__init__(spec)
         self.cal = calibration
-        self.model = GpuPreprocModel(calibration, disaggregated=True)
+        self.model = GpuPreprocModel(calibration)
 
     def batch_breakdown(self) -> Dict[str, float]:
         """Map GPU stages onto the canonical step names."""
@@ -50,26 +48,18 @@ class GpuPoolWorker(PreprocessingWorker):
         """Pipeline-bottleneck throughput of one GPU preprocessor."""
         return self.model.device_throughput(self.spec)
 
-    @property
-    def active_power(self) -> float:
-        """Measured draw during (underutilized) preprocessing."""
-        return self.cal.a100_preproc_active_power
 
+class U280Worker(PreprocessingWorker):
+    """One U280 FPGA whose raw data arrives at ``ingress_bw`` bytes/s."""
 
-class U280PoolWorker(PreprocessingWorker):
-    """One discrete U280 FPGA in a disaggregated preprocessing pool."""
-
-    kind = "U280"
-
-    def __init__(self, spec: ModelSpec, calibration: Calibration = CALIBRATION) -> None:
+    def __init__(
+        self, spec: ModelSpec, calibration: Calibration, ingress_bw: float
+    ) -> None:
         super().__init__(spec)
         self.cal = calibration
-        # 2x units on the larger fabric; raw data arrives over the network,
-        # then crosses PCIe into the card
+        # 2x units on the larger fabric
         self.model = AcceleratorModel(
-            calibration,
-            unit_scale=calibration.u280_unit_scale,
-            ingress_bw=calibration.network_bandwidth * calibration.network_read_efficiency,
+            calibration, unit_scale=calibration.u280_unit_scale, ingress_bw=ingress_bw
         )
 
     def batch_breakdown(self) -> Dict[str, float]:
@@ -82,32 +72,3 @@ class U280PoolWorker(PreprocessingWorker):
         """Fraction of end-to-end time in data movement (paper: ~47.6%)."""
         stages = self.model.batch_stages(self.spec)
         return (stages.ingress + stages.load) / stages.latency
-
-    @property
-    def active_power(self) -> float:
-        return self.cal.u280_active_power
-
-
-class PreStoU280Worker(PreprocessingWorker):
-    """A U280 integrated in the storage node over PCIe ("PreSto (U280)")."""
-
-    kind = "PreSto (U280)"
-
-    def __init__(self, spec: ModelSpec, calibration: Calibration = CALIBRATION) -> None:
-        super().__init__(spec)
-        self.cal = calibration
-        self.model = AcceleratorModel(
-            calibration,
-            unit_scale=calibration.u280_unit_scale,
-            ingress_bw=calibration.u280_pcie_bw,
-        )
-
-    def batch_breakdown(self) -> Dict[str, float]:
-        return self.model.batch_stages(self.spec).as_dict()
-
-    def throughput(self) -> float:
-        return self.model.device_throughput(self.spec)
-
-    @property
-    def active_power(self) -> float:
-        return self.cal.u280_active_power

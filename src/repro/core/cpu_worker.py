@@ -20,18 +20,14 @@ from repro.core.worker import PreprocessingWorker
 class CpuPreprocessingWorker(PreprocessingWorker):
     """One disaggregated or co-located CPU worker; ``pipeline`` is built on first read."""
 
-    kind = "Disagg"
-
     def __init__(
         self,
         spec: ModelSpec,
         calibration: Calibration = CALIBRATION,
-        remote_storage: bool = True,
         colocated: bool = False,
     ) -> None:
         super().__init__(spec)
         self.cal = calibration
-        self.remote_storage = remote_storage
         self.colocated = colocated
         self.model = CpuCoreModel(calibration)
 
@@ -44,10 +40,7 @@ class CpuPreprocessingWorker(PreprocessingWorker):
         so every step is slowed by the co-location interference factor
         (Section III-A / Figure 3).
         """
-        latencies = self.model.batch_latency(
-            self.spec, remote_storage=self.remote_storage
-        )
-        breakdown = latencies.as_dict()
+        breakdown = self.model.batch_latency(self.spec).as_dict()
         if self.colocated:
             slowdown = 1.0 / self.cal.colocation_factor
             breakdown = {step: value * slowdown for step, value in breakdown.items()}

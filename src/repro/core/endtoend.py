@@ -202,13 +202,11 @@ class EndToEndSimulation:
         if num_workers is None:
             plan = self.system.provision_for(self.train_manager.num_gpus)
             num_workers = plan.num_workers
-        shares = self.preprocess_manager.launch(num_batches, num_workers)
         trainer = self.train_manager
-        # the round-robin split leaves only the slots past ``num_batches`` idle
         wall, training, wait, first, production_span = _simulate(
             self.latency,
             self.spec.batch_size / self.worker_throughput,
-            shares[:num_batches],
+            self.preprocess_manager.launch(num_batches, num_workers),
             trainer.input_queue_capacity,
             trainer.iteration_time(),
             trainer.step_time(),
@@ -224,7 +222,7 @@ class EndToEndSimulation:
             production_span = consumed_time
         return PipelineStats(
             spec_name=self.spec.name,
-            num_workers=len(shares),
+            num_workers=num_workers,
             num_batches=num_batches,
             wall_time=wall,
             training_time=training,

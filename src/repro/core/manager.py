@@ -23,11 +23,13 @@ class PreprocessManager:
         self.worker = worker
 
     def launch(self, num_batches: int, num_workers: int) -> List[int]:
-        """Each of ``num_workers`` copies' share of ``num_batches``.
+        """The shares of ``num_batches`` of the copies that produce any.
 
-        Batches are split round-robin so every worker produces an equal
-        share (partitions are placed round-robin too); a worker past
-        ``num_batches`` gets a share of 0.
+        Batches are split round-robin over ``num_workers`` copies so every
+        worker produces an equal share (partitions are placed round-robin
+        too).  Copies past ``num_batches`` would get a share of 0 and are
+        left out: the list has ``min(num_workers, num_batches)`` entries, so
+        its size never follows a plan's worker count.
         """
         if not is_int(num_batches) or num_batches <= 0:
             raise ConfigurationError(
@@ -40,4 +42,5 @@ class PreprocessManager:
         if num_workers <= 0:
             raise ProvisioningError("cannot launch zero workers")
         base, extra = divmod(num_batches, num_workers)
-        return [base + 1] * extra + [base] * (num_workers - extra)
+        producing = min(num_workers, num_batches)
+        return [base + 1] * extra + [base] * (producing - extra)

@@ -9,18 +9,25 @@ the inputs to Figures 3, 4, 11, 14, 15, and 16.
 from __future__ import annotations
 
 import abc
+import math
 
 from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.hardware.cpu import CpuCoreModel
-from repro.hardware.power import PowerModel
 from repro.api.registry import register_system
-from repro.core.accel_worker import GpuPoolWorker, PreStoU280Worker, U280PoolWorker
+from repro.core.accel_worker import GpuPoolWorker, U280Worker
 from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.isp_worker import IspPreprocessingWorker
 from repro.core.provision import ProvisioningPlan, provision
 from repro.core.worker import PreprocessingWorker
+
+
+def _count(num_workers: int) -> int:
+    """``num_workers``, refused when negative."""
+    if num_workers < 0:
+        raise ConfigurationError("num_workers must be non-negative")
+    return num_workers
 
 
 class PreprocessingSystem(abc.ABC):
@@ -31,7 +38,6 @@ class PreprocessingSystem(abc.ABC):
     def __init__(self, spec: ModelSpec, calibration: Calibration = CALIBRATION) -> None:
         self.spec = spec
         self.cal = calibration
-        self.power_model = PowerModel(calibration)
 
     # -- worker technology ---------------------------------------------------
 
@@ -47,9 +53,7 @@ class PreprocessingSystem(abc.ABC):
 
     def aggregate_throughput(self, num_workers: int) -> float:
         """Samples/s of ``num_workers`` workers (linear by default)."""
-        if num_workers < 0:
-            raise ConfigurationError("num_workers must be non-negative")
-        return num_workers * self.worker_throughput()
+        return _count(num_workers) * self.worker_throughput()
 
     def provision_for(self, num_gpus: int = 8) -> ProvisioningPlan:
         """Workers needed to feed ``num_gpus`` training GPUs (T/P)."""
@@ -57,13 +61,27 @@ class PreprocessingSystem(abc.ABC):
 
     # -- cost/power ------------------------------------------------------------------
 
+    @property
     @abc.abstractmethod
-    def power(self, num_workers: int) -> float:
-        """Preprocessing-side power at ``num_workers`` workers (watts)."""
+    def device_power(self) -> float:
+        """Measured draw of one worker's device while preprocessing (watts)."""
 
+    @property
     @abc.abstractmethod
+    def device_price(self) -> float:
+        """Price of one worker's device (dollars)."""
+
+    def power(self, num_workers: int) -> float:
+        """Preprocessing-side power at ``num_workers`` workers (watts): the
+        devices plus the storage host's orchestration share."""
+        return _count(num_workers) * self.device_power + self.cal.presto_host_power
+
     def capex(self, num_workers: int) -> float:
-        """Preprocessing-side capital expenditure (dollars)."""
+        """Preprocessing-side capital expenditure (dollars): the devices plus
+        the storage host's share."""
+        return (
+            _count(num_workers) * self.device_price + self.cal.presto_host_share_price
+        )
 
 
 @register_system("Disagg")
@@ -73,22 +91,35 @@ class DisaggCpuSystem(PreprocessingSystem):
     name = "Disagg"
 
     def make_worker(self) -> PreprocessingWorker:
-        return CpuPreprocessingWorker(self.spec, self.cal, remote_storage=True)
+        return CpuPreprocessingWorker(self.spec, self.cal)
+
+    @property
+    def device_power(self) -> float:
+        return self.cal.cpu_core_power
+
+    @property
+    def device_price(self) -> float:
+        return self.cal.cpu_core_price
 
     def power(self, num_workers: int) -> float:
-        return self.power_model.disagg_cpu_power(num_workers)
+        """Per-core share of loaded node power; no storage-host share."""
+        return _count(num_workers) * self.device_power
 
     def capex(self, num_workers: int) -> float:
-        return num_workers * self.cal.cpu_core_price
+        return _count(num_workers) * self.device_price
 
     def nodes(self, num_workers: int) -> int:
-        """Whole CPU servers hosting the workers."""
-        return self.power_model.disagg_cpu_nodes(num_workers)
+        """Whole CPU servers hosting the workers (Fig. 14 text: 367 cores =
+        12 nodes)."""
+        return math.ceil(num_workers / self.cal.cpu_cores_per_node)
 
 
 @register_system("Co-located", aliases=("Colocated",))
-class CoLocatedCpuSystem(PreprocessingSystem):
-    """CPU workers sharing the GPU training node (Figure 2(a))."""
+class CoLocatedCpuSystem(DisaggCpuSystem):
+    """CPU workers sharing the GPU training node (Figure 2(a)).
+
+    The Disagg core, slowed by interference, capped per GPU, and paid for
+    with the training node."""
 
     name = "Co-located"
 
@@ -100,15 +131,11 @@ class CoLocatedCpuSystem(PreprocessingSystem):
         self._cpu_model = CpuCoreModel(calibration)
 
     def make_worker(self) -> PreprocessingWorker:
-        return CpuPreprocessingWorker(
-            self.spec, self.cal, remote_storage=True, colocated=True
-        )
+        return CpuPreprocessingWorker(self.spec, self.cal, colocated=True)
 
     def aggregate_throughput(self, num_workers: int) -> float:
         """Co-location interference makes scaling mildly sub-linear."""
-        if num_workers < 0:
-            raise ConfigurationError("num_workers must be non-negative")
-        if num_workers > self.max_cores_per_gpu:
+        if _count(num_workers) > self.max_cores_per_gpu:
             raise ConfigurationError(
                 f"co-located design caps at {self.max_cores_per_gpu} cores per GPU"
             )
@@ -137,10 +164,8 @@ class CoLocatedCpuSystem(PreprocessingSystem):
             f"samples/s of the {per_gpu_demand:,.0f} demanded"
         )
 
-    def power(self, num_workers: int) -> float:
-        return num_workers * self.cal.cpu_core_power
-
-    def capex(self, num_workers: int) -> float:
+    @property
+    def device_price(self) -> float:
         return 0.0  # the host cores come with the training node
 
 
@@ -153,13 +178,21 @@ class PreStoSystem(PreprocessingSystem):
     def make_worker(self) -> PreprocessingWorker:
         return IspPreprocessingWorker(self.spec, calibration=self.cal)
 
-    def power(self, num_workers: int, worst_case: bool = False) -> float:
-        return self.power_model.presto_power(num_workers, worst_case=worst_case)
+    @property
+    def device_power(self) -> float:
+        return self.cal.smartssd_active_power
 
-    def capex(self, num_workers: int) -> float:
-        return (
-            num_workers * self.cal.smartssd_price + self.cal.presto_host_share_price
-        )
+    @property
+    def device_price(self) -> float:
+        return self.cal.smartssd_price
+
+    def power(self, num_workers: int, worst_case: bool = False) -> float:
+        """``worst_case=True`` uses the 25 W NVMe TDP per card — the paper's
+        "(9 x 25) = 225 W of worst-case power" bound — and omits the host
+        share to mirror that quote."""
+        if worst_case:
+            return _count(num_workers) * self.cal.smartssd_tdp
+        return super().power(num_workers)
 
 
 @register_system("A100")
@@ -171,40 +204,44 @@ class A100PoolSystem(PreprocessingSystem):
     def make_worker(self) -> PreprocessingWorker:
         return GpuPoolWorker(self.spec, self.cal)
 
-    def power(self, num_workers: int) -> float:
-        return self.power_model.accelerator_pool_power("a100", num_workers)
+    @property
+    def device_power(self) -> float:
+        return self.cal.a100_preproc_active_power
 
-    def capex(self, num_workers: int) -> float:
-        return num_workers * self.cal.a100_price + self.cal.presto_host_share_price
+    @property
+    def device_price(self) -> float:
+        return self.cal.a100_price
 
 
 @register_system("U280")
 class U280PoolSystem(PreprocessingSystem):
-    """Disaggregated pool of discrete U280 FPGA preprocessors."""
+    """Disaggregated pool of discrete U280 FPGA preprocessors.
+
+    Raw data arrives over the network."""
 
     name = "U280"
 
     def make_worker(self) -> PreprocessingWorker:
-        return U280PoolWorker(self.spec, self.cal)
+        cal = self.cal
+        ingress_bw = cal.network_bandwidth * cal.network_read_efficiency
+        return U280Worker(self.spec, cal, ingress_bw)
 
-    def power(self, num_workers: int) -> float:
-        return self.power_model.accelerator_pool_power("u280", num_workers)
+    @property
+    def device_power(self) -> float:
+        return self.cal.u280_active_power
 
-    def capex(self, num_workers: int) -> float:
-        return num_workers * self.cal.u280_price + self.cal.presto_host_share_price
+    @property
+    def device_price(self) -> float:
+        return self.cal.u280_price
 
 
 @register_system("PreSto (U280)", aliases=("PreSto-U280",))
-class PreStoU280System(PreprocessingSystem):
-    """A U280 integrated in the storage node ("PreSto (U280)")."""
+class PreStoU280System(U280PoolSystem):
+    """A U280 integrated in the storage node ("PreSto (U280)").
+
+    The pool's card, with raw data arriving over PCIe."""
 
     name = "PreSto (U280)"
 
     def make_worker(self) -> PreprocessingWorker:
-        return PreStoU280Worker(self.spec, self.cal)
-
-    def power(self, num_workers: int) -> float:
-        return self.power_model.accelerator_pool_power("u280", num_workers)
-
-    def capex(self, num_workers: int) -> float:
-        return num_workers * self.cal.u280_price + self.cal.presto_host_share_price
+        return U280Worker(self.spec, self.cal, self.cal.u280_pcie_bw)

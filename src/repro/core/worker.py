@@ -48,9 +48,6 @@ def breakdown_total(breakdown: Dict[str, float]) -> float:
 class PreprocessingWorker(abc.ABC):
     """One preprocessing worker of any technology."""
 
-    #: human-readable design-point name ("Disagg", "PreSto", ...)
-    kind: str = "abstract"
-
     def __init__(self, spec: ModelSpec) -> None:
         self.spec = spec
         self._pipeline: Optional[PreprocessingPipeline] = None

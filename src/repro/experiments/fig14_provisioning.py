@@ -20,7 +20,6 @@ from repro.experiments.common import (
     register_experiment,
 )
 from repro.hardware.calibration import CALIBRATION, Calibration
-from repro.hardware.power import PowerModel
 
 NUM_GPUS = 8
 
@@ -84,20 +83,19 @@ class Fig14Result(ExperimentResult):
 @register_experiment("fig14", title="Figure 14", kind="figure", order=100)
 def run(calibration: Calibration = CALIBRATION) -> Fig14Result:
     """Regenerate Figure 14."""
-    power = PowerModel(calibration)
     units: Dict[str, int] = {}
     cores: Dict[str, int] = {}
     nodes: Dict[str, int] = {}
     isp_power: Dict[str, float] = {}
     for spec in models():
-        presto_plan = PreStoSystem(spec, calibration).provision_for(NUM_GPUS)
-        cpu_plan = DisaggCpuSystem(spec, calibration).provision_for(NUM_GPUS)
+        presto = PreStoSystem(spec, calibration)
+        disagg = DisaggCpuSystem(spec, calibration)
+        presto_plan = presto.provision_for(NUM_GPUS)
+        cpu_plan = disagg.provision_for(NUM_GPUS)
         units[spec.name] = presto_plan.num_workers
         cores[spec.name] = cpu_plan.num_workers
-        nodes[spec.name] = power.disagg_cpu_nodes(cpu_plan.num_workers)
-        isp_power[spec.name] = power.presto_power(
-            presto_plan.num_workers, worst_case=True
-        )
+        nodes[spec.name] = disagg.nodes(cpu_plan.num_workers)
+        isp_power[spec.name] = presto.power(presto_plan.num_workers, worst_case=True)
     return Fig14Result(
         isp_units=units,
         cpu_cores=cores,

@@ -110,11 +110,8 @@ def run(calibration: Calibration = CALIBRATION) -> Fig16Result:
         # registered alias of the canonical "PreSto" design point
         workers = {}
         for design in DESIGNS:
-            worker = build_system(design, spec, calibration).make_worker()
-            power = getattr(
-                worker, "active_power", calibration.smartssd_active_power
-            )
-            workers[design] = (worker, power)
+            system = build_system(design, spec, calibration)
+            workers[design] = (system.make_worker(), system.device_power)
         throughput[spec.name] = {name: w.throughput() for name, (w, _) in workers.items()}
         perf_watt[spec.name] = {
             name: w.throughput() / power for name, (w, power) in workers.items()

@@ -98,9 +98,6 @@ class Calibration:
     storage_protocol_overhead: float = _positive(1.35)
 
     # --- storage devices -----------------------------------------------------
-    #: plain datacenter NVMe SSD sequential read
-    ssd_read_bw: float = _positive(3.0 * GB_PER_S)
-    ssd_read_latency: float = _non_negative(80e-6)
     #: SmartSSD P2P (SSD -> FPGA DRAM over the internal PCIe switch)
     p2p_bandwidth: float = _positive(2.0 * GB_PER_S)
 
@@ -155,9 +152,7 @@ class Calibration:
     cpu_cores_per_node: int = _positive(32)
     #: storage-host orchestration share attributed to PreSto
     presto_host_power: float = _positive(150.0)
-    a100_tdp: float = _positive(250.0)
     a100_preproc_active_power: float = _positive(100.0)  # underutilized during preproc
-    u280_tdp: float = _positive(225.0)
     u280_active_power: float = _positive(46.0)
 
     # --- cost (US dollars; Section V-C) --------------------------------------

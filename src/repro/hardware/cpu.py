@@ -65,18 +65,13 @@ class CpuCoreModel:
     # -- per-step latencies -------------------------------------------------
 
     def batch_latency(
-        self,
-        spec: ModelSpec,
-        counts: Optional[OpCounts] = None,
-        remote_storage: bool = True,
+        self, spec: ModelSpec, counts: Optional[OpCounts] = None
     ) -> CpuStepLatencies:
         """Per-step latency of one mini-batch on one core.
 
-        ``remote_storage=True`` charges Extract(Read) for fetching the raw
-        partition over the network from the storage node (the disaggregated
-        design); ``False`` reads from a local SSD (co-located design reading
-        a local cache/mount — the paper's Fig. 3 setup still fetches
-        remotely, so experiments pass True unless stated).
+        Extract(Read) fetches the raw partition over the network from the
+        storage node, co-located designs included (the paper's Fig. 3 setup
+        fetches remotely too).
         """
         cal = self.cal
         if counts is None:
@@ -84,14 +79,11 @@ class CpuCoreModel:
         bytes_in = cal.encoded_bytes_per_sample(spec) * counts.rows
         bytes_out = spec.train_ready_bytes_per_sample() * counts.rows
 
-        if remote_storage:
-            read_bw = cal.network_bandwidth * cal.network_read_efficiency
-            extract_read = (
-                cal.rpc_request_overhead
-                + bytes_in * cal.storage_protocol_overhead / read_bw
-            )
-        else:
-            extract_read = cal.ssd_read_latency + bytes_in / cal.ssd_read_bw
+        read_bw = cal.network_bandwidth * cal.network_read_efficiency
+        extract_read = (
+            cal.rpc_request_overhead
+            + bytes_in * cal.storage_protocol_overhead / read_bw
+        )
 
         extract_decode = bytes_in * cal.cpu_decode_per_byte
         per_element_bucketize = (

@@ -9,8 +9,8 @@ to significant underutilization.  The model therefore charges:
   dispatch overhead dominates;
 * elementwise compute at a high streaming rate once launched;
 * PCIe transfer of raw bytes in and train-ready bytes out of the device;
-* when deployed as a *disaggregated pool* (Fig. 7(b)), network ingress of
-  raw data and egress of mini-batches, like any remote preprocessor.
+* network ingress of raw data and egress of mini-batches: the GPU sits in a
+  disaggregated pool (Fig. 7(b)), like any remote preprocessor.
 """
 
 from __future__ import annotations
@@ -67,11 +67,8 @@ class GpuPreprocModel:
     KERNELS_PER_GENERATED_COLUMN = 2  # bucketize, materialize
     FORMAT_KERNELS = 8  # final interleave/concat kernels
 
-    def __init__(
-        self, calibration: Calibration = CALIBRATION, disaggregated: bool = True
-    ) -> None:
+    def __init__(self, calibration: Calibration = CALIBRATION) -> None:
         self.cal = calibration
-        self.disaggregated = disaggregated
 
     def kernel_count(self, spec: ModelSpec) -> int:
         """CUDA kernel launches per mini-batch."""
@@ -94,17 +91,14 @@ class GpuPreprocModel:
 
         read_bw = cal.network_bandwidth * cal.network_read_efficiency
         rpc_bw = cal.network_bandwidth * cal.network_rpc_efficiency
-        network_in = bytes_in / read_bw if self.disaggregated else 0.0
-        network_out = bytes_out / rpc_bw if self.disaggregated else 0.0
-
         elements = counts.transform_elements + counts.format_elements
         return GpuPreprocStages(
-            network_in=network_in,
+            network_in=bytes_in / read_bw,
             pcie_in=bytes_in / cal.gpu_preproc_pcie_bw,
             kernels=self.kernel_count(spec) * cal.gpu_preproc_kernel_overhead,
             compute=elements / cal.gpu_preproc_element_rate,
             pcie_out=bytes_out / cal.gpu_preproc_pcie_bw,
-            network_out=network_out,
+            network_out=bytes_out / rpc_bw,
         )
 
     def device_throughput(self, spec: ModelSpec) -> float:

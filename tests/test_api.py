@@ -116,7 +116,7 @@ class TestScenarioValidation:
     def test_non_numeric_override(self):
         with pytest.raises(ConfigurationError, match="must be a number"):
             Scenario(model="RM1", system="PreSto",
-                     calibration={"ssd_read_bw": "fast"})
+                     calibration={"p2p_bandwidth": "fast"})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_override(self, value):
@@ -132,11 +132,11 @@ class TestScenarioValidation:
 
     def test_scenario_is_frozen_and_hashable(self):
         scenario = Scenario(model="RM1", system="PreSto",
-                            calibration={"ssd_read_bw": 4e9})
+                            calibration={"p2p_bandwidth": 4e9})
         with pytest.raises(dataclasses.FrozenInstanceError):
             scenario.model = "RM2"
         assert scenario == Scenario(model="RM1", system="PreSto",
-                                    calibration={"ssd_read_bw": 4e9})
+                                    calibration={"p2p_bandwidth": 4e9})
         assert hash(scenario)
 
 
@@ -155,13 +155,13 @@ class TestScenarioSerialization:
 
     def test_scenario_pickles(self):
         scenario = Scenario(model="RM1", system="PreSto",
-                            calibration={"ssd_read_bw": 4e9})
+                            calibration={"p2p_bandwidth": 4e9})
         assert pickle.loads(pickle.dumps(scenario)) == scenario
 
     def test_calibration_overrides_diff(self):
         assert calibration_overrides(CALIBRATION) == {}
-        custom = dataclasses.replace(CALIBRATION, ssd_read_bw=4e9)
-        assert calibration_overrides(custom) == {"ssd_read_bw": 4e9}
+        custom = dataclasses.replace(CALIBRATION, p2p_bandwidth=4e9)
+        assert calibration_overrides(custom) == {"p2p_bandwidth": 4e9}
         # overrides rebuild the same calibration instance
         scenario = Scenario(model="RM1", system="PreSto",
                             calibration=calibration_overrides(custom))

@@ -517,6 +517,14 @@ class TestTypedErrorBoundary:
                   "--set", f"network_bandwidth={value}", "--batches", "3"])
         assert re.fullmatch(message, excinfo.value.code)
 
+    def test_an_astronomic_plan_runs(self, capsys):
+        """A tiny but in-domain bandwidth plans 4,177,943,862,398 workers;
+        only the 3 that get a batch are launched (the parent raised
+        ``MemoryError`` building a share per planned worker)."""
+        assert main(["run", "--model", "RM1", "--system", "Disagg",
+                     "--set", "network_bandwidth=1e-3", "--batches", "3"]) == 0
+        assert "4177943862398" in capsys.readouterr().out
+
     def test_uncreatable_export_dir_is_one_line_on_stderr(self, scratch):
         import os
         import subprocess

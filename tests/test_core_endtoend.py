@@ -58,7 +58,21 @@ class TestPreprocessManager:
     def test_launch_gives_workers_past_the_batches_nothing(self):
         spec = get_model("RM1")
         manager = PreprocessManager(IspPreprocessingWorker(spec))
-        assert manager.launch(num_batches=2, num_workers=4) == [1, 1, 0, 0]
+        assert manager.launch(num_batches=2, num_workers=4) == [1, 1]
+        assert manager.launch(num_batches=3, num_workers=10**15) == [1, 1, 1]
+
+    def test_an_astronomic_plan_gives_finite_stats(self):
+        """``network_bandwidth=1e-3`` plans 4,177,943,862,398 Disagg workers:
+        the run reports them all but launches the 3 with a batch."""
+        result = Scenario(
+            model="RM1", system="Disagg", calibration={"network_bandwidth": 1e-3},
+            num_batches=3,
+        ).run()
+        assert result.num_workers == 4_177_943_862_398
+        assert result.num_batches == 3
+        values = [v for v in result.to_dict().values() if isinstance(v, float)]
+        assert values and all(math.isfinite(v) for v in values)
+        assert result.wall_time > 0
 
     def test_launch_needs_target(self):
         """A launch needs its worker count: the plan is the caller's."""

@@ -1,4 +1,7 @@
-"""Tests for the system design points and provisioning."""
+"""Tests for the system design points, their power and price, and
+provisioning."""
+
+import dataclasses
 
 import pytest
 
@@ -14,6 +17,13 @@ from repro.core.systems import (
 )
 from repro.errors import ConfigurationError, ProvisioningError
 from repro.features.specs import get_model
+from repro.hardware.calibration import CALIBRATION
+
+#: the six built-in design points
+DESIGNS = (
+    DisaggCpuSystem, CoLocatedCpuSystem, PreStoSystem, A100PoolSystem,
+    U280PoolSystem, PreStoU280System,
+)
 
 
 class TestProvisioning:
@@ -55,6 +65,44 @@ class TestSystemContracts:
         with pytest.raises(ConfigurationError):
             system.aggregate_throughput(-1)
 
+    @pytest.mark.parametrize("method", ["power", "capex"])
+    @pytest.mark.parametrize("design", DESIGNS, ids=lambda cls: cls.name)
+    def test_a_negative_worker_count_is_refused(self, design, method):
+        system = design(get_model("RM1"))
+        with pytest.raises(ConfigurationError, match="num_workers must be non-negative"):
+            getattr(system, method)(-1)
+        assert getattr(system, method)(0) >= 0
+
+
+class TestPower:
+    def test_per_core_power_is_linear(self):
+        system = DisaggCpuSystem(get_model("RM5"))
+        assert system.power(64) == pytest.approx(2 * system.power(32))
+        assert system.power(32) == pytest.approx(CALIBRATION.cpu_node_power)
+
+    def test_presto_active_power_includes_the_host_share(self):
+        expected = 9 * CALIBRATION.smartssd_active_power + CALIBRATION.presto_host_power
+        assert PreStoSystem(get_model("RM5")).power(9) == pytest.approx(expected)
+
+    def test_a_pool_adds_one_device_per_worker(self):
+        system = A100PoolSystem(get_model("RM1"))
+        assert system.power(2) - system.power(1) == pytest.approx(
+            CALIBRATION.a100_preproc_active_power
+        )
+
+    def test_both_u280_designs_price_the_same_card(self):
+        spec = get_model("RM1")
+        pool, integrated = U280PoolSystem(spec), PreStoU280System(spec)
+        assert (pool.power(3), pool.capex(3)) == (integrated.power(3), integrated.capex(3))
+        assert pool.device_power == CALIBRATION.u280_active_power
+
+    def test_device_power_and_price_read_the_calibration(self):
+        cal = dataclasses.replace(
+            CALIBRATION, smartssd_active_power=11.0, smartssd_price=900.0
+        )
+        system = PreStoSystem(get_model("RM1"), cal)
+        assert (system.device_power, system.device_price) == (11.0, 900.0)
+
 
 class TestDisaggCpu:
     def test_provision_rm5_367(self):
@@ -64,6 +112,8 @@ class TestDisaggCpu:
     def test_nodes(self):
         system = DisaggCpuSystem(get_model("RM5"))
         assert system.nodes(367) == 12
+        assert system.nodes(32) == 1
+        assert system.nodes(33) == 2
 
     def test_cost_per_core(self):
         system = DisaggCpuSystem(get_model("RM1"))
@@ -101,6 +151,7 @@ class TestPreSto:
             assert presto > disagg32
 
     def test_worst_case_power(self):
+        """9 units x 25 W = 225 W (Section VI-B), with no host share."""
         system = PreStoSystem(get_model("RM5"))
         assert system.power(9, worst_case=True) == pytest.approx(225.0)
 

@@ -5,17 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.accel_worker import GpuPoolWorker, PreStoU280Worker, U280PoolWorker
+from repro.core.accel_worker import GpuPoolWorker, U280Worker
 from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.core.endtoend import EndToEndSimulation
-from repro.core.isp_worker import IspPreprocessingWorker
+from repro.core.isp_worker import NVME_POWER_ENVELOPE, IspPreprocessingWorker
+from repro.core.systems import PreStoU280System, U280PoolSystem
 from repro.core.worker import BREAKDOWN_STEPS, breakdown_total
 from repro.dataio.partition import RowPartitioner
 from repro.errors import CapacityError
 from repro.features.specs import MODEL_NAMES, get_model
 from repro.features.synthetic import generate_raw_table
+from repro.hardware.accelerator import AcceleratorModel
 from repro.hardware.calibration import CALIBRATION
-from repro.storage.smartssd import SmartSsd
 
 
 def interval(worker):
@@ -47,8 +48,8 @@ class TestWorkerContracts:
             lambda s: CpuPreprocessingWorker(s),
             lambda s: IspPreprocessingWorker(s),
             lambda s: GpuPoolWorker(s),
-            lambda s: U280PoolWorker(s),
-            lambda s: PreStoU280Worker(s),
+            lambda s: U280PoolSystem(s).make_worker(),
+            lambda s: PreStoU280System(s).make_worker(),
         ],
         ids=["cpu", "isp", "a100", "u280", "presto-u280"],
     )
@@ -80,17 +81,56 @@ class TestIspWorkerIsItsSmartSsd:
         latency, and batches then leave one slowest stage apart."""
         spec = get_model(model)
         worker = IspPreprocessingWorker(spec)
-        stages = SmartSsd().preprocess_stages(spec)
+        stages = AcceleratorModel().batch_stages(spec)
         assert worker.batch_breakdown() == stages.as_dict()
         assert worker.batch_latency() == pytest.approx(stages.latency)
         assert interval(worker) == pytest.approx(stages.bottleneck)
 
-    def test_builds_its_device_from_its_calibration(self):
-        cal = dataclasses.replace(CALIBRATION, smartssd_active_power=12.0)
-        assert IspPreprocessingWorker(get_model("RM1"), cal).device.active_power == 12.0
-        hot = dataclasses.replace(CALIBRATION, smartssd_tdp=30.0)
-        with pytest.raises(CapacityError, match="NVMe envelope"):
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_throughput_is_the_bottleneck_rate(self, model):
+        """Double buffering: steady state is one mini-batch per slowest
+        stage, never slower than one per end-to-end latency."""
+        spec = get_model(model)
+        worker = IspPreprocessingWorker(spec)
+        stages = worker.model.batch_stages(spec)
+        assert 0 < stages.bottleneck <= stages.latency
+        assert worker.throughput() == pytest.approx(spec.batch_size / stages.bottleneck)
+        assert worker.throughput() >= spec.batch_size / stages.latency
+
+    def test_builds_its_model_from_its_calibration(self):
+        cal = dataclasses.replace(CALIBRATION, p2p_bandwidth=1e9)
+        worker = IspPreprocessingWorker(get_model("RM1"), cal)
+        assert worker.model.cal is cal
+        assert worker.model.ingress_bw == 1e9
+        assert worker.model.unit_scale == 1.0
+
+
+class TestNvmePowerEnvelope:
+    def test_tdp_beyond_nvme_envelope_rejected(self):
+        """A card drawing more than an NVMe U.2 slot supplies is not a
+        drop-in SSD replacement."""
+        hot = dataclasses.replace(CALIBRATION, smartssd_tdp=NVME_POWER_ENVELOPE + 0.5)
+        with pytest.raises(CapacityError, match="exceeds the 25.0 W NVMe envelope"):
             IspPreprocessingWorker(get_model("RM1"), hot)
+
+    def test_tdp_at_envelope_accepted(self):
+        edge = dataclasses.replace(CALIBRATION, smartssd_tdp=NVME_POWER_ENVELOPE)
+        assert NVME_POWER_ENVELOPE == 25.0
+        assert IspPreprocessingWorker(get_model("RM1"), edge).throughput() > 0
+
+
+class TestU280Worker:
+    def test_the_two_designs_differ_only_in_ingress(self):
+        spec = get_model("RM5")
+        pool = U280PoolSystem(spec).make_worker()
+        integrated = PreStoU280System(spec).make_worker()
+        assert type(pool) is type(integrated) is U280Worker
+        assert pool.model.unit_scale == integrated.model.unit_scale == 2.0
+        assert integrated.model.ingress_bw == CALIBRATION.u280_pcie_bw
+        assert pool.model.ingress_bw == (
+            CALIBRATION.network_bandwidth * CALIBRATION.network_read_efficiency
+        )
+        assert 0 < pool.data_movement_share() < 1
 
 
 class TestFunctionalEquivalence:

@@ -48,12 +48,6 @@ class TestBatchLatency:
         rm3 = model.batch_latency(get_model("RM3")).bucketize
         assert rm3 == pytest.approx(2 * rm2, rel=0.01)
 
-    def test_local_storage_cheaper_read(self, model):
-        spec = get_model("RM5")
-        remote = model.batch_latency(spec, remote_storage=True).extract_read
-        local = model.batch_latency(spec, remote_storage=False).extract_read
-        assert local < remote
-
     def test_custom_counts_respected(self, model):
         spec = get_model("RM1")
         half = OpCounts.expected_for(spec, spec.batch_size // 2)

@@ -1,5 +1,5 @@
-"""Tests for the cache/utilization model, GPU preprocessing model, and
-power models."""
+"""Tests for the cache/utilization model and the GPU preprocessing model.
+Power and price are the systems' (tests/test_core_systems.py)."""
 
 from unittest import mock
 
@@ -9,9 +9,7 @@ from repro.errors import ConfigurationError
 from repro.features.specs import get_model
 from repro.hardware import cache
 from repro.hardware.cache import CacheModel, NODE_MEM_BW, OPERATOR_PROFILES
-from repro.hardware.calibration import CALIBRATION
 from repro.hardware.gpu_preproc import GpuPreprocModel
-from repro.hardware.power import DEVICE_POWER, PowerModel
 
 
 class TestCacheModel:
@@ -69,57 +67,5 @@ class TestGpuPreproc:
         assert stages.kernels > stages.compute
         assert stages.bottleneck == pytest.approx(stages.kernels + stages.compute)
 
-    def test_disaggregation_adds_network(self):
-        spec = get_model("RM5")
-        pooled = GpuPreprocModel(disaggregated=True).batch_stages(spec)
-        local = GpuPreprocModel(disaggregated=False).batch_stages(spec)
-        assert pooled.network_in > 0
-        assert local.network_in == 0
-        assert pooled.latency > local.latency
-
     def test_throughput_positive(self):
         assert GpuPreprocModel().device_throughput(get_model("RM2")) > 0
-
-
-class TestPowerModel:
-    @pytest.fixture(scope="class")
-    def power(self):
-        return PowerModel()
-
-    def test_disagg_power_linear(self, power):
-        assert power.disagg_cpu_power(64) == pytest.approx(
-            2 * power.disagg_cpu_power(32)
-        )
-
-    def test_disagg_nodes_ceiling(self, power):
-        assert power.disagg_cpu_nodes(367) == 12
-        assert power.disagg_cpu_nodes(32) == 1
-        assert power.disagg_cpu_nodes(33) == 2
-
-    def test_presto_worst_case_matches_paper_quote(self, power):
-        """9 units x 25 W = 225 W (Section VI-B)."""
-        assert power.presto_power(9, worst_case=True) == pytest.approx(225.0)
-
-    def test_presto_active_includes_host(self, power):
-        expected = 9 * CALIBRATION.smartssd_active_power + CALIBRATION.presto_host_power
-        assert power.presto_power(9) == pytest.approx(expected)
-
-    def test_accelerator_pool(self, power):
-        one = power.accelerator_pool_power("a100", 1)
-        two = power.accelerator_pool_power("a100", 2)
-        assert two - one == pytest.approx(CALIBRATION.a100_preproc_active_power)
-
-    def test_unknown_device(self, power):
-        with pytest.raises(ConfigurationError):
-            power.accelerator_pool_power("tpu", 1)
-
-    def test_negative_inputs(self, power):
-        with pytest.raises(ConfigurationError):
-            power.disagg_cpu_power(-1)
-        with pytest.raises(ConfigurationError):
-            power.presto_power(-1)
-
-    def test_device_table(self):
-        assert DEVICE_POWER["smartssd"].tdp == 25.0
-        assert DEVICE_POWER["a100"].tdp == 250.0
-        assert DEVICE_POWER["u280"].tdp == 225.0

@@ -266,7 +266,7 @@ def reference_run(sim, num_batches, num_workers=None):
         production_span = consumed_time
     return trace, PipelineStats(
         spec_name=sim.spec.name,
-        num_workers=len(shares),
+        num_workers=num_workers,
         num_batches=num_batches,
         wall_time=wall,
         training_time=training,

@@ -26,9 +26,11 @@ defaulted parameter is a call from ``src/repro`` outside the function's
 own body, or from ``examples/`` or ``benchmarks/``, that passes it — by
 keyword, by position, through ``*`` / ``**`` forwarding, or by handing the
 callable to a table or another call that invokes it — or a ``name=``
-mention under ``docs/`` or ``.github/``.  Tests are witnesses here too.
-An option no one sets is the constant it always was; one kept anyway is
-listed in :data:`ALLOWED_OPTIONS`, which cannot go stale either.
+mention under ``docs/`` or ``.github/``.  A keyword whose value is the
+parameter's own default literal (``flag=True`` for ``flag=True``) restates
+the constant and sets nothing.  Tests are witnesses here too.  An option no
+one sets is the constant it always was; one kept anyway is listed in
+:data:`ALLOWED_OPTIONS`, which cannot go stale either.
 """
 
 from __future__ import annotations
@@ -98,9 +100,6 @@ ALLOWED: Dict[str, str] = {
         "one-worker run through it",
     "repro.serve.sources.SyntheticJobSource.exhausted":
         "tests/test_serve.py tells a drained source from a paused one through it",
-    "repro.storage.smartssd.SmartSsd.tdp":
-        "tests/test_storage.py checks the device stays inside the 25 W NVMe "
-        "envelope through it",
     # the documented lookups of the public API
     "repro.api.registry.get_system": _LOOKUP,
     "repro.api.experiment.get_experiment": _LOOKUP,
@@ -355,6 +354,16 @@ ALLOWED_OPTIONS: Dict[str, str] = {
 }
 
 
+def _literal(node: ast.AST) -> Optional[Tuple[type, str]]:
+    """``(type, repr)`` of a literal expression (``True`` and ``1`` are
+    different literals), or None for anything else."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return None
+    return type(value), repr(value)
+
+
 class Option(NamedTuple):
     """One defaulted parameter and the calls that can reach it."""
 
@@ -365,6 +374,7 @@ class Option(NamedTuple):
     param: str
     position: Optional[int]  # index among the positional arguments, if any
     exempt: bool  # a registered experiment runner: ExperimentRun sets it
+    default: Optional[Tuple[type, str]]  # the default's :func:`_literal`
 
 
 def _decorators(node: ast.AST) -> List[str]:
@@ -387,15 +397,15 @@ def options(src_root: Path) -> Dict[str, Option]:
         args = function.args
         positional = [a.arg for a in args.posonlyargs + args.args][bound:]
         defaulted = positional[len(positional) - len(args.defaults):]
-        for name in defaulted if args.defaults else ():
+        for name, default in zip(defaulted, args.defaults):
             found[f"{qualified}({name})"] = Option(
                 callee, path, function.lineno, function.end_lineno, name,
-                positional.index(name), exempt)
+                positional.index(name), exempt, _literal(default))
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
                 found[f"{qualified}({arg.arg})"] = Option(
                     callee, path, function.lineno, function.end_lineno,
-                    arg.arg, None, exempt)
+                    arg.arg, None, exempt, _literal(default))
 
     for path in sorted(src_root.rglob("*.py")):
         module = _module_name(path, src_root)
@@ -425,7 +435,7 @@ class _Call(NamedTuple):
     line: int
     positional: int  # plain positional arguments before any ``*``
     starred: bool
-    keywords: Set[str]
+    keywords: Dict[str, Optional[Tuple[type, str]]]  # keyword -> :func:`_literal`
     forwards: bool  # a ``**`` argument
 
 
@@ -454,7 +464,8 @@ def _calls(path: Path, tree: ast.AST, calls: Dict[str, List[_Call]],
             stars = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
             call = _Call(
                 path, node.lineno, stars[0] if stars else len(node.args),
-                bool(stars), {k.arg for k in node.keywords if k.arg},
+                bool(stars),
+                {k.arg: _literal(k.value) for k in node.keywords if k.arg},
                 any(k.arg is None for k in node.keywords),
             )
             for name in names:
@@ -489,7 +500,10 @@ def option_audit(
     def set_by(option: Option, call: _Call) -> bool:
         if call.path == option.path and option.start <= call.line <= option.end:
             return False
-        if option.param in call.keywords or call.forwards:
+        if option.param in call.keywords:
+            value = call.keywords[option.param]
+            return value is None or value != option.default
+        if call.forwards:
             return True
         return option.position is not None and (
             option.position < call.positional or call.starred)
@@ -632,6 +646,13 @@ SETTER_FORMS = {
                             False),
     "class called by name": ("Widget(size=2)", "pkg.knobs.Widget(size)", True),
     "no call at all": ("X = 1", "pkg.knobs.Widget.paint(color)", False),
+    "keyword with the default literal": ("f(1, depth=1)", "pkg.knobs.f(depth)",
+                                         False),
+    "keyword-only with the default literal": ("f(1, width=2)", "pkg.knobs.f(width)",
+                                              False),
+    "keyword with an equal literal of another type": ("f(1, depth=True)",
+                                                      "pkg.knobs.f(depth)", True),
+    "keyword with a name": ("f(1, depth=ARGS)", "pkg.knobs.f(depth)", True),
 }
 
 
