@@ -53,7 +53,7 @@ class BestFitPolicy(PlacementPolicy):
     after placement; declaration order breaks ties)."""
 
     def choose_pool(self, job: JobArrival, candidates: Sequence[Candidate]) -> str:
-        best = min(candidates, key=lambda c: (c[1] - c[2],))
+        best = min(candidates, key=lambda c: c[1] - c[2])
         return best[0]
 
 

@@ -56,6 +56,35 @@ class FleetJobRecord:
         return self.state in TERMINAL_STATES
 
 
+def _job_record(
+    job_id, model, num_gpus, priority, state, pool, submit_s, start_s,
+    finish_s, queue_s, reschedules, displacements,
+) -> FleetJobRecord:
+    """``FleetJobRecord(...)`` positionally, at about a third of the cost:
+    the generated frozen ``__init__`` pays one ``object.__setattr__`` call
+    per field, this writes the instance dict directly, in field order.  The
+    result is an ordinary record: ``__post_init__``'s state check has run,
+    assignment raises ``FrozenInstanceError``, and ``dataclasses.replace``
+    copies it through the real ``__init__``.  ``FleetSimulator`` builds
+    one per job."""
+    record = object.__new__(FleetJobRecord)
+    attrs = record.__dict__
+    attrs["job_id"] = job_id
+    attrs["model"] = model
+    attrs["num_gpus"] = num_gpus
+    attrs["priority"] = priority
+    attrs["state"] = state
+    attrs["pool"] = pool
+    attrs["submit_s"] = submit_s
+    attrs["start_s"] = start_s
+    attrs["finish_s"] = finish_s
+    attrs["queue_s"] = queue_s
+    attrs["reschedules"] = reschedules
+    attrs["displacements"] = displacements
+    record.__post_init__()
+    return record
+
+
 @dataclass(frozen=True)
 class PoolUsage:
     """One pool's capacity ledger over the run (workers, energy, dollars)."""

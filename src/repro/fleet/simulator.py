@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -54,12 +55,13 @@ from repro.errors import ConfigurationError, FleetError, ProvisioningError, is_i
 from repro.faults.injector import FaultInjector, active_injector
 from repro.features.specs import get_model
 from repro.fleet.policy import POLICIES, Candidate, PlacementPolicy
-from repro.fleet.autoscale import AUTOSCALERS, Autoscaler, PoolSnapshot
+from repro.fleet.autoscale import AUTOSCALERS, Autoscaler, _snapshot
 from repro.fleet.result import (
     FleetJobRecord,
     FleetResult,
     PoolSample,
     PoolUsage,
+    _job_record,
 )
 from repro.fleet.trace import JobArrival, Trace
 from repro.hardware.calibration import CALIBRATION, Calibration
@@ -196,7 +198,7 @@ class _PoolState:
     """One pool's live nodes, pending growth, and usage ledgers."""
 
     __slots__ = (
-        "spec", "reference", "factory", "nodes", "open", "up",
+        "spec", "wpn", "reference", "factory", "nodes", "open", "up",
         "busy", "queued", "pending", "grow_batches", "next_node_id",
         "peak_nodes", "capacity_worker_hours", "busy_worker_hours",
         "energy_kwh", "jobs_completed", "node_failures", "settled", "power",
@@ -204,6 +206,7 @@ class _PoolState:
 
     def __init__(self, spec: PoolSpec, calibration: Calibration) -> None:
         self.spec = spec
+        self.wpn = spec.workers_per_node
         self.reference = REGISTRY.create(
             spec.system, get_model(spec.model), calibration
         )
@@ -211,10 +214,12 @@ class _PoolState:
         #: id -> node, up or repairing; ids only grow, so insertion order
         #: is id order
         self.nodes: Dict[int, _Node] = {}
-        #: ledger: min-heap of (id, node) holding every up non-full node
+        #: ledger: min-heap of the ids of every up non-full node
         #: (``node.open``); a node leaves it when it fills, and the stale
-        #: entries (failed or retired nodes) are dropped when they surface
-        self.open: List[Tuple[int, _Node]] = []
+        #: entries (an id whose node is down or missing from ``nodes``:
+        #: failed or retired) are dropped when they surface.  Ids are
+        #: never reused, so a retired id cannot alias a live node.
+        self.open: List[int] = []
         self.up = 0  # ledger: up nodes in ``nodes``
         self.busy = 0  # ledger: allocated workers across ``nodes``
         self.queued = 0  # ledger: demand of the queued jobs that fit here
@@ -242,7 +247,7 @@ class _PoolState:
 
     def free_workers(self) -> int:
         # a down node holds no allocations, so everything busy is on up nodes
-        return self.up * self.spec.workers_per_node - self.busy
+        return self.up * self.wpn - self.busy
 
     def add_node(self, node: _Node) -> None:
         self.nodes[node.id] = node
@@ -253,7 +258,7 @@ class _PoolState:
         """``node`` (up, not full) can take work again."""
         if not node.open:
             node.open = True
-            heapq.heappush(self.open, (node.id, node))
+            heapq.heappush(self.open, node.id)
 
 
 def _lookup(table: Dict[str, type], noun: str, name: str):
@@ -405,24 +410,30 @@ class FleetSimulator:
         pool = self.pools[pool_name]
         now = self.engine.now
         remaining = need
-        wpn = pool.spec.workers_per_node
-        heap = pool.open
+        wpn = pool.wpn
+        heap, nodes = pool.open, pool.nodes
+        heappop = heapq.heappop
+        alloc = job.alloc
         job_id = job.arrival.job_id
         while remaining > 0 and heap:
-            node = heap[0][1]
-            if not node.up:  # stale: failed or retired since it was pushed
-                heapq.heappop(heap)
-                node.open = False
+            node = nodes.get(heap[0])
+            if node is None or not node.up:  # stale: retired or failed
+                heappop(heap)
+                if node is not None:
+                    node.open = False
                 continue
             free = wpn - node.used
-            take = min(free, remaining)
-            node.allocations[job_id] = take
-            node.used += take
-            job.alloc.append(node)
-            remaining -= take
-            if take == free:
-                heapq.heappop(heap)
-                node.open = False
+            alloc.append(node)
+            if free > remaining:  # the node takes the rest and stays open
+                node.allocations[job_id] = remaining
+                node.used += remaining
+                remaining = 0
+                break
+            node.allocations[job_id] = free
+            node.used = wpn
+            remaining -= free
+            heappop(heap)
+            node.open = False
         if remaining > 0:  # _drain said it fits; this is a bug
             raise FleetError(
                 f"pool {pool_name!r} lost capacity while placing "
@@ -457,7 +468,7 @@ class FleetSimulator:
             job = queue[0][2]
             candidates: List[Candidate] = [
                 (pool.spec.name, free, need) for pool, need in job.needs
-                if need <= (free := pool.free_workers())
+                if need <= (free := pool.up * pool.wpn - pool.busy)
             ]
             if not candidates:
                 break
@@ -478,15 +489,16 @@ class FleetSimulator:
     def _free(self, job: _Job) -> None:
         pool = self.pools[job.pool]
         heap = pool.open
+        heappush = heapq.heappush
         job_id = job.arrival.job_id
         freed = 0
         for node in job.alloc:
             released = node.allocations.pop(job_id)
             node.used -= released
             freed += released
-            if node.up and not node.open:  # pool.reopen, inlined
+            if not node.open and node.up:  # pool.reopen, inlined
                 node.open = True
-                heapq.heappush(heap, (node.id, node))
+                heappush(heap, node.id)
         pool.busy -= freed
         job.alloc = []
 
@@ -593,7 +605,7 @@ class FleetSimulator:
         if dt_h <= 0:
             return
         for pool in self.pools.values():
-            capacity = pool.up * pool.spec.workers_per_node
+            capacity = pool.up * pool.wpn
             pool.capacity_worker_hours += capacity * dt_h
             pool.busy_worker_hours += pool.busy * dt_h
             if capacity != pool.power[0]:
@@ -610,27 +622,28 @@ class FleetSimulator:
         pool whose ``(committed_nodes, busy, queued)`` still equals the
         key of its last "hold" answer would get "hold" again: it is
         skipped.  A shrink that could not retire every node it was asked
-        to is not a hold; that pool is asked again next tick."""
+        to is not a hold; that pool is asked again next tick.  Only a grow
+        raises the committed count, so only a grow can set a new peak."""
         for pool in self.pools.values():
             committed = pool.committed_nodes
             key = (committed, pool.busy, pool.queued)
             if key == pool.settled:
                 continue
             spec = pool.spec
-            snapshot = PoolSnapshot(
-                nodes=committed, workers_per_node=spec.workers_per_node,
-                busy_workers=pool.busy, queued_workers=pool.queued,
-                min_nodes=spec.min_nodes, max_nodes=spec.max_nodes,
-            )
-            target = snapshot.clamp(int(self.autoscaler.target_nodes(snapshot)))
+            low, high = spec.min_nodes, spec.max_nodes
+            target = int(self.autoscaler.target_nodes(_snapshot(
+                committed, pool.wpn, pool.busy, pool.queued, low, high,
+            )))
+            target = low if target < low else high if target > high else target
             delta = target - committed
             if delta > 0:
                 self._grow(pool, delta)
+                if target > pool.peak_nodes:
+                    pool.peak_nodes = target
             elif delta < 0:
                 self._shrink(pool, -delta)
             else:
                 pool.settled = key
-            pool.peak_nodes = max(pool.peak_nodes, pool.committed_nodes)
 
     def _check_pending(self, pool: _PoolState) -> None:
         """The pending ledger must equal the surviving grow batches and
@@ -648,23 +661,25 @@ class FleetSimulator:
         the queue — the one place that still scans — and raise
         :class:`FleetError` naming whatever drifted."""
         fields = ("up", "busy", "free", "queued", "node.used", "node.open",
-                  "up non-full nodes missing from the open heap")
+                  "up non-full nodes missing from the open heap",
+                  "ids held twice in the open heap")
         for name, pool in self.pools.items():
             self._check_pending(pool)
-            nodes, wpn = pool.nodes.values(), pool.spec.workers_per_node
+            nodes, wpn = pool.nodes.values(), pool.wpn
             used = [sum(node.allocations.values()) for node in nodes]
-            in_heap = {id(node) for _, node in pool.open}
+            in_heap = set(pool.open)
             ledger = (
                 pool.up, pool.busy, pool.free_workers(), pool.queued,
                 [node.used for node in nodes], [node.open for node in nodes],
                 [n.id for n in nodes if n.up and n.used < wpn and not n.open],
+                sorted(i for i, n in Counter(pool.open).items() if n > 1),
             )
             recount = (
                 sum(node.up for node in nodes), sum(used),
                 sum(wpn - u for u, node in zip(used, nodes) if node.up),
                 sum(need for _, _, job in self._queue
                     for other, need in job.needs if other is pool),
-                used, [id(node) in in_heap for node in nodes], [],
+                used, [node.id in in_heap for node in nodes], [], [],
             )
             drift = [
                 f"{field}={have} but recounted {want}"
@@ -721,7 +736,8 @@ class FleetSimulator:
             del pool.nodes[node.id]
         pool.up -= len(retired)
         if len(pool.open) > 2 * len(pool.nodes):  # shed retired entries
-            pool.open = [(n.id, n) for n in pool.nodes.values() if n.open]
+            # id order, so the list is already a heap
+            pool.open = [n.id for n in pool.nodes.values() if n.open]
 
     def _sample(self) -> None:
         now = self.engine.now
@@ -780,21 +796,18 @@ class FleetSimulator:
         records: List[FleetJobRecord] = []
         waits: List[float] = []  # queue_s of the completed jobs
         rejected = displacements = reschedules = 0
-        for job_id, job in sorted(self._jobs.items()):
+        jobs = self._jobs
+        for job_id in sorted(jobs):
+            job = jobs[job_id]
+            arrival = job.arrival
             queue_s = round(job.waited_s, 3)
-            records.append(FleetJobRecord(
-                job_id=job_id,
-                model=job.arrival.model,
-                num_gpus=job.arrival.num_gpus,
-                priority=job.arrival.priority,
-                state=job.state,
-                pool=job.pool,
-                submit_s=job.arrival.submit_s,
-                start_s=round(job.start_s, 3) if job.start_s is not None else None,
-                finish_s=round(job.finish_s, 3) if job.finish_s is not None else None,
-                queue_s=queue_s,
-                reschedules=job.reschedules,
-                displacements=job.displacements,
+            start_s, finish_s = job.start_s, job.finish_s
+            records.append(_job_record(
+                job_id, arrival.model, arrival.num_gpus, arrival.priority,
+                job.state, job.pool, arrival.submit_s,
+                None if start_s is None else round(start_s, 3),
+                None if finish_s is None else round(finish_s, 3),
+                queue_s, job.reschedules, job.displacements,
             ))
             if job.state == "completed":
                 waits.append(queue_s)

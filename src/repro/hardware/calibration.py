@@ -37,11 +37,14 @@ from repro.units import GBPS, GB_PER_S, MHZ
 
 #: domain -> whether a finite number lies in it.  Every calibration field
 #: names its domain beside its default: rates, sizes, powers and prices are
-#: positive, costs in seconds are non-negative, efficiencies are fractions.
+#: positive, costs in seconds are non-negative, efficiencies are fractions,
+#: and counts (cores per node, PE lanes) are positive whole numbers; a
+#: count may arrive as a float (``--set`` parses every value as one).
 DOMAINS = {
     "positive": lambda value: value > 0,
     "non-negative": lambda value: value >= 0,
     "a fraction in (0, 1]": lambda value: 0 < value <= 1,
+    "a positive integer": lambda value: value > 0 and value == int(value),
 }
 
 
@@ -55,6 +58,10 @@ def _non_negative(default: float) -> Any:
 
 def _fraction(default: float) -> Any:
     return field(default=default, metadata={"domain": "a fraction in (0, 1]"})
+
+
+def _count(default: int) -> Any:
+    return field(default=default, metadata={"domain": "a positive integer"})
 
 
 @dataclass(frozen=True)
@@ -107,10 +114,10 @@ class Calibration:
     #: the least parallelizable stage (Section VI-A)
     accel_decode_bw: float = _positive(0.94 * GB_PER_S)
     #: parallel processing elements per unit (elements/cycle aggregate)
-    accel_hash_lanes: int = _positive(2)
-    accel_log_lanes: int = _positive(1)
-    accel_bucketize_lanes: int = _positive(1)
-    accel_format_lanes: int = _positive(1)
+    accel_hash_lanes: int = _count(2)
+    accel_log_lanes: int = _count(1)
+    accel_bucketize_lanes: int = _count(1)
+    accel_format_lanes: int = _count(1)
     #: host-side orchestration per batch (XRT kernel management + RPC); half
     #: is accounted to Extract (issuing P2P reads), half to Else
     accel_host_overhead: float = _non_negative(25e-3)
@@ -149,7 +156,7 @@ class Calibration:
     smartssd_tdp: float = _positive(25.0)
     #: per-core share of a loaded 2-socket Xeon 6242 node (350 W / 32 cores)
     cpu_node_power: float = _positive(350.0)
-    cpu_cores_per_node: int = _positive(32)
+    cpu_cores_per_node: int = _count(32)
     #: storage-host orchestration share attributed to PreSto
     presto_host_power: float = _positive(150.0)
     a100_preproc_active_power: float = _positive(100.0)  # underutilized during preproc

@@ -136,7 +136,17 @@ class CpuCoreModel:
         if num_cores <= 0:
             return 0.0
         single = self.core_throughput(spec) * self.cal.colocation_factor
-        return single * num_cores**self.cal.colocation_scaling_exponent
+        exponent = self.cal.colocation_scaling_exponent
+        try:
+            throughput = single * num_cores**exponent
+        except OverflowError:
+            throughput = math.inf
+        if throughput == math.inf:
+            raise ConfigurationError(
+                f"colocation_scaling_exponent={exponent!r} scales {num_cores} "
+                "co-located workers past any finite throughput"
+            )
+        return throughput
 
     def cores_required(self, spec: ModelSpec, target_throughput: float) -> int:
         """Disaggregated cores needed to sustain ``target_throughput``."""

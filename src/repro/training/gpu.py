@@ -11,6 +11,7 @@ node-level provisioning target in Figures 4 and 14).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -45,9 +46,13 @@ class GpuTrainingModel:
         cal = self.cal
         rows = spec.batch_size
         work = DlrmCostModel(spec).workload(cal.gpu_embedding_traffic_multiplier)
-        compute = rows * work.training_flops / (
-            cal.gpu_peak_flops * cal.gpu_flops_efficiency
-        )
+        flops_rate = cal.gpu_peak_flops * cal.gpu_flops_efficiency
+        if not flops_rate > 0:  # each factor is positive: the product underflowed
+            raise ConfigurationError(
+                f"gpu_peak_flops x gpu_flops_efficiency ({cal.gpu_peak_flops!r} "
+                f"x {cal.gpu_flops_efficiency!r}) underflows to 0 FLOP/s"
+            )
+        compute = rows * work.training_flops / flops_rate
         embedding = rows * work.embedding_bytes / cal.gpu_gather_bw
         kernels = spec.num_tables * cal.gpu_kernel_overhead_per_table
         return IterationBreakdown(
@@ -59,7 +64,14 @@ class GpuTrainingModel:
 
     def max_training_throughput(self, spec: ModelSpec) -> float:
         """``T``: samples/s one A100 sustains when never input-starved."""
-        return spec.batch_size / self.iteration_breakdown(spec).total
+        total = self.iteration_breakdown(spec).total
+        if not 0.0 < total < math.inf:
+            raise ConfigurationError(
+                f"one {spec.name} training iteration takes {total!r} s under "
+                "this calibration; the gpu_* fields must give a positive, "
+                "finite time"
+            )
+        return spec.batch_size / total
 
     def node_throughput(self, spec: ModelSpec, num_gpus: int = 8) -> float:
         """Aggregate demand of a multi-GPU training node (data parallel)."""

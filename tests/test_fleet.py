@@ -30,6 +30,8 @@ from repro.fleet import (
     generate_trace,
     run_fleet,
 )
+from repro.fleet.autoscale import _snapshot
+from repro.fleet.result import FleetJobRecord, _job_record
 from repro.fleet.simulator import CHECKPOINT_S
 
 #: a small heterogeneous fleet that keeps simulator tests fast
@@ -431,6 +433,19 @@ class TestPoolSnapshot:
     def test_clamp_keeps_a_count_within_the_bounds(self, nodes, clamped):
         assert self.snapshot().clamp(nodes) == clamped
 
+    def test_the_simulators_snapshots_are_ordinary_frozen_snapshots(self):
+        """``_autoscale`` builds snapshots without the generated
+        ``__init__``; nothing may tell them from constructed ones."""
+        built = self.snapshot()
+        fast = _snapshot(*(
+            getattr(built, f.name) for f in dataclasses.fields(built)
+        ))
+        assert fast == built and type(fast) is PoolSnapshot
+        assert list(vars(fast).items()) == list(vars(built).items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.nodes = 9
+        assert dataclasses.replace(fast, nodes=9) == self.snapshot(nodes=9)
+
 
 class TestSimulatorDeterminism:
     @pytest.mark.parametrize("policy", ("first-fit", "best-fit", "priority"))
@@ -785,6 +800,19 @@ class TestFleetResult:
     def test_job_record_rejects_an_unknown_state(self, result):
         with pytest.raises(ConfigurationError, match="state must be one of"):
             dataclasses.replace(result.jobs[0], state="paused")
+
+    def test_simulator_records_are_ordinary_frozen_records(self, result):
+        """The simulator builds its job records without the generated
+        ``__init__``; nothing may tell them from constructed ones."""
+        record = result.jobs[0]
+        values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+        built = FleetJobRecord(*values)
+        assert built == record and type(record) is FleetJobRecord
+        assert list(vars(built).items()) == list(vars(record).items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.state = "queued"
+        with pytest.raises(ConfigurationError, match="state must be one of"):
+            _job_record(*values[:4], "paused", *values[5:])
 
     def test_pool_utilization_and_cost_views(self, result):
         usage = result.pool("disagg-cpu")

@@ -26,7 +26,7 @@ from repro.fleet import (
     Trace,
     run_fleet,
 )
-from repro.fleet.simulator import STEP_S
+from repro.fleet.simulator import REPAIR_S, STEP_S, _Job
 from test_fleet import SMALL_POOLS as POOLS, run_until
 
 
@@ -100,6 +100,14 @@ class TestCheckLedgers:
         with pytest.raises(FleetError, match="open"):
             sim.check_ledgers()
 
+    def test_id_held_twice_in_the_open_heap_is_caught(self):
+        sim = self.mid_run()
+        pool = sim.pools["presto-ssd"]
+        node = next(n for n in pool.nodes.values() if n.open)
+        pool.open.append(node.id)  # a second entry: the placer would see it twice
+        with pytest.raises(FleetError, match="ids held twice in the open heap"):
+            sim.check_ledgers()
+
     def test_pending_drift_is_caught(self):
         sim = self.mid_run()
         sim.pools["presto-ssd"].pending += 1
@@ -115,6 +123,53 @@ class TestCheckLedgers:
         )
         run_fleet(manual_trace(arrival("a")), pools=POOLS)
         assert calls == [1]
+
+
+class TestStaleOpenHeapEntries:
+    """``pool.open`` holds node ids; an id whose node is down, or gone
+    from ``pool.nodes`` (retired), is stale and dropped when it surfaces."""
+
+    def test_place_skips_an_id_shrink_retired_while_it_was_open(self):
+        trace = manual_trace(arrival("a"), arrival("b"), arrival("c"))
+        sim = FleetSimulator(trace, pools=one_pool(nodes=2))
+        pool = sim.pools["only"]
+        a, b, c = (_Job(entry, ()) for entry in trace.arrivals)
+        sim._place(a, "only", 8)  # fills node 0: it leaves the heap
+        sim._place(b, "only", 5)  # node 1, still open
+        sim._free(a)  # node 0 idle again: back in the heap, below node 1
+        retired = pool.nodes[0]
+        sim._shrink(pool, 1)  # node 0 is the only idle node
+        assert 0 not in pool.nodes and pool.open == [0, 1]
+
+        sim._place(c, "only", 3)
+        assert retired.allocations == {} and retired.used == 0
+        assert c.alloc == [pool.nodes[1]]
+        assert pool.nodes[1].allocations == {"b": 5, "c": 3}
+        assert pool.open == []  # the stale id went, and node 1 filled
+        sim.check_ledgers()
+
+    @pytest.mark.parametrize("case", ("open", "popped-while-down", "full"))
+    def test_a_failed_then_repaired_node_holds_one_heap_entry(self, case):
+        # 5-worker nodes: one RM1/16-GPU job fills a node exactly
+        trace = manual_trace(arrival("a"))
+        sim = FleetSimulator(trace, pools=one_pool(nodes=2, workers_per_node=5))
+        pool = sim.pools["only"]
+        job = _Job(trace.arrivals[0], sim._needs(trace.arrivals[0]))
+        sim._jobs["a"] = job
+        if case == "full":  # node 0 is out of the heap when it fails
+            sim._enqueue(job)
+            sim._drain()
+            assert job.alloc == [pool.nodes[0]] and pool.open == [1]
+        sim._fail_node(pool, pool.nodes[0])  # "full": displaces the job
+        if case != "open":  # the job lands on node 1, past any entry of node 0
+            if case == "popped-while-down":
+                sim._enqueue(job)
+            sim._drain()
+            assert job.alloc == [pool.nodes[1]] and not pool.nodes[0].open
+        run_until(sim.engine, REPAIR_S)  # the job ends at 600 s, repair at 900 s
+        assert pool.nodes[0].up and pool.nodes[0].open
+        assert pool.open.count(0) == 1
+        sim.check_ledgers()
 
 
 def test_first_tick_runs_behind_what_the_arrivals_at_zero_scheduled():

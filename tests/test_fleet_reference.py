@@ -41,7 +41,13 @@ from repro.fleet import (
     Trace,
 )
 from repro.fleet.autoscale import PoolSnapshot, TargetUtilizationAutoscaler
+from repro.fleet.simulator import _Node
 from test_fleet import SMALL_POOLS, small_trace
+
+#: what the reference reads for an open-heap id ``_shrink`` retired: the
+#: id is gone from ``pool.nodes``, and a retired node is a down one
+RETIRED = _Node(-1)
+RETIRED.up = False
 
 
 class ReferenceFleetSimulator(FleetSimulator):
@@ -67,7 +73,7 @@ class ReferenceFleetSimulator(FleetSimulator):
         remaining = need
         wpn = pool.spec.workers_per_node
         while remaining > 0 and pool.open:
-            node = pool.open[0][1]
+            node = pool.nodes.get(pool.open[0], RETIRED)
             free = wpn - node.used
             if free <= 0 or not node.up:
                 heapq.heappop(pool.open)

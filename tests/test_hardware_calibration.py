@@ -1,12 +1,16 @@
 """Tests for the calibration constants, including validation of the
 analytic byte model against the real columnar writer."""
 
+import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api.registry import REGISTRY
 from repro.dataio.columnar import write_table
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.features.specs import all_models, get_model
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.hardware.calibration import (
@@ -75,6 +79,7 @@ DOMAIN_CASES = {
     "positive": ((5e-324, 1e300), (0.0, -1.0)),
     "non-negative": ((0.0, 1e300), (-5e-324, -1.0)),
     "a fraction in (0, 1]": ((5e-324, 1.0), (0.0, 1.0000001, -0.5)),
+    "a positive integer": ((1, 32, 4.0, 1e300), (0, -1, 5e-324, 2.5)),
 }
 
 
@@ -109,3 +114,84 @@ class TestDomains:
             f"calibration field {name!r} must be {FIELD_DOMAINS[name]}, "
             f"got {value!r}"
         )
+
+
+# -- every override prices or raises a typed error ---------------------------
+
+#: value class -> the override it makes of a field whose default is given
+VALUE_CLASSES = {
+    "zero": lambda default: 0,
+    "negative": lambda default: -1,
+    "subnormal": lambda default: 5e-324,
+    "huge": lambda default: 1e300,
+    "+25%": lambda default: default * 1.25,
+    "-25%": lambda default: default * 0.75,
+}
+MODELS = ("RM1", "RM5")
+
+
+def prices_or_raises_typed(field, value, system, model):
+    """A three-batch ``Scenario`` with one override returns finite numbers
+    or raises a ``repro.errors`` type; any other exception propagates."""
+    from repro.api import Scenario
+
+    try:
+        result = Scenario(
+            model=model, system=system, calibration={field: value},
+            num_batches=3,
+        ).run()
+    except ReproError:
+        return
+    numbers = {
+        key: value for key, value in result.to_dict().items()
+        if isinstance(value, float)
+    }
+    assert all(map(math.isfinite, numbers.values())), (field, value, numbers)
+
+
+class TestEveryOverridePricesOrRaises:
+    def test_the_value_class_grid(self):
+        """Every field x value class x registered system x model: 3,816
+        runs, most refused at construction (~0.5 s)."""
+        for field in FIELD_DOMAINS:
+            default = getattr(CALIBRATION, field)
+            for make in VALUE_CLASSES.values():
+                for system in REGISTRY:
+                    for model in MODELS:
+                        prices_or_raises_typed(field, make(default), system, model)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        field=st.sampled_from(list(FIELD_DOMAINS)),
+        factor=st.floats(min_value=0.75, max_value=1.25),
+        system=st.sampled_from(list(REGISTRY)),
+        model=st.sampled_from(MODELS),
+    )
+    def test_any_override_within_a_quarter_of_the_default(
+        self, field, factor, system, model
+    ):
+        default = getattr(CALIBRATION, field)
+        prices_or_raises_typed(field, default * factor, system, model)
+
+    @pytest.mark.parametrize("field, value, systems, models", [
+        ("gpu_peak_flops", 5e-324, tuple(REGISTRY), MODELS),
+        ("gpu_flops_efficiency", 5e-324, ("Co-located",), MODELS),
+        ("gpu_gather_bw", 5e-324, ("Co-located",), MODELS),
+        ("gpu_embedding_traffic_multiplier", 1e300, ("Co-located",), ("RM5",)),
+        ("colocation_scaling_exponent", 1e300, ("Co-located",), MODELS),
+        ("cpu_cores_per_node", 5e-324, ("Disagg",), MODELS),
+    ])
+    def test_the_overrides_that_escaped_are_typed(
+        self, field, value, systems, models
+    ):
+        """Each of these once ended in ``ZeroDivisionError``,
+        ``OverflowError`` or an infinite power and capex."""
+        from repro.api import Scenario
+
+        for system in systems:
+            for model in models:
+                with pytest.raises(ConfigurationError):
+                    Scenario(
+                        model=model, system=system,
+                        calibration={field: value}, num_batches=3,
+                    ).run()
