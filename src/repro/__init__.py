@@ -50,52 +50,38 @@ config files, and every run returns a uniform :class:`~repro.api.RunResult`
 (utilization, throughputs, provisioning, power, CapEx).
 """
 
-from repro.features.specs import (
-    DEFAULT_BATCH_SIZE,
-    MODEL_NAMES,
-    RECSYS_MODELS,
-    ModelSpec,
-    all_models,
-    get_model,
-)
-from repro.features.minibatch import KeyedJaggedTensor, MiniBatch
-from repro.features.synthetic import SyntheticTableGenerator, generate_raw_table
-from repro.ops.pipeline import OpCounts, PreprocessingPipeline
-from repro.hardware.calibration import CALIBRATION, Calibration
-from repro.core.systems import (
-    A100PoolSystem,
-    CoLocatedCpuSystem,
-    DisaggCpuSystem,
-    PreprocessingSystem,
-    PreStoSystem,
-    PreStoU280System,
-    U280PoolSystem,
-)
-from repro.core.cpu_worker import CpuPreprocessingWorker
-from repro.core.isp_worker import IspPreprocessingWorker
-from repro.core.endtoend import EndToEndSimulation
-from repro.core.provision import ProvisioningPlan, provision
-from repro.api import (
-    EXPERIMENT_REGISTRY,
-    REGISTRY,
-    ExperimentResult,
-    ExperimentRun,
-    PreprocessJob,
-    PreprocessRunResult,
-    RunResult,
-    RunStore,
-    Scenario,
-    Sweep,
-    SystemRegistry,
-    available_experiments,
-    available_systems,
-    get_experiment,
-    get_system,
-    register_experiment,
-    register_system,
-    run_experiments,
-)
-from repro.exec import ShardExecutor
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.features.specs": (
+        "DEFAULT_BATCH_SIZE", "MODEL_NAMES", "RECSYS_MODELS", "ModelSpec",
+        "all_models", "get_model",
+    ),
+    "repro.features.minibatch": ("KeyedJaggedTensor", "MiniBatch"),
+    "repro.features.synthetic": (
+        "SyntheticTableGenerator", "generate_raw_table",
+    ),
+    "repro.ops.counts": ("OpCounts",),
+    "repro.ops.pipeline": ("PreprocessingPipeline",),
+    "repro.hardware.calibration": ("CALIBRATION", "Calibration"),
+    "repro.core.systems": (
+        "A100PoolSystem", "CoLocatedCpuSystem", "DisaggCpuSystem",
+        "PreprocessingSystem", "PreStoSystem", "PreStoU280System",
+        "U280PoolSystem",
+    ),
+    "repro.core.cpu_worker": ("CpuPreprocessingWorker",),
+    "repro.core.isp_worker": ("IspPreprocessingWorker",),
+    "repro.core.endtoend": ("EndToEndSimulation",),
+    "repro.core.provision": ("ProvisioningPlan", "provision"),
+    "repro.api": (
+        "EXPERIMENT_REGISTRY", "REGISTRY", "ExperimentResult", "ExperimentRun",
+        "PreprocessJob", "PreprocessRunResult", "RunResult", "RunStore",
+        "Scenario", "Sweep", "SystemRegistry", "available_experiments",
+        "available_systems", "get_experiment", "get_system",
+        "register_experiment", "register_system", "run_experiments",
+    ),
+    "repro.exec": ("ShardExecutor",),
+})
 
 __version__ = "0.3.0"
 

@@ -1,8 +1,12 @@
 """Cost/energy analysis: the Section V-C cost-efficiency metric (CapEx +
 OpEx over a 3-year duration) and energy-efficiency (performance/Watt)."""
 
-from repro.analysis.cost import CostBreakdown, cost_efficiency, opex
-from repro.analysis.energy import energy_efficiency
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.cost": ("CostBreakdown", "cost_efficiency", "opex"),
+    "repro.analysis.energy": ("energy_efficiency",),
+})
 
 __all__ = [
     "CostBreakdown",

@@ -26,65 +26,36 @@ Five pieces:
   out across a process pool with deterministic ordering.
 """
 
-from repro.api.registry import (
-    REGISTRY,
-    SystemRegistry,
-    available_systems,
-    get_system,
-    register_system,
-)
-from repro.api.experiment import (
-    EXPERIMENT_KINDS,
-    EXPERIMENT_REGISTRY,
-    ExperimentParam,
-    ExperimentRegistry,
-    ExperimentResult,
-    ExperimentRun,
-    ExperimentSpec,
-    RunStore,
-    available_experiments,
-    get_experiment,
-    register_experiment,
-    run_experiments,
-)
-from repro.api.preprocess import (
-    PreprocessJob,
-    PreprocessRunResult,
-    minibatch_digest,
-)
-from repro.api.result import RunResult
-from repro.api.scenario import PROVISION_MODES, Scenario, calibration_overrides
-from repro.api.sweep import Sweep
-from repro.batch import (
-    FAILURE_MODES,
-    OUTCOME_STATES,
-    BatchJournal,
-    BatchOutcome,
-    BatchPolicy,
-    BatchRunner,
-)
+from repro.lazy import lazy_exports
 
-# the serve-layer job/record types and the source base are part of the API
-# surface, but repro.serve builds on the modules above (its records hold
-# PreprocessJobs), so they re-export lazily to keep the import acyclic
-_SERVE_EXPORTS = {
-    "JobLogIndex": "repro.serve.records",
-    "JobRecord": "repro.serve.records",
-    "StageEvent": "repro.serve.records",
-    "JobSource": "repro.serve.sources",
-}
-
-
-def __getattr__(name):
-    if name in _SERVE_EXPORTS:
-        import importlib
-
-        return getattr(importlib.import_module(_SERVE_EXPORTS[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SERVE_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api.registry": (
+        "REGISTRY", "SystemRegistry", "available_systems", "get_system",
+        "register_system",
+    ),
+    "repro.api.experiment": (
+        "EXPERIMENT_KINDS", "EXPERIMENT_REGISTRY", "ExperimentParam",
+        "ExperimentRegistry", "ExperimentResult", "ExperimentRun",
+        "ExperimentSpec", "RunStore", "available_experiments",
+        "get_experiment", "register_experiment", "run_experiments",
+    ),
+    "repro.api.preprocess": (
+        "PreprocessJob", "PreprocessRunResult", "minibatch_digest",
+    ),
+    "repro.api.result": ("RunResult",),
+    "repro.api.scenario": (
+        "PROVISION_MODES", "Scenario", "calibration_overrides",
+    ),
+    "repro.api.sweep": ("Sweep",),
+    "repro.batch": (
+        "FAILURE_MODES", "OUTCOME_STATES", "BatchJournal", "BatchOutcome",
+        "BatchPolicy", "BatchRunner",
+    ),
+    # the serve-layer job/record types and the source base: repro.serve
+    # builds on the modules above (its records hold PreprocessJobs)
+    "repro.serve.records": ("JobLogIndex", "JobRecord", "StageEvent"),
+    "repro.serve.sources": ("JobSource",),
+})
 
 __all__ = [
     "EXPERIMENT_KINDS",

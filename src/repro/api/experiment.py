@@ -62,6 +62,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -220,6 +221,37 @@ def canonical_digest(payload: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
+def format_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
+) -> str:
+    """Render an aligned text table (the harness's 'figure')."""
+    str_rows = [[_cell(v) for v in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in str_rows:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000:
+            return f"{value:,.0f}"
+        if abs(value) >= 10:
+            return f"{value:.1f}"
+        return f"{value:.3g}"
+    return str(value)
+
+
 class ExperimentResult:
     """Base class every experiment result inherits: the uniform protocol.
 
@@ -245,8 +277,6 @@ class ExperimentResult:
 
     def render(self) -> str:
         """The text-table 'figure': titled table, then one line per claim."""
-        from repro.experiments.common import format_table
-
         table = format_table(self.columns(), self.rows(), title=self.table_title())
         return "\n".join([table, *(c.render() for c in self.claims())])
 
@@ -362,9 +392,12 @@ class ExperimentRegistry(Registry[ExperimentSpec]):
         return runner
 
     def _ensure_builtins(self) -> None:
-        # Importing the package imports every experiment module, each of
-        # which runs its @register_experiment decorator.
-        import repro.experiments  # noqa: F401
+        # The package's exports are its experiment modules: the first read
+        # of each imports it, which runs its @register_experiment decorator.
+        import repro.experiments
+
+        for name in repro.experiments.__all__:
+            getattr(repro.experiments, name)
 
         # plugin hook: $REPRO_EXPERIMENTS is a comma-separated list of
         # importable modules that register user experiments, so they show

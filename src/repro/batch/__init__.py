@@ -6,10 +6,16 @@ semantics, :mod:`repro.batch.policy` for the retry/timeout/failure-mode
 knobs, and :mod:`repro.batch.outcomes` for the per-task records.
 """
 
-from repro.batch.journal import BatchJournal, BatchJournalState, content_key
-from repro.batch.outcomes import OUTCOME_STATES, BatchOutcome
-from repro.batch.policy import FAILURE_MODES, BatchPolicy
-from repro.batch.runner import BatchRunner
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.batch.journal": (
+        "BatchJournal", "BatchJournalState", "content_key",
+    ),
+    "repro.batch.outcomes": ("OUTCOME_STATES", "BatchOutcome"),
+    "repro.batch.policy": ("FAILURE_MODES", "BatchPolicy"),
+    "repro.batch.runner": ("BatchRunner",),
+})
 
 __all__ = [
     "BatchJournal",

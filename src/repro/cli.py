@@ -76,18 +76,14 @@ from repro.api import (
     REGISTRY,
     BatchPolicy,
     ExperimentRun,
-    PreprocessJob,
     RunResult,
     RunStore,
     Scenario,
-    Sweep,
     available_systems,
 )
+from repro.api.experiment import format_table
 from repro.errors import ConfigurationError, ProvisioningError, ReproError
-from repro.experiments import report as report_mod
-from repro.experiments.common import format_table
 from repro.features.specs import MODEL_NAMES, get_model
-from repro.fleet import AUTOSCALERS, POLICIES
 from repro.hardware.calibration import FIELD_DOMAINS
 
 #: ``--only`` choices -> registry kinds
@@ -277,6 +273,8 @@ def _print_outcomes(outcomes, title: str, as_json: bool) -> None:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Full report (cached, optionally parallel, optionally JSON)."""
+    from repro.experiments import report as report_mod
+
     journal, resume = _batch_journal(args)
     results = report_mod.run_all(
         kinds=_parse_only(args.only),
@@ -352,6 +350,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     if not args.ids:
         raise SystemExit("pass experiment ids (see `list`) or --model/--system")
+    from repro.experiments import report as report_mod
+
     payloads = []
     for run in _experiment_runs_for(args.ids, _parse_set_pairs(args.set)):
         result = run.run()
@@ -367,6 +367,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a scenario grid (models x systems x gpus) and tabulate it."""
+    from repro.api import Sweep
+
     journal, resume = _batch_journal(args)
     sweep = Sweep.grid(
         models=_csv(args.models),
@@ -491,6 +493,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     """Run the sharded preprocessing data plane and summarize it."""
+    from repro.api import PreprocessJob
+
     job = PreprocessJob(
         model=args.model,
         num_rows=args.rows,
@@ -662,6 +666,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit one preprocessing job to a running daemon."""
+    from repro.api import PreprocessJob
+
     job = PreprocessJob(
         model=args.model,
         num_rows=args.rows,
@@ -953,6 +959,18 @@ def _add_batch_options(parser: argparse.ArgumentParser) -> None:
                              "outcomes")
 
 
+class _FleetRunHelp(argparse.HelpFormatter):
+    """``fleet run --help`` with the placement policies and autoscalers
+    filled in from :mod:`repro.fleet` when it is printed, so that building
+    the parser imports no part of the fleet tier."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        from repro.fleet import AUTOSCALERS, POLICIES
+
+        return action.help.replace("{policies}", ", ".join(POLICIES)).replace(
+            "{autoscalers}", ", ".join(AUTOSCALERS))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser."""
     parser = argparse.ArgumentParser(
@@ -1204,18 +1222,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace seed (same seed => same trace)")
 
     fleet_run = fleet_sub.add_parser(
-        "run", help="simulate one trace on the fleet; print the result"
+        "run", help="simulate one trace on the fleet; print the result",
+        formatter_class=_FleetRunHelp,
     )
     fleet_run.add_argument("--trace", default=None, metavar="PATH",
                            help="replay a recorded JSONL trace instead of "
                                 "generating one")
     _add_fleet_trace_options(fleet_run)
     fleet_run.add_argument("--policy", default="first-fit",
-                           help="placement policy: "
-                                f"{', '.join(POLICIES)} (default first-fit)")
+                           help="placement policy: {policies} (default "
+                                "first-fit)")
     fleet_run.add_argument("--autoscale", default="target-utilization",
-                           help="autoscaling policy: "
-                                f"{', '.join(AUTOSCALERS)} (default "
+                           help="autoscaling policy: {autoscalers} (default "
                                 "target-utilization)")
     fleet_run.add_argument("--faults", default=None,
                            help="comma-separated fleet faults to inject "

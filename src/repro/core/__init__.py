@@ -4,22 +4,21 @@ and PreSto (U280)), the T/P provisioning logic, the preprocess manager, and
 the end-to-end preprocessing-feeds-training simulation.  A system states its
 device's power and price; a worker holds its one hardware timing model."""
 
-from repro.core.worker import BREAKDOWN_STEPS, PreprocessingWorker
-from repro.core.cpu_worker import CpuPreprocessingWorker
-from repro.core.isp_worker import IspPreprocessingWorker
-from repro.core.accel_worker import GpuPoolWorker, U280Worker
-from repro.core.provision import ProvisioningPlan, provision
-from repro.core.systems import (
-    PreprocessingSystem,
-    DisaggCpuSystem,
-    CoLocatedCpuSystem,
-    PreStoSystem,
-    A100PoolSystem,
-    U280PoolSystem,
-    PreStoU280System,
-)
-from repro.core.manager import PreprocessManager
-from repro.core.endtoend import EndToEndSimulation, PipelineStats
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.worker": ("BREAKDOWN_STEPS", "PreprocessingWorker"),
+    "repro.core.cpu_worker": ("CpuPreprocessingWorker",),
+    "repro.core.isp_worker": ("IspPreprocessingWorker",),
+    "repro.core.accel_worker": ("GpuPoolWorker", "U280Worker"),
+    "repro.core.provision": ("ProvisioningPlan", "provision"),
+    "repro.core.systems": (
+        "PreprocessingSystem", "DisaggCpuSystem", "CoLocatedCpuSystem",
+        "PreStoSystem", "A100PoolSystem", "U280PoolSystem", "PreStoU280System",
+    ),
+    "repro.core.manager": ("PreprocessManager",),
+    "repro.core.endtoend": ("EndToEndSimulation", "PipelineStats"),
+})
 
 __all__ = [
     "BREAKDOWN_STEPS",

@@ -14,18 +14,21 @@ worker once, with ``price``: the first batch after the latency, the rest
 
 A worker can also run *functionally* (``preprocess_partition``).  Its
 :class:`PreprocessingPipeline` is built on the first read of ``pipeline``,
-never by a constructor: simulations and provisioning build none.
+never by a constructor: simulations and provisioning build none, and
+import neither the pipeline nor the executor.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.exec.executor import transform_shard
-from repro.features.minibatch import MiniBatch
 from repro.features.specs import ModelSpec
-from repro.ops.pipeline import OpCounts, PreprocessingPipeline
+
+if TYPE_CHECKING:
+    from repro.features.minibatch import MiniBatch
+    from repro.ops.counts import OpCounts
+    from repro.ops.pipeline import PreprocessingPipeline
 
 #: canonical step order (Figure 5 / Figure 12 legends)
 BREAKDOWN_STEPS = (
@@ -58,11 +61,15 @@ class PreprocessingWorker(abc.ABC):
     def pipeline(self) -> PreprocessingPipeline:
         """The worker's pipeline, built on first access and kept."""
         if self._pipeline is None:
+            from repro.ops.pipeline import PreprocessingPipeline
+
             self._pipeline = PreprocessingPipeline(self.spec)
         return self._pipeline
 
     def preprocess_partition(self, file_bytes: bytes) -> Tuple[MiniBatch, OpCounts]:
         """Actually run Extract + Transform on one stored partition."""
+        from repro.exec.executor import transform_shard
+
         shard = transform_shard(self.pipeline, (0, file_bytes))
         return shard.batch, shard.counts
 

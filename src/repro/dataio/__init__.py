@@ -7,27 +7,20 @@ and a footer that enables selective column reads — the property Section II-B
 of the paper relies on ("fetch features X and W without fetching Y and Z").
 """
 
-from repro.dataio.schema import (
-    ColumnKind,
-    DenseFeature,
-    SparseFeature,
-    LabelColumn,
-    TableSchema,
-)
-from repro.dataio.encoding import (
-    Encoding,
-    encode_column,
-    decode_column,
-)
-from repro.dataio.columnar import (
-    ColumnarFileWriter,
-    ColumnarFileReader,
-    ColumnChunk,
-    FileFooter,
-    write_table,
-    read_columns,
-)
-from repro.dataio.partition import RowPartitioner, Partition
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dataio.schema": (
+        "ColumnKind", "DenseFeature", "SparseFeature", "LabelColumn",
+        "TableSchema",
+    ),
+    "repro.dataio.encoding": ("Encoding", "encode_column", "decode_column"),
+    "repro.dataio.columnar": (
+        "ColumnarFileWriter", "ColumnarFileReader", "ColumnChunk",
+        "FileFooter", "write_table", "read_columns",
+    ),
+    "repro.dataio.partition": ("RowPartitioner", "Partition"),
+})
 
 __all__ = [
     "ColumnKind",

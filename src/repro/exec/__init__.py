@@ -9,11 +9,11 @@ PreprocessingPipeline` across the worker processes of the shared
 serial-identical minibatch ordering.
 """
 
-from repro.exec.executor import (
-    ShardExecutor,
-    ShardResult,
-    ShardRunStats,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.exec.executor": ("ShardExecutor", "ShardResult", "ShardRunStats"),
+})
 
 __all__ = [
     "ShardExecutor",

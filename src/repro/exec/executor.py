@@ -41,7 +41,8 @@ from repro.dataio.partition import Partition, RowPartitioner
 from repro.errors import ExecutionError
 from repro.faults.injector import fault_stage
 from repro.features.minibatch import MiniBatch
-from repro.ops.pipeline import OpCounts, PreprocessingPipeline
+from repro.ops.counts import OpCounts
+from repro.ops.pipeline import PreprocessingPipeline
 
 #: stage telemetry hook: (stage, "started"|"completed", summary metrics)
 StageCallback = Callable[[str, str, Dict[str, float]], None]

@@ -24,7 +24,7 @@ from repro.features.specs import get_model
 from repro.hardware.accelerator import AcceleratorModel
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.hardware.cpu import CpuCoreModel
-from repro.ops.pipeline import OpCounts
+from repro.ops.counts import OpCounts
 
 BATCH_SIZES = (1024, 2048, 4096, 8192, 16384, 32768, 65536)
 

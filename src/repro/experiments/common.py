@@ -7,16 +7,17 @@ they take a custom :class:`Calibration`, translate it to the override form
 
 Each experiment module registers its ``run()`` function with the experiment
 registry via :func:`register_experiment` and returns an
-:class:`ExperimentResult` subclass — both re-exported here so the modules
-have a single import site for the harness plumbing.
+:class:`ExperimentResult` subclass — both re-exported here, with the
+:func:`format_table` its ``render`` prints through, so the modules have a
+single import site for the harness plumbing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, List
 
-from repro.api.experiment import ExperimentResult, register_experiment
+from repro.api.experiment import ExperimentResult, format_table, register_experiment
 from repro.api.registry import REGISTRY
 from repro.api.scenario import Scenario, calibration_overrides
 from repro.features.specs import ModelSpec, all_models
@@ -100,34 +101,3 @@ class PaperClaim:
             "relative_error": self.relative_error,
             "holds": self.holds,
         }
-
-
-def format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
-) -> str:
-    """Render an aligned text table (the harness's 'figure')."""
-    str_rows = [[_cell(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        if abs(value) >= 10:
-            return f"{value:.1f}"
-        return f"{value:.3g}"
-    return str(value)

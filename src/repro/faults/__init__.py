@@ -13,25 +13,19 @@ the CLI so that probe sites importing this package never pull in the
 serve tier (which itself hosts probes).
 """
 
-from repro.errors import ChaosError, FaultError
-from repro.faults.injector import (
-    DEFAULT_HANG_S,
-    FaultInjector,
-    active_injector,
-    fault_point,
-    fault_stage,
-    install,
-    installed,
-    uninstall,
-)
-from repro.faults.plan import (
-    DEFAULT_ACTIONS,
-    DEFAULT_RATES,
-    FAULT_ACTIONS,
-    FAULT_POINTS,
-    FaultPlan,
-    FaultRule,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": ("ChaosError", "FaultError"),
+    "repro.faults.injector": (
+        "DEFAULT_HANG_S", "FaultInjector", "active_injector", "fault_point",
+        "fault_stage", "install", "installed", "uninstall",
+    ),
+    "repro.faults.plan": (
+        "DEFAULT_ACTIONS", "DEFAULT_RATES", "FAULT_ACTIONS", "FAULT_POINTS",
+        "FaultPlan", "FaultRule",
+    ),
+})
 
 __all__ = [
     "ChaosError",

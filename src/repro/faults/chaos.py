@@ -628,7 +628,7 @@ def check_report(report: Dict[str, Any]) -> None:
 
 def render_report(report: Dict[str, Any]) -> str:
     """Human-readable episode table."""
-    from repro.experiments.common import format_table
+    from repro.api.experiment import format_table
 
     rows = []
     for ep in report["episodes"]:

@@ -3,10 +3,18 @@ generators (Criteo-like RM1 plus production-scale RM2–RM5), the real Criteo
 TSV loader, and the train-ready mini-batch containers
 (KeyedJaggedTensor-style)."""
 
-from repro.features.specs import ModelSpec, MLPSpec, RECSYS_MODELS, get_model
-from repro.features.synthetic import SyntheticTableGenerator, generate_raw_table
-from repro.features.criteo import load_criteo_tsv, dump_criteo_tsv
-from repro.features.minibatch import KeyedJaggedTensor, MiniBatch
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.features.specs": (
+        "ModelSpec", "MLPSpec", "RECSYS_MODELS", "get_model",
+    ),
+    "repro.features.synthetic": (
+        "SyntheticTableGenerator", "generate_raw_table",
+    ),
+    "repro.features.criteo": ("load_criteo_tsv", "dump_criteo_tsv"),
+    "repro.features.minibatch": ("KeyedJaggedTensor", "MiniBatch"),
+})
 
 __all__ = [
     "ModelSpec",

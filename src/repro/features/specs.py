@@ -14,10 +14,12 @@ production-scale configurations based on Meta's published characteristics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.dataio.schema import TableSchema
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.dataio.schema import TableSchema
 
 #: Training mini-batch size used throughout the paper's evaluation.
 DEFAULT_BATCH_SIZE = 8192
@@ -88,6 +90,10 @@ class ModelSpec:
 
     def schema(self) -> TableSchema:
         """Raw-data table schema for this model's dataset."""
+        # imported here: the performance models read specs, never schemas,
+        # and the schema module loads numpy
+        from repro.dataio.schema import TableSchema
+
         return TableSchema.with_counts(self.num_dense, self.num_sparse)
 
     @property

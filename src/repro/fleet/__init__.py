@@ -13,28 +13,22 @@ injection through :mod:`repro.faults` — producing frozen, deterministic
 and ``repro fleet run``.
 """
 
-from repro.fleet.autoscale import AUTOSCALERS, Autoscaler, PoolSnapshot
-from repro.fleet.policy import POLICIES, PlacementPolicy
-from repro.fleet.result import (
-    FleetJobRecord,
-    FleetResult,
-    PoolSample,
-    PoolUsage,
-)
-from repro.fleet.simulator import (
-    BURST_CLONES,
-    FleetSimulator,
-    PoolSpec,
-    default_pools,
-    run_fleet,
-)
-from repro.fleet.trace import (
-    DAY_S,
-    TRACE_KINDS,
-    JobArrival,
-    Trace,
-    generate_trace,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fleet.autoscale": ("AUTOSCALERS", "Autoscaler", "PoolSnapshot"),
+    "repro.fleet.policy": ("POLICIES", "PlacementPolicy"),
+    "repro.fleet.result": (
+        "FleetJobRecord", "FleetResult", "PoolSample", "PoolUsage",
+    ),
+    "repro.fleet.simulator": (
+        "BURST_CLONES", "FleetSimulator", "PoolSpec", "default_pools",
+        "run_fleet",
+    ),
+    "repro.fleet.trace": (
+        "DAY_S", "TRACE_KINDS", "JobArrival", "Trace", "generate_trace",
+    ),
+})
 
 __all__ = [
     "AUTOSCALERS",

@@ -4,12 +4,18 @@ Figure 6.  Every tuned constant lives in :mod:`repro.hardware.calibration`;
 each design point's power and price are read from it by its system
 (:mod:`repro.core.systems`)."""
 
-from repro.hardware.calibration import CALIBRATION, Calibration
-from repro.hardware.cpu import CpuCoreModel, CpuStepLatencies
-from repro.hardware.accelerator import AcceleratorModel, AcceleratorStages
-from repro.hardware.fpga import FpgaPart, UnitResources, PRESTO_UNITS, resource_table
-from repro.hardware.gpu_preproc import GpuPreprocModel
-from repro.hardware.cache import CacheModel, OperatorProfile
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hardware.calibration": ("CALIBRATION", "Calibration"),
+    "repro.hardware.cpu": ("CpuCoreModel", "CpuStepLatencies"),
+    "repro.hardware.accelerator": ("AcceleratorModel", "AcceleratorStages"),
+    "repro.hardware.fpga": (
+        "FpgaPart", "UnitResources", "PRESTO_UNITS", "resource_table",
+    ),
+    "repro.hardware.gpu_preproc": ("GpuPreprocModel",),
+    "repro.hardware.cache": ("CacheModel", "OperatorProfile"),
+})
 
 __all__ = [
     "CALIBRATION",

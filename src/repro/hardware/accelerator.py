@@ -25,7 +25,7 @@ from typing import Dict, Optional
 from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
-from repro.ops.pipeline import OpCounts
+from repro.ops.counts import OpCounts
 
 
 @dataclass

@@ -22,7 +22,7 @@ from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
-from repro.ops.pipeline import OpCounts
+from repro.ops.counts import OpCounts
 
 #: Xeon Gold 6242 node: 2 sockets x 16 cores @ 2.8 GHz, 22 MB LLC/socket,
 #: 281.6 GB/s aggregate DRAM bandwidth (the figure's normalization base).

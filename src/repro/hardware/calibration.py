@@ -234,7 +234,11 @@ def check_field(name: str, value: Any) -> None:
         raise ConfigurationError(
             f"calibration field {name!r} must be a number, got {value!r}"
         )
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the largest float
+        finite = False
+    if not finite:
         raise ConfigurationError(
             f"calibration field {name!r} must be finite, got {value!r}"
         )

@@ -3,7 +3,7 @@
 One CPU core runs one preprocessing worker that executes the full ETL
 sequence serially for one mini-batch (the TorchRec worker-per-core software
 architecture, Section II-D).  This model maps one mini-batch's
-:class:`~repro.ops.pipeline.OpCounts` to per-step latencies — the breakdown
+:class:`~repro.ops.counts.OpCounts` to per-step latencies — the breakdown
 of Figures 5 and 12 — and to a per-core throughput, which the paper's
 analytical model scales linearly across cores.
 """
@@ -17,7 +17,7 @@ from typing import Dict, Optional
 from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
-from repro.ops.pipeline import OpCounts
+from repro.ops.counts import OpCounts
 
 
 @dataclass

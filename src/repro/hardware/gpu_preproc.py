@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
-from repro.ops.pipeline import OpCounts
+from repro.ops.counts import OpCounts
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,18 @@ These kernels implement the exact transformations the paper offloads:
 * :class:`PreprocessingPipeline` — the full per-model op graph.
 """
 
-from repro.ops.bucketize import Bucketizer, bucketize, search_bucket_id
-from repro.ops.sigridhash import (
-    SigridHasher,
-    hash64,
-    sigrid_hash,
-    sigrid_hash_scalar,
-)
-from repro.ops.lognorm import log_normalize
-from repro.ops.fill import fill_dense, fill_sparse
-from repro.ops.pipeline import PreprocessingPipeline, OpCounts
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ops.bucketize": ("Bucketizer", "bucketize", "search_bucket_id"),
+    "repro.ops.sigridhash": (
+        "SigridHasher", "hash64", "sigrid_hash", "sigrid_hash_scalar",
+    ),
+    "repro.ops.lognorm": ("log_normalize",),
+    "repro.ops.fill": ("fill_dense", "fill_sparse"),
+    "repro.ops.pipeline": ("PreprocessingPipeline",),
+    "repro.ops.counts": ("OpCounts",),
+})
 
 __all__ = [
     "Bucketizer",

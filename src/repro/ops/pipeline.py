@@ -22,8 +22,7 @@ materialize data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from repro.features.minibatch import KeyedJaggedTensor, MiniBatch
 from repro.features.specs import ModelSpec
 from repro.features.synthetic import SyntheticTableGenerator
 from repro.ops.bucketize import Bucketizer
+from repro.ops.counts import OpCounts
 from repro.ops.fill import fill_dense, fill_sparse
 from repro.ops.lognorm import log_normalize
 from repro.ops.sigridhash import SigridHasher
@@ -46,54 +46,6 @@ DEFAULT_HASH_SEED = 0xC0FFEE
 #: float32 + float64 work (16 x 8,192 x 12 B = 1.5 MB) stays in L2; measured
 #: flat within noise from 16 to 128 columns.
 DENSE_BLOCK_COLUMNS = 16
-
-
-@dataclass
-class OpCounts:
-    """Work counters for one preprocessed mini-batch.
-
-    These are the quantities every hardware model is parameterized on:
-    element counts per operation plus the binary-search depth for Bucketize.
-    """
-
-    rows: int
-    log_elements: int  # dense values normalized by Log
-    bucketize_elements: int  # dense values digitized by Bucketize
-    bucket_boundaries: int  # m — binary-search space per Bucketize element
-    hash_elements: int  # sparse ids normalized by SigridHash
-    fill_elements: int  # values touched by the fill ops
-    format_elements: int  # values packed during format conversion
-    raw_dense_values: int
-    raw_sparse_values: int
-
-    @property
-    def search_steps_per_element(self) -> float:
-        """Binary-search iterations per Bucketize element: ceil(log2(m+1))."""
-        return float(int(np.ceil(np.log2(self.bucket_boundaries + 1))))
-
-    @property
-    def transform_elements(self) -> int:
-        """Total elements touched by the three offloaded ops."""
-        return self.log_elements + self.bucketize_elements + self.hash_elements
-
-    @classmethod
-    def expected_for(cls, spec: ModelSpec, batch_size: Optional[int] = None) -> "OpCounts":
-        """Analytic counts for one batch of ``spec`` (expected values)."""
-        rows = batch_size if batch_size is not None else spec.batch_size
-        sparse_values = int(round(rows * spec.sparse_elements_per_sample()))
-        dense_values = rows * spec.num_dense
-        generated = rows * spec.num_generated_sparse
-        return cls(
-            rows=rows,
-            log_elements=dense_values,
-            bucketize_elements=generated,
-            bucket_boundaries=spec.bucket_size,
-            hash_elements=sparse_values,
-            fill_elements=dense_values,
-            format_elements=dense_values + sparse_values + generated,
-            raw_dense_values=dense_values,
-            raw_sparse_values=sparse_values,
-        )
 
 
 class PreprocessingPipeline:

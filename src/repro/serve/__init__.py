@@ -24,29 +24,24 @@ In-process quick start::
         print(final.digest)  # == PreprocessJob(...).run().digest
 """
 
-from repro.serve.queue import QUEUE_POLICIES, BoundedJobQueue
-from repro.serve.pool import WorkerPool
-from repro.serve.records import (
-    JOB_STATES,
-    STAGE_STATUSES,
-    TERMINAL_STATES,
-    JobLogIndex,
-    JobRecord,
-    StageEvent,
-)
-from repro.serve.sources import (
-    DirectoryJobSource,
-    JobSource,
-    SourceWatcher,
-    SyntheticJobSource,
-)
-from repro.serve.service import PIPELINE_STAGES, PreprocessService
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    ServiceClient,
-    ServiceServer,
-    read_endpoint,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.queue": ("QUEUE_POLICIES", "BoundedJobQueue"),
+    "repro.serve.pool": ("WorkerPool",),
+    "repro.serve.records": (
+        "JOB_STATES", "STAGE_STATUSES", "TERMINAL_STATES", "JobLogIndex",
+        "JobRecord", "StageEvent",
+    ),
+    "repro.serve.sources": (
+        "DirectoryJobSource", "JobSource", "SourceWatcher",
+        "SyntheticJobSource",
+    ),
+    "repro.serve.service": ("PIPELINE_STAGES", "PreprocessService"),
+    "repro.serve.protocol": (
+        "PROTOCOL_VERSION", "ServiceClient", "ServiceServer", "read_endpoint",
+    ),
+})
 
 __all__ = [
     "BoundedJobQueue",

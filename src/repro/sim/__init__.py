@@ -5,6 +5,10 @@ on one (time, sequence)-ordered heap.  Generator processes that ``yield``
 timeouts share that heap; only tests and the benchmark probe use them.
 """
 
-from repro.sim.engine import Engine, Process, Timeout
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Engine", "Process", "Timeout"),
+})
 
 __all__ = ["Engine", "Process", "Timeout"]

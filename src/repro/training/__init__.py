@@ -2,8 +2,12 @@
 A100 device model yielding the max training throughput ``T`` that drives the
 paper's T/P provisioning, plus the train-manager consumer process."""
 
-from repro.training.dlrm import DlrmCostModel, DlrmWorkload
-from repro.training.gpu import GpuTrainingModel
-from repro.training.trainer import TrainManager
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.training.dlrm": ("DlrmCostModel", "DlrmWorkload"),
+    "repro.training.gpu": ("GpuTrainingModel",),
+    "repro.training.trainer": ("TrainManager",),
+})
 
 __all__ = ["DlrmCostModel", "DlrmWorkload", "GpuTrainingModel", "TrainManager"]

@@ -11,13 +11,19 @@ node-level provisioning target in Figures 4 and 14).
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.features.specs import ModelSpec
 from repro.hardware.calibration import CALIBRATION, Calibration
 from repro.training.dlrm import DlrmCostModel
+
+#: The longest training iteration a calibration may imply (~2e292 s), so
+#: that no run of fewer than 2**53 batches overflows its simulated clock and
+#: supply over the GPUs' demand stays finite (gpu_gather_bw=1e-298 made an
+#: RM5 iteration 1.5e308 s and the headroom of a 3-batch run infinite).
+MAX_ITERATION_S = sys.float_info.max / 2**53
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,11 @@ class GpuTrainingModel:
     def max_training_throughput(self, spec: ModelSpec) -> float:
         """``T``: samples/s one A100 sustains when never input-starved."""
         total = self.iteration_breakdown(spec).total
-        if not 0.0 < total < math.inf:
+        if not 0.0 < total <= MAX_ITERATION_S:
             raise ConfigurationError(
                 f"one {spec.name} training iteration takes {total!r} s under "
-                "this calibration; the gpu_* fields must give a positive, "
-                "finite time"
+                "this calibration; the gpu_* fields must give a positive time "
+                f"of at most {MAX_ITERATION_S:.3g} s"
             )
         return spec.batch_size / total
 

@@ -115,6 +115,20 @@ class TestDomains:
             f"got {value!r}"
         )
 
+    @pytest.mark.parametrize("name", ["cpu_node_power", "cpu_cores_per_node"])
+    def test_an_int_past_the_largest_float_is_not_finite(self, name):
+        """``math.isfinite(10**400)`` raises ``OverflowError``; the check
+        turns it into the one message a constructor and an override share."""
+        from repro.api import Scenario
+
+        with pytest.raises(ConfigurationError) as direct:
+            Calibration(**{name: 10**400})
+        with pytest.raises(ConfigurationError) as override:
+            Scenario(model="RM1", system="Disagg", calibration={name: 10**400})
+        assert str(override.value) == str(direct.value) == (
+            f"calibration field {name!r} must be finite, got {10**400!r}"
+        )
+
 
 # -- every override prices or raises a typed error ---------------------------
 
@@ -180,12 +194,16 @@ class TestEveryOverridePricesOrRaises:
         ("gpu_embedding_traffic_multiplier", 1e300, ("Co-located",), ("RM5",)),
         ("colocation_scaling_exponent", 1e300, ("Co-located",), MODELS),
         ("cpu_cores_per_node", 5e-324, ("Disagg",), MODELS),
+        # between the grid's value classes: a finite 1.5e308 s iteration
+        # whose demand made the headroom infinite
+        ("gpu_gather_bw", 1e-298, ("U280",), ("RM5",)),
     ])
     def test_the_overrides_that_escaped_are_typed(
         self, field, value, systems, models
     ):
         """Each of these once ended in ``ZeroDivisionError``,
-        ``OverflowError`` or an infinite power and capex."""
+        ``OverflowError``, an infinite power and capex or an infinite
+        headroom."""
         from repro.api import Scenario
 
         for system in systems:

@@ -14,8 +14,8 @@ is listed in :data:`ALLOWED` with the reason it stays, and an entry whose
 target is gone or has found a caller fails too, so the list cannot rot.
 
 A module-level definition is resolved through the imports (``from package
-import name`` is followed through the ``__init__`` re-exports to the module
-that defines ``name``); a method is matched by bare attribute name
+import name`` is followed through the ``__init__`` re-exports, the
+``lazy_exports`` tables, to the module that defines ``name``); a method is matched by bare attribute name
 (``getattr(x, "name")`` included), so the guard can miss an orphan method
 whose name another class also uses, and any name the corpus happens to
 mention.  A call from code that itself has no caller is not a caller: the
@@ -39,7 +39,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import pytest
 
@@ -144,6 +144,22 @@ def _imports(tree: ast.AST) -> Set[str]:
     return found
 
 
+def _reexported(tree: ast.AST) -> Iterator[Tuple[str, str]]:
+    """``(source module, name)`` for each name a package ``__init__``
+    re-exports: its ``from module import name`` statements and the table it
+    hands ``repro.lazy.lazy_exports`` (``{"module": ("name", ...)}``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                yield node.module, alias.name
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", "") == "lazy_exports"):
+            table = node.args[1]
+            for source, names in zip(table.keys, table.values):
+                for name in names.elts:
+                    yield source.value, name.value
+
+
 def audit(
     src_root: Path, corpus: Iterable[Path], allowed: Dict[str, str]
 ) -> Tuple[List[str], List[str]]:
@@ -163,10 +179,8 @@ def audit(
         module = _module_name(path, src_root)
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.name == "__init__.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom) and node.module:
-                    for alias in node.names:
-                        reexports.setdefault(module, {})[alias.name] = node.module
+            for source, name in _reexported(tree):
+                reexports.setdefault(module, {})[name] = source
         else:
             modules[module] = path
             imported |= _imports(tree)
@@ -283,16 +297,26 @@ def test_every_public_definition_has_a_caller():
     )
 
 
-def _synthetic_repo(root: Path) -> Tuple[Path, List[Path]]:
+#: the synthetic package's re-exports, as import lists and as the lazy
+#: table repro's own ``__init__`` files hand ``lazy_exports``
+_EAGER_INIT = "from pkg.used import helper, Thing\nfrom pkg.orphan import lonely\n"
+_LAZY_INIT = (
+    "from repro.lazy import lazy_exports\n"
+    "__getattr__, __dir__ = lazy_exports(__name__, {\n"
+    '    "pkg.used": ("helper", "Thing"),\n'
+    '    "pkg.orphan": ("lonely",),\n'
+    "})\n"
+)
+
+
+def _synthetic_repo(root: Path, init: str = _EAGER_INIT) -> Tuple[Path, List[Path]]:
     """A three-module package plus one example: ``pkg.used`` has callers,
     ``pkg.orphan`` is re-exported by the ``__init__`` and called by nothing,
     ``chained`` is called only by a function nothing calls."""
     package = root / "src" / "pkg"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text(
-        "from pkg.used import helper, Thing\n"
-        "from pkg.orphan import lonely\n"
-        '__all__ = ["helper", "Thing", "lonely", "never_called"]\n'
+        init + '__all__ = ["helper", "Thing", "lonely", "never_called"]\n'
     )
     (package / "used.py").write_text(
         "def helper():\n    return 1\n\n"
@@ -325,6 +349,11 @@ def test_an_orphan_is_named(tmp_path):
     assert stale == []
     orphans, _ = audit(src, corpus, {"pkg.orphan": "arrives from outside"})
     assert "pkg.orphan" not in orphans and len(orphans) == 3
+
+
+def test_a_lazy_table_resolves_like_the_import_lists(tmp_path):
+    eager = audit(*_synthetic_repo(tmp_path / "eager"), {})
+    assert audit(*_synthetic_repo(tmp_path / "lazy", _LAZY_INIT), {}) == eager
 
 
 def test_a_stale_allowlist_entry_is_named(tmp_path):
