@@ -17,6 +17,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError, is_int, strict_keys
 from repro.exec.executor import (
     ShardExecutor,
@@ -35,15 +37,16 @@ def minibatch_digest(batches: List[MiniBatch]) -> str:
     """SHA-256 over every tensor of every batch, in batch order.
 
     Stable across processes and shard counts if and only if the batches
-    are bit-identical — the "serial == sharded" acceptance check.
+    are bit-identical — the "serial == sharded" acceptance check.  Each
+    tensor's C-order bytes are hashed from its own buffer (a contiguous
+    tensor is never copied).
     """
     digest = hashlib.sha256()
     for batch in batches:
-        digest.update(batch.dense.tobytes())
-        digest.update(batch.labels.tobytes())
-        digest.update(batch.sparse.lengths.tobytes())
-        digest.update(batch.sparse.values.tobytes())
-        digest.update(",".join(batch.sparse.keys).encode())
+        sparse = batch.sparse
+        for tensor in (batch.dense, batch.labels, sparse.lengths, sparse.values):
+            digest.update(np.ascontiguousarray(tensor))
+        digest.update(",".join(sparse.keys).encode())
     return digest.hexdigest()
 
 

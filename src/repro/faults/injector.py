@@ -37,8 +37,6 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, FaultError
 from repro.faults.plan import FaultPlan, FaultRule, fire_threshold
 
@@ -179,6 +177,8 @@ class FaultInjector:
         ]
         if not armed or not any(node.up for node in nodes.values()):
             return []  # nothing to draw: build no stream
+        import numpy as np  # only an armed probe draws: a clean run never loads it
+
         ids = np.sort(np.fromiter(nodes, np.int64, len(nodes)))
         words = self.plan.stream_words(
             point, f"{pool}:epoch-{epoch}", int(ids[-1]) + 1

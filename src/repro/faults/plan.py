@@ -25,11 +25,12 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, as_tuple, is_int, strict_keys
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: the catalog of named fault points (probe sites) woven through the code:
 #: point -> (module that hosts the probe, what firing there means)
@@ -262,6 +263,8 @@ class FaultPlan:
         function: a member's word depends on the seed, the point, the
         stream key and its own index, never on which other members exist.
         """
+        import numpy as np  # here, not at module level: plans load without it
+
         data = f"{self.seed}:{point}:{stream}".encode("utf-8")
         return np.frombuffer(hashlib.shake_256(data).digest(8 * count), dtype=">u8")
 

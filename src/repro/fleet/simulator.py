@@ -45,7 +45,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -154,14 +153,13 @@ def default_pools(calibration: Calibration = CALIBRATION) -> Tuple[PoolSpec, ...
 class _Node:
     """One node inside a pool: capacity plus its live allocations."""
 
-    __slots__ = ("id", "up", "allocations", "used", "open")
+    __slots__ = ("id", "up", "allocations", "used")
 
     def __init__(self, node_id: int) -> None:
         self.id = node_id
         self.up = True  # serving: not mid-repair, not retired by a shrink
         self.allocations: Dict[str, int] = {}  # job_id -> workers here
         self.used = 0  # ledger: sum(allocations.values())
-        self.open = False  # ledger: has an entry in the pool's open heap
 
 
 class _Job:
@@ -214,12 +212,11 @@ class _PoolState:
         #: id -> node, up or repairing; ids only grow, so insertion order
         #: is id order
         self.nodes: Dict[int, _Node] = {}
-        #: ledger: min-heap of the ids of every up non-full node
-        #: (``node.open``); a node leaves it when it fills, and the stale
-        #: entries (an id whose node is down or missing from ``nodes``:
-        #: failed or retired) are dropped when they surface.  Ids are
-        #: never reused, so a retired id cannot alias a live node.
-        self.open: List[int] = []
+        #: ledger: byte ``id`` is 1 exactly when node ``id`` is up and not
+        #: full.  Ids are handed out densely, in order and never reused,
+        #: so the map has one byte per id ever issued and a retired id
+        #: reads 0.
+        self.open = bytearray()
         self.up = 0  # ledger: up nodes in ``nodes``
         self.busy = 0  # ledger: allocated workers across ``nodes``
         self.queued = 0  # ledger: demand of the queued jobs that fit here
@@ -252,13 +249,7 @@ class _PoolState:
     def add_node(self, node: _Node) -> None:
         self.nodes[node.id] = node
         self.up += 1
-        self.reopen(node)
-
-    def reopen(self, node: _Node) -> None:
-        """``node`` (up, not full) can take work again."""
-        if not node.open:
-            node.open = True
-            heapq.heappush(self.open, node.id)
+        self.open.append(1)  # node.id == len(self.open): ids are dense
 
 
 def _lookup(table: Dict[str, type], noun: str, name: str):
@@ -406,22 +397,17 @@ class FleetSimulator:
 
     def _place(self, job: _Job, pool_name: str, need: int) -> None:
         """Fill up nodes lowest id first, spanning nodes as needed; a node
-        that fills leaves the open heap at once."""
+        that fills is closed in the open map at once."""
         pool = self.pools[pool_name]
         now = self.engine.now
         remaining = need
         wpn = pool.wpn
-        heap, nodes = pool.open, pool.nodes
-        heappop = heapq.heappop
+        open_map, nodes = pool.open, pool.nodes
         alloc = job.alloc
         job_id = job.arrival.job_id
-        while remaining > 0 and heap:
-            node = nodes.get(heap[0])
-            if node is None or not node.up:  # stale: retired or failed
-                heappop(heap)
-                if node is not None:
-                    node.open = False
-                continue
+        node_id = open_map.find(1)
+        while remaining > 0 and node_id >= 0:
+            node = nodes[node_id]
             free = wpn - node.used
             alloc.append(node)
             if free > remaining:  # the node takes the rest and stays open
@@ -432,8 +418,8 @@ class FleetSimulator:
             node.allocations[job_id] = free
             node.used = wpn
             remaining -= free
-            heappop(heap)
-            node.open = False
+            open_map[node_id] = 0
+            node_id = open_map.find(1, node_id + 1)
         if remaining > 0:  # _drain said it fits; this is a bug
             raise FleetError(
                 f"pool {pool_name!r} lost capacity while placing "
@@ -488,17 +474,15 @@ class FleetSimulator:
 
     def _free(self, job: _Job) -> None:
         pool = self.pools[job.pool]
-        heap = pool.open
-        heappush = heapq.heappush
+        open_map = pool.open
         job_id = job.arrival.job_id
         freed = 0
         for node in job.alloc:
             released = node.allocations.pop(job_id)
             node.used -= released
             freed += released
-            if not node.open and node.up:  # pool.reopen, inlined
-                node.open = True
-                heappush(heap, node.id)
+            if node.up:  # a down node reopens at repair
+                open_map[node.id] = 1
         pool.busy -= freed
         job.alloc = []
 
@@ -537,6 +521,7 @@ class FleetSimulator:
     def _fail_node(self, pool: _PoolState, node: _Node) -> None:
         node.up = False
         pool.up -= 1
+        pool.open[node.id] = 0
         pool.node_failures += 1
         for job_id in list(node.allocations):
             self._displace(self._jobs[job_id])  # frees this node too
@@ -544,7 +529,7 @@ class FleetSimulator:
         def repair() -> None:  # a down node is never retired: still ours
             node.up = True
             pool.up += 1
-            pool.reopen(node)
+            pool.open[node.id] = 1  # displacement emptied it
             self._drain()
 
         self.engine.schedule(REPAIR_S, repair)
@@ -660,26 +645,24 @@ class FleetSimulator:
         """Recount every incremental ledger from ``node.allocations`` and
         the queue — the one place that still scans — and raise
         :class:`FleetError` naming whatever drifted."""
-        fields = ("up", "busy", "free", "queued", "node.used", "node.open",
-                  "up non-full nodes missing from the open heap",
-                  "ids held twice in the open heap")
+        fields = ("up", "busy", "free", "queued", "node.used", "open map")
         for name, pool in self.pools.items():
             self._check_pending(pool)
             nodes, wpn = pool.nodes.values(), pool.wpn
             used = [sum(node.allocations.values()) for node in nodes]
-            in_heap = set(pool.open)
+            open_map = bytearray(pool.next_node_id)  # a retired id reads 0
+            for u, node in zip(used, nodes):
+                open_map[node.id] = node.up and u < wpn
             ledger = (
                 pool.up, pool.busy, pool.free_workers(), pool.queued,
-                [node.used for node in nodes], [node.open for node in nodes],
-                [n.id for n in nodes if n.up and n.used < wpn and not n.open],
-                sorted(i for i, n in Counter(pool.open).items() if n > 1),
+                [node.used for node in nodes], pool.open,
             )
             recount = (
                 sum(node.up for node in nodes), sum(used),
                 sum(wpn - u for u, node in zip(used, nodes) if node.up),
                 sum(need for _, _, job in self._queue
                     for other, need in job.needs if other is pool),
-                used, [node.id in in_heap for node in nodes], [], [],
+                used, open_map,
             )
             drift = [
                 f"{field}={have} but recounted {want}"
@@ -733,11 +716,9 @@ class FleetSimulator:
                 retired.append(node)
         for node in retired:
             node.up = False
+            pool.open[node.id] = 0
             del pool.nodes[node.id]
         pool.up -= len(retired)
-        if len(pool.open) > 2 * len(pool.nodes):  # shed retired entries
-            # id order, so the list is already a heap
-            pool.open = [n.id for n in pool.nodes.values() if n.open]
 
     def _sample(self) -> None:
         now = self.engine.now

@@ -92,20 +92,30 @@ class TestCheckLedgers:
         with pytest.raises(FleetError, match="node.used"):
             sim.check_ledgers()
 
-    def test_lost_open_heap_entry_is_caught(self):
+    def test_byte_cleared_on_an_open_node_is_caught(self):
         sim = self.mid_run()
         pool = sim.pools["presto-ssd"]
         node = next(n for n in pool.nodes.values() if n.up and n.used < 8)
-        node.open = False  # an up, non-full node the placer can't see
-        with pytest.raises(FleetError, match="open"):
+        pool.open[node.id] = 0  # an up, non-full node the placer can't see
+        with pytest.raises(FleetError, match="open map"):
             sim.check_ledgers()
 
-    def test_id_held_twice_in_the_open_heap_is_caught(self):
+    @pytest.mark.parametrize("case", ("full", "down", "retired"))
+    def test_byte_left_set_on_a_closed_id_is_caught(self, case):
         sim = self.mid_run()
-        pool = sim.pools["presto-ssd"]
-        node = next(n for n in pool.nodes.values() if n.open)
-        pool.open.append(node.id)  # a second entry: the placer would see it twice
-        with pytest.raises(FleetError, match="ids held twice in the open heap"):
+        pool = sim.pools["disagg-cpu"]
+        if case == "full":
+            node_id = next(n.id for n in pool.nodes.values() if n.used == pool.wpn)
+        else:
+            node_id = max(n.id for n in pool.nodes.values() if not n.allocations)
+            if case == "down":
+                sim._fail_node(pool, pool.nodes[node_id])
+            else:
+                sim._shrink(pool, 1)  # retires the highest idle id
+                assert node_id not in pool.nodes
+        sim.check_ledgers()  # every ledger agrees before the byte is planted
+        pool.open[node_id] = 1  # the placer would hand this id work
+        with pytest.raises(FleetError, match="open map"):
             sim.check_ledgers()
 
     def test_pending_drift_is_caught(self):
@@ -125,50 +135,52 @@ class TestCheckLedgers:
         assert calls == [1]
 
 
-class TestStaleOpenHeapEntries:
-    """``pool.open`` holds node ids; an id whose node is down, or gone
-    from ``pool.nodes`` (retired), is stale and dropped when it surfaces."""
+class TestOpenMapAcrossRetireAndRepair:
+    """``pool.open`` holds one byte per node id: a retired id and a down
+    node read 0, and a repaired node reads 1 again."""
 
     def test_place_skips_an_id_shrink_retired_while_it_was_open(self):
         trace = manual_trace(arrival("a"), arrival("b"), arrival("c"))
         sim = FleetSimulator(trace, pools=one_pool(nodes=2))
         pool = sim.pools["only"]
         a, b, c = (_Job(entry, ()) for entry in trace.arrivals)
-        sim._place(a, "only", 8)  # fills node 0: it leaves the heap
+        sim._place(a, "only", 8)  # fills node 0: its byte clears
         sim._place(b, "only", 5)  # node 1, still open
-        sim._free(a)  # node 0 idle again: back in the heap, below node 1
+        assert pool.open == b"\x00\x01"
+        sim._free(a)  # node 0 idle again: open, below node 1
+        assert pool.open == b"\x01\x01"
         retired = pool.nodes[0]
         sim._shrink(pool, 1)  # node 0 is the only idle node
-        assert 0 not in pool.nodes and pool.open == [0, 1]
+        assert 0 not in pool.nodes and pool.open == b"\x00\x01"
 
         sim._place(c, "only", 3)
         assert retired.allocations == {} and retired.used == 0
         assert c.alloc == [pool.nodes[1]]
         assert pool.nodes[1].allocations == {"b": 5, "c": 3}
-        assert pool.open == []  # the stale id went, and node 1 filled
+        assert pool.open == b"\x00\x00"  # node 1 filled
         sim.check_ledgers()
 
-    @pytest.mark.parametrize("case", ("open", "popped-while-down", "full"))
-    def test_a_failed_then_repaired_node_holds_one_heap_entry(self, case):
+    @pytest.mark.parametrize("case", ("open", "placed-while-down", "full"))
+    def test_a_failed_then_repaired_node_is_open_again(self, case):
         # 5-worker nodes: one RM1/16-GPU job fills a node exactly
         trace = manual_trace(arrival("a"))
         sim = FleetSimulator(trace, pools=one_pool(nodes=2, workers_per_node=5))
         pool = sim.pools["only"]
         job = _Job(trace.arrivals[0], sim._needs(trace.arrivals[0]))
         sim._jobs["a"] = job
-        if case == "full":  # node 0 is out of the heap when it fails
+        if case == "full":  # node 0 is closed when it fails
             sim._enqueue(job)
             sim._drain()
-            assert job.alloc == [pool.nodes[0]] and pool.open == [1]
+            assert job.alloc == [pool.nodes[0]] and pool.open == b"\x00\x01"
         sim._fail_node(pool, pool.nodes[0])  # "full": displaces the job
-        if case != "open":  # the job lands on node 1, past any entry of node 0
-            if case == "popped-while-down":
+        assert pool.open[0] == 0
+        if case != "open":  # the job lands on node 1, past down node 0
+            if case == "placed-while-down":
                 sim._enqueue(job)
             sim._drain()
-            assert job.alloc == [pool.nodes[1]] and not pool.nodes[0].open
+            assert job.alloc == [pool.nodes[1]] and pool.open == b"\x00\x00"
         run_until(sim.engine, REPAIR_S)  # the job ends at 600 s, repair at 900 s
-        assert pool.nodes[0].up and pool.nodes[0].open
-        assert pool.open.count(0) == 1
+        assert pool.nodes[0].up and pool.open == b"\x01\x01"
         sim.check_ledgers()
 
 

@@ -2,13 +2,15 @@
 
 ``FleetSimulator`` pays per tick and per placement only for what changed:
 the autoscaler is asked only when a pool's snapshot moved since its last
-"hold", a node that fills leaves the open heap at once, ``_free``
-releases a job's workers in one ledger update, ``reference.power()`` is
-called only when a pool's capacity changes, and a job's needs are
-memoized per ``(model name, num_gpus)``.  :class:`ReferenceFleetSimulator`
-keeps the bodies those replaced (ask every pool every tick, re-peek full
-nodes on the next placement, reopen node by node, call ``power()`` per
-pool per tick, provision every arrival afresh).  A
+"hold", ``_place`` jumps through the open map (one byte per node id)
+to the lowest up non-full node, ``_free`` releases a job's workers in
+one ledger update, ``reference.power()`` is called only when a pool's
+capacity changes, and a job's needs are memoized per ``(model name,
+num_gpus)``.  :class:`ReferenceFleetSimulator` keeps the bodies those
+replaced (ask every pool every tick, scan every node in id order for
+room, release node by node, call ``power()`` per pool per tick,
+provision every arrival afresh), writing the open map only so that
+``check_ledgers`` still holds.  A
 derandomized hypothesis search over trace kind x policy x autoscaler x
 fault plan asserts that both produce the same digest and the same fault
 audit, with ``check_ledgers()`` green after every tick on both sides.
@@ -20,7 +22,6 @@ buys: a settled pool is asked once, not once per tick.
 """
 
 import dataclasses
-import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -41,18 +42,13 @@ from repro.fleet import (
     Trace,
 )
 from repro.fleet.autoscale import PoolSnapshot, TargetUtilizationAutoscaler
-from repro.fleet.simulator import _Node
 from test_fleet import SMALL_POOLS, small_trace
-
-#: what the reference reads for an open-heap id ``_shrink`` retired: the
-#: id is gone from ``pool.nodes``, and a retired node is a down one
-RETIRED = _Node(-1)
-RETIRED.up = False
 
 
 class ReferenceFleetSimulator(FleetSimulator):
-    """The step loop before it skipped unchanged work; every body below
-    is kept as it was."""
+    """The step loop before it skipped unchanged work.  ``_place`` and
+    ``_free`` find room by scanning ``pool.nodes`` and only write the open
+    map; every other body below is kept as it was."""
 
     def _needs(self, arrival):
         model = get_model(arrival.model)
@@ -72,18 +68,18 @@ class ReferenceFleetSimulator(FleetSimulator):
         now = self.engine.now
         remaining = need
         wpn = pool.spec.workers_per_node
-        while remaining > 0 and pool.open:
-            node = pool.nodes.get(pool.open[0], RETIRED)
+        for node in sorted(pool.nodes.values(), key=lambda node: node.id):
+            if remaining <= 0:
+                break
             free = wpn - node.used
             if free <= 0 or not node.up:
-                heapq.heappop(pool.open)
-                node.open = False
                 continue
             take = min(free, remaining)
             node.allocations[job.arrival.job_id] = take
             node.used += take
             job.alloc.append(node)
             remaining -= take
+            pool.open[node.id] = node.used < wpn
         if remaining > 0:  # _drain said it fits; this is a bug
             raise FleetError(
                 f"pool {pool_name!r} lost capacity while placing "
@@ -116,8 +112,7 @@ class ReferenceFleetSimulator(FleetSimulator):
             released = node.allocations.pop(job.arrival.job_id)
             node.used -= released
             pool.busy -= released
-            if node.up:
-                pool.reopen(node)
+            pool.open[node.id] = node.up
         job.alloc = []
 
     def _integrate(self):

@@ -1,11 +1,12 @@
-"""A ``Scenario`` run and ``repro run --model ...`` import only the sim tier.
+"""A ``Scenario`` run and ``repro run --model ...`` import only the sim tier,
+and a clean ``repro fleet run`` imports no numpy.
 
 Their wall clock is mostly start-up, and start-up is mostly import: each
-front door must leave the serve daemon, the fleet simulator, the
+sim-tier front door must leave the serve daemon, the fleet simulator, the
 experiment harness, the shard executor and the batch runner unimported,
 and numpy too (the performance models are plain Python; numpy is the
-data plane's).  Each case runs in a fresh interpreter and lists what it
-loaded.
+data plane's, and the fleet's only through an armed fault probe).  Each
+case runs in a fresh interpreter and lists what it loaded.
 """
 
 from __future__ import annotations
@@ -72,3 +73,14 @@ def test_the_sim_tier_imports_no_other_tier(door):
     loaded = loaded_by(FRONT_DOORS[door])
     assert "repro.core.endtoend" in loaded  # it did simulate
     assert [module for module in loaded if outside(module)] == []
+
+
+def test_a_clean_fleet_run_loads_no_numpy():
+    """Only an armed node probe draws its coins through numpy, so a fleet
+    day with no fault plan never imports it."""
+    loaded = loaded_by("""
+        from repro.cli import main
+        assert main(["fleet", "run", "--jobs", "50"]) == 0
+    """)
+    assert "repro.fleet.simulator" in loaded  # it did simulate
+    assert [module for module in loaded if module.split(".")[0] == "numpy"] == []

@@ -16,6 +16,7 @@ has every kernel fill its slot through ``out=``.  Three things are pinned:
 """
 
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.preprocess import minibatch_digest
 from repro.errors import FormatError, OpError, PipelineError
 from repro.exec import ShardExecutor
 from repro.features.minibatch import KeyedJaggedTensor, MiniBatch
@@ -426,3 +428,27 @@ def test_inline_executor_holds_one_shard_beside_its_results(rm5):
         one_shard = results[0].file_bytes + table_nbytes(table) // shards
         assert transient[shards] <= one_shard
     assert transient[8] == pytest.approx(transient[2], rel=0.02)
+
+
+def test_digest_hashes_each_tensor_in_place(rm5):
+    """``minibatch_digest`` reads each tensor's buffer: its peak stays
+    below the largest tensor, which a ``tobytes()`` copy would reach, and
+    a tensor laid out in Fortran order hashes its C-order bytes."""
+    pipe, generator = rm5
+    batch, _ = pipe.run(generator.generate(2048))
+    tensors = (batch.dense, batch.labels, batch.sparse.lengths, batch.sparse.values)
+    expected = hashlib.sha256(
+        b"".join(tensor.tobytes() for tensor in tensors)
+        + ",".join(batch.sparse.keys).encode()
+    ).hexdigest()
+    assert minibatch_digest([batch]) == expected
+    digest, peak = traced_peak(lambda: minibatch_digest([batch]))
+    assert digest == expected
+    assert peak < max(tensor.nbytes for tensor in tensors)
+
+    fortran = MiniBatch(
+        dense=np.asfortranarray(batch.dense), sparse=batch.sparse,
+        labels=batch.labels, batch_id=batch.batch_id,
+    )
+    assert not fortran.dense.flags.c_contiguous
+    assert minibatch_digest([fortran]) == expected
