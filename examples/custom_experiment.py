@@ -4,7 +4,7 @@ The experiment registry makes the evaluation surface pluggable the same way
 the system registry makes design points pluggable: decorate a runner with
 ``@register_experiment(...)`` and it becomes a first-class citizen of
 ``repro list``, ``repro run`` (with ``--set`` parameter overrides),
-``repro report`` (serial, ``--parallel``, and cached), and
+``repro report`` (fresh, cached, and journaled), and
 ``repro export`` — right next to the paper's twenty experiments.
 
 Here we add a "GPU budget sweep": how many PreSto SmartSSDs does each

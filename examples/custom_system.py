@@ -55,7 +55,7 @@ def main() -> None:
           f"(P = {plan.worker_throughput:,.0f} samples/s, "
           f"headroom {plan.headroom:.2f}x)")
 
-    # ... and sweepable against the paper's designs, in parallel
+    # ... and sweepable against the paper's designs
     sweep = Sweep.grid(
         models=("RM4", "RM5"),
         systems=("PreSto", "PreSto-Gen2"),

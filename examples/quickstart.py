@@ -10,7 +10,7 @@ Walks the paper's core flow on the public Criteo-style model (RM1):
    door that validates the config, provisions ceil(T/P) workers, simulates
    the full preprocessing-feeds-training pipeline, and returns a uniform
    `RunResult`;
-4. compare design points with a parallel `Sweep` over the system registry.
+4. compare design points with a `Sweep` over the system registry.
 
 Run:  python examples/quickstart.py
 """
@@ -72,8 +72,8 @@ def main() -> None:
           f"{100 * result.steady_state_utilization:.1f}%")
     assert scenario == Scenario.from_dict(scenario.to_dict())  # config files
 
-    # 4. a parallel sweep across registered design points — results come
-    #    back in grid order regardless of the pool's scheduling
+    # 4. a sweep across registered design points — results come back in
+    #    grid order
     sweep = Sweep.grid(models="RM1", systems=("Disagg", "PreSto", "U280"),
                        num_gpus=(1,), num_batches=200)
     rows_out = [

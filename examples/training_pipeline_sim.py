@@ -7,8 +7,8 @@ on the production-scale RM5 model:
 * a disaggregated CPU pool provisioned via T/P — keeps it busy with ~367 cores;
 * PreSto — keeps it busy with 9 SmartSSDs.
 
-All three scenarios run concurrently through a `Sweep` (one process per
-scenario) and the results come back in declaration order.
+All three scenarios run through one `Sweep`, and the results come back in
+declaration order.
 
 Run:  python examples/training_pipeline_sim.py
 """
@@ -34,7 +34,7 @@ def main() -> None:
           f"(batch {spec.batch_size})...\n")
 
     sweep = Sweep([scenario for _, scenario in DEPLOYMENTS])
-    results = sweep.run()  # parallel; deterministic ordering
+    results = sweep.run()  # in declaration order
     rows = [
         (
             name,

@@ -17,8 +17,8 @@ recommendation models (Lee, Kim, Rhu; ISCA 2024).  This package provides:
 * an experiment harness regenerating every table and figure of the paper's
   evaluation, driven by a registry (:data:`repro.api.EXPERIMENT_REGISTRY`)
   with declarative :class:`~repro.api.ExperimentRun` records, an on-disk
-  result cache, and a parallel report (see :mod:`repro.experiments.report`
-  and ``docs/experiments.md``).
+  result cache, and a journaled, resumable report (see
+  :mod:`repro.experiments.report` and ``docs/experiments.md``).
 
 Quick start — one scenario::
 
@@ -27,13 +27,13 @@ Quick start — one scenario::
     result = Scenario(model="RM5", system="PreSto", num_gpus=8).run()
     print(result.summary())  # 9 SmartSSDs keep 8 A100s busy
 
-A parallel sweep across design points::
+A sweep across design points::
 
     from repro import Sweep
 
     sweep = Sweep.grid(models=("RM1", "RM5"), systems=("Disagg", "PreSto"),
                        num_gpus=(1, 8))
-    for result in sweep.run():  # multiprocessing; deterministic order
+    for result in sweep.run():  # serial, in scenario order
         print(result.summary())
 
 Registering your own design point makes it available to scenarios, sweeps,

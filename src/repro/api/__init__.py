@@ -7,9 +7,9 @@ Five pieces:
 * :class:`Scenario` — one frozen, validated, dict-round-trippable record
   describing model x system x deployment; ``.run()`` simulates the full
   pipeline and returns a uniform :class:`RunResult`;
-* :class:`Sweep` — a grid of scenarios executed serially or through the
-  fault-tolerant batch tier (:class:`BatchRunner`) with deterministic
-  result ordering, per-task retries/timeouts, and journaled resume;
+* :class:`Sweep` — a grid of scenarios executed serially through the
+  fault-tolerant batch tier (:class:`BatchRunner`) in scenario order,
+  with per-task retries, degrade mode and journaled resume;
 * :class:`PreprocessJob` — the data-plane scenario: one declarative
   sharded preprocessing run through :class:`repro.exec.ShardExecutor`,
   with a content digest proving parallel == serial output;
@@ -22,8 +22,8 @@ Five pieces:
   catalog: every figure/table/ablation module registers its runner, runs
   are frozen dict-round-trippable records, results follow one protocol
   (``columns``/``rows``/``claims``/``render``/``to_dict``), an on-disk
-  cache replays repeated invocations, and :func:`run_experiments` fans
-  out across a process pool with deterministic ordering.
+  cache replays repeated invocations, and :func:`run_experiments` runs
+  them serially through the same batch tier, in input order.
 """
 
 from repro.lazy import lazy_exports

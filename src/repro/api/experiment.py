@@ -1,4 +1,4 @@
-"""The experiment front door: registry, typed runs, cached + parallel runner.
+"""The experiment front door: registry, typed runs, cached batch runner.
 
 The repo's evaluation surface is ~20 experiment modules (``fig3``–``fig17``,
 ``table1``/``table2``, seven ablations).  This module gives them the same
@@ -6,7 +6,7 @@ registry treatment :mod:`repro.api.registry` gave the *systems*:
 
 * :class:`ExperimentRegistry` / :func:`register_experiment` — every
   experiment module decorates its ``run()`` function and thereby plugs into
-  ``repro list/run/report/export``, the cache, and the parallel runner at
+  ``repro list/run/report/export``, the cache, and the batch runner at
   once; the registry knows each experiment's id, paper title, kind
   (``figure`` / ``table`` / ``ablation``), paper order, parameter
   signature, and result type;
@@ -24,10 +24,9 @@ registry treatment :mod:`repro.api.registry` gave the *systems*:
   params digest, calibration digest) so repeated ``report``/``export``
   invocations replay stored results (``force=True`` bypasses);
 * :func:`run_experiments` — the :class:`~repro.api.sweep.Sweep`-style
-  fault-tolerant fan-out (via :class:`~repro.batch.runner.BatchRunner`)
-  with deterministic, serial-identical result ordering, per-task
-  retries/timeouts, journaled resume, and completed-result caching even
-  when a later task fails.
+  serial batch (via :class:`~repro.batch.runner.BatchRunner`) with
+  input-ordered results, per-task retries, journaled resume, and
+  completed-result caching even when a later task fails.
 
 Quick start::
 
@@ -798,29 +797,12 @@ class RunStore:
 
 
 # ---------------------------------------------------------------------------
-# the parallel runner
+# the batch runner
 # ---------------------------------------------------------------------------
-
-
-def _execute_run(task: Tuple[ExperimentRun, str]) -> ExperimentResult:
-    """Module-level so pool workers can unpickle it.
-
-    The task carries the experiment's defining module so that pool workers
-    started with the ``spawn`` method (macOS/Windows defaults) can import a
-    *user-registered* experiment before looking it up — ``_ensure_builtins``
-    only covers the modules under :mod:`repro.experiments`.
-    """
-    run, module = task
-    try:
-        importlib.import_module(module)
-    except ImportError:
-        pass  # e.g. defined in __main__; the registry lookup will explain
-    return run.run()
 
 
 def run_experiments(
     runs: Sequence[ExperimentRun],
-    parallel: bool = False,
     store: Optional[RunStore] = None,
     force: bool = False,
     *,
@@ -828,7 +810,7 @@ def run_experiments(
     journal: Optional["BatchJournal"] = None,
     resume: bool = False,
 ) -> Union[List[ExperimentResult], List["BatchOutcome"]]:
-    """Execute ``runs``; results come back in input order either way.
+    """Execute ``runs`` one after another; results come back in input order.
 
     With a ``store``, cached results are replayed (unless ``force``) and
     fresh ones are saved.  Execution goes through the fault-tolerant
@@ -839,8 +821,7 @@ def run_experiments(
     one :class:`~repro.batch.outcomes.BatchOutcome` per run (``result``
     holds the :class:`ExperimentResult` when ok) so callers can render
     partial reports.  With a ``journal``, ``resume=True`` replays
-    completed runs from it and re-executes the rest; the pool is always
-    clamped to the pending-task count.
+    completed runs from it and re-executes the rest.
     """
     from repro.batch import BatchPolicy, BatchRunner
 
@@ -876,11 +857,11 @@ def run_experiments(
             )
 
     runner = BatchRunner(
-        _execute_run,
+        ExperimentRun.run,
         policy=batch_policy,
         journal=journal,
-        task_key=lambda index, task: task[0].digest,
-        task_label=lambda index, task: task[0].label,
+        task_key=lambda index, run: run.digest,
+        task_label=lambda index, run: run.label,
         encode_result=lambda index, result: result.to_dict(),
         decode_result=lambda index, payload: (
             EXPERIMENT_REGISTRY.get(runs[index].experiment)
@@ -888,15 +869,8 @@ def run_experiments(
         ),
         on_outcome=_save_fresh,
     )
-    tasks = [(run, run.spec.module) for run in runs]
-    misses = len(runs) - len(precomputed)
-    fan_out = (
-        parallel
-        and misses > 1
-        and batch_policy.worker_count(misses) > 1
-    )
     outcomes = runner.run(
-        tasks, parallel=fan_out, resume=resume, precomputed=precomputed
+        runs, parallel=False, resume=resume, precomputed=precomputed
     )
     if batch_policy.failure_mode == "degrade":
         return outcomes

@@ -1,12 +1,11 @@
-"""Parallel scenario sweeps with deterministic result ordering.
+"""Scenario sweeps with deterministic result ordering.
 
 A :class:`Sweep` is an ordered collection of :class:`~repro.api.scenario.Scenario`
-records.  :meth:`Sweep.run` executes them through the fault-tolerant
-:class:`~repro.batch.runner.BatchRunner` (scenarios are frozen, picklable,
-and side-effect free, so fan-out is safe) and always returns results in
-scenario order — a parallel run is indistinguishable from a serial one
-except for wall-clock time.  A worker death, a raising scenario, or a
-stuck task becomes a per-scenario outcome instead of a pool-wide crash:
+records.  :meth:`Sweep.run` executes them one after another on the serial
+path of the fault-tolerant :class:`~repro.batch.runner.BatchRunner` and
+returns results in scenario order.  A scenario costs about 0.2 ms, less
+than forking one worker process, so sweeps do not fan out.  A raising
+scenario becomes a per-scenario outcome instead of a sweep-wide crash:
 a ``degrade`` :class:`~repro.batch.policy.BatchPolicy` returns
 :class:`~repro.batch.outcomes.BatchOutcome` records for every scenario,
 and attaching a :class:`~repro.batch.journal.BatchJournal` makes the
@@ -29,11 +28,6 @@ from repro.api.result import RunResult
 from repro.api.scenario import Scenario
 
 
-def _run_scenario(scenario: Scenario) -> RunResult:
-    """Module-level so pool workers can unpickle it."""
-    return scenario.run()
-
-
 def _scenario_label(index: int, scenario: Scenario) -> str:
     return (
         f"{scenario.model}/{scenario.system}/gpus={scenario.num_gpus}"
@@ -47,7 +41,7 @@ def _as_tuple(value: Union[object, Iterable[object]]) -> Tuple[object, ...]:
 
 
 class Sweep:
-    """An ordered grid of scenarios runnable serially or in parallel."""
+    """An ordered grid of scenarios, run in order."""
 
     def __init__(self, scenarios: Iterable[Scenario]) -> None:
         self.scenarios: Tuple[Scenario, ...] = tuple(scenarios)
@@ -84,27 +78,25 @@ class Sweep:
 
     def run(
         self,
-        parallel: bool = True,
         *,
         policy: Optional[BatchPolicy] = None,
         journal: Optional[BatchJournal] = None,
         resume: bool = False,
     ) -> Union[List[RunResult], List[BatchOutcome]]:
-        """Execute every scenario; results are in scenario order either way.
+        """Execute every scenario, in scenario order.
 
         ``strict`` mode (the default) returns plain :class:`RunResult`
         rows and raises a typed error on the first non-ok scenario —
         already-completed scenarios are still journaled first.
         ``degrade`` mode returns one :class:`BatchOutcome` per scenario
-        (``outcome.result`` holds the :class:`RunResult` when ok).  The
-        pool is always clamped to the scenario count.  With a ``journal``,
-        ``resume=True`` replays it and skips scenarios whose results it
-        already holds.
+        (``outcome.result`` holds the :class:`RunResult` when ok).  With a
+        ``journal``, ``resume=True`` replays it and skips scenarios whose
+        results it already holds.
         """
         if policy is None:
             policy = BatchPolicy()
         runner = BatchRunner(
-            _run_scenario,
+            Scenario.run,
             policy=policy,
             journal=journal,
             task_key=content_key,
@@ -112,14 +104,7 @@ class Sweep:
             encode_result=lambda index, result: result.to_dict(),
             decode_result=lambda index, payload: RunResult.from_dict(payload),
         )
-        fan_out = (
-            parallel
-            and len(self.scenarios) > 1
-            and policy.worker_count(len(self.scenarios)) > 1
-        )
-        outcomes = runner.run(
-            self.scenarios, parallel=fan_out, resume=resume
-        )
+        outcomes = runner.run(self.scenarios, parallel=False, resume=resume)
         if policy.failure_mode == "degrade":
             return outcomes
         return [outcome.result for outcome in outcomes]

@@ -1,15 +1,18 @@
 """The fault-tolerant batch runner — per-task dispatch, not ``pool.map``.
 
 :class:`BatchRunner` is the shared execution engine behind ``Sweep.run``
-and ``run_experiments``.  Instead of handing the whole batch to
-``multiprocessing.Pool.map`` — where one OOM-killed worker or one raising
-task aborts everything with no record of which task died — the runner
-owns a small pool of worker *processes* it talks to over pipes, submits
-tasks individually, and turns every misbehavior into a per-task
-:class:`~repro.batch.outcomes.BatchOutcome`:
+and ``run_experiments`` (both on its inline serial path) and the data
+plane's shard fan-out (its process path).  Instead of handing the whole
+batch to ``multiprocessing.Pool.map`` — where one OOM-killed worker or one
+raising task aborts everything with no record of which task died — the
+process path owns a small pool of worker *processes* it talks to over
+pipes, submits tasks individually, and turns every misbehavior into a
+per-task :class:`~repro.batch.outcomes.BatchOutcome`:
 
 * a task that **raises** is retried with exponential backoff up to
-  ``policy.max_retries`` times, then ends ``failed``;
+  ``policy.max_retries`` times, then ends ``failed`` — except a
+  :class:`~repro.errors.ConfigurationError`, which says the task itself
+  is invalid and would raise again, so it ends ``failed`` at once;
 * a task that **blocks** past ``policy.task_timeout_s`` has its worker
   terminated and replaced (the serve watchdog's move) and ends
   ``timeout``;
@@ -53,6 +56,7 @@ from repro.batch.policy import BatchPolicy
 from repro.errors import (
     BatchError,
     BatchTaskError,
+    ConfigurationError,
     FaultError,
     TaskTimeoutError,
 )
@@ -74,7 +78,9 @@ def _child_main(conn, worker_fn: Callable[[Any], Any], name: str) -> None:
     that escapes the ``except Exception`` below and kills the process, so
     the parent sees exactly what an OOM kill looks like: a dead worker
     with a task in flight.  ``task-hang`` blocks past any sane deadline,
-    handing the parent watchdog a stuck worker to terminate.
+    handing the parent watchdog a stuck worker to terminate.  A raising
+    task is reported as ``"error"`` (the parent may retry it) or, for a
+    ``ConfigurationError``, ``"fatal"`` (it fails at once).
     """
     while True:
         try:
@@ -90,8 +96,9 @@ def _child_main(conn, worker_fn: Callable[[Any], Any], name: str) -> None:
             fault_point("task-hang", item=key, worker=name)
             result = worker_fn(task)
         except Exception as exc:
+            kind = "fatal" if isinstance(exc, ConfigurationError) else "error"
             try:
-                conn.send(("error", index, attempt,
+                conn.send((kind, index, attempt,
                            f"{type(exc).__name__}: {exc}",
                            time.monotonic() - started))
             except (BrokenPipeError, OSError):
@@ -289,7 +296,9 @@ class BatchRunner:
                 try:
                     result = self.worker_fn(tasks[index])
                 except Exception as exc:
-                    if attempts <= self.policy.max_retries:
+                    if attempts <= self.policy.max_retries and not isinstance(
+                        exc, ConfigurationError
+                    ):
                         time.sleep(self.policy.backoff_for(attempts))
                         continue
                     settle(index, "failed", attempts,
@@ -415,7 +424,9 @@ class BatchRunner:
                         settle(index, "ok", attempts[index], elapsed,
                                result=payload)
                     elif (
-                        attempts[index] <= policy.max_retries and not failures
+                        kind == "error"
+                        and attempts[index] <= policy.max_retries
+                        and not failures
                     ):
                         retries.append((
                             time.monotonic()

@@ -4,11 +4,10 @@ Commands:
 
 * ``report``          — run every registered experiment + ablation, print the
                         full paper-vs-measured report and claims scoreboard;
-                        ``--parallel`` fans out across a process pool with
-                        byte-identical output, ``--only figures|tables|
-                        ablations`` narrows the set, ``--json`` emits the
-                        structured payload, and results are cached on disk
-                        (``--force`` re-runs, ``--no-cache`` disables);
+                        ``--only figures|tables|ablations`` narrows the set,
+                        ``--json`` emits the structured payload, and results
+                        are cached on disk (``--force`` re-runs,
+                        ``--no-cache`` disables);
 * ``list``            — list registered experiment ids (``--only`` filters);
 * ``run <id> [...]``  — run one or more experiments by id (e.g. ``fig12``,
                         ``table2``, ``abl-lanes``) and print their tables;
@@ -17,8 +16,8 @@ Commands:
                         ``--json`` emits the structured results;
 * ``run --model RM5 --system PreSto [--gpus N]`` — run one declarative
                         scenario through the :mod:`repro.api` front door;
-* ``sweep``           — run a scenario grid (models x systems x gpus) in
-                        parallel and tabulate the results;
+* ``sweep``           — run a scenario grid (models x systems x gpus) and
+                        tabulate the results;
 * ``systems``         — list registered system design points;
 * ``provision <model> [--gpus N]`` — print the T/P provisioning of every
                         system design point for one Table I model;
@@ -272,18 +271,15 @@ def _print_outcomes(outcomes, title: str, as_json: bool) -> None:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Full report (cached, optionally parallel, optionally JSON)."""
+    """Full report (cached, optionally JSON)."""
     from repro.experiments import report as report_mod
 
     journal, resume = _batch_journal(args)
     results = report_mod.run_all(
         kinds=_parse_only(args.only),
-        parallel=args.parallel,
         store=_store_from_args(args),
         force=args.force,
-        policy=BatchPolicy(
-            failure_mode=args.failure_mode, processes=args.processes
-        ),
+        policy=BatchPolicy(failure_mode=args.failure_mode),
         journal=journal,
         resume=resume,
     )
@@ -379,17 +375,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         calibration=_parse_overrides(args.set),
     )
     policy = BatchPolicy(
-        max_retries=args.max_retries,
-        task_timeout_s=args.task_timeout,
-        failure_mode=args.failure_mode,
-        processes=args.processes,
+        max_retries=args.max_retries, failure_mode=args.failure_mode
     )
-    results = sweep.run(
-        parallel=not args.serial,
-        policy=policy,
-        journal=journal,
-        resume=resume,
-    )
+    results = sweep.run(policy=policy, journal=journal, resume=resume)
     if args.failure_mode == "degrade":
         _print_outcomes(
             results, f"Sweep: {len(results)} scenarios", args.json
@@ -982,11 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="run everything, print the full report"
     )
-    report.add_argument("--parallel", action="store_true",
-                        help="fan experiments out across a process pool "
-                             "(output is byte-identical to serial)")
-    report.add_argument("--processes", type=int, default=None,
-                        help="pool size for --parallel")
     report.add_argument("--only", default=None, metavar="KINDS",
                         help="comma list of figures|tables|ablations")
     report.add_argument("--json", action="store_true",
@@ -1015,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(func=cmd_run)
 
     sweep_parser = sub.add_parser(
-        "sweep", help="run a models x systems x gpus scenario grid in parallel"
+        "sweep", help="run a models x systems x gpus scenario grid"
     )
     sweep_parser.add_argument("--models", default=",".join(MODEL_NAMES),
                               help="comma-separated Table I models")
@@ -1023,13 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="comma-separated registered systems")
     sweep_parser.add_argument("--gpus", default="8",
                               help="comma-separated GPU counts")
-    sweep_parser.add_argument("--serial", action="store_true",
-                              help="run scenarios serially (default: parallel)")
-    sweep_parser.add_argument("--processes", type=int, default=None,
-                              help="pool size for parallel execution")
-    sweep_parser.add_argument("--task-timeout", type=float, default=None,
-                              help="wall-clock seconds before a scenario is "
-                                   "abandoned (parallel runs only)")
     sweep_parser.add_argument("--max-retries", type=int, default=1,
                               help="retries per scenario before it counts "
                                    "as failed")

@@ -13,8 +13,9 @@ layer models that concurrency; this module *performs* it:
    time: a partition is written, read, transformed and let go before the
    next is sliced (:meth:`ShardExecutor.iter_shards`);
 3. or shards fan out across the worker processes of a
-   :class:`~repro.batch.runner.BatchRunner` — the one process supervisor
-   ``Sweep.run`` and ``run_experiments`` also use, so a shard worker that
+   :class:`~repro.batch.runner.BatchRunner` — the runner ``Sweep.run`` and
+   ``run_experiments`` drive on its serial path; this fan-out is its one
+   ``src/`` user outside the chaos tier — so a shard worker that
    raises or is killed ends the run with a typed
    :class:`~repro.errors.BatchTaskError` instead of a hang; results always
    come back in partition order with ``batch_id == partition.index``, so a

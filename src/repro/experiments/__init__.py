@@ -9,8 +9,8 @@ the on-disk run cache.  Importing this package runs none of them: the
 registry's first lookup imports each module named here (``__all__``),
 which is how it discovers the built-ins, and ``from repro.experiments
 import fig11_throughput`` imports just that one.
-:mod:`repro.experiments.report` runs everything (serially, in parallel, or
-from cache) and produces the full paper-vs-measured report.
+:mod:`repro.experiments.report` runs everything (fresh or from cache)
+and produces the full paper-vs-measured report.
 """
 
 from repro.lazy import lazy_exports

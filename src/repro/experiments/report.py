@@ -4,10 +4,10 @@ and summarize which claims hold.  ``repro report`` prints the whole thing.
 The report is registry-driven: every experiment module registers itself
 with :data:`repro.api.EXPERIMENT_REGISTRY`, and this module just asks the
 registry for the paper-ordered specs.  ``run_all`` therefore picks up
-user-registered experiments automatically, can fan out across a
-``multiprocessing`` pool, and can replay results from a
-:class:`~repro.api.experiment.RunStore` cache — all while producing output
-byte-identical to a serial, uncached run.
+user-registered experiments automatically, runs them one after another
+through the batch tier (journaled and resumable), and can replay results
+from a :class:`~repro.api.experiment.RunStore` cache — all while
+producing output byte-identical to an uncached run.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def run_all(
     include_ablations: bool = True,
     *,
     kinds: Optional[Sequence[str]] = None,
-    parallel: bool = False,
     store: Optional[RunStore] = None,
     force: bool = False,
     policy: Optional[BatchPolicy] = None,
@@ -85,8 +84,7 @@ def run_all(
     """Run every registered experiment (and, by default, every ablation).
 
     Results come back keyed by paper title, in paper order, regardless of
-    ``parallel`` or cache hits — a parallel or cached run renders
-    byte-identically to a serial fresh one.  Under a ``degrade`` policy a
+    cache hits — a cached run renders byte-identically to a fresh one.  Under a ``degrade`` policy a
     non-ok experiment's slot holds an :class:`ExperimentFailure` marker
     instead of aborting the report; with a ``journal``, ``resume=True``
     replays completed experiments and re-runs only the missing ones.
@@ -94,7 +92,7 @@ def run_all(
     specs = _selected_specs(include_ablations, kinds)
     runs = [ExperimentRun(spec.id) for spec in specs]
     results = run_experiments(
-        runs, parallel=parallel, store=store, force=force, policy=policy,
+        runs, store=store, force=force, policy=policy,
         journal=journal, resume=resume,
     )
     if policy is not None and policy.failure_mode == "degrade":

@@ -9,7 +9,6 @@ import pytest
 
 from repro.api import (
     REGISTRY,
-    BatchPolicy,
     RunResult,
     Scenario,
     Sweep,
@@ -229,18 +228,18 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match="Scenario"):
             Sweep(["RM1/PreSto"])
 
-    def test_parallel_matches_serial_exactly(self):
-        """The acceptance bar: a parallel sweep is byte-identical to the
-        same sweep run serially, in the same order."""
+    def test_rerun_matches_exactly_in_scenario_order(self):
+        """The acceptance bar: results come back in scenario order, and a
+        second run of the same sweep is byte-identical to the first."""
         sweep = Sweep.grid(models=("RM1", "RM2"), systems=("PreSto", "Disagg"),
                            num_gpus=(1,), num_batches=20)
-        serial = sweep.run(parallel=False)
-        parallel = sweep.run(parallel=True, policy=BatchPolicy(processes=2))
-        assert [r.scenario for r in serial] == list(sweep)
-        assert serial == parallel
-        serial_bytes = json.dumps([r.to_dict() for r in serial]).encode()
-        parallel_bytes = json.dumps([r.to_dict() for r in parallel]).encode()
-        assert serial_bytes == parallel_bytes
+        first = sweep.run()
+        again = sweep.run()
+        assert [r.scenario for r in first] == list(sweep)
+        assert first == again
+        first_bytes = json.dumps([r.to_dict() for r in first]).encode()
+        again_bytes = json.dumps([r.to_dict() for r in again]).encode()
+        assert first_bytes == again_bytes
 
 
 class TestEndToEndConstruction:

@@ -5,13 +5,15 @@
 * the shared ``JsonlJournal`` core (torn-tail healing, atomic rewrite);
 * ``BatchJournal`` line shapes, resume segments, corruption handling;
 * ``BatchRunner`` serial + parallel: retries, degrade vs strict, wall
-  clock timeouts, SIGKILLed workers, journaled resume;
+  clock timeouts, SIGKILLed workers, journaled resume, and a
+  ``ConfigurationError`` that fails on its first attempt;
 * the ``Sweep.run`` / ``run_experiments`` entry points on top of it
-  (the pool clamp, caching completed results even when a later task
+  (scenario order, caching completed results even when a later task
   fails strict);
 * ``repro chaos --tier batch`` invariants and the CLI's resume surface,
-  including a subprocess SIGKILL of ``repro report --parallel`` whose
-  resumed output must be byte-identical to an uninterrupted run.
+  including a subprocess SIGKILL of ``repro report`` while a gated
+  experiment is in flight, whose resumed output must be byte-identical
+  to an uninterrupted run.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ from repro.api import (
     BatchRunner,
     ExperimentRun,
     RunStore,
+    Scenario,
     Sweep,
     run_experiments,
 )
@@ -39,6 +42,7 @@ from repro.errors import (
     BatchError,
     BatchTaskError,
     ConfigurationError,
+    FaultError,
     TaskTimeoutError,
 )
 from repro.journal import JsonlJournal
@@ -56,6 +60,18 @@ def _fail_on_negative(x):
     if x < 0:
         raise ValueError(f"bad input {x}")
     return x * 2
+
+
+def _misconfigured(x):
+    raise ConfigurationError(f"bad setting {x}")
+
+
+def _disk_hiccup(x):
+    raise OSError(f"disk hiccup {x}")
+
+
+def _injected_fault(x):
+    raise FaultError(f"injected {x}")
 
 
 def _kill_self_on_negative(x):
@@ -543,6 +559,40 @@ class TestRunnerParallel:
             runner.run([1, -1, 2, 3])
 
 
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+class TestOnlyTransientErrorsRetry:
+    """A ``ConfigurationError`` would raise again on every retry, so it
+    fails on its first attempt; ``OSError`` and ``FaultError`` may pass
+    on a retry (the chaos tier relies on that) and keep retrying."""
+
+    POLICY = BatchPolicy(max_retries=3, backoff_s=0.001,
+                         failure_mode="degrade", processes=2)
+
+    def test_configuration_error_fails_on_its_first_attempt(self, parallel):
+        runner = BatchRunner(_misconfigured, policy=self.POLICY)
+        outcomes = runner.run([1, 2], parallel=parallel)
+        assert [o.state for o in outcomes] == ["failed", "failed"]
+        assert [o.attempts for o in outcomes] == [1, 1]
+        assert outcomes[0].error == "ConfigurationError: bad setting 1"
+
+    @pytest.mark.parametrize("fn, error", [
+        (_disk_hiccup, "OSError: disk hiccup 2"),
+        (_injected_fault, "FaultError: injected 2"),
+    ], ids=["OSError", "FaultError"])
+    def test_transient_errors_still_retry(self, parallel, fn, error):
+        runner = BatchRunner(fn, policy=self.POLICY)
+        outcomes = runner.run([1, 2], parallel=parallel)
+        assert [o.attempts for o in outcomes] == [4, 4]
+        assert outcomes[1].error == error
+
+    def test_configuration_error_raises_typed_in_strict(self, parallel):
+        runner = BatchRunner(
+            _misconfigured,
+            policy=BatchPolicy(max_retries=3, backoff_s=0.001, processes=2))
+        with pytest.raises(BatchTaskError, match="after 1 attempt"):
+            runner.run([1, 2], parallel=parallel)
+
+
 # ---------------------------------------------------------------------------
 # runner — journal + resume
 # ---------------------------------------------------------------------------
@@ -630,21 +680,27 @@ class TestSweepBatch:
         return Sweep.grid(models=["RM1"], systems=list(systems),
                           num_gpus=[8], num_batches=10)
 
-    def test_oversized_processes_clamps_and_completes(self):
-        results = self._sweep().run(
-            parallel=True, policy=BatchPolicy(processes=32))
-        assert len(results) == 2
-
-    def test_parallel_matches_serial(self):
+    def test_results_are_in_scenario_order_and_byte_stable(self):
         sweep = self._sweep()
-        serial = sweep.run(parallel=False)
-        parallel = sweep.run(parallel=True, policy=BatchPolicy(processes=2))
-        assert [r.to_dict() for r in parallel] == [
-            r.to_dict() for r in serial]
+        first = sweep.run()
+        again = sweep.run()
+        assert [r.scenario for r in first] == list(sweep)
+        assert json.dumps([r.to_dict() for r in first]).encode() == (
+            json.dumps([r.to_dict() for r in again]).encode())
+
+    def test_misconfigured_scenario_fails_on_its_first_attempt(self):
+        """A ``ConfigurationError`` is deterministic: retrying it only
+        re-raises it after a backoff sleep."""
+        sweep = Sweep([Scenario(model="RM1", system="Co-located", num_gpus=1)])
+        [outcome] = sweep.run(
+            policy=BatchPolicy(failure_mode="degrade", max_retries=3))
+        assert outcome.state == "failed"
+        assert outcome.attempts == 1
+        assert outcome.error.startswith("ConfigurationError: RM1: 16 co-located")
 
     def test_degrade_returns_outcomes(self):
         outcomes = self._sweep().run(
-            parallel=False, policy=BatchPolicy(failure_mode="degrade"))
+            policy=BatchPolicy(failure_mode="degrade"))
         assert all(isinstance(o, BatchOutcome) for o in outcomes)
         assert all(o.ok for o in outcomes)
         assert all(o.result.to_dict() for o in outcomes)
@@ -652,9 +708,9 @@ class TestSweepBatch:
     def test_journaled_sweep_resumes(self, tmp_path):
         sweep = self._sweep()
         journal = BatchJournal.for_run("sw", root=str(tmp_path))
-        first = sweep.run(parallel=False, journal=journal)
+        first = sweep.run(journal=journal)
         fresh = BatchJournal.for_run("sw", root=str(tmp_path))
-        resumed = sweep.run(parallel=False, journal=fresh, resume=True)
+        resumed = sweep.run(journal=fresh, resume=True)
         assert [r.to_dict() for r in resumed] == [
             r.to_dict() for r in first]
 
@@ -768,16 +824,14 @@ class TestCliSurface:
 
         parser = build_parser()
         args = parser.parse_args(
-            ["report", "--parallel", "--run-id", "smoke",
-             "--failure-mode", "degrade"])
+            ["report", "--run-id", "smoke", "--failure-mode", "degrade"])
         assert args.run_id == "smoke"
         assert args.failure_mode == "degrade"
         args = parser.parse_args(["report", "--resume", "smoke"])
         assert args.resume == "smoke"
         args = parser.parse_args(
-            ["sweep", "--failure-mode", "degrade", "--task-timeout", "5",
-             "--max-retries", "2", "--run-id", "sw"])
-        assert args.task_timeout == 5.0
+            ["sweep", "--failure-mode", "degrade", "--max-retries", "2",
+             "--run-id", "sw"])
         assert args.max_retries == 2
         args = parser.parse_args(["chaos", "--tier", "batch"])
         assert args.tier == "batch"
@@ -790,46 +844,105 @@ class TestCliSurface:
                       "--cache-dir", str(tmp_path)])
 
 
-class TestSigkillResume:
-    """The acceptance scenario: SIGKILL ``repro report --parallel``
-    mid-run, resume it, and the resumed JSON output must be
-    byte-identical to an uninterrupted run."""
+#: a figure registered through ``$REPRO_EXPERIMENTS`` that blocks until
+#: the file ``$REPRO_TEST_GATE`` exists, leaving ``<gate>.blocked`` behind
+#: once it is waiting, so a test can kill the report while it is in flight
+GATED_FIGURE = """
+import os
+import time
+from dataclasses import dataclass
 
-    def _run_cli(self, args, cache_dir, **popen_kwargs):
+from repro.api import ExperimentResult, register_experiment
+
+
+@dataclass(frozen=True)
+class GatedResult(ExperimentResult):
+    opened: int
+
+    def columns(self):
+        return ["opened"]
+
+    def rows(self):
+        return [(self.opened,)]
+
+    def table_title(self):
+        return "Gated figure"
+
+
+@register_experiment("gated", title="Gated figure", kind="figure", order=75)
+def run() -> GatedResult:
+    gate = os.environ["REPRO_TEST_GATE"]
+    if not os.path.exists(gate):
+        open(gate + ".blocked", "w").close()
+    deadline = time.monotonic() + 120
+    while not os.path.exists(gate):
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"gate {gate} never opened")
+        time.sleep(0.01)
+    return GatedResult(opened=1)
+"""
+
+
+class TestSigkillResume:
+    """The acceptance scenario: SIGKILL ``repro report`` while a task is
+    in flight, resume it, and the resumed JSON output must be
+    byte-identical to an uninterrupted run.
+
+    The kill lands inside the gated figure (paper order 75, between fig11
+    and fig12), so figures before it are journaled ``ok`` and it and the
+    ones after it are not: the resume both replays and re-runs."""
+
+    def _run_cli(self, args, tmp_path, cache_dir, **popen_kwargs):
         env = dict(os.environ)
         env["REPRO_CACHE_DIR"] = str(cache_dir)
+        env["REPRO_EXPERIMENTS"] = "gated_figure"
+        env["REPRO_TEST_GATE"] = str(tmp_path / "gate")
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, str(tmp_path), env.get("PYTHONPATH", "")])
         return subprocess.Popen(
             [sys.executable, "-m", "repro.cli"] + args,
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             **popen_kwargs)
 
     def test_sigkilled_report_resumes_byte_identical(self, tmp_path):
-        base = ["report", "--parallel", "--only", "figures", "--json"]
-        # reference: uninterrupted run in its own cache
-        ref_proc = self._run_cli(base, tmp_path / "ref")
+        (tmp_path / "gated_figure.py").write_text(GATED_FIGURE)
+        gate = tmp_path / "gate"
+        base = ["report", "--only", "figures", "--json"]
+        # reference: uninterrupted run in its own cache, gate open
+        gate.touch()
+        ref_proc = self._run_cli(base, tmp_path, tmp_path / "ref")
         ref_out, ref_err = ref_proc.communicate(timeout=300)
         assert ref_proc.returncode == 0, ref_err.decode()
+        assert b'"Gated figure"' in ref_out
 
-        # journaled run, SIGKILLed once real work is in flight
-        victim = self._run_cli(base + ["--run-id", "smoke"],
+        # journaled run, gate shut: SIGKILLed once the gated task blocks
+        gate.unlink()
+        victim = self._run_cli(base + ["--run-id", "smoke"], tmp_path,
                                tmp_path / "vic", start_new_session=True)
-        journal_path = tmp_path / "vic" / "batch" / "smoke.jsonl"
+        blocked = tmp_path / "gate.blocked"
         deadline = time.monotonic() + 120
-        while time.monotonic() < deadline and victim.poll() is None:
-            try:
-                if journal_path.read_text().count('"started"') >= 2:
-                    break
-            except OSError:
-                pass
-            time.sleep(0.02)
-        if victim.poll() is None:
-            os.killpg(victim.pid, signal.SIGKILL)
-        victim.communicate(timeout=60)
+        while (not blocked.exists() and victim.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        try:
+            assert blocked.exists(), "the gated figure never started"
+        finally:
+            if victim.poll() is None:
+                os.killpg(victim.pid, signal.SIGKILL)
+            victim.communicate(timeout=60)
+        assert victim.returncode == -signal.SIGKILL
 
-        resume = self._run_cli(base + ["--resume", "smoke"],
+        journal_path = tmp_path / "vic" / "batch" / "smoke.jsonl"
+        lines = [json.loads(line)
+                 for line in journal_path.read_text().splitlines()]
+        tasks = len(lines[0]["tasks"])
+        ok = sum(line.get("status") == "ok" for line in lines)
+        assert 0 < ok < tasks
+
+        gate.touch()
+        resume = self._run_cli(base + ["--resume", "smoke"], tmp_path,
                                tmp_path / "vic")
         res_out, res_err = resume.communicate(timeout=300)
         assert resume.returncode == 0, res_err.decode()

@@ -102,10 +102,10 @@ class TestCommands:
         assert out[3].split()[:4] == ["RM5", "PreSto", "8", "9"]
         assert out[-1].startswith("RM5/PreSto: 9 workers feed 8 GPU(s)")
 
-    def test_sweep_serial_prints_one_row_per_scenario(self, capsys):
+    def test_sweep_prints_one_row_per_scenario(self, capsys):
         assert main(
             ["sweep", "--models", "RM5", "--systems", "Disagg,PreSto",
-             "--gpus", "8", "--batches", "50", "--serial"]
+             "--gpus", "8", "--batches", "50"]
         ) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "Sweep: 2 scenarios"
@@ -116,8 +116,8 @@ class TestCommands:
     def test_degrade_sweep_names_the_failed_scenario_and_exits_1(self, capsys):
         assert main(
             ["sweep", "--models", "RM5", "--systems", "PreSto,Co-located",
-             "--gpus", "8", "--batches", "50", "--serial",
-             "--failure-mode", "degrade", "--max-retries", "0"]
+             "--gpus", "8", "--batches", "50",
+             "--failure-mode", "degrade"]
         ) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "Sweep: 2 scenarios"
@@ -407,7 +407,7 @@ def _typed_failures():
         *[(f"chaos-jobs-{tier}", ["chaos", "--tier", tier, "--jobs", "0"],
            "num_jobs must be a positive int, got 0")
           for tier in ("serve", "batch", "fleet")],
-        ("sweep-gpus", ["sweep", "--gpus", "0", "--serial"],
+        ("sweep-gpus", ["sweep", "--gpus", "0"],
          "num_gpus must be a positive int, got 0"),
         ("run-id", ["run", "nope"],
          "unknown experiment 'nope'; registered experiments: "
@@ -424,31 +424,16 @@ def _typed_failures():
     return [pytest.param(argv, message, id=name) for name, argv, message in cases]
 
 
-_PROCESSES = "processes must be a positive int (or None for the cpu-count default), got {}"
-_TASK_TIMEOUT = "task_timeout_s must be positive and finite (or None), got {}"
-
 #: ``(id, argv, message)``: retry, deadline and pool values the CLI hands
-#: to ``BatchPolicy`` (report, sweep) or ``WorkerPool`` (serve), refused
-#: before any work starts.  A NaN or infinite deadline or backoff used to
-#: pass: ``sweep --task-timeout nan`` never reaped a hung scenario and
-#: ``serve --job-timeout nan`` timed out every job at the first tick.
+#: to ``BatchPolicy`` (sweep), the shard executor (preprocess) or
+#: ``WorkerPool`` (serve), refused before any work starts.  A NaN or
+#: infinite deadline or backoff used to pass: ``serve --job-timeout nan``
+#: timed out every job at the first tick.  ``BatchPolicy``'s own
+#: ``processes`` / ``task_timeout_s`` checks are
+#: ``tests/test_batch.py::TestBatchPolicy::test_rejects_bad_values``.
 POLICY_FAILURES = [
-    ("sweep-processes-0", ["sweep", "--processes", "0", "--serial"],
-     _PROCESSES.format(0)),
-    ("sweep-processes-negative", ["sweep", "--processes", "-1"],
-     _PROCESSES.format(-1)),
-    ("report-processes-0", ["report", "--processes", "0"],
-     _PROCESSES.format(0)),
-    ("report-processes-negative", ["report", "--processes", "-2", "--parallel"],
-     _PROCESSES.format(-2)),
     ("preprocess-processes-0", ["preprocess", "--processes", "0"],
      "processes must be a positive int, got 0"),
-    ("sweep-task-timeout-nan", ["sweep", "--task-timeout", "nan", "--serial"],
-     _TASK_TIMEOUT.format("nan")),
-    ("sweep-task-timeout-inf", ["sweep", "--task-timeout", "inf"],
-     _TASK_TIMEOUT.format("inf")),
-    ("sweep-task-timeout-0", ["sweep", "--task-timeout", "0"],
-     _TASK_TIMEOUT.format("0.0")),
     ("sweep-max-retries-negative", ["sweep", "--max-retries", "-1"],
      "max_retries must be a non-negative int, got -1"),
     ("serve-job-timeout-nan", ["serve", "--spool", "{tmp}", "--job-timeout", "nan"],
@@ -501,6 +486,21 @@ class TestTypedErrorBoundary:
         # refused up front: no table, no listening line, no traceback
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--serial"],
+        ["sweep", "--processes", "2"],
+        ["sweep", "--task-timeout", "5"],
+        ["report", "--parallel"],
+        ["report", "--processes", "2"],
+    ], ids=" ".join)
+    def test_removed_fan_out_flags_are_usage_errors(self, argv, capsys):
+        """``sweep`` and ``report`` always run serially: their fan-out
+        flags are gone, and argparse refuses them with exit status 2."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, message", [
         # the parent: ZeroDivisionError from the CPU worker's read time

@@ -5,7 +5,8 @@
 * ``ExperimentRun`` validation and dict round-trips;
 * result dict round-trips for every registered experiment (exact types,
   byte-identical render);
-* parallel ``render_report`` byte-identical to serial;
+* ``run_experiments`` in input order, a cached ``render_report``
+  byte-identical to a fresh one;
 * ``RunStore`` hit/miss/force semantics;
 * ``encode_value``'s exact-type fast path against the generic encoder;
 * the CLI surfaces (list/run/report/export) on top of it.
@@ -24,7 +25,6 @@ import pytest
 import repro.experiments
 from repro.api import (
     EXPERIMENT_REGISTRY,
-    BatchPolicy,
     ExperimentResult,
     ExperimentRun,
     RunStore,
@@ -422,31 +422,13 @@ class TestEncodeFastPath:
             encode_value(value)
 
 
-class TestParallelReport:
-    def test_pool_worker_imports_defining_module(self):
-        # spawn-start platforms (macOS/Windows) ship each run with its
-        # defining module so user-registered experiments resolve in workers
-        from repro.api.experiment import _execute_run
-
-        run = ExperimentRun("table1")
-        result = _execute_run((run, run.spec.module))
-        assert result.matches_paper
-        # an unimportable module (e.g. __main__-defined) degrades gracefully
-        assert _execute_run((run, "definitely.not.a.module")).matches_paper
-
+class TestReportBatch:
     def test_run_experiments_order_is_input_order(self):
         runs = [ExperimentRun("table1"), ExperimentRun("fig3"), ExperimentRun("table2")]
-        results = run_experiments(
-            runs, parallel=True, policy=BatchPolicy(processes=2))
+        results = run_experiments(runs)
         assert type(results[0]).__name__ == "Table1Result"
         assert type(results[1]).__name__ == "Fig3Result"
         assert type(results[2]).__name__ == "Table2Result"
-
-    def test_parallel_report_byte_identical(self):
-        serial = report_mod.render_report(report_mod.run_all())
-        parallel = report_mod.render_report(report_mod.run_all(
-            parallel=True, policy=BatchPolicy(processes=2)))
-        assert parallel == serial
 
     def test_cached_report_byte_identical(self, tmp_path):
         store = RunStore(tmp_path)

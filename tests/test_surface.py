@@ -756,9 +756,52 @@ def test_a_registered_experiment_runner_and_an_uncalled_definition_are_not_audit
     assert options(src)["pkg.runners.fig3(scale)"].exempt
 
 
+def cli_flags(parser) -> int:
+    """Optional flags of ``parser`` and every subcommand under it, walked
+    recursively; ``-h/--help`` is not counted, and a subcommand reached
+    twice (an alias) counts once."""
+    import argparse
+
+    seen: Set[int] = set()
+
+    def walk(parser) -> int:
+        count = 0
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    if id(sub) not in seen:
+                        seen.add(id(sub))
+                        count += walk(sub)
+            elif action.option_strings and not isinstance(
+                action, argparse._HelpAction
+            ):
+                count += 1
+        return count
+
+    return walk(parser)
+
+
+def test_cli_flags_counts_nested_subcommands_once_without_help():
+    import argparse
+
+    parser = argparse.ArgumentParser()
+    parser.add_argument("-v", "--verbose", action="store_true")
+    sub = parser.add_subparsers()
+    run = sub.add_parser("run", aliases=["r"])
+    run.add_argument("ids", nargs="*")
+    run.add_argument("--json", action="store_true")
+    fleet = sub.add_parser("fleet").add_subparsers()
+    fleet.add_parser("trace").add_argument("--seed", type=int)
+    assert cli_flags(parser) == 3
+
+
 if __name__ == "__main__":
-    # the figure CI records beside the src/ line count
+    # the figures CI records beside the src/ line count
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.cli import build_parser
+
     sys.stdout.write(
         f"options: {len(options(REPO / 'src'))} defaulted public parameters, "
         f"{len(ALLOWED_OPTIONS)} in ALLOWED_OPTIONS\n"
+        f"CLI flags: {cli_flags(build_parser())} (argparse, --help excluded)\n"
     )
