@@ -43,9 +43,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "PreprocessJob", "PreprocessRunResult", "minibatch_digest",
     ),
     "repro.api.result": ("RunResult",),
-    "repro.api.scenario": (
-        "PROVISION_MODES", "Scenario", "calibration_overrides",
-    ),
+    "repro.api.scenario": ("Scenario", "calibration_overrides"),
     "repro.api.sweep": ("Sweep",),
     "repro.batch": (
         "FAILURE_MODES", "OUTCOME_STATES", "BatchJournal", "BatchOutcome",
@@ -76,7 +74,6 @@ __all__ = [
     "get_system",
     "register_system",
     "RunResult",
-    "PROVISION_MODES",
     "Scenario",
     "calibration_overrides",
     "Sweep",

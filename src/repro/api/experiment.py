@@ -779,22 +779,6 @@ class RunStore:
             raise
         return path
 
-    def fetch(
-        self, run: ExperimentRun, force: bool = False
-    ) -> Tuple[ExperimentResult, bool]:
-        """``(result, hit)`` — cached when available, else executed + saved.
-
-        ``force=True`` skips the lookup (the fresh result still overwrites
-        the cache entry).
-        """
-        if not force:
-            cached = self.load(run)
-            if cached is not None:
-                return cached, True
-        result = run.run()
-        self.save(run, result)
-        return result, False
-
 
 # ---------------------------------------------------------------------------
 # the batch runner

@@ -1,8 +1,8 @@
 """The declarative front door: one frozen record describes one experiment.
 
 A :class:`Scenario` names a Table I model, a registered system design point,
-and the deployment shape (GPUs, worker provisioning, queue depth, optional
-calibration overrides).  Validation happens at construction, the record
+and the deployment shape (GPUs, an explicit worker count or none for the
+``ceil(T/P)`` plan, queue depth, optional calibration overrides).  Validation happens at construction, the record
 round-trips through plain dicts for config files, and :meth:`Scenario.run`
 executes the full Figure 9 pipeline simulation and returns a uniform
 :class:`~repro.api.result.RunResult`.
@@ -32,9 +32,6 @@ from repro.hardware.calibration import (
 from repro.api.registry import REGISTRY
 from repro.api.result import RunResult
 
-#: valid values of :attr:`Scenario.provision`
-PROVISION_MODES = ("demand", "explicit")
-
 #: overrides accepted at construction (normalized to a sorted tuple of pairs)
 CalibrationOverrides = Union[
     Mapping[str, float], Tuple[Tuple[str, float], ...]
@@ -58,16 +55,11 @@ class Scenario:
     model: str
     system: str
     num_gpus: int = 8
-    num_workers: Optional[int] = None  # explicit allocation (else T/P)
-    provision: str = "demand"  # "demand" = ceil(T/P); "explicit" = num_workers
+    #: workers to launch; None provisions to demand, ``ceil(T/P)``
+    num_workers: Optional[int] = None
     num_batches: int = 200
     queue_capacity: int = 16
     calibration: CalibrationOverrides = field(default_factory=tuple)
-    #: reserved for stochastic workloads (trace sampling, jittered arrivals);
-    #: the current simulation is fully deterministic, so today the seed is
-    #: recorded and round-tripped but does not change results — scenarios
-    #: differing only in seed still compare unequal, as config records should
-    seed: int = 0
 
     def __post_init__(self) -> None:
         # model: normalize to the canonical upper-case Table I name
@@ -80,22 +72,12 @@ class Scenario:
             value = getattr(self, name)
             if not is_int(value) or value <= 0:
                 raise ConfigurationError(f"{name} must be a positive int, got {value!r}")
-        if not is_int(self.seed) or self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative int, got {self.seed!r}")
-
-        if self.provision not in PROVISION_MODES:
+        if self.num_workers is not None and (
+            not is_int(self.num_workers) or self.num_workers <= 0
+        ):
             raise ConfigurationError(
-                f"provision must be one of {PROVISION_MODES}, got {self.provision!r}"
+                f"num_workers must be a positive int, got {self.num_workers!r}"
             )
-        if self.num_workers is not None:
-            if not is_int(self.num_workers) or self.num_workers <= 0:
-                raise ConfigurationError(
-                    f"num_workers must be a positive int, got {self.num_workers!r}"
-                )
-            # an explicit worker count implies explicit provisioning
-            object.__setattr__(self, "provision", "explicit")
-        elif self.provision == "explicit":
-            raise ConfigurationError("provision='explicit' requires num_workers")
 
         object.__setattr__(
             self, "calibration", _normalize_overrides(self.calibration)
@@ -121,10 +103,6 @@ class Scenario:
     def build_system(self):
         """Instantiate the named system design point."""
         return REGISTRY.create(self.system, self.spec(), self.build_calibration())
-
-    def replace(self, **changes: Any) -> "Scenario":
-        """A copy with ``changes`` applied (re-validated)."""
-        return dataclasses.replace(self, **changes)
 
     # -- execution ----------------------------------------------------------
 
@@ -176,11 +154,9 @@ class Scenario:
             "system": self.system,
             "num_gpus": self.num_gpus,
             "num_workers": self.num_workers,
-            "provision": self.provision,
             "num_batches": self.num_batches,
             "queue_capacity": self.queue_capacity,
             "calibration": dict(self.calibration),
-            "seed": self.seed,
         }
 
     @classmethod

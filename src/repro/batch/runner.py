@@ -196,7 +196,26 @@ class BatchRunner:
         ``precomputed`` maps task indices to results obtained elsewhere
         (a cache): they become ``ok`` outcomes with ``attempts=0`` —
         journaled like fresh completions, but distinguishable from them.
+        ``parallel=False`` runs the tasks inline, with no worker to
+        abandon or count, so a policy carrying ``task_timeout_s`` or
+        ``processes`` is a :class:`~repro.errors.ConfigurationError`
+        before any task runs.
         """
+        if not parallel:
+            unused = [
+                f"{name}={value!r}"
+                for name, value in (
+                    ("task_timeout_s", self.policy.task_timeout_s),
+                    ("processes", self.policy.processes),
+                )
+                if value is not None
+            ]
+            if unused:
+                raise ConfigurationError(
+                    f"the serial batch runner cannot honour "
+                    f"{', '.join(unused)}: it runs tasks inline, with no "
+                    f"worker process to time out or count"
+                )
         tasks = list(tasks)
         keys = [self.task_key(i, task) for i, task in enumerate(tasks)]
         labels = [str(self.task_label(i, task))
@@ -277,9 +296,8 @@ class BatchRunner:
     # -- serial path ---------------------------------------------------------
 
     def _run_serial(self, tasks, keys, pending, settle, failures) -> None:
-        """Inline execution with retries; ``task_timeout_s`` is not
-        enforced here (there is no worker to abandon — parallel mode owns
-        the watchdog)."""
+        """Inline execution with retries (``run`` has refused a policy
+        carrying ``task_timeout_s`` or ``processes``)."""
         for index in pending:
             if failures:
                 return

@@ -79,6 +79,7 @@ from repro.api import (
     RunStore,
     Scenario,
     available_systems,
+    run_experiments,
 )
 from repro.api.experiment import format_table
 from repro.errors import ConfigurationError, ProvisioningError, ReproError
@@ -87,6 +88,23 @@ from repro.hardware.calibration import FIELD_DOMAINS
 
 #: ``--only`` choices -> registry kinds
 _ONLY_KINDS = {"figures": "figure", "tables": "table", "ablations": "ablation"}
+
+#: ``run``'s scenario flags -> the :class:`Scenario` field each sets
+_SCENARIO_FLAGS = {
+    "gpus": "num_gpus",
+    "workers": "num_workers",
+    "batches": "num_batches",
+    "queue": "queue_capacity",
+}
+
+#: ``chaos`` flags -> the episode keyword each sets
+_CHAOS_FLAGS = {
+    "jobs": "num_jobs",
+    "rows": "rows",
+    "shards": "shards",
+    "workers": "workers",
+    "timeout": "job_timeout_s",
+}
 
 #: columns of the scenario/sweep result table
 RESULT_HEADERS = (
@@ -115,6 +133,16 @@ def _result_row(result: RunResult) -> tuple:
         result.power_watts,
         result.capex_dollars,
     )
+
+
+def _given(args: argparse.Namespace, flags: Dict[str, str]) -> Dict[str, Any]:
+    """``{keyword: value}`` for each of ``flags`` (dest -> keyword) given
+    on the command line; an omitted flag leaves the callee's default."""
+    return {
+        keyword: getattr(args, dest)
+        for dest, keyword in flags.items()
+        if getattr(args, dest, None) is not None
+    }
 
 
 def _print_results(results: List[RunResult], title: str, as_json: bool) -> None:
@@ -325,6 +353,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """Run experiments by id, or one declarative scenario via --model/--system."""
     wants_scenario = args.model or args.system
+    shape = _given(args, _SCENARIO_FLAGS)
     if wants_scenario:
         if args.ids:
             raise SystemExit("pass experiment ids OR --model/--system, not both")
@@ -333,11 +362,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario = Scenario(
             model=args.model,
             system=args.system,
-            num_gpus=args.gpus,
-            num_workers=args.workers,
-            num_batches=args.batches,
-            queue_capacity=args.queue,
             calibration=_parse_overrides(args.set),
+            **shape,
         )
         result = scenario.run()
         _print_results([result], f"Scenario {scenario.label}", args.json)
@@ -346,6 +372,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     if not args.ids:
         raise SystemExit("pass experiment ids (see `list`) or --model/--system")
+    if shape:
+        flags = ", ".join(
+            f"--{dest}" for dest, field in _SCENARIO_FLAGS.items()
+            if field in shape
+        )
+        raise SystemExit(
+            f"{flags}: scenario flags need --model/--system; experiment "
+            "ids take --set param=value"
+        )
     from repro.experiments import report as report_mod
 
     payloads = []
@@ -366,13 +401,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.api import Sweep
 
     journal, resume = _batch_journal(args)
+    shape = _given(args, _SCENARIO_FLAGS)
+    if args.gpus is not None:  # a comma list here, one grid axis
+        shape["num_gpus"] = [int(g) for g in _csv(args.gpus)]
     sweep = Sweep.grid(
         models=_csv(args.models),
         systems=_csv(args.systems),
-        num_gpus=[int(g) for g in _csv(args.gpus)],
-        num_batches=args.batches,
-        queue_capacity=args.queue,
         calibration=_parse_overrides(args.set),
+        **shape,
     )
     policy = BatchPolicy(
         max_retries=args.max_retries, failure_mode=args.failure_mode
@@ -425,16 +461,14 @@ def cmd_provision(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     """Write every experiment's rows (with header) as CSV or JSON files."""
     import csv
-    import os
 
     os.makedirs(args.dir, exist_ok=True)
-    store = _store_from_args(args)
+    runs = _experiment_runs_for(args.ids or list(EXPERIMENT_REGISTRY.ids()))
+    results = run_experiments(
+        runs, store=_store_from_args(args), force=args.force
+    )
     written = []
-    for run in _experiment_runs_for(args.ids or list(EXPERIMENT_REGISTRY.ids())):
-        result = store.load(run) if store is not None and not args.force else None
-        hit = result is not None
-        if result is None:
-            result = run.run()
+    for run, result in zip(runs, results):
         try:
             columns = list(result.columns())
             rows = [list(row) for row in result.rows()]
@@ -445,14 +479,6 @@ def cmd_export(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             continue
-        if store is not None and not hit:
-            try:
-                store.save(run, result)
-            except (ReproError, OSError) as exc:
-                print(
-                    f"warning: could not cache {run.experiment!r}: {exc}",
-                    file=sys.stderr,
-                )
         if args.format == "json":
             path = os.path.join(args.dir, f"{run.experiment}.json")
             with open(path, "w") as handle:
@@ -660,7 +686,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         model=args.model,
         num_rows=args.rows,
         num_shards=args.shards,
-        processes=args.processes,
         seed=args.seed,
     )
     client = _client_from_args(args)
@@ -738,11 +763,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         spool_root=args.spool_root,
         tier=args.tier,
-        num_jobs=args.jobs,
-        rows=args.rows,
-        shards=args.shards,
-        workers=args.workers,
-        job_timeout_s=args.timeout,
+        **_given(args, _CHAOS_FLAGS),
     )
     if args.json:
         print(json.dumps(deterministic_view(report), indent=2, sort_keys=True))
@@ -913,10 +934,12 @@ def cmd_fleet_trace_replay(args: argparse.Namespace) -> int:
 
 
 def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--batches", type=int, default=200,
-                        help="training iterations to simulate")
-    parser.add_argument("--queue", type=int, default=16,
-                        help="input queue capacity (mini-batches)")
+    parser.add_argument("--batches", type=int, default=None,
+                        help="training iterations to simulate (default: "
+                             "Scenario.num_batches)")
+    parser.add_argument("--queue", type=int, default=None,
+                        help="input queue capacity in mini-batches "
+                             "(default: Scenario.queue_capacity)")
     parser.add_argument("--set", action="append", metavar="FIELD=VALUE",
                         help="calibration override (repeatable)")
     parser.add_argument("--json", action="store_true",
@@ -991,7 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("ids", nargs="*", help="experiment ids (see `list`)")
     run_parser.add_argument("--model", help="Table I model for a scenario run")
     run_parser.add_argument("--system", help="registered system (see `systems`)")
-    run_parser.add_argument("--gpus", type=int, default=8)
+    run_parser.add_argument("--gpus", type=int, default=None,
+                            help="GPUs to feed (default: Scenario.num_gpus)")
     run_parser.add_argument("--workers", type=int, default=None,
                             help="explicit worker count (default: ceil(T/P))")
     _add_scenario_options(run_parser)
@@ -1004,8 +1028,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="comma-separated Table I models")
     sweep_parser.add_argument("--systems", default="Disagg,PreSto",
                               help="comma-separated registered systems")
-    sweep_parser.add_argument("--gpus", default="8",
-                              help="comma-separated GPU counts")
+    sweep_parser.add_argument("--gpus", default=None,
+                              help="comma-separated GPU counts (default: "
+                                   "Sweep.grid's)")
     sweep_parser.add_argument("--max-retries", type=int, default=1,
                               help="retries per scenario before it counts "
                                    "as failed")
@@ -1109,8 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic rows to preprocess")
     submit.add_argument("--shards", type=int, default=1,
                         help="number of partitions / mini-batches")
-    submit.add_argument("--processes", type=int, default=None,
-                        help="per-job data-plane pool size")
     submit.add_argument("--seed", type=int, default=0,
                         help="synthetic data seed")
     submit.add_argument("--wait", action="store_true",
@@ -1163,16 +1186,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="which tier to attack: the streaming service, "
                             "the batch runner, or the simulated fleet "
                             "(default serve)")
-    chaos.add_argument("--jobs", type=int, default=6,
-                       help="jobs per episode (default 6)")
-    chaos.add_argument("--rows", type=int, default=512,
-                       help="synthetic rows per job (default 512)")
-    chaos.add_argument("--shards", type=int, default=2,
-                       help="shards per job (default 2)")
-    chaos.add_argument("--workers", type=int, default=2,
-                       help="pool workers per episode (default 2)")
-    chaos.add_argument("--timeout", type=float, default=5.0,
-                       help="per-job watchdog deadline seconds (default 5)")
+    # each flag left out keeps the episode's own default; one the chosen
+    # tier does not take is refused, never ignored
+    chaos.add_argument("--jobs", type=int, default=None,
+                       help="jobs per episode")
+    chaos.add_argument("--rows", type=int, default=None,
+                       help="synthetic rows per job (serve, batch)")
+    chaos.add_argument("--shards", type=int, default=None,
+                       help="shards per job (serve, batch)")
+    chaos.add_argument("--workers", type=int, default=None,
+                       help="pool workers per episode (serve, batch)")
+    chaos.add_argument("--timeout", type=float, default=None,
+                       help="per-job watchdog deadline seconds (serve, batch)")
     chaos.add_argument("--spool-root", default=None, metavar="DIR",
                        help="keep each episode's spool (journals, indexes) "
                             "under DIR instead of a deleted temp dir — CI "

@@ -57,9 +57,12 @@ CHAOS_TIERS = ("serve", "batch", "fleet")
 
 
 def plan_for(
-    fault: str, seed: int, job_timeout_s: float, rate: Optional[float] = None
+    fault: str, seed: int, job_timeout_s: Optional[float],
+    rate: Optional[float] = None,
 ) -> FaultPlan:
-    """The canonical single-class plan an episode runs under."""
+    """The canonical single-class plan an episode runs under;
+    ``job_timeout_s`` is the episode's job deadline, None for a tier
+    that has none (the fleet)."""
     if fault not in FAULT_POINTS:
         raise ConfigurationError(
             f"unknown fault class {fault!r}; known: "
@@ -72,7 +75,7 @@ def plan_for(
         # watchdog — not the hang expiring — is what resolves the job
         delay_s=(
             job_timeout_s * 10.0 + 5.0
-            if fault in ("hung-stage", "task-hang")
+            if fault in ("hung-stage", "task-hang") and job_timeout_s is not None
             else 0.02 if fault in ("slow-stage", "queue-stall") else None
         ),
     )
@@ -111,7 +114,8 @@ class _Episode:
     serial-digest memo, the clock, and the report's common shape."""
 
     def __init__(
-        self, fault: str, seed: int, job_timeout_s: float, rate: Optional[float]
+        self, fault: str, seed: int, job_timeout_s: Optional[float],
+        rate: Optional[float],
     ) -> None:
         self.fault = fault
         self.plan = plan_for(fault, seed, job_timeout_s, rate=rate)
@@ -290,7 +294,6 @@ def run_batch_episode(
     model: str = "RM1",
     rate: Optional[float] = None,
     verify_serial: bool = True,
-    **_ignored: Any,
 ) -> Dict[str, Any]:
     """One fault class against the batch runner; returns the episode report.
 
@@ -303,9 +306,8 @@ def run_batch_episode(
     resume pass *without* the injector must then complete every task with
     serial-identical digests — the crash-recovery guarantee itself.
 
-    Keyword names mirror :func:`run_episode` (``workers`` is the process
-    count, ``job_timeout_s`` the per-task watchdog deadline) so one CLI
-    drives both tiers; serve-only kwargs are accepted and ignored.
+    Keyword names mirror :func:`run_episode`: ``workers`` is the process
+    count, ``job_timeout_s`` the per-task watchdog deadline.
     """
     from repro.batch import BatchJournal, BatchPolicy, BatchRunner, content_key
 
@@ -426,11 +428,9 @@ def run_fleet_episode(
     spool_dir: str,
     num_jobs: int = 6,
     rate: Optional[float] = None,
-    job_timeout_s: float = 5.0,
     trace_kind: str = "diurnal",
     policy: str = "first-fit",
     autoscaler: str = "target-utilization",
-    **_ignored: Any,
 ) -> Dict[str, Any]:
     """One fleet fault class against the simulated cluster scheduler.
 
@@ -453,15 +453,13 @@ def run_fleet_episode(
     4. **deterministic report** — a second run under a fresh injector
        yields the byte-identical :class:`FleetResult` digest.
 
-    Keyword names mirror :func:`run_episode` so one CLI drives every
-    tier; serve/batch-only kwargs are accepted and ignored.  The run's
-    ``FleetResult`` JSON lands in ``spool_dir/fleet_result.json`` for CI
-    artifact upload.
+    The run's ``FleetResult`` JSON lands in ``spool_dir/fleet_result.json``
+    for CI artifact upload.
     """
     from repro.fleet.simulator import FleetSimulator
     from repro.fleet.trace import generate_trace
 
-    episode = _Episode(fault, seed, job_timeout_s, rate)
+    episode = _Episode(fault, seed, None, rate)  # the fleet has no deadline
     violations = episode.violations
     trace = generate_trace(
         trace_kind,
@@ -539,11 +537,12 @@ def run_chaos(
     fault-tolerant batch runner (:func:`run_batch_episode`), ``fleet``
     drives the simulated cluster scheduler (:func:`run_fleet_episode`).
     ``faults`` defaults to the tier's canonical matrix.  Episode
-    keywords are checked against every tier's signature: one that no
-    tier names is a :class:`ConfigurationError`, not silently ignored,
-    and so is a ``num_jobs`` that is not a positive int (an episode of
-    no jobs would pass having checked nothing).  The report's ``ok`` is
-    True iff no episode recorded a violation.
+    keywords are checked against the chosen tier's own signature: one it
+    does not take (``rows`` for the fleet, ``trace_kind`` for the
+    service) is a :class:`ConfigurationError` naming the tier and the
+    keyword, and so is a ``num_jobs`` that is not a positive int (an
+    episode of no jobs would pass having checked nothing).  The report's
+    ``ok`` is True iff no episode recorded a violation.
     Everything except the ``elapsed_s`` fields is deterministic for a
     fixed seed (see :func:`deterministic_view`).
     """
@@ -560,15 +559,16 @@ def run_chaos(
         "batch": (run_batch_episode, DEFAULT_BATCH_FAULTS),
         "fleet": (run_fleet_episode, DEFAULT_FLEET_FAULTS),
     }
-    known = set()
-    for fn, _ in tiers.values():
-        known.update(inspect.signature(fn).parameters)
-    # what run_chaos passes itself, and the episodes' ** catch-all
-    known -= {"fault", "seed", "spool_dir", "_ignored"}
+    episode, default_faults = tiers[tier]
+    # what run_chaos passes itself is not the caller's to set
+    known = set(inspect.signature(episode).parameters) - {
+        "fault", "seed", "spool_dir"
+    }
     unknown = sorted(set(episode_kwargs) - known)
     if unknown:
         raise ConfigurationError(
-            f"no chaos tier takes keyword(s) {unknown}; known: {sorted(known)}"
+            f"chaos tier {tier!r} takes no keyword(s) {unknown}; "
+            f"it takes {sorted(known)}"
         )
     if "num_jobs" in episode_kwargs:
         num_jobs = episode_kwargs["num_jobs"]
@@ -576,7 +576,6 @@ def run_chaos(
             raise ConfigurationError(
                 f"num_jobs must be a positive int, got {num_jobs!r}"
             )
-    episode, default_faults = tiers[tier]
     if faults is None:
         faults = default_faults
     owned = spool_root is None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.errors import CapacityError
-from repro.hardware.calibration import CALIBRATION, Calibration
+from repro.hardware.calibration import CALIBRATION
 
 RESOURCE_KINDS = ("LUT", "REG", "BRAM", "URAM", "DSP")
 
@@ -149,7 +149,6 @@ UNIT_ORDER: List[str] = ["Decode", "Bucketize", "SigridHash", "Log"]
 def resource_table(
     part: FpgaPart = SMARTSSD_FPGA,
     lane_scale: float = 1.0,
-    calibration: Calibration = CALIBRATION,
 ) -> Dict[str, Dict[str, float]]:
     """Utilization (%) of each unit and the total on ``part``.
 

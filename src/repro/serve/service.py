@@ -277,23 +277,11 @@ class PreprocessService:
         return tally
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> JobRecord:
-        """Block until ``job_id`` reaches a terminal state."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._changed:
-            while True:
-                record = self._records.get(job_id)
-                if record is None:
-                    raise JobNotFoundError(f"no such job: {job_id!r}")
-                if record.is_terminal:
-                    return record
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(
-                        f"{job_id} still {record.state} after {timeout}s"
-                    )
-                self._changed.wait(remaining)
+        """Block until ``job_id`` reaches a terminal state: the last record
+        :meth:`watch` yields."""
+        for record in self.watch(job_id, timeout):
+            pass
+        return record
 
     def watch(
         self, job_id: str, timeout: Optional[float] = None

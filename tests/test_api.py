@@ -92,18 +92,6 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match=field):
             Scenario(model="RM1", system="PreSto", **{field: 0})
 
-    def test_explicit_provision_needs_workers(self):
-        with pytest.raises(ConfigurationError, match="num_workers"):
-            Scenario(model="RM1", system="PreSto", provision="explicit")
-
-    def test_bad_provision_mode(self):
-        with pytest.raises(ConfigurationError, match="provision"):
-            Scenario(model="RM1", system="PreSto", provision="magic")
-
-    def test_num_workers_implies_explicit(self):
-        scenario = Scenario(model="RM1", system="PreSto", num_workers=4)
-        assert scenario.provision == "explicit"
-
     def test_zero_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="num_workers"):
             Scenario(model="RM1", system="PreSto", num_workers=0)
@@ -143,7 +131,7 @@ class TestScenarioSerialization:
     def test_dict_round_trip(self):
         scenario = Scenario(model="RM3", system="U280", num_gpus=4,
                             num_batches=50, queue_capacity=8,
-                            calibration={"network_bandwidth": 25e9}, seed=7)
+                            calibration={"network_bandwidth": 25e9})
         data = scenario.to_dict()
         assert data["calibration"] == {"network_bandwidth": 25e9}
         assert Scenario.from_dict(data) == scenario
@@ -151,6 +139,14 @@ class TestScenarioSerialization:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown scenario keys"):
             Scenario.from_dict({"model": "RM1", "system": "PreSto", "gpus": 8})
+
+    @pytest.mark.parametrize("key,value", [("seed", 0), ("provision", "demand")])
+    def test_removed_fields_are_refused(self, key, value):
+        # neither changed a run: the seed was recorded only, and provision
+        # restated whether num_workers is set
+        data = Scenario(model="RM1", system="PreSto").to_dict()
+        with pytest.raises(ConfigurationError, match=f"unknown scenario keys.*'{key}'"):
+            Scenario.from_dict({**data, key: value})
 
     def test_scenario_pickles(self):
         scenario = Scenario(model="RM1", system="PreSto",
@@ -198,7 +194,7 @@ class TestScenarioRun:
     def test_calibration_override_changes_outcome(self):
         base = Scenario(model="RM5", system="Disagg", num_gpus=1,
                         num_workers=8, num_batches=20)
-        slow = base.replace(calibration={"cpu_hash_per_element": 1e-6})
+        slow = dataclasses.replace(base, calibration={"cpu_hash_per_element": 1e-6})
         fast = base.run()
         throttled = slow.run()
         assert throttled.preprocessing_throughput < fast.preprocessing_throughput

@@ -16,6 +16,7 @@
   to an uninterrupted run.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -480,6 +481,30 @@ class TestRunnerSerial:
         with pytest.raises(BatchError):
             runner.run([1], parallel=False, precomputed={5: "x"})
 
+    @pytest.mark.parametrize("knob, value", [
+        ("task_timeout_s", 0.01), ("processes", 2),
+    ])
+    def test_a_process_knob_is_refused_before_any_task_runs(
+            self, knob, value, tmp_path):
+        """The inline path has no worker to time out or count: a 10 ms
+        deadline used to return ``['ok', 'ok']`` after two 0.3 s tasks."""
+        calls = []
+
+        def slow(x):
+            calls.append(x)
+            time.sleep(0.3)
+            return "ok"
+
+        journal = BatchJournal(str(tmp_path / "j.jsonl"))
+        runner = BatchRunner(
+            slow, policy=BatchPolicy(**{knob: value}), journal=journal)
+        with pytest.raises(ConfigurationError,
+                           match=rf"serial batch runner cannot honour "
+                                 rf"{knob}={value!r}"):
+            runner.run([1], parallel=False)
+        assert calls == []
+        assert not (tmp_path / "j.jsonl").exists()
+
 
 # ---------------------------------------------------------------------------
 # runner — parallel (real forked workers)
@@ -488,8 +513,10 @@ class TestRunnerSerial:
 
 class TestRunnerParallel:
     def test_happy_path_matches_serial(self):
-        policy = BatchPolicy(processes=2, failure_mode="degrade")
-        parallel = BatchRunner(_double, policy=policy).run(list(range(6)))
+        policy = BatchPolicy(failure_mode="degrade")
+        parallel = BatchRunner(
+            _double, policy=dataclasses.replace(policy, processes=2)
+        ).run(list(range(6)))
         serial = BatchRunner(_double, policy=policy).run(
             list(range(6)), parallel=False)
         assert [o.result for o in parallel] == [o.result for o in serial]
@@ -565,11 +592,15 @@ class TestOnlyTransientErrorsRetry:
     fails on its first attempt; ``OSError`` and ``FaultError`` may pass
     on a retry (the chaos tier relies on that) and keep retrying."""
 
-    POLICY = BatchPolicy(max_retries=3, backoff_s=0.001,
-                         failure_mode="degrade", processes=2)
+    @staticmethod
+    def policy(parallel, failure_mode="degrade"):
+        """Two worker processes on the process path, none inline."""
+        return BatchPolicy(max_retries=3, backoff_s=0.001,
+                           failure_mode=failure_mode,
+                           processes=2 if parallel else None)
 
     def test_configuration_error_fails_on_its_first_attempt(self, parallel):
-        runner = BatchRunner(_misconfigured, policy=self.POLICY)
+        runner = BatchRunner(_misconfigured, policy=self.policy(parallel))
         outcomes = runner.run([1, 2], parallel=parallel)
         assert [o.state for o in outcomes] == ["failed", "failed"]
         assert [o.attempts for o in outcomes] == [1, 1]
@@ -580,15 +611,14 @@ class TestOnlyTransientErrorsRetry:
         (_injected_fault, "FaultError: injected 2"),
     ], ids=["OSError", "FaultError"])
     def test_transient_errors_still_retry(self, parallel, fn, error):
-        runner = BatchRunner(fn, policy=self.POLICY)
+        runner = BatchRunner(fn, policy=self.policy(parallel))
         outcomes = runner.run([1, 2], parallel=parallel)
         assert [o.attempts for o in outcomes] == [4, 4]
         assert outcomes[1].error == error
 
     def test_configuration_error_raises_typed_in_strict(self, parallel):
         runner = BatchRunner(
-            _misconfigured,
-            policy=BatchPolicy(max_retries=3, backoff_s=0.001, processes=2))
+            _misconfigured, policy=self.policy(parallel, failure_mode="strict"))
         with pytest.raises(BatchTaskError, match="after 1 attempt"):
             runner.run([1, 2], parallel=parallel)
 
@@ -599,10 +629,9 @@ class TestOnlyTransientErrorsRetry:
 
 
 class TestRunnerResume:
-    def _runner(self, fn, journal, **policy_kwargs):
+    def _runner(self, fn, journal, processes=2):
         policy = BatchPolicy(max_retries=0, backoff_s=0.001,
-                             failure_mode="degrade", processes=2,
-                             **policy_kwargs)
+                             failure_mode="degrade", processes=processes)
         return BatchRunner(fn, policy=policy, journal=journal)
 
     def test_resume_skips_completed_and_reruns_failures(self, tmp_path):
@@ -661,7 +690,7 @@ class TestRunnerResume:
         journal = BatchJournal.for_run("r4", root=str(tmp_path))
         plan = FaultPlan(seed=3, rules=(
             FaultRule(point="torn-write", action="torn", rate=1.0),))
-        runner = self._runner(_double, journal)
+        runner = self._runner(_double, journal, processes=None)
         with installed(FaultInjector(plan)):
             outcomes = runner.run([1, 2, 3], parallel=False)
         assert [o.result for o in outcomes] == [2, 4, 6]
@@ -697,6 +726,10 @@ class TestSweepBatch:
         assert outcome.state == "failed"
         assert outcome.attempts == 1
         assert outcome.error.startswith("ConfigurationError: RM1: 16 co-located")
+
+    def test_a_deadline_it_cannot_enforce_is_refused(self):
+        with pytest.raises(ConfigurationError, match="task_timeout_s=5"):
+            self._sweep().run(policy=BatchPolicy(task_timeout_s=5))
 
     def test_degrade_returns_outcomes(self):
         outcomes = self._sweep().run(

@@ -386,6 +386,19 @@ class TestChaos:
         with pytest.raises(SystemExit, match="unknown fault class"):
             main(["chaos", "--faults", "bogus"])
 
+    def test_flags_the_fleet_does_not_take_are_refused(self, capsys):
+        """The fleet episode used to drop ``--rows``, ``--workers`` and
+        ``--timeout`` without a word."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--tier", "fleet", "--rows", "64", "--workers",
+                  "9", "--timeout", "1"])
+        assert excinfo.value.code == (
+            "chaos tier 'fleet' takes no keyword(s) ['job_timeout_s', "
+            "'rows', 'workers']; it takes ['autoscaler', 'num_jobs', "
+            "'policy', 'rate', 'trace_kind']"
+        )
+        assert capsys.readouterr().out == ""
+
 
 def _typed_failures():
     """``(argv, message)`` params — ``{tmp}`` is the test's scratch directory.
@@ -501,6 +514,35 @@ class TestTypedErrorBoundary:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--gpus", "4"], ["--workers", "9"], ["--batches", "3"],
+        ["--queue", "4"], ["--gpus", "4", "--batches", "3", "--workers", "9"],
+    ], ids=" ".join)
+    def test_scenario_flags_on_experiment_ids_are_refused(self, flags, capsys):
+        """``repro run fig3 --gpus 4 --batches 3 --workers 9`` printed
+        exactly what ``repro run fig3`` prints: a flag that changes nothing
+        is refused with one line, before any experiment runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig3", *flags])
+        named = ", ".join(
+            flag for flag in ("--gpus", "--workers", "--batches", "--queue")
+            if flag in flags
+        )
+        assert excinfo.value.code == (
+            f"{named}: scenario flags need --model/--system; experiment "
+            "ids take --set param=value"
+        )
+        assert capsys.readouterr().out == ""
+
+    def test_submit_has_no_processes_flag(self, capsys):
+        """The daemon runs every job's shards inline, so a per-job pool
+        size changed nothing; argparse refuses it with exit status 2."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "--processes", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --processes 2" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("value, message", [
         # the parent: ZeroDivisionError from the CPU worker's read time

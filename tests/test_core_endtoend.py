@@ -1,5 +1,6 @@
 """Tests for the preprocess manager and the end-to-end DES pipeline."""
 
+import dataclasses
 import math
 import sys
 from unittest import mock
@@ -443,7 +444,7 @@ def test_provisioned_to_demand_saturates_the_trainer():
                         scenario.run()
                     continue
                 batches = max(20 * plan.num_workers, 200)
-                result = scenario.replace(num_batches=batches).run()
+                result = dataclasses.replace(scenario, num_batches=batches).run()
                 if result.steady_state_utilization < 0.99:
                     unsaturated.append(
                         (name, model, num_gpus, result.steady_state_utilization)
@@ -470,8 +471,9 @@ def test_one_worker_short_of_demand_supplies_its_share():
                 workers = plan.num_workers - 1
                 if workers < 1:
                     continue
-                result = scenario.replace(
-                    num_workers=workers, num_batches=max(20 * workers, 200)
+                result = dataclasses.replace(
+                    scenario, num_workers=workers,
+                    num_batches=max(20 * workers, 200),
                 ).run()
                 share = (
                     workers * plan.worker_throughput / plan.training_throughput

@@ -25,6 +25,7 @@ import pytest
 import repro.experiments
 from repro.api import (
     EXPERIMENT_REGISTRY,
+    BatchPolicy,
     ExperimentResult,
     ExperimentRun,
     RunStore,
@@ -453,15 +454,26 @@ class TestReportBatch:
         json.dumps(payload)  # JSON-able all the way down
 
 
+def fetch(store, run, force=False):
+    """``(result, hit)`` for one run through ``run_experiments``' cache
+    cycle: a hit is replayed from ``store`` without an attempt."""
+    (outcome,) = run_experiments(
+        [run], store=store, force=force,
+        policy=BatchPolicy(failure_mode="degrade"),
+    )
+    assert outcome.ok, outcome.error
+    return outcome.result, outcome.attempts == 0
+
+
 class TestRunStore:
     def test_miss_then_hit(self, tmp_path):
         store = RunStore(tmp_path)
         run = ExperimentRun("table1")
         assert store.load(run) is None  # miss
-        result, hit = store.fetch(run)
+        result, hit = fetch(store, run)
         assert not hit
         assert store.path(run).exists()
-        replay, hit2 = store.fetch(run)
+        replay, hit2 = fetch(store, run)
         assert hit2
         assert replay == result
         assert replay.render() == result.render()
@@ -469,9 +481,9 @@ class TestRunStore:
     def test_force_reexecutes_but_still_saves(self, tmp_path):
         store = RunStore(tmp_path)
         run = ExperimentRun("table1")
-        store.fetch(run)
+        fetch(store, run)
         before = store.path(run).stat().st_mtime_ns
-        result, hit = store.fetch(run, force=True)
+        result, hit = fetch(store, run, force=True)
         assert not hit
         assert store.path(run).stat().st_mtime_ns >= before
 
@@ -479,8 +491,8 @@ class TestRunStore:
         store = RunStore(tmp_path)
         run_a = ExperimentRun("fig3")
         run_b = ExperimentRun("fig3", params={"model": "RM1"})
-        store.fetch(run_a)
-        store.fetch(run_b)
+        fetch(store, run_a)
+        fetch(store, run_b)
         assert store.path(run_a) != store.path(run_b)
         assert store.load(run_a).model == "RM5"
         assert store.load(run_b).model == "RM1"
@@ -492,30 +504,30 @@ class TestRunStore:
             "fig4", calibration={"cpu_log_per_element": 1000e-9}
         )
         assert run_a.digest != run_b.digest
-        store.fetch(run_a)
+        fetch(store, run_a)
         assert store.load(run_b) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = RunStore(tmp_path)
         run = ExperimentRun("table1")
-        store.fetch(run)
+        fetch(store, run)
         store.path(run).write_text("{not json")
         assert store.load(run) is None
-        result, hit = store.fetch(run)  # transparently re-runs + overwrites
+        result, hit = fetch(store, run)  # transparently re-runs + overwrites
         assert not hit
         assert store.load(run) == result
 
     def test_non_object_json_entry_is_a_miss(self, tmp_path):
         store = RunStore(tmp_path)
         run = ExperimentRun("table1")
-        store.fetch(run)
+        fetch(store, run)
         store.path(run).write_text("[1, 2, 3]")  # valid JSON, wrong shape
         assert store.load(run) is None
 
     def test_stale_format_is_a_miss(self, tmp_path):
         store = RunStore(tmp_path)
         run = ExperimentRun("table1")
-        store.fetch(run)
+        fetch(store, run)
         payload = json.loads(store.path(run).read_text())
         payload["format"] = -1
         store.path(run).write_text(json.dumps(payload))
@@ -525,7 +537,7 @@ class TestRunStore:
         # results computed by a different repro release never replay
         store = RunStore(tmp_path)
         run = ExperimentRun("table1")
-        store.fetch(run)
+        fetch(store, run)
         payload = json.loads(store.path(run).read_text())
         payload["version"] = "0.0.0-other"
         store.path(run).write_text(json.dumps(payload))
@@ -534,8 +546,8 @@ class TestRunStore:
     def test_save_leaves_no_temp_files(self, tmp_path):
         store = RunStore(tmp_path)
         run = ExperimentRun("table1")
-        store.fetch(run)
-        store.fetch(run, force=True)
+        fetch(store, run)
+        fetch(store, run, force=True)
         leftovers = list(store.path(run).parent.glob("*.tmp"))
         assert leftovers == []
 
@@ -552,7 +564,7 @@ class TestRunStore:
         store = RunStore(tmp_path)
         warm = ExperimentRun("table1")
         cold = ExperimentRun("table2")
-        store.fetch(warm)
+        fetch(store, warm)
         results = run_experiments([warm, cold], store=store)
         assert type(results[0]).__name__ == "Table1Result"
         assert type(results[1]).__name__ == "Table2Result"
@@ -672,12 +684,15 @@ class TestCliSurface:
             assert not (tmp_path / "rowless-test.csv").exists()
             assert (tmp_path / "table1.csv").exists()  # others still export
             # the cache-enabled path must warn-skip too, not crash trying
-            # to encode the protocol-less result into the store
+            # to encode the protocol-less result into the store: caching
+            # is run_experiments' best effort, as for `repro report`
             cache = tmp_path / "cache"
-            assert cli_main(
-                ["export", "--dir", str(tmp_path / "out2"),
-                 "--cache-dir", str(cache), "rowless-test", "table1"]
-            ) == 0
+            with pytest.warns(RuntimeWarning,
+                              match="could not cache rowless-test"):
+                assert cli_main(
+                    ["export", "--dir", str(tmp_path / "out2"),
+                     "--cache-dir", str(cache), "rowless-test", "table1"]
+                ) == 0
             captured = capsys.readouterr()
             assert "skipping 'rowless-test'" in captured.err
             assert (tmp_path / "out2" / "table1.csv").exists()

@@ -13,7 +13,9 @@ from repro.api import PreprocessJob
 from repro.core.cpu_worker import CpuPreprocessingWorker
 from repro.dataio.columnar import ColumnarFileReader
 from repro.dataio.partition import RowPartitioner
-from repro.errors import EncodingError, FormatError, ReproError
+from repro.errors import (
+    ConfigurationError, EncodingError, FormatError, ReproError,
+)
 from repro.features.specs import get_model
 from repro.features.synthetic import generate_raw_table
 from repro.serve import PreprocessService
@@ -332,11 +334,16 @@ class TestChaosFleet:
             result = FleetResult.from_dict(json.load(handle))
         assert result.digest == episode["digest"]
 
-    def test_serve_kwargs_accepted_and_ignored(self, tmp_path):
-        from repro.faults.chaos import run_fleet_episode
+    def test_serve_kwargs_are_refused(self, tmp_path):
+        from repro.faults.chaos import run_chaos
 
-        episode = run_fleet_episode(
-            "arrival-burst", seed=2, spool_dir=str(tmp_path), num_jobs=2,
-            rows=64, shards=1, workers=2, job_timeout_s=5.0,
-        )
-        assert episode["violations"] == []
+        with pytest.raises(
+            ConfigurationError,
+            match=r"tier 'fleet' takes no keyword\(s\) "
+                  r"\['job_timeout_s', 'rows', 'shards', 'workers'\]",
+        ):
+            run_chaos(
+                ("arrival-burst",), seed=2, tier="fleet",
+                spool_root=str(tmp_path), num_jobs=2,
+                rows=64, shards=1, workers=2, job_timeout_s=5.0,
+            )

@@ -733,10 +733,11 @@ class TestChaos:
     def test_job_count_must_be_a_positive_int(self, tier, fault, num_jobs,
                                               tmp_path):
         # an episode of no jobs would pass having checked nothing
+        rows = {} if tier == "fleet" else {"rows": 64}
         with pytest.raises(ConfigurationError,
                            match="num_jobs must be a positive int"):
             run_chaos((fault,), seed=7, tier=tier, num_jobs=num_jobs,
-                      rows=64, spool_root=str(tmp_path))
+                      spool_root=str(tmp_path), **rows)
 
     @pytest.mark.parametrize("tier,fault,jobs", [
         ("serve", "worker-crash", 1),
@@ -745,19 +746,28 @@ class TestChaos:
     ])
     def test_one_job_is_the_smallest_episode(self, tier, fault, jobs,
                                              tmp_path):
-        report = run_chaos((fault,), seed=7, tier=tier, num_jobs=1, rows=64,
-                           spool_root=str(tmp_path))
+        rows = {} if tier == "fleet" else {"rows": 64}
+        report = run_chaos((fault,), seed=7, tier=tier, num_jobs=1,
+                           spool_root=str(tmp_path), **rows)
         assert report["ok"]
         assert report["episodes"][0]["jobs"] == jobs
 
-    def test_tier_foreign_keywords_stay_accepted(self, tmp_path):
-        # one call shape drives every tier: serve/batch-only keywords are
-        # known, so the fleet episode ignores them instead of rejecting
-        report = run_chaos(
-            ("node-down",), seed=7, tier="fleet", spool_root=str(tmp_path),
-            num_jobs=2, rows=64, shards=1, workers=2, queue_capacity=4,
-        )
-        assert report["ok"] and report["episodes"][0]["jobs"] >= 40
+    @pytest.mark.parametrize("tier,keyword,value", [
+        ("serve", "trace_kind", "poisson"),
+        ("batch", "queue_capacity", 4),
+        ("batch", "policy", "best-fit"),
+        ("fleet", "rows", 64),
+        ("fleet", "job_timeout_s", 1.0),
+    ])
+    def test_tier_foreign_keywords_are_refused(self, tier, keyword, value,
+                                               tmp_path):
+        # a keyword the chosen tier does not take would leave its run
+        # unchanged, so it is refused before any episode starts
+        with pytest.raises(ConfigurationError,
+                           match=rf"tier '{tier}' takes no keyword.*'{keyword}'"):
+            run_chaos(seed=7, tier=tier, spool_root=str(tmp_path),
+                      num_jobs=1, **{keyword: value})
+        assert list(tmp_path.iterdir()) == []
 
     def test_check_report_raises_on_violations(self):
         from repro.errors import ChaosError

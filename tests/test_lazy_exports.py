@@ -70,7 +70,7 @@ EAGER = {
             "PreprocessJob PreprocessRunResult minibatch_digest"
         ),
         "repro.api.result": "RunResult",
-        "repro.api.scenario": "PROVISION_MODES Scenario calibration_overrides",
+        "repro.api.scenario": "Scenario calibration_overrides",
         "repro.api.sweep": "Sweep",
         "repro.batch": (
             "FAILURE_MODES OUTCOME_STATES BatchJournal BatchOutcome "

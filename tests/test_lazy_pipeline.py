@@ -117,10 +117,13 @@ def run_digest(system, num_batches):
 
 
 class TestGoldenRunDigests:
-    """Recorded at the parent commit (eager pipelines), before the change."""
+    """Recorded with eager pipelines, before the lazy ones; re-recorded
+    once when ``Scenario`` lost ``seed`` and ``provision``, from the old
+    records with those two keys removed (the old hexes were
+    ``8f85f7cb77e16df0`` and ``5b9b647e317ca454``)."""
 
     def test_disagg_rm5_8gpu_200_batches(self):
-        assert run_digest("Disagg", 200) == "8f85f7cb77e16df0"
+        assert run_digest("Disagg", 200) == "c65081450350c298"
 
     def test_presto_rm5_8gpu_2000_batches(self):
-        assert run_digest("PreSto", 2000) == "5b9b647e317ca454"
+        assert run_digest("PreSto", 2000) == "7e9d71cc35d68031"

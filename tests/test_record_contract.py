@@ -35,11 +35,11 @@ def _run_result() -> RunResult:
 RECORDS = {
     Scenario: (
         Scenario(model="RM5", system="Disagg", num_gpus=2, num_batches=50,
-                 calibration={"cpu_batch_overhead": 20e-3}, seed=4),
+                 num_workers=3, calibration={"cpu_batch_overhead": 20e-3}),
         ConfigurationError,
         "unknown scenario keys ['bogus']; expected ['calibration', 'model', "
-        "'num_batches', 'num_gpus', 'num_workers', 'provision', "
-        "'queue_capacity', 'seed', 'system']",
+        "'num_batches', 'num_gpus', 'num_workers', 'queue_capacity', "
+        "'system']",
     ),
     RunResult: (
         _run_result,
@@ -156,7 +156,7 @@ def test_from_dict_does_not_mutate_its_input(cls):
 #: ``true``); the one predicate is :func:`repro.errors.is_int`.
 INTEGER_FIELDS = [
     (Scenario, "num_gpus"), (Scenario, "num_batches"),
-    (Scenario, "queue_capacity"), (Scenario, "seed"), (Scenario, "num_workers"),
+    (Scenario, "queue_capacity"), (Scenario, "num_workers"),
     (PreprocessJob, "num_rows"), (PreprocessJob, "num_shards"),
     (PreprocessJob, "processes"), (PreprocessJob, "seed"),
     (BatchPolicy, "max_retries"), (BatchPolicy, "processes"),

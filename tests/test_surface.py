@@ -92,9 +92,6 @@ ALLOWED: Dict[str, str] = {
         "tests/test_experiments.py names the Table I rows that differ through it",
     "repro.ops.bucketize.Bucketizer.num_buckets":
         "tests/test_ops_pipeline.py checks the prepared kernel's cardinality through it",
-    "repro.api.experiment.RunStore.fetch":
-        "the single-run load / run / save cycle; TestRunStore observes the cache's "
-        "hit, miss, force and key isolation through it",
     "repro.api.result.RunResult.starved":
         "the record's own reading of its utilization; tests/test_api.py asserts a "
         "one-worker run through it",
