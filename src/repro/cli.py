@@ -638,8 +638,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if args.faults:
         from repro.faults import FaultInjector, FaultPlan, install
+        from repro.faults.plan import check_probed
 
-        install(FaultInjector(FaultPlan.load(args.faults)))
+        plan = FaultPlan.load(args.faults)
+        check_probed("serve", (rule.point for rule in plan.rules))
+        install(FaultInjector(plan))
     service = PreprocessService(
         spool_dir=args.spool,
         queue_capacity=args.queue,
@@ -778,28 +781,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _fleet_injector(faults: str, seed: int):
-    """A fresh :class:`FaultInjector` for a comma-separated fault list."""
-    from repro.faults.chaos import DEFAULT_FLEET_FAULTS
+    """A fresh :class:`FaultInjector` for a comma-separated fault list, or None."""
     from repro.faults.injector import FaultInjector
-    from repro.faults.plan import DEFAULT_RATES, FaultPlan, FaultRule
+    from repro.faults.plan import FAULT_POINTS, FaultPlan, FaultRule, check_probed
 
-    rules = []
-    for fault in (f.strip() for f in faults.split(",")):
-        if not fault:
-            continue
-        if fault not in DEFAULT_FLEET_FAULTS:
-            raise SystemExit(
-                f"unknown fleet fault {fault!r}; known: "
-                f"{', '.join(sorted(DEFAULT_FLEET_FAULTS))}"
-            )
-        rules.append(FaultRule(
-            point=fault,
-            rate=DEFAULT_RATES[fault],
-            delay_s=300.0 if fault == "slow-node" else None,
-        ))
-    if not rules:
+    points = check_probed(
+        "fleet", (f.strip() for f in faults.split(",") if f.strip())
+    )
+    if not points:
         return None
-    return FaultInjector(FaultPlan(seed=seed, rules=tuple(rules)))
+    return FaultInjector(FaultPlan(seed=seed, rules=tuple(
+        FaultRule(point=point, rate=FAULT_POINTS[point].rate) for point in points
+    )))
 
 
 def _fleet_trace(args: argparse.Namespace):
@@ -971,15 +964,17 @@ def _add_batch_options(parser: argparse.ArgumentParser) -> None:
 
 
 class _FleetRunHelp(argparse.HelpFormatter):
-    """``fleet run --help`` with the placement policies and autoscalers
-    filled in from :mod:`repro.fleet` when it is printed, so that building
-    the parser imports no part of the fleet tier."""
+    """``fleet run --help`` with the placement policies, autoscalers and
+    fleet fault points filled in when it is printed, so that building the
+    parser imports no part of the fleet tier."""
 
     def _get_help_string(self, action: argparse.Action) -> str:
+        from repro.faults.plan import probed_by
         from repro.fleet import AUTOSCALERS, POLICIES
 
         return action.help.replace("{policies}", ", ".join(POLICIES)).replace(
-            "{autoscalers}", ", ".join(AUTOSCALERS))
+            "{autoscalers}", ", ".join(AUTOSCALERS)).replace(
+            "{fleet_faults}", ", ".join(probed_by("fleet")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1237,8 +1232,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="autoscaling policy: {autoscalers} (default "
                                 "target-utilization)")
     fleet_run.add_argument("--faults", default=None,
-                           help="comma-separated fleet faults to inject "
-                                "(node-down, slow-node, arrival-burst)")
+                           help="comma-separated fleet faults to inject: "
+                                "{fleet_faults}")
     fleet_run.add_argument("--fault-seed", type=int, default=0,
                            help="fault plan seed (default 0)")
     fleet_run.add_argument("--out", default=None, metavar="PATH",

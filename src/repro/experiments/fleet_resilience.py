@@ -187,7 +187,7 @@ def run(
         seed=seed,
         rules=(
             FaultRule(point="node-down", rate=down_rate),
-            FaultRule(point="slow-node", rate=slow_rate, delay_s=300.0),
+            FaultRule(point="slow-node", rate=slow_rate),
         ),
     )
     clean = simulate()

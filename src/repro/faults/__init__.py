@@ -22,16 +22,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "fault_stage", "install", "installed", "uninstall",
     ),
     "repro.faults.plan": (
-        "DEFAULT_ACTIONS", "DEFAULT_RATES", "FAULT_ACTIONS", "FAULT_POINTS",
-        "FaultPlan", "FaultRule",
+        "FAULT_ACTIONS", "FAULT_POINTS", "FaultPlan", "FaultRule",
     ),
 })
 
 __all__ = [
     "ChaosError",
-    "DEFAULT_ACTIONS",
     "DEFAULT_HANG_S",
-    "DEFAULT_RATES",
     "FAULT_ACTIONS",
     "FAULT_POINTS",
     "FaultError",

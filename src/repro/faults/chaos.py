@@ -34,12 +34,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 from repro.api.preprocess import PreprocessJob
 from repro.errors import ChaosError, ConfigurationError, ReproError, is_int
 from repro.faults.injector import FaultInjector, installed
-from repro.faults.plan import (
-    DEFAULT_RATES,
-    FAULT_POINTS,
-    FaultPlan,
-    FaultRule,
-)
+from repro.faults.plan import FAULT_POINTS, FaultPlan, FaultRule, check_probed
 
 #: the default matrix CI smokes: crash, hang, and torn-index classes
 DEFAULT_FAULTS = ("worker-crash", "hung-stage", "torn-write")
@@ -57,20 +52,16 @@ CHAOS_TIERS = ("serve", "batch", "fleet")
 
 
 def plan_for(
-    fault: str, seed: int, job_timeout_s: Optional[float],
+    tier: str, fault: str, seed: int, job_timeout_s: Optional[float],
     rate: Optional[float] = None,
 ) -> FaultPlan:
-    """The canonical single-class plan an episode runs under;
-    ``job_timeout_s`` is the episode's job deadline, None for a tier
-    that has none (the fleet)."""
-    if fault not in FAULT_POINTS:
-        raise ConfigurationError(
-            f"unknown fault class {fault!r}; known: "
-            f"{', '.join(sorted(FAULT_POINTS))}"
-        )
+    """The canonical single-class plan ``tier``'s episode runs under,
+    refusing a class the tier never probes; ``job_timeout_s`` is the
+    episode's job deadline, None for a tier that has none (the fleet)."""
+    check_probed(tier, (fault,))
     rule = FaultRule(
         point=fault,
-        rate=rate if rate is not None else DEFAULT_RATES[fault],
+        rate=FAULT_POINTS[fault].rate if rate is None else rate,
         # a hang must outlive the watchdog deadline by a wide margin so the
         # watchdog — not the hang expiring — is what resolves the job
         delay_s=(
@@ -114,11 +105,11 @@ class _Episode:
     serial-digest memo, the clock, and the report's common shape."""
 
     def __init__(
-        self, fault: str, seed: int, job_timeout_s: Optional[float],
-        rate: Optional[float],
+        self, tier: str, fault: str, seed: int,
+        job_timeout_s: Optional[float], rate: Optional[float],
     ) -> None:
         self.fault = fault
-        self.plan = plan_for(fault, seed, job_timeout_s, rate=rate)
+        self.plan = plan_for(tier, fault, seed, job_timeout_s, rate=rate)
         self.injector = FaultInjector(self.plan)
         self.violations: List[str] = []
         self.digests_checked = 0
@@ -181,7 +172,7 @@ def run_episode(
     from repro.serve import JobLogIndex, PreprocessService, ServiceClient, ServiceServer
     from repro.serve.records import TERMINAL_STATES
 
-    episode = _Episode(fault, seed, job_timeout_s, rate)
+    episode = _Episode("serve", fault, seed, job_timeout_s, rate)
     violations = episode.violations
     with installed(episode.injector):
         service = PreprocessService(
@@ -311,7 +302,7 @@ def run_batch_episode(
     """
     from repro.batch import BatchJournal, BatchPolicy, BatchRunner, content_key
 
-    episode = _Episode(fault, seed, job_timeout_s, rate)
+    episode = _Episode("batch", fault, seed, job_timeout_s, rate)
     violations = episode.violations
     jobs = [
         PreprocessJob(model=model, num_rows=rows, num_shards=shards, seed=k)
@@ -459,7 +450,7 @@ def run_fleet_episode(
     from repro.fleet.simulator import FleetSimulator
     from repro.fleet.trace import generate_trace
 
-    episode = _Episode(fault, seed, None, rate)  # the fleet has no deadline
+    episode = _Episode("fleet", fault, seed, None, rate)  # no deadline
     violations = episode.violations
     trace = generate_trace(
         trace_kind,
@@ -536,13 +527,14 @@ def run_chaos(
     streaming service (:func:`run_episode`), ``batch`` drives the
     fault-tolerant batch runner (:func:`run_batch_episode`), ``fleet``
     drives the simulated cluster scheduler (:func:`run_fleet_episode`).
-    ``faults`` defaults to the tier's canonical matrix.  Episode
-    keywords are checked against the chosen tier's own signature: one it
-    does not take (``rows`` for the fleet, ``trace_kind`` for the
-    service) is a :class:`ConfigurationError` naming the tier and the
-    keyword, and so is a ``num_jobs`` that is not a positive int (an
-    episode of no jobs would pass having checked nothing).  The report's
-    ``ok`` is True iff no episode recorded a violation.
+    ``faults`` defaults to the tier's canonical matrix.  Refused with a
+    :class:`ConfigurationError` before any spool directory or episode
+    exists: a class the tier never probes (its episode would inject
+    nothing and pass), a keyword the tier's episode does not take
+    (``rows`` for the fleet, ``trace_kind`` for the service), and a
+    ``num_jobs`` that is not a positive int (an episode of no jobs would
+    pass having checked nothing).  The report's ``ok`` is True iff no
+    episode recorded a violation.
     Everything except the ``elapsed_s`` fields is deterministic for a
     fixed seed (see :func:`deterministic_view`).
     """
@@ -576,8 +568,7 @@ def run_chaos(
             raise ConfigurationError(
                 f"num_jobs must be a positive int, got {num_jobs!r}"
             )
-    if faults is None:
-        faults = default_faults
+    faults = check_probed(tier, default_faults if faults is None else faults)
     owned = spool_root is None
     root = spool_root or tempfile.mkdtemp(prefix="repro-chaos-")
     started = time.perf_counter()

@@ -25,90 +25,86 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple,
+)
 
 from repro.errors import ConfigurationError, as_tuple, is_int, strict_keys
 
 if TYPE_CHECKING:
     import numpy as np
 
-#: the catalog of named fault points (probe sites) woven through the code:
-#: point -> (module that hosts the probe, what firing there means)
-FAULT_POINTS: Dict[str, str] = {
-    "worker-crash": "serve/pool + batch/runner: the worker dies mid-task "
-                    "(BaseException escapes — the crashed-process stand-in; "
-                    "in the batch tier it kills the worker process outright)",
-    "task-hang": "batch/runner: a batch task blocks past its wall-clock "
-                 "deadline inside the worker process (watchdog territory)",
-    "hung-stage": "exec/executor + api/preprocess: a pipeline stage blocks "
-                  "past the job deadline (watchdog territory)",
-    "slow-stage": "exec/executor + api/preprocess: a pipeline stage is "
-                  "delayed by delay_s seconds (degraded, not dead)",
-    "stage-error": "exec/executor + api/preprocess: a pipeline stage raises "
-                   "a retryable FaultError (transient failure)",
-    "torn-write": "serve/records: the job-index append writes half a line "
-                  "and fails (crash mid-append)",
-    "disk-full": "serve/records: the job-index append fails with ENOSPC "
-                 "before writing (spool volume full)",
-    "conn-drop": "serve/protocol: the server drops the connection "
-                 "mid-reply (client sees EOF instead of an answer)",
-    "queue-stall": "serve/queue: a put is delayed by delay_s seconds "
-                   "(producer-side turbulence)",
-    "row-corrupt": "dataio/rowformat: one byte of a freshly written row "
-                   "file is flipped (must be caught downstream, loudly)",
-    "node-down": "fleet/simulator: a pool node fails; its running jobs "
-                 "are displaced and rescheduled, the node repairs after "
-                 "REPAIR_S (900) simulated seconds",
-    "slow-node": "fleet/simulator: a pool node degrades; jobs running on "
-                 "it finish delay_s simulated seconds late",
-    "arrival-burst": "fleet/simulator: one arrival fans out into a flash "
-                     "crowd of clone jobs (delay_s, when set, is the "
-                     "clone count)",
+
+class FaultPoint(NamedTuple):
+    """One catalogue row: where the probe lives, a rule's default action,
+    the default rate ``repro chaos`` and ``repro fleet run --faults`` use,
+    the tiers whose code paths probe it, and what firing there means."""
+
+    site: str
+    action: str
+    rate: float
+    tiers: Tuple[str, ...]
+    meaning: str
+
+
+#: the two tiers that run the data plane (jobs, stages, journals)
+_DATA_PLANE = ("serve", "batch")
+
+#: the catalogue of named fault points (probe sites), one row each.  Serve
+#: and batch rates hit about half the jobs; fleet rates are per node-epoch
+#: or per arrival, so they sit much lower.  No tier probes ``row-corrupt``:
+#: only the row-file writer does, and no chaos episode calls it.
+FAULT_POINTS: Dict[str, FaultPoint] = {
+    "worker-crash": FaultPoint("serve/pool + batch/runner", "crash", 0.45, _DATA_PLANE,
+        "the worker dies mid-task (a batch worker's process is killed)"),
+    "task-hang": FaultPoint("batch/runner", "hang", 0.4, ("batch",),
+        "a task blocks past its deadline in the worker (watchdog territory)"),
+    "hung-stage": FaultPoint("exec/executor stage", "hang", 0.4, _DATA_PLANE,
+        "a stage blocks past the job deadline (watchdog territory)"),
+    "slow-stage": FaultPoint("exec/executor stage", "delay", 0.6, _DATA_PLANE,
+        "a stage is delayed by delay_s seconds (degraded, not dead)"),
+    "stage-error": FaultPoint("exec/executor stage", "error", 0.5, _DATA_PLANE,
+        "a stage raises a retryable FaultError (transient failure)"),
+    "torn-write": FaultPoint("journal append", "torn", 0.5, _DATA_PLANE,
+        "an index or journal append writes half a line and fails"),
+    "disk-full": FaultPoint("journal append", "enospc", 0.5, _DATA_PLANE,
+        "an index or journal append fails with ENOSPC before writing"),
+    "conn-drop": FaultPoint("serve/protocol", "drop", 0.3, ("serve",),
+        "the server drops the connection mid-reply (the client sees EOF)"),
+    "queue-stall": FaultPoint("serve/queue", "delay", 0.5, ("serve",),
+        "a put is delayed by delay_s seconds (producer-side turbulence)"),
+    "row-corrupt": FaultPoint("dataio/rowformat", "corrupt", 0.4, (),
+        "one byte of a fresh row file is flipped (caught downstream, loudly)"),
+    "node-down": FaultPoint("fleet/simulator", "down", 0.01, ("fleet",),
+        "a node fails; its jobs are displaced, it repairs after REPAIR_S"),
+    "slow-node": FaultPoint("fleet/simulator", "slow", 0.05, ("fleet",),
+        "a node degrades; its jobs finish delay_s (else SLOW_PENALTY_S) late"),
+    "arrival-burst": FaultPoint("fleet/simulator", "burst", 0.03, ("fleet",),
+        "an arrival fans out into clone jobs (delay_s, when set, counts them)"),
 }
 
-#: default firing rate per point — roughly half the jobs get hit,
-#: deterministically (fleet rates are per node-epoch / per arrival, so they
-#: sit much lower); ``repro chaos`` and ``repro fleet run --faults`` read it
-DEFAULT_RATES = {
-    "worker-crash": 0.45,
-    "task-hang": 0.4,
-    "hung-stage": 0.4,
-    "slow-stage": 0.6,
-    "stage-error": 0.5,
-    "torn-write": 0.5,
-    "disk-full": 0.5,
-    "conn-drop": 0.3,
-    "queue-stall": 0.5,
-    "row-corrupt": 0.4,
-    "node-down": 0.01,
-    "slow-node": 0.05,
-    "arrival-burst": 0.03,
-}
+#: what a rule may do when it fires: each point's default action, once
+FAULT_ACTIONS = tuple(dict.fromkeys(row.action for row in FAULT_POINTS.values()))
 
-#: what each action does when its rule fires
-FAULT_ACTIONS = ("crash", "hang", "delay", "error", "torn", "enospc",
-                 "drop", "corrupt", "down", "slow", "burst")
 
-#: actions the generic probe executes itself (raise / sleep); the rest are
-#: *cooperative* — the probe site reads the action and misbehaves in kind
-_GENERIC_ACTIONS = ("crash", "hang", "delay", "error")
+def probed_by(tier: str) -> Tuple[str, ...]:
+    """The points ``tier``'s code paths probe, in catalogue order."""
+    return tuple(point for point, row in FAULT_POINTS.items() if tier in row.tiers)
 
-#: default action per point when a rule leaves ``action`` unset
-DEFAULT_ACTIONS = {
-    "worker-crash": "crash",
-    "task-hang": "hang",
-    "hung-stage": "hang",
-    "slow-stage": "delay",
-    "stage-error": "error",
-    "torn-write": "torn",
-    "disk-full": "enospc",
-    "conn-drop": "drop",
-    "queue-stall": "delay",
-    "row-corrupt": "corrupt",
-    "node-down": "down",
-    "slow-node": "slow",
-    "arrival-burst": "burst",
-}
+
+def check_probed(tier: str, points: Iterable[str]) -> Tuple[str, ...]:
+    """``points`` as a tuple; an unknown point, or one ``tier`` never
+    probes (a run under it would inject nothing and pass), is a
+    :class:`ConfigurationError` naming the tier's points."""
+    points = tuple(points)
+    probed = probed_by(tier)
+    for point in points:
+        if point not in probed:
+            raise ConfigurationError(
+                f"unknown {tier} fault {point!r}; known: "
+                f"{', '.join(sorted(probed))}"
+            )
+    return points
 
 
 @functools.lru_cache(maxsize=256)
@@ -166,7 +162,7 @@ class FaultRule:
                 f"unknown fault point {self.point!r}; known: "
                 f"{', '.join(sorted(FAULT_POINTS))}"
             )
-        action = self.action or DEFAULT_ACTIONS[self.point]
+        action = self.action or FAULT_POINTS[self.point].action
         if action not in FAULT_ACTIONS:
             raise ConfigurationError(
                 f"unknown fault action {action!r}; known: "

@@ -24,10 +24,10 @@ owns three responsibilities the batch executor never needed:
   and a fresh worker replaces it immediately — so a wedged stage never
   starves the queue and ``alive_workers`` stays at ``num_workers``.
 
-The pool is deliberately thread- (not process-) based: jobs themselves are
-numpy-heavy and the per-job data plane can still fan out across processes,
-while the pool layer stays cheap to start, easy to observe, and able to
-share the in-memory lifecycle store.
+The pool is deliberately thread- (not process-) based: each job runs
+inline on its worker thread (the service refuses a job that asks for
+``processes``), and the pool layer stays cheap to start, easy to observe,
+and able to share the in-memory lifecycle store.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.errors import JobNotFoundError, ReproError, ServeError
 from repro.serve.pool import WorkerPool
 from repro.serve.queue import BoundedJobQueue
 from repro.serve.records import JobLogIndex, JobRecord, StageEvent
-from repro.serve.sources import JobSource, SourceWatcher
+from repro.serve.sources import JobSource, SourceWatcher, servable
 
 #: stage order the default runner reports (skipped stages stay explicit)
 PIPELINE_STAGES = ("generate", "partition", "extract", "transform")
@@ -215,10 +215,12 @@ class PreprocessService:
         Honors the queue's backpressure policy: raises
         :class:`~repro.errors.QueueFullError` when the queue rejects (or a
         block times out) and :class:`~repro.errors.QueueClosedError` once
-        the service is stopping — the job is then *not* recorded.
+        the service is stopping — the job is then *not* recorded.  A job
+        that sets ``processes`` is refused (:func:`servable`) unrecorded.
         """
         if not isinstance(job, PreprocessJob):
             job = PreprocessJob.from_dict(job)
+        servable(job)
         with self._lock:
             job_id = f"job-{next(self._ids):06d}"
         record = JobRecord(

@@ -32,13 +32,26 @@ from repro.errors import ConfigurationError, QueueClosedError, ReproError, is_in
 from repro.serve.records import JobRecord
 
 
+def servable(job: PreprocessJob) -> PreprocessJob:
+    """``job``, or a :class:`ConfigurationError` if it sets ``processes``:
+    the service runs each job inline on one pool worker, so a process
+    count would never take effect."""
+    if job.processes is not None:
+        raise ConfigurationError(
+            f"the service runs each job on one worker; refusing "
+            f"processes={job.processes!r}"
+        )
+    return job
+
+
 class JobSource:
     """One stream of incoming preprocessing jobs.
 
     Subclasses implement :meth:`take`, returning at most ``limit`` new jobs
     per call; the watcher calls it with the queue's current free capacity,
     so a source never has to handle rejection — work it holds back is simply
-    picked up on a later poll.
+    picked up on a later poll.  A job the service refuses (one that sets
+    ``processes``) is skipped and audited in ``SourceWatcher.refused``.
     """
 
     #: label recorded on every JobRecord this source submits
@@ -54,7 +67,8 @@ class DirectoryJobSource(JobSource):
     Producers attach by writing ``PreprocessJob.to_dict()`` JSON as
     ``*.json`` files into the directory; each file becomes exactly one job
     (files are remembered by name, oldest name first, and never re-read).
-    A file that does not parse as a job is remembered as rejected — loudly
+    A file that does not parse as a job the service can run (one that sets
+    ``processes`` included) is remembered as rejected — loudly
     listed in :attr:`rejected`, never retried, never crashing the watcher.
     """
 
@@ -79,7 +93,7 @@ class DirectoryJobSource(JobSource):
             try:
                 with open(filename) as handle:
                     payload = json.load(handle)
-                jobs.append(PreprocessJob.from_dict(payload))
+                jobs.append(servable(PreprocessJob.from_dict(payload)))
             except (ValueError, OSError, ReproError) as exc:
                 self.rejected[filename] = str(exc)
         return jobs
@@ -155,6 +169,8 @@ class SourceWatcher:
         self._free_slots = free_slots
         self.poll_interval = poll_interval
         self._sources: List[JobSource] = []
+        #: (source name, error) per job the service refused; the rest go on
+        self.refused: List[tuple] = []
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -186,6 +202,8 @@ class SourceWatcher:
                     submitted += 1
                 except QueueClosedError:
                     return submitted
+                except ConfigurationError as exc:
+                    self.refused.append((source.name, str(exc)))
         return submitted
 
     # -- background loop -----------------------------------------------------

@@ -226,6 +226,33 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             _parse_synthetic("RM1:1:2:3:4")
 
+    def test_a_plan_on_a_point_the_daemon_never_probes_is_refused(
+            self, tmp_path, capsys):
+        """A ``node-down`` rule would never fire in the daemon: refused
+        before any injector is installed, spool made or port bound."""
+        from unittest import mock
+
+        from repro.faults import FaultPlan, FaultRule, active_injector
+
+        plan = str(tmp_path / "plan.json")
+        FaultPlan(seed=1, rules=(FaultRule("node-down"),)).save(plan)
+
+        def serving(*args, **kwargs):
+            raise AssertionError("serve got past its plan's check")
+
+        with mock.patch("repro.serve.ServiceServer", serving), \
+                pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--spool", str(tmp_path / "spool"),
+                  "--faults", plan])
+        assert excinfo.value.code == (
+            "unknown serve fault 'node-down'; known: conn-drop, disk-full, "
+            "hung-stage, queue-stall, slow-stage, stage-error, torn-write, "
+            "worker-crash"
+        )
+        assert capsys.readouterr().out == ""
+        assert active_injector() is None
+        assert not (tmp_path / "spool").exists()
+
     def test_client_without_daemon_exits_loudly(self, tmp_path):
         with pytest.raises(SystemExit, match="repro serve"):
             main(["jobs", "--spool", str(tmp_path / "no-daemon")])
@@ -383,7 +410,7 @@ class TestChaos:
         assert "all invariants held" in out
 
     def test_chaos_rejects_unknown_fault(self):
-        with pytest.raises(SystemExit, match="unknown fault class"):
+        with pytest.raises(SystemExit, match="unknown serve fault 'bogus'"):
             main(["chaos", "--faults", "bogus"])
 
     def test_flags_the_fleet_does_not_take_are_refused(self, capsys):
@@ -403,20 +430,23 @@ class TestChaos:
 def _typed_failures():
     """``(argv, message)`` params — ``{tmp}`` is the test's scratch directory.
 
-    The messages are the parent commit's, verbatim: commands no longer
-    catch-and-exit themselves, so ``main()``'s one boundary must print
-    exactly what each hand-placed ``except`` used to.
+    Each is the exact one line ``main()``'s boundary prints: commands do
+    not catch-and-exit themselves.
     """
-    from repro.faults.plan import FAULT_POINTS
-
     missing = "[Errno 2] No such file or directory:"
     cases = [
         ("fleet-trace", ["fleet", "run", "--trace", "/nonexistent.jsonl"],
          f"cannot read trace /nonexistent.jsonl: {missing} "
          "'/nonexistent.jsonl'"),
         ("chaos-fault", ["chaos", "--tier", "fleet", "--faults", "nope"],
-         "unknown fault class 'nope'; known: "
-         + ", ".join(sorted(FAULT_POINTS))),
+         "unknown fleet fault 'nope'; known: "
+         "arrival-burst, node-down, slow-node"),
+        # its episodes used to inject nothing and print ``ok: true``
+        ("chaos-foreign-fault",
+         ["chaos", "--tier", "fleet", "--faults", "hung-stage,worker-crash",
+          "--jobs", "1"],
+         "unknown fleet fault 'hung-stage'; known: "
+         "arrival-burst, node-down, slow-node"),
         *[(f"chaos-jobs-{tier}", ["chaos", "--tier", tier, "--jobs", "0"],
            "num_jobs must be a positive int, got 0")
           for tier in ("serve", "batch", "fleet")],

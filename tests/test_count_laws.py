@@ -22,7 +22,7 @@ from repro.api import PreprocessJob, Scenario
 from repro.batch import BatchJournal, BatchRunner
 from repro.core.endtoend import _simulate
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import DEFAULT_RATES, FaultPlan, FaultRule
+from repro.faults.plan import FAULT_POINTS, FaultPlan, FaultRule
 from repro.fleet import default_pools, generate_trace, run_fleet
 from repro.serve import PreprocessService
 
@@ -143,7 +143,7 @@ def test_service_calls_per_job(tmp_path):
 
 #: the CLI's node faults at their default rates
 NODE_FAULTS = FaultPlan(seed=10, rules=tuple(
-    FaultRule(point=point, rate=DEFAULT_RATES[point])
+    FaultRule(point=point, rate=FAULT_POINTS[point].rate)
     for point in ("node-down", "slow-node")
 ))
 

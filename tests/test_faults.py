@@ -2,8 +2,10 @@
 injector, every probe site's behavior, index durability/healing/compaction,
 the watchdog, crash recovery, and the chaos matrix — all in-process."""
 
+import itertools
 import json
 import os
+import re
 import threading
 import time
 from unittest import mock
@@ -33,12 +35,17 @@ from repro.faults import (
     uninstall,
 )
 from repro.faults.chaos import (
+    CHAOS_TIERS,
+    DEFAULT_BATCH_FAULTS,
+    DEFAULT_FAULTS,
+    DEFAULT_FLEET_FAULTS,
     check_report,
     deterministic_view,
     plan_for,
     run_chaos,
     run_episode,
 )
+from repro.faults.plan import probed_by
 from repro.serve import (
     BoundedJobQueue,
     JobLogIndex,
@@ -157,25 +164,58 @@ class TestFaultPlan:
             b.hash01("conn-drop", str(i)) for i in range(8)
         ]
 
-    def test_catalog_covers_default_actions(self):
-        from repro.faults import DEFAULT_ACTIONS
+    def test_every_row_is_well_formed(self):
+        """One row per point: its action is a rule's default, its rate a
+        probability, and its tiers chaos tiers."""
+        for point, row in FAULT_POINTS.items():
+            assert FaultRule(point).action == row.action
+            assert 0.0 < row.rate <= 1.0
+            assert set(row.tiers) <= set(CHAOS_TIERS)
 
-        assert set(DEFAULT_ACTIONS) == set(FAULT_POINTS)
-
-    def test_every_fault_point_has_one_default_rate(self):
-        """One table: chaos plans and ``repro fleet run --faults`` read it."""
+    def test_every_front_door_reads_the_row_rate(self):
+        """Chaos plans and ``repro fleet run --faults`` read one rate."""
         from repro.cli import _fleet_injector
-        from repro.faults import DEFAULT_RATES
-        from repro.faults.chaos import DEFAULT_FLEET_FAULTS
 
-        assert set(DEFAULT_RATES) == set(FAULT_POINTS)
-        assert all(0.0 < rate <= 1.0 for rate in DEFAULT_RATES.values())
-        for fault in FAULT_POINTS:
-            (rule,) = plan_for(fault, seed=0, job_timeout_s=1.0).rules
-            assert rule.rate == DEFAULT_RATES[fault]
+        for point, row in FAULT_POINTS.items():
+            for tier in row.tiers:
+                (rule,) = plan_for(tier, point, seed=0, job_timeout_s=1.0).rules
+                assert rule.rate == row.rate
         fleet = _fleet_injector(",".join(DEFAULT_FLEET_FAULTS), seed=0).plan
         assert {rule.point: rule.rate for rule in fleet.rules} == {
-            fault: DEFAULT_RATES[fault] for fault in DEFAULT_FLEET_FAULTS
+            fault: FAULT_POINTS[fault].rate for fault in DEFAULT_FLEET_FAULTS
+        }
+
+    @pytest.mark.parametrize("tier,matrix", [
+        ("serve", DEFAULT_FAULTS),
+        ("batch", DEFAULT_BATCH_FAULTS),
+        ("fleet", DEFAULT_FLEET_FAULTS),
+    ])
+    def test_each_default_matrix_is_probed_by_its_tier(self, tier, matrix):
+        assert set(matrix) <= set(probed_by(tier))
+
+    def test_the_docs_table_is_the_catalogue(self):
+        """``docs/robustness.md`` lists exactly the catalogue's points, in
+        its order, with their tiers and default actions."""
+        path = os.path.join(os.path.dirname(__file__), "..", "docs",
+                            "robustness.md")
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        start = lines.index("| point | site | tiers | default action |") + 2
+        table = {}
+        for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                        lines[start:]):
+            point, _site, tiers, action = (
+                cell.strip() for cell in line.strip("|").split("|")
+            )
+            table[point.strip("`")] = (
+                tiers.split(" (")[0], re.match(r"`(\w+)`", action).group(1)
+            )
+            if point == "`row-corrupt`":
+                assert "no chaos tier writes row files" in tiers
+        assert list(table) == list(FAULT_POINTS)
+        assert table == {
+            point: (", ".join(row.tiers) or "none", row.action)
+            for point, row in FAULT_POINTS.items()
         }
 
 
@@ -683,9 +723,16 @@ class TestProbeSites:
 
 
 class TestChaos:
-    def test_plan_for_rejects_unknown_fault(self):
-        with pytest.raises(ConfigurationError, match="unknown fault class"):
-            plan_for("meteor-strike", seed=0, job_timeout_s=1.0)
+    @pytest.mark.parametrize("tier,fault", [
+        ("serve", "meteor-strike"),
+        ("fleet", "hung-stage"),
+        ("batch", "row-corrupt"),
+    ])
+    def test_plan_for_rejects_a_fault_its_tier_never_probes(self, tier, fault):
+        # an episode function called directly refuses it too
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown {tier} fault '{fault}'"):
+            plan_for(tier, fault, seed=0, job_timeout_s=1.0)
 
     def test_single_episode_invariants(self, tmp_path):
         report = run_episode(
@@ -767,6 +814,30 @@ class TestChaos:
                            match=rf"tier '{tier}' takes no keyword.*'{keyword}'"):
             run_chaos(seed=7, tier=tier, spool_root=str(tmp_path),
                       num_jobs=1, **{keyword: value})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tier,faults", [
+        ("fleet", ("hung-stage",)),
+        ("fleet", ("worker-crash",)),
+        ("serve", ("node-down",)),
+        ("serve", ("task-hang",)),
+        ("batch", ("conn-drop",)),
+        ("serve", ("row-corrupt",)),
+        ("batch", ("row-corrupt",)),
+        ("fleet", ("row-corrupt",)),
+        ("fleet", ("node-down", "hung-stage")),  # no episode runs first
+    ])
+    def test_tier_foreign_faults_are_refused(self, tier, faults, tmp_path):
+        # a class the tier never probes used to run an episode that
+        # injected nothing and passed with ``fired: {}``
+        foreign = faults[-1]
+        known = ", ".join(sorted(probed_by(tier)))
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_chaos(faults, seed=7, tier=tier, spool_root=str(tmp_path),
+                      num_jobs=1)
+        assert str(excinfo.value) == (
+            f"unknown {tier} fault '{foreign}'; known: {known}"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_check_report_raises_on_violations(self):

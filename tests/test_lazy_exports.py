@@ -129,8 +129,7 @@ EAGER = {
             "fault_stage install installed uninstall"
         ),
         "repro.faults.plan": (
-            "DEFAULT_ACTIONS DEFAULT_RATES FAULT_ACTIONS FAULT_POINTS "
-            "FaultPlan FaultRule"
+            "FAULT_ACTIONS FAULT_POINTS FaultPlan FaultRule"
         ),
     },
     "repro.features": {

@@ -584,6 +584,19 @@ class TestPreprocessService:
         assert len(tombstones) == 1
         assert "rejected" in tombstones[0].error
 
+    def test_a_job_that_sets_processes_is_refused(self, tmp_path):
+        """The runner runs every job inline on one worker, so a process
+        count never took effect; refused before any index line."""
+        with PreprocessService(
+            spool_dir=str(tmp_path), runner=fast_runner
+        ) as svc:
+            with pytest.raises(ConfigurationError, match="processes=2"):
+                svc.submit(dataclasses.replace(JOB, processes=2))
+            with pytest.raises(ConfigurationError, match="processes=2"):
+                svc.submit(dataclasses.replace(JOB, processes=2).to_dict())
+            assert svc.jobs() == []
+        assert JobLogIndex(str(tmp_path / "jobs.jsonl")).load() == []
+
     def test_drain_finishes_every_queued_job(self, tmp_path):
         service = PreprocessService(
             spool_dir=str(tmp_path), num_workers=2, runner=fast_runner
@@ -804,6 +817,16 @@ class TestDirectoryJobSource:
         assert source.take(10) == [JOB]
         assert list(source.rejected) == [str(tmp_path / "a.json")]
 
+    def test_a_spec_that_sets_processes_is_rejected(self, tmp_path):
+        source = DirectoryJobSource(str(tmp_path))
+        (tmp_path / "a.json").write_text(
+            json.dumps(dataclasses.replace(JOB, processes=2).to_dict())
+        )
+        (tmp_path / "b.json").write_text(json.dumps(JOB.to_dict()))
+        assert source.take(10) == [JOB]
+        assert list(source.rejected) == [str(tmp_path / "a.json")]
+        assert "processes=2" in source.rejected[str(tmp_path / "a.json")]
+
     def test_an_empty_path_is_refused(self):
         with pytest.raises(ConfigurationError, match="needs a path"):
             DirectoryJobSource("")
@@ -871,6 +894,32 @@ class TestUserSource:
         assert [r.state for r in records] == ["completed", "completed"]
         assert {r.source for r in records} == {"list:mine"}
         assert sorted(r.digest for r in records) == ["digest-5", "digest-6"]
+
+    def test_a_refused_job_is_audited_and_the_watcher_goes_on(self, tmp_path):
+        """A user source's job that sets ``processes`` used to end the
+        watcher thread once the service refused it."""
+
+        class OnceSource(JobSource):
+            name = "once"
+
+            def __init__(self, *batches):
+                self.batches = list(batches)
+
+            def take(self, limit):
+                return self.batches.pop(0) if self.batches else []
+
+        refused = dataclasses.replace(JOB, processes=2)
+        with PreprocessService(
+            spool_dir=str(tmp_path), runner=fast_runner, poll_interval=0.02,
+        ) as service:
+            service.attach_source(OnceSource([refused], [JOB]))
+            deadline = time.monotonic() + 30.0
+            while not service.jobs("completed") and time.monotonic() < deadline:
+                time.sleep(0.02)
+            records = service.jobs()
+        assert [(r.job, r.state) for r in records] == [(JOB, "completed")]
+        assert [name for name, _ in service.watcher.refused] == ["once"]
+        assert "processes=2" in service.watcher.refused[0][1]
 
 
 class TestSourceWatcher:
